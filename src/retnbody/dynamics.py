@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .canonical import a_eff_covariant
+from .canonical import _IDX_PAIRS, a_eff_covariant
 from .fields import ExternalFieldModel, SelfForceMode, self_faraday, total_faraday
 from .minkowski import dot, lower, raise_index
 from .retardation import HistoryTooShort, max_delay, pair_delay, self_delay
@@ -41,7 +41,8 @@ from .worldline import (
     inertial_history,
 )
 
-M_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# nodes of each synthesized inertial prehistory
+PREHISTORY_NODES = 16
 
 
 class InsufficientPrehistory(Exception):
@@ -90,7 +91,7 @@ class Diagnostics:
         cols += [f"constraint_err_{l}" for l in labels]
         cols += [f"h_eff_{l}" for l in labels]
         cols += [f"p_hat_{mu}" for mu in range(4)]
-        cols += [f"m_hat_{mu}{nu}" for mu, nu in M_PAIRS]
+        cols += [f"m_hat_{mu}{nu}" for mu, nu in _IDX_PAIRS]
         cols += [f"self_delay_{l}" for l in labels]
         cols += [f"pair_delay_{li}_{lj}" for li in labels for lj in labels
                  if li != lj]
@@ -122,7 +123,6 @@ class SystemState:
     include_self: bool = True
     include_binary: bool = True
     renormalize_u: bool = False
-    parallel_workers: int = 0
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
 
     @property
@@ -151,9 +151,8 @@ def seed(specs=None, positions=None, velocities=None, *, prehistories=None,
          external: ExternalFieldModel | None = None,
          mode: SelfForceMode = SelfForceMode.EXACT,
          include_self: bool = True, include_binary: bool = True,
-         renormalize_u: bool = False, parallel_workers: int = 0,
-         coverage_factor: float = 1.2,
-         prehistory_nodes: int = 16) -> SystemState:
+         renormalize_u: bool = False,
+         coverage_factor: float = 1.2) -> SystemState:
     """Build a valid SystemState from instant states or explicit prehistories.
 
     Instant states get an exactly inertial synthesized prehistory whose
@@ -171,13 +170,13 @@ def seed(specs=None, positions=None, velocities=None, *, prehistories=None,
         velocities = [np.asarray(v, dtype=np.float64) for v in velocities]
         est = _static_delay_estimate(specs, positions, c)
         hists = _synthesize(specs, positions, velocities, t0, c,
-                            coverage_factor * est, prehistory_nodes)
+                            coverage_factor * est)
         refined = max_delay(hists, t0)
         if coverage_factor * refined > (t0 - hists[0].t_first):
             hists = _synthesize(specs, positions, velocities, t0, c,
-                                coverage_factor * refined, prehistory_nodes)
+                                coverage_factor * refined)
         return SystemState(hists, t0, dt, c, external, mode, include_self,
-                           include_binary, renormalize_u, parallel_workers)
+                           include_binary, renormalize_u)
 
     hists = list(prehistories)
     if any(h.c != c for h in hists):
@@ -202,14 +201,15 @@ def seed(specs=None, positions=None, velocities=None, *, prehistories=None,
             f"prehistory coverage {shortest} is below the refined delay "
             f"depth {refined}", required=coverage_factor * refined)
     return SystemState(hists, t0, dt, c, external, mode, include_self,
-                       include_binary, renormalize_u, parallel_workers)
+                       include_binary, renormalize_u)
 
 
-def _synthesize(specs, positions, velocities, t0, c, span, nodes):
+def _synthesize(specs, positions, velocities, t0, c, span):
     hists = []
     for spec, x0, v in zip(specs, positions, velocities):
         t_a = t0 - span
-        h = inertial_history(spec, x0 - v * span, v, t_a, t0, nodes, c=c)
+        h = inertial_history(spec, x0 - v * span, v, t_a, t0,
+                             PREHISTORY_NODES, c=c)
         hists.append(h)
     return hists
 
@@ -315,7 +315,7 @@ def _diagnose(state: SystemState, wall: float) -> StepRecord:
     p_hat = P.sum(axis=0)
     m_hat = np.array([
         float(np.sum(r_low[:, mu] * P[:, nu] - r_low[:, nu] * P[:, mu]))
-        for mu, nu in M_PAIRS])
+        for mu, nu in _IDX_PAIRS])
     selfs = np.array([self_delay(h, t).t_ret for h in hs])
     pairs = []
     for i, h_i in enumerate(hs):
@@ -362,7 +362,7 @@ def copy_state(state: SystemState, dt: float | None = None) -> SystemState:
     return SystemState(hists, state.t_now, state.dt if dt is None else dt,
                        state.c, state.external, state.mode,
                        state.include_self, state.include_binary,
-                       state.renormalize_u, state.parallel_workers)
+                       state.renormalize_u)
 
 
 # -- demonstration scenarios --------------------------------------------------

@@ -158,7 +158,6 @@ CONFIG_SCHEMA = {
         },
         "output_dir": {"type": "string", "minLength": 1},
         "seed": {"type": "integer", "minimum": 0},
-        "parallel": {"type": "boolean"},
         "sweep": {
             "type": "object",
             "properties": {
@@ -236,7 +235,6 @@ class RunConfig:
     constraint_hard: float = 1e-6
     constraint_soft: float = 1e-9
     seed: int = 0
-    parallel: bool = False
     sweep_sigmas: tuple | None = None
     oracle: OracleConfig | None = None
 
@@ -253,7 +251,6 @@ class RunConfig:
                            "constraint_soft": self.constraint_soft},
             "output_dir": self.output_dir,
             "seed": self.seed,
-            "parallel": self.parallel,
         }
         if self.external_variant == "constant-uniform":
             out["external"]["E"] = list(self.external_E)
@@ -323,7 +320,6 @@ def parse_config(mapping) -> RunConfig:
         constraint_hard=float(tol.get("constraint_hard", 1e-6)),
         constraint_soft=float(tol.get("constraint_soft", 1e-9)),
         seed=int(mapping.get("seed", 0)),
-        parallel=bool(mapping.get("parallel", False)),
         sweep_sigmas=tuple(float(v) for v in sweep["sigmas"])
         if sweep else None,
         oracle=OracleConfig(width=float(oracle["width"]),
@@ -395,14 +391,12 @@ def build_state(cfg: RunConfig, base_dir=".", mode=None, dt=None):
     ext = _external_model(cfg)
     md = SelfForceMode(cfg.mode if mode is None else mode)
     step = cfg.dt if dt is None else dt
-    workers = 2 if cfg.parallel else 0
 
     if all(p.prehistory is None for p in cfg.particles):
         st = seed(specs,
                   [np.array(p.position) for p in cfg.particles],
                   [np.array(p.velocity) for p in cfg.particles],
-                  t0=cfg.t0, dt=step, c=cfg.c, external=ext, mode=md,
-                  parallel_workers=workers)
+                  t0=cfg.t0, dt=step, c=cfg.c, external=ext, mode=md)
     else:
         loaded = {}
         for p, spec in zip(cfg.particles, specs):
@@ -428,9 +422,10 @@ def build_state(cfg: RunConfig, base_dir=".", mode=None, dt=None):
                     spec, x0 - v * span, v, cfg.t0 - span, cfg.t0, 32,
                     c=cfg.c))
         st = seed(prehistories=hists, t0=cfg.t0, dt=step, c=cfg.c,
-                  external=ext, mode=md, parallel_workers=workers)
+                  external=ext, mode=md)
     for h in st.histories:
         h.hard_tol = cfg.constraint_hard
+        h.constraint_tol = cfg.constraint_soft
     return st
 
 

@@ -30,32 +30,6 @@ def _as_four(v) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FourVector:
-    """A contravariant four-vector with finite float64 components."""
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", _as_four(self.components))
-
-    def __array__(self, dtype=None):
-        if dtype is None:
-            return self.components
-        return self.components.astype(dtype)
-
-    def __getitem__(self, idx):
-        return self.components[idx]
-
-    @property
-    def time(self) -> float:
-        return float(self.components[0])
-
-    @property
-    def spatial(self) -> np.ndarray:
-        return self.components[1:]
-
-
-@dataclass(frozen=True)
 class FaradayTensor:
     """Covariant antisymmetric rank-2 tensor F_{mu nu}.
 
@@ -171,17 +145,6 @@ def contract_force(F, u) -> np.ndarray:
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 tensor, got shape {m.shape}")
     return m @ _as_four(np.asarray(u))
-
-
-def gamma_of_u(u) -> float:
-    """Relativistic factor read off the time component of u = (gamma, gamma*beta)."""
-    return float(np.asarray(u)[0])
-
-
-def velocity_of_u(u, c: float = 1.0) -> np.ndarray:
-    """Coordinate velocity dr/dt = c * u_spatial / u^0."""
-    arr = _as_four(np.asarray(u))
-    return c * arr[1:] / arr[0]
 
 
 def four_velocity(v3, c: float = 1.0) -> np.ndarray:

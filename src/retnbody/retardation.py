@@ -65,7 +65,7 @@ def root_tolerance(d2: float, sigma: float) -> float:
 
 
 def _solve_delay(h, obs_x3, t_obs, sigma: float, c: float,
-                 seed: float | None = None, max_iter: int = MAX_ITER,
+                 seed: float | None = None,
                  strict_coverage: bool = False) -> tuple[float, float]:
     """Return (tau, residual) for the delay equation at one observation."""
 
@@ -101,7 +101,7 @@ def _solve_delay(h, obs_x3, t_obs, sigma: float, c: float,
 
     a, b = tau, tau * (1.0 + 1e-6) + 1e-14
     ga, gb = g(a), g(b)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if abs(residual(a)) <= tol_sq and a >= 0.0:
             return a, abs(residual(a))
         if gb == ga:
@@ -121,7 +121,7 @@ def _solve_delay(h, obs_x3, t_obs, sigma: float, c: float,
         if expand > 200:
             raise NoConvergence("could not bracket the causal delay root")
     glo = g(lo)
-    for _ in range(max(max_iter, 200)):
+    for _ in range(max(MAX_ITER, 200)):
         mid = 0.5 * (lo + hi)
         gm = g(mid)
         if abs(residual(mid)) <= tol_sq:
@@ -147,7 +147,7 @@ def _finish(h, t_obs, tau, res) -> DelayRoot:
 
 
 def self_delay(h: WorldlineHistory, t: float, sigma: float | None = None,
-               seed: float | None = None, max_iter: int = MAX_ITER,
+               seed: float | None = None,
                strict_coverage: bool = False) -> DelayRoot:
     """Causal root of the 1-particle delay equation at observation time t.
 
@@ -157,12 +157,12 @@ def self_delay(h: WorldlineHistory, t: float, sigma: float | None = None,
         sigma = h.spec.sigma
     obs = h.state_at_time(t)
     tau, res = _solve_delay(h, obs.r[1:], t, sigma, h.c, seed=seed,
-                            max_iter=max_iter, strict_coverage=strict_coverage)
+                            strict_coverage=strict_coverage)
     return _finish(h, t, tau, res)
 
 
 def pair_delay(h_source: WorldlineHistory, observer_event, sigma_shift: float,
-               seed: float | None = None, max_iter: int = MAX_ITER,
+               seed: float | None = None,
                strict_coverage: bool = False) -> DelayRoot:
     """Causal root of the 2-particle delay equation.
 
@@ -173,7 +173,7 @@ def pair_delay(h_source: WorldlineHistory, observer_event, sigma_shift: float,
     obs_r = np.asarray(observer_event, dtype=np.float64)
     t_obs = float(obs_r[0]) / h_source.c
     tau, res = _solve_delay(h_source, obs_r[1:], t_obs, sigma_shift,
-                            h_source.c, seed=seed, max_iter=max_iter,
+                            h_source.c, seed=seed,
                             strict_coverage=strict_coverage)
     return _finish(h_source, t_obs, tau, res)
 

@@ -79,13 +79,6 @@ class WorldlineSample:
                 raise ValueError(f"{name} must be a finite four-vector")
             object.__setattr__(self, name, v)
 
-    @property
-    def gamma(self) -> float:
-        return float(self.u[0])
-
-    def velocity(self, c: float = 1.0) -> np.ndarray:
-        return c * self.u[1:] / self.u[0]
-
 
 def _udot_u(u) -> float:
     return float(u[0] * u[0] - u[1:] @ u[1:])
@@ -142,15 +135,15 @@ class WorldlineHistory:
     write phases. Packed node arrays are rebuilt lazily after appends.
     """
 
-    def __init__(self, spec: ParticleSpec, c: float = 1.0,
-                 constraint_tol: float = CONSTRAINT_TOL,
-                 hard_tol: float = HARD_TOL):
+    def __init__(self, spec: ParticleSpec, c: float = 1.0):
         if not (c > 0.0):
             raise ValueError("speed of light must be positive")
         self.spec = spec
         self.c = float(c)
-        self.constraint_tol = constraint_tol
-        self.hard_tol = hard_tol
+        # drift-flag and append-abort thresholds on |u.u - 1|; the harness
+        # sets both from the config tolerances
+        self.constraint_tol = CONSTRAINT_TOL
+        self.hard_tol = HARD_TOL
         self._samples: list[WorldlineSample] = []
         self.flags: list[str] = []
         self._packed = None
@@ -194,9 +187,9 @@ class WorldlineHistory:
         self._packed = None
 
     @classmethod
-    def from_samples(cls, spec: ParticleSpec, samples, c: float = 1.0,
-                     **kw) -> "WorldlineHistory":
-        h = cls(spec, c=c, **kw)
+    def from_samples(cls, spec: ParticleSpec, samples,
+                     c: float = 1.0) -> "WorldlineHistory":
+        h = cls(spec, c=c)
         for smp in samples:
             h.append(smp)
         return h

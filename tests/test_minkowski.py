@@ -39,9 +39,9 @@ def test_boost_inverse_round_trip():
 
 def test_four_vector_validation():
     with pytest.raises(ValueError):
-        mk.FourVector(np.array([1.0, 2.0, 3.0]))
+        mk.dot(np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
-        mk.FourVector(np.array([1.0, np.nan, 0.0, 0.0]))
+        mk.dot(np.array([1.0, np.nan, 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0]))
 
 
 def test_faraday_rejects_symmetric_part():
