@@ -32,7 +32,7 @@ other self-consistent orientation; residual checks accept either via the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -268,7 +268,7 @@ class FrozenHistoryContext:
                     f"history {h.spec.label!r} ends at {h.t_latest} before "
                     f"capture time {t_ref}")
             snap = WorldlineHistory.from_samples(h.spec, h.samples, c=h.c)
-            last = snap.samples[-1]
+            last = snap.state_at_time(snap.t_latest)
             g = last.u[0]
             dt_ext = (snap.t_latest + margin) - snap.t_latest
             r_ext = last.r + (snap.c / g) * last.u * dt_ext
@@ -370,20 +370,13 @@ def _m_hat(mu: int, nu: int) -> PhaseFunction:
     return PhaseFunction(ev, grad, name=f"M_{mu}{nu}")
 
 
-@dataclass
 class GeneratorSet:
-    """Poincare generators: four translations and six antisymmetric pairs."""
+    """Poincare generators: four translations and six antisymmetric pairs,
+    each a sum over however many particles the state holds."""
 
-    n: int
-    p_hat: tuple = field(default=None)
-    M_pairs: dict = field(default=None)
-
-    def __post_init__(self):
-        if self.p_hat is None:
-            self.p_hat = tuple(_p_hat(mu) for mu in range(4))
-        if self.M_pairs is None:
-            self.M_pairs = {(mu, nu): _m_hat(mu, nu)
-                            for mu, nu in _IDX_PAIRS}
+    def __init__(self):
+        self.p_hat = tuple(_p_hat(mu) for mu in range(4))
+        self.M_pairs = {(mu, nu): _m_hat(mu, nu) for mu, nu in _IDX_PAIRS}
 
     def M(self, mu: int, nu: int) -> PhaseFunction:
         if mu == nu:
@@ -431,10 +424,6 @@ class GeneratorSet:
         return PhaseFunction(ev, grad, name="F_boost")
 
 
-def unconstrained_generators(n: int) -> GeneratorSet:
-    return GeneratorSet(n=n)
-
-
 def lorentz_condition_residuals(state: CanonicalState,
                                 gens: GeneratorSet | None = None,
                                 flip: bool = False) -> dict:
@@ -447,7 +436,7 @@ def lorentz_condition_residuals(state: CanonicalState,
     must give residuals at roundoff.
     """
     if gens is None:
-        gens = unconstrained_generators(state.n)
+        gens = GeneratorSet()
     s = -1.0 if flip else 1.0
     rep = {"pp": 0.0, "Mp": 0.0, "MM": 0.0}
     p_vals = [g.value(state) for g in gens.p_hat]

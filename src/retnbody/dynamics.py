@@ -8,10 +8,10 @@ per particle is
 
 with g the asymptotic self four-force (asymptotic mode only; exact mode
 carries the self field inside F). Steps are classic fixed-size RK4;
-mid-step field queries run against ProvisionalView extensions of the
-frozen histories, built from stage-local derivatives. After acceptance a
-fifth force evaluation fixes the appended acceleration sample and proper
-time advances by Simpson quadrature of c dt / gamma.
+mid-step field queries run against ProvisionalViews, each a frozen
+history extended by one stage-local node without copying it. After
+acceptance a fifth force evaluation fixes the appended acceleration
+sample and proper time advances by Simpson quadrature of c dt / gamma.
 
 Histories are the state. A SystemState is little more than the history
 set plus the stepping policy; prehistory coverage is the seeding
@@ -21,7 +21,6 @@ first steps).
 
 from __future__ import annotations
 
-import copy
 import math
 import os
 import time
@@ -239,7 +238,7 @@ def _stage_views(state: SystemState, t_q, xs, us, duts, ss):
         a = (gam / state.c) * duts[i]
         r4 = np.concatenate(([state.c * t_q], xs[i]))
         smp = WorldlineSample(t=t_q, s=ss[i], r=r4, u=us[i].copy(), a=a)
-        views.append(ProvisionalView(h, [smp]))
+        views.append(ProvisionalView(h, smp))
     return views
 
 
@@ -357,8 +356,8 @@ def run(state: SystemState, t_end: float, trajectory_dir=None,
 
 def copy_state(state: SystemState, dt: float | None = None) -> SystemState:
     """Independent deep copy (fresh histories and diagnostics)."""
-    hists = [WorldlineHistory.from_samples(h.spec, [copy.deepcopy(s) for s in h.samples],
-                                           c=h.c) for h in state.histories]
+    hists = [WorldlineHistory.from_samples(h.spec, h.samples, c=h.c)
+             for h in state.histories]
     return SystemState(hists, state.t_now, state.dt if dt is None else dt,
                        state.c, state.external, state.mode,
                        state.include_self, state.include_binary,

@@ -41,6 +41,7 @@ from .canonical import (
     ConstrainedState,
     ContextMismatch,
     FrozenHistoryContext,
+    GeneratorSet,
     GradientUnavailable,
     NumericalNoise,
     PhaseFunction,
@@ -49,7 +50,6 @@ from .canonical import (
     instant_form_increments,
     lorentz_condition_residuals,
     poisson_bracket,
-    unconstrained_generators,
 )
 from .dynamics import (
     InsufficientPrehistory,
@@ -359,8 +359,8 @@ def _external_model(cfg: RunConfig) -> ExternalFieldModel:
     return ExternalFieldModel.uniform(E=cfg.external_E, B=cfg.external_B)
 
 
-def load_prehistory_csv(path, spec: ParticleSpec, c: float) -> WorldlineHistory:
-    samples = []
+def load_prehistory_csv(path, spec: ParticleSpec, cfg: RunConfig) -> WorldlineHistory:
+    """Read a worldline table; rows are checked on append under cfg's tolerances."""
     with open(path, "r", encoding="utf-8") as fh:
         rows = [ln.strip() for ln in fh if ln.strip() and not
                 ln.startswith("#")]
@@ -370,14 +370,16 @@ def load_prehistory_csv(path, spec: ParticleSpec, c: float) -> WorldlineHistory:
     if header != CSV_HEADER:
         raise ConfigError(f"prehistory table {path} has header {header}, "
                           f"expected {CSV_HEADER}")
+    h = WorldlineHistory(spec, c=cfg.c)
+    h.hard_tol, h.constraint_tol = cfg.constraint_hard, cfg.constraint_soft
     for ln in rows[1:]:
         vals = [float(v) for v in ln.split(",")]
         if len(vals) != len(CSV_HEADER):
             raise ConfigError(f"prehistory table {path}: bad row width")
-        samples.append(WorldlineSample(
+        h.append(WorldlineSample(
             t=vals[0], s=vals[1], r=np.array(vals[2:6]),
             u=np.array(vals[6:10]), a=np.array(vals[10:14])))
-    return WorldlineHistory.from_samples(spec, samples, c=c)
+    return h
 
 
 def build_state(cfg: RunConfig, base_dir=".", mode=None, dt=None):
@@ -402,7 +404,7 @@ def build_state(cfg: RunConfig, base_dir=".", mode=None, dt=None):
         for p, spec in zip(cfg.particles, specs):
             if p.prehistory is not None:
                 path = os.path.join(base_dir, p.prehistory)
-                loaded[p.label] = load_prehistory_csv(path, spec, cfg.c)
+                loaded[p.label] = load_prehistory_csv(path, spec, cfg)
         positions = []
         for p in cfg.particles:
             if p.prehistory is not None:
@@ -757,7 +759,7 @@ def cmd_check_pb(cfg: RunConfig) -> dict:
     rows.append(("fundamental_pb", fund, 1e-14, fund < 1e-14))
 
     lor = {"pp": 0.0, "Mp": 0.0, "MM": 0.0}
-    gens = unconstrained_generators(n)
+    gens = GeneratorSet()
     for _ in range(100):
         x = _random_canonical_state(rng, n)
         rep = lorentz_condition_residuals(x, gens)

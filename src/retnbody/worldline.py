@@ -1,25 +1,30 @@
 """Particle specs and sampled worldline histories with dense interpolation.
 
-A history stores time-ordered samples (t, s, r, u, a) for one particle:
+A history stores time-ordered nodes (t, s, r, u, a) for one particle:
   t   coordinate time
   s   proper time in length units, accumulated as ds = c dt / gamma
   r   contravariant position, r^0 = c t exactly
   u   dimensionless four-velocity (gamma, gamma*beta), u.u = 1 on shell
   a   du/ds, units 1/length, orthogonal to u on shell
 
+The nodes live in packed arrays that double in capacity when full.
 Queries between nodes use cubic Hermite interpolation of r (with the node
 velocity dr/dt = c u / gamma as derivative data), of u (with du/dt =
-a c / gamma), and of s (with ds/dt = c / gamma). The acceleration returned
-at a query point is recovered from the u-interpolant so it coincides with
-the stored a at the nodes. For t at or before the first sample the history
-falls back to an exact analytic inertial extension of samples[0], so
-delay-root searches can look arbitrarily far into the past.
+a c / gamma), and of s (with ds/dt = c / gamma); these slopes are stored
+beside the nodes, filled in bulk on the first query after appends. The
+acceleration returned at a query point is recovered from the
+u-interpolant so it coincides with the stored a at the nodes. For t at or
+before the first node the history falls back to an exact analytic
+inertial extension of that node, so delay-root searches can look
+arbitrarily far into the past. A ProvisionalView adds one provisional
+node without copying the history. Four-vectors are checked where they
+enter: in append and in the view constructor.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +33,12 @@ HARD_TOL = 1e-6
 
 CSV_HEADER = ["t", "s", "r0", "r1", "r2", "r3",
               "u0", "u1", "u2", "u3", "a0", "a1", "a2", "a3"]
+
+# packed node columns (attribute, row shape); the last three are the
+# Hermite slopes dr/dt, du/dt and ds/dt
+_COLUMNS = (("_t", ()), ("_s", ()), ("_r", (4,)), ("_u", (4,)), ("_a", (4,)),
+            ("_drdt", (4,)), ("_dudt", (4,)), ("_dsdt", ()))
+_INITIAL_ROWS = 16
 
 
 class QueryBeyondPresent(Exception):
@@ -66,18 +77,31 @@ class ParticleSpec:
 
 @dataclass(frozen=True)
 class WorldlineSample:
+    """One node (t, s, r, u, a); checked where it enters a history."""
+
     t: float
     s: float
     r: np.ndarray
     u: np.ndarray
     a: np.ndarray
 
-    def __post_init__(self):
-        for name in ("r", "u", "a"):
-            v = np.asarray(getattr(self, name), dtype=np.float64)
-            if v.shape != (4,) or not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} must be a finite four-vector")
-            object.__setattr__(self, name, v)
+
+def _checked_vectors(sample: WorldlineSample):
+    """(r, u, a) of a sample as float64 arrays, each a finite four-vector."""
+    out = []
+    for name in ("r", "u", "a"):
+        v = np.asarray(getattr(sample, name), dtype=np.float64)
+        if v.shape != (4,) or not np.all(np.isfinite(v)):
+            raise ValueError(f"{name} must be a finite four-vector")
+        out.append(v)
+    return out
+
+
+def _slopes(u, a, c):
+    """Hermite slopes dr/dt = c u / gamma, du/dt = a c / gamma and
+    ds/dt = c / gamma of one node or of a block of nodes."""
+    g = u[..., :1]
+    return c * u / g, a * (c / g), c / u[..., 0]
 
 
 def _udot_u(u) -> float:
@@ -132,7 +156,8 @@ class WorldlineHistory:
     """Growable sampled worldline for one particle.
 
     Single writer (the integrator) appends; readers interpolate between
-    write phases. Packed node arrays are rebuilt lazily after appends.
+    write phases. Every node is one row of the packed columns in
+    _COLUMNS; rows at or beyond len(self) are capacity, never read.
     """
 
     def __init__(self, spec: ParticleSpec, c: float = 1.0):
@@ -144,47 +169,56 @@ class WorldlineHistory:
         # sets both from the config tolerances
         self.constraint_tol = CONSTRAINT_TOL
         self.hard_tol = HARD_TOL
-        self._samples: list[WorldlineSample] = []
         self.flags: list[str] = []
-        self._packed = None
+        self._n = 0         # rows in use
+        self._n_slopes = 0  # rows whose Hermite slopes are filled
+        for name, shape in _COLUMNS:
+            setattr(self, name, np.empty((_INITIAL_ROWS,) + shape))
 
     # -- construction -----------------------------------------------------
 
     def append(self, sample: WorldlineSample) -> None:
-        if self._samples:
-            last = self._samples[-1]
-            if not (sample.t > last.t):
+        r, u, a = _checked_vectors(sample)
+        n = self._n
+        if n:
+            t_last, s_last = float(self._t[n - 1]), float(self._s[n - 1])
+            if not (sample.t > t_last):
                 raise NonMonotonicTime(
-                    f"append at t={sample.t!r} does not advance past {last.t!r}")
-            if not (sample.s > last.s):
+                    f"append at t={sample.t!r} does not advance past {t_last!r}")
+            if not (sample.s > s_last):
                 raise NonMonotonicTime(
-                    f"append at s={sample.s!r} does not advance past {last.s!r}")
-        norm_err = abs(_udot_u(sample.u) - 1.0)
+                    f"append at s={sample.s!r} does not advance past {s_last!r}")
+        norm_err = abs(_udot_u(u) - 1.0)
         if norm_err > self.hard_tol:
             raise ConstraintViolation(
                 f"|u.u - 1| = {norm_err:.3e} exceeds hard tolerance {self.hard_tol:.1e}")
         if norm_err > self.constraint_tol and "u-normalization-drift" not in self.flags:
             self.flags.append("u-normalization-drift")
-        ua = abs(_udot_ua(sample.u, sample.a))
-        if ua > self.constraint_tol * (1.0 + float(np.max(np.abs(sample.a)))) \
+        ua = abs(_udot_ua(u, a))
+        if ua > self.constraint_tol * (1.0 + float(np.max(np.abs(a)))) \
                 and "u.a-orthogonality-drift" not in self.flags:
             self.flags.append("u.a-orthogonality-drift")
         ct = self.c * sample.t
-        if abs(sample.r[0] - ct) > 1e-9 * (1.0 + abs(ct)):
+        if abs(r[0] - ct) > 1e-9 * (1.0 + abs(ct)):
             raise ConstraintViolation(
-                f"r^0 = {sample.r[0]!r} does not equal c t = {ct!r}")
-        if sample.r[0] != ct:
-            # canonicalize so r^0 = c t holds bit-for-bit
-            r = sample.r.copy()
-            r[0] = ct
-            sample = WorldlineSample(t=sample.t, s=sample.s, r=r,
-                                     u=sample.u, a=sample.a)
-        if not self._samples and float(np.max(np.abs(sample.a))) > 1e-12:
+                f"r^0 = {r[0]!r} does not equal c t = {ct!r}")
+        if not n and float(np.max(np.abs(a))) > 1e-12:
             # the inertial prehistory has a = 0; a jump here is legal but
             # marks the junction as only C^1
             self.flags.append("prehistory-curvature-jump")
-        self._samples.append(sample)
-        self._packed = None
+        if n == len(self._t):
+            for name, _ in _COLUMNS:
+                col = getattr(self, name)
+                setattr(self, name, np.concatenate((col, np.empty_like(col))))
+        self._t[n] = sample.t
+        self._s[n] = sample.s
+        self._r[n] = r
+        if r[0] != ct:
+            # canonicalize so r^0 = c t holds bit-for-bit
+            self._r[n, 0] = ct
+        self._u[n] = u
+        self._a[n] = a
+        self._n = n + 1
 
     @classmethod
     def from_samples(cls, spec: ParticleSpec, samples,
@@ -197,45 +231,66 @@ class WorldlineHistory:
     # -- bookkeeping -------------------------------------------------------
 
     def __len__(self):
-        return len(self._samples)
+        return self._n
 
     @property
     def samples(self):
-        return tuple(self._samples)
+        """Fresh copies of the nodes, oldest first."""
+        n = self._n
+        return tuple(map(WorldlineSample, self._t[:n].tolist(), self._s[:n].tolist(),
+                         self._r[:n].copy(), self._u[:n].copy(), self._a[:n].copy()))
 
     @property
     def t_first(self) -> float:
-        return self._samples[0].t
+        return float(self._t[:self._n][0])
 
     @property
     def t_latest(self) -> float:
-        return self._samples[-1].t
+        return float(self._t[:self._n][-1])
 
     @property
     def s_latest(self) -> float:
-        return self._samples[-1].s
+        return float(self._s[:self._n][-1])
 
-    def _tables(self):
-        if self._packed is None:
-            ts = np.array([smp.t for smp in self._samples])
-            ss = np.array([smp.s for smp in self._samples])
-            rs = np.array([smp.r for smp in self._samples])
-            us = np.array([smp.u for smp in self._samples])
-            accs = np.array([smp.a for smp in self._samples])
-            self._packed = _pack(ts, ss, rs, us, accs, self.c)
-        return self._packed
+    # -- node lookup: the only part a ProvisionalView overrides -------------
+
+    def _row(self, i: int):
+        """Node i as (t, s, r, u, a, dr/dt, du/dt, ds/dt)."""
+        lo, hi = self._n_slopes, self._n
+        if lo < hi:
+            self._drdt[lo:hi], self._dudt[lo:hi], self._dsdt[lo:hi] = _slopes(
+                self._u[lo:hi], self._a[lo:hi], self.c)
+            self._n_slopes = hi
+        return (self._t[i], self._s[i], self._r[i], self._u[i], self._a[i],
+                self._drdt[i], self._dudt[i], self._dsdt[i])
+
+    def _locate(self, t: float):
+        """(k, None) when t is node k, else (None, i) with t inside segment
+        i; the caller guarantees t_first <= t <= t_latest."""
+        n = self._n
+        k = int(np.searchsorted(self._t[:n], t, side="left"))
+        if k < n and self._t[k] == t:
+            return k, None
+        return None, k - 1
 
     # -- queries -----------------------------------------------------------
 
-    def state_at_time(self, t: float) -> WorldlineSample:
-        if not self._samples:
+    def _check_present(self, t: float) -> None:
+        if not len(self):
             raise QueryBeyondPresent("history holds no samples")
-        if t > self.t_latest:
+        if not (t <= self.t_latest):  # also rejects a NaN time
             raise QueryBeyondPresent(
                 f"query at t={t!r} is beyond latest stored t={self.t_latest!r}")
+
+    def state_at_time(self, t: float) -> WorldlineSample:
+        self._check_present(t)
         if t < self.t_first:
             return self._prehistory_state(t)
-        return _interp_state(self._tables(), t, self.c)
+        k, i = self._locate(t)
+        if k is not None:
+            t_k, s_k, r, u, a = self._row(k)[:5]
+            return WorldlineSample(float(t_k), float(s_k), r.copy(), u.copy(), a.copy())
+        return _segment_state(self._row(i), self._row(i + 1), t, self.c)
 
     def proper_time_of(self, t: float) -> float:
         return self.state_at_time(t).s
@@ -245,125 +300,86 @@ class WorldlineHistory:
 
         Piecewise quadratic in t, accurate to O(h^2); used only by the
         asymptotic radiation-reaction term, which is itself a first-order
-        approximation.
+        approximation. At a node the segment starting there is used, at
+        the latest node the one ending there.
         """
-        if not self._samples:
-            raise QueryBeyondPresent("history holds no samples")
-        if t > self.t_latest:
-            raise QueryBeyondPresent(
-                f"query at t={t!r} is beyond latest stored t={self.t_latest!r}")
+        self._check_present(t)
         if t < self.t_first:
             return np.zeros(4)
-        return _interp_udotdot(self._tables(), t, self.c)
+        k, i = self._locate(t)
+        if k is not None:
+            i = k - 1 if k == len(self) - 1 else k
+        if i < 0:
+            raise QueryBeyondPresent("u_dotdot needs a segment; history holds one node")
+        return _segment_udotdot(self._row(i), self._row(i + 1), t, self.c)
 
     def _prehistory_state(self, t: float) -> WorldlineSample:
-        first = self._samples[0]
-        g0 = first.u[0]
-        dt = t - first.t
-        r = first.r + (self.c / g0) * first.u * dt
+        t0, s0, r0, u0 = self._row(0)[:4]
+        g0 = u0[0]
+        dt = t - t0
+        r = r0 + (self.c / g0) * u0 * dt
         r[0] = self.c * t
-        s = first.s + (self.c / g0) * dt
-        return WorldlineSample(t=float(t), s=float(s), r=r,
-                               u=first.u.copy(), a=np.zeros(4))
+        s = s0 + (self.c / g0) * dt
+        return WorldlineSample(float(t), float(s), r, u0.copy(), np.zeros(4))
 
     # -- export ------------------------------------------------------------
 
     def export_csv(self, path, comment: str | None = None) -> None:
+        n = self._n
+        table = np.column_stack((self._t[:n], self._s[:n], self._r[:n],
+                                 self._u[:n], self._a[:n]))
         with open(path, "w", newline="", encoding="utf-8") as fh:
             if comment is not None:
                 fh.write(f"# {comment}\n")
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(CSV_HEADER)
-            for smp in self._samples:
-                w.writerow([repr(float(smp.t)), repr(float(smp.s)),
-                            *[repr(float(x)) for x in smp.r],
-                            *[repr(float(x)) for x in smp.u],
-                            *[repr(float(x)) for x in smp.a]])
+            for row in table.tolist():
+                w.writerow([repr(x) for x in row])
 
 
-def _pack(ts, ss, rs, us, accs, c):
-    gammas = us[:, 0]
-    drdt = c * us / gammas[:, None]
-    dudt = accs * (c / gammas)[:, None]
-    dsdt = c / gammas
-    return {"t": ts, "s": ss, "r": rs, "u": us, "a": accs,
-            "drdt": drdt, "dudt": dudt, "dsdt": dsdt,
-            "samples": None}
-
-
-def _locate(ts, t):
-    k = int(np.searchsorted(ts, t, side="left"))
-    if k < len(ts) and ts[k] == t:
-        return k, None
-    return None, k - 1
-
-
-def _interp_state(tb, t, c):
-    ts = tb["t"]
-    k, seg = _locate(ts, t)
-    if k is not None:
-        return WorldlineSample(t=float(ts[k]), s=float(tb["s"][k]),
-                               r=tb["r"][k].copy(), u=tb["u"][k].copy(),
-                               a=tb["a"][k].copy())
-    i = seg
-    h = ts[i + 1] - ts[i]
-    x = (t - ts[i]) / h
-    r = _hermite(tb["r"][i], tb["drdt"][i], tb["r"][i + 1], tb["drdt"][i + 1], h, x)
-    u = _hermite(tb["u"][i], tb["dudt"][i], tb["u"][i + 1], tb["dudt"][i + 1], h, x)
-    s = _hermite(tb["s"][i], tb["dsdt"][i], tb["s"][i + 1], tb["dsdt"][i + 1], h, x)
-    dudt = _hermite_d(tb["u"][i], tb["dudt"][i], tb["u"][i + 1], tb["dudt"][i + 1], h, x)
-    a = (u[0] / c) * dudt
+def _segment_state(p, q, t, c) -> WorldlineSample:
+    t0, s0, r0, u0, _, drdt0, dudt0, dsdt0 = p
+    t1, s1, r1, u1, _, drdt1, dudt1, dsdt1 = q
+    h = t1 - t0
+    x = (t - t0) / h
+    r = _hermite(r0, drdt0, r1, drdt1, h, x)
+    u = _hermite(u0, dudt0, u1, dudt1, h, x)
+    s = _hermite(s0, dsdt0, s1, dsdt1, h, x)
+    a = (u[0] / c) * _hermite_d(u0, dudt0, u1, dudt1, h, x)
     r[0] = c * t
     return WorldlineSample(t=float(t), s=float(s), r=r, u=u, a=a)
 
 
-def _interp_udotdot(tb, t, c):
-    ts = tb["t"]
-    k, seg = _locate(ts, t)
-    if k is not None:
-        if k == len(ts) - 1:
-            k, seg = None, k - 1
-        else:
-            k, seg = None, k
-    i = max(seg, 0)
-    h = ts[i + 1] - ts[i]
-    x = (t - ts[i]) / h
-    u = _hermite(tb["u"][i], tb["dudt"][i], tb["u"][i + 1], tb["dudt"][i + 1], h, x)
-    du = _hermite_d(tb["u"][i], tb["dudt"][i], tb["u"][i + 1], tb["dudt"][i + 1], h, x)
-    ddu = _hermite_dd(tb["u"][i], tb["dudt"][i], tb["u"][i + 1], tb["dudt"][i + 1], h, x)
-    g = u[0]
-    dgdt = du[0]
+def _segment_udotdot(p, q, t, c) -> np.ndarray:
+    t0, _, _, u0, _, _, dudt0, _ = p
+    t1, _, _, u1, _, _, dudt1, _ = q
+    h = t1 - t0
+    x = (t - t0) / h
+    u = _hermite(u0, dudt0, u1, dudt1, h, x)
+    du = _hermite_d(u0, dudt0, u1, dudt1, h, x)
+    ddu = _hermite_dd(u0, dudt0, u1, dudt1, h, x)
     # d/ds = (gamma/c) d/dt applied twice to u
-    return (g / c) ** 2 * ddu + (g / c) * (dgdt / c) * du
+    return (u[0] / c) ** 2 * ddu + (u[0] / c) * (du[0] / c) * du
 
 
-class ProvisionalView:
-    """Read-only view of a history extended by a few provisional samples.
+class ProvisionalView(WorldlineHistory):
+    """Read-only history extended by one provisional node (an RK stage
+    prediction), so delay kernels can run mid-step without mutating the
+    base. Nothing is copied: only the node lookup is overridden, and
+    lookups up to base.t_latest go to the base. Never appended to."""
 
-    The integrator attaches stage predictions at times beyond the base
-    history so that delay kernels can be evaluated mid-step without
-    mutating the underlying history. Provisional times must be strictly
-    increasing and start after the base's latest node.
-    """
-
-    def __init__(self, base: WorldlineHistory, provisional) -> None:
+    def __init__(self, base: WorldlineHistory, tail: WorldlineSample) -> None:
+        r, u, a = _checked_vectors(tail)
+        if not (tail.t > base.t_latest):
+            raise NonMonotonicTime("provisional sample must advance time")
         self.base = base
         self.spec = base.spec
         self.c = base.c
-        prov = list(provisional)
-        t_prev = base.t_latest
-        for smp in prov:
-            if not (smp.t > t_prev):
-                raise NonMonotonicTime("provisional samples must advance time")
-            t_prev = smp.t
-        self._prov = prov
-        tb = base._tables()
-        ts = np.concatenate([tb["t"], [p.t for p in prov]])
-        ss = np.concatenate([tb["s"], [p.s for p in prov]])
-        rs = np.vstack([tb["r"], [p.r for p in prov]])
-        us = np.vstack([tb["u"], [p.u for p in prov]])
-        accs = np.vstack([tb["a"], [p.a for p in prov]])
-        self._tb = _pack(ts, ss, rs, us, accs, base.c)
+        self._tail = (np.float64(tail.t), np.float64(tail.s), r, u, a,
+                      *_slopes(u, a, self.c))
+
+    def __len__(self):
+        return len(self.base) + 1
 
     @property
     def t_first(self) -> float:
@@ -371,26 +387,17 @@ class ProvisionalView:
 
     @property
     def t_latest(self) -> float:
-        return float(self._tb["t"][-1])
+        return float(self._tail[0])
 
-    def state_at_time(self, t: float) -> WorldlineSample:
-        if t > self.t_latest:
-            raise QueryBeyondPresent(
-                f"query at t={t!r} is beyond latest provisional t={self.t_latest!r}")
-        if t < self.base.t_first:
-            return self.base._prehistory_state(t)
-        return _interp_state(self._tb, t, self.c)
+    def _row(self, i: int):
+        return self._tail if i == len(self.base) else self.base._row(i)
 
-    def proper_time_of(self, t: float) -> float:
-        return self.state_at_time(t).s
-
-    def u_dotdot_at_time(self, t: float) -> np.ndarray:
-        if t > self.t_latest:
-            raise QueryBeyondPresent(
-                f"query at t={t!r} is beyond latest provisional t={self.t_latest!r}")
-        if t < self.base.t_first:
-            return np.zeros(4)
-        return _interp_udotdot(self._tb, t, self.c)
+    def _locate(self, t: float):
+        base = self.base
+        if t <= base.t_latest:
+            return base._locate(t)
+        nb = len(base)
+        return (nb, None) if t == self._tail[0] else (None, nb - 1)
 
 
 # -- factories used by tests, demos and seeding -----------------------------

@@ -16,6 +16,7 @@ from retnbody import worldline as wl
 from retnbody.canonical import (
     ConstrainedState,
     FrozenHistoryContext,
+    GeneratorSet,
     TranslationVariation,
     check_bracket_algebra,
     effective_momentum,
@@ -27,7 +28,6 @@ from retnbody.canonical import (
     poisson_bracket,
     state_from_histories,
     system_hamiltonian,
-    unconstrained_generators,
 )
 from retnbody.dynamics import copy_state, flow_non_bijectivity_check, run, seed
 from retnbody.harness import (
@@ -293,7 +293,7 @@ def test_07_bracket_layer_identities():
                                         _coordinate_function("P", i, nu), x)
                     fund = max(fund, abs(v - (1.0 if mu == nu else 0.0)))
 
-    gens = unconstrained_generators(2)
+    gens = GeneratorSet()
     lor = 0.0
     for _ in range(100):
         rep = lorentz_condition_residuals(_random_canonical_state(rng, 2), gens)
@@ -391,7 +391,7 @@ def test_09_nonlocal_vs_local_brackets():
              for d4 in ([0.0, 1.0, 0.3, -0.2], [1.0, 0.0, 0.0, 0.0]))
     nl_ok = nl < 1e-8 * (1.0 + base_h)
 
-    gens = unconstrained_generators(2)
+    gens = GeneratorSet()
     local = abs(poisson_bracket(hamiltonian_phase_function(ctx),
                                 gens.translation(np.array([0.0, 1.0, 0.0, 0.0])),
                                 x))

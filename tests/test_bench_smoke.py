@@ -11,7 +11,7 @@ import pytest
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
-@pytest.mark.parametrize("workload", ["ring6", "certify"])
+@pytest.mark.parametrize("workload", ["pair_restart", "ring6", "certify"])
 def test_bench_run_reports_correct(workload):
     proc = subprocess.run(
         [sys.executable, os.path.join("bench", "run.py"),

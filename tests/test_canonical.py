@@ -10,6 +10,7 @@ from retnbody.canonical import (
     ConstrainedState,
     ContextMismatch,
     FrozenHistoryContext,
+    GeneratorSet,
     GradientUnavailable,
     LorentzVariation,
     NumericalNoise,
@@ -27,7 +28,6 @@ from retnbody.canonical import (
     state_from_histories,
     system_hamiltonian,
     u_from_momentum,
-    unconstrained_generators,
 )
 from retnbody.fields import ExternalFieldModel
 from retnbody.minkowski import ETA, dot, lower, raise_index
@@ -106,7 +106,7 @@ def test_fundamental_brackets():
 def test_bracket_algebra_properties_polynomial():
     rng = np.random.default_rng(11)
     x = random_state(rng, 2)
-    gens = unconstrained_generators(2)
+    gens = GeneratorSet()
     b = np.zeros((4, 4))
     b[0, 1], b[1, 0] = 0.3, -0.3
     triples = [
@@ -122,7 +122,7 @@ def test_bracket_algebra_properties_polynomial():
 def test_generator_gradients_match_fd():
     rng = np.random.default_rng(3)
     x = random_state(rng, 2)
-    gens = unconstrained_generators(2)
+    gens = GeneratorSet()
     b = np.zeros((4, 4))
     b[0, 2], b[2, 0] = -0.7, 0.7
     funcs = list(gens.p_hat) + list(gens.M_pairs.values())
@@ -160,7 +160,7 @@ def test_lorentz_conditions_both_orientations():
 def test_generated_increments_match_group_tangents():
     rng = np.random.default_rng(31)
     x = random_state(rng, 2)
-    gens = unconstrained_generators(2)
+    gens = GeneratorSet()
 
     a_cov = np.array([0.4, -0.2, 0.7, 0.1])
     Ft = gens.translation(a_cov)
@@ -403,7 +403,7 @@ def test_nonlocal_agrees_with_local_bracket_on_state_functions():
     hists = [h1, h2]
     ctx = FrozenHistoryContext(hists, ExternalFieldModel.none(), t_ref=0.0)
     x = state_from_histories(hists, 0.0, ctx)
-    gens = unconstrained_generators(2)
+    gens = GeneratorSet()
 
     a_cov = np.array([0.2, -0.5, 0.1, 0.4])
     M01 = gens.M_pairs[(0, 1)]

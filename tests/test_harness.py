@@ -413,7 +413,7 @@ def test_prehistory_table_round_trip(tmp_path):
     h = inertial_history(spec, [0.5, 0, 0], [0.1, 0, 0], -6.0, 0.0, 48)
     table = tmp_path / "tab.csv"
     h.export_csv(str(table), comment="hand-built prehistory")
-    loaded = load_prehistory_csv(str(table), spec, 1.0)
+    loaded = load_prehistory_csv(str(table), spec, parse_config(_cfg_mapping()))
     assert loaded.t_latest == h.t_latest
     assert np.array_equal(loaded.samples[0].r, h.samples[0].r)
 
@@ -423,6 +423,26 @@ def test_prehistory_table_round_trip(tmp_path):
     rc, err = _cli(["run", _write_cfg(tmp_path, cfg)])
     assert rc == 0, err
     assert os.path.exists(str(tmp_path / "mix" / "trajectory_tab.csv"))
+
+
+def test_prehistory_table_loads_under_configured_tolerances(tmp_path):
+    spec = ParticleSpec(1.0, 0.3, 0.8, "tab")
+    h = inertial_history(spec, [0.5, 0, 0], [0.1, 0, 0], -6.0, 0.0, 48)
+    table = tmp_path / "tab.csv"
+    h.export_csv(str(table))
+    rows = table.read_text(encoding="utf-8").splitlines()
+    # u0 raised by 5e-6: |u.u - 1| ~ 1e-5, above the default hard tolerance
+    cols = rows[20].split(",")
+    cols[6] = repr(float(cols[6]) + 5e-6)
+    rows[20] = ",".join(cols)
+    table.write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+    mapping = _cfg_mapping(tolerances={"constraint_hard": 1e-4})
+    mapping["particles"][0] = {"label": "tab", "m0": 1.0, "q": 0.3,
+                               "sigma": 0.8, "prehistory": "tab.csv"}
+    st = build_state(parse_config(mapping), str(tmp_path))
+    assert len(st.histories[0]) == 48
+    assert "u-normalization-drift" in st.histories[0].flags
 
 
 def test_check_failed_maps_to_exit3(tmp_path):

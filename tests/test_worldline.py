@@ -92,8 +92,25 @@ class TestQueries:
 
     def test_query_beyond_present(self):
         h = make_inertial()
+        for t in (h.t_latest + 1e-9, float("nan")):
+            with pytest.raises(wl.QueryBeyondPresent):
+                h.state_at_time(t)
+            with pytest.raises(wl.QueryBeyondPresent):
+                h.u_dotdot_at_time(t)
+
+    def test_empty_and_one_node_histories_raise(self):
+        h = wl.WorldlineHistory(wl.ParticleSpec(1.0, 1.0, 0.1))
+        with pytest.raises(IndexError):
+            h.t_first
+        with pytest.raises(IndexError):
+            h.t_latest
         with pytest.raises(wl.QueryBeyondPresent):
-            h.state_at_time(h.t_latest + 1e-9)
+            h.state_at_time(0.0)
+        h.append(wl.sample_from_state(0.0, 0.0, np.zeros(3),
+                                      [1.0, 0.0, 0.0, 0.0], np.zeros(4)))
+        # u_dotdot needs a segment; reading past the one node is refused
+        with pytest.raises(wl.QueryBeyondPresent):
+            h.u_dotdot_at_time(0.0)
 
     def test_inertial_exact_everywhere(self):
         c = 1.0
@@ -189,20 +206,60 @@ class TestProvisionalView:
         h_full = wl.history_from_kinematics(spec, np.linspace(0.0, 2.1, 85),
                                             x_fn, v_fn, acc_fn)
         h_base = wl.history_from_kinematics(spec, nodes, x_fn, v_fn, acc_fn)
-        extra = [h_full.state_at_time(t) for t in (2.025, 2.05, 2.1)]
-        view = wl.ProvisionalView(h_base, extra)
+        view = wl.ProvisionalView(h_base, h_full.state_at_time(2.05))
         t = 2.04
         got = view.state_at_time(t)
         assert abs(got.r[1] - x_fn(t)[0]) < 1e-6
-        assert view.t_latest == pytest.approx(2.1)
+        assert view.t_latest == pytest.approx(2.05)
         # base is untouched
         assert h_base.t_latest == pytest.approx(2.0)
+        assert len(h_base) == 81
 
     def test_view_rejects_non_advancing_samples(self):
         h = make_inertial()
         last = h.samples[-1]
         with pytest.raises(wl.NonMonotonicTime):
-            wl.ProvisionalView(h, [last])
+            wl.ProvisionalView(h, last)
+
+    def test_view_matches_appended_history_bit_for_bit(self):
+        x_fn, v_fn, acc_fn = sin_profile()
+        spec = wl.ParticleSpec(1.0, 1.0, 0.1)
+        # 40 nodes: the packed store grows past its initial capacity
+        h = wl.history_from_kinematics(spec, np.linspace(0.0, 1.95, 40),
+                                       x_fn, v_fn, acc_fn)
+        g = 1.0 / np.sqrt(1.0 - 0.14**2)
+        tail = wl.sample_from_state(2.0, h.s_latest + 0.05, x_fn(2.0),
+                                    [g, 0.14 * g, 0.0, 0.0], [0.028, 0.2, 0.0, 0.0])
+        view = wl.ProvisionalView(h, tail)
+        ref = wl.WorldlineHistory.from_samples(spec, h.samples + (tail,))
+        t_node = h.samples[7].t
+        for t in (t_node, t_node + 0.013, h.t_latest, 1.97, 2.0):
+            got, want = view.state_at_time(t), ref.state_at_time(t)
+            assert got.t == want.t and got.s == want.s
+            for name in ("r", "u", "a"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert np.array_equal(view.u_dotdot_at_time(t),
+                                  ref.u_dotdot_at_time(t))
+        # the latest base node takes the tail segment, as in the appended history
+        assert not np.array_equal(view.u_dotdot_at_time(h.t_latest),
+                                  h.u_dotdot_at_time(h.t_latest))
+
+
+class TestValidation:
+    def _nan_r_sample(self, t):
+        return wl.WorldlineSample(t=t, s=t, r=np.array([t, np.nan, 0.0, 0.0]),
+                                  u=np.array([1.0, 0.0, 0.0, 0.0]), a=np.zeros(4))
+
+    def test_append_rejects_nan(self):
+        h = wl.WorldlineHistory(wl.ParticleSpec(1.0, 1.0, 0.1))
+        with pytest.raises(ValueError, match="r must be a finite four-vector"):
+            h.append(self._nan_r_sample(0.0))
+        assert len(h) == 0
+
+    def test_view_rejects_nan(self):
+        h = make_inertial()
+        with pytest.raises(ValueError, match="r must be a finite four-vector"):
+            wl.ProvisionalView(h, self._nan_r_sample(h.t_latest + 0.1))
 
 
 class TestCsvExport:
