@@ -12,21 +12,15 @@ import numpy as np
 
 from retnbody import minkowski as mk
 from retnbody.dynamics import run, seed
-from retnbody.worldline import ParticleSpec, WorldlineHistory, WorldlineSample
-
-
-def boosted_history(h, lam):
-    samples = [WorldlineSample(t=float((lam @ s.r)[0] / h.c), s=s.s,
-                               r=lam @ s.r, u=lam @ s.u, a=lam @ s.a)
-               for s in h.samples]
-    return WorldlineHistory.from_samples(h.spec, samples, c=h.c)
+from retnbody.worldline import ParticleSpec, WorldlineHistory
 
 
 def truncated(h, t_cut):
-    keep = [s for s in h.samples if s.t < t_cut - 1e-9]
-    return WorldlineHistory.from_samples(h.spec,
-                                         keep + [h.state_at_time(t_cut)],
-                                         c=h.c)
+    tab = h.table
+    out = WorldlineHistory(h.spec, c=h.c)
+    out.extend(tab[tab[:, 0] < t_cut - 1e-9])
+    out.append(h.state_at_time(t_cut))
+    return out
 
 
 def main():
@@ -54,8 +48,7 @@ def main():
 
     lam = mk.Boost(np.array([args.beta, 0.0, 0.0])).matrix()
     lam_inv = mk.Boost(np.array([-args.beta, 0.0, 0.0])).matrix()
-    pre = [truncated(boosted_history(h, lam), args.t0_moving)
-           for h in st.histories]
+    pre = [truncated(h.transformed(lam, 0), args.t0_moving) for h in st.histories]
     stp = seed(prehistories=pre, t0=args.t0_moving, dt=args.dt)
     run(stp, args.t0_moving + 0.5)
 

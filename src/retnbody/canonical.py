@@ -39,7 +39,7 @@ import numpy as np
 from .fields import ExternalFieldModel
 from .minkowski import ETA, dot, lower, raise_index
 from .retardation import delta_line_integral
-from .worldline import HARD_TOL, ConstraintViolation, WorldlineHistory, WorldlineSample
+from .worldline import HARD_TOL, ConstraintViolation, ProvisionalView, WorldlineSample
 
 FD_STEP = 1e-6
 # absolute spread below which the Richardson pair of a Gateaux bracket
@@ -244,11 +244,13 @@ class FrozenHistoryContext:
     """Immutable snapshot of all histories plus per-particle effective
     potential evaluators.
 
-    The snapshot copies every history and appends a short inertial
-    continuation past the capture time so that finite-difference probes
-    of the observation event stay inside the queryable range; the margin
-    sits far below every delay root, so no field or potential kernel ever
-    interpolates inside it.
+    The snapshot wraps every history in a ProvisionalView whose one
+    extra node is a short inertial continuation past the capture time, so
+    that finite-difference probes of the observation event stay inside
+    the queryable range; the margin sits far below every delay root, so
+    no field or potential kernel ever interpolates inside it. No node is
+    copied, and nodes appended to a history later stay invisible to the
+    snapshot.
     """
 
     def __init__(self, histories, external: ExternalFieldModel, t_ref: float):
@@ -267,25 +269,19 @@ class FrozenHistoryContext:
                 raise ValueError(
                     f"history {h.spec.label!r} ends at {h.t_latest} before "
                     f"capture time {t_ref}")
-            snap = WorldlineHistory.from_samples(h.spec, h.samples, c=h.c)
-            last = snap.state_at_time(snap.t_latest)
+            last = h.state_at_time(h.t_latest)
             g = last.u[0]
-            dt_ext = (snap.t_latest + margin) - snap.t_latest
-            r_ext = last.r + (snap.c / g) * last.u * dt_ext
-            r_ext[0] = snap.c * (last.t + dt_ext)
-            snap.append(WorldlineSample(t=last.t + dt_ext,
-                                        s=last.s + (snap.c / g) * dt_ext,
-                                        r=r_ext, u=last.u.copy(),
-                                        a=np.zeros(4)))
-            frozen.append(snap)
+            dt_ext = (h.t_latest + margin) - h.t_latest
+            r_ext = last.r + (h.c / g) * last.u * dt_ext
+            r_ext[0] = h.c * (last.t + dt_ext)
+            frozen.append(ProvisionalView(h, WorldlineSample(
+                t=last.t + dt_ext, s=last.s + (h.c / g) * dt_ext,
+                r=r_ext, u=last.u, a=np.zeros(4))))
         self._histories = tuple(frozen)
 
     @property
     def n(self) -> int:
         return len(self._histories)
-
-    def history(self, i: int) -> WorldlineHistory:
-        return self._histories[i]
 
     def a_eff_cov(self, i: int, r_obs) -> np.ndarray:
         return a_eff_covariant(self._histories, self.external, i, r_obs)
@@ -636,7 +632,7 @@ class TranslationVariation:
     def apply(self, state: CanonicalState, histories, alpha: float):
         shift = alpha * self.d
         new_state = state.replace(r=state.r + shift)
-        new_hist = [_shift_history(h, shift) for h in histories]
+        new_hist = [h.transformed(np.eye(4), shift) for h in histories]
         return new_state, new_hist
 
     @classmethod
@@ -668,26 +664,8 @@ class LorentzVariation:
         lam = _expm_small(alpha * self.omega)
         lam_p = _expm_small(-alpha * self.omega.T)
         new_state = CanonicalState(state.r @ lam.T, state.P @ lam_p.T)
-        new_hist = [_lorentz_history(h, lam) for h in histories]
+        new_hist = [h.transformed(lam, 0.0) for h in histories]
         return new_state, new_hist
-
-
-def _shift_history(h: WorldlineHistory, shift4) -> WorldlineHistory:
-    out = WorldlineHistory(h.spec, c=h.c)
-    dt = shift4[0] / h.c
-    for smp in h.samples:
-        out.append(WorldlineSample(t=smp.t + dt, s=smp.s, r=smp.r + shift4,
-                                   u=smp.u.copy(), a=smp.a.copy()))
-    return out
-
-
-def _lorentz_history(h: WorldlineHistory, lam: np.ndarray) -> WorldlineHistory:
-    out = WorldlineHistory(h.spec, c=h.c)
-    for smp in h.samples:
-        r = lam @ smp.r
-        out.append(WorldlineSample(t=float(r[0] / h.c), s=smp.s, r=r,
-                                   u=lam @ smp.u, a=lam @ smp.a))
-    return out
 
 
 def nonlocal_bracket(xi, variation, state: CanonicalState, histories,

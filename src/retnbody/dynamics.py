@@ -35,7 +35,6 @@ from .retardation import HistoryTooShort, max_delay, pair_delay, self_delay
 from .worldline import (
     ParticleSpec,
     ProvisionalView,
-    WorldlineHistory,
     WorldlineSample,
     inertial_history,
 )
@@ -204,13 +203,9 @@ def seed(specs=None, positions=None, velocities=None, *, prehistories=None,
 
 
 def _synthesize(specs, positions, velocities, t0, c, span):
-    hists = []
-    for spec, x0, v in zip(specs, positions, velocities):
-        t_a = t0 - span
-        h = inertial_history(spec, x0 - v * span, v, t_a, t0,
+    return [inertial_history(spec, x0 - v * span, v, t0 - span, t0,
                              PREHISTORY_NODES, c=c)
-        hists.append(h)
-    return hists
+            for spec, x0, v in zip(specs, positions, velocities)]
 
 
 def _deriv(state: SystemState, views, t_q: float, us):
@@ -356,9 +351,8 @@ def run(state: SystemState, t_end: float, trajectory_dir=None,
 
 def copy_state(state: SystemState, dt: float | None = None) -> SystemState:
     """Independent deep copy (fresh histories and diagnostics)."""
-    hists = [WorldlineHistory.from_samples(h.spec, h.samples, c=h.c)
-             for h in state.histories]
-    return SystemState(hists, state.t_now, state.dt if dt is None else dt,
+    return SystemState([h.copy() for h in state.histories], state.t_now,
+                       state.dt if dt is None else dt,
                        state.c, state.external, state.mode,
                        state.include_self, state.include_binary,
                        state.renormalize_u)
@@ -425,9 +419,7 @@ def demo_locally_isolated(q: float = 0.5, sigma: float = 0.5, m0: float = 1.0,
     max_post = max(forces) if forces else 0.0
 
     t_probe = post[len(post) // 2] if post else t_end
-    doubled = WorldlineHistory.from_samples(
-        ParticleSpec(m0=m0, q=2.0 * q, sigma=sigma, label="pulse2q"),
-        h.samples, c=c)
+    doubled = h.copy(ParticleSpec(m0=m0, q=2.0 * q, sigma=sigma, label="pulse2q"))
     smp = h.state_at_time(t_probe)
     f1 = (spec.q / c) * (self_faraday(h, t_probe).matrix @ smp.u)
     f2 = (2.0 * spec.q / c) * (self_faraday(doubled, t_probe).matrix @ smp.u)

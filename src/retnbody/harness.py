@@ -73,7 +73,6 @@ from .worldline import (
     ParticleSpec,
     QueryBeyondPresent,
     WorldlineHistory,
-    WorldlineSample,
     inertial_history,
 )
 
@@ -360,7 +359,8 @@ def _external_model(cfg: RunConfig) -> ExternalFieldModel:
 
 
 def load_prehistory_csv(path, spec: ParticleSpec, cfg: RunConfig) -> WorldlineHistory:
-    """Read a worldline table; rows are checked on append under cfg's tolerances."""
+    """Read a worldline table; its rows are checked as one block under
+    cfg's tolerances."""
     with open(path, "r", encoding="utf-8") as fh:
         rows = [ln.strip() for ln in fh if ln.strip() and not
                 ln.startswith("#")]
@@ -370,15 +370,14 @@ def load_prehistory_csv(path, spec: ParticleSpec, cfg: RunConfig) -> WorldlineHi
     if header != CSV_HEADER:
         raise ConfigError(f"prehistory table {path} has header {header}, "
                           f"expected {CSV_HEADER}")
+    width = len(CSV_HEADER)
+    if any(ln.count(",") != width - 1 for ln in rows[1:]):
+        raise ConfigError(f"prehistory table {path}: bad row width")
     h = WorldlineHistory(spec, c=cfg.c)
     h.hard_tol, h.constraint_tol = cfg.constraint_hard, cfg.constraint_soft
-    for ln in rows[1:]:
-        vals = [float(v) for v in ln.split(",")]
-        if len(vals) != len(CSV_HEADER):
-            raise ConfigError(f"prehistory table {path}: bad row width")
-        h.append(WorldlineSample(
-            t=vals[0], s=vals[1], r=np.array(vals[2:6]),
-            u=np.array(vals[6:10]), a=np.array(vals[10:14])))
+    # streamed into one array: no per-cell string table is held at once
+    values = (float(v) for ln in rows[1:] for v in ln.split(","))
+    h.extend(np.fromiter(values, np.float64, width * (len(rows) - 1)).reshape(-1, width))
     return h
 
 
@@ -793,11 +792,9 @@ def cmd_check_pb(cfg: RunConfig) -> dict:
 
 
 def _neutral_context(ctx_histories, external, t_ref):
-    neutral = []
-    for h in ctx_histories:
-        spec = ParticleSpec(h.spec.m0, 0.0, h.spec.sigma, h.spec.label)
-        neutral.append(WorldlineHistory.from_samples(spec, h.samples, c=h.c))
-    return FrozenHistoryContext(neutral, external, t_ref)
+    return FrozenHistoryContext(
+        [h.copy(ParticleSpec(h.spec.m0, 0.0, h.spec.sigma, h.spec.label))
+         for h in ctx_histories], external, t_ref)
 
 
 def cmd_demo_no_interaction(cfg: RunConfig, base_dir=".") -> dict:

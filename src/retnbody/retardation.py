@@ -22,6 +22,7 @@ import numpy as np
 from .worldline import WorldlineHistory, WorldlineSample
 
 MAX_ITER = 120
+JAC_TOL = 1e-10  # floor of |Rt.u| / (|Rt| |u|) at a delta-line-integral root
 
 
 class HistoryTooShort(Exception):
@@ -179,14 +180,12 @@ def pair_delay(h_source: WorldlineHistory, observer_event, sigma_shift: float,
 
 
 def delta_line_integral(h: WorldlineHistory, observer_event, sigma: float,
-                        integrand=None, jac_tol_factor: float = 1e-10,
                         strict_coverage: bool = False) -> np.ndarray:
-    """Resolve 2q * integral ds w(s) delta(Rt.Rt - sigma^2) at the causal root.
+    """Resolve 2q * integral ds u(s) delta(Rt.Rt - sigma^2) at the causal root.
 
     The delta contributes 1/|d(Rt.Rt)/ds| = 1/|2 Rt.u| at the root, so the
-    result is q * w(s_ret) / |Rt.u(s_ret)|. The default weight w is the
-    source four-velocity, which yields the shifted Lienard-Wiechert-type
-    potential; its static time component is q / sqrt(d^2 + sigma^2).
+    result is q * u(s_ret) / |Rt.u(s_ret)|: the shifted Lienard-Wiechert-type
+    potential, whose static time component is q / sqrt(d^2 + sigma^2).
     """
     obs_r = np.asarray(observer_event, dtype=np.float64)
     root = pair_delay(h, obs_r, sigma, strict_coverage=strict_coverage)
@@ -196,11 +195,10 @@ def delta_line_integral(h: WorldlineHistory, observer_event, sigma: float,
     jac = abs(float(rt[0] * u[0] - rt[1:] @ u[1:]))
     rt_norm = float(np.sqrt(abs(rt @ rt)))
     u_norm = float(np.sqrt(abs(u @ u)))
-    if jac < jac_tol_factor * max(rt_norm * u_norm, 1e-300):
+    if jac < JAC_TOL * max(rt_norm * u_norm, 1e-300):
         raise DegenerateJacobian(
             f"|Rt.u| = {jac:.3e} at the root; grazing emission geometry")
-    w = u if integrand is None else np.asarray(integrand(src), dtype=np.float64)
-    return h.spec.q * w / jac
+    return h.spec.q * u / jac
 
 
 def max_delay(histories, t0: float, strict_coverage: bool = False) -> float:

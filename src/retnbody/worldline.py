@@ -7,23 +7,26 @@ A history stores time-ordered nodes (t, s, r, u, a) for one particle:
   u   dimensionless four-velocity (gamma, gamma*beta), u.u = 1 on shell
   a   du/ds, units 1/length, orthogonal to u on shell
 
-The nodes live in packed arrays that double in capacity when full.
-Queries between nodes use cubic Hermite interpolation of r (with the node
-velocity dr/dt = c u / gamma as derivative data), of u (with du/dt =
-a c / gamma), and of s (with ds/dt = c / gamma); these slopes are stored
-beside the nodes, filled in bulk on the first query after appends. The
-acceleration returned at a query point is recovered from the
-u-interpolant so it coincides with the stored a at the nodes. For t at or
-before the first node the history falls back to an exact analytic
-inertial extension of that node, so delay-root searches can look
+The nodes live in packed arrays that double in capacity when full. All
+of them enter through extend(table), a checked block write of (m, 14)
+rows in CSV_HEADER order (the layout export_csv writes); append is a
+one-row extend. copy() and transformed() (a Poincare map) work on whole
+columns. Queries between nodes use cubic Hermite interpolation of r
+(with the node velocity dr/dt = c u / gamma as derivative data), of u
+(with du/dt = a c / gamma), and of s (with ds/dt = c / gamma); these
+slopes are stored beside the nodes, filled in bulk on the first query
+after a write. The acceleration returned at a query point is recovered
+from the u-interpolant so it coincides with the stored a at the nodes.
+For t at or before the first node the history falls back to an exact
+analytic inertial extension of that node, so delay-root searches can look
 arbitrarily far into the past. A ProvisionalView adds one provisional
-node without copying the history. Four-vectors are checked where they
-enter: in append and in the view constructor.
+node to a base history it pins, without copying it.
 """
 
 from __future__ import annotations
 
 import csv
+from copy import deepcopy
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,15 +89,30 @@ class WorldlineSample:
     a: np.ndarray
 
 
-def _checked_vectors(sample: WorldlineSample):
-    """(r, u, a) of a sample as float64 arrays, each a finite four-vector."""
-    out = []
-    for name in ("r", "u", "a"):
-        v = np.asarray(getattr(sample, name), dtype=np.float64)
-        if v.shape != (4,) or not np.all(np.isfinite(v)):
-            raise ValueError(f"{name} must be a finite four-vector")
-        out.append(v)
-    return out
+def _sample_row(sample: WorldlineSample) -> np.ndarray:
+    """A sample as one float64 node table row in CSV_HEADER column order."""
+    row = np.hstack((sample.t, sample.s, sample.r, sample.u, sample.a), dtype=np.float64)
+    if row.shape != (len(CSV_HEADER),):
+        raise ValueError("r, u and a must be four-vectors")
+    return row
+
+
+def _checked_vectors(table, checks=()) -> None:
+    """Raise the first failure of a node table, in row order and then in
+    check order: every entry finite (t, s, r, u, a in turn), then each
+    (mask of failing rows, row -> exception) pair of checks."""
+    finite = np.isfinite(table)
+
+    def nonfinite(i):
+        name = CSV_HEADER[int(np.argmin(finite[i]))][0]
+        kind = "number" if name in "ts" else "four-vector"
+        return ValueError(f"{name} must be a finite {kind}")
+
+    checks = [(~finite.all(axis=1), nonfinite), *checks]
+    fails = np.array([mask for mask, _ in checks])
+    if fails.any():
+        i = int(np.argmax(fails.any(axis=0)))
+        raise checks[int(np.argmax(fails[:, i]))][1](i)
 
 
 def _slopes(u, a, c):
@@ -102,22 +120,6 @@ def _slopes(u, a, c):
     ds/dt = c / gamma of one node or of a block of nodes."""
     g = u[..., :1]
     return c * u / g, a * (c / g), c / u[..., 0]
-
-
-def _udot_u(u) -> float:
-    return float(u[0] * u[0] - u[1:] @ u[1:])
-
-
-def _udot_ua(u, a) -> float:
-    return float(u[0] * a[0] - u[1:] @ a[1:])
-
-
-def sample_from_state(t: float, s: float, x3, u, a, c: float = 1.0) -> WorldlineSample:
-    """Build a sample with the exact coordinate-time parametrization r^0 = c t."""
-    r = np.concatenate(([c * t], np.asarray(x3, dtype=np.float64)))
-    return WorldlineSample(t=float(t), s=float(s), r=r,
-                           u=np.asarray(u, dtype=np.float64),
-                           a=np.asarray(a, dtype=np.float64))
 
 
 # cubic Hermite basis on the unit interval
@@ -177,56 +179,78 @@ class WorldlineHistory:
 
     # -- construction -----------------------------------------------------
 
-    def append(self, sample: WorldlineSample) -> None:
-        r, u, a = _checked_vectors(sample)
-        n = self._n
-        if n:
-            t_last, s_last = float(self._t[n - 1]), float(self._s[n - 1])
-            if not (sample.t > t_last):
-                raise NonMonotonicTime(
-                    f"append at t={sample.t!r} does not advance past {t_last!r}")
-            if not (sample.s > s_last):
-                raise NonMonotonicTime(
-                    f"append at s={sample.s!r} does not advance past {s_last!r}")
-        norm_err = abs(_udot_u(u) - 1.0)
-        if norm_err > self.hard_tol:
-            raise ConstraintViolation(
-                f"|u.u - 1| = {norm_err:.3e} exceeds hard tolerance {self.hard_tol:.1e}")
-        if norm_err > self.constraint_tol and "u-normalization-drift" not in self.flags:
-            self.flags.append("u-normalization-drift")
-        ua = abs(_udot_ua(u, a))
-        if ua > self.constraint_tol * (1.0 + float(np.max(np.abs(a)))) \
-                and "u.a-orthogonality-drift" not in self.flags:
-            self.flags.append("u.a-orthogonality-drift")
-        ct = self.c * sample.t
-        if abs(r[0] - ct) > 1e-9 * (1.0 + abs(ct)):
-            raise ConstraintViolation(
-                f"r^0 = {r[0]!r} does not equal c t = {ct!r}")
-        if not n and float(np.max(np.abs(a))) > 1e-12:
-            # the inertial prehistory has a = 0; a jump here is legal but
-            # marks the junction as only C^1
-            self.flags.append("prehistory-curvature-jump")
-        if n == len(self._t):
-            for name, _ in _COLUMNS:
-                col = getattr(self, name)
-                setattr(self, name, np.concatenate((col, np.empty_like(col))))
-        self._t[n] = sample.t
-        self._s[n] = sample.s
-        self._r[n] = r
-        if r[0] != ct:
-            # canonicalize so r^0 = c t holds bit-for-bit
-            self._r[n, 0] = ct
-        self._u[n] = u
-        self._a[n] = a
-        self._n = n + 1
+    def extend(self, table) -> None:
+        """Append (m, 14) node rows in CSV_HEADER order as one block.
 
-    @classmethod
-    def from_samples(cls, spec: ParticleSpec, samples,
-                     c: float = 1.0) -> "WorldlineHistory":
-        h = cls(spec, c=c)
-        for smp in samples:
-            h.append(smp)
-        return h
+        Each row must be finite, advance t and s, keep |u.u - 1| within
+        hard_tol and have r^0 = c t (stored exactly). Nothing is committed
+        unless every row passes; the first failure, in row order and then
+        in that check order, is raised. Flags follow the row order.
+        """
+        tab = np.atleast_2d(np.asarray(table, dtype=np.float64))
+        if tab.ndim != 2 or tab.shape[1] != len(CSV_HEADER):
+            raise ValueError(f"node rows need {len(CSV_HEADER)} columns, got {tab.shape}")
+        m, n = len(tab), self._n
+        t, s, r, u, a = tab[:, 0], tab[:, 1], tab[:, 2:6], tab[:, 6:10], tab[:, 10:14]
+        # t and s of the node before each row
+        t_prev = np.r_[self._t[n - 1] if n else -np.inf, t][:m]
+        s_prev = np.r_[self._s[n - 1] if n else -np.inf, s][:m]
+        ct = self.c * t
+        norm_err = np.abs(u[:, 0] * u[:, 0] - np.sum(u[:, 1:] ** 2, axis=1) - 1.0)
+        _checked_vectors(tab, (
+            (~(t > t_prev), lambda i: NonMonotonicTime(
+                f"append at t={t[i].item()!r} does not advance past {t_prev[i].item()!r}")),
+            (~(s > s_prev), lambda i: NonMonotonicTime(
+                f"append at s={s[i].item()!r} does not advance past {s_prev[i].item()!r}")),
+            (norm_err > self.hard_tol, lambda i: ConstraintViolation(
+                f"|u.u - 1| = {norm_err[i]:.3e} exceeds hard tolerance "
+                f"{self.hard_tol:.1e}")),
+            (np.abs(r[:, 0] - ct) > 1e-9 * (1.0 + np.abs(ct)), lambda i: ConstraintViolation(
+                f"r^0 = {r[i, 0].item()!r} does not equal c t = {ct[i].item()!r}")),
+        ))
+        a_max = np.max(np.abs(a), axis=1)
+        ua = np.abs(u[:, 0] * a[:, 0] - np.sum(u[:, 1:] * a[:, 1:], axis=1))
+        hits = {"u-normalization-drift": norm_err > self.constraint_tol,
+                "u.a-orthogonality-drift": ua > self.constraint_tol * (1.0 + a_max),
+                # a != 0 at the very first node marks a C^1-only prehistory junction
+                "prehistory-curvature-jump": (np.arange(n, n + m) == 0) & (a_max > 1e-12)}
+        new = [f for f, hit in hits.items() if hit.any() and f not in self.flags]
+        self.flags += sorted(new, key=lambda f: np.argmax(hits[f]))
+        cap = len(self._t)
+        while cap < n + m:
+            cap *= 2
+        if cap > len(self._t):
+            for name, shape in _COLUMNS:
+                # rows beyond n are capacity, so resize's repeats are never read
+                setattr(self, name, np.resize(getattr(self, name), (cap,) + shape))
+        self._t[n:n + m], self._s[n:n + m] = t, s
+        self._r[n:n + m], self._u[n:n + m], self._a[n:n + m] = r, u, a
+        self._r[n:n + m, 0] = ct  # canonicalize so r^0 = c t holds bit-for-bit
+        self._n = n + m
+
+    def append(self, sample: WorldlineSample) -> None:
+        """Add one node: a one-row extend."""
+        self.extend(_sample_row(sample))
+
+    def copy(self, spec: ParticleSpec | None = None) -> "WorldlineHistory":
+        """Independent history with the same nodes, c, tolerances and
+        flags, for spec when given; nothing is re-validated."""
+        out = deepcopy(self)
+        out.spec = self.spec if spec is None else spec
+        return out
+
+    def transformed(self, lam, shift4) -> "WorldlineHistory":
+        """The worldline under the Poincare map r -> lam r + shift4,
+        u -> lam u, a -> lam a, with t = r^0 / c and proper times kept;
+        built through extend under this history's tolerances."""
+        lam_t = np.asarray(lam, dtype=np.float64).T
+        tab = self.table
+        r = tab[:, 2:6] @ lam_t + np.asarray(shift4, dtype=np.float64)
+        out = WorldlineHistory(self.spec, c=self.c)
+        out.hard_tol, out.constraint_tol = self.hard_tol, self.constraint_tol
+        out.extend(np.column_stack((r[:, 0] / self.c, tab[:, 1], r,
+                                    tab[:, 6:10] @ lam_t, tab[:, 10:14] @ lam_t)))
+        return out
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -241,16 +265,20 @@ class WorldlineHistory:
                          self._r[:n].copy(), self._u[:n].copy(), self._a[:n].copy()))
 
     @property
+    def table(self) -> np.ndarray:
+        """Fresh (len, 14) array of the nodes in CSV_HEADER column order,
+        the layout extend takes."""
+        n = self._n
+        return np.column_stack((self._t[:n], self._s[:n], self._r[:n],
+                                self._u[:n], self._a[:n]))
+
+    @property
     def t_first(self) -> float:
         return float(self._t[:self._n][0])
 
     @property
     def t_latest(self) -> float:
         return float(self._t[:self._n][-1])
-
-    @property
-    def s_latest(self) -> float:
-        return float(self._s[:self._n][-1])
 
     # -- node lookup: the only part a ProvisionalView overrides -------------
 
@@ -325,9 +353,7 @@ class WorldlineHistory:
     # -- export ------------------------------------------------------------
 
     def export_csv(self, path, comment: str | None = None) -> None:
-        n = self._n
-        table = np.column_stack((self._t[:n], self._s[:n], self._r[:n],
-                                 self._u[:n], self._a[:n]))
+        table = self.table
         with open(path, "w", newline="", encoding="utf-8") as fh:
             if comment is not None:
                 fh.write(f"# {comment}\n")
@@ -364,22 +390,23 @@ def _segment_udotdot(p, q, t, c) -> np.ndarray:
 
 class ProvisionalView(WorldlineHistory):
     """Read-only history extended by one provisional node (an RK stage
-    prediction), so delay kernels can run mid-step without mutating the
-    base. Nothing is copied: only the node lookup is overridden, and
-    lookups up to base.t_latest go to the base. Never appended to."""
+    prediction or a snapshot's continuation) without mutating the base.
+    Nothing is copied: only the node lookup is overridden. The base's
+    length and latest time are pinned when the view is built, so nodes
+    appended to the base later stay invisible. Never appended to."""
 
     def __init__(self, base: WorldlineHistory, tail: WorldlineSample) -> None:
-        r, u, a = _checked_vectors(tail)
-        if not (tail.t > base.t_latest):
-            raise NonMonotonicTime("provisional sample must advance time")
-        self.base = base
-        self.spec = base.spec
-        self.c = base.c
-        self._tail = (np.float64(tail.t), np.float64(tail.s), r, u, a,
-                      *_slopes(u, a, self.c))
+        row = _sample_row(tail)
+        self.base, self.spec, self.c = base, base.spec, base.c
+        self._nb, self._t_base = len(base), base.t_latest
+        advances = row[:1] > self._t_base
+        _checked_vectors(row[None], ((~advances, lambda i: NonMonotonicTime(
+            "provisional sample must advance time")),))
+        u, a = row[6:10], row[10:14]
+        self._tail = (row[0], row[1], row[2:6], u, a, *_slopes(u, a, self.c))
 
     def __len__(self):
-        return len(self.base) + 1
+        return self._nb + 1
 
     @property
     def t_first(self) -> float:
@@ -390,13 +417,12 @@ class ProvisionalView(WorldlineHistory):
         return float(self._tail[0])
 
     def _row(self, i: int):
-        return self._tail if i == len(self.base) else self.base._row(i)
+        return self._tail if i == self._nb else self.base._row(i)
 
     def _locate(self, t: float):
-        base = self.base
-        if t <= base.t_latest:
-            return base._locate(t)
-        nb = len(base)
+        if t <= self._t_base:
+            return self.base._locate(t)
+        nb = self._nb
         return (nb, None) if t == self._tail[0] else (None, nb - 1)
 
 
@@ -412,10 +438,11 @@ def inertial_history(spec: ParticleSpec, x0, v3, t0: float, t1: float,
         raise ValueError("Superluminal velocity")
     g = 1.0 / np.sqrt(1.0 - b2)
     u = np.concatenate(([g], g * v / c))
+    ts = np.linspace(t0, t1, n)
     h = WorldlineHistory(spec, c=c)
-    for t in np.linspace(t0, t1, n):
-        s = s0 + (c / g) * (t - t0)
-        h.append(sample_from_state(t, s, x0 + v * (t - t0), u, np.zeros(4), c))
+    h.extend(np.column_stack((ts, s0 + (c / g) * (ts - t0), c * ts,
+                              x0 + (ts - t0)[:, None] * v, np.tile(u, (n, 1)),
+                              np.zeros((n, 4)))))
     return h
 
 
@@ -428,7 +455,7 @@ def history_from_kinematics(spec: ParticleSpec, t_nodes, x_fn, v_fn, acc_fn,
     c dt / gamma, which matches the interpolant's O(h^4) accuracy.
     """
     t_nodes = np.asarray(t_nodes, dtype=np.float64)
-    h = WorldlineHistory(spec, c=c)
+    rows = []
     s = s0
 
     def gamma_at(t):
@@ -451,8 +478,9 @@ def history_from_kinematics(spec: ParticleSpec, t_nodes, x_fn, v_fn, acc_fn,
             gm = gamma_at(0.5 * (prev_t + t))
             gp = u[0]
             s += (c * (t - prev_t) / 6.0) * (1.0 / g_prev + 4.0 / gm + 1.0 / gp)
-        h.append(sample_from_state(t, s, np.asarray(x_fn(t), dtype=np.float64),
-                                   u, a, c))
+        rows.append(np.concatenate(([t, s, c * t], x_fn(t), u, a)))
         prev_t = t
         g_prev = g
+    h = WorldlineHistory(spec, c=c)
+    h.extend(np.reshape(rows, (-1, len(CSV_HEADER))))
     return h

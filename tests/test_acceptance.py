@@ -40,7 +40,6 @@ from retnbody.harness import (
 from retnbody.worldline import (
     ParticleSpec,
     WorldlineHistory,
-    WorldlineSample,
     history_from_kinematics,
     inertial_history,
 )
@@ -327,9 +326,8 @@ def test_08_non_commutation_certificate():
     xp = ConstrainedState(np.array(xs), np.array(Ps))
     comm = float(np.max(np.abs(instant_form_constrained(xp, ctx)["comm_p0_pl"])))
 
-    neutral = [WorldlineHistory.from_samples(
-        ParticleSpec(h.spec.m0, 0.0, h.spec.sigma, h.spec.label),
-        h.samples, c=h.c) for h in hists]
+    neutral = [h.copy(ParticleSpec(h.spec.m0, 0.0, h.spec.sigma, h.spec.label))
+               for h in hists]
     ctx0 = FrozenHistoryContext(neutral, fl.ExternalFieldModel.none(), st.t_now)
     comm0 = float(np.max(np.abs(instant_form_constrained(xp, ctx0)["comm_p0_pl"])))
 
@@ -401,18 +399,12 @@ def test_09_nonlocal_vs_local_brackets():
             f"delta_inv={inv:.1e} nl_HN={nl:.1e} local_HN={local:.1e}")
 
 
-def _boosted_history(h, lam):
-    samples = [WorldlineSample(t=float((lam @ s.r)[0] / h.c), s=s.s,
-                               r=lam @ s.r, u=lam @ s.u, a=lam @ s.a)
-               for s in h.samples]
-    return WorldlineHistory.from_samples(h.spec, samples, c=h.c)
-
-
 def _truncated(h, t_cut):
-    keep = [s for s in h.samples if s.t < t_cut - 1e-9]
-    return WorldlineHistory.from_samples(h.spec,
-                                         keep + [h.state_at_time(t_cut)],
-                                         c=h.c)
+    tab = h.table
+    out = WorldlineHistory(h.spec, c=h.c)
+    out.extend(tab[tab[:, 0] < t_cut - 1e-9])
+    out.append(h.state_at_time(t_cut))
+    return out
 
 
 def test_10_boost_covariance():
@@ -432,7 +424,7 @@ def test_10_boost_covariance():
     lam = mk.Boost(np.array([beta, 0.0, 0.0])).matrix()
     lam_inv = mk.Boost(np.array([-beta, 0.0, 0.0])).matrix()
     t0p = 0.55
-    pre = [_truncated(_boosted_history(h, lam), t0p) for h in st.histories]
+    pre = [_truncated(h.transformed(lam, 0), t0p) for h in st.histories]
     stp = seed(prehistories=pre, t0=t0p, dt=dt)
     run(stp, 1.05)
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from retnbody.dynamics import run, seed
+from retnbody.dynamics import copy_state, run, seed
 from retnbody.harness import (
     CheckFailed,
     ConfigError,
@@ -425,24 +425,68 @@ def test_prehistory_table_round_trip(tmp_path):
     assert os.path.exists(str(tmp_path / "mix" / "trajectory_tab.csv"))
 
 
-def test_prehistory_table_loads_under_configured_tolerances(tmp_path):
+def _edited_table_config(tmp_path, row, col, edit, **overrides):
+    """Config whose particle "tab" loads a 48-node inertial table with one
+    cell edited."""
     spec = ParticleSpec(1.0, 0.3, 0.8, "tab")
     h = inertial_history(spec, [0.5, 0, 0], [0.1, 0, 0], -6.0, 0.0, 48)
     table = tmp_path / "tab.csv"
     h.export_csv(str(table))
     rows = table.read_text(encoding="utf-8").splitlines()
-    # u0 raised by 5e-6: |u.u - 1| ~ 1e-5, above the default hard tolerance
-    cols = rows[20].split(",")
-    cols[6] = repr(float(cols[6]) + 5e-6)
-    rows[20] = ",".join(cols)
+    cols = rows[row].split(",")
+    cols[col] = edit(cols[col])
+    rows[row] = ",".join(cols)
     table.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
-    mapping = _cfg_mapping(tolerances={"constraint_hard": 1e-4})
+    mapping = _cfg_mapping(**overrides)
     mapping["particles"][0] = {"label": "tab", "m0": 1.0, "q": 0.3,
                                "sigma": 0.8, "prehistory": "tab.csv"}
-    st = build_state(parse_config(mapping), str(tmp_path))
+    return mapping
+
+
+def _loose_table_config(tmp_path):
+    # u0 raised by 5e-6: |u.u - 1| ~ 1e-5, above the default hard tolerance
+    return _edited_table_config(tmp_path, 20, 6, lambda v: repr(float(v) + 5e-6),
+                                tolerances={"constraint_hard": 1e-4})
+
+
+def test_prehistory_table_loads_under_configured_tolerances(tmp_path):
+    st = build_state(parse_config(_loose_table_config(tmp_path)), str(tmp_path))
     assert len(st.histories[0]) == 48
     assert "u-normalization-drift" in st.histories[0].flags
+
+
+def test_copy_state_keeps_configured_tolerances(tmp_path):
+    st = build_state(parse_config(_loose_table_config(tmp_path)), str(tmp_path))
+    cp = copy_state(st)
+    for h, g in zip(st.histories, cp.histories):
+        assert (g.hard_tol, g.constraint_tol) == (1e-4, h.constraint_tol)
+        assert g.flags == h.flags and g.flags is not h.flags
+        assert np.array_equal(g.table, h.table)
+
+
+def test_prehistory_table_rejects_non_finite_time(tmp_path):
+    mapping = _edited_table_config(tmp_path, 1, 0, lambda v: "nan",
+                                   output_dir=str(tmp_path / "nan"))
+    with pytest.raises(ValueError, match="t must be a finite number"):
+        load_prehistory_csv(str(tmp_path / "tab.csv"), ParticleSpec(1.0, 0.3, 0.8, "tab"),
+                            parse_config(mapping))
+    rc, err = _cli(["run", _write_cfg(tmp_path, mapping)])
+    assert rc == 3
+    assert json.loads(err)["error"] == "ValueError"
+
+
+def test_prehistory_table_format_errors(tmp_path):
+    spec, cfg = ParticleSpec(1.0, 0.3, 0.8, "tab"), parse_config(_cfg_mapping())
+    table = str(tmp_path / "tab.csv")
+    for row, edit, message in ((0, lambda v: "time", "has header"),
+                               (5, lambda v: v + ",0.0", "bad row width")):
+        _edited_table_config(tmp_path, row, 0, edit)
+        with pytest.raises(ConfigError, match=message):
+            load_prehistory_csv(table, spec, cfg)
+    (tmp_path / "tab.csv").write_text("# comment only\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="is empty"):
+        load_prehistory_csv(table, spec, cfg)
 
 
 def test_check_failed_maps_to_exit3(tmp_path):

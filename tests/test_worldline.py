@@ -5,6 +5,12 @@ from hypothesis import given, settings, strategies as st
 from retnbody import worldline as wl
 
 
+def sample(t, s, x3, u, a, c=1.0):
+    """A node with the exact coordinate-time parametrization r^0 = c t."""
+    return wl.WorldlineSample(t=float(t), s=float(s), r=np.r_[c * t, x3],
+                              u=np.asarray(u, dtype=float), a=np.asarray(a, dtype=float))
+
+
 def make_inertial(beta=0.6, c=1.0, n=9, t1=4.0):
     spec = wl.ParticleSpec(m0=1.0, q=1.0, sigma=0.1, label="a")
     return wl.inertial_history(spec, np.zeros(3), np.array([beta * c, 0.0, 0.0]),
@@ -52,7 +58,7 @@ class TestAppend:
         h = make_inertial()
         u_bad = np.array([np.sqrt(1.01), 0.1, 0.0, 0.0])
         u_bad[0] = np.sqrt(1.01 + 0.01)
-        smp = wl.sample_from_state(h.t_latest + 1.0, h.s_latest + 1.0,
+        smp = sample(h.t_latest + 1.0, h.samples[-1].s + 1.0,
                                    np.zeros(3), np.array([1.005, 0.0, 0.0, 0.0]),
                                    np.zeros(4))
         with pytest.raises(wl.ConstraintViolation):
@@ -67,7 +73,7 @@ class TestAppend:
 
     def test_curvature_jump_flagged_not_rejected(self):
         h = wl.WorldlineHistory(wl.ParticleSpec(1.0, 1.0, 0.1))
-        smp = wl.sample_from_state(0.0, 0.0, np.zeros(3),
+        smp = sample(0.0, 0.0, np.zeros(3),
                                    np.array([1.0, 0, 0, 0]),
                                    np.array([0.0, 0.5, 0.0, 0.0]))
         h.append(smp)
@@ -76,7 +82,7 @@ class TestAppend:
     def test_soft_drift_flagged(self):
         h = wl.WorldlineHistory(wl.ParticleSpec(1.0, 1.0, 0.1))
         u = np.array([1.0 + 3e-8, 0.0, 0.0, 0.0])
-        h.append(wl.sample_from_state(0.0, 0.0, np.zeros(3), u, np.zeros(4)))
+        h.append(sample(0.0, 0.0, np.zeros(3), u, np.zeros(4)))
         assert "u-normalization-drift" in h.flags
 
 
@@ -106,7 +112,7 @@ class TestQueries:
             h.t_latest
         with pytest.raises(wl.QueryBeyondPresent):
             h.state_at_time(0.0)
-        h.append(wl.sample_from_state(0.0, 0.0, np.zeros(3),
+        h.append(sample(0.0, 0.0, np.zeros(3),
                                       [1.0, 0.0, 0.0, 0.0], np.zeros(4)))
         # u_dotdot needs a segment; reading past the one node is refused
         with pytest.raises(wl.QueryBeyondPresent):
@@ -146,13 +152,13 @@ class TestQueries:
         tk = 1.0
         for t in np.linspace(0.0, tk, 5):
             u = np.array([g1, g1 * b1, 0, 0])
-            h.append(wl.sample_from_state(t, c * t / g1, [b1 * c * t, 0, 0],
+            h.append(sample(t, c * t / g1, [b1 * c * t, 0, 0],
                                           u, np.zeros(4), c))
         xk = b1 * c * tk
         sk = c * tk / g1
         for t in np.linspace(tk, 2.0, 5)[1:]:
             u = np.array([g2, g2 * b2, 0, 0])
-            h.append(wl.sample_from_state(t, sk + c * (t - tk) / g2,
+            h.append(sample(t, sk + c * (t - tk) / g2,
                                           [xk + b2 * c * (t - tk), 0, 0],
                                           u, np.zeros(4), c))
         assert h.proper_time_of(0.6) == pytest.approx(0.6 / g1, abs=1e-10)
@@ -228,10 +234,11 @@ class TestProvisionalView:
         h = wl.history_from_kinematics(spec, np.linspace(0.0, 1.95, 40),
                                        x_fn, v_fn, acc_fn)
         g = 1.0 / np.sqrt(1.0 - 0.14**2)
-        tail = wl.sample_from_state(2.0, h.s_latest + 0.05, x_fn(2.0),
+        tail = sample(2.0, h.samples[-1].s + 0.05, x_fn(2.0),
                                     [g, 0.14 * g, 0.0, 0.0], [0.028, 0.2, 0.0, 0.0])
         view = wl.ProvisionalView(h, tail)
-        ref = wl.WorldlineHistory.from_samples(spec, h.samples + (tail,))
+        ref = h.copy()
+        ref.append(tail)
         t_node = h.samples[7].t
         for t in (t_node, t_node + 0.013, h.t_latest, 1.97, 2.0):
             got, want = view.state_at_time(t), ref.state_at_time(t)
@@ -243,6 +250,26 @@ class TestProvisionalView:
         # the latest base node takes the tail segment, as in the appended history
         assert not np.array_equal(view.u_dotdot_at_time(h.t_latest),
                                   h.u_dotdot_at_time(h.t_latest))
+
+    def test_view_pins_its_base(self):
+        h = make_inertial(beta=0.3, n=9, t1=2.0)
+        g = 1.0 / np.sqrt(1.0 - 0.4**2)
+        tail = sample(2.5, h.samples[-1].s + 0.4, [0.65, 0.0, 0.0],
+                                    [g, 0.4 * g, 0.0, 0.0], [0.0, 0.3, 0.0, 0.0])
+        view = wl.ProvisionalView(h, tail)
+        ts = (2.0 + 1e-9, 2.2, 2.3, 2.5)
+        before = [view.state_at_time(t) for t in ts]
+        dd_before = [view.u_dotdot_at_time(t) for t in ts]
+        # a base node inside the view's tail segment, off the view's path
+        h.append(sample(2.25, h.samples[-1].s + 0.3, [0.9, 0.1, 0.0],
+                                      [1.0, 0.0, 0.0, 0.0], np.zeros(4)))
+        assert len(view) == 10 and view.t_latest == 2.5
+        for t, want, dd in zip(ts, before, dd_before):
+            got = view.state_at_time(t)
+            assert got.t == want.t and got.s == want.s
+            for name in ("r", "u", "a"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert np.array_equal(view.u_dotdot_at_time(t), dd)
 
 
 class TestValidation:
@@ -260,6 +287,118 @@ class TestValidation:
         h = make_inertial()
         with pytest.raises(ValueError, match="r must be a finite four-vector"):
             wl.ProvisionalView(h, self._nan_r_sample(h.t_latest + 0.1))
+
+    def test_non_finite_t_and_s_rejected(self):
+        h = wl.WorldlineHistory(wl.ParticleSpec(1.0, 1.0, 0.1))
+        with pytest.raises(ValueError, match="t must be a finite number"):
+            h.append(sample(np.nan, 0.0, np.zeros(3),
+                                          [1.0, 0.0, 0.0, 0.0], np.zeros(4)))
+        for s in (np.inf, -np.inf):
+            with pytest.raises(ValueError, match="s must be a finite number"):
+                h.append(sample(0.0, s, np.zeros(3),
+                                              [1.0, 0.0, 0.0, 0.0], np.zeros(4)))
+        assert len(h) == 0
+
+
+def _block(h, m=5, dt=0.5):
+    """m clean rows continuing the beta = 0.6 inertial history h."""
+    t = h.t_latest + dt * np.arange(1, m + 1)
+    return np.column_stack((t, 0.8 * t, t, 0.6 * t, np.zeros((m, 2)),
+                            np.tile([1.25, 0.75, 0.0, 0.0], (m, 1)), np.zeros((m, 4))))
+
+
+def _appended_row_by_row(h, table):
+    """Append the rows one at a time; the error that stops it, or None."""
+    for row in table:
+        try:
+            h.append(wl.WorldlineSample(t=row[0], s=row[1], r=row[2:6],
+                                        u=row[6:10], a=row[10:14]))
+        except Exception as exc:  # compared with the block write's error
+            return exc
+    return None
+
+
+def _fault(name):
+    def put(tab):
+        row = tab[2]
+        if name == "r":
+            row[3] = np.nan
+        elif name == "u":
+            row[7] = np.inf
+        elif name == "a":
+            row[11] = -np.inf
+        elif name == "t":
+            row[0] = tab[1, 0]
+        elif name == "s":
+            row[1] = tab[1, 1]
+        elif name == "hard_tol":
+            row[6] += 1e-3
+        elif name == "r0":
+            row[2] += 1.0
+        elif name == "hard_tol_and_r0":
+            row[6] += 1e-3
+            row[2] += 1.0
+        tab[4, 0] = np.nan  # a later fault never wins over row 2
+    return put
+
+
+class TestExtend:
+    @pytest.mark.parametrize("fault", ["r", "u", "a", "t", "s", "hard_tol", "r0",
+                                       "hard_tol_and_r0"])
+    def test_block_fails_like_rows_and_commits_nothing(self, fault):
+        h = make_inertial()
+        tab = _block(h)
+        _fault(fault)(tab)
+        ref = h.copy()
+        want = _appended_row_by_row(ref, tab)
+        assert want is not None and len(ref) == len(h) + 2
+        flags = list(h.flags)
+        with pytest.raises(type(want)) as got:
+            h.extend(tab)
+        assert str(got.value) == str(want)
+        assert len(h) == 9 and h.flags == flags
+        assert np.array_equal(h.table, make_inertial().table)
+
+    def test_clean_block_matches_rows_bit_for_bit(self):
+        h = make_inertial()
+        tab = _block(h)
+        tab[1, 10] = 1e-6                              # u.a drift at row 1
+        tab[3, 6] = np.sqrt(1.0 + 1e-8 + 0.75**2)      # u.u drift at row 3
+        tab[:, 2] *= 1.0 + 1e-12                       # r^0 canonicalized to c t
+        ref = h.copy()
+        assert _appended_row_by_row(ref, tab) is None
+        h.extend(tab)
+        assert h.flags == ref.flags == ["u.a-orthogonality-drift",
+                                        "u-normalization-drift"]
+        assert np.array_equal(h.table, ref.table)
+        assert np.array_equal(h.table[:, 2], h.table[:, 0])
+        assert h.state_at_time(h.t_latest - 0.3).s == ref.state_at_time(h.t_latest - 0.3).s
+
+    def test_copy_keeps_tolerances_and_flags(self):
+        h = make_inertial()
+        h.hard_tol, h.constraint_tol = 1e-4, 1e-7
+        h.flags.append("u-normalization-drift")
+        spec = wl.ParticleSpec(2.0, 0.0, 0.3, "b")
+        g = h.copy(spec)
+        assert (g.spec, g.c, g.hard_tol, g.constraint_tol) == (spec, h.c, 1e-4, 1e-7)
+        assert g.flags == h.flags and g.flags is not h.flags
+        g.append(sample(5.0, 4.0, [3.0, 0, 0], [1.25, 0.75, 0, 0],
+                                      np.zeros(4)))
+        assert len(g) == len(h) + 1 and np.array_equal(g.table[:-1], h.table)
+
+    def test_transformed_is_a_poincare_map(self):
+        h = make_inertial(beta=0.6, n=9, t1=4.0)
+        lam = np.eye(4)
+        lam[:2, :2] = [[1.25, -0.75], [-0.75, 1.25]]  # boost to the rest frame
+        shift = np.array([0.5, 1.0, -2.0, 0.0])
+        moved = h.transformed(lam, shift)
+        tab = moved.table
+        assert np.allclose(tab[:, 6:10], [1.0, 0.0, 0.0, 0.0], atol=1e-15)
+        assert np.allclose(tab[:, 3:6], [1.0, -2.0, 0.0], atol=1e-14)
+        assert np.array_equal(tab[:, 1], h.table[:, 1])
+        assert np.array_equal(tab[:, 2], tab[:, 0] * h.c)
+        back = moved.transformed(np.linalg.inv(lam), -np.linalg.inv(lam) @ shift)
+        assert np.allclose(back.table, h.table, atol=1e-14)
 
 
 class TestCsvExport:
