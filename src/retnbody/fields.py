@@ -29,10 +29,8 @@ from enum import Enum
 import numpy as np
 
 from .minkowski import FaradayTensor, dot, lower
-from .retardation import DegenerateJacobian, pair_delay, self_delay
+from .retardation import JAC_TOL, DegenerateJacobian, pair_delay, self_delay
 from .worldline import WorldlineHistory
-
-_JAC_TOL_FACTOR = 1e-10
 
 
 class SelfForceMode(Enum):
@@ -116,7 +114,7 @@ def _kernel(rt: np.ndarray, u: np.ndarray, a: np.ndarray, k: float,
     """The expanded s'-derivative kernel -(k/|D|)[dN/D - N dD/D^2]."""
     D = dot(rt, u)
     rt_norm = float(np.sqrt(abs(dot(rt, rt))))
-    if abs(D) < _JAC_TOL_FACTOR * max(rt_norm, 1e-300):
+    if abs(D) < JAC_TOL * max(rt_norm, 1e-300):
         raise DegenerateJacobian(
             f"|Rt.u| = {abs(D):.3e} in the field kernel; grazing geometry")
     rt_l = lower(rt)

@@ -7,14 +7,16 @@ shell radius sigma is
 
 whose positive root places the emission event on the shifted cone
 Rt.Rt = sigma^2 through the observation event. For subluminal source
-motion the right-hand side is a contraction in tau, so the root exists
-and is unique; the solver runs a few fixed-point sweeps, switches to a
-secant refinement, and falls back to bracketed bisection if the iterates
-misbehave.
+motion the root exists and is unique. One bracketed Newton iteration on
+the squared form f(tau) = (c tau)^2 - |dx|^2 - sigma^2 finds it: each
+iteration makes one history query, which gives f and, from the source
+velocity, f' and the step to the root of f for a source moving on
+inertially. A step that leaves the bracket bisects it instead.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +33,9 @@ class HistoryTooShort(Exception):
 
 
 class NoConvergence(Exception):
-    """Raised when neither the fixed-point/secant loop nor bisection
-    settles within the iteration budget."""
+    """Raised when the bracketed Newton iteration does not meet the root
+    tolerance within MAX_ITER evaluations (a source that outruns its
+    shell, or a bracket collapsed onto float noise)."""
 
 
 class DegenerateJacobian(Exception):
@@ -52,99 +55,57 @@ class DelayRoot:
             raise ValueError(f"delay must be a finite non-negative time, got {self.t_ret!r}")
 
 
-def _source_pos(h, t, strict):
-    if strict and t < h.t_first:
-        raise HistoryTooShort(
-            f"delay search reached t={t!r} before first recorded sample "
-            f"t_first={h.t_first!r}")
-    return h.state_at_time(t).r[1:]
-
-
 def root_tolerance(d2: float, sigma: float) -> float:
-    # the defining equation lives in squared-length units
+    # the defining equation lives in squared-length units; the 1e-12 floor
+    # exceeds sigma^2 below sigma ~ 1e-6, where self roots are not resolved
     return 1e-12 * (1.0 + d2 + sigma**2)
 
 
-def _solve_delay(h, obs_x3, t_obs, sigma: float, c: float,
+def _solve_delay(h, obs_x3, now: WorldlineSample, sigma: float,
                  seed: float | None = None,
-                 strict_coverage: bool = False) -> tuple[float, float]:
-    """Return (tau, residual) for the delay equation at one observation."""
-
-    def shell(tau: float) -> float:
-        dx = obs_x3 - _source_pos(h, t_obs - tau, strict_coverage)
-        return float(np.sqrt(dx @ dx + sigma * sigma)) / c
-
-    d0 = obs_x3 - _source_pos(h, t_obs, strict_coverage)
-    d2_now = float(d0 @ d0)
-    tol_sq = root_tolerance(d2_now, sigma)
-
-    def residual(tau: float) -> float:
-        dx = obs_x3 - _source_pos(h, t_obs - tau, strict_coverage)
-        return (c * tau) ** 2 - float(dx @ dx) - sigma * sigma
-
-    base = shell(0.0)
-    if base == 0.0:
+                 strict_coverage: bool = False) -> DelayRoot:
+    """The causal root of f(tau) = (c tau)^2 - |dx|^2 - sigma^2 with
+    dx = obs_x3 - x_src(t - tau), where now is the source h at t."""
+    c = h.c
+    t_first = h.t_first if strict_coverage else -math.inf
+    d0 = obs_x3 - now.r[1:]
+    d2 = float(d0 @ d0)
+    if d2 + sigma * sigma == 0.0:
         # coincident static point source, sigma = 0
-        return 0.0, 0.0
-    tau = base if seed is None else float(seed)
-
-    # damped fixed-point sweeps; the map is a contraction with factor <= beta
-    prev = None
-    for _ in range(4):
-        nxt = shell(tau)
-        if prev is not None and abs(nxt - tau) > abs(tau - prev):
-            break
-        prev, tau = tau, nxt
-
-    # secant refinement on g(tau) = c tau - c shell(tau)
-    def g(tau):
-        return c * (tau - shell(tau))
-
-    a, b = tau, tau * (1.0 + 1e-6) + 1e-14
-    ga, gb = g(a), g(b)
+        return DelayRoot(t_ret=0.0, s_ret=0.0, source_event=now, residual=0.0)
+    tol = root_tolerance(d2, sigma)
+    tau = math.sqrt(d2 + sigma * sigma) / c if seed is None else float(seed)
+    # bracket with f(lo) < 0 < f(hi); f(0) = -d^2 - sigma^2 < 0
+    lo, hi = 0.0, math.inf
     for _ in range(MAX_ITER):
-        if abs(residual(a)) <= tol_sq and a >= 0.0:
-            return a, abs(residual(a))
-        if gb == ga:
-            break
-        step = ga * (b - a) / (gb - ga)
-        a, b = a - step, a
-        ga, gb = g(a), ga
-        if not np.isfinite(a) or a < 0.0 or abs(step) > 10.0 * (1.0 + abs(b)):
-            break
-
-    # bisection net: g(0) < 0 and g grows like (1 - beta) c tau for large tau
-    lo, hi = 0.0, max(2.0 * shell(0.0), 1e-12)
-    expand = 0
-    while g(hi) <= 0.0:
-        hi *= 2.0
-        expand += 1
-        if expand > 200:
-            raise NoConvergence("could not bracket the causal delay root")
-    glo = g(lo)
-    for _ in range(max(MAX_ITER, 200)):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if abs(residual(mid)) <= tol_sq:
-            return mid, abs(residual(mid))
-        if (glo < 0.0) == (gm < 0.0):
-            lo, glo = mid, gm
+        t_src = now.t - tau
+        if t_src < t_first:
+            raise HistoryTooShort(
+                f"delay search reached t={t_src!r} before first recorded sample "
+                f"t_first={t_first!r}")
+        src = h.state_at_time(t_src)
+        dx = obs_x3 - src.r[1:]
+        f = (c * tau) ** 2 - float(dx @ dx) - sigma * sigma
+        if abs(f) <= tol:
+            return DelayRoot(t_ret=tau, s_ret=now.s - src.s, source_event=src,
+                             residual=abs(f))
+        if f < 0.0:
+            lo = tau
         else:
-            hi = mid
-        if hi - lo < 1e-17 * (1.0 + hi):
-            break
-    res = abs(residual(0.5 * (lo + hi)))
-    if res <= tol_sq:
-        return 0.5 * (lo + hi), res
+            hi = tau
+        # Newton step on f's model for a source moving on inertially from
+        # this sample, f + 2 b s + (c^2 - v^2) s^2 with b = f'/2 and
+        # v = c u/u^0: exact for inertial sources, -f/f' as f -> 0, and
+        # always forward while f < 0. A step outside (lo, hi) bisects.
+        v = c * src.u[1:] / src.u[0]
+        b = c * c * tau - float(dx @ v)
+        disc = b * b - (c * c - float(v @ v)) * f
+        den = b + math.sqrt(disc) if disc >= 0.0 else 0.0
+        step = tau - f / den if den > 0.0 else math.nan
+        tau = step if lo < step < hi else 0.5 * (lo + hi)
     raise NoConvergence(
-        f"delay iteration exhausted with residual {res:.3e} > {tol_sq:.3e}")
-
-
-def _finish(h, t_obs, tau, res) -> DelayRoot:
-    src = h.state_at_time(t_obs - tau)
-    s_now = h.proper_time_of(t_obs)
-    return DelayRoot(t_ret=tau, s_ret=s_now - src.s, source_event=src,
-                     residual=res)
+        f"delay iteration exhausted {MAX_ITER} evaluations with residual "
+        f"{abs(f):.3e} > {tol:.3e}")
 
 
 def self_delay(h: WorldlineHistory, t: float, sigma: float | None = None,
@@ -156,10 +117,9 @@ def self_delay(h: WorldlineHistory, t: float, sigma: float | None = None,
     """
     if sigma is None:
         sigma = h.spec.sigma
-    obs = h.state_at_time(t)
-    tau, res = _solve_delay(h, obs.r[1:], t, sigma, h.c, seed=seed,
-                            strict_coverage=strict_coverage)
-    return _finish(h, t, tau, res)
+    now = h.state_at_time(t)
+    return _solve_delay(h, now.r[1:], now, sigma, seed=seed,
+                        strict_coverage=strict_coverage)
 
 
 def pair_delay(h_source: WorldlineHistory, observer_event, sigma_shift: float,
@@ -172,11 +132,9 @@ def pair_delay(h_source: WorldlineHistory, observer_event, sigma_shift: float,
     radius shifts the cone (each binary field needs both choices).
     """
     obs_r = np.asarray(observer_event, dtype=np.float64)
-    t_obs = float(obs_r[0]) / h_source.c
-    tau, res = _solve_delay(h_source, obs_r[1:], t_obs, sigma_shift,
-                            h_source.c, seed=seed,
-                            strict_coverage=strict_coverage)
-    return _finish(h_source, t_obs, tau, res)
+    now = h_source.state_at_time(float(obs_r[0]) / h_source.c)
+    return _solve_delay(h_source, obs_r[1:], now, sigma_shift, seed=seed,
+                        strict_coverage=strict_coverage)
 
 
 def delta_line_integral(h: WorldlineHistory, observer_event, sigma: float,
@@ -216,7 +174,8 @@ def max_delay(histories, t0: float, strict_coverage: bool = False) -> float:
         for j, hj in enumerate(hs):
             if j == i:
                 continue
-            for shift in (hi.spec.sigma, hj.spec.sigma):
+            # equal radii share one root
+            for shift in {hi.spec.sigma, hj.spec.sigma}:
                 r = pair_delay(hj, obs, shift, strict_coverage=strict_coverage)
                 worst = max(worst, r.t_ret)
     return worst

@@ -320,9 +320,6 @@ class WorldlineHistory:
             return WorldlineSample(float(t_k), float(s_k), r.copy(), u.copy(), a.copy())
         return _segment_state(self._row(i), self._row(i + 1), t, self.c)
 
-    def proper_time_of(self, t: float) -> float:
-        return self.state_at_time(t).s
-
     def u_dotdot_at_time(self, t: float) -> np.ndarray:
         """Second proper-time derivative d^2 u / ds^2 of the interpolated u.
 

@@ -80,6 +80,12 @@ class TestSelfFaraday:
         F = fl.self_faraday(h, 1.7).matrix
         assert np.array_equal(F, -F.T)
 
+    def test_degenerate_jacobian_guard(self, monkeypatch):
+        h = static_history([0.0, 0.0, 0.0], sigma=0.5)
+        monkeypatch.setattr(fl, "JAC_TOL", 1e10)
+        with pytest.raises(ret.DegenerateJacobian):
+            fl.self_faraday(h, 0.5)
+
 
 class TestBinaryFaraday:
     def test_zero_source_charge(self):

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,11 +88,62 @@ class TestSelfDelay:
                                           u=np.array([1.0, 0, 0, 0]),
                                           a=np.zeros(4))
 
-            def proper_time_of(self, t):
-                return t
-
         with pytest.raises(ret.NoConvergence):
             ret.self_delay(Chasing(), 0.0, sigma=0.5)
+
+
+GRID_BETAS = (0.0, 0.5, 0.9, 0.99, 0.999)
+GRID_SIGMAS = (0.05, 0.7, 2.0)
+GRID_KINDS = ("self", "approaching", "receding")
+
+# An approaching root at beta = 0.999 reaches back tau ~ 1500, where the
+# rounding noise of f (about eps (c tau)^2) exceeds root_tolerance: the
+# stop rule holds only by chance (it does at sigma = 2).
+_BELOW_NOISE = pytest.mark.xfail(
+    raises=ret.NoConvergence, strict=True,
+    reason="root_tolerance is below the rounding noise of f at tau ~ 1500")
+GRID = [pytest.param(kind, beta, sigma, marks=_BELOW_NOISE
+                     if (kind, beta) == ("approaching", 0.999) and sigma < 2.0 else ())
+        for kind in GRID_KINDS for beta in GRID_BETAS for sigma in GRID_SIGMAS]
+
+
+def grid_case(kind, beta, sigma):
+    """One solver-grid root: an inertial source on [-300, 2] (64 nodes)
+    moving along x at beta, at the origin at t_obs = 1, seen by itself or
+    by an observer 1.5 ahead of it (approaching) or behind it (receding).
+    Returns the root call and the bisection oracle's root."""
+    v = np.array([beta, 0.0, 0.0])
+    h = uniform_history(-301.0 * v, v, sigma=sigma, t0=-300.0, t1=2.0, n=64)
+    if kind == "self":
+        obs_x = h.state_at_time(1.0).r[1:]
+        call = partial(ret.self_delay, h, 1.0)
+    else:
+        obs_x = np.array([1.5 if kind == "approaching" else -1.5, 0.0, 0.0])
+        call = partial(ret.pair_delay, h, np.r_[1.0, obs_x], sigma)
+    return call, bisect_oracle(obs_x, lambda t: v * (t - 1.0), 1.0, sigma, hi=1e4)
+
+
+@pytest.mark.parametrize("kind,beta,sigma", GRID)
+def test_grid_root_matches_oracle(kind, beta, sigma):
+    call, oracle = grid_case(kind, beta, sigma)
+    tau = call().t_ret
+    assert abs(tau - oracle) <= 1e-10 * (1.0 + tau)
+
+
+@pytest.mark.parametrize("kind,beta,sigma", GRID)
+def test_grid_root_query_budget(kind, beta, sigma, monkeypatch):
+    # history queries made inside one root call, the observation query included
+    call = grid_case(kind, beta, sigma)[0]
+    times = []
+    query = wl.WorldlineHistory.state_at_time
+
+    def counting(self, t):
+        times.append(t)
+        return query(self, t)
+
+    monkeypatch.setattr(wl.WorldlineHistory, "state_at_time", counting)
+    call()
+    assert len(times) <= (16 if kind == "self" else 8)
 
 
 class TestPairDelay:
@@ -120,6 +173,26 @@ class TestPairDelay:
         dx = obs[1:] - src.r[1:]
         assert abs(root.t_ret**2 - float(dx @ dx) - 0.81) <= \
             ret.root_tolerance(float(dx @ dx), 0.9)
+
+
+    @pytest.mark.parametrize("beta", [-0.99, 0.99])
+    @pytest.mark.parametrize("seed", [0.0, 100.0])
+    def test_bracket_survives_a_wrong_source_velocity(self, beta, seed):
+        # a static source that reports a velocity toward (beta < 0) or away
+        # from the observer misleads every Newton step; the bracket must
+        # still find the static root sqrt(d^2 + sigma^2) / c
+        class Misreporting:
+            c = 1.0
+            t_first = -1e9
+            g = 1.0 / np.sqrt(1.0 - beta**2)
+
+            def state_at_time(self, t):
+                return wl.WorldlineSample(t=t, s=t, r=np.array([t, 2.0, 0.0, 0.0]),
+                                          u=np.array([self.g, self.g * beta, 0, 0]),
+                                          a=np.zeros(4))
+
+        root = ret.pair_delay(Misreporting(), np.zeros(4), 0.5, seed=seed)
+        assert root.t_ret == pytest.approx(np.sqrt(4.25), abs=1e-11)
 
 
 class TestDeltaLineIntegral:
@@ -199,3 +272,4 @@ def test_dual_seed_uniqueness(beta, sigma):
     from_zero = ret.self_delay(h, 0.0, sigma=sigma, seed=0.0).t_ret
     from_ten = ret.self_delay(h, 0.0, sigma=sigma, seed=10.0 * static_est).t_ret
     assert abs(from_zero - from_ten) < 1e-11 * (1.0 + static_est)
+    assert abs(from_zero - static_est) < 1e-11 * (1.0 + static_est)

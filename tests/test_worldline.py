@@ -135,11 +135,11 @@ class TestQueries:
         c = 2.0
         h = make_inertial(beta=0.6, c=c, n=9, t1=4.0)
         for t in [0.5, 1.7, 3.2]:
-            assert h.proper_time_of(t) == pytest.approx(0.8 * c * t, abs=1e-12)
+            assert h.state_at_time(t).s == pytest.approx(0.8 * c * t, abs=1e-12)
 
     def test_proper_time_at_rest(self):
         h = make_inertial(beta=0.0, n=5, t1=2.0)
-        assert h.proper_time_of(1.3) == pytest.approx(1.3, abs=1e-13)
+        assert h.state_at_time(1.3).s == pytest.approx(1.3, abs=1e-13)
 
     def test_piecewise_inertial_two_segments(self):
         # velocity kink placed exactly on a node; per-segment closed forms
@@ -161,8 +161,8 @@ class TestQueries:
             h.append(sample(t, sk + c * (t - tk) / g2,
                                           [xk + b2 * c * (t - tk), 0, 0],
                                           u, np.zeros(4), c))
-        assert h.proper_time_of(0.6) == pytest.approx(0.6 / g1, abs=1e-10)
-        assert h.proper_time_of(1.7) == pytest.approx(sk + 0.7 / g2, abs=1e-10)
+        assert h.state_at_time(0.6).s == pytest.approx(0.6 / g1, abs=1e-10)
+        assert h.state_at_time(1.7).s == pytest.approx(sk + 0.7 / g2, abs=1e-10)
 
     def test_sin_profile_interpolation_is_fourth_order(self):
         x_fn, v_fn, acc_fn = sin_profile()
@@ -443,6 +443,6 @@ def test_proper_time_is_monotone(ts):
     h = wl.history_from_kinematics(spec, np.linspace(0.0, 4.0, 101),
                                    x_fn, v_fn, acc_fn)
     ts = sorted(set(ts))
-    ss = [h.proper_time_of(t) for t in ts]
+    ss = [h.state_at_time(t).s for t in ts]
     for s1, s2 in zip(ss, ss[1:]):
         assert s1 < s2
