@@ -501,6 +501,17 @@ def _p0_term(ctx: FrozenHistoryContext, i: int, x3, P3) -> float:
     return root + (spec.q / ctx.c) * A[0]
 
 
+def _dp0_dx(ctx: FrozenHistoryContext, i: int, x3, P3, l: int,
+            fd_step: float) -> float:
+    """Central difference of particle i's p0 term in its position x^l."""
+    h = fd_step * (1.0 + abs(x3[l]))
+    xp_p = x3.copy()
+    xp_m = x3.copy()
+    xp_p[l] += h
+    xp_m[l] -= h
+    return (_p0_term(ctx, i, xp_p, P3) - _p0_term(ctx, i, xp_m, P3)) / (2.0 * h)
+
+
 def instant_form_constrained(xp: ConstrainedState,
                              ctx: FrozenHistoryContext,
                              fd_step: float = FD_STEP) -> dict:
@@ -520,7 +531,8 @@ def instant_form_constrained(xp: ConstrainedState,
         raise ContextMismatch(
             f"state has {xp.n} particles but context has {ctx.n}")
 
-    p0 = sum(_p0_term(ctx, i, xp.x[i], xp.P[i]) for i in range(xp.n))
+    terms = [_p0_term(ctx, i, xp.x[i], xp.P[i]) for i in range(xp.n)]
+    p0 = sum(terms)
     p_l = xp.P.sum(axis=0)
     # covariant spatial positions r_l = -x^l
     x_low = -xp.x
@@ -528,23 +540,11 @@ def instant_form_constrained(xp: ConstrainedState,
     for (l, m) in ((1, 2), (1, 3), (2, 3)):
         M_lm[(l, m)] = float(np.sum(x_low[:, l - 1] * xp.P[:, m - 1]
                                     - x_low[:, m - 1] * xp.P[:, l - 1]))
-    N_l0 = np.array([
-        sum(x_low[i, l] * _p0_term(ctx, i, xp.x[i], xp.P[i])
-            for i in range(xp.n))
-        for l in range(3)])
+    N_l0 = np.array([sum(x_low[i, l] * terms[i] for i in range(xp.n))
+                     for l in range(3)])
 
-    comm = np.zeros(3)
-    for l in range(3):
-        acc = 0.0
-        for i in range(xp.n):
-            h = fd_step * (1.0 + abs(xp.x[i, l]))
-            xp_p = xp.x[i].copy()
-            xp_m = xp.x[i].copy()
-            xp_p[l] += h
-            xp_m[l] -= h
-            acc += (_p0_term(ctx, i, xp_p, xp.P[i])
-                    - _p0_term(ctx, i, xp_m, xp.P[i])) / (2.0 * h)
-        comm[l] = acc
+    comm = np.array([sum(_dp0_dx(ctx, i, xp.x[i], xp.P[i], l, fd_step)
+                         for i in range(xp.n)) for l in range(3)])
     return {"p0": p0, "p_l": p_l, "M_lm": M_lm, "N_l0": N_l0,
             "comm_p0_pl": comm}
 
@@ -568,14 +568,7 @@ def instant_form_increments(xp: ConstrainedState, ctx: FrozenHistoryContext,
         # d p0 / d P_l = pi_l / root; dr^l = -c dt (pi_l / root)
         dr[i] = -ctx.c * dt * pi3 / root
         for l in range(3):
-            h = fd_step * (1.0 + abs(xp.x[i, l]))
-            xp_p = xp.x[i].copy()
-            xp_m = xp.x[i].copy()
-            xp_p[l] += h
-            xp_m[l] -= h
-            dPdl = (_p0_term(ctx, i, xp_p, xp.P[i])
-                    - _p0_term(ctx, i, xp_m, xp.P[i])) / (2.0 * h)
-            dP[i, l] = ctx.c * dt * dPdl
+            dP[i, l] = ctx.c * dt * _dp0_dx(ctx, i, xp.x[i], xp.P[i], l, fd_step)
     return dr, dP
 
 

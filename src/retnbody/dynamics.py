@@ -31,7 +31,7 @@ import numpy as np
 from .canonical import _IDX_PAIRS, a_eff_covariant
 from .fields import ExternalFieldModel, SelfForceMode, self_faraday, total_faraday
 from .minkowski import dot, lower, raise_index
-from .retardation import HistoryTooShort, max_delay, pair_delay, self_delay
+from .retardation import max_delay, pair_delay, self_delay
 from .worldline import (
     ParticleSpec,
     ProvisionalView,
@@ -44,10 +44,11 @@ PREHISTORY_NODES = 16
 
 
 class InsufficientPrehistory(Exception):
-    """Raised when supplied prehistories do not cover the delay depth.
+    """Raised when a supplied prehistory does not reach the delay depth
+    refined from the actual roots before t0.
 
-    Carries .required, the coverage duration (in coordinate time before
-    t0) that seeding determined to be necessary.
+    Carries .required, coverage_factor times that depth: the coverage
+    (in coordinate time before t0) a synthesized prehistory would get.
     """
 
     def __init__(self, message: str, required: float):
@@ -151,61 +152,57 @@ def seed(specs=None, positions=None, velocities=None, *, prehistories=None,
          include_self: bool = True, include_binary: bool = True,
          renormalize_u: bool = False,
          coverage_factor: float = 1.2) -> SystemState:
-    """Build a valid SystemState from instant states or explicit prehistories.
+    """Build a valid SystemState; the one place prehistories are made and checked.
 
-    Instant states get an exactly inertial synthesized prehistory whose
-    length covers the refined delay-depth estimate times coverage_factor.
-    Explicit prehistories must end at t0 and are verified against the
-    actual delay roots; failure raises InsufficientPrehistory carrying the
-    required coverage duration.
+    prehistories holds one entry per particle: a supplied history ending
+    at t0, or None for a particle given by specs, positions and velocities
+    at t0 (prehistories=None means every particle is). Each None entry
+    gets an exactly inertial prehistory of PREHISTORY_NODES nodes reaching
+    coverage_factor times the delay depth before t0: the depth refined
+    from the actual roots (max_delay), or the static estimate when that
+    is larger. A supplied history shorter than the refined depth raises
+    InsufficientPrehistory carrying required = coverage_factor * depth.
     """
     external = external or ExternalFieldModel.none()
     if prehistories is None:
-        if specs is None or positions is None or velocities is None:
+        if specs is None:
             raise ValueError("seed needs specs+positions+velocities "
                              "or explicit prehistories")
-        positions = [np.asarray(p, dtype=np.float64) for p in positions]
-        velocities = [np.asarray(v, dtype=np.float64) for v in velocities]
-        est = _static_delay_estimate(specs, positions, c)
-        hists = _synthesize(specs, positions, velocities, t0, c,
-                            coverage_factor * est)
-        refined = max_delay(hists, t0)
-        if coverage_factor * refined > (t0 - hists[0].t_first):
-            hists = _synthesize(specs, positions, velocities, t0, c,
-                                coverage_factor * refined)
-        return SystemState(hists, t0, dt, c, external, mode, include_self,
-                           include_binary, renormalize_u)
-
-    hists = list(prehistories)
-    if any(h.c != c for h in hists):
-        raise ValueError("prehistory light speed differs from the config c")
-    for h in hists:
+        prehistories = [None] * len(specs)
+    supplied = [h for h in prehistories if h is not None]
+    for h in supplied:
+        if h.c != c:
+            raise ValueError("prehistory light speed differs from the config c")
         if abs(h.t_latest - t0) > 1e-12 * (1.0 + abs(t0)):
             raise ValueError(
                 f"prehistory of {h.spec.label!r} ends at {h.t_latest}, "
                 f"expected t0={t0}")
-    est = _static_delay_estimate(
-        [h.spec for h in hists],
-        [h.state_at_time(t0).r[1:] for h in hists], c)
-    try:
-        refined = max_delay(hists, t0, strict_coverage=True)
-    except HistoryTooShort as exc:
-        raise InsufficientPrehistory(
-            f"prehistories must reach at least {coverage_factor * est} "
-            f"before t0 ({exc})", required=coverage_factor * est) from exc
-    shortest = min(t0 - h.t_first for h in hists)
-    if shortest < refined:
+    missing = [i for i, h in enumerate(prehistories) if h is None]
+    if missing and any(a is None for a in (specs, positions, velocities)):
+        raise ValueError("particles without a prehistory need specs, "
+                         "positions and velocities")
+    specs = [specs[i] if h is None else h.spec for i, h in enumerate(prehistories)]
+    xs = [np.asarray(positions[i], dtype=np.float64) if h is None
+          else h.state_at_time(t0).r[1:] for i, h in enumerate(prehistories)]
+    vs = {i: np.asarray(velocities[i], dtype=np.float64) for i in missing}
+
+    def synthesized(span):
+        return [h if h is not None else
+                inertial_history(specs[i], xs[i] - vs[i] * span, vs[i],
+                                 t0 - span, t0, PREHISTORY_NODES, c=c)
+                for i, h in enumerate(prehistories)]
+
+    hists = synthesized(coverage_factor * _static_delay_estimate(specs, xs, c))
+    depth = max_delay(hists, t0)
+    if missing and coverage_factor * depth > t0 - hists[missing[0]].t_first:
+        hists = synthesized(coverage_factor * depth)
+    shortest = min((t0 - h.t_first for h in supplied), default=math.inf)
+    if shortest < depth:
         raise InsufficientPrehistory(
             f"prehistory coverage {shortest} is below the refined delay "
-            f"depth {refined}", required=coverage_factor * refined)
+            f"depth {depth}", required=coverage_factor * depth)
     return SystemState(hists, t0, dt, c, external, mode, include_self,
                        include_binary, renormalize_u)
-
-
-def _synthesize(specs, positions, velocities, t0, c, span):
-    return [inertial_history(spec, x0 - v * span, v, t0 - span, t0,
-                             PREHISTORY_NODES, c=c)
-            for spec, x0, v in zip(specs, positions, velocities)]
 
 
 def _deriv(state: SystemState, views, t_q: float, us):

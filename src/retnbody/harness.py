@@ -60,12 +60,7 @@ from .dynamics import (
 )
 from .fields import ExternalFieldModel, SelfForceMode, total_faraday
 from .minkowski import lower
-from .retardation import (
-    DegenerateJacobian,
-    HistoryTooShort,
-    NoConvergence,
-    max_delay,
-)
+from .retardation import DegenerateJacobian, NoConvergence, max_delay
 from .worldline import (
     CSV_HEADER,
     ConstraintViolation,
@@ -73,7 +68,6 @@ from .worldline import (
     ParticleSpec,
     QueryBeyondPresent,
     WorldlineHistory,
-    inertial_history,
 )
 
 # oracle calibration constants (empirical, frozen by the test suite):
@@ -384,46 +378,20 @@ def load_prehistory_csv(path, spec: ParticleSpec, cfg: RunConfig) -> WorldlineHi
 def build_state(cfg: RunConfig, base_dir=".", mode=None, dt=None):
     """Seed a SystemState from a validated config.
 
-    Instant-state particles get synthesized inertial prehistories; table
-    particles load their own. Mixed configs synthesize spans that cover
-    the static delay estimate over the whole system.
+    Table particles load their own prehistory, which must reach the delay
+    depth refined from the actual roots before t0 (InsufficientPrehistory
+    otherwise). Instant-state particles get the inertial prehistory seed
+    synthesizes, the same whether or not other particles carry tables.
     """
     specs = [ParticleSpec(p.m0, p.q, p.sigma, p.label) for p in cfg.particles]
-    ext = _external_model(cfg)
-    md = SelfForceMode(cfg.mode if mode is None else mode)
-    step = cfg.dt if dt is None else dt
-
-    if all(p.prehistory is None for p in cfg.particles):
-        st = seed(specs,
-                  [np.array(p.position) for p in cfg.particles],
-                  [np.array(p.velocity) for p in cfg.particles],
-                  t0=cfg.t0, dt=step, c=cfg.c, external=ext, mode=md)
-    else:
-        loaded = {}
-        for p, spec in zip(cfg.particles, specs):
-            if p.prehistory is not None:
-                path = os.path.join(base_dir, p.prehistory)
-                loaded[p.label] = load_prehistory_csv(path, spec, cfg)
-        positions = []
-        for p in cfg.particles:
-            if p.prehistory is not None:
-                positions.append(loaded[p.label].state_at_time(cfg.t0).r[1:])
-            else:
-                positions.append(np.array(p.position))
-        from .dynamics import _static_delay_estimate
-        span = 1.5 * _static_delay_estimate(specs, positions, cfg.c)
-        span = max(span, *(cfg.t0 - h.t_first for h in loaded.values()))
-        hists = []
-        for p, spec in zip(cfg.particles, specs):
-            if p.prehistory is not None:
-                hists.append(loaded[p.label])
-            else:
-                x0, v = np.array(p.position), np.array(p.velocity)
-                hists.append(inertial_history(
-                    spec, x0 - v * span, v, cfg.t0 - span, cfg.t0, 32,
-                    c=cfg.c))
-        st = seed(prehistories=hists, t0=cfg.t0, dt=step, c=cfg.c,
-                  external=ext, mode=md)
+    tables = [None if p.prehistory is None else
+              load_prehistory_csv(os.path.join(base_dir, p.prehistory), spec, cfg)
+              for p, spec in zip(cfg.particles, specs)]
+    st = seed(specs, [p.position for p in cfg.particles],
+              [p.velocity for p in cfg.particles], prehistories=tables,
+              t0=cfg.t0, dt=cfg.dt if dt is None else dt, c=cfg.c,
+              external=_external_model(cfg),
+              mode=SelfForceMode(cfg.mode if mode is None else mode))
     for h in st.histories:
         h.hard_tol = cfg.constraint_hard
         h.constraint_tol = cfg.constraint_soft
@@ -961,10 +929,9 @@ def emit_plots_data(run_dir) -> list:
 
 _NUMERICAL_ERRORS = (
     ConstraintViolation, NonMonotonicTime, QueryBeyondPresent,
-    HistoryTooShort, NoConvergence, DegenerateJacobian,
-    InsufficientPrehistory, GradientUnavailable, NumericalNoise,
-    ContextMismatch, WidthTooSmall, CheckFailed, FloatingPointError,
-    ValueError,
+    NoConvergence, DegenerateJacobian, InsufficientPrehistory,
+    GradientUnavailable, NumericalNoise, ContextMismatch, WidthTooSmall,
+    CheckFailed, FloatingPointError, ValueError,
 )
 
 

@@ -27,11 +27,6 @@ MAX_ITER = 120
 JAC_TOL = 1e-10  # floor of |Rt.u| / (|Rt| |u|) at a delta-line-integral root
 
 
-class HistoryTooShort(Exception):
-    """Raised in strict-coverage mode when the root search needs times
-    before the first recorded sample."""
-
-
 class NoConvergence(Exception):
     """Raised when the bracketed Newton iteration does not meet the root
     tolerance within MAX_ITER evaluations (a source that outruns its
@@ -62,12 +57,10 @@ def root_tolerance(d2: float, sigma: float) -> float:
 
 
 def _solve_delay(h, obs_x3, now: WorldlineSample, sigma: float,
-                 seed: float | None = None,
-                 strict_coverage: bool = False) -> DelayRoot:
+                 seed: float | None = None) -> DelayRoot:
     """The causal root of f(tau) = (c tau)^2 - |dx|^2 - sigma^2 with
     dx = obs_x3 - x_src(t - tau), where now is the source h at t."""
     c = h.c
-    t_first = h.t_first if strict_coverage else -math.inf
     d0 = obs_x3 - now.r[1:]
     d2 = float(d0 @ d0)
     if d2 + sigma * sigma == 0.0:
@@ -78,12 +71,7 @@ def _solve_delay(h, obs_x3, now: WorldlineSample, sigma: float,
     # bracket with f(lo) < 0 < f(hi); f(0) = -d^2 - sigma^2 < 0
     lo, hi = 0.0, math.inf
     for _ in range(MAX_ITER):
-        t_src = now.t - tau
-        if t_src < t_first:
-            raise HistoryTooShort(
-                f"delay search reached t={t_src!r} before first recorded sample "
-                f"t_first={t_first!r}")
-        src = h.state_at_time(t_src)
+        src = h.state_at_time(now.t - tau)
         dx = obs_x3 - src.r[1:]
         f = (c * tau) ** 2 - float(dx @ dx) - sigma * sigma
         if abs(f) <= tol:
@@ -109,8 +97,7 @@ def _solve_delay(h, obs_x3, now: WorldlineSample, sigma: float,
 
 
 def self_delay(h: WorldlineHistory, t: float, sigma: float | None = None,
-               seed: float | None = None,
-               strict_coverage: bool = False) -> DelayRoot:
+               seed: float | None = None) -> DelayRoot:
     """Causal root of the 1-particle delay equation at observation time t.
 
     sigma defaults to the particle's own radius.
@@ -118,13 +105,11 @@ def self_delay(h: WorldlineHistory, t: float, sigma: float | None = None,
     if sigma is None:
         sigma = h.spec.sigma
     now = h.state_at_time(t)
-    return _solve_delay(h, now.r[1:], now, sigma, seed=seed,
-                        strict_coverage=strict_coverage)
+    return _solve_delay(h, now.r[1:], now, sigma, seed=seed)
 
 
 def pair_delay(h_source: WorldlineHistory, observer_event, sigma_shift: float,
-               seed: float | None = None,
-               strict_coverage: bool = False) -> DelayRoot:
+               seed: float | None = None) -> DelayRoot:
     """Causal root of the 2-particle delay equation.
 
     observer_event is the observer's four-position (r^0 = c t); the root is
@@ -133,12 +118,10 @@ def pair_delay(h_source: WorldlineHistory, observer_event, sigma_shift: float,
     """
     obs_r = np.asarray(observer_event, dtype=np.float64)
     now = h_source.state_at_time(float(obs_r[0]) / h_source.c)
-    return _solve_delay(h_source, obs_r[1:], now, sigma_shift, seed=seed,
-                        strict_coverage=strict_coverage)
+    return _solve_delay(h_source, obs_r[1:], now, sigma_shift, seed=seed)
 
 
-def delta_line_integral(h: WorldlineHistory, observer_event, sigma: float,
-                        strict_coverage: bool = False) -> np.ndarray:
+def delta_line_integral(h: WorldlineHistory, observer_event, sigma: float) -> np.ndarray:
     """Resolve 2q * integral ds u(s) delta(Rt.Rt - sigma^2) at the causal root.
 
     The delta contributes 1/|d(Rt.Rt)/ds| = 1/|2 Rt.u| at the root, so the
@@ -146,7 +129,7 @@ def delta_line_integral(h: WorldlineHistory, observer_event, sigma: float,
     potential, whose static time component is q / sqrt(d^2 + sigma^2).
     """
     obs_r = np.asarray(observer_event, dtype=np.float64)
-    root = pair_delay(h, obs_r, sigma, strict_coverage=strict_coverage)
+    root = pair_delay(h, obs_r, sigma)
     src = root.source_event
     rt = obs_r - src.r
     u = src.u
@@ -159,7 +142,7 @@ def delta_line_integral(h: WorldlineHistory, observer_event, sigma: float,
     return h.spec.q * u / jac
 
 
-def max_delay(histories, t0: float, strict_coverage: bool = False) -> float:
+def max_delay(histories, t0: float) -> float:
     """Largest of all self and pair delay roots of the system at time t0.
 
     Pair roots are evaluated with both shell radii, matching the two
@@ -168,7 +151,7 @@ def max_delay(histories, t0: float, strict_coverage: bool = False) -> float:
     hs = list(histories)
     worst = 0.0
     for i, hi in enumerate(hs):
-        r = self_delay(hi, t0, strict_coverage=strict_coverage)
+        r = self_delay(hi, t0)
         worst = max(worst, r.t_ret)
         obs = hi.state_at_time(t0).r
         for j, hj in enumerate(hs):
@@ -176,6 +159,6 @@ def max_delay(histories, t0: float, strict_coverage: bool = False) -> float:
                 continue
             # equal radii share one root
             for shift in {hi.spec.sigma, hj.spec.sigma}:
-                r = pair_delay(hj, obs, shift, strict_coverage=strict_coverage)
+                r = pair_delay(hj, obs, shift)
                 worst = max(worst, r.t_ret)
     return worst

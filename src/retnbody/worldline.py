@@ -260,9 +260,9 @@ class WorldlineHistory:
     @property
     def samples(self):
         """Fresh copies of the nodes, oldest first."""
-        n = self._n
-        return tuple(map(WorldlineSample, self._t[:n].tolist(), self._s[:n].tolist(),
-                         self._r[:n].copy(), self._u[:n].copy(), self._a[:n].copy()))
+        tab = self.table
+        return tuple(map(WorldlineSample, tab[:, 0].tolist(), tab[:, 1].tolist(),
+                         tab[:, 2:6], tab[:, 6:10], tab[:, 10:14]))
 
     @property
     def table(self) -> np.ndarray:
@@ -388,13 +388,16 @@ def _segment_udotdot(p, q, t, c) -> np.ndarray:
 class ProvisionalView(WorldlineHistory):
     """Read-only history extended by one provisional node (an RK stage
     prediction or a snapshot's continuation) without mutating the base.
-    Nothing is copied: only the node lookup is overridden. The base's
-    length and latest time are pinned when the view is built, so nodes
-    appended to the base later stay invisible. Never appended to."""
+    Nothing is copied: only the node lookup and table are overridden. The
+    base's length and latest time are pinned when the view is built, so
+    nodes appended to the base later stay invisible. extend (and so
+    append) raises TypeError."""
 
     def __init__(self, base: WorldlineHistory, tail: WorldlineSample) -> None:
         row = _sample_row(tail)
         self.base, self.spec, self.c = base, base.spec, base.c
+        self.hard_tol, self.constraint_tol = base.hard_tol, base.constraint_tol
+        self.flags = list(base.flags)
         self._nb, self._t_base = len(base), base.t_latest
         advances = row[:1] > self._t_base
         _checked_vectors(row[None], ((~advances, lambda i: NonMonotonicTime(
@@ -402,8 +405,15 @@ class ProvisionalView(WorldlineHistory):
         u, a = row[6:10], row[10:14]
         self._tail = (row[0], row[1], row[2:6], u, a, *_slopes(u, a, self.c))
 
+    def extend(self, table) -> None:
+        raise TypeError("a ProvisionalView is read-only")
+
     def __len__(self):
         return self._nb + 1
+
+    @property
+    def table(self) -> np.ndarray:
+        return np.vstack((self.base.table[:self._nb], np.hstack(self._tail[:5])))
 
     @property
     def t_first(self) -> float:

@@ -16,6 +16,7 @@ from retnbody.dynamics import (
 )
 from retnbody.fields import ExternalFieldModel, SelfForceMode, total_faraday
 from retnbody.minkowski import dot, raise_index
+from retnbody.retardation import max_delay
 from retnbody.worldline import (
     ConstraintViolation,
     ParticleSpec,
@@ -69,6 +70,31 @@ def test_seed_accepts_covering_prehistory():
     st = seed(prehistories=pre)
     assert st.n == 1
     assert st.t_now == 0.0
+
+
+def receding_prehistories(span):
+    """Inertial prehistories over span of two sigma = 0.5 charges at
+    x = -+1.5 receding at 0.5 c."""
+    specs = [ParticleSpec(1.0, 0.5, 0.5, "left"), ParticleSpec(1.0, 0.5, 0.5, "right")]
+    return [inertial_history(spec, [x - v * span, 0, 0], [v, 0, 0], -span, 0.0, 32)
+            for spec, x, v in zip(specs, (-1.5, 1.5), (-0.5, 0.5))]
+
+
+def test_seed_accepts_prehistory_reaching_the_refined_depth():
+    # the root search starts at sqrt(d^2 + sigma^2)/c = 3.04, before
+    # t_first = -2.5, but the deepest root (2.04) lies inside the history
+    pre = receding_prehistories(2.5)
+    st = seed(prehistories=pre)
+    assert all(a is b for a, b in zip(st.histories, pre))
+    assert max_delay(pre, 0.0) == pytest.approx(2.0415, abs=1e-4)
+
+
+def test_seed_requires_coverage_of_the_refined_depth():
+    pre = receding_prehistories(1.5)
+    with pytest.raises(InsufficientPrehistory) as err:
+        seed(prehistories=pre, coverage_factor=1.2)
+    assert err.value.required == 1.2 * max_delay(pre, 0.0)
+    assert err.value.required == pytest.approx(2.4497, abs=1e-4)
 
 
 # -- stepping ------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from retnbody.dynamics import copy_state, run, seed
+from retnbody.dynamics import PREHISTORY_NODES, copy_state, run, seed
 from retnbody.harness import (
     CheckFailed,
     ConfigError,
@@ -31,6 +31,7 @@ from retnbody.harness import (
     parse_config,
     swap_symmetry_residual,
 )
+from retnbody.retardation import max_delay
 from retnbody.worldline import (
     ParticleSpec,
     history_from_kinematics,
@@ -423,6 +424,31 @@ def test_prehistory_table_round_trip(tmp_path):
     rc, err = _cli(["run", _write_cfg(tmp_path, cfg)])
     assert rc == 0, err
     assert os.path.exists(str(tmp_path / "mix" / "trajectory_tab.csv"))
+
+
+def test_mixed_config_synthesizes_like_an_all_instant_one(tmp_path):
+    # two sigma = 0.5 charges at x = -+1.5 receding at 0.5 c; "left" is a table
+    specs = [ParticleSpec(1.0, 0.5, 0.5, "left"), ParticleSpec(1.0, 0.5, 0.5, "right")]
+    xs, vs = [[-1.5, 0, 0], [1.5, 0, 0]], [[-0.5, 0, 0], [0.5, 0, 0]]
+    inertial_history(specs[0], [-0.25, 0, 0], vs[0], -2.5, 0.0, 32).export_csv(
+        str(tmp_path / "left.csv"))
+    mapping = _cfg_mapping()
+    mapping["particles"] = [
+        {"label": "left", "m0": 1.0, "q": 0.5, "sigma": 0.5, "prehistory": "left.csv"},
+        {"label": "right", "m0": 1.0, "q": 0.5, "sigma": 0.5,
+         "position": xs[1], "velocity": vs[1]}]
+    st = build_state(parse_config(mapping), str(tmp_path))
+    inst = st.histories[1]
+    assert len(inst) == PREHISTORY_NODES
+    # 1.2 is seed's default coverage_factor
+    assert -inst.t_first >= 1.2 * max_delay(st.histories, 0.0)
+    assert np.array_equal(inst.table, seed(specs, xs, vs).histories[1].table)
+    # a table short of the refined depth (2.04) is a numerical failure
+    inertial_history(specs[0], [-0.75, 0, 0], vs[0], -1.5, 0.0, 32).export_csv(
+        str(tmp_path / "left.csv"))
+    rc, err = _cli(["run", _write_cfg(tmp_path, mapping)])
+    assert rc == 3
+    assert json.loads(err)["error"] == "InsufficientPrehistory"
 
 
 def _edited_table_config(tmp_path, row, col, edit, **overrides):

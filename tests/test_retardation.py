@@ -69,11 +69,6 @@ class TestSelfDelay:
                                t_obs, 0.7)
         assert root.t_ret == pytest.approx(oracle, abs=1e-12)
 
-    def test_strict_coverage_raises(self):
-        h = static_history([0.0, 0.0, 0.0], sigma=1.0, t0=0.4, t1=2.0)
-        with pytest.raises(ret.HistoryTooShort):
-            ret.self_delay(h, 0.5, strict_coverage=True)
-
     def test_no_convergence_on_superluminal_stub(self):
         # a chasing source that outruns its own emission shell never
         # produces a causal root; the solver must fail loudly

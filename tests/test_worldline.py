@@ -271,6 +271,36 @@ class TestProvisionalView:
                 assert np.array_equal(getattr(got, name), getattr(want, name))
             assert np.array_equal(view.u_dotdot_at_time(t), dd)
 
+    def test_view_reads_like_the_appended_history(self, tmp_path):
+        x_fn, v_fn, acc_fn = sin_profile()
+        h = wl.history_from_kinematics(wl.ParticleSpec(1.0, 1.0, 0.1),
+                                       np.linspace(0.0, 1.95, 40), x_fn, v_fn, acc_fn)
+        h.hard_tol, h.constraint_tol, h.flags = 1e-4, 1e-7, ["u-normalization-drift"]
+        g = 1.0 / np.sqrt(1.0 - 0.14**2)
+        tail = sample(2.0, h.samples[-1].s + 0.05, x_fn(2.0),
+                      [g, 0.14 * g, 0.0, 0.0], [0.028, 0.2, 0.0, 0.0])
+        view = wl.ProvisionalView(h, tail)
+        ref = h.copy()
+        ref.append(tail)
+        # a later base node stays invisible to the view
+        h.append(sample(2.5, ref.samples[-1].s + 0.4, x_fn(2.5),
+                        [1.0, 0.0, 0.0, 0.0], np.zeros(4)))
+        assert (view.hard_tol, view.constraint_tol, view.flags) == (1e-4, 1e-7, ref.flags)
+        assert np.array_equal(view.table, ref.table)
+        assert len(view.samples) == len(ref.samples) == 41
+        for got, want in zip(view.samples, ref.samples):
+            assert got.t == want.t and got.s == want.s
+            for name in ("r", "u", "a"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+        view.export_csv(tmp_path / "view.csv", comment="c")
+        ref.export_csv(tmp_path / "ref.csv", comment="c")
+        assert (tmp_path / "view.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert np.array_equal(view.transformed(np.eye(4), 0).table,
+                              ref.transformed(np.eye(4), 0).table)
+        with pytest.raises(TypeError, match="read-only"):
+            view.append(sample(3.0, 9.0, np.zeros(3), [1.0, 0.0, 0.0, 0.0], np.zeros(4)))
+        assert len(view) == 41
+
 
 class TestValidation:
     def _nan_r_sample(self, t):
