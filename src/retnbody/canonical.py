@@ -33,12 +33,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .fields import ExternalFieldModel
 from .minkowski import ETA, dot, lower, raise_index
-from .retardation import delta_line_integral
+from .retardation import line_potentials, solve_delays
 from .worldline import HARD_TOL, ConstraintViolation, ProvisionalView, WorldlineSample
 
 FD_STEP = 1e-6
@@ -291,16 +292,61 @@ def a_eff_covariant(histories, external: ExternalFieldModel, i: int,
                     r_obs) -> np.ndarray:
     """Covariant effective potential A_(eff)mu^(tot) of particle i at the
     observation event r_obs: external + 2x self + two-cone binary sum."""
-    r_obs = np.asarray(r_obs, dtype=np.float64)
-    h_i = histories[i]
-    A = external.potential(r_obs).astype(np.float64).copy()
-    A += 2.0 * lower(delta_line_integral(h_i, r_obs, h_i.spec.sigma))
-    for j, h_j in enumerate(histories):
-        if j == i:
-            continue
-        A += lower(delta_line_integral(h_j, r_obs, h_i.spec.sigma))
-        A += lower(delta_line_integral(h_j, r_obs, h_j.spec.sigma))
-    return A
+    return effective_potentials(histories, external, [i], [r_obs])[0][0]
+
+
+def effective_potentials(histories, external: ExternalFieldModel, observers,
+                         events, now=None, neutral: bool = False):
+    """A_eff of each observer particle at its event from one root batch.
+
+    Returns (A, roots, own): A is (n, 4); roots holds, per observer i in
+    turn, the sigma_i root on its own history and then each companion's
+    sigma_i and sigma_j roots, for charged sources only (q = 0 adds
+    nothing), so 2N - 1 roots per charged system; own marks each
+    (observer, source) pair's sigma_i root. With neutral=True a neutral
+    source's sigma_i root is solved too and left out of the sum, so
+    roots.t_ret[own] holds every self and pair delay, observer by
+    observer. now, the states of all histories at the observation time,
+    is gathered by the solver when not given.
+    """
+    hs = tuple(histories)
+    events = np.asarray(events, dtype=np.float64).reshape(-1, 4)
+    src, obs, sig, coef, own, slot, rank = _potential_plan(
+        tuple(h.spec for h in hs), tuple(int(i) for i in observers), neutral)
+    A = np.array([external.potential(e) for e in events], dtype=np.float64).reshape(-1, 4)
+    if not src.size:
+        return A, None, own
+    roots = solve_delays(hs, src, events[slot], sig, obs=obs,
+                         now=None if now is None else now.take(src))
+    terms = coef[:, None] * lower(line_potentials(roots))
+    # each observer adds its terms in row order
+    for r in range(rank.max() + 1):
+        at = (rank == r) & (coef != 0.0)
+        A[slot[at]] += terms[at]
+    return A, roots, own
+
+
+@lru_cache(maxsize=64)
+def _potential_plan(specs, observers, neutral: bool):
+    """The rows of effective_potentials: source, observer, sigma, weight,
+    own (sigma_i cone), observer slot and rank within the slot."""
+    rows = []
+    for s, i in enumerate(observers):
+        sigma_i = specs[i].sigma
+        for j in [i] + [j for j in range(len(specs)) if j != i]:
+            charged = specs[j].q != 0.0
+            radii = (sigma_i,) if j == i else (sigma_i, specs[j].sigma)
+            for cone, sigma in enumerate(radii):
+                if charged or (neutral and cone == 0):
+                    weight = (2.0 if j == i else 1.0) if charged else 0.0
+                    rows.append((j, i, sigma, weight, cone == 0, s))
+    cols = list(zip(*rows)) or [()] * 6
+    src, obs, sig, coef, own, slot = (np.array(x, dtype=d) for x, d in zip(
+        cols, (np.intp, np.intp, np.float64, np.float64, bool, np.intp)))
+    plan = (src, obs, sig, coef, own, slot, np.arange(len(slot)) - np.searchsorted(slot, slot))
+    for x in plan:  # shared by every call with these arguments
+        x.flags.writeable = False
+    return plan
 
 
 def state_from_histories(histories, t: float,

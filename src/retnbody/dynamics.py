@@ -12,6 +12,11 @@ mid-step field queries run against ProvisionalViews, each a frozen
 history extended by one stage-local node without copying it. After
 acceptance a fifth force evaluation fixes the appended acceleration
 sample and proper time advances by Simpson quadrature of c dt / gamma.
+Each force evaluation is one fields.total_faraday call on all particles,
+so its delay roots and field kernels are solved as one array batch;
+each step's diagnostics take their delays and potentials from one more
+batch at the new time. In exact mode with 2 c dt below every radius the
+fifth evaluation is also the next step's first (see step).
 
 Histories are the state. A SystemState is little more than the history
 set plus the stepping policy; prehistory coverage is the seeding
@@ -28,14 +33,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .canonical import _IDX_PAIRS, a_eff_covariant
+from .canonical import _IDX_PAIRS, effective_potentials
 from .fields import ExternalFieldModel, SelfForceMode, self_faraday, total_faraday
 from .minkowski import dot, lower, raise_index
-from .retardation import max_delay, pair_delay, self_delay
+from .retardation import max_delay
 from .worldline import (
     ParticleSpec,
     ProvisionalView,
     WorldlineSample,
+    gather,
     inertial_history,
 )
 
@@ -123,6 +129,9 @@ class SystemState:
     include_binary: bool = True
     renormalize_u: bool = False
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
+    # the final force evaluation of the last step, keyed by the time and
+    # history lengths it holds for (see step)
+    last_eval: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -206,14 +215,14 @@ def seed(specs=None, positions=None, velocities=None, *, prehistories=None,
 
 
 def _deriv(state: SystemState, views, t_q: float, us):
-    """Stage derivatives (dx/dt, du/dt contravariant) for every particle."""
+    """Stage derivatives (dx/dt, du/dt contravariant) for every particle,
+    from one total_faraday call on all of them."""
+    forces = total_faraday(views, range(state.n), t_q, state.external, state.mode,
+                           include_self=state.include_self,
+                           include_binary=state.include_binary)
     dxs, dus = [], []
-    for i, h in enumerate(state.histories):
+    for h, u, (F, g) in zip(state.histories, us, forces):
         spec = h.spec
-        u = us[i]
-        F, g = total_faraday(views, i, t_q, state.external, state.mode,
-                             include_self=state.include_self,
-                             include_binary=state.include_binary)
         f_cov = (spec.q / state.c) * (F.matrix @ u)
         if g is not None:
             f_cov = f_cov + g
@@ -245,7 +254,11 @@ def step(state: SystemState) -> SystemState:
     u0 = [b.u.copy() for b in base]
     s0 = [b.s for b in base]
 
-    kx1, ku1 = _deriv(state, hs, t, u0)
+    key = (t, tuple(len(h) for h in hs))
+    if state.last_eval is not None and state.last_eval[0] == key:
+        kx1, ku1 = state.last_eval[1]
+    else:
+        kx1, ku1 = _deriv(state, hs, t, u0)
 
     def advanced(frac, kx, ku):
         xs = [x0[i] + frac * dt * kx[i] for i in range(nb)]
@@ -281,49 +294,63 @@ def step(state: SystemState) -> SystemState:
     for i, h in enumerate(hs):
         a_new = (u1[i][0] / c) * ku5[i]
         r4 = np.concatenate(([c * t1], x1[i]))
-        h.append(WorldlineSample(t=t1, s=s1[i], r=r4, u=u1[i], a=a_new))
+        try:
+            h.append(WorldlineSample(t=t1, s=s1[i], r=r4, u=u1[i], a=a_new))
+        except Exception as exc:
+            exc.particle = h.spec.label
+            raise
     state.t_now = t1
+    # first same as last: the final evaluation saw the appended nodes
+    # except for their a, which only a query inside the step just taken
+    # reads. In exact mode every root iterate reaches back at least
+    # sigma / 2c (f < 0 below sigma / c), so 2 c dt < min sigma keeps all
+    # of them out of it and the evaluation is the next step's first.
+    exact = state.mode == SelfForceMode.EXACT
+    state.last_eval = (((t1, tuple(len(h) for h in hs)), (kx5, ku5))
+                       if exact and 2.0 * c * dt < min(h.spec.sigma for h in hs) else None)
     state.diagnostics.append(_diagnose(state, time.perf_counter() - t_w))
     return state
 
 
 def _diagnose(state: SystemState, wall: float) -> StepRecord:
+    """Step record at t_now. The potentials and the reported delays come
+    from one root batch: every self and sigma_i-shifted pair delay is
+    one of the potential roots (neutral sources add theirs unweighted)."""
     t = state.t_now
     hs = state.histories
     nb = state.n
+    now = gather(hs, np.arange(nb), np.full(nb, t))
+    A, roots, own = effective_potentials(hs, state.external, range(nb), now.r,
+                                         now=now, neutral=True)
     cons = np.zeros(nb)
     heff = np.zeros(nb)
     P = np.zeros((nb, 4))
-    r_low = np.zeros((nb, 4))
     for i, h in enumerate(hs):
-        smp = h.state_at_time(t)
-        cons[i] = abs(dot(smp.u, smp.u) - 1.0)
-        A = a_eff_covariant(hs, state.external, i, smp.r)
-        P[i] = h.spec.m0 * state.c * lower(smp.u) + (h.spec.q / state.c) * A
-        pi = P[i] - (h.spec.q / state.c) * A
+        u = now.u[i]
+        cons[i] = abs(dot(u, u) - 1.0)
+        P[i] = h.spec.m0 * state.c * lower(u) + (h.spec.q / state.c) * A[i]
+        pi = P[i] - (h.spec.q / state.c) * A[i]
         heff[i] = (pi[0] ** 2 - pi[1:] @ pi[1:]) / (2.0 * h.spec.m0 * state.c)
-        r_low[i] = lower(smp.r)
+    r_low = lower(now.r)
     p_hat = P.sum(axis=0)
     m_hat = np.array([
         float(np.sum(r_low[:, mu] * P[:, nu] - r_low[:, nu] * P[:, mu]))
         for mu, nu in _IDX_PAIRS])
-    selfs = np.array([self_delay(h, t).t_ret for h in hs])
-    pairs = []
-    for i, h_i in enumerate(hs):
-        r_i = h_i.state_at_time(t).r
-        for j, h_j in enumerate(hs):
-            if i == j:
-                continue
-            pairs.append(pair_delay(h_j, r_i, h_i.spec.sigma).t_ret)
+    # per observer: its self delay, then each companion's sigma_i delay
+    tau = roots.t_ret[own].reshape(nb, nb)
     return StepRecord(step=len(state.diagnostics) + 1, t=t,
                       constraint_err=cons, h_eff=heff, p_hat=p_hat,
-                      m_hat=m_hat, self_delays=selfs,
-                      pair_delays=np.array(pairs), wall_time=wall)
+                      m_hat=m_hat, self_delays=tau[:, 0],
+                      pair_delays=tau[:, 1:].ravel(), wall_time=wall)
 
 
 def run(state: SystemState, t_end: float, trajectory_dir=None,
         diagnostics_path=None, csv_comment: str | None = None) -> SystemState:
-    """Step until t_end; CSV sinks are flushed even on mid-run failure."""
+    """Step until t_end; CSV sinks are flushed even on mid-run failure.
+
+    An exception raised by a step carries .step and .t, the step's number
+    and start time.
+    """
     if not t_end > state.t_now:
         raise ValueError(f"t_end={t_end} must exceed t_now={state.t_now}")
     n_steps = int(round((t_end - state.t_now) / state.dt))
@@ -331,7 +358,14 @@ def run(state: SystemState, t_end: float, trajectory_dir=None,
         raise ValueError("t_end is less than one step away")
     try:
         for _ in range(n_steps):
-            step(state)
+            t_step = state.t_now
+            try:
+                step(state)
+            except Exception as exc:
+                # failure context: the failing step (numbered as in the
+                # diagnostics) and the time it started from
+                exc.step, exc.t = len(state.diagnostics) + 1, t_step
+                raise
     finally:
         if trajectory_dir is not None:
             os.makedirs(trajectory_dir, exist_ok=True)

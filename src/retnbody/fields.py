@@ -19,18 +19,28 @@ N_{mu nu} = u_mu Rt_nu - u_nu Rt_mu, the s'-derivative of N/D expands to
 where dRt/ds' is -u(s') for the self bi-vector (present minus retarded
 point of the same worldline) and +u(s') for the pair bi-vector (source
 minus observer, differentiated along the source).
+
+total_faraday serves a set of observers at one time from one root batch
+(retardation.solve_delays): every self root, every shifted-cone pair
+root of a charged companion (one root per distinct radius, equal radii
+one root doubled), or in asymptotic mode the point-limit pair roots.
+The kernel then runs once on all roots as (M, 4, 4) array operations,
+with the same elementwise grazing-emission guard. Sources with q = 0
+are left out: their kernels are multiplied by zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .minkowski import FaradayTensor, dot, lower
-from .retardation import JAC_TOL, DegenerateJacobian, pair_delay, self_delay
-from .worldline import WorldlineHistory
+from .retardation import JAC_TOL, DelayRoots, solve_delays
+from .worldline import WorldlineHistory, gather
 
 
 class SelfForceMode(Enum):
@@ -109,21 +119,25 @@ class ExternalFieldModel:
         return np.asarray(self.potential_fn(np.asarray(r)), dtype=np.float64)
 
 
-def _kernel(rt: np.ndarray, u: np.ndarray, a: np.ndarray, k: float,
-            u_sign: float) -> np.ndarray:
-    """The expanded s'-derivative kernel -(k/|D|)[dN/D - N dD/D^2]."""
-    D = dot(rt, u)
-    rt_norm = float(np.sqrt(abs(dot(rt, rt))))
-    if abs(D) < JAC_TOL * max(rt_norm, 1e-300):
-        raise DegenerateJacobian(
-            f"|Rt.u| = {abs(D):.3e} in the field kernel; grazing geometry")
-    rt_l = lower(rt)
-    u_l = lower(u)
-    a_l = lower(a)
-    N = np.outer(u_l, rt_l) - np.outer(rt_l, u_l)
-    dN = np.outer(a_l, rt_l) - np.outer(rt_l, a_l)
-    dD = u_sign * dot(u, u) + dot(rt, a)
-    return -(k / abs(D)) * (dN / D - N * (dD / (D * D)))
+def _kernel(roots: DelayRoots, k, u_sign) -> np.ndarray:
+    """The expanded s'-derivative kernel -(k/|D|)[dN/D - N dD/D^2] of
+    every root, (M, 4, 4), with k and u_sign one per root; the bi-vector
+    is source minus observer for u_sign = +1 (pair) and observer minus
+    source for -1 (self). It equals W Rt - Rt W with
+    W = -(k / |D| D)(a - u dD/D), so it is exactly antisymmetric."""
+    src = roots.source
+    rt = u_sign[:, None] * (src.r - roots.events)
+    vec = np.stack((rt, src.u, src.a), axis=1)  # (M, 3, 4): Rt, u, a
+    low = lower(vec)
+    # Minkowski products: Rt.Rt, Rt.u, Rt.a and u.Rt, u.u, u.a
+    prod = low[:, :2] @ vec.swapaxes(1, 2)
+    D = prod[:, 0, 1]
+    roots.check_jacobian(np.abs(D), np.sqrt(np.abs(prod[:, 0, 0])), JAC_TOL,
+                         "in the field kernel")
+    dD = u_sign * prod[:, 1, 1] + prod[:, 0, 2]
+    w = (-k / (np.abs(D) * D))[:, None] * (low[:, 2] - low[:, 1] * (dD / D)[:, None])
+    rt_l = low[:, 0]
+    return w[:, :, None] * rt_l[:, None, :] - rt_l[:, :, None] * w[:, None, :]
 
 
 def self_faraday(h: WorldlineHistory, t: float,
@@ -135,19 +149,15 @@ def self_faraday(h: WorldlineHistory, t: float,
     """
     if sigma is None:
         sigma = h.spec.sigma
-    obs = h.state_at_time(t)
-    root = self_delay(h, t, sigma)
-    src = root.source_event
-    rt = obs.r - src.r
-    return FaradayTensor(_kernel(rt, src.u, src.a, 2.0 * h.spec.q, -1.0))
+    now = gather((h,), 0, [t])
+    roots = solve_delays((h,), 0, now.r, sigma, obs=0, now=now)
+    return FaradayTensor(_kernel(roots, np.array([2.0 * h.spec.q]), np.array([-1.0]))[0])
 
 
-def _binary_term(h_source: WorldlineHistory, obs_r: np.ndarray,
-                 sigma_shift: float) -> np.ndarray:
-    root = pair_delay(h_source, obs_r, sigma_shift)
-    src = root.source_event
-    rt = src.r - obs_r
-    return _kernel(rt, src.u, src.a, h_source.spec.q, +1.0)
+def _binary_term(h_source: WorldlineHistory, obs_r, sigma_shift: float) -> np.ndarray:
+    """Pair kernel of one emission cone of h_source at the event obs_r."""
+    roots = solve_delays((h_source,), 0, obs_r, sigma_shift)
+    return _kernel(roots, np.array([h_source.spec.q]), np.ones(1))[0]
 
 
 def binary_faraday(h_source: WorldlineHistory, observer_event,
@@ -160,16 +170,26 @@ def binary_faraday(h_source: WorldlineHistory, observer_event,
     obs_r = np.asarray(observer_event, dtype=np.float64)
     if sigma_i == sigma_j:
         return FaradayTensor(2.0 * _binary_term(h_source, obs_r, sigma_i))
-    A = _binary_term(h_source, obs_r, sigma_i)
-    B = _binary_term(h_source, obs_r, sigma_j)
-    return FaradayTensor(A + B)
+    return FaradayTensor(_binary_term(h_source, obs_r, sigma_i)
+                         + _binary_term(h_source, obs_r, sigma_j))
 
 
 def binary_faraday_pointlimit(h_source: WorldlineHistory,
                               observer_event) -> FaradayTensor:
     """Leading-order binary field: both cones collapsed onto the light cone."""
-    obs_r = np.asarray(observer_event, dtype=np.float64)
-    return FaradayTensor(2.0 * _binary_term(h_source, obs_r, 0.0))
+    return FaradayTensor(2.0 * _binary_term(h_source, observer_event, 0.0))
+
+
+def _asymptotic_g(h: WorldlineHistory, roots: DelayRoots, m: int, t: float) -> np.ndarray:
+    q = h.spec.q
+    c = h.c
+    src = roots.source
+    u, a = src.u[m], src.a[m]
+    udd = h.u_dotdot_at_time(t - roots.t_ret[m])
+    m_em = q * q / (c * c * roots.sigma[m])
+    g_contra = (-m_em * c * a
+                - (q * q / (3.0 * c)) * (udd - u * dot(u, udd)))
+    return lower(g_contra)
 
 
 def asymptotic_self_force(h: WorldlineHistory, t: float,
@@ -183,49 +203,98 @@ def asymptotic_self_force(h: WorldlineHistory, t: float,
     """
     if sigma is None:
         sigma = h.spec.sigma
-    q = h.spec.q
-    c = h.c
-    root = self_delay(h, t, sigma)
-    t_ret = t - root.t_ret
-    src = h.state_at_time(t_ret)
-    udd = h.u_dotdot_at_time(t_ret)
-    m_em = q * q / (c * c * sigma)
-    g_contra = (-m_em * c * src.a
-                - (q * q / (3.0 * c)) * (udd - src.u * dot(src.u, udd)))
-    return lower(g_contra)
+    now = gather((h,), 0, [t])
+    return _asymptotic_g(h, solve_delays((h,), 0, now.r, sigma, obs=0, now=now), 0, t)
 
 
-def total_faraday(histories, i: int, t: float, external: ExternalFieldModel,
+class _ForcePlan(NamedTuple):
+    """The roots of one total_faraday call, ordered by source, and how
+    their terms combine."""
+
+    self_slot: np.ndarray  # observer slots with a self term, and its root
+    self_row: np.ndarray
+    src: np.ndarray        # per root: source, observer, sigma, weight, u_sign
+    observer: np.ndarray
+    sigma: np.ndarray
+    k: np.ndarray
+    u_sign: np.ndarray
+    slot: np.ndarray       # per pair term: observer slot, rank among the
+    rank: np.ndarray       # observer's pair terms, first and last cone root
+    first: np.ndarray
+    last: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _force_plan(specs, observers, exact: bool, include_self: bool,
+                include_binary: bool) -> _ForcePlan:
+    """Each charged observer's self root (exact mode: kernel weight 2 q),
+    then per pair of an observer slot and a charged companion j its first
+    cone (sigma_i, or 0 in the point limit) and, for distinct radii, its
+    sigma_j cone (weight q_j). Sources with q = 0 get no root."""
+    q = np.array([s.q for s in specs])
+    sig = np.array([s.sigma for s in specs])
+    obs = np.array(observers, dtype=np.intp)
+    self_slot = np.flatnonzero(q[obs] != 0.0) if include_self else np.zeros(0, np.intp)
+    slot, j = np.nonzero((np.arange(len(specs)) != obs[:, None]) & (q != 0.0)
+                         & include_binary)
+    i, ii = obs[slot], obs[self_slot]
+    second = (sig[j] != sig[i]) & exact
+    n_s, n_p, n_2 = len(ii), len(j), np.count_nonzero(second)
+    src = np.concatenate((ii, j, j[second]))
+    order = np.argsort(src, kind="stable")
+    row = np.empty_like(order)  # each unordered root's place in the plan
+    row[order] = np.arange(len(order))
+    first = row[n_s:n_s + n_p]
+    last = first.copy()
+    last[second] = row[n_s + n_p:]
+    plan = _ForcePlan(self_slot, row[:n_s], src[order], *(
+        np.concatenate(x)[order] for x in (
+            (ii, i, i[second]),
+            (sig[ii], sig[i] if exact else np.zeros(n_p), sig[j][second]),
+            (2.0 * q[ii] if exact else np.zeros(n_s), q[j], q[j][second]),
+            (-np.ones(n_s), np.ones(n_p + n_2)))),
+        slot, np.arange(n_p) - np.searchsorted(slot, slot), first, last)
+    for x in plan:  # shared by every call with these arguments
+        x.flags.writeable = False
+    return plan
+
+
+def total_faraday(histories, observers, t: float, external: ExternalFieldModel,
                   mode: SelfForceMode = SelfForceMode.EXACT,
                   include_self: bool = True, include_binary: bool = True):
-    """Total field tensor on particle i, plus the separate four-force.
+    """Total field tensor on each observer particle at time t, plus the
+    separate four-force, from one root batch and one kernel pass.
 
-    Returns (FaradayTensor, g) where g is None in exact mode and the
-    asymptotic self-force vector in asymptotic mode (asymptotic mode also
-    collapses binary cones to the point limit). include_self and
-    include_binary are debug switches that drop the corresponding
-    contribution entirely.
+    observers are indices into histories. Returns one (FaradayTensor, g)
+    per observer, where g is None in exact mode and the asymptotic
+    self-force vector in asymptotic mode (asymptotic mode also collapses
+    binary cones to the point limit). include_self and include_binary
+    are debug switches that drop the corresponding contribution entirely.
     """
-    hs = list(histories)
-    h_i = hs[i]
-    obs = h_i.state_at_time(t)
-    F = external.faraday(obs.r).copy()
-    g = None
-    if mode == SelfForceMode.EXACT:
-        if include_self:
-            F = F + self_faraday(h_i, t).matrix
-        if include_binary:
-            for j, h_j in enumerate(hs):
-                if j == i:
-                    continue
-                F = F + binary_faraday(h_j, obs.r, h_i.spec.sigma,
-                                       h_j.spec.sigma).matrix
-    else:
-        if include_self:
-            g = asymptotic_self_force(h_i, t)
-        if include_binary:
-            for j, h_j in enumerate(hs):
-                if j == i:
-                    continue
-                F = F + binary_faraday_pointlimit(h_j, obs.r).matrix
-    return FaradayTensor(F), g
+    hs = tuple(histories)
+    obs = tuple(int(i) for i in observers)
+    exact = mode == SelfForceMode.EXACT
+    plan = _force_plan(tuple(h.spec for h in hs), obs, exact, include_self, include_binary)
+    n = len(hs)
+    now = gather(hs, np.arange(n), np.full(n, float(t)))
+    F = np.array([external.faraday(now.r[i]) for i in obs], dtype=np.float64).reshape(-1, 4, 4)
+    # asymptotic mode: a neutral observer's g vanishes without a root
+    g = [np.zeros(4) if include_self and not exact else None for _ in obs]
+    if plan.src.size:
+        roots = solve_delays(hs, plan.src, now.r[plan.observer], plan.sigma,
+                             obs=plan.observer, now=now.take(plan.src))
+        if exact or plan.slot.size:
+            K = _kernel(roots, plan.k, plan.u_sign)
+        if exact:
+            F[plan.self_slot] += K[plan.self_row]
+        else:
+            for s, m in zip(plan.self_slot, plan.self_row):
+                g[s] = _asymptotic_g(hs[obs[s]], roots, m, t)
+        if plan.slot.size:
+            # equal radii: one root doubled exactly (K + K == 2 K)
+            terms = K[plan.first] + K[plan.last]
+            # each observer adds its companions' terms in source order
+            for r in range(plan.rank.max() + 1):
+                at = plan.rank == r
+                F[plan.slot[at]] += terms[at]
+    return list(zip(FaradayTensor.each(F), g))

@@ -4,7 +4,8 @@ Subcommands: run, check-pb, demo-no-interaction, compare-asymptotic,
 action-oracle. Exit codes: 0 success, 2 config validation failure,
 3 numerical failure (including any enabled assertion that does not
 pass), 4 missing artifact. On failure one JSON line with the error
-category goes to stderr. Every success artifact is a CSV whose first
+category goes to stderr, with the step, time and particle where the
+failing layer named them. Every success artifact is a CSV whose first
 line is a comment carrying the config hash.
 
 The action oracle certifies the implemented forces against the
@@ -435,14 +436,8 @@ class _FrozenSource:
 
 def _freeze_source(h: WorldlineHistory, t_hi: float, m: int) -> _FrozenSource:
     ts = np.linspace(h.t_first, t_hi, m)
-    rs = np.empty((m, 4))
-    us = np.empty((m, 4))
-    ss = np.empty(m)
-    for k, t in enumerate(ts):
-        smp = h.state_at_time(float(t))
-        rs[k] = smp.r
-        us[k] = lower(smp.u)
-        ss[k] = smp.s
+    states = h.states_at(ts)
+    rs, us, ss = states.r, lower(states.u), states.s
     w = np.empty(m)
     w[1:-1] = 0.5 * (ss[2:] - ss[:-2])
     w[0] = 0.5 * (ss[1] - ss[0])
@@ -533,7 +528,7 @@ def el_residual_covariant(histories, external, i, t, c) -> np.ndarray:
     """Production-path E-L residual m0 c du/ds - (q/c) F u at time t."""
     h = histories[i]
     smp = h.state_at_time(t)
-    F, _ = total_faraday(histories, i, t, external, SelfForceMode.EXACT)
+    F, _ = total_faraday(histories, [i], t, external, SelfForceMode.EXACT)[0]
     return (h.spec.m0 * c * lower(smp.a)
             - (h.spec.q / c) * (F.matrix @ smp.u))
 
@@ -573,7 +568,7 @@ def action_oracle(histories, cfg: OracleConfig, t_lo: float, t_hi: float,
     grads, expect, rows = [], [], []
     worst = 0.0
     for i, h in enumerate(hists):
-        nodes_r = np.array([h.state_at_time(float(t)).r for t in ts])
+        nodes_r = h.states_at(ts).r
         total += _particle_action(nodes_r, i, sources, specs, external,
                                   cfg.width, c)
         g = node_gradient(nodes_r, i, sources, specs, external, cfg.width,
@@ -619,7 +614,7 @@ def extremality_ratio(histories, cfg: OracleConfig, t_lo: float, t_hi: float,
     n_true = 0.0
     n_pert = 0.0
     for i, h in enumerate(hists):
-        nodes_r = np.array([h.state_at_time(float(t)).r for t in ts])
+        nodes_r = h.states_at(ts).r
         g0 = node_gradient(nodes_r, i, sources, specs, external, cfg.width,
                            c, cfg.fd_step)
         n_true += float(np.sum(g0 * g0))
@@ -936,11 +931,12 @@ _NUMERICAL_ERRORS = (
 
 
 def _fail(category: str, exc: Exception, code: int) -> int:
-    sys.stderr.write(json.dumps({
-        "category": category,
-        "error": type(exc).__name__,
-        "detail": str(exc),
-    }) + "\n")
+    payload = {"category": category, "error": type(exc).__name__, "detail": str(exc)}
+    # failure context, where the raising layer attached it
+    for key in ("step", "t", "particle"):
+        if getattr(exc, key, None) is not None:
+            payload[key] = getattr(exc, key)
+    sys.stderr.write(json.dumps(payload) + "\n")
     return code
 
 

@@ -29,6 +29,22 @@ def _as_four(v) -> np.ndarray:
     return arr
 
 
+def _antisymmetric_part(matrix, shape) -> np.ndarray:
+    """0.5 (m - m^T) of a 4x4 matrix or a stack of them, after checking
+    shape (None for any length), finiteness and that each symmetric part
+    is within _ANTISYM_TOL of its matrix's scale."""
+    m = np.asarray(matrix, dtype=np.float64)
+    if m.ndim != len(shape) or any(k not in (None, n) for k, n in zip(shape, m.shape)):
+        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+    m_t = m.swapaxes(-1, -2)
+    scale = np.abs(m).max(axis=(-2, -1))  # inf or NaN with any such entry
+    if np.count_nonzero(np.isfinite(scale)) < scale.size:
+        raise ValueError("tensor entries must be finite")
+    if np.count_nonzero(np.abs(m + m_t).max(axis=(-2, -1)) > _ANTISYM_TOL * scale):
+        raise ValueError("matrix is not antisymmetric")
+    return 0.5 * (m - m_t)
+
+
 @dataclass(frozen=True)
 class FaradayTensor:
     """Covariant antisymmetric rank-2 tensor F_{mu nu}.
@@ -41,16 +57,18 @@ class FaradayTensor:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("tensor entries must be finite")
-        scale = np.max(np.abs(m))
-        if scale > 0.0 and np.max(np.abs(m + m.T)) > _ANTISYM_TOL * scale:
-            raise ValueError("matrix is not antisymmetric")
         # store the exactly antisymmetric part so roundoff cannot accumulate
-        object.__setattr__(self, "matrix", 0.5 * (m - m.T))
+        object.__setattr__(self, "matrix", _antisymmetric_part(self.matrix, (4, 4)))
+
+    @classmethod
+    def each(cls, matrices) -> list:
+        """One tensor per matrix of an (n, 4, 4) stack, checked as one array."""
+        out = []
+        for m in _antisymmetric_part(matrices, (None, 4, 4)):
+            tensor = object.__new__(cls)
+            object.__setattr__(tensor, "matrix", m)
+            out.append(tensor)
+        return out
 
     def __array__(self, dtype=None):
         if dtype is None:
@@ -112,11 +130,13 @@ def dot(a, b) -> float:
     return float(av[0] * bv[0] - av[1:] @ bv[1:])
 
 
+# eta's diagonal: lowering or raising an index multiplies by it
+_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
+
+
 def lower(v) -> np.ndarray:
     """Lower the index: v_mu = eta_{mu nu} v^nu (flips the spatial sign)."""
-    arr = np.asarray(v, dtype=np.float64).copy()
-    arr[..., 1:] *= -1.0
-    return arr
+    return np.asarray(v, dtype=np.float64) * _SIGNS
 
 
 def raise_index(v) -> np.ndarray:

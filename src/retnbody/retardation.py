@@ -9,19 +9,27 @@ whose positive root places the emission event on the shifted cone
 Rt.Rt = sigma^2 through the observation event. For subluminal source
 motion the root exists and is unique. One bracketed Newton iteration on
 the squared form f(tau) = (c tau)^2 - |dx|^2 - sigma^2 finds it: each
-iteration makes one history query, which gives f and, from the source
-velocity, f' and the step to the root of f for a source moving on
-inertially. A step that leaves the bracket bisects it instead.
+iteration evaluates the source event (r, u, a) at the current iterate,
+which gives f and, from the source velocity, f' and the step to the
+root of f for a source moving on inertially. A step that leaves the
+bracket bisects it instead.
+
+Roots are solved in batches. solve_delays runs the iteration on M
+(source, observer event, sigma) requests at once, one worldline gather
+per iteration; a root that meets its tolerance is frozen with the event
+of its last iterate, so its bits do not depend on the batch it is in.
+self_delay, pair_delay, delta_line_integral and max_delay are one-batch
+calls of it. A failing root raises with the observer, source, sigma and
+observation time named, and carries the observer label as .particle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .worldline import WorldlineHistory, WorldlineSample
+from .worldline import WorldlineHistory, WorldlineSample, gather
 
 MAX_ITER = 120
 JAC_TOL = 1e-10  # floor of |Rt.u| / (|Rt| |u|) at a delta-line-integral root
@@ -50,50 +58,165 @@ class DelayRoot:
             raise ValueError(f"delay must be a finite non-negative time, got {self.t_ret!r}")
 
 
+@dataclass(frozen=True)
+class DelayRoots:
+    """M roots solved as one batch. Root m lies on histories[src[m]] for
+    the observer event events[m] and shell radius sigma[m]; obs[m] is the
+    observer's index in histories, -1 for an event on none of them."""
+
+    histories: tuple
+    src: np.ndarray
+    obs: np.ndarray
+    events: np.ndarray
+    sigma: np.ndarray
+    t_ret: np.ndarray
+    s_ret: np.ndarray
+    source: WorldlineSample  # stacked source events
+    residual: np.ndarray
+
+    def label(self, k: int):
+        return self.histories[k].spec.label if k >= 0 else None
+
+    def fail(self, kind, message: str, m: int) -> Exception:
+        """kind(message) naming root m, with .particle its observer's label."""
+        t_obs = self.events[m, 0] / self.histories[self.src[m]].c
+        observer = self.label(self.obs[m])
+        exc = kind(f"{message} (observer {'event' if observer is None else repr(observer)}, "
+                   f"source {self.label(self.src[m])!r}, sigma={self.sigma[m].item()!r}, "
+                   f"t_obs={t_obs.item()!r})")
+        exc.particle = observer
+        return exc
+
+    def check_jacobian(self, jac, scale, jac_tol: float, where: str) -> None:
+        """Raise DegenerateJacobian for the first root with jac below
+        jac_tol times scale."""
+        bad = jac < jac_tol * np.maximum(scale, 1e-300)
+        if np.count_nonzero(bad):
+            m = int(np.argmax(bad))
+            raise self.fail(DegenerateJacobian, f"|Rt.u| = {jac[m]:.3e} {where}; "
+                            "grazing emission geometry", m)
+
+    def root(self, m: int) -> DelayRoot:
+        src = self.source
+        return DelayRoot(float(self.t_ret[m]), float(self.s_ret[m]),
+                         WorldlineSample(float(src.t[m]), float(src.s[m]),
+                                         src.r[m], src.u[m], src.a[m]),
+                         float(self.residual[m]))
+
+
 def root_tolerance(d2: float, sigma: float) -> float:
     # the defining equation lives in squared-length units; the 1e-12 floor
     # exceeds sigma^2 below sigma ~ 1e-6, where self roots are not resolved
     return 1e-12 * (1.0 + d2 + sigma**2)
 
 
-def _solve_delay(h, obs_x3, now: WorldlineSample, sigma: float,
-                 seed: float | None = None) -> DelayRoot:
-    """The causal root of f(tau) = (c tau)^2 - |dx|^2 - sigma^2 with
-    dx = obs_x3 - x_src(t - tau), where now is the source h at t."""
-    c = h.c
-    d0 = obs_x3 - now.r[1:]
-    d2 = float(d0 @ d0)
-    if d2 + sigma * sigma == 0.0:
-        # coincident static point source, sigma = 0
-        return DelayRoot(t_ret=0.0, s_ret=0.0, source_event=now, residual=0.0)
+def _dot(a, b):
+    """Euclidean products of stacked vectors, each rounded like a @ b."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _per_root(x, m: int, dtype=None) -> np.ndarray:
+    x = np.asarray(x, dtype=dtype)
+    return x if x.ndim else np.full(m, x)
+
+
+def solve_delays(histories, src, events, sigma, obs=-1, now=None,
+                 seed=None) -> DelayRoots:
+    """Causal roots of f(tau) = (c tau)^2 - |dx|^2 - sigma^2 for M
+    requests in one batch, dx = x_obs - x_src(t_obs - tau).
+
+    src, obs and sigma give one value per root or one for all; events are
+    the (M, 4) observer events (r^0 = c t_obs). now, the source states at
+    the observation times, is gathered when not given. seed replaces the
+    static first iterate sqrt(d^2 + sigma^2) / c.
+    """
+    hs = tuple(histories)
+    events = np.asarray(events, dtype=np.float64).reshape(-1, 4)
+    m = len(events)
+    src, obs, sigma = _per_root(src, m), _per_root(obs, m), _per_root(sigma, m, np.float64)
+    c = hs[0].c  # gather checks that the sources share it
+    if now is None:
+        now = gather(hs, src, events[:, 0] / c)
+    obs_x = events[:, 1:]
+    d0 = obs_x - now.r[:, 1:]
+    d2 = _dot(d0, d0)
+    sig2 = sigma * sigma
     tol = root_tolerance(d2, sigma)
-    tau = math.sqrt(d2 + sigma * sigma) / c if seed is None else float(seed)
-    # bracket with f(lo) < 0 < f(hi); f(0) = -d^2 - sigma^2 < 0
-    lo, hi = 0.0, math.inf
-    for _ in range(MAX_ITER):
-        src = h.state_at_time(now.t - tau)
-        dx = obs_x3 - src.r[1:]
-        f = (c * tau) ** 2 - float(dx @ dx) - sigma * sigma
-        if abs(f) <= tol:
-            return DelayRoot(t_ret=tau, s_ret=now.s - src.s, source_event=src,
-                             residual=abs(f))
-        if f < 0.0:
-            lo = tau
-        else:
-            hi = tau
-        # Newton step on f's model for a source moving on inertially from
-        # this sample, f + 2 b s + (c^2 - v^2) s^2 with b = f'/2 and
-        # v = c u/u^0: exact for inertial sources, -f/f' as f -> 0, and
-        # always forward while f < 0. A step outside (lo, hi) bisects.
-        v = c * src.u[1:] / src.u[0]
-        b = c * c * tau - float(dx @ v)
-        disc = b * b - (c * c - float(v @ v)) * f
-        den = b + math.sqrt(disc) if disc >= 0.0 else 0.0
-        step = tau - f / den if den > 0.0 else math.nan
-        tau = step if lo < step < hi else 0.5 * (lo + hi)
-    raise NoConvergence(
-        f"delay iteration exhausted {MAX_ITER} evaluations with residual "
-        f"{abs(f):.3e} > {tol:.3e}")
+    # the delay, residual and source event of each root, filled as roots
+    # converge; a coincident static point source (d = sigma = 0) keeps
+    # tau = 0 at now
+    t_ret = res = event = None
+
+    def fill(k, tau_k, f_k, ev_k):
+        nonlocal t_ret, res, event
+        if t_ret is None:
+            t_ret, res = np.zeros(m), np.zeros(m)
+            event = [np.array(x) for x in (now.t, now.s, now.r, now.u, now.a)]
+        t_ret[k], res[k] = tau_k, np.abs(f_k)
+        for column, x in zip(event, ev_k):
+            column[k] = x
+
+    # the roots still iterating, ordered by source so that each gather
+    # takes them as contiguous runs, and their data compacted: source,
+    # t_obs, x_obs, sigma^2, tolerance, iterate and the bracket
+    # f(lo) < 0 < f(hi), where f(0) = -d^2 - sigma^2 < 0
+    live = np.arange(m)
+    l_src, l_t, l_x, l_sig2, l_tol = src, now.t, obs_x, sig2, tol
+    tau = np.sqrt(d2 + sig2) / c if seed is None else _per_root(seed, m, np.float64)
+    coincident = d2 + sig2 == 0.0
+    in_order = not (np.count_nonzero(src[1:] < src[:-1]) or np.count_nonzero(coincident))
+    if not in_order:
+        live = np.argsort(src, kind="stable")
+        live = live[~coincident[live]]
+        l_src, l_t, l_x, l_sig2, l_tol, tau = (
+            x[live] for x in (src, now.t, obs_x, sig2, tol, tau))
+    lo, hi = np.zeros(len(live)), np.full(len(live), np.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(MAX_ITER):
+            if not live.size:
+                break
+            ev = gather(hs, l_src, l_t - tau)
+            u = ev.u
+            dx = l_x - ev.r[:, 1:]
+            f = (c * tau) ** 2 - _dot(dx, dx) - l_sig2
+            done = np.abs(f) <= l_tol
+            n_done = np.count_nonzero(done)
+            if in_order and n_done == m:
+                # every root at once, in request order
+                t_ret, res, event = tau, np.abs(f), [ev.t, ev.s, ev.r, u, ev.a]
+                live = live[:0]
+                break
+            if n_done == len(live):
+                fill(live, tau, f, (ev.t, ev.s, ev.r, u, ev.a))
+                live = live[:0]
+                break
+            if n_done:
+                fill(live[done], tau[done], f[done], (x[done] for x in (ev.t, ev.s, ev.r, u, ev.a)))
+                go = ~done
+                live, f, dx, u, l_src, l_t, l_x, l_sig2, l_tol, tau, lo, hi = (
+                    x[go] for x in (live, f, dx, u, l_src, l_t, l_x, l_sig2, l_tol, tau, lo, hi))
+            below = f < 0.0
+            lo = np.where(below, tau, lo)
+            hi = np.where(below, hi, tau)
+            # Newton step on f's model for a source moving on inertially
+            # from this event, f + 2 b s + (c^2 - v^2) s^2 with b = f'/2 and
+            # v = c u/u^0: exact for inertial sources, -f/f' as f -> 0, and
+            # always forward while f < 0. A step outside (lo, hi), or with
+            # no positive denominator, bisects.
+            v = c * u[:, 1:] / u[:, :1]
+            b = c * c * tau - _dot(dx, v)
+            den = b + np.sqrt(b * b - (c * c - _dot(v, v)) * f)
+            step = tau - f / den
+            tau = np.where((den > 0.0) & (lo < step) & (step < hi), step, 0.5 * (lo + hi))
+    if t_ret is None:  # no root converged: all coincident, or no convergence
+        fill(live[:0], 0.0, 0.0, ())
+    roots = DelayRoots(hs, src, obs, events, sigma, t_ret, now.s - event[1],
+                       WorldlineSample(*event), res)
+    if live.size:
+        raise roots.fail(NoConvergence, f"delay iteration exhausted {MAX_ITER} "
+                         f"evaluations with residual {abs(f[0]):.3e} > "
+                         f"{tol[live[0]]:.3e}", live[0])
+    return roots
 
 
 def self_delay(h: WorldlineHistory, t: float, sigma: float | None = None,
@@ -104,8 +227,8 @@ def self_delay(h: WorldlineHistory, t: float, sigma: float | None = None,
     """
     if sigma is None:
         sigma = h.spec.sigma
-    now = h.state_at_time(t)
-    return _solve_delay(h, now.r[1:], now, sigma, seed=seed)
+    now = gather((h,), 0, [t])
+    return solve_delays((h,), 0, now.r, sigma, obs=0, now=now, seed=seed).root(0)
 
 
 def pair_delay(h_source: WorldlineHistory, observer_event, sigma_shift: float,
@@ -116,49 +239,48 @@ def pair_delay(h_source: WorldlineHistory, observer_event, sigma_shift: float,
     searched on the source history. sigma_shift selects which particle's
     radius shifts the cone (each binary field needs both choices).
     """
-    obs_r = np.asarray(observer_event, dtype=np.float64)
-    now = h_source.state_at_time(float(obs_r[0]) / h_source.c)
-    return _solve_delay(h_source, obs_r[1:], now, sigma_shift, seed=seed)
+    return solve_delays((h_source,), 0, observer_event, sigma_shift, seed=seed).root(0)
 
 
-def delta_line_integral(h: WorldlineHistory, observer_event, sigma: float) -> np.ndarray:
-    """Resolve 2q * integral ds u(s) delta(Rt.Rt - sigma^2) at the causal root.
+def line_potentials(roots: DelayRoots) -> np.ndarray:
+    """Resolve 2q * integral ds u(s) delta(Rt.Rt - sigma^2) at each root,
+    q the source's charge: an (M, 4) array.
 
     The delta contributes 1/|d(Rt.Rt)/ds| = 1/|2 Rt.u| at the root, so the
     result is q * u(s_ret) / |Rt.u(s_ret)|: the shifted Lienard-Wiechert-type
     potential, whose static time component is q / sqrt(d^2 + sigma^2).
     """
-    obs_r = np.asarray(observer_event, dtype=np.float64)
-    root = pair_delay(h, obs_r, sigma)
-    src = root.source_event
-    rt = obs_r - src.r
-    u = src.u
-    jac = abs(float(rt[0] * u[0] - rt[1:] @ u[1:]))
-    rt_norm = float(np.sqrt(abs(rt @ rt)))
-    u_norm = float(np.sqrt(abs(u @ u)))
-    if jac < JAC_TOL * max(rt_norm * u_norm, 1e-300):
-        raise DegenerateJacobian(
-            f"|Rt.u| = {jac:.3e} at the root; grazing emission geometry")
-    return h.spec.q * u / jac
+    u = roots.source.u
+    rt = roots.events - roots.source.r
+    jac = np.abs(rt[:, 0] * u[:, 0] - _dot(rt[:, 1:], u[:, 1:]))
+    scale = np.sqrt(np.abs(_dot(rt, rt))) * np.sqrt(np.abs(_dot(u, u)))
+    roots.check_jacobian(jac, scale, JAC_TOL, "at the root")
+    q = np.array([h.spec.q for h in roots.histories])[roots.src]
+    return q[:, None] * u / jac[:, None]
+
+
+def delta_line_integral(h: WorldlineHistory, observer_event, sigma: float) -> np.ndarray:
+    """line_potentials of the one root of h at observer_event."""
+    return line_potentials(solve_delays((h,), 0, observer_event, sigma))[0]
 
 
 def max_delay(histories, t0: float) -> float:
-    """Largest of all self and pair delay roots of the system at time t0.
+    """Largest of all self and pair delay roots of the system at time t0,
+    solved as one batch.
 
     Pair roots are evaluated with both shell radii, matching the two
-    emission cones each binary field needs.
+    emission cones each binary field needs; equal radii share one root.
     """
-    hs = list(histories)
-    worst = 0.0
+    hs = tuple(histories)
+    n = len(hs)
+    now = gather(hs, np.arange(n), np.full(n, float(t0)))
+    src, obs, sig = [], [], []
     for i, hi in enumerate(hs):
-        r = self_delay(hi, t0)
-        worst = max(worst, r.t_ret)
-        obs = hi.state_at_time(t0).r
         for j, hj in enumerate(hs):
-            if j == i:
-                continue
-            # equal radii share one root
-            for shift in {hi.spec.sigma, hj.spec.sigma}:
-                r = pair_delay(hj, obs, shift)
-                worst = max(worst, r.t_ret)
-    return worst
+            for shift in sorted({hi.spec.sigma, hj.spec.sigma} if j != i
+                                else {hi.spec.sigma}):
+                src.append(j)
+                obs.append(i)
+                sig.append(shift)
+    roots = solve_delays(hs, src, now.r[obs], sig, obs=obs, now=now.take(src))
+    return float(roots.t_ret.max())

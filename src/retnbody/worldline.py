@@ -21,6 +21,11 @@ For t at or before the first node the history falls back to an exact
 analytic inertial extension of that node, so delay-root searches can look
 arbitrarily far into the past. A ProvisionalView adds one provisional
 node to a base history it pins, without copying it.
+
+Every query is an array query: gather(histories, src, ts) finds the
+nodes of each source with one searchsorted over its times and then
+evaluates all M states in one broadcasting pass (_evaluate);
+states_at and state_at_time are gathers over one history.
 """
 
 from __future__ import annotations
@@ -37,10 +42,14 @@ HARD_TOL = 1e-6
 CSV_HEADER = ["t", "s", "r0", "r1", "r2", "r3",
               "u0", "u1", "u2", "u3", "a0", "a1", "a2", "a3"]
 
-# packed node columns (attribute, row shape); the last three are the
-# Hermite slopes dr/dt, du/dt and ds/dt
-_COLUMNS = (("_t", ()), ("_s", ()), ("_r", (4,)), ("_u", (4,)), ("_a", (4,)),
-            ("_drdt", (4,)), ("_dudt", (4,)), ("_dsdt", ()))
+# a history packs its node times into _t and the rest of each node into
+# one row of _nodes: s, r, u and a (CSV_HEADER order without t), then the
+# Hermite slopes ds/dt, dr/dt and du/dt, so the interpolated values
+# (s, r, u) and their slopes are two contiguous blocks, _Y and _DY
+_S, _R, _U, _A = 0, slice(1, 5), slice(5, 9), slice(9, 13)
+_DS, _DR, _DU = 13, slice(14, 18), slice(18, 22)
+_Y, _DY = slice(0, 9), slice(13, 22)
+_WIDTH = 22
 _INITIAL_ROWS = 16
 
 
@@ -80,7 +89,8 @@ class ParticleSpec:
 
 @dataclass(frozen=True)
 class WorldlineSample:
-    """One node (t, s, r, u, a); checked where it enters a history."""
+    """One node (t, s, r, u, a), or M of them as stacked arrays (what a
+    gather returns); checked where it enters a history."""
 
     t: float
     s: float
@@ -88,10 +98,16 @@ class WorldlineSample:
     u: np.ndarray
     a: np.ndarray
 
+    def take(self, idx) -> "WorldlineSample":
+        """Rows idx of a sample whose fields are stacked arrays."""
+        return WorldlineSample(self.t[idx], self.s[idx], self.r[idx], self.u[idx],
+                               self.a[idx])
+
 
 def _sample_row(sample: WorldlineSample) -> np.ndarray:
     """A sample as one float64 node table row in CSV_HEADER column order."""
-    row = np.hstack((sample.t, sample.s, sample.r, sample.u, sample.a), dtype=np.float64)
+    row = np.concatenate([np.ravel(x) for x in (sample.t, sample.s, sample.r, sample.u,
+                                                sample.a)], dtype=np.float64)
     if row.shape != (len(CSV_HEADER),):
         raise ValueError("r, u and a must be four-vectors")
     return row
@@ -102,6 +118,11 @@ def _checked_vectors(table, checks=()) -> None:
     check order: every entry finite (t, s, r, u, a in turn), then each
     (mask of failing rows, row -> exception) pair of checks."""
     finite = np.isfinite(table)
+    ok = finite.all(axis=1)
+    for mask, _ in checks:
+        ok &= ~mask
+    if np.count_nonzero(ok) == len(ok):
+        return
 
     def nonfinite(i):
         name = CSV_HEADER[int(np.argmin(finite[i]))][0]
@@ -116,50 +137,43 @@ def _checked_vectors(table, checks=()) -> None:
 
 
 def _slopes(u, a, c):
-    """Hermite slopes dr/dt = c u / gamma, du/dt = a c / gamma and
-    ds/dt = c / gamma of one node or of a block of nodes."""
+    """Hermite slopes ds/dt = c / gamma, dr/dt = c u / gamma and
+    du/dt = a c / gamma of one node or of a block of nodes."""
     g = u[..., :1]
-    return c * u / g, a * (c / g), c / u[..., 0]
+    return c / u[..., 0], c * u / g, a * (c / g)
 
 
-# cubic Hermite basis on the unit interval
-def _h00(x):
-    return 2.0 * x**3 - 3.0 * x**2 + 1.0
-
-
-def _h10(x):
-    return x**3 - 2.0 * x**2 + x
-
-
-def _h01(x):
-    return -2.0 * x**3 + 3.0 * x**2
-
-
-def _h11(x):
-    return x**3 - x**2
+# cubic Hermite interpolation on the unit interval; powers are written
+# as products, so a query rounds the same way whatever its batch
+def _powers(x):
+    x2 = x * x
+    return x2, 3.0 * x2, x2 * x
 
 
 def _hermite(y0, dy0, y1, dy1, h, x):
-    return (_h00(x) * y0 + h * _h10(x) * dy0
-            + _h01(x) * y1 + h * _h11(x) * dy1)
+    x2, t3, x3 = _powers(x)
+    return ((2.0 * x3 - t3 + 1.0) * y0 + h * (x3 - 2.0 * x2 + x) * dy0
+            + (-2.0 * x3 + t3) * y1 + h * (x3 - x2) * dy1)
 
 
 def _hermite_d(y0, dy0, y1, dy1, h, x):
-    return ((6.0 * x**2 - 6.0 * x) / h * y0 + (3.0 * x**2 - 4.0 * x + 1.0) * dy0
-            + (6.0 * x - 6.0 * x**2) / h * y1 + (3.0 * x**2 - 2.0 * x) * dy1)
+    x2, t3, _ = _powers(x)
+    s6x2, s6x = 6.0 * x2, 6.0 * x
+    return ((s6x2 - s6x) / h * y0 + (t3 - 4.0 * x + 1.0) * dy0
+            + (s6x - s6x2) / h * y1 + (t3 - 2.0 * x) * dy1)
 
 
 def _hermite_dd(y0, dy0, y1, dy1, h, x):
-    return ((12.0 * x - 6.0) / h**2 * y0 + (6.0 * x - 4.0) / h * dy0
-            + (6.0 - 12.0 * x) / h**2 * y1 + (6.0 * x - 2.0) / h * dy1)
+    return ((12.0 * x - 6.0) / (h * h) * y0 + (6.0 * x - 4.0) / h * dy0
+            + (6.0 - 12.0 * x) / (h * h) * y1 + (6.0 * x - 2.0) / h * dy1)
 
 
 class WorldlineHistory:
     """Growable sampled worldline for one particle.
 
     Single writer (the integrator) appends; readers interpolate between
-    write phases. Every node is one row of the packed columns in
-    _COLUMNS; rows at or beyond len(self) are capacity, never read.
+    write phases. Every node is one entry of _t and one row of _nodes;
+    rows at or beyond len(self) are capacity, never read.
     """
 
     def __init__(self, spec: ParticleSpec, c: float = 1.0):
@@ -174,8 +188,8 @@ class WorldlineHistory:
         self.flags: list[str] = []
         self._n = 0         # rows in use
         self._n_slopes = 0  # rows whose Hermite slopes are filled
-        for name, shape in _COLUMNS:
-            setattr(self, name, np.empty((_INITIAL_ROWS,) + shape))
+        self._t = np.empty(_INITIAL_ROWS)
+        self._nodes = np.empty((_INITIAL_ROWS, _WIDTH))
 
     # -- construction -----------------------------------------------------
 
@@ -193,8 +207,8 @@ class WorldlineHistory:
         m, n = len(tab), self._n
         t, s, r, u, a = tab[:, 0], tab[:, 1], tab[:, 2:6], tab[:, 6:10], tab[:, 10:14]
         # t and s of the node before each row
-        t_prev = np.r_[self._t[n - 1] if n else -np.inf, t][:m]
-        s_prev = np.r_[self._s[n - 1] if n else -np.inf, s][:m]
+        t_prev = np.concatenate(([self._t[n - 1] if n else -np.inf], t[:-1]))
+        s_prev = np.concatenate(([self._nodes[n - 1, _S] if n else -np.inf], s[:-1]))
         ct = self.c * t
         norm_err = np.abs(u[:, 0] * u[:, 0] - np.sum(u[:, 1:] ** 2, axis=1) - 1.0)
         _checked_vectors(tab, (
@@ -214,18 +228,18 @@ class WorldlineHistory:
                 "u.a-orthogonality-drift": ua > self.constraint_tol * (1.0 + a_max),
                 # a != 0 at the very first node marks a C^1-only prehistory junction
                 "prehistory-curvature-jump": (np.arange(n, n + m) == 0) & (a_max > 1e-12)}
-        new = [f for f, hit in hits.items() if hit.any() and f not in self.flags]
+        new = [f for f, hit in hits.items() if np.count_nonzero(hit) and f not in self.flags]
         self.flags += sorted(new, key=lambda f: np.argmax(hits[f]))
         cap = len(self._t)
         while cap < n + m:
             cap *= 2
         if cap > len(self._t):
-            for name, shape in _COLUMNS:
-                # rows beyond n are capacity, so resize's repeats are never read
-                setattr(self, name, np.resize(getattr(self, name), (cap,) + shape))
-        self._t[n:n + m], self._s[n:n + m] = t, s
-        self._r[n:n + m], self._u[n:n + m], self._a[n:n + m] = r, u, a
-        self._r[n:n + m, 0] = ct  # canonicalize so r^0 = c t holds bit-for-bit
+            # rows beyond n are capacity, so resize's repeats are never read
+            self._t = np.resize(self._t, cap)
+            self._nodes = np.resize(self._nodes, (cap, _WIDTH))
+        self._t[n:n + m] = t
+        self._nodes[n:n + m, :_A.stop] = tab[:, 1:]
+        self._nodes[n:n + m, _R.start] = ct  # canonicalize so r^0 = c t holds bit-for-bit
         self._n = n + m
 
     def append(self, sample: WorldlineSample) -> None:
@@ -269,8 +283,7 @@ class WorldlineHistory:
         """Fresh (len, 14) array of the nodes in CSV_HEADER column order,
         the layout extend takes."""
         n = self._n
-        return np.column_stack((self._t[:n], self._s[:n], self._r[:n],
-                                self._u[:n], self._a[:n]))
+        return np.column_stack((self._t[:n], self._nodes[:n, :_A.stop]))
 
     @property
     def t_first(self) -> float:
@@ -282,43 +295,48 @@ class WorldlineHistory:
 
     # -- node lookup: the only part a ProvisionalView overrides -------------
 
-    def _row(self, i: int):
-        """Node i as (t, s, r, u, a, dr/dt, du/dt, ds/dt)."""
+    def _take(self, k):
+        """(t, rows) of the nodes k (an index array), rows with their
+        Hermite slopes. Indices are clipped into the store, so one past
+        the latest node reads a capacity row: callers only do so for the
+        node after a query that sits on the latest node, which is never
+        read."""
         lo, hi = self._n_slopes, self._n
         if lo < hi:
-            self._drdt[lo:hi], self._dudt[lo:hi], self._dsdt[lo:hi] = _slopes(
-                self._u[lo:hi], self._a[lo:hi], self.c)
+            rows = self._nodes[lo:hi]
+            rows[:, _DS], rows[:, _DR], rows[:, _DU] = _slopes(rows[:, _U], rows[:, _A], self.c)
             self._n_slopes = hi
-        return (self._t[i], self._s[i], self._r[i], self._u[i], self._a[i],
-                self._drdt[i], self._dudt[i], self._dsdt[i])
+        return self._t.take(k, mode="clip"), self._nodes.take(k, axis=0, mode="clip")
 
-    def _locate(self, t: float):
-        """(k, None) when t is node k, else (None, i) with t inside segment
-        i; the caller guarantees t_first <= t <= t_latest."""
+    def _after(self, ts):
+        """Index of the first node after each query time, len(self) at or
+        after the latest; raises QueryBeyondPresent past the latest."""
         n = self._n
-        k = int(np.searchsorted(self._t[:n], t, side="left"))
-        if k < n and self._t[k] == t:
-            return k, None
-        return None, k - 1
+        if not n:
+            raise QueryBeyondPresent("history holds no samples")
+        times = self._t[:n]
+        _check_present(ts, times[n - 1])
+        return times.searchsorted(ts, side="right")
 
     # -- queries -----------------------------------------------------------
 
-    def _check_present(self, t: float) -> None:
-        if not len(self):
-            raise QueryBeyondPresent("history holds no samples")
-        if not (t <= self.t_latest):  # also rejects a NaN time
-            raise QueryBeyondPresent(
-                f"query at t={t!r} is beyond latest stored t={self.t_latest!r}")
+    def _lookup(self, ts):
+        """(t0, p, t1, q): for each query time, the node at or before it
+        (the first node before the history) and the node after it, whose
+        row is read only inside a segment."""
+        i = self._after(ts)
+        m = len(ts)
+        t, rows = self._take(np.concatenate((i - 1, i)))
+        return t[:m], rows[:m], t[m:], rows[m:]
+
+    def states_at(self, ts) -> WorldlineSample:
+        """States at many times as one WorldlineSample of stacked arrays."""
+        return gather((self,), 0, ts)
 
     def state_at_time(self, t: float) -> WorldlineSample:
-        self._check_present(t)
-        if t < self.t_first:
-            return self._prehistory_state(t)
-        k, i = self._locate(t)
-        if k is not None:
-            t_k, s_k, r, u, a = self._row(k)[:5]
-            return WorldlineSample(float(t_k), float(s_k), r.copy(), u.copy(), a.copy())
-        return _segment_state(self._row(i), self._row(i + 1), t, self.c)
+        ts = np.array([t], dtype=np.float64)
+        b = _evaluate(ts, *self._lookup(ts), self.c)
+        return WorldlineSample(float(b.t[0]), float(b.s[0]), b.r[0], b.u[0], b.a[0])
 
     def u_dotdot_at_time(self, t: float) -> np.ndarray:
         """Second proper-time derivative d^2 u / ds^2 of the interpolated u.
@@ -328,24 +346,16 @@ class WorldlineHistory:
         approximation. At a node the segment starting there is used, at
         the latest node the one ending there.
         """
-        self._check_present(t)
+        ts = np.array([t], dtype=np.float64)
+        i = int(self._after(ts)[0]) - 1
         if t < self.t_first:
             return np.zeros(4)
-        k, i = self._locate(t)
-        if k is not None:
-            i = k - 1 if k == len(self) - 1 else k
+        if i == len(self) - 1:
+            i -= 1
         if i < 0:
             raise QueryBeyondPresent("u_dotdot needs a segment; history holds one node")
-        return _segment_udotdot(self._row(i), self._row(i + 1), t, self.c)
-
-    def _prehistory_state(self, t: float) -> WorldlineSample:
-        t0, s0, r0, u0 = self._row(0)[:4]
-        g0 = u0[0]
-        dt = t - t0
-        r = r0 + (self.c / g0) * u0 * dt
-        r[0] = self.c * t
-        s = s0 + (self.c / g0) * dt
-        return WorldlineSample(float(t), float(s), r, u0.copy(), np.zeros(4))
+        t01, rows = self._take(np.array([i, i + 1]))
+        return _segment_udotdot(t01[0], rows[0], t01[1], rows[1], t, self.c)
 
     # -- export ------------------------------------------------------------
 
@@ -360,27 +370,93 @@ class WorldlineHistory:
                 w.writerow([repr(x) for x in row])
 
 
-def _segment_state(p, q, t, c) -> WorldlineSample:
-    t0, s0, r0, u0, _, drdt0, dudt0, dsdt0 = p
-    t1, s1, r1, u1, _, drdt1, dudt1, dsdt1 = q
-    h = t1 - t0
-    x = (t - t0) / h
-    r = _hermite(r0, drdt0, r1, drdt1, h, x)
-    u = _hermite(u0, dudt0, u1, dudt1, h, x)
-    s = _hermite(s0, dsdt0, s1, dsdt1, h, x)
-    a = (u[0] / c) * _hermite_d(u0, dudt0, u1, dudt1, h, x)
-    r[0] = c * t
-    return WorldlineSample(t=float(t), s=float(s), r=r, u=u, a=a)
+def gather(histories, src, ts) -> WorldlineSample:
+    """States of histories[src[m]] at ts[m] for every m, as one
+    WorldlineSample of stacked arrays (t, s (M,); r, u, a (M, 4)).
+
+    One node lookup per distinct source, then one evaluation of all M
+    states. src may be one index for all times; sorted indices skip a
+    permutation. The histories share one light speed. An object that is
+    not a WorldlineHistory is asked through its own state_at_time, one
+    time at a time, and its states enter the evaluation as nodes.
+    """
+    ts = np.asarray(ts, dtype=np.float64).reshape(-1)
+    src = np.asarray(src)
+    h = histories[src if src.ndim == 0 else src[0]]
+    if isinstance(h, WorldlineHistory) and (
+            src.ndim == 0 or np.count_nonzero(src != src[0]) == 0):
+        return _evaluate(ts, *h._lookup(ts), h.c)
+    src = np.broadcast_to(src, ts.shape)
+    ordered = np.count_nonzero(src[1:] < src[:-1]) == 0
+    order = None if ordered else np.argsort(src, kind="stable")
+    if order is not None:
+        src, ts = src[order], ts[order]
+    cuts = np.flatnonzero(src[1:] != src[:-1]) + 1
+    c = histories[src[0]].c
+    parts = []
+    for a, b in zip((0, *cuts.tolist()), (*cuts.tolist(), len(ts))):
+        h, tb = histories[src[a]], ts[a:b]
+        if h.c != c:
+            raise ValueError("gathered histories must share one light speed")
+        if isinstance(h, WorldlineHistory):
+            parts.append(h._lookup(tb))
+        else:
+            rows = np.zeros((b - a, _WIDTH))
+            for row, x in zip(rows, map(h.state_at_time, tb.tolist())):
+                row[:_A.stop] = np.hstack((x.s, x.r, x.u, x.a))
+            parts.append((tb, rows, tb, rows))
+    out = _evaluate(ts, *(np.concatenate(x) for x in zip(*parts)), c)
+    if order is None:
+        return out
+    back = np.empty_like(order)
+    back[order] = np.arange(len(order))
+    return out.take(back)
 
 
-def _segment_udotdot(p, q, t, c) -> np.ndarray:
-    t0, _, _, u0, _, _, dudt0, _ = p
-    t1, _, _, u1, _, _, dudt1, _ = q
+def _evaluate(t, t0, p, t1, q, c: float) -> WorldlineSample:
+    """The one interpolation formula: states at times t from the node
+    (t0, p) at or before each time and the node (t1, q) after it, as node
+    rows of _nodes. A time on a node returns that node, a time before
+    the first node its inertial extension, any other the cubic Hermite
+    interpolant of the segment, with a from the derivative of u."""
+    seg = t > t0
+    n_seg = np.count_nonzero(seg)
+    if n_seg == len(t):
+        y, a = _segment(t, t0, p, t1, q, c)
+    else:
+        y, a = p[:, _Y].copy(), p[:, _A].copy()
+        if n_seg:
+            y[seg], a[seg] = _segment(t[seg], t0[seg], p[seg], t1[seg], q[seg], c)
+        pre = t < t0
+        if np.count_nonzero(pre):
+            # inertial extension of the first node
+            dt, pp = (t - t0)[pre], p[pre]
+            v = c / pp[:, _U.start]
+            y[pre, _R] = pp[:, _R] + v[:, None] * pp[:, _U] * dt[:, None]
+            y[pre, _S] = pp[:, _S] + v * dt
+            a[pre] = 0.0
+    r = y[:, _R]
+    r[:, 0] = c * t
+    return WorldlineSample(t=t, s=y[:, _S], r=r, u=y[:, _U], a=a)
+
+
+def _segment(t, t0, p, t1, q, c: float):
+    """(s, r, u) as one (M, 9) block and a of times inside segments."""
     h = t1 - t0
     x = (t - t0) / h
-    u = _hermite(u0, dudt0, u1, dudt1, h, x)
-    du = _hermite_d(u0, dudt0, u1, dudt1, h, x)
-    ddu = _hermite_dd(u0, dudt0, u1, dudt1, h, x)
+    # one segment's basis weights are plain floats: the same arithmetic
+    # (so the same bits) at a fraction of the array overhead
+    h, x = (h.item(), x.item()) if len(t) == 1 else (h[:, None], x[:, None])
+    y = _hermite(p[:, _Y], p[:, _DY], q[:, _Y], q[:, _DY], h, x)
+    du = _hermite_d(p[:, _U], p[:, _DU], q[:, _U], q[:, _DU], h, x)
+    return y, (y[:, _U.start, None] / c) * du
+
+
+def _segment_udotdot(t0, p, t1, q, t, c) -> np.ndarray:
+    h = t1 - t0
+    x = (t - t0) / h
+    y = (p[_U], p[_DU], q[_U], q[_DU], h, x)
+    u, du, ddu = _hermite(*y), _hermite_d(*y), _hermite_dd(*y)
     # d/ds = (gamma/c) d/dt applied twice to u
     return (u[0] / c) ** 2 * ddu + (u[0] / c) * (du[0] / c) * du
 
@@ -403,7 +479,9 @@ class ProvisionalView(WorldlineHistory):
         _checked_vectors(row[None], ((~advances, lambda i: NonMonotonicTime(
             "provisional sample must advance time")),))
         u, a = row[6:10], row[10:14]
-        self._tail = (row[0], row[1], row[2:6], u, a, *_slopes(u, a, self.c))
+        self._tail_t = row[0]
+        ds, dr, du = _slopes(u, a, self.c)
+        self._tail = np.concatenate((row[1:], [ds], dr, du))
 
     def extend(self, table) -> None:
         raise TypeError("a ProvisionalView is read-only")
@@ -413,7 +491,8 @@ class ProvisionalView(WorldlineHistory):
 
     @property
     def table(self) -> np.ndarray:
-        return np.vstack((self.base.table[:self._nb], np.hstack(self._tail[:5])))
+        return np.vstack((self.base.table[:self._nb],
+                          np.r_[self._tail_t, self._tail[:_A.stop]]))
 
     @property
     def t_first(self) -> float:
@@ -421,16 +500,26 @@ class ProvisionalView(WorldlineHistory):
 
     @property
     def t_latest(self) -> float:
-        return float(self._tail[0])
+        return float(self._tail_t)
 
-    def _row(self, i: int):
-        return self._tail if i == self._nb else self.base._row(i)
+    def _take(self, k):
+        t, rows = self.base._take(k)
+        tail = k == self._nb
+        if np.count_nonzero(tail):
+            t[tail], rows[tail] = self._tail_t, self._tail
+        return t, rows
 
-    def _locate(self, t: float):
-        if t <= self._t_base:
-            return self.base._locate(t)
-        nb = self._nb
-        return (nb, None) if t == self._tail[0] else (None, nb - 1)
+    def _after(self, ts):
+        _check_present(ts, self._tail_t)
+        i = self.base._t[:self._nb].searchsorted(ts, side="right")
+        return i + (ts >= self._tail_t)
+
+
+def _check_present(ts, t_latest) -> None:
+    ok = ts <= t_latest  # also False for a NaN time
+    if np.count_nonzero(ok) < len(ts):
+        raise QueryBeyondPresent(f"query at t={ts[~ok][0].item()!r} is beyond "
+                                 f"latest stored t={float(t_latest)!r}")
 
 
 # -- factories used by tests, demos and seeding -----------------------------

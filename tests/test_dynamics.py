@@ -14,6 +14,11 @@ from retnbody.dynamics import (
     seed,
     step,
 )
+from retnbody import canonical as cn
+from retnbody import dynamics as dyn
+from retnbody import fields as fl
+from retnbody import retardation as ret
+from retnbody import worldline as wl
 from retnbody.fields import ExternalFieldModel, SelfForceMode, total_faraday
 from retnbody.minkowski import dot, raise_index
 from retnbody.retardation import max_delay
@@ -157,7 +162,7 @@ def test_static_pair_initial_force_matches_closed_form():
     for i, sgn in ((0, -1.0), (1, 1.0)):
         h = st.histories[i]
         smp = h.state_at_time(0.0)
-        F, g = total_faraday(st.histories, i, 0.0, st.external)
+        F, g = total_faraday(st.histories, [i], 0.0, st.external)[0]
         assert g is None
         dudt = raise_index((h.spec.q / st.c) * (F.matrix @ smp.u)) / (smp.u[0] * m0)
         want_x = q1 * q2 * sgn * mag / m0
@@ -347,3 +352,109 @@ def test_copy_state_independent():
     assert dup.t_now == 0.0
     assert dup.histories[0].t_latest == 0.0
     assert st.histories[0].t_latest > 0.0
+
+
+# -- batched force evaluations ---------------------------------------------------
+
+
+def ring6(dt=0.02):
+    """Six charges of alternating sign on a ring, all radii distinct."""
+    rng = np.random.default_rng(0)
+    specs, xs, vs = [], [], []
+    for k in range(6):
+        ang = 2.0 * math.pi * k / 6
+        xs.append(3.0 * np.array([math.cos(ang), math.sin(ang), 0.0])
+                  + rng.normal(0.0, 0.05, 3))
+        vs.append(rng.normal(0.0, 0.02, 3))
+        specs.append(ParticleSpec(1.0 + 0.15 * k, (0.35 + 0.03 * k) * (-1) ** k,
+                                  0.5 + 0.06 * k, f"p{k}"))
+    return seed(specs, xs, vs, dt=dt)
+
+
+def test_force_evaluation_call_budget(monkeypatch):
+    # counted, not timed: a force evaluation is a few array passes
+    st = ring6()
+    counts = {"gather": 0, "state_at_time": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    gather = counted("gather", wl.gather)
+    for mod in (wl, ret, fl, dyn):
+        monkeypatch.setattr(mod, "gather", gather)
+    monkeypatch.setattr(wl.WorldlineHistory, "state_at_time",
+                        counted("state_at_time", wl.WorldlineHistory.state_at_time))
+    per_eval = []
+
+    def deriv(*args):
+        before = dict(counts)
+        out = real_deriv(*args)
+        per_eval.append({k: counts[k] - before[k] for k in counts})
+        return out
+
+    real_deriv = dyn._deriv
+    monkeypatch.setattr(dyn, "_deriv", deriv)
+    diag_roots = []
+
+    def solve(histories, src, events, *args, **kwargs):
+        diag_roots.append(len(np.reshape(events, (-1, 4))))
+        return ret.solve_delays(histories, src, events, *args, **kwargs)
+
+    # during stepping only the diagnostics solve roots through canonical
+    monkeypatch.setattr(cn, "solve_delays", solve)
+    for _ in range(3):
+        step(st)
+    # five evaluations in the first step, four after it: each step's last
+    # is the next one's first
+    assert len(per_eval) == 13
+    assert max(e["gather"] for e in per_eval) <= 4
+    assert max(e["state_at_time"] for e in per_eval) <= 2 * st.n
+    # N self roots and both cones of every ordered pair: N (2N - 1)
+    assert diag_roots == [66, 66, 66]
+
+
+def test_neutral_companion_roots_are_not_solved_in_the_force(monkeypatch):
+    specs = [ParticleSpec(1.0, 0.5, 0.6, "a"), ParticleSpec(1.0, 0.0, 0.7, "n"),
+             ParticleSpec(1.2, -0.4, 0.5, "b")]
+    st = seed(specs, [[-1.5, 0, 0], [0, 1.2, 0], [1.5, 0, 0]],
+              [[0, 0.05, 0], [0.1, 0, 0], [0, -0.05, 0]], dt=0.02)
+    sources = []
+
+    def solve(histories, src, *args, **kwargs):
+        sources.extend(np.atleast_1d(src).tolist())
+        return ret.solve_delays(histories, src, *args, **kwargs)
+
+    monkeypatch.setattr(fl, "solve_delays", solve)
+    for _ in range(2):
+        step(st)
+    assert sources and 1 not in sources
+    # the diagnostics still report the neutral particle's delays
+    rec = st.diagnostics.records[-1]
+    assert np.all(rec.self_delays > 0.0) and np.all(rec.pair_delays > 0.0)
+
+
+def test_reused_final_evaluation_is_the_next_first_bit_for_bit():
+    # radii just above 2 c dt: after three steps every root lands on the
+    # curved, integrated part of the histories
+    def pair():
+        specs = [ParticleSpec(1.0, 0.1, 0.05, "a"), ParticleSpec(1.2, -0.1, 0.06, "b")]
+        return seed(specs, [[-0.3, 0, 0], [0.3, 0.1, 0]], [[0, 0.1, 0], [0.05, 0, 0]],
+                    dt=0.02, external=ExternalFieldModel.uniform(E=(0.3, 0.0, 0.1)))
+
+    reused, fresh = pair(), pair()
+    for _ in range(12):
+        step(reused)
+        assert reused.last_eval is not None
+        fresh.last_eval = None
+        step(fresh)
+    assert reused.histories[0].t_first < 0.0 < reused.t_now - 0.06
+    for a, b in zip(reused.histories, fresh.histories):
+        assert np.array_equal(a.table, b.table)
+    # a radius below 2 c dt lets a root iterate into the last step: no reuse
+    spec = ParticleSpec(1.0, 0.5, 0.03, "small")
+    st = seed([spec], [[0, 0, 0]], [[0.1, 0, 0]], dt=0.02)
+    step(st)
+    assert st.last_eval is None

@@ -192,7 +192,7 @@ class TestTotalFaraday:
         spec = wl.ParticleSpec(1.0, 1.0, 0.4)
         h = wl.inertial_history(spec, np.zeros(3), np.array([0.2, 0, 0]),
                                 -10.0, 2.0, 25)
-        F, g = fl.total_faraday([h], 0, 1.0, fl.ExternalFieldModel.none())
+        F, g = fl.total_faraday([h], [0], 1.0, fl.ExternalFieldModel.none())[0]
         assert np.max(np.abs(F.matrix)) <= 1e-13
         assert g is None
 
@@ -200,14 +200,14 @@ class TestTotalFaraday:
         ext = fl.ExternalFieldModel.uniform(E=(0.1, -0.2, 0.3), B=(0.0, 0.5, 0.0))
         spec = wl.ParticleSpec(1.0, 0.0, 0.4)
         h = wl.inertial_history(spec, np.zeros(3), np.zeros(3), -5.0, 2.0, 15)
-        F, g = fl.total_faraday([h], 0, 1.0, ext)
+        F, g = fl.total_faraday([h], [0], 1.0, ext)[0]
         assert np.array_equal(F.matrix, ext.tensor)
 
     def test_two_static_particles_superpose(self):
         d = 2.5
         ha = static_history([0.0, 0.0, 0.0], q=1.0, sigma=0.3)
         hb = static_history([d, 0.0, 0.0], q=2.0, sigma=0.6)
-        F, _ = fl.total_faraday([ha, hb], 0, 0.5, fl.ExternalFieldModel.none())
+        F, _ = fl.total_faraday([ha, hb], [0], 0.5, fl.ExternalFieldModel.none())[0]
         expected = 2.0 * d * ((d * d + 0.09) ** -1.5 + (d * d + 0.36) ** -1.5)
         assert np.linalg.norm(F.electric) == pytest.approx(expected, rel=1e-11)
 
@@ -215,11 +215,98 @@ class TestTotalFaraday:
         d = 2.0
         ha = static_history([0.0, 0.0, 0.0], q=1.0, sigma=0.3)
         hb = static_history([d, 0.0, 0.0], q=1.5, sigma=0.6)
-        F, g = fl.total_faraday([ha, hb], 0, 0.5, fl.ExternalFieldModel.none(),
-                                fl.SelfForceMode.ASYMPTOTIC)
+        F, g = fl.total_faraday([ha, hb], [0], 0.5, fl.ExternalFieldModel.none(),
+                                fl.SelfForceMode.ASYMPTOTIC)[0]
         assert g is not None and np.max(np.abs(g)) < 1e-12
         assert np.linalg.norm(F.electric) == pytest.approx(2.0 * 1.5 / d**2,
                                                            rel=1e-11)
+
+
+def ring_histories(n=6):
+    """Six charges of alternating sign on wobbling orbits about a ring of
+    radius 3, distinct radii except particles 1 and 4 (an equal pair)."""
+    hs = []
+    for k in range(n):
+        ang = 2.0 * np.pi * k / n
+        c0 = 3.0 * np.array([np.cos(ang), np.sin(ang), 0.0])
+        amp = 0.05 * np.array([1.0 + 0.2 * k, 0.5, 0.3 * (k % 3)])
+        om = 1.3 + 0.1 * k
+
+        def x_fn(t, c0=c0, amp=amp, om=om, ph=k):
+            return c0 + amp * np.sin(om * t + ph)
+
+        def v_fn(t, amp=amp, om=om, ph=k):
+            return amp * om * np.cos(om * t + ph)
+
+        def acc_fn(t, amp=amp, om=om, ph=k):
+            return -amp * om * om * np.sin(om * t + ph)
+
+        sigma = 0.55 if k in (1, 4) else 0.4 + 0.07 * k
+        spec = wl.ParticleSpec(1.0 + 0.1 * k, (0.3 + 0.05 * k) * (-1) ** k, sigma, f"p{k}")
+        hs.append(wl.history_from_kinematics(spec, np.linspace(-15.0, 1.0, 801),
+                                             x_fn, v_fn, acc_fn))
+    return hs
+
+
+def _close(a, b):
+    return np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
+
+
+class TestBatchedTotalFaraday:
+    t = 0.7
+
+    def test_exact_matches_the_sum_of_single_terms(self):
+        hs = ring_histories()
+        ext = fl.ExternalFieldModel.uniform(E=(0.01, 0.0, -0.02), B=(0.0, 0.03, 0.0))
+        got = fl.total_faraday(hs, range(6), self.t, ext)
+        for i, (F, g) in enumerate(got):
+            r_i = hs[i].state_at_time(self.t).r
+            want = ext.faraday(r_i) + fl.self_faraday(hs[i], self.t).matrix
+            for j, h_j in enumerate(hs):
+                if j != i:
+                    want = want + fl.binary_faraday(h_j, r_i, hs[i].spec.sigma,
+                                                    h_j.spec.sigma).matrix
+            assert g is None
+            assert _close(F.matrix, fl.FaradayTensor(want).matrix)
+        # an observer subset gets the same tensors
+        sub = fl.total_faraday(hs, [4, 1], self.t, ext)
+        assert np.array_equal(sub[0][0].matrix, got[4][0].matrix)
+        assert np.array_equal(sub[1][0].matrix, got[1][0].matrix)
+
+    def test_asymptotic_matches_the_sum_of_single_terms(self):
+        hs = ring_histories()
+        got = fl.total_faraday(hs, range(6), self.t, fl.ExternalFieldModel.none(),
+                               fl.SelfForceMode.ASYMPTOTIC)
+        for i, (F, g) in enumerate(got):
+            r_i = hs[i].state_at_time(self.t).r
+            want = np.zeros((4, 4))
+            for j, h_j in enumerate(hs):
+                if j != i:
+                    want = want + fl.binary_faraday_pointlimit(h_j, r_i).matrix
+            assert _close(F.matrix, fl.FaradayTensor(want).matrix)
+            assert _close(g, fl.asymptotic_self_force(hs[i], self.t))
+
+    def test_one_grazing_root_raises_from_the_batch(self, monkeypatch):
+        hs = ring_histories()
+        ratios = []
+
+        def kernel_ratios(roots, k, u_sign):
+            src = roots.source
+            rt = u_sign[:, None] * (src.r - roots.events)
+            ratios.append([abs(mk.dot(x, u)) / np.sqrt(abs(mk.dot(x, x)))
+                           for x, u in zip(rt, src.u)])
+            return kernel(roots, k, u_sign)
+
+        kernel = fl._kernel
+        monkeypatch.setattr(fl, "_kernel", kernel_ratios)
+        fl.total_faraday(hs, range(6), self.t, fl.ExternalFieldModel.none())
+        lowest, second = np.sort(ratios[0])[:2]
+        # a floor between the two smallest |Rt.u| / |Rt| trips exactly one root
+        monkeypatch.setattr(fl, "_kernel", kernel)
+        monkeypatch.setattr(fl, "JAC_TOL", 0.5 * (lowest + second))
+        with pytest.raises(ret.DegenerateJacobian, match="in the field kernel") as err:
+            fl.total_faraday(hs, range(6), self.t, fl.ExternalFieldModel.none())
+        assert err.value.particle in {h.spec.label for h in hs}
 
 
 class TestExternalFieldModel:

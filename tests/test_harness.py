@@ -31,6 +31,7 @@ from retnbody.harness import (
     parse_config,
     swap_symmetry_residual,
 )
+from retnbody import retardation
 from retnbody.retardation import max_delay
 from retnbody.worldline import (
     ParticleSpec,
@@ -318,7 +319,21 @@ def test_cli_numerical_failure_exit3(tmp_path):
     cfg["particles"][0].update(q=5.0, m0=0.05)
     rc, err = _cli(["run", _write_cfg(tmp_path, cfg)])
     assert rc == 3
-    assert json.loads(err)["category"] == "numerical"
+    payload = json.loads(err)
+    assert payload["category"] == "numerical"
+    assert payload["particle"] == "a" and payload["step"] >= 1
+
+
+def test_cli_numerical_failure_names_step_time_and_particle(tmp_path, monkeypatch):
+    # every potential root of the first step's diagnostics is refused
+    monkeypatch.setattr(retardation, "JAC_TOL", 1e10)
+    cfg = _cfg_mapping(output_dir=str(tmp_path / "ctx"))
+    rc, err = _cli(["run", _write_cfg(tmp_path, cfg)])
+    assert rc == 3
+    payload = json.loads(err)
+    assert payload["error"] == "DegenerateJacobian"
+    assert (payload["step"], payload["t"], payload["particle"]) == (1, 0.0, "a")
+    assert "observer 'a'" in payload["detail"] and "t_obs=" in payload["detail"]
 
 
 def test_cli_check_pb(tmp_path):

@@ -141,6 +141,66 @@ def test_grid_root_query_budget(kind, beta, sigma, monkeypatch):
     assert len(times) <= (16 if kind == "self" else 8)
 
 
+_SOLVABLE = [p.values for p in GRID if not p.marks]
+_BELOW_NOISE_CASES = [p.values for p in GRID if p.marks]
+
+
+def grid_batch(cases):
+    """The grid cases as one solve_delays batch over their own histories,
+    each source seen by itself (self) or by its 1.5-away observer."""
+    hs, events, obs = [], [], []
+    for m, (kind, beta, sigma) in enumerate(cases):
+        v = np.array([beta, 0.0, 0.0])
+        h = uniform_history(-301.0 * v, v, sigma=sigma, t0=-300.0, t1=2.0, n=64)
+        hs.append(h)
+        events.append(h.state_at_time(1.0).r if kind == "self" else
+                      np.array([1.0, 1.5 if kind == "approaching" else -1.5, 0.0, 0.0]))
+        obs.append(m if kind == "self" else -1)
+    return ret.solve_delays(hs, np.arange(len(cases)), events,
+                            [sigma for _, _, sigma in cases], obs=obs)
+
+
+def _same_root(batch, m, root):
+    src = batch.source
+    return (batch.t_ret[m] == root.t_ret and batch.s_ret[m] == root.s_ret
+            and batch.residual[m] == root.residual and src.t[m] == root.source_event.t
+            and src.s[m] == root.source_event.s
+            and all(np.array_equal(getattr(src, k)[m], getattr(root.source_event, k))
+                    for k in ("r", "u", "a")))
+
+
+def test_grid_as_one_batch_matches_one_root_solves_bit_for_bit():
+    batch = grid_batch(_SOLVABLE)
+    for m, case in enumerate(_SOLVABLE):
+        call, oracle = grid_case(*case)
+        assert _same_root(batch, m, call())
+        tau = batch.t_ret[m]
+        assert abs(tau - oracle) <= 1e-10 * (1.0 + tau)
+    # a root's bits do not depend on its place in the batch
+    perm = np.random.default_rng(3).permutation(len(_SOLVABLE))
+    shuffled = grid_batch([_SOLVABLE[k] for k in perm])
+    for m, k in enumerate(perm):
+        assert _same_root(shuffled, m, batch.root(k))
+
+
+def test_unordered_batch_over_shared_sources_matches_one_root_solves():
+    # static sources converge on their first iterate, all in one pass
+    hs = [static_history([2.0, 0.0, 0.0], sigma=0.5), static_history([0.0, -1.0, 0.5]),
+          uniform_history([0.5, 0.2, 0.0], [0.3, -0.2, 0.1], sigma=0.7)]
+    for src in ([2, 0, 1, 0, 2, 1], [1, 0, 1, 0]):
+        events = [np.array([0.5, 0.1 * m, -0.2, 0.3]) for m in range(len(src))]
+        sigmas = [0.5 + 0.1 * m for m in range(len(src))]
+        batch = ret.solve_delays(hs, src, events, sigmas)
+        for m, (j, event, sigma) in enumerate(zip(src, events, sigmas)):
+            assert _same_root(batch, m, ret.pair_delay(hs[j], event, sigma))
+
+
+def test_grid_roots_below_the_noise_fail_in_their_own_batch():
+    with pytest.raises(ret.NoConvergence) as err:
+        grid_batch(_BELOW_NOISE_CASES)
+    assert "source 'u'" in str(err.value) and "t_obs=1.0" in str(err.value)
+
+
 class TestPairDelay:
     def test_three_four_five(self):
         h = static_history([3.0, 0.0, 0.0], sigma=1.0)
