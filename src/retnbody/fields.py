@@ -112,11 +112,16 @@ class ExternalFieldModel:
         return np.asarray(self.faraday_fn(np.asarray(r)), dtype=np.float64)
 
     def potential(self, r) -> np.ndarray:
+        """A_mu at one event r (4,), or at each row of a block r (P, 4)."""
+        r = np.asarray(r, dtype=np.float64)
         if self.variant == "none":
-            return np.zeros(4)
+            return np.zeros(r.shape)
         if self.variant == "constant-uniform":
-            return -0.5 * (self.tensor @ np.asarray(r, dtype=np.float64))
-        return np.asarray(self.potential_fn(np.asarray(r)), dtype=np.float64)
+            return -0.5 * (self.tensor @ r.T).T
+        if r.ndim == 1:
+            return np.asarray(self.potential_fn(r), dtype=np.float64)
+        return np.array([self.potential_fn(p) for p in r],
+                        dtype=np.float64).reshape(r.shape)
 
 
 def _kernel(roots: DelayRoots, k, u_sign) -> np.ndarray:

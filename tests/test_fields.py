@@ -332,6 +332,19 @@ class TestExternalFieldModel:
         assert np.array_equal(ext.faraday(np.zeros(4)), np.zeros((4, 4)))
         assert np.array_equal(ext.potential(np.ones(4)), np.zeros(4))
 
+    def test_potential_of_a_block_stacks_the_points(self):
+        rs = np.random.default_rng(2).normal(size=(7, 4))
+        for ext in (fl.ExternalFieldModel.none(),
+                    fl.ExternalFieldModel.uniform(E=(0.2, 0.0, -0.1),
+                                                  B=(0.3, 0.1, 0.0)),
+                    fl.ExternalFieldModel.analytic(
+                        lambda r: np.zeros((4, 4)),
+                        lambda r: np.array([r[1] * r[2], 0.0, r[0], -r[3]]))):
+            block = ext.potential(rs)
+            assert block.shape == (7, 4)
+            assert np.allclose(block, [ext.potential(r) for r in rs],
+                               rtol=1e-15, atol=0.0)
+
     def test_analytic_variant_requires_callables(self):
         with pytest.raises(ValueError):
             fl.ExternalFieldModel(variant="user-analytic")

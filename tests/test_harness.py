@@ -6,12 +6,15 @@ import sys
 from contextlib import redirect_stderr
 from dataclasses import replace
 
+import jsonschema
 import numpy as np
 import pytest
 import yaml
 
 from retnbody.dynamics import PREHISTORY_NODES, copy_state, run, seed
+from retnbody import harness
 from retnbody.harness import (
+    CONFIG_SCHEMA,
     CheckFailed,
     ConfigError,
     MissingArtifact,
@@ -19,6 +22,7 @@ from retnbody.harness import (
     WidthTooSmall,
     action_oracle,
     build_state,
+    cmd_action_oracle,
     cmd_check_pb,
     cmd_demo_no_interaction,
     config_hash,
@@ -150,6 +154,30 @@ def test_oracle_config_validation():
         OracleConfig(width=0.1, fd_step=-1.0)
 
 
+def test_config_validator_is_compiled_once(monkeypatch):
+    validator = type(harness._CONFIG_VALIDATOR)
+    validator.check_schema(CONFIG_SCHEMA)
+    # two violations: the reported one is jsonschema's best match, the
+    # message jsonschema.validate raises
+    two = _cfg_mapping(dt=-1.0, bogus=1)
+    with pytest.raises(jsonschema.ValidationError) as best:
+        jsonschema.validate(two, CONFIG_SCHEMA)
+    with pytest.raises(ConfigError) as err:
+        parse_config(two)
+    assert str(err.value) == f"schema violation: {best.value.message}"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("metaschema check on the load path")
+
+    monkeypatch.setattr(validator, "check_schema", refuse)
+    with pytest.raises(AssertionError, match="metaschema check"):
+        jsonschema.validate(_cfg_mapping(), CONFIG_SCHEMA)
+    cfg = load_config(os.path.join(CONFIG_DIR, "action_oracle.yaml"))
+    assert cfg.oracle.nodes == 48
+    with pytest.raises(ConfigError, match="schema violation"):
+        parse_config(two)
+
+
 # -- discretized-action oracle ---------------------------------------------------
 
 
@@ -228,6 +256,74 @@ def test_oracle_window_needs_history_depth():
     with pytest.raises(ValueError):
         action_oracle(hists, OracleConfig(width=0.08, nodes=40), 0.9, 0.2)
 
+
+
+def _dli_at_point(src, r_obs, sigma, q, width, c):
+    """One observer point's smoothed line integral, the per-point form the
+    block evaluation replaces."""
+    d = r_obs[None, :] - src.r
+    f = d[:, 0] ** 2 - d[:, 1] ** 2 - d[:, 2] ** 2 - d[:, 3] ** 2 \
+        - sigma * sigma
+    causal = src.t < r_obs[0] / c
+    inside = causal & (np.abs(f) < 3.0 * width)
+    if int(np.count_nonzero(inside)) < harness.SUPPORT_MIN:
+        raise WidthTooSmall(
+            f"only {int(np.count_nonzero(inside))} causal source samples "
+            f"inside the Gaussian window (need {harness.SUPPORT_MIN}); widen w or "
+            f"refine the source sampling")
+    g = np.exp(-0.5 * (f / width) ** 2) / (width * math.sqrt(2.0 * math.pi))
+    g = g * causal * src.w_quad
+    return 2.0 * q * (g @ src.u_cov)
+
+
+def test_smoothed_line_integral_blocks_match_points():
+    hists = _wiggle_pair()
+    m = harness.SOURCE_FACTOR * 48
+    src = harness._freeze_source(hists[1], 1.1, m)
+    rows = max(1, harness._BLOCK_PAIRS // m)
+    rng = np.random.default_rng(5)
+    for count in (1, rows, 2 * rows + 3):
+        obs = hists[0].states_at(np.linspace(0.25, 1.1, count)).r
+        obs[:, 1:] += rng.normal(scale=0.01, size=(count, 3))
+        got = harness._smoothed_dli(src, obs, 0.8, -0.4, 0.08, 1.0)
+        assert got.shape == (count, 4)
+        for p, row in zip(obs, got):
+            want = _dli_at_point(src, p, 0.8, -0.4, 0.08, 1.0)
+            assert np.linalg.norm(row - want) <= 1e-14 * np.linalg.norm(want)
+
+    # an observer before the first source sample sees no causal sample;
+    # it sits in the third block and fails with the per-point message
+    obs = hists[0].states_at(np.linspace(0.25, 1.1, 2 * rows + 3)).r
+    obs[-1, 0] = src.t[0] - 1.0
+    with pytest.raises(WidthTooSmall) as want:
+        _dli_at_point(src, obs[-1], 0.8, -0.4, 0.08, 1.0)
+    with pytest.raises(WidthTooSmall) as got:
+        harness._smoothed_dli(src, obs, 0.8, -0.4, 0.08, 1.0)
+    assert str(got.value) == str(want.value)
+
+
+def test_action_oracle_reuses_the_on_trajectory_gradients(monkeypatch, tmp_path):
+    cfg = replace(load_config(os.path.join(CONFIG_DIR, "action_oracle.yaml")),
+                  output_dir=str(tmp_path))
+    passes = []
+    node_gradient = harness.node_gradient
+
+    def counted(*args, **kwargs):
+        passes.append(args[1])
+        return node_gradient(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "node_gradient", counted)
+    out = cmd_action_oracle(cfg, CONFIG_DIR)
+    # per particle: the on-trajectory pass and the perturbed one
+    assert sorted(passes) == [0, 0, 1, 1]
+    hists, (t_lo, t_hi) = out["state"].histories, out["window"]
+    alone = extremality_ratio(hists, cfg.oracle, t_lo, t_hi,
+                              rng=np.random.default_rng(cfg.seed))
+    assert alone == out["extremality"]
+    assert len(passes) == 8
+    with pytest.raises(ValueError, match="other observer nodes"):
+        extremality_ratio(hists, cfg.oracle, t_lo + 0.01, t_hi,
+                          report=out["report"])
 
 def test_extremality_on_dynamics_trajectories():
     specs = [ParticleSpec(1.0, 0.5, 0.8, "a"), ParticleSpec(1.5, -0.4, 0.7, "b")]
@@ -529,6 +625,19 @@ def test_prehistory_table_format_errors(tmp_path):
     with pytest.raises(ConfigError, match="is empty"):
         load_prehistory_csv(table, spec, cfg)
 
+
+
+def test_cli_prehistory_table_non_numeric_cell(tmp_path):
+    for row, cell in ((5, "abc"), (31, "")):
+        mapping = _edited_table_config(tmp_path, row, 3, lambda v: cell,
+                                       output_dir=str(tmp_path / "bad"))
+        rc, err = _cli(["run", _write_cfg(tmp_path, mapping)])
+        assert rc == 2
+        payload = json.loads(err)
+        assert payload["category"] == "validation"
+        assert payload["error"] == "ConfigError"
+        assert str(tmp_path / "tab.csv") in payload["detail"]
+        assert f"data row {row} has a non-numeric cell" in payload["detail"]
 
 def test_check_failed_maps_to_exit3(tmp_path):
     # neutral particles cannot certify non-commutation
