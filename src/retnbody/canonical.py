@@ -33,13 +33,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .fields import ExternalFieldModel
 from .minkowski import ETA, dot, lower, raise_index
-from .retardation import line_potentials, solve_delays
+from .retardation import _add_potentials, _plan_roots, _root_plan
 from .worldline import HARD_TOL, ConstraintViolation, ProvisionalView, WorldlineSample
 
 FD_STEP = 1e-6
@@ -233,12 +232,6 @@ def effective_momentum(u, spec, A_eff_cov, c: float = 1.0) -> np.ndarray:
     return spec.m0 * c * lower(u) + (spec.q / c) * np.asarray(A_eff_cov, dtype=np.float64)
 
 
-def u_from_momentum(P_cov, spec, A_eff_cov, c: float = 1.0) -> np.ndarray:
-    """Invert effective_momentum: contravariant u from covariant P and A."""
-    pi = np.asarray(P_cov, dtype=np.float64) - (spec.q / c) * np.asarray(A_eff_cov)
-    return raise_index(pi) / (spec.m0 * c)
-
-
 # -- frozen history context ---------------------------------------------------
 
 class FrozenHistoryContext:
@@ -292,61 +285,28 @@ def a_eff_covariant(histories, external: ExternalFieldModel, i: int,
                     r_obs) -> np.ndarray:
     """Covariant effective potential A_(eff)mu^(tot) of particle i at the
     observation event r_obs: external + 2x self + two-cone binary sum."""
-    return effective_potentials(histories, external, [i], [r_obs])[0][0]
+    return effective_potentials(histories, external, [i], [r_obs])[0]
 
 
 def effective_potentials(histories, external: ExternalFieldModel, observers,
-                         events, now=None, neutral: bool = False):
-    """A_eff of each observer particle at its event from one root batch.
+                         events) -> np.ndarray:
+    """A_eff of each observer particle at its event, (n, 4), from one root
+    batch of the system's root plan (retardation._root_plan).
 
-    Returns (A, roots, own): A is (n, 4); roots holds, per observer i in
-    turn, the sigma_i root on its own history and then each companion's
-    sigma_i and sigma_j roots, for charged sources only (q = 0 adds
-    nothing), so 2N - 1 roots per charged system; own marks each
-    (observer, source) pair's sigma_i root. With neutral=True a neutral
-    source's sigma_i root is solved too and left out of the sum, so
-    roots.t_ret[own] holds every self and pair delay, observer by
-    observer. now, the states of all histories at the observation time,
-    is gathered by the solver when not given.
+    Each observer adds, one term at a time, the external potential, its
+    doubled self term and each charged companion's sigma_i and sigma_j
+    terms; q = 0 adds nothing. The batch holds one root per cone: 2N - 1
+    per observer among N charged particles of distinct radii, and an
+    equal-radius pair's one root enters the sum twice.
     """
     hs = tuple(histories)
     events = np.asarray(events, dtype=np.float64).reshape(-1, 4)
-    src, obs, sig, coef, own, slot, rank = _potential_plan(
-        tuple(h.spec for h in hs), tuple(int(i) for i in observers), neutral)
+    plan = _root_plan(tuple(h.spec for h in hs), tuple(int(i) for i in observers),
+                      potentials=True)
     A = np.array([external.potential(e) for e in events], dtype=np.float64).reshape(-1, 4)
-    if not src.size:
-        return A, None, own
-    roots = solve_delays(hs, src, events[slot], sig, obs=obs,
-                         now=None if now is None else now.take(src))
-    terms = coef[:, None] * lower(line_potentials(roots))
-    # each observer adds its terms in row order
-    for r in range(rank.max() + 1):
-        at = (rank == r) & (coef != 0.0)
-        A[slot[at]] += terms[at]
-    return A, roots, own
-
-
-@lru_cache(maxsize=64)
-def _potential_plan(specs, observers, neutral: bool):
-    """The rows of effective_potentials: source, observer, sigma, weight,
-    own (sigma_i cone), observer slot and rank within the slot."""
-    rows = []
-    for s, i in enumerate(observers):
-        sigma_i = specs[i].sigma
-        for j in [i] + [j for j in range(len(specs)) if j != i]:
-            charged = specs[j].q != 0.0
-            radii = (sigma_i,) if j == i else (sigma_i, specs[j].sigma)
-            for cone, sigma in enumerate(radii):
-                if charged or (neutral and cone == 0):
-                    weight = (2.0 if j == i else 1.0) if charged else 0.0
-                    rows.append((j, i, sigma, weight, cone == 0, s))
-    cols = list(zip(*rows)) or [()] * 6
-    src, obs, sig, coef, own, slot = (np.array(x, dtype=d) for x, d in zip(
-        cols, (np.intp, np.intp, np.float64, np.float64, bool, np.intp)))
-    plan = (src, obs, sig, coef, own, slot, np.arange(len(slot)) - np.searchsorted(slot, slot))
-    for x in plan:  # shared by every call with these arguments
-        x.flags.writeable = False
-    return plan
+    if not plan.src.size:
+        return A
+    return _add_potentials(A, plan, _plan_roots(hs, plan, events))
 
 
 def state_from_histories(histories, t: float,
@@ -616,36 +576,6 @@ def instant_form_increments(xp: ConstrainedState, ctx: FrozenHistoryContext,
         for l in range(3):
             dP[i, l] = ctx.c * dt * _dp0_dx(ctx, i, xp.x[i], xp.P[i], l, fd_step)
     return dr, dP
-
-
-# -- canonical flow -----------------------------------------------------------
-
-def canonical_flow_step(state: CanonicalState, ctx: FrozenHistoryContext,
-                        ds, fd_step: float = FD_STEP) -> CanonicalState:
-    """One Euler step of dx^(i) = ds_i [x^(i), H_N] over the frozen context.
-
-    dr^(i)mu = ds pi^mu / (m0 c) (analytic; equals ds u^mu on shell) and
-    dP_mu by central differences of H_eff^(i) in the observer position.
-    """
-    ds = np.broadcast_to(np.asarray(ds, dtype=np.float64), (state.n,))
-    r_new = state.r.copy()
-    P_new = state.P.copy()
-    for i in range(state.n):
-        spec = ctx.specs[i]
-        A = ctx.a_eff_cov(i, state.r[i])
-        pi = state.P[i] - (spec.q / ctx.c) * A
-        r_new[i] += ds[i] * raise_index(pi) / (spec.m0 * ctx.c)
-        gr = np.zeros(4)
-        for mu in range(4):
-            h = fd_step * (1.0 + abs(state.r[i, mu]))
-            rp = state.r.copy()
-            rm = state.r.copy()
-            rp[i, mu] += h
-            rm[i, mu] -= h
-            gr[mu] = (effective_hamiltonian(state.replace(r=rp), i, ctx)
-                      - effective_hamiltonian(state.replace(r=rm), i, ctx)) / (2.0 * h)
-        P_new[i] -= ds[i] * gr
-    return CanonicalState(r_new, P_new)
 
 
 # -- non-local (Gateaux) brackets ---------------------------------------------

@@ -12,11 +12,13 @@ mid-step field queries run against ProvisionalViews, each a frozen
 history extended by one stage-local node without copying it. After
 acceptance a fifth force evaluation fixes the appended acceleration
 sample and proper time advances by Simpson quadrature of c dt / gamma.
-Each force evaluation is one fields.total_faraday call on all particles,
-so its delay roots and field kernels are solved as one array batch;
-each step's diagnostics take their delays and potentials from one more
-batch at the new time. In exact mode with 2 c dt below every radius the
-fifth evaluation is also the next step's first (see step).
+Each force evaluation solves its delay roots and field kernels for all
+particles as one array batch. Each step ends with exactly one batch at
+the new time, which also holds the potentials' and the reported delays'
+roots: it serves the step's diagnostics and the next step's first
+evaluation. In exact mode with 2 c dt below every radius it is the
+fifth evaluation itself; otherwise it is solved afresh on the committed
+histories (see step).
 
 Histories are the state. A SystemState is little more than the history
 set plus the stepping policy; prehistory coverage is the seeding
@@ -33,8 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .canonical import _IDX_PAIRS, effective_potentials
-from .fields import ExternalFieldModel, SelfForceMode, self_faraday, total_faraday
+from .canonical import _IDX_PAIRS
+from .fields import ExternalFieldModel, SelfForceMode, _evaluate, self_faraday
 from .minkowski import dot, lower, raise_index
 from .retardation import max_delay
 from .worldline import (
@@ -129,8 +131,8 @@ class SystemState:
     include_binary: bool = True
     renormalize_u: bool = False
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
-    # the final force evaluation of the last step, keyed by the time and
-    # history lengths it holds for (see step)
+    # the step-end force evaluation of the last step, keyed by the time
+    # and history lengths it holds for (see step)
     last_eval: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -214,12 +216,12 @@ def seed(specs=None, positions=None, velocities=None, *, prehistories=None,
                        include_binary, renormalize_u)
 
 
-def _deriv(state: SystemState, views, t_q: float, us):
-    """Stage derivatives (dx/dt, du/dt contravariant) for every particle,
-    from one total_faraday call on all of them."""
-    forces = total_faraday(views, range(state.n), t_q, state.external, state.mode,
-                           include_self=state.include_self,
-                           include_binary=state.include_binary)
+def _deriv(state: SystemState, views, t_q: float, us, report: bool = False):
+    """Stage derivatives (dx/dt, du/dt contravariant) for every particle
+    from one root batch, and the report of fields._evaluate: with report,
+    the potentials and delays of the step record from the same batch."""
+    forces, rep = _evaluate(views, range(state.n), t_q, state.external, state.mode,
+                            state.include_self, state.include_binary, report)
     dxs, dus = [], []
     for h, u, (F, g) in zip(state.histories, us, forces):
         spec = h.spec
@@ -229,7 +231,7 @@ def _deriv(state: SystemState, views, t_q: float, us):
         du_cov = f_cov / (u[0] * spec.m0)
         dus.append(raise_index(du_cov))
         dxs.append(state.c * u[1:] / u[0])
-    return dxs, dus
+    return dxs, dus, rep
 
 
 def _stage_views(state: SystemState, t_q, xs, us, duts, ss):
@@ -258,7 +260,7 @@ def step(state: SystemState) -> SystemState:
     if state.last_eval is not None and state.last_eval[0] == key:
         kx1, ku1 = state.last_eval[1]
     else:
-        kx1, ku1 = _deriv(state, hs, t, u0)
+        kx1, ku1, _ = _deriv(state, hs, t, u0)
 
     def advanced(frac, kx, ku):
         xs = [x0[i] + frac * dt * kx[i] for i in range(nb)]
@@ -268,14 +270,14 @@ def step(state: SystemState) -> SystemState:
         return xs, us, ss
 
     xa, ua, sa = advanced(0.5, kx1, ku1)
-    kx2, ku2 = _deriv(state, _stage_views(state, t + dt / 2, xa, ua, ku1, sa),
-                      t + dt / 2, ua)
+    kx2, ku2, _ = _deriv(state, _stage_views(state, t + dt / 2, xa, ua, ku1, sa),
+                         t + dt / 2, ua)
     xb, ub, sb = advanced(0.5, kx2, ku2)
-    kx3, ku3 = _deriv(state, _stage_views(state, t + dt / 2, xb, ub, ku2, sb),
-                      t + dt / 2, ub)
+    kx3, ku3, _ = _deriv(state, _stage_views(state, t + dt / 2, xb, ub, ku2, sb),
+                         t + dt / 2, ub)
     xc, uc, sc = advanced(1.0, kx3, ku3)
-    kx4, ku4 = _deriv(state, _stage_views(state, t + dt, xc, uc, ku3, sc),
-                      t + dt, uc)
+    kx4, ku4, _ = _deriv(state, _stage_views(state, t + dt, xc, uc, ku3, sc),
+                         t + dt, uc)
 
     t1 = t + dt
     x1, u1, s1 = [], [], []
@@ -289,8 +291,16 @@ def step(state: SystemState) -> SystemState:
         ds = (c * dt / 6.0) * (1.0 / u0[i][0] + 4.0 / g_mid + 1.0 / u_new[0])
         s1.append(s0[i] + ds)
 
-    views_f = _stage_views(state, t1, x1, u1, ku4, s1)
-    kx5, ku5 = _deriv(state, views_f, t1, u1)
+    # first same as last: the final evaluation sees the appended nodes
+    # except for their a, which only a query inside the step just taken
+    # reads. In exact mode every root iterate reaches back at least
+    # sigma / 2c (f < 0 below sigma / c), so 2 c dt < min sigma keeps all
+    # of them out of it: the final evaluation is then the step-end batch.
+    # Otherwise that batch is solved on the committed histories.
+    fsal = (state.mode == SelfForceMode.EXACT
+            and 2.0 * c * dt < min(h.spec.sigma for h in hs))
+    kx5, ku5, report = _deriv(state, _stage_views(state, t1, x1, u1, ku4, s1), t1, u1,
+                              report=fsal)
     for i, h in enumerate(hs):
         a_new = (u1[i][0] / c) * ku5[i]
         r4 = np.concatenate(([c * t1], x1[i]))
@@ -300,28 +310,22 @@ def step(state: SystemState) -> SystemState:
             exc.particle = h.spec.label
             raise
     state.t_now = t1
-    # first same as last: the final evaluation saw the appended nodes
-    # except for their a, which only a query inside the step just taken
-    # reads. In exact mode every root iterate reaches back at least
-    # sigma / 2c (f < 0 below sigma / c), so 2 c dt < min sigma keeps all
-    # of them out of it and the evaluation is the next step's first.
-    exact = state.mode == SelfForceMode.EXACT
-    state.last_eval = (((t1, tuple(len(h) for h in hs)), (kx5, ku5))
-                       if exact and 2.0 * c * dt < min(h.spec.sigma for h in hs) else None)
-    state.diagnostics.append(_diagnose(state, time.perf_counter() - t_w))
+    if not fsal:
+        kx5, ku5, report = _deriv(state, hs, t1, u1, report=True)
+    state.last_eval = ((t1, tuple(len(h) for h in hs)), (kx5, ku5))
+    state.diagnostics.append(_diagnose(state, report, time.perf_counter() - t_w))
     return state
 
 
-def _diagnose(state: SystemState, wall: float) -> StepRecord:
-    """Step record at t_now. The potentials and the reported delays come
-    from one root batch: every self and sigma_i-shifted pair delay is
-    one of the potential roots (neutral sources add theirs unweighted)."""
+def _diagnose(state: SystemState, report, wall: float) -> StepRecord:
+    """Step record at t_now from the report of the step-end batch: the
+    potentials A (n, 4) and each observer's self delay and companions'
+    sigma_i delays. No root is solved here."""
     t = state.t_now
     hs = state.histories
     nb = state.n
     now = gather(hs, np.arange(nb), np.full(nb, t))
-    A, roots, own = effective_potentials(hs, state.external, range(nb), now.r,
-                                         now=now, neutral=True)
+    A, tau = report
     cons = np.zeros(nb)
     heff = np.zeros(nb)
     P = np.zeros((nb, 4))
@@ -336,8 +340,6 @@ def _diagnose(state: SystemState, wall: float) -> StepRecord:
     m_hat = np.array([
         float(np.sum(r_low[:, mu] * P[:, nu] - r_low[:, nu] * P[:, mu]))
         for mu, nu in _IDX_PAIRS])
-    # per observer: its self delay, then each companion's sigma_i delay
-    tau = roots.t_ret[own].reshape(nb, nb)
     return StepRecord(step=len(state.diagnostics) + 1, t=t,
                       constraint_err=cons, h_eff=heff, p_hat=p_hat,
                       m_hat=m_hat, self_delays=tau[:, 0],
@@ -482,7 +484,8 @@ def demo_globally_isolated(d: float = 3.0, q: float = 0.5, sigma: float = 0.8,
     specs = [ParticleSpec(m0, q, sigma, "left"), ParticleSpec(m0, q, sigma, "right")]
     st = seed(specs, [[-d / 2, 0.0, 0.0], [d / 2, 0.0, 0.0]],
               [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], t0=0.0, dt=dt, c=c)
-    p0 = _diagnose(st, 0.0).p_hat
+    us = [h.state_at_time(0.0).u for h in st.histories]
+    p0 = _diagnose(st, _deriv(st, st.histories, 0.0, us, report=True)[2], 0.0).p_hat
     run(st, t_end)
     h1, h2 = st.histories
 

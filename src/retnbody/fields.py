@@ -21,25 +21,27 @@ point of the same worldline) and +u(s') for the pair bi-vector (source
 minus observer, differentiated along the source).
 
 total_faraday serves a set of observers at one time from one root batch
-(retardation.solve_delays): every self root, every shifted-cone pair
+(retardation.solve_delays) whose rows come from the system's one root
+plan (retardation._root_plan): every self root, every shifted-cone pair
 root of a charged companion (one root per distinct radius, equal radii
 one root doubled), or in asymptotic mode the point-limit pair roots.
 The kernel then runs once on all roots as (M, 4, 4) array operations,
 with the same elementwise grazing-emission guard. Sources with q = 0
-are left out: their kernels are multiplied by zero.
+are left out: their kernels are multiplied by zero. The step-end batch
+of dynamics (_evaluate with report) adds the potentials' cones to the
+same plan, so forces, potentials and delays read one DelayRoots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from .minkowski import FaradayTensor, dot, lower
-from .retardation import JAC_TOL, DelayRoots, solve_delays
+from .retardation import (JAC_TOL, DelayRoots, _add_potentials, _plan_roots, _root_plan,
+                          solve_delays)
 from .worldline import WorldlineHistory, gather
 
 
@@ -212,58 +214,6 @@ def asymptotic_self_force(h: WorldlineHistory, t: float,
     return _asymptotic_g(h, solve_delays((h,), 0, now.r, sigma, obs=0, now=now), 0, t)
 
 
-class _ForcePlan(NamedTuple):
-    """The roots of one total_faraday call, ordered by source, and how
-    their terms combine."""
-
-    self_slot: np.ndarray  # observer slots with a self term, and its root
-    self_row: np.ndarray
-    src: np.ndarray        # per root: source, observer, sigma, weight, u_sign
-    observer: np.ndarray
-    sigma: np.ndarray
-    k: np.ndarray
-    u_sign: np.ndarray
-    slot: np.ndarray       # per pair term: observer slot, rank among the
-    rank: np.ndarray       # observer's pair terms, first and last cone root
-    first: np.ndarray
-    last: np.ndarray
-
-
-@lru_cache(maxsize=64)
-def _force_plan(specs, observers, exact: bool, include_self: bool,
-                include_binary: bool) -> _ForcePlan:
-    """Each charged observer's self root (exact mode: kernel weight 2 q),
-    then per pair of an observer slot and a charged companion j its first
-    cone (sigma_i, or 0 in the point limit) and, for distinct radii, its
-    sigma_j cone (weight q_j). Sources with q = 0 get no root."""
-    q = np.array([s.q for s in specs])
-    sig = np.array([s.sigma for s in specs])
-    obs = np.array(observers, dtype=np.intp)
-    self_slot = np.flatnonzero(q[obs] != 0.0) if include_self else np.zeros(0, np.intp)
-    slot, j = np.nonzero((np.arange(len(specs)) != obs[:, None]) & (q != 0.0)
-                         & include_binary)
-    i, ii = obs[slot], obs[self_slot]
-    second = (sig[j] != sig[i]) & exact
-    n_s, n_p, n_2 = len(ii), len(j), np.count_nonzero(second)
-    src = np.concatenate((ii, j, j[second]))
-    order = np.argsort(src, kind="stable")
-    row = np.empty_like(order)  # each unordered root's place in the plan
-    row[order] = np.arange(len(order))
-    first = row[n_s:n_s + n_p]
-    last = first.copy()
-    last[second] = row[n_s + n_p:]
-    plan = _ForcePlan(self_slot, row[:n_s], src[order], *(
-        np.concatenate(x)[order] for x in (
-            (ii, i, i[second]),
-            (sig[ii], sig[i] if exact else np.zeros(n_p), sig[j][second]),
-            (2.0 * q[ii] if exact else np.zeros(n_s), q[j], q[j][second]),
-            (-np.ones(n_s), np.ones(n_p + n_2)))),
-        slot, np.arange(n_p) - np.searchsorted(slot, slot), first, last)
-    for x in plan:  # shared by every call with these arguments
-        x.flags.writeable = False
-    return plan
-
-
 def total_faraday(histories, observers, t: float, external: ExternalFieldModel,
                   mode: SelfForceMode = SelfForceMode.EXACT,
                   include_self: bool = True, include_binary: bool = True):
@@ -276,30 +226,45 @@ def total_faraday(histories, observers, t: float, external: ExternalFieldModel,
     binary cones to the point limit). include_self and include_binary
     are debug switches that drop the corresponding contribution entirely.
     """
+    return _evaluate(histories, observers, t, external, mode, include_self,
+                     include_binary)[0]
+
+
+def _evaluate(histories, observers, t: float, external: ExternalFieldModel,
+              mode: SelfForceMode, include_self: bool, include_binary: bool,
+              report: bool = False):
+    """total_faraday's forces, and with report what the step diagnostics
+    read from the same batch: (forces, (A, tau)), A the effective
+    potentials (n, 4) at the observers' events and tau (n, N) each
+    observer's sigma_i delay on every history, its own first. Without
+    report the second item is None."""
     hs = tuple(histories)
     obs = tuple(int(i) for i in observers)
     exact = mode == SelfForceMode.EXACT
-    plan = _force_plan(tuple(h.spec for h in hs), obs, exact, include_self, include_binary)
+    plan = _root_plan(tuple(h.spec for h in hs), obs, (exact, include_self, include_binary),
+                      report, report)
     n = len(hs)
     now = gather(hs, np.arange(n), np.full(n, float(t)))
-    F = np.array([external.faraday(now.r[i]) for i in obs], dtype=np.float64).reshape(-1, 4, 4)
+    events = now.r[list(obs)]
+    F = np.array([external.faraday(e) for e in events], dtype=np.float64).reshape(-1, 4, 4)
     # asymptotic mode: a neutral observer's g vanishes without a root
     g = [np.zeros(4) if include_self and not exact else None for _ in obs]
     if plan.src.size:
-        roots = solve_delays(hs, plan.src, now.r[plan.observer], plan.sigma,
-                             obs=plan.observer, now=now.take(plan.src))
-        if exact or plan.slot.size:
-            K = _kernel(roots, plan.k, plan.u_sign)
+        roots = _plan_roots(hs, plan, events, now)
+        if exact or plan.pair_terms:
+            K = _kernel(roots, plan.k, np.where(plan.src == plan.obs, -1.0, 1.0))
+        has_self = np.flatnonzero(plan.self_row >= 0)
         if exact:
-            F[plan.self_slot] += K[plan.self_row]
+            F[has_self] += K[plan.self_row[has_self]]
         else:
-            for s, m in zip(plan.self_slot, plan.self_row):
-                g[s] = _asymptotic_g(hs[obs[s]], roots, m, t)
-        if plan.slot.size:
-            # equal radii: one root doubled exactly (K + K == 2 K)
-            terms = K[plan.first] + K[plan.last]
-            # each observer adds its companions' terms in source order
-            for r in range(plan.rank.max() + 1):
-                at = plan.rank == r
-                F[plan.slot[at]] += terms[at]
-    return list(zip(FaradayTensor.each(F), g))
+            for s in has_self:
+                g[s] = _asymptotic_g(hs[obs[s]], roots, plan.self_row[s], t)
+        # each observer adds its companions' terms in source order; equal
+        # radii and the point limit: one root doubled exactly (K + K == 2 K)
+        for slots, first, last in plan.pair_terms:
+            F[slots] += K[first] + K[last]
+    forces = list(zip(FaradayTensor.each(F), g))
+    if not report:
+        return forces, None
+    A = np.array([external.potential(e) for e in events], dtype=np.float64).reshape(-1, 4)
+    return forces, (_add_potentials(A, plan, roots), roots.t_ret[plan.own])

@@ -70,6 +70,7 @@ from .worldline import (
     ParticleSpec,
     QueryBeyondPresent,
     WorldlineHistory,
+    gather,
 )
 
 # oracle calibration constants (empirical, frozen by the test suite):
@@ -558,13 +559,14 @@ def node_gradient(nodes_r, i, sources, specs, external, width, c,
     return (S[..., 0] - S[..., 1]) / (2.0 * h)
 
 
-def el_residual_covariant(histories, external, i, t, c) -> np.ndarray:
-    """Production-path E-L residual m0 c du/ds - (q/c) F u at time t."""
-    h = histories[i]
-    smp = h.state_at_time(t)
-    F, _ = total_faraday(histories, [i], t, external, SelfForceMode.EXACT)[0]
-    return (h.spec.m0 * c * lower(smp.a)
-            - (h.spec.q / c) * (F.matrix @ smp.u))
+def el_residual_covariant(histories, external, t, c) -> np.ndarray:
+    """Production-path E-L residuals m0 c du/ds - (q/c) F u of every
+    particle at time t, (N, 4), from one total_faraday batch."""
+    n = len(histories)
+    now = gather(histories, np.arange(n), np.full(n, float(t)))
+    forces = total_faraday(histories, range(n), t, external, SelfForceMode.EXACT)
+    return np.array([h.spec.m0 * c * lower(a) - (h.spec.q / c) * (F.matrix @ u)
+                     for h, a, u, (F, _) in zip(histories, now.a, now.u, forces)])
 
 
 @dataclass
@@ -609,6 +611,9 @@ def action_oracle(histories, cfg: OracleConfig, t_lo: float, t_hi: float,
     sources = _freeze_sources(hists, cfg, t_hi)
     ts = np.linspace(t_lo, t_hi, cfg.nodes)
 
+    # every particle's expected residual at each interior node time
+    residuals = np.array([el_residual_covariant(hists, external, float(t), c)
+                          for t in ts[1:-1]])
     total = 0.0
     grads, expect, rows = [], [], []
     worst = 0.0
@@ -620,10 +625,7 @@ def action_oracle(histories, cfg: OracleConfig, t_lo: float, t_hi: float,
                           c, cfg.fd_step)
         _, L, _ = _segment_geometry(nodes_r)
         wgt = 0.5 * (L[:-1] + L[1:])
-        want = np.empty_like(g)
-        for k, t in enumerate(ts[1:-1]):
-            res = el_residual_covariant(hists, external, i, float(t), c)
-            want[k] = -wgt[k] * res
+        want = -wgt[:, None] * residuals[:, i]
         grads.append(g)
         expect.append(want)
         scale = float(np.max(np.abs(want))) if np.max(np.abs(want)) > 0 \

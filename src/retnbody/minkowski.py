@@ -152,28 +152,3 @@ def boost(v, b) -> np.ndarray:
     if not isinstance(b, Boost):
         b = Boost(b)
     return b.matrix() @ _as_four(np.asarray(v))
-
-
-def contract_force(F, u) -> np.ndarray:
-    """Covariant force density w_mu = F_{mu nu} u^nu.
-
-    F holds covariant components and u contravariant ones, so the
-    contraction needs no metric factor. For antisymmetric F the result
-    satisfies w_mu u^mu = 0 identically.
-    """
-    m = np.asarray(F, dtype=np.float64)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 tensor, got shape {m.shape}")
-    return m @ _as_four(np.asarray(u))
-
-
-def four_velocity(v3, c: float = 1.0) -> np.ndarray:
-    """Dimensionless four-velocity u = (gamma, gamma*v/c) from a 3-velocity."""
-    v = np.asarray(v3, dtype=np.float64)
-    if v.shape != (3,):
-        raise ValueError(f"velocity must be a 3-vector, got shape {v.shape}")
-    b2 = float(v @ v) / c**2
-    if b2 >= 1.0:
-        raise ValueError("Superluminal velocity")
-    g = 1.0 / np.sqrt(1.0 - b2)
-    return np.concatenate(([g], g * v / c))

@@ -18,17 +18,27 @@ Roots are solved in batches. solve_delays runs the iteration on M
 (source, observer event, sigma) requests at once, one worldline gather
 per iteration; a root that meets its tolerance is frozen with the event
 of its last iterate, so its bits do not depend on the batch it is in.
-self_delay, pair_delay, delta_line_integral and max_delay are one-batch
-calls of it. A failing root raises with the observer, source, sigma and
+self_delay, pair_delay and delta_line_integral are one-batch calls of
+it. A failing root raises with the observer, source, sigma and
 observation time named, and carries the observer label as .particle.
+
+Which roots a system needs is decided in one place, _root_plan: the
+self cone and the two shell cones of each charged pair (or the
+point-limit cone in asymptotic mode) for the forces, the same cones for
+the effective potentials, and each neutral source's sigma_i cone where
+delays are reported. fields.total_faraday, canonical.effective_potentials,
+the step-end batch of dynamics and max_delay all read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
+from .minkowski import lower
 from .worldline import WorldlineHistory, WorldlineSample, gather
 
 MAX_ITER = 120
@@ -264,23 +274,120 @@ def delta_line_integral(h: WorldlineHistory, observer_event, sigma: float) -> np
     return line_potentials(solve_delays((h,), 0, observer_event, sigma))[0]
 
 
-def max_delay(histories, t0: float) -> float:
-    """Largest of all self and pair delay roots of the system at time t0,
-    solved as one batch.
+class _RootPlan(NamedTuple):
+    """The delay roots of one batch, one row per root ordered by source,
+    and how forces, potentials and delays read them."""
 
-    Pair roots are evaluated with both shell radii, matching the two
-    emission cones each binary field needs; equal radii share one root.
+    src: np.ndarray     # per root: source, observer, observer slot,
+    obs: np.ndarray     # sigma, kernel weight and potential weight
+    slot: np.ndarray
+    sigma: np.ndarray
+    k: np.ndarray
+    w: np.ndarray
+    self_row: np.ndarray    # per observer slot: its self-force root, or -1
+    pair_terms: tuple       # per rank: (slots, first, last) binary kernel terms
+    potential_terms: tuple  # per rank: (slots, rows) potential terms
+    own: np.ndarray         # per slot and source, own history first: the
+    #                         sigma_i root, -1 where none is solved
+
+
+def _by_rank(per_slot) -> tuple:
+    """Per-slot term lists regrouped by rank: for each r, the slots with
+    an r-th term and that term's columns, as index arrays."""
+    return tuple(
+        tuple(np.array(x, dtype=np.intp) for x in zip(
+            *[(s, *terms[r]) for s, terms in enumerate(per_slot) if len(terms) > r]))
+        for r in range(max(map(len, per_slot), default=0)))
+
+
+@lru_cache(maxsize=64)
+def _root_plan(specs, observers, forces=None, potentials: bool = False,
+               neutral: bool = False) -> _RootPlan:
+    """The roots a system needs at a set of observers (indices into specs).
+
+    forces, None or (exact, include_self, include_binary), asks for the
+    Faraday tensor: a charged observer's self cone (kernel weight 2 q in
+    exact mode; the first-order self-force's root in asymptotic mode),
+    and per charged companion j its sigma_i and sigma_j cones (weight
+    q_j each), or in asymptotic mode the point-limit cone sigma = 0 for
+    both. potentials asks for A_eff: the self cone at weight 2, then each
+    charged companion's sigma_i and sigma_j cones at weight 1, one term
+    each. neutral adds every neutral source's sigma_i cone, weightless,
+    so that every delay is reported. Equal radii share one root; a
+    source with q = 0 gets no other root.
     """
+    exact, with_self, with_binary = forces or (True, False, False)
+    rows = {}  # (source, slot, sigma) -> [kernel weight, potential weight]
+
+    def root(key, k=0.0, w=0.0):
+        kw = rows.setdefault(key, [0.0, 0.0])
+        kw[0], kw[1] = k or kw[0], w or kw[1]
+        return key
+
+    self_keys, pairs, terms, own = [], [], [], []
+    for s, i in enumerate(observers):
+        sources = (i, *(j for j in range(len(specs)) if j != i))
+        own.append([(j, s, specs[i].sigma) for j in sources])
+        self_keys.append(None)
+        pairs.append([])
+        terms.append([])
+        for j, first in zip(sources, own[s]):
+            q = specs[j].q
+            if not q:
+                if neutral:
+                    root(first)
+            elif j == i:
+                if with_self:
+                    self_keys[s] = root(first, k=2.0 * q if exact else 0.0)
+                if potentials:
+                    terms[s].append([root(first, w=2.0)])
+            else:
+                cones = (first, (j, s, specs[j].sigma))
+                if with_binary:
+                    pairs[s].append([root(key, k=q) for key in
+                                     (cones if exact else [(j, s, 0.0)] * 2)])
+                if potentials:
+                    terms[s] += [[root(key, w=1.0)] for key in cones]
+    keys = sorted(rows, key=lambda key: key[0])  # stable: first use within a source
+    row = {key: r for r, key in enumerate(keys)}
+    cols = np.array(keys, dtype=np.float64).reshape(-1, 3)
+    src, slot = cols[:, :2].T.astype(np.intp)
+    k, w = np.array([rows[key] for key in keys], dtype=np.float64).reshape(-1, 2).T
+    plan = _RootPlan(
+        src, np.array(observers, dtype=np.intp)[slot], slot, cols[:, 2], k, w,
+        np.array([row.get(key, -1) for key in self_keys], dtype=np.intp),
+        *(_by_rank([[[row[key] for key in term] for term in t] for t in x])
+          for x in (pairs, terms)),
+        np.array([[row.get(key, -1) for key in o] for o in own], dtype=np.intp))
+    for x in (*plan[:7], plan.own, *(x for ranks in plan[7:9] for r in ranks for x in r)):
+        x.flags.writeable = False  # shared by every call with these arguments
+    return plan
+
+
+def _plan_roots(histories, plan: _RootPlan, events, now=None) -> DelayRoots:
+    """The plan's roots for observer events (one per observer slot) as
+    one batch; now, the states of all histories at the observation time,
+    is gathered by the solver when not given."""
+    return solve_delays(histories, plan.src, events[plan.slot], plan.sigma, obs=plan.obs,
+                        now=None if now is None else now.take(plan.src))
+
+
+def _add_potentials(A, plan: _RootPlan, roots: DelayRoots):
+    """A (one row per observer slot) plus the plan's potential terms,
+    added one at a time in plan order."""
+    terms = plan.w[:, None] * lower(line_potentials(roots))
+    for slots, rows in plan.potential_terms:
+        A[slots] += terms[rows]
+    return A
+
+
+def max_delay(histories, t0: float) -> float:
+    """Largest delay root the system's diagnostics solve at time t0: every
+    self cone, both shell cones of each charged pair and the sigma_i cone
+    of each neutral source, as one batch."""
     hs = tuple(histories)
     n = len(hs)
+    plan = _root_plan(tuple(h.spec for h in hs), tuple(range(n)), potentials=True,
+                      neutral=True)
     now = gather(hs, np.arange(n), np.full(n, float(t0)))
-    src, obs, sig = [], [], []
-    for i, hi in enumerate(hs):
-        for j, hj in enumerate(hs):
-            for shift in sorted({hi.spec.sigma, hj.spec.sigma} if j != i
-                                else {hi.spec.sigma}):
-                src.append(j)
-                obs.append(i)
-                sig.append(shift)
-    roots = solve_delays(hs, src, now.r[obs], sig, obs=obs, now=now.take(src))
-    return float(roots.t_ret.max())
+    return float(_plan_roots(hs, plan, now.r, now).t_ret.max())

@@ -16,10 +16,10 @@ from retnbody.canonical import (
     NumericalNoise,
     PhaseFunction,
     TranslationVariation,
-    canonical_flow_step,
     check_bracket_algebra,
     effective_hamiltonian,
     effective_momentum,
+    effective_potentials,
     instant_form_constrained,
     instant_form_increments,
     lorentz_condition_residuals,
@@ -27,8 +27,8 @@ from retnbody.canonical import (
     poisson_bracket,
     state_from_histories,
     system_hamiltonian,
-    u_from_momentum,
 )
+from retnbody import retardation as ret
 from retnbody.fields import ExternalFieldModel
 from retnbody.minkowski import ETA, dot, lower, raise_index
 from retnbody.worldline import (
@@ -203,8 +203,6 @@ def test_effective_momentum_roundtrip():
     P = effective_momentum(u, spec, A, c=2.0)
     expect = spec.m0 * 2.0 * lower(u) + (spec.q / 2.0) * A
     assert np.allclose(P, expect, atol=1e-15)
-    back = u_from_momentum(P, spec, A, c=2.0)
-    assert np.allclose(back, u, atol=1e-14)
     with pytest.raises(ConstraintViolation):
         effective_momentum(np.array([1.0, 0.5, 0.0, 0.0]), spec, A)
 
@@ -244,6 +242,35 @@ def test_static_pair_potential_closed_form():
             spec.m0 / 2.0, abs=1e-12)
     assert system_hamiltonian(on_shell, ctx) == pytest.approx(
         (h1.spec.m0 + h2.spec.m0) / 2.0, abs=1e-12)
+
+
+def test_equal_radius_pair_solves_one_root_per_pair(monkeypatch):
+    h1, h2 = wiggling_pair(0.7, -0.5)
+    hs = [h1.copy(ParticleSpec(1.0, 0.7, 0.5, "a")), h2.copy(ParticleSpec(1.5, -0.5, 0.5, "b"))]
+    ext = ExternalFieldModel.uniform(E=(0.1, 0.0, -0.2), B=(0.0, 0.3, 0.0))
+    events = np.array([h.state_at_time(0.3).r for h in hs]) + [0.0, 0.05, -0.02, 0.01]
+    # the sum term by term as the two-cone rule states it: the external
+    # potential, the doubled self term, then the companion's sigma_i and
+    # sigma_j terms, each from its own single-root solve
+    want = []
+    for i, e in enumerate(events):
+        A = ext.potential(e)
+        A += 2.0 * lower(ret.delta_line_integral(hs[i], e, hs[i].spec.sigma))
+        for sigma in (hs[i].spec.sigma, hs[1 - i].spec.sigma):
+            A += 1.0 * lower(ret.delta_line_integral(hs[1 - i], e, sigma))
+        want.append(A)
+    roots = []
+
+    def solve(histories, src, events, *args, **kwargs):
+        roots.append(len(np.reshape(events, (-1, 4))))
+        return real_solve(histories, src, events, *args, **kwargs)
+
+    real_solve = ret.solve_delays
+    monkeypatch.setattr(ret, "solve_delays", solve)
+    got = effective_potentials(hs, ext, range(2), events)
+    # one batch: each self root and one root per ordered pair
+    assert roots == [4]
+    assert np.array_equal(got, np.array(want))
 
 
 def test_external_potential_enters_a_eff():
@@ -332,48 +359,6 @@ def test_instant_form_increments_match_difference_equations():
             xp_m[l] -= hstep
             want = dt * (coupling(xp_p) - coupling(xp_m)) / (2.0 * hstep) / c
             assert dP[i, l] == pytest.approx(want, abs=1e-6 * (1 + abs(want)))
-
-
-# -- canonical flow -------------------------------------------------------------
-
-
-def test_flow_step_free_particle():
-    spec = ParticleSpec(m0=1.2, q=0.0, sigma=0.5, label="f")
-    v = np.array([0.6, 0.0, 0.0])
-    h = inertial_history(spec, [0.0, 0.0, 0.0], v, -20.0, 1.0, 64)
-    ctx = FrozenHistoryContext([h], ExternalFieldModel.none(), t_ref=0.0)
-    x = state_from_histories([h], 0.0, ctx)
-    ds = 1e-3
-    x1 = canonical_flow_step(x, ctx, ds)
-    u = h.state_at_time(0.0).u
-    assert np.allclose(x1.r[0], x.r[0] + ds * u, atol=1e-15)
-    assert np.array_equal(x1.P, x.P)
-
-
-def test_flow_step_euler_order():
-    d, q = 2.0, 1.0
-    h1 = inertial_history(ParticleSpec(1.0, q, 0.5, "a"), [-d / 2, 0, 0],
-                          [0, 0, 0], -30.0, 1.0, 64)
-    h2 = inertial_history(ParticleSpec(1.0, -q, 0.5, "b"), [+d / 2, 0, 0],
-                          [0, 0, 0], -30.0, 1.0, 64)
-    ctx = FrozenHistoryContext([h1, h2], ExternalFieldModel.none(), t_ref=0.0)
-    x_rest = state_from_histories([h1, h2], 0.0, ctx)
-    # spatial momentum so the force varies along the step
-    x0 = x_rest.replace(P=x_rest.P + np.array([[0.0, 0.3, -0.2, 0.1],
-                                               [0.0, -0.25, 0.15, 0.05]]))
-    S = 5e-3
-
-    def advance(k):
-        x = x0
-        for _ in range(k):
-            x = canonical_flow_step(x, ctx, S / k)
-        return x
-
-    ref = advance(32)
-    e1 = np.max(np.abs(advance(1).P - ref.P))
-    e2 = np.max(np.abs(advance(2).P - ref.P))
-    assert e1 > 0.0
-    assert 1.5 < e1 / e2 < 3.0
 
 
 # -- non-local brackets ----------------------------------------------------------

@@ -389,31 +389,96 @@ def test_force_evaluation_call_budget(monkeypatch):
                         counted("state_at_time", wl.WorldlineHistory.state_at_time))
     per_eval = []
 
-    def deriv(*args):
+    def deriv(*args, **kwargs):
         before = dict(counts)
-        out = real_deriv(*args)
+        out = real_deriv(*args, **kwargs)
         per_eval.append({k: counts[k] - before[k] for k in counts})
         return out
 
     real_deriv = dyn._deriv
     monkeypatch.setattr(dyn, "_deriv", deriv)
-    diag_roots = []
-
-    def solve(histories, src, events, *args, **kwargs):
-        diag_roots.append(len(np.reshape(events, (-1, 4))))
-        return ret.solve_delays(histories, src, events, *args, **kwargs)
-
-    # during stepping only the diagnostics solve roots through canonical
-    monkeypatch.setattr(cn, "solve_delays", solve)
+    batches, diagnose = count_batches(monkeypatch)
+    steps = []
     for _ in range(3):
+        before = len(batches)
         step(st)
+        steps.append(batches[before:])
     # five evaluations in the first step, four after it: each step's last
     # is the next one's first
     assert len(per_eval) == 13
     assert max(e["gather"] for e in per_eval) <= 4
     assert max(e["state_at_time"] for e in per_eval) <= 2 * st.n
-    # N self roots and both cones of every ordered pair: N (2N - 1)
-    assert diag_roots == [66, 66, 66]
+    # one root batch per evaluation and none in the diagnostics, each
+    # with N self roots and both cones of every ordered pair: N (2N - 1)
+    assert [len(b) for b in steps] == [5, 4, 4]
+    assert all(len(b[1]) == 66 for b in batches)
+    assert diagnose == [0, 0, 0]
+
+
+DIAGNOSE = dyn._diagnose
+
+
+def count_batches(monkeypatch):
+    """Record every solve_delays batch as (histories, src, obs, sigma)
+    and the number of batches solved inside each _diagnose call."""
+    batches, diagnose = [], []
+
+    def solve(histories, src, events, sigma, obs=-1, **kwargs):
+        m = len(np.reshape(events, (-1, 4)))
+        batches.append((tuple(histories), *(np.broadcast_to(x, m).tolist()
+                                            for x in (src, obs, sigma))))
+        return real_solve(histories, src, events, sigma, obs, **kwargs)
+
+    def counted_diagnose(*args):
+        before = len(batches)
+        out = real_diagnose(*args)
+        diagnose.append(len(batches) - before)
+        return out
+
+    real_solve, real_diagnose = ret.solve_delays, dyn._diagnose
+    monkeypatch.setattr(ret, "solve_delays", solve)
+    monkeypatch.setattr(dyn, "_diagnose", counted_diagnose)
+    return batches, diagnose
+
+
+def fresh_record(st):
+    """The step record at t_now from roots solved afresh on the committed
+    histories: effective_potentials and one single-root solve per delay."""
+    hs, n = st.histories, st.n
+    now = wl.gather(hs, np.arange(n), np.full(n, st.t_now))
+    A = cn.effective_potentials(hs, st.external, range(n), now.r)
+    tau = [[ret.self_delay(h, st.t_now).t_ret]
+           + [ret.pair_delay(hj, now.r[i], h.spec.sigma).t_ret
+              for j, hj in enumerate(hs) if j != i] for i, h in enumerate(hs)]
+    return DIAGNOSE(st, (A, np.array(tau)), 0.0)
+
+
+@pytest.mark.parametrize("mode, sigmas", [(SelfForceMode.EXACT, (0.03, 0.035, 0.032)),
+                                          (SelfForceMode.ASYMPTOTIC, (0.5, 0.6, 0.55))])
+def test_step_end_batch_without_reuse_serves_the_diagnostics(monkeypatch, mode, sigmas):
+    # exact radii below 2 c dt, or asymptotic mode: no evaluation is
+    # reused, and the step-end batch is solved on the committed histories
+    specs = [ParticleSpec(1.0, 0.1, sigmas[0], "a"), ParticleSpec(1.0, 0.0, sigmas[1], "n"),
+             ParticleSpec(1.2, -0.12, sigmas[2], "b")]
+    st = seed(specs, [[-0.5, 0, 0], [0, 0.4, 0], [0.5, 0, 0]],
+              [[0, 0.1, 0], [0.1, 0, 0], [0, -0.1, 0]], dt=0.02, mode=mode,
+              external=ExternalFieldModel.uniform(E=(0.2, 0.0, 0.1)))
+    batches, diagnose = count_batches(monkeypatch)
+    steps = []
+    for _ in range(4):
+        before = len(batches)
+        step(st)
+        steps.append(batches[before:])
+        assert st.last_eval[0][0] == st.t_now
+        got, want = st.diagnostics.records[-1], fresh_record(st)
+        for name in ("t", "constraint_err", "h_eff", "p_hat", "m_hat",
+                     "self_delays", "pair_delays"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert [len(b) for b in steps] == [6, 5, 5, 5]
+    assert diagnose == [0, 0, 0, 0]
+    for b in steps:
+        assert all(isinstance(h, wl.ProvisionalView) for h in b[-2][0])
+        assert b[-1][0] == tuple(st.histories)
 
 
 def test_neutral_companion_roots_are_not_solved_in_the_force(monkeypatch):
@@ -421,22 +486,23 @@ def test_neutral_companion_roots_are_not_solved_in_the_force(monkeypatch):
              ParticleSpec(1.2, -0.4, 0.5, "b")]
     st = seed(specs, [[-1.5, 0, 0], [0, 1.2, 0], [1.5, 0, 0]],
               [[0, 0.05, 0], [0.1, 0, 0], [0, -0.05, 0]], dt=0.02)
-    sources = []
-
-    def solve(histories, src, *args, **kwargs):
-        sources.extend(np.atleast_1d(src).tolist())
-        return ret.solve_delays(histories, src, *args, **kwargs)
-
-    monkeypatch.setattr(fl, "solve_delays", solve)
+    batches, _ = count_batches(monkeypatch)
     for _ in range(2):
+        before = len(batches)
         step(st)
-    assert sources and 1 not in sources
+        *stages, end = batches[before:]
+        assert all(1 not in src for _, src, _, _ in stages)
+        # the step-end batch solves the neutral source's sigma_i cone once
+        # per observer, for the diagnostics only
+        _, src, obs, sigma = end
+        assert sorted((o, s) for j, o, s in zip(src, obs, sigma) if j == 1) == [
+            (0, 0.6), (1, 0.7), (2, 0.5)]
     # the diagnostics still report the neutral particle's delays
     rec = st.diagnostics.records[-1]
     assert np.all(rec.self_delays > 0.0) and np.all(rec.pair_delays > 0.0)
 
 
-def test_reused_final_evaluation_is_the_next_first_bit_for_bit():
+def test_reused_final_evaluation_is_the_next_first_bit_for_bit(monkeypatch):
     # radii just above 2 c dt: after three steps every root lands on the
     # curved, integrated part of the histories
     def pair():
@@ -453,8 +519,22 @@ def test_reused_final_evaluation_is_the_next_first_bit_for_bit():
     assert reused.histories[0].t_first < 0.0 < reused.t_now - 0.06
     for a, b in zip(reused.histories, fresh.histories):
         assert np.array_equal(a.table, b.table)
-    # a radius below 2 c dt lets a root iterate into the last step: no reuse
-    spec = ParticleSpec(1.0, 0.5, 0.03, "small")
-    st = seed([spec], [[0, 0, 0]], [[0.1, 0, 0]], dt=0.02)
-    step(st)
-    assert st.last_eval is None
+    # a radius below 2 c dt lets a root iterate into the last step: the
+    # step-end batch is solved afresh on the committed histories, not
+    # taken from the final stage's views, and is the next step's first
+    def small():
+        spec = ParticleSpec(1.0, 0.1, 0.03, "small")
+        return seed([spec], [[0, 0, 0]], [[0.1, 0, 0]], dt=0.02,
+                    external=ExternalFieldModel.uniform(E=(0.3, 0.0, 0.1)))
+
+    reused, fresh = small(), small()
+    batches, _ = count_batches(monkeypatch)
+    for _ in range(6):
+        before = len(batches)
+        step(reused)
+        final, end = batches[before:][-2:]
+        assert isinstance(final[0][0], wl.ProvisionalView)
+        assert end[0] == tuple(reused.histories)
+        fresh.last_eval = None
+        step(fresh)
+    assert np.array_equal(reused.histories[0].table, fresh.histories[0].table)

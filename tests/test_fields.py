@@ -321,9 +321,9 @@ class TestExternalFieldModel:
         B = np.array([0.0, 0.3, -0.2])
         ext = fl.ExternalFieldModel.uniform(E=E, B=B)
         v = np.array([0.3, 0.1, -0.2])
-        u = mk.four_velocity(v)
-        w = mk.contract_force(ext.tensor, u)
-        g = u[0]
+        g = 1.0 / np.sqrt(1.0 - v @ v)
+        u = np.concatenate(([g], g * v))
+        w = ext.tensor @ u
         expected_spatial = g * (E + np.cross(v, B))
         assert np.allclose(mk.raise_index(w)[1:], expected_spatial, atol=1e-14)
 

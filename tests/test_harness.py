@@ -36,6 +36,7 @@ from retnbody.harness import (
     swap_symmetry_residual,
 )
 from retnbody import retardation
+from retnbody.minkowski import lower
 from retnbody.retardation import max_delay
 from retnbody.worldline import (
     ParticleSpec,
@@ -324,6 +325,34 @@ def test_action_oracle_reuses_the_on_trajectory_gradients(monkeypatch, tmp_path)
     with pytest.raises(ValueError, match="other observer nodes"):
         extremality_ratio(hists, cfg.oracle, t_lo + 0.01, t_hi,
                           report=out["report"])
+
+def test_action_oracle_makes_one_force_batch_per_node_time(monkeypatch, tmp_path):
+    cfg = replace(load_config(os.path.join(CONFIG_DIR, "action_oracle.yaml")),
+                  output_dir=str(tmp_path))
+    calls = []
+    total_faraday = harness.total_faraday
+
+    def counted(histories, observers, t, *args, **kwargs):
+        calls.append((float(t), tuple(observers)))
+        return total_faraday(histories, observers, t, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "total_faraday", counted)
+    out = cmd_action_oracle(cfg, CONFIG_DIR)
+    hists = out["state"].histories
+    # one all-observer call per interior node time, not one per particle
+    assert [t for t, _ in calls] == out["report"].times.tolist()
+    assert len(calls) == cfg.oracle.nodes - 2 == 46
+    assert all(obs == tuple(range(len(hists))) for _, obs in calls)
+    # each particle's residual equals its one-observer evaluation bit for bit
+    none, c = harness.ExternalFieldModel.none(), cfg.c
+    for t in out["report"].times[::9]:
+        got = harness.el_residual_covariant(hists, none, t, c)
+        for i, h in enumerate(hists):
+            smp = h.state_at_time(t)
+            F, _ = total_faraday(hists, [i], t, none)[0]
+            want = h.spec.m0 * c * lower(smp.a) - (h.spec.q / c) * (F.matrix @ smp.u)
+            assert np.array_equal(got[i], want)
+
 
 def test_extremality_on_dynamics_trajectories():
     specs = [ParticleSpec(1.0, 0.5, 0.8, "a"), ParticleSpec(1.5, -0.4, 0.7, "b")]

@@ -84,19 +84,6 @@ def test_dot_is_boost_invariant(av, bv, beta):
     assert abs(after - before) < 1e-10 * scale
 
 
-@given(st.tuples(small_beta, small_beta, small_beta),
-       st.lists(finite, min_size=6, max_size=6))
-def test_contract_force_orthogonal_to_u(beta, entries):
-    u = mk.four_velocity(np.array(beta))
-    m = np.zeros((4, 4))
-    iu = np.triu_indices(4, k=1)
-    m[iu] = entries
-    m = m - m.T
-    w = mk.contract_force(m, u)
-    # w_mu u^mu with w covariant and u contravariant needs no metric
-    assert abs(float(w @ u)) < 1e-12 * (1.0 + float(np.max(np.abs(m))))
-
-
 @given(st.tuples(finite, finite, finite, finite))
 def test_boost_identity_when_beta_zero(av):
     v = np.array(av)
