@@ -37,9 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ExternalFieldModel
-from .minkowski import ETA, dot, lower, raise_index
+from .minkowski import ETA, dots, lower, raise_index
 from .retardation import _add_potentials, _plan_roots, _root_plan
-from .worldline import HARD_TOL, ConstraintViolation, ProvisionalView, WorldlineSample
+from .worldline import HARD_TOL, ConstraintViolation, ProvisionalView, WorldlineSample, gather
 
 FD_STEP = 1e-6
 # absolute spread below which the Richardson pair of a Gateaux bracket
@@ -224,12 +224,19 @@ def check_bracket_algebra(x: CanonicalState, triples) -> dict:
 
 def effective_momentum(u, spec, A_eff_cov, c: float = 1.0) -> np.ndarray:
     """Covariant canonical momentum P_mu = m0 c u_mu + (q/c) A_mu."""
-    u = np.asarray(u, dtype=np.float64)
-    err = abs(dot(u, u) - 1.0)
-    if err > HARD_TOL:
+    return _momenta(np.asarray(u, dtype=np.float64).reshape(1, 4), [spec],
+                    np.asarray(A_eff_cov, dtype=np.float64).reshape(1, 4), c)[0]
+
+
+def _momenta(u, specs, A, c: float) -> np.ndarray:
+    """effective_momentum of each row of u and A (N, 4), one spec per row,
+    after checking every |u.u - 1| against HARD_TOL."""
+    err = np.abs(dots(u, u) - 1.0)
+    if np.count_nonzero(~(err <= HARD_TOL)):
         raise ConstraintViolation(
-            f"|u.u - 1| = {err:.3e} exceeds {HARD_TOL:.1e} in effective_momentum")
-    return spec.m0 * c * lower(u) + (spec.q / c) * np.asarray(A_eff_cov, dtype=np.float64)
+            f"|u.u - 1| = {err.max():.3e} exceeds {HARD_TOL:.1e} in a canonical momentum")
+    q, m0 = np.array([(s.q, s.m0) for s in specs]).T
+    return (m0 * c)[:, None] * lower(u) + (q / c)[:, None] * A
 
 
 # -- frozen history context ---------------------------------------------------
@@ -311,14 +318,14 @@ def effective_potentials(histories, external: ExternalFieldModel, observers,
 
 def state_from_histories(histories, t: float,
                          ctx: FrozenHistoryContext) -> CanonicalState:
-    """Canonical state carried by the histories at time t (P from u and A_eff)."""
-    rs, Ps = [], []
-    for i, h in enumerate(histories):
-        smp = h.state_at_time(t)
-        A = ctx.a_eff_cov(i, smp.r)
-        rs.append(smp.r)
-        Ps.append(effective_momentum(smp.u, h.spec, A, h.c))
-    return CanonicalState(np.array(rs), np.array(Ps))
+    """Canonical state carried by the histories at time t: P as
+    effective_momentum builds it from u and A_eff, for all particles from
+    one gather and one effective_potentials batch."""
+    hs = list(histories)
+    n = len(hs)
+    now = gather(hs, np.arange(n), np.full(n, float(t)))
+    A = effective_potentials(ctx._histories, ctx.external, range(n), now.r)
+    return CanonicalState(now.r, _momenta(now.u, [h.spec for h in hs], A, hs[0].c))
 
 
 def effective_hamiltonian(state: CanonicalState, i: int,

@@ -7,18 +7,22 @@ per particle is
     du_mu/dt = (1 / gamma m0) [ (q/c) F^(tot)_mu_nu u^nu + g_mu ]
 
 with g the asymptotic self four-force (asymptotic mode only; exact mode
-carries the self field inside F). Steps are classic fixed-size RK4;
-mid-step field queries run against ProvisionalViews, each a frozen
-history extended by one stage-local node without copying it. After
-acceptance a fifth force evaluation fixes the appended acceleration
-sample and proper time advances by Simpson quadrature of c dt / gamma.
-Each force evaluation solves its delay roots and field kernels for all
-particles as one array batch. Each step ends with exactly one batch at
-the new time, which also holds the potentials' and the reported delays'
-roots: it serves the step's diagnostics and the next step's first
-evaluation. In exact mode with 2 c dt below every radius it is the
-fifth evaluation itself; otherwise it is solved afresh on the committed
-histories (see step).
+carries the self field inside F). Steps are classic fixed-size RK4 on
+whole arrays: x (N, 3), u (N, 4), s (N,) and every stage slope hold one
+row per particle, read from the histories with one gather. Mid-step
+field queries run against ProvisionalViews, each a frozen history
+extended by one stage-local node (a row of one (N, 14) node block)
+without copying it. After acceptance a fifth force evaluation fixes the
+appended acceleration sample and proper time advances by Simpson
+quadrature of c dt / gamma. Each force evaluation is one
+fields.total_faraday call, which solves the delay roots and field
+kernels of all particles as one batch and returns the (N, 4, 4) tensor
+stack that _deriv contracts with u at once. Each step ends with exactly
+one batch at the new time, which also holds the potentials' and the
+reported delays' roots: it serves the step's diagnostics and the next
+step's first evaluation. In exact mode with 2 c dt below every radius
+it is the fifth evaluation itself; otherwise it is solved afresh on the
+committed histories (see step).
 
 Histories are the state. A SystemState is little more than the history
 set plus the stepping policy; prehistory coverage is the seeding
@@ -36,8 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .canonical import _IDX_PAIRS
-from .fields import ExternalFieldModel, SelfForceMode, _evaluate, self_faraday
-from .minkowski import dot, lower, raise_index
+from .fields import ExternalFieldModel, SelfForceMode, self_faraday, total_faraday
+from .minkowski import dots, lower, raise_index
 from .retardation import max_delay
 from .worldline import (
     ParticleSpec,
@@ -216,45 +220,47 @@ def seed(specs=None, positions=None, velocities=None, *, prehistories=None,
                        include_binary, renormalize_u)
 
 
-def _deriv(state: SystemState, views, t_q: float, us, report: bool = False):
-    """Stage derivatives (dx/dt, du/dt contravariant) for every particle
-    from one root batch, and the report of fields._evaluate: with report,
-    the potentials and delays of the step record from the same batch."""
-    forces, rep = _evaluate(views, range(state.n), t_q, state.external, state.mode,
-                            state.include_self, state.include_binary, report)
-    dxs, dus = [], []
-    for h, u, (F, g) in zip(state.histories, us, forces):
-        spec = h.spec
-        f_cov = (spec.q / state.c) * (F.matrix @ u)
-        if g is not None:
-            f_cov = f_cov + g
-        du_cov = f_cov / (u[0] * spec.m0)
-        dus.append(raise_index(du_cov))
-        dxs.append(state.c * u[1:] / u[0])
-    return dxs, dus, rep
+def _deriv(state: SystemState, views, t_q: float, u, report: bool = False):
+    """Stage derivatives dx/dt (N, 3) and contravariant du/dt (N, 4) of
+    every particle at the four-velocities u (N, 4) from one total_faraday
+    batch, and its report: with report, the potentials and delays of the
+    step record from the same batch."""
+    F, g, rep = total_faraday(views, range(state.n), t_q, state.external, state.mode,
+                              state.include_self, state.include_binary, report)
+    q, m0 = np.array([(h.spec.q, h.spec.m0) for h in state.histories]).T
+    f_cov = (q / state.c)[:, None] * (F @ u[:, :, None])[:, :, 0]
+    if g is not None:
+        f_cov = f_cov + g
+    du = raise_index(f_cov / (u[:, :1] * m0[:, None]))
+    return state.c * u[:, 1:] / u[:, :1], du, rep
 
 
-def _stage_views(state: SystemState, t_q, xs, us, duts, ss):
-    views = []
-    for i, h in enumerate(state.histories):
-        gam = us[i][0]
-        a = (gam / state.c) * duts[i]
-        r4 = np.concatenate(([state.c * t_q], xs[i]))
-        smp = WorldlineSample(t=t_q, s=ss[i], r=r4, u=us[i].copy(), a=a)
-        views.append(ProvisionalView(h, smp))
-    return views
+def _node_rows(state: SystemState, t: float, x, u, du, s) -> np.ndarray:
+    """One node per particle at time t as (N, 14) rows in CSV_HEADER
+    order, with a = (gamma / c) du/dt."""
+    rows = np.empty((state.n, 14))
+    rows[:, 0], rows[:, 1], rows[:, 2] = t, s, state.c * t
+    rows[:, 3:6], rows[:, 6:10], rows[:, 10:] = x, u, (u[:, :1] / state.c) * du
+    return rows
+
+
+def _sample(row) -> WorldlineSample:
+    return WorldlineSample(t=row[0], s=row[1], r=row[2:6], u=row[6:10], a=row[10:])
+
+
+def _stage_views(state: SystemState, t_q, x, u, du, s):
+    return [ProvisionalView(h, _sample(row))
+            for h, row in zip(state.histories, _node_rows(state, t_q, x, u, du, s))]
 
 
 def step(state: SystemState) -> SystemState:
-    """Advance every history by one RK4 step of size dt."""
+    """Advance every history by one RK4 step of size dt; each stage
+    quantity is one array with a row per particle."""
     t_w = time.perf_counter()
     hs = state.histories
     dt, t, c = state.dt, state.t_now, state.c
-    nb = state.n
-    base = [h.state_at_time(t) for h in hs]
-    x0 = [b.r[1:].copy() for b in base]
-    u0 = [b.u.copy() for b in base]
-    s0 = [b.s for b in base]
+    base = gather(hs, np.arange(state.n), np.full(state.n, t))
+    x0, u0, s0 = base.r[:, 1:], base.u, base.s
 
     key = (t, tuple(len(h) for h in hs))
     if state.last_eval is not None and state.last_eval[0] == key:
@@ -263,11 +269,9 @@ def step(state: SystemState) -> SystemState:
         kx1, ku1, _ = _deriv(state, hs, t, u0)
 
     def advanced(frac, kx, ku):
-        xs = [x0[i] + frac * dt * kx[i] for i in range(nb)]
-        us = [u0[i] + frac * dt * ku[i] for i in range(nb)]
-        ss = [s0[i] + frac * dt * c * 0.5 * (1.0 / u0[i][0] + 1.0 / us[i][0])
-              for i in range(nb)]
-        return xs, us, ss
+        u = u0 + frac * dt * ku
+        s = s0 + frac * dt * c * 0.5 * (1.0 / u0[:, 0] + 1.0 / u[:, 0])
+        return x0 + frac * dt * kx, u, s
 
     xa, ua, sa = advanced(0.5, kx1, ku1)
     kx2, ku2, _ = _deriv(state, _stage_views(state, t + dt / 2, xa, ua, ku1, sa),
@@ -280,16 +284,12 @@ def step(state: SystemState) -> SystemState:
                          t + dt, uc)
 
     t1 = t + dt
-    x1, u1, s1 = [], [], []
-    for i in range(nb):
-        x1.append(x0[i] + (dt / 6.0) * (kx1[i] + 2 * kx2[i] + 2 * kx3[i] + kx4[i]))
-        u_new = u0[i] + (dt / 6.0) * (ku1[i] + 2 * ku2[i] + 2 * ku3[i] + ku4[i])
-        if state.renormalize_u:
-            u_new = u_new / math.sqrt(dot(u_new, u_new))
-        u1.append(u_new)
-        g_mid = 0.5 * (ua[i][0] + ub[i][0])
-        ds = (c * dt / 6.0) * (1.0 / u0[i][0] + 4.0 / g_mid + 1.0 / u_new[0])
-        s1.append(s0[i] + ds)
+    x1 = x0 + (dt / 6.0) * (kx1 + 2 * kx2 + 2 * kx3 + kx4)
+    u1 = u0 + (dt / 6.0) * (ku1 + 2 * ku2 + 2 * ku3 + ku4)
+    if state.renormalize_u:
+        u1 = u1 / np.sqrt(dots(u1, u1))[:, None]
+    g_mid = 0.5 * (ua[:, 0] + ub[:, 0])
+    s1 = s0 + (c * dt / 6.0) * (1.0 / u0[:, 0] + 4.0 / g_mid + 1.0 / u1[:, 0])
 
     # first same as last: the final evaluation sees the appended nodes
     # except for their a, which only a query inside the step just taken
@@ -301,11 +301,9 @@ def step(state: SystemState) -> SystemState:
             and 2.0 * c * dt < min(h.spec.sigma for h in hs))
     kx5, ku5, report = _deriv(state, _stage_views(state, t1, x1, u1, ku4, s1), t1, u1,
                               report=fsal)
-    for i, h in enumerate(hs):
-        a_new = (u1[i][0] / c) * ku5[i]
-        r4 = np.concatenate(([c * t1], x1[i]))
+    for h, row in zip(hs, _node_rows(state, t1, x1, u1, ku5, s1)):
         try:
-            h.append(WorldlineSample(t=t1, s=s1[i], r=r4, u=u1[i], a=a_new))
+            h.append(_sample(row))
         except Exception as exc:
             exc.particle = h.spec.label
             raise
@@ -321,27 +319,22 @@ def _diagnose(state: SystemState, report, wall: float) -> StepRecord:
     """Step record at t_now from the report of the step-end batch: the
     potentials A (n, 4) and each observer's self delay and companions'
     sigma_i delays. No root is solved here."""
-    t = state.t_now
-    hs = state.histories
-    nb = state.n
-    now = gather(hs, np.arange(nb), np.full(nb, t))
+    t, hs, c = state.t_now, state.histories, state.c
+    now = gather(hs, np.arange(state.n), np.full(state.n, t))
+    u = now.u
     A, tau = report
-    cons = np.zeros(nb)
-    heff = np.zeros(nb)
-    P = np.zeros((nb, 4))
-    for i, h in enumerate(hs):
-        u = now.u[i]
-        cons[i] = abs(dot(u, u) - 1.0)
-        P[i] = h.spec.m0 * state.c * lower(u) + (h.spec.q / state.c) * A[i]
-        pi = P[i] - (h.spec.q / state.c) * A[i]
-        heff[i] = (pi[0] ** 2 - pi[1:] @ pi[1:]) / (2.0 * h.spec.m0 * state.c)
+    q, m0 = np.array([(h.spec.q, h.spec.m0) for h in hs]).T
+    qA = (q / c)[:, None] * A
+    P = (m0 * c)[:, None] * lower(u) + qA
+    pi = P - qA
+    heff = dots(pi, pi) / (2.0 * m0 * c)
     r_low = lower(now.r)
     p_hat = P.sum(axis=0)
     m_hat = np.array([
         float(np.sum(r_low[:, mu] * P[:, nu] - r_low[:, nu] * P[:, mu]))
         for mu, nu in _IDX_PAIRS])
     return StepRecord(step=len(state.diagnostics) + 1, t=t,
-                      constraint_err=cons, h_eff=heff, p_hat=p_hat,
+                      constraint_err=np.abs(dots(u, u) - 1.0), h_eff=heff, p_hat=p_hat,
                       m_hat=m_hat, self_delays=tau[:, 0],
                       pair_delays=tau[:, 1:].ravel(), wall_time=wall)
 
@@ -479,13 +472,13 @@ def demo_globally_isolated(d: float = 3.0, q: float = 0.5, sigma: float = 0.8,
     q^2/(c^2 sigma) below m0 so the delayed self-force feedback damps.
     """
     from .canonical import (ConstrainedState, FrozenHistoryContext,
-                            effective_momentum, instant_form_constrained)
+                            instant_form_constrained, state_from_histories)
 
     specs = [ParticleSpec(m0, q, sigma, "left"), ParticleSpec(m0, q, sigma, "right")]
     st = seed(specs, [[-d / 2, 0.0, 0.0], [d / 2, 0.0, 0.0]],
               [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], t0=0.0, dt=dt, c=c)
-    us = [h.state_at_time(0.0).u for h in st.histories]
-    p0 = _diagnose(st, _deriv(st, st.histories, 0.0, us, report=True)[2], 0.0).p_hat
+    p0 = _diagnose(st, total_faraday(st.histories, range(st.n), 0.0, st.external,
+                                     report=True)[2], 0.0).p_hat
     run(st, t_end)
     h1, h2 = st.histories
 
@@ -498,13 +491,8 @@ def demo_globally_isolated(d: float = 3.0, q: float = 0.5, sigma: float = 0.8,
     drift = st.diagnostics.records[-1].p_hat - p0
 
     ctx = FrozenHistoryContext([h1, h2], ExternalFieldModel.none(), st.t_now)
-    xs, Ps = [], []
-    for i, h in enumerate((h1, h2)):
-        smp = h.state_at_time(st.t_now)
-        A = ctx.a_eff_cov(i, smp.r)
-        xs.append(smp.r[1:])
-        Ps.append(effective_momentum(smp.u, h.spec, A, c)[1:])
-    rep = instant_form_constrained(ConstrainedState(np.array(xs), np.array(Ps)), ctx)
+    x = state_from_histories([h1, h2], st.t_now, ctx)
+    rep = instant_form_constrained(ConstrainedState(x.r[:, 1:], x.P[:, 1:]), ctx)
     return {"mirror_residual": mirror,
             "p_hat_drift": drift,
             "comm_p0_pl": rep["comm_p0_pl"],

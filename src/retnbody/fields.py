@@ -27,9 +27,11 @@ root of a charged companion (one root per distinct radius, equal radii
 one root doubled), or in asymptotic mode the point-limit pair roots.
 The kernel then runs once on all roots as (M, 4, 4) array operations,
 with the same elementwise grazing-emission guard. Sources with q = 0
-are left out: their kernels are multiplied by zero. The step-end batch
-of dynamics (_evaluate with report) adds the potentials' cones to the
-same plan, so forces, potentials and delays read one DelayRoots.
+are left out: their kernels are multiplied by zero. It returns arrays,
+(F, g, report): the (n, 4, 4) tensor stack, the (n, 4) asymptotic
+self-force or None, and with report=True (the step-end batch of
+dynamics) the potentials and delays, whose cones join the same plan so
+that forces, potentials and delays read one DelayRoots.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from enum import Enum
 
 import numpy as np
 
-from .minkowski import FaradayTensor, dot, lower
+from .minkowski import FaradayTensor, _antisymmetric_part, dot, lower
 from .retardation import (JAC_TOL, DelayRoots, _add_potentials, _plan_roots, _root_plan,
                           solve_delays)
 from .worldline import WorldlineHistory, gather
@@ -216,28 +218,22 @@ def asymptotic_self_force(h: WorldlineHistory, t: float,
 
 def total_faraday(histories, observers, t: float, external: ExternalFieldModel,
                   mode: SelfForceMode = SelfForceMode.EXACT,
-                  include_self: bool = True, include_binary: bool = True):
-    """Total field tensor on each observer particle at time t, plus the
-    separate four-force, from one root batch and one kernel pass.
+                  include_self: bool = True, include_binary: bool = True,
+                  report: bool = False):
+    """Total field on each observer particle at time t, from one root
+    batch and one kernel pass, as (F, g, report).
 
-    observers are indices into histories. Returns one (FaradayTensor, g)
-    per observer, where g is None in exact mode and the asymptotic
-    self-force vector in asymptotic mode (asymptotic mode also collapses
-    binary cones to the point limit). include_self and include_binary
-    are debug switches that drop the corresponding contribution entirely.
-    """
-    return _evaluate(histories, observers, t, external, mode, include_self,
-                     include_binary)[0]
-
-
-def _evaluate(histories, observers, t: float, external: ExternalFieldModel,
-              mode: SelfForceMode, include_self: bool, include_binary: bool,
-              report: bool = False):
-    """total_faraday's forces, and with report what the step diagnostics
-    read from the same batch: (forces, (A, tau)), A the effective
+    observers are indices into histories. F is the (n, 4, 4) stack of
+    covariant tensors, one per observer, made exactly antisymmetric and
+    checked as one array. g is the (n, 4) asymptotic self-force in
+    asymptotic mode (which also collapses binary cones to the point
+    limit) and None in exact mode. include_self and include_binary are
+    debug switches that drop the corresponding contribution entirely.
+    report is None unless asked for; then it holds what the step
+    diagnostics read from the same batch: (A, tau), A the effective
     potentials (n, 4) at the observers' events and tau (n, N) each
-    observer's sigma_i delay on every history, its own first. Without
-    report the second item is None."""
+    observer's sigma_i delay on every history, its own first.
+    """
     hs = tuple(histories)
     obs = tuple(int(i) for i in observers)
     exact = mode == SelfForceMode.EXACT
@@ -248,7 +244,7 @@ def _evaluate(histories, observers, t: float, external: ExternalFieldModel,
     events = now.r[list(obs)]
     F = np.array([external.faraday(e) for e in events], dtype=np.float64).reshape(-1, 4, 4)
     # asymptotic mode: a neutral observer's g vanishes without a root
-    g = [np.zeros(4) if include_self and not exact else None for _ in obs]
+    g = np.zeros((len(obs), 4)) if include_self and not exact else None
     if plan.src.size:
         roots = _plan_roots(hs, plan, events, now)
         if exact or plan.pair_terms:
@@ -263,8 +259,8 @@ def _evaluate(histories, observers, t: float, external: ExternalFieldModel,
         # radii and the point limit: one root doubled exactly (K + K == 2 K)
         for slots, first, last in plan.pair_terms:
             F[slots] += K[first] + K[last]
-    forces = list(zip(FaradayTensor.each(F), g))
+    F = _antisymmetric_part(F, (None, 4, 4))
     if not report:
-        return forces, None
+        return F, g, None
     A = np.array([external.potential(e) for e in events], dtype=np.float64).reshape(-1, 4)
-    return forces, (_add_potentials(A, plan, roots), roots.t_ret[plan.own])
+    return F, g, (_add_potentials(A, plan, roots), roots.t_ret[plan.own])

@@ -52,6 +52,7 @@ from .canonical import (
     instant_form_increments,
     lorentz_condition_residuals,
     poisson_bracket,
+    state_from_histories,
 )
 from .dynamics import (
     InsufficientPrehistory,
@@ -291,6 +292,10 @@ def parse_config(mapping) -> RunConfig:
     _require_finite(mapping)
     if not mapping["t_end"] > mapping["t0"]:
         raise ConfigError("t_end must exceed t0")
+    steps = (mapping["t_end"] - mapping["t0"]) / mapping["dt"]
+    if not (round(steps) >= 1 and abs(steps - round(steps)) <= 1e-9 * steps):
+        raise ConfigError(f"dt = {mapping['dt']!r} does not divide t_end - t0 into a "
+                          f"whole number of steps ({steps!r})")
     labels = [p["label"] for p in mapping["particles"]]
     if len(set(labels)) != len(labels):
         raise ConfigError("particle labels must be unique")
@@ -564,9 +569,10 @@ def el_residual_covariant(histories, external, t, c) -> np.ndarray:
     particle at time t, (N, 4), from one total_faraday batch."""
     n = len(histories)
     now = gather(histories, np.arange(n), np.full(n, float(t)))
-    forces = total_faraday(histories, range(n), t, external, SelfForceMode.EXACT)
-    return np.array([h.spec.m0 * c * lower(a) - (h.spec.q / c) * (F.matrix @ u)
-                     for h, a, u, (F, _) in zip(histories, now.a, now.u, forces)])
+    F = total_faraday(histories, range(n), t, external, SelfForceMode.EXACT)[0]
+    q, m0 = np.array([(h.spec.q, h.spec.m0) for h in histories]).T
+    return ((m0 * c)[:, None] * lower(now.a)
+            - (q / c)[:, None] * (F @ now.u[:, :, None])[:, :, 0])
 
 
 @dataclass
@@ -824,14 +830,8 @@ def cmd_demo_no_interaction(cfg: RunConfig, base_dir=".") -> dict:
     run(st, cfg.t_end)
     ext = _external_model(cfg)
     ctx = FrozenHistoryContext(st.histories, ext, st.t_now)
-    xs, Ps = [], []
-    for i, h in enumerate(st.histories):
-        smp = h.state_at_time(st.t_now)
-        A = ctx.a_eff_cov(i, smp.r)
-        P = h.spec.m0 * st.c * lower(smp.u) + (h.spec.q / st.c) * A
-        xs.append(smp.r[1:])
-        Ps.append(P[1:])
-    xp = ConstrainedState(np.array(xs), np.array(Ps))
+    x = state_from_histories(st.histories, st.t_now, ctx)
+    xp = ConstrainedState(x.r[:, 1:], x.P[:, 1:])
     rep = instant_form_constrained(xp, ctx)
     comm = float(np.max(np.abs(rep["comm_p0_pl"])))
 
@@ -840,11 +840,8 @@ def cmd_demo_no_interaction(cfg: RunConfig, base_dir=".") -> dict:
     comm0 = float(np.max(np.abs(rep0["comm_p0_pl"])))
 
     dr, _ = instant_form_increments(xp, ctx, st.dt)
-    v_err = 0.0
-    for i, h in enumerate(st.histories):
-        smp = h.state_at_time(st.t_now)
-        v3 = st.c * smp.u[1:] / smp.u[0]
-        v_err = max(v_err, float(np.max(np.abs(dr[i] - st.dt * v3))))
+    u = gather(st.histories, np.arange(st.n), np.full(st.n, st.t_now)).u
+    v_err = float(np.max(np.abs(dr - st.dt * (st.c * u[:, 1:] / u[:, :1]))))
 
     pulse = demo_locally_isolated(c=cfg.c)
     control = demo_locally_isolated(e_amp=0.0, c=cfg.c)

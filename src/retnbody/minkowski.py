@@ -60,16 +60,6 @@ class FaradayTensor:
         # store the exactly antisymmetric part so roundoff cannot accumulate
         object.__setattr__(self, "matrix", _antisymmetric_part(self.matrix, (4, 4)))
 
-    @classmethod
-    def each(cls, matrices) -> list:
-        """One tensor per matrix of an (n, 4, 4) stack, checked as one array."""
-        out = []
-        for m in _antisymmetric_part(matrices, (None, 4, 4)):
-            tensor = object.__new__(cls)
-            object.__setattr__(tensor, "matrix", m)
-            out.append(tensor)
-        return out
-
     def __array__(self, dtype=None):
         if dtype is None:
             return self.matrix
@@ -128,6 +118,12 @@ def dot(a, b) -> float:
     av = _as_four(np.asarray(a))
     bv = _as_four(np.asarray(b))
     return float(av[0] * bv[0] - av[1:] @ bv[1:])
+
+
+def dots(a, b) -> np.ndarray:
+    """Minkowski products of the rows of two (M, 4) stacks, each with the
+    bits dot gives that row."""
+    return a[:, 0] * b[:, 0] - (a[:, None, 1:] @ b[:, 1:, None])[:, 0, 0]
 
 
 # eta's diagonal: lowering or raising an index multiplies by it

@@ -300,6 +300,23 @@ def test_instant_form_context_mismatch():
                                                   np.zeros((2, 3))), ctx)
 
 
+def test_state_from_histories_matches_observer_by_observer_momenta():
+    # one gather and one all-observer potentials batch give every particle
+    # the bits of its own one-observer evaluation
+    h1, h2 = wiggling_pair(1.0, -0.8)
+    h3 = inertial_history(ParticleSpec(1.2, 0.6, 0.5, "c"), [0.3, 2.0, -0.4],
+                          [0.1, -0.2, 0.05], -40.0, 1.0, 400)
+    hs = [h1, h2, h3]
+    ctx = FrozenHistoryContext(hs, ExternalFieldModel.uniform(E=(0.1, 0.0, -0.2),
+                                                              B=(0.0, 0.3, 0.0)), 0.4)
+    x = state_from_histories(hs, 0.4, ctx)
+    for i, h in enumerate(hs):
+        smp = h.state_at_time(0.4)
+        want = effective_momentum(smp.u, h.spec, ctx.a_eff_cov(i, smp.r), h.c)
+        assert np.array_equal(x.r[i], smp.r)
+        assert np.array_equal(x.P[i], want)
+
+
 def constrained_from_histories(histories, ctx):
     xs, Ps = [], []
     for i, h in enumerate(histories):

@@ -162,9 +162,9 @@ def test_static_pair_initial_force_matches_closed_form():
     for i, sgn in ((0, -1.0), (1, 1.0)):
         h = st.histories[i]
         smp = h.state_at_time(0.0)
-        F, g = total_faraday(st.histories, [i], 0.0, st.external)[0]
+        F, g, _ = total_faraday(st.histories, [i], 0.0, st.external)
         assert g is None
-        dudt = raise_index((h.spec.q / st.c) * (F.matrix @ smp.u)) / (smp.u[0] * m0)
+        dudt = raise_index((h.spec.q / st.c) * (F[0] @ smp.u)) / (smp.u[0] * m0)
         want_x = q1 * q2 * sgn * mag / m0
         assert dudt[1] == pytest.approx(want_x, rel=1e-8)
         assert abs(dudt[0]) < 1e-12
@@ -413,6 +413,36 @@ def test_force_evaluation_call_budget(monkeypatch):
     assert [len(b) for b in steps] == [5, 4, 4]
     assert all(len(b[1]) == 66 for b in batches)
     assert diagnose == [0, 0, 0]
+
+
+def test_each_force_evaluation_calls_the_public_total_faraday(monkeypatch):
+    # the step's one force entry point is fields.total_faraday, so a
+    # wrapper around it sees every evaluation
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return real(*args, **kwargs)
+
+    real = dyn.total_faraday
+    monkeypatch.setattr(dyn, "total_faraday", counted)
+
+    def per_step(st):
+        out = []
+        for _ in range(3):
+            before = len(calls)
+            step(st)
+            out.append(len(calls) - before)
+        return out
+
+    # the final stage's evaluation is the next step's first
+    assert per_step(ring6()) == [5, 4, 4]
+    # a radius below 2 c dt: four stages, then the step-end batch solved
+    # afresh, which is the next step's first
+    small = seed([ParticleSpec(1.0, 0.1, 0.03, "small")], [[0, 0, 0]], [[0.1, 0, 0]],
+                 dt=0.02)
+    assert per_step(small) == [6, 5, 5]
+    assert set(calls[:13]) == {6} and set(calls[13:]) == {1}
 
 
 DIAGNOSE = dyn._diagnose

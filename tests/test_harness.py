@@ -128,6 +128,25 @@ def test_config_physical_validation():
         parse_config(dup)
 
 
+@pytest.mark.parametrize("dt, t_end", [(0.5, 0.2), (0.3, 1.0)])
+def test_cli_rejects_a_dt_that_does_not_divide_the_run(tmp_path, dt, t_end):
+    # 0.5 is more than the whole run; 0.3 would stop it at 0.9, not 1.0
+    with open(os.path.join(CONFIG_DIR, "free_particle.yaml")) as fh:
+        mapping = yaml.safe_load(fh)
+    mapping.update(dt=dt, t_end=t_end, output_dir=str(tmp_path / "never"))
+    rc, err = _cli(["run", _write_cfg(tmp_path, mapping)])
+    assert rc == 2
+    assert json.loads(err)["category"] == "validation"
+    assert not os.path.exists(str(tmp_path / "never"))
+
+
+@pytest.mark.parametrize("steps, dt", [(60, 0.005), (10, 0.02), (3, 0.1)])
+def test_config_accepts_a_whole_number_of_steps(steps, dt):
+    # the step count of these runs is a whole number only up to rounding
+    cfg = parse_config(_cfg_mapping(dt=dt, t0=0.1, t_end=0.1 + steps * dt))
+    assert round((cfg.t_end - cfg.t0) / cfg.dt) == steps
+
+
 def test_config_defaults_and_hash():
     cfg = parse_config(_cfg_mapping())
     assert cfg.constraint_hard == 1e-6
@@ -349,8 +368,8 @@ def test_action_oracle_makes_one_force_batch_per_node_time(monkeypatch, tmp_path
         got = harness.el_residual_covariant(hists, none, t, c)
         for i, h in enumerate(hists):
             smp = h.state_at_time(t)
-            F, _ = total_faraday(hists, [i], t, none)[0]
-            want = h.spec.m0 * c * lower(smp.a) - (h.spec.q / c) * (F.matrix @ smp.u)
+            F = total_faraday(hists, [i], t, none)[0][0]
+            want = h.spec.m0 * c * lower(smp.a) - (h.spec.q / c) * (F @ smp.u)
             assert np.array_equal(got[i], want)
 
 
