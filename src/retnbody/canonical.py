@@ -225,16 +225,18 @@ def check_bracket_algebra(x: CanonicalState, triples) -> dict:
 def effective_momentum(u, spec, A_eff_cov, c: float = 1.0) -> np.ndarray:
     """Covariant canonical momentum P_mu = m0 c u_mu + (q/c) A_mu."""
     return _momenta(np.asarray(u, dtype=np.float64).reshape(1, 4), [spec],
-                    np.asarray(A_eff_cov, dtype=np.float64).reshape(1, 4), c)[0]
+                    np.asarray(A_eff_cov, dtype=np.float64).reshape(1, 4), c, [HARD_TOL])[0]
 
 
-def _momenta(u, specs, A, c: float) -> np.ndarray:
+def _momenta(u, specs, A, c: float, hard_tol) -> np.ndarray:
     """effective_momentum of each row of u and A (N, 4), one spec per row,
-    after checking every |u.u - 1| against HARD_TOL."""
+    after checking every |u.u - 1| against its row's hard_tol."""
     err = np.abs(dots(u, u) - 1.0)
-    if np.count_nonzero(~(err <= HARD_TOL)):
+    bad = ~(err <= hard_tol)
+    if np.count_nonzero(bad):
+        i = int(np.argmax(bad))
         raise ConstraintViolation(
-            f"|u.u - 1| = {err.max():.3e} exceeds {HARD_TOL:.1e} in a canonical momentum")
+            f"|u.u - 1| = {err[i]:.3e} exceeds {hard_tol[i]:.1e} in a canonical momentum")
     q, m0 = np.array([(s.q, s.m0) for s in specs]).T
     return (m0 * c)[:, None] * lower(u) + (q / c)[:, None] * A
 
@@ -325,7 +327,8 @@ def state_from_histories(histories, t: float,
     n = len(hs)
     now = gather(hs, np.arange(n), np.full(n, float(t)))
     A = effective_potentials(ctx._histories, ctx.external, range(n), now.r)
-    return CanonicalState(now.r, _momenta(now.u, [h.spec for h in hs], A, hs[0].c))
+    return CanonicalState(now.r, _momenta(now.u, [h.spec for h in hs], A, hs[0].c,
+                                          [h.hard_tol for h in hs]))
 
 
 def effective_hamiltonian(state: CanonicalState, i: int,

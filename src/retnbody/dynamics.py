@@ -49,6 +49,7 @@ from .worldline import (
     WorldlineSample,
     gather,
     inertial_history,
+    write_table,
 )
 
 # nodes of each synthesized inertial prehistory
@@ -111,16 +112,9 @@ class Diagnostics:
     def export_csv(self, path, labels, comment: str | None = None) -> None:
         """Write the records; wall times stay in memory only, because
         exported files must be bit-identical across repeated runs."""
-        lines = [] if comment is None else [f"# {comment}"]
-        lines.append(",".join(self.header(labels)))
-        for r in self._records:
-            vals = ([float(r.step), r.t]
-                    + list(r.constraint_err) + list(r.h_eff)
-                    + list(r.p_hat) + list(r.m_hat)
-                    + list(r.self_delays) + list(r.pair_delays))
-            lines.append(",".join(repr(float(v)) for v in vals))
-        with open(path, "w") as f:
-            f.write("\n".join(lines) + "\n")
+        rows = ([r.step, r.t, *r.constraint_err, *r.h_eff, *r.p_hat, *r.m_hat,
+                 *r.self_delays, *r.pair_delays] for r in self._records)
+        write_table(path, self.header(labels), rows, comment)
 
 
 @dataclass
@@ -363,7 +357,6 @@ def run(state: SystemState, t_end: float, trajectory_dir=None,
                 raise
     finally:
         if trajectory_dir is not None:
-            os.makedirs(trajectory_dir, exist_ok=True)
             for h in state.histories:
                 h.export_csv(os.path.join(trajectory_dir,
                                           f"trajectory_{h.spec.label}.csv"),

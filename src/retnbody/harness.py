@@ -26,6 +26,7 @@ exchange identity holds for arbitrary curve pairs.
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import hashlib
 import json
 import math
@@ -65,13 +66,17 @@ from .fields import ExternalFieldModel, SelfForceMode, total_faraday
 from .minkowski import lower
 from .retardation import DegenerateJacobian, NoConvergence, max_delay
 from .worldline import (
+    CONSTRAINT_TOL,
     CSV_HEADER,
+    HARD_TOL,
     ConstraintViolation,
     NonMonotonicTime,
     ParticleSpec,
     QueryBeyondPresent,
     WorldlineHistory,
     gather,
+    read_table,
+    write_table,
 )
 
 # oracle calibration constants (empirical, frozen by the test suite):
@@ -236,8 +241,8 @@ class RunConfig:
     external_variant: str = "none"
     external_E: tuple = (0.0, 0.0, 0.0)
     external_B: tuple = (0.0, 0.0, 0.0)
-    constraint_hard: float = 1e-6
-    constraint_soft: float = 1e-9
+    constraint_hard: float = HARD_TOL
+    constraint_soft: float = CONSTRAINT_TOL
     seed: int = 0
     sweep_sigmas: tuple | None = None
     oracle: OracleConfig | None = None
@@ -325,14 +330,14 @@ def parse_config(mapping) -> RunConfig:
         external_variant=ext["variant"],
         external_E=tuple(float(v) for v in ext.get("E", (0.0, 0.0, 0.0))),
         external_B=tuple(float(v) for v in ext.get("B", (0.0, 0.0, 0.0))),
-        constraint_hard=float(tol.get("constraint_hard", 1e-6)),
-        constraint_soft=float(tol.get("constraint_soft", 1e-9)),
+        constraint_hard=float(tol.get("constraint_hard", HARD_TOL)),
+        constraint_soft=float(tol.get("constraint_soft", CONSTRAINT_TOL)),
         seed=int(mapping.get("seed", 0)),
         sweep_sigmas=tuple(float(v) for v in sweep["sigmas"])
         if sweep else None,
         oracle=OracleConfig(width=float(oracle["width"]),
-                            nodes=int(oracle.get("nodes", 64)),
-                            fd_step=float(oracle.get("fd_step", 1e-6)))
+                            nodes=int(oracle.get("nodes", OracleConfig.nodes)),
+                            fd_step=float(oracle.get("fd_step", OracleConfig.fd_step)))
         if oracle else None,
     )
 
@@ -370,28 +375,25 @@ def _external_model(cfg: RunConfig) -> ExternalFieldModel:
 def load_prehistory_csv(path, spec: ParticleSpec, cfg: RunConfig) -> WorldlineHistory:
     """Read a worldline table; its rows are checked as one block under
     cfg's tolerances."""
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [ln.strip() for ln in fh if ln.strip() and not
-                ln.startswith("#")]
-    if not rows:
+    header, lines = read_table(path)
+    if not header:
         raise ConfigError(f"prehistory table {path} is empty")
-    header = rows[0].split(",")
     if header != CSV_HEADER:
         raise ConfigError(f"prehistory table {path} has header {header}, "
                           f"expected {CSV_HEADER}")
     width = len(CSV_HEADER)
-    if any(ln.count(",") != width - 1 for ln in rows[1:]):
+    if any(ln.count(",") != width - 1 for ln in lines):
         raise ConfigError(f"prehistory table {path}: bad row width")
     h = WorldlineHistory(spec, c=cfg.c)
     h.hard_tol, h.constraint_tol = cfg.constraint_hard, cfg.constraint_soft
-    data = iter(rows[1:])
+    data = iter(lines)
     # streamed into one array: no per-cell string table is held at once
     values = (float(v) for ln in data for v in ln.split(","))
     try:
-        table = np.fromiter(values, np.float64, width * (len(rows) - 1))
+        table = np.fromiter(values, np.float64, width * len(lines))
     except ValueError as exc:
         # the rows not yet read tell which one failed
-        row = len(rows) - 1 - operator.length_hint(data)
+        row = len(lines) - operator.length_hint(data)
         raise ConfigError(f"prehistory table {path}: data row {row} has a "
                           f"non-numeric cell ({exc})") from exc
     h.extend(table.reshape(-1, width))
@@ -421,27 +423,26 @@ def build_state(cfg: RunConfig, base_dir=".", mode=None, dt=None):
     return st
 
 
-# -- CSV helpers ---------------------------------------------------------------
+# -- artifacts -----------------------------------------------------------------
 
-def _write_table(path, header, rows, comment=None):
-    lines = [] if comment is None else [f"# {comment}"]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(
-            v if isinstance(v, str) else repr(float(v)) for v in row))
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+class _Artifacts:
+    """Tables of one command under its output directory, each headed by
+    the comment "config-hash: <hash of the config>" (the tag), which is
+    computed once."""
 
+    def __init__(self, cfg: RunConfig):
+        self.dir = cfg.output_dir
+        self.tag = f"config-hash: {config_hash(cfg)}"
 
-def _read_table(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [ln.rstrip("\n") for ln in fh
-                if ln.strip() and not ln.startswith("#")]
-    if not rows:
-        raise MissingArtifact(f"{path} has no data rows")
-    header = rows[0].split(",")
-    return header, [r.split(",") for r in rows[1:]]
+    def write(self, name, header, rows) -> None:
+        write_table(os.path.join(self.dir, name), header, rows, self.tag)
+
+    def checks(self, name, header, rows, failure: str) -> None:
+        """Write rows whose last cell is a pass flag, written as the status
+        "pass" or "fail"; then raise CheckFailed(failure) unless all passed."""
+        self.write(name, header, [(*r[:-1], "pass" if r[-1] else "fail") for r in rows])
+        if not all(r[-1] for r in rows):
+            raise CheckFailed(failure)
 
 
 # -- the discretized-action oracle ---------------------------------------------
@@ -526,15 +527,6 @@ def _segment_geometry(nodes_r):
     return dr, np.sqrt(sq), 0.5 * (nodes_r[1:] + nodes_r[:-1])
 
 
-def _particle_action(nodes_r, i, sources, specs, external, width, c):
-    dr, L, mid = _segment_geometry(nodes_r)
-    S = specs[i].m0 * c * float(np.sum(L))
-    A = _smoothed_a_eff(sources, specs, external, i, mid, width, c)
-    for a, d in zip(A, dr):
-        S += (specs[i].q / c) * float(a @ d)
-    return S
-
-
 def node_gradient(nodes_r, i, sources, specs, external, width, c,
                   fd_step: float) -> np.ndarray:
     """Central-FD gradient of the discretized action at interior nodes.
@@ -581,7 +573,6 @@ class OracleReport:
     gradients: list            # per particle, (nodes-2, 4)
     expected: list             # per particle, -weight * E-L residual
     rel_mismatch: float        # worst relative disagreement (not gated)
-    action: float
     rows: list                 # CSV-ready (label, t, |grad|, |expected|, rel)
     sources: list              # frozen source samplings, one per particle
 
@@ -620,13 +611,10 @@ def action_oracle(histories, cfg: OracleConfig, t_lo: float, t_hi: float,
     # every particle's expected residual at each interior node time
     residuals = np.array([el_residual_covariant(hists, external, float(t), c)
                           for t in ts[1:-1]])
-    total = 0.0
     grads, expect, rows = [], [], []
     worst = 0.0
     for i, h in enumerate(hists):
         nodes_r = h.states_at(ts).r
-        total += _particle_action(nodes_r, i, sources, specs, external,
-                                  cfg.width, c)
         g = node_gradient(nodes_r, i, sources, specs, external, cfg.width,
                           c, cfg.fd_step)
         _, L, _ = _segment_geometry(nodes_r)
@@ -643,7 +631,7 @@ def action_oracle(histories, cfg: OracleConfig, t_lo: float, t_hi: float,
             rows.append((h.spec.label, float(t), gn, wn, rel))
             worst = max(worst, rel)
     return OracleReport(times=ts[1:-1], gradients=grads, expected=expect,
-                        rel_mismatch=worst, action=total, rows=rows,
+                        rel_mismatch=worst, rows=rows,
                         sources=sources)
 
 
@@ -731,19 +719,16 @@ def swap_symmetry_residual(curve_a, curve_b, charges, sigmas,
 
 def cmd_run(cfg: RunConfig, base_dir=".") -> dict:
     st = build_state(cfg, base_dir)
-    tag = f"config-hash: {config_hash(cfg)}"
-    out = cfg.output_dir
-    run(st, cfg.t_end, trajectory_dir=out,
-        diagnostics_path=os.path.join(out, "diagnostics.csv"),
-        csv_comment=tag)
+    out = _Artifacts(cfg)
+    run(st, cfg.t_end, trajectory_dir=out.dir,
+        diagnostics_path=os.path.join(out.dir, "diagnostics.csv"),
+        csv_comment=out.tag)
     worst = max(float(np.max(r.constraint_err))
                 for r in st.diagnostics.records)
-    _write_table(os.path.join(out, "run_summary.csv"),
-                 ["key", "value"],
-                 [("t_final", st.t_now), ("steps", len(st.diagnostics)),
-                  ("max_constraint_err", worst),
-                  ("soft_tolerance_met", float(worst < cfg.constraint_soft))],
-                 comment=tag)
+    out.write("run_summary.csv", ["key", "value"],
+              [("t_final", st.t_now), ("steps", len(st.diagnostics)),
+               ("max_constraint_err", worst),
+               ("soft_tolerance_met", float(worst < cfg.constraint_soft))])
     return {"state": st, "max_constraint_err": worst}
 
 
@@ -771,7 +756,6 @@ def cmd_check_pb(cfg: RunConfig) -> dict:
     rng = np.random.default_rng(cfg.seed)
     n = max(2, len(cfg.particles))
     rows = []
-    ok = True
 
     fund = 0.0
     for _ in range(20):
@@ -807,14 +791,8 @@ def cmd_check_pb(cfg: RunConfig) -> dict:
     for k, v in alg.items():
         rows.append((f"bracket_{k}", v, 1e-10, v < 1e-10))
 
-    ok = all(r[3] for r in rows)
-    table = [(name, val, thr, "pass" if good else "fail")
-             for name, val, thr, good in rows]
-    _write_table(os.path.join(cfg.output_dir, "pb_residuals.csv"),
-                 ["check", "residual", "threshold", "status"], table,
-                 comment=f"config-hash: {config_hash(cfg)}")
-    if not ok:
-        raise CheckFailed("bracket-layer residuals exceed thresholds")
+    _Artifacts(cfg).checks("pb_residuals.csv", ["check", "residual", "threshold", "status"],
+                           rows, "bracket-layer residuals exceed thresholds")
     return {"rows": rows}
 
 
@@ -860,14 +838,8 @@ def cmd_demo_no_interaction(cfg: RunConfig, base_dir=".") -> dict:
         ("pair_mirror_residual", pair["mirror_residual"],
          "< 1e-9", pair["mirror_residual"] < 1e-9),
     ]
-    ok = all(r[3] for r in rows)
-    table = [(name, val, thr, "pass" if good else "fail")
-             for name, val, thr, good in rows]
-    _write_table(os.path.join(cfg.output_dir, "no_interaction_report.csv"),
-                 ["check", "value", "criterion", "status"], table,
-                 comment=f"config-hash: {config_hash(cfg)}")
-    if not ok:
-        raise CheckFailed("no-interaction certificate thresholds not met")
+    _Artifacts(cfg).checks("no_interaction_report.csv", ["check", "value", "criterion", "status"],
+                           rows, "no-interaction certificate thresholds not met")
     return {"rows": rows, "comm": comm, "comm_neutral": comm0}
 
 
@@ -890,9 +862,7 @@ def cmd_compare_asymptotic(cfg: RunConfig, base_dir=".") -> dict:
         if not math.isfinite(gap):
             raise CheckFailed(f"divergence at sigma={sg} is not finite")
         rows.append((sg, gap))
-    _write_table(os.path.join(cfg.output_dir, "asymptotic_gap.csv"),
-                 ["sigma", "divergence"], rows,
-                 comment=f"config-hash: {config_hash(cfg)}")
+    _Artifacts(cfg).write("asymptotic_gap.csv", ["sigma", "divergence"], rows)
     return {"rows": rows}
 
 
@@ -910,17 +880,14 @@ def cmd_action_oracle(cfg: RunConfig, base_dir=".") -> dict:
     ext_rep = extremality_ratio(st.histories, cfg.oracle, t_lo, st.t_now,
                                 ext, rng=np.random.default_rng(cfg.seed),
                                 report=rep)
-    tag = f"config-hash: {config_hash(cfg)}"
-    _write_table(os.path.join(cfg.output_dir, "action_residuals.csv"),
-                 ["particle", "t", "grad_norm", "force_norm", "relative"],
-                 rep.rows, comment=tag)
-    _write_table(os.path.join(cfg.output_dir, "action_summary.csv"),
-                 ["key", "value"],
-                 [("rel_mismatch", rep.rel_mismatch),
-                  ("extremality_ratio", ext_rep["ratio"]),
-                  ("gradient_norm", ext_rep["gradient_norm"]),
-                  ("perturbed_norm", ext_rep["perturbed_norm"])],
-                 comment=tag)
+    out = _Artifacts(cfg)
+    out.write("action_residuals.csv",
+              ["particle", "t", "grad_norm", "force_norm", "relative"], rep.rows)
+    out.write("action_summary.csv", ["key", "value"],
+              [("rel_mismatch", rep.rel_mismatch),
+               ("extremality_ratio", ext_rep["ratio"]),
+               ("gradient_norm", ext_rep["gradient_norm"]),
+               ("perturbed_norm", ext_rep["perturbed_norm"])])
     if ext_rep["ratio"] > 0.1:
         raise CheckFailed(
             f"action gradient on the trajectory is {ext_rep['ratio']:.3f} "
@@ -931,47 +898,39 @@ def cmd_action_oracle(cfg: RunConfig, base_dir=".") -> dict:
 
 # -- plot-data bundles -----------------------------------------------------------
 
+# (run artifact, its plot bundle, the columns the bundle keeps as
+# (source name, bundle name) pairs from the artifact's header); a "*" in
+# the artifact name carries over to the bundle name
+_PLOT_BUNDLES = (
+    ("trajectory_*.csv", "*_projection.csv",
+     lambda head: [("t", "t"), ("r1", "x"), ("r2", "y"), ("r3", "z")]),
+    ("diagnostics.csv", "constraint_drift.csv",
+     lambda head: [(k, k) for k in head if k in ("step", "t") or k.startswith("constraint_err_")]),
+    ("asymptotic_gap.csv", "gap_vs_sigma.csv", lambda head: zip(head, head)),
+    ("pb_residuals.csv", "pb_residual_table.csv", lambda head: zip(head, head)),
+)
+
+
 def emit_plots_data(run_dir) -> list:
     """Re-shape run artifacts into plot-ready CSVs under run_dir/plots."""
     if not os.path.isdir(run_dir):
         raise MissingArtifact(f"{run_dir} does not exist")
     written = []
-    plots = os.path.join(run_dir, "plots")
-
-    for name in sorted(os.listdir(run_dir)):
-        if name.startswith("trajectory_") and name.endswith(".csv"):
-            header, data = _read_table(os.path.join(run_dir, name))
-            idx = [header.index(k) for k in ("t", "r1", "r2", "r3")]
-            label = name[len("trajectory_"):-len(".csv")]
-            out = os.path.join(plots, f"{label}_projection.csv")
-            _write_table(out, ["t", "x", "y", "z"],
-                         [[row[i] for i in idx] for row in data])
+    names = sorted(os.listdir(run_dir))
+    for pattern, bundle, columns in _PLOT_BUNDLES:
+        pre, _, post = pattern.partition("*")
+        for name in fnmatch.filter(names, pattern):
+            path = os.path.join(run_dir, name)
+            header, lines = read_table(path)
+            if not header:
+                raise MissingArtifact(f"{path} has no data rows")
+            keep, out_header = zip(*columns(header))
+            idx = [header.index(k) for k in keep]
+            stem = name[len(pre):len(name) - len(post)]
+            out = os.path.join(run_dir, "plots", bundle.replace("*", stem))
+            write_table(out, out_header, ([cells[i] for i in idx] for cells in
+                                          (ln.split(",") for ln in lines)))
             written.append(out)
-
-    diag = os.path.join(run_dir, "diagnostics.csv")
-    if os.path.exists(diag):
-        header, data = _read_table(diag)
-        keep = [0, 1] + [k for k, name in enumerate(header)
-                         if name.startswith("constraint_err_")]
-        out = os.path.join(plots, "constraint_drift.csv")
-        _write_table(out, [header[k] for k in keep],
-                     [[row[k] for k in keep] for row in data])
-        written.append(out)
-
-    gap = os.path.join(run_dir, "asymptotic_gap.csv")
-    if os.path.exists(gap):
-        header, data = _read_table(gap)
-        out = os.path.join(plots, "gap_vs_sigma.csv")
-        _write_table(out, header, data)
-        written.append(out)
-
-    pb = os.path.join(run_dir, "pb_residuals.csv")
-    if os.path.exists(pb):
-        header, data = _read_table(pb)
-        out = os.path.join(plots, "pb_residual_table.csv")
-        _write_table(out, header, data)
-        written.append(out)
-
     if not written:
         raise MissingArtifact(f"no recognized artifacts under {run_dir}")
     return written

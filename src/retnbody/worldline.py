@@ -26,11 +26,14 @@ Every query is an array query: gather(histories, src, ts) finds the
 nodes of each source with one searchsorted over its times and then
 evaluates all M states in one broadcasting pass (_evaluate);
 states_at and state_at_time are gathers over one history.
+
+write_table and read_table hold the one CSV table format of the package:
+every table it writes or reads, node tables included, goes through them.
 """
 
 from __future__ import annotations
 
-import csv
+import os
 from copy import deepcopy
 from dataclasses import dataclass
 
@@ -41,6 +44,32 @@ HARD_TOL = 1e-6
 
 CSV_HEADER = ["t", "s", "r0", "r1", "r2", "r3",
               "u0", "u1", "u2", "u3", "a0", "a1", "a2", "a3"]
+
+
+def write_table(path, header, rows, comment: str | None = None) -> None:
+    """Write a CSV table: a "# comment" line when given, the header, then
+    one line per row, each ended by "\n". A string cell is written as it
+    is, any other as repr(float(v)), which reads back to the same float.
+    Rows are written one at a time, never joined into one string. The
+    parent directory is made if it is missing."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join([v if isinstance(v, str) else repr(float(v))
+                               for v in row]) + "\n")
+
+
+def read_table(path) -> tuple[list, list]:
+    """(header, lines) of a CSV table: the header's column names and the
+    data lines, stripped but not split into cells; blank lines and lines
+    starting with "#" are skipped. A table with no header reads ([], [])."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [s for s in map(str.strip, fh) if s and not s.startswith("#")]
+    return (lines[0].split(","), lines[1:]) if lines else ([], [])
+
 
 # a history packs its node times into _t and the rest of each node into
 # one row of _nodes: s, r, u and a (CSV_HEADER order without t), then the
@@ -360,14 +389,8 @@ class WorldlineHistory:
     # -- export ------------------------------------------------------------
 
     def export_csv(self, path, comment: str | None = None) -> None:
-        table = self.table
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            if comment is not None:
-                fh.write(f"# {comment}\n")
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(CSV_HEADER)
-            for row in table.tolist():
-                w.writerow([repr(x) for x in row])
+        """Write the nodes as a CSV_HEADER table (see write_table)."""
+        write_table(path, CSV_HEADER, self.table.tolist(), comment)
 
 
 def gather(histories, src, ts) -> WorldlineSample:

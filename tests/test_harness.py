@@ -36,9 +36,11 @@ from retnbody.harness import (
     swap_symmetry_residual,
 )
 from retnbody import retardation
+from retnbody.canonical import FrozenHistoryContext, state_from_histories
 from retnbody.minkowski import lower
 from retnbody.retardation import max_delay
 from retnbody.worldline import (
+    ConstraintViolation,
     ParticleSpec,
     history_from_kinematics,
     inertial_history,
@@ -567,6 +569,20 @@ def test_emit_plots_row_counts(tmp_path):
 
     assert rows(src) == rows(dst)
 
+    # the drift bundle is the diagnostics' step, t and constraint_err_*
+    # columns, cell for cell
+    def cells(p):
+        with open(p) as fh:
+            return [ln.rstrip("\n").split(",") for ln in fh if not ln.startswith("#")]
+
+    diag = cells(os.path.join(out, "diagnostics.csv"))
+    keep = [0, 1] + [k for k, name in enumerate(diag[0]) if name.startswith("constraint_err_")]
+    assert [diag[0][k] for k in keep] == ["step", "t", "constraint_err_left",
+                                          "constraint_err_right"]
+    drift = os.path.join(out, "plots", "constraint_drift.csv")
+    assert drift in written
+    assert cells(drift) == [[row[k] for k in keep] for row in diag]
+
 
 def test_prehistory_table_round_trip(tmp_path):
     spec = ParticleSpec(1.0, 0.3, 0.8, "tab")
@@ -629,10 +645,10 @@ def _edited_table_config(tmp_path, row, col, edit, **overrides):
     return mapping
 
 
-def _loose_table_config(tmp_path):
+def _loose_table_config(tmp_path, row=20, **overrides):
     # u0 raised by 5e-6: |u.u - 1| ~ 1e-5, above the default hard tolerance
-    return _edited_table_config(tmp_path, 20, 6, lambda v: repr(float(v) + 5e-6),
-                                tolerances={"constraint_hard": 1e-4})
+    return _edited_table_config(tmp_path, row, 6, lambda v: repr(float(v) + 5e-6),
+                                tolerances={"constraint_hard": 1e-4}, **overrides)
 
 
 def test_prehistory_table_loads_under_configured_tolerances(tmp_path):
@@ -648,6 +664,21 @@ def test_copy_state_keeps_configured_tolerances(tmp_path):
         assert (g.hard_tol, g.constraint_tol) == (1e-4, h.constraint_tol)
         assert g.flags == h.flags and g.flags is not h.flags
         assert np.array_equal(g.table, h.table)
+
+
+def test_canonical_momenta_check_each_history_hard_tolerance(tmp_path):
+    # the last node of "tab" (at t0) is off shell by ~1e-5: inside the
+    # configured 1e-4, outside the 1e-6 default
+    mapping = _loose_table_config(tmp_path, row=48, output_dir=str(tmp_path / "ni"))
+    st = build_state(parse_config(mapping), str(tmp_path))
+    ctx = FrozenHistoryContext(st.histories, harness.ExternalFieldModel.none(), 0.0)
+    x = state_from_histories(st.histories, 0.0, ctx)
+    assert np.all(np.isfinite(x.P))
+    st.histories[0].hard_tol = 1e-6
+    with pytest.raises(ConstraintViolation, match="exceeds 1.0e-06 in a canonical momentum"):
+        state_from_histories(st.histories, 0.0, ctx)
+    rc, err = _cli(["demo-no-interaction", _write_cfg(tmp_path, mapping)])
+    assert rc == 0, err
 
 
 def test_prehistory_table_rejects_non_finite_time(tmp_path):

@@ -447,6 +447,26 @@ class TestCsvExport:
         assert float(lines[k + 1].split(",")[0]) == smp.t
         assert float(lines[k + 1].split(",")[3]) == smp.r[1]
 
+    def test_table_sink_round_trip(self, tmp_path):
+        path = tmp_path / "sub" / "table.csv"
+        rows = [("a", float("nan"), np.float64(float("inf"))),
+                ("b c", -0.0, 1e-05),
+                ("d", np.float64(-float("inf")), 3)]
+        wl.write_table(path, ["name", "x", "y"], rows, comment="config-hash: 0123")
+        text = path.read_text(encoding="utf-8")
+        assert text == ("# config-hash: 0123\nname,x,y\n"
+                        "a,nan,inf\nb c,-0.0,1e-05\nd,-inf,3.0\n")
+        path.write_text("\n# note\n" + text.replace("\nb c", "\n\n  \nb c"),
+                        encoding="utf-8")
+        header, lines = wl.read_table(path)
+        assert header == ["name", "x", "y"]
+        assert lines == ["a,nan,inf", "b c,-0.0,1e-05", "d,-inf,3.0"]
+        wl.write_table(path, ["x"], [])
+        assert path.read_text(encoding="utf-8") == "x\n"
+        assert wl.read_table(path) == (["x"], [])
+        path.write_text("# comment only\n\n", encoding="utf-8")
+        assert wl.read_table(path) == ([], [])
+
 
 betas = st.floats(min_value=-0.9, max_value=0.9, allow_nan=False)
 
