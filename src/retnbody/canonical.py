@@ -8,8 +8,9 @@ metric factor,
     [A, B] = sum_i sum_mu (dA/dr^mu dB/dP_mu - dA/dP_mu dB/dr^mu),
 
 so [r^mu, P_nu] = delta^mu_nu. Non-local (history) dependences are held
-by a FrozenHistoryContext: local brackets differentiate only the explicit
-present-state slots, history slots are constants of the snapshot. The
+by a FrozenHistoryContext, a snapshot of its own copies of the histories:
+local brackets differentiate only the explicit present-state slots,
+history slots are constants of the snapshot. The
 Gateaux bracket in nonlocal_bracket is the complementary rule that
 transforms the histories too.
 
@@ -39,7 +40,7 @@ import numpy as np
 from .fields import ExternalFieldModel
 from .minkowski import ETA, dots, lower, raise_index
 from .retardation import _add_potentials, _plan_roots, _root_plan
-from .worldline import HARD_TOL, ConstraintViolation, ProvisionalView, WorldlineSample, gather
+from .worldline import HARD_TOL, ConstraintViolation, WorldlineSample, gather
 
 FD_STEP = 1e-6
 # absolute spread below which the Richardson pair of a Gateaux bracket
@@ -247,13 +248,12 @@ class FrozenHistoryContext:
     """Immutable snapshot of all histories plus per-particle effective
     potential evaluators.
 
-    The snapshot wraps every history in a ProvisionalView whose one
-    extra node is a short inertial continuation past the capture time, so
-    that finite-difference probes of the observation event stay inside
-    the queryable range; the margin sits far below every delay root, so
-    no field or potential kernel ever interpolates inside it. No node is
-    copied, and nodes appended to a history later stay invisible to the
-    snapshot.
+    The snapshot copies every history and appends one node to the copy:
+    a short inertial continuation past the capture time, so that
+    finite-difference probes of the observation event stay inside the
+    queryable range; the margin sits far below every delay root, so no
+    field or potential kernel ever interpolates inside it. Nodes appended
+    to a history later stay invisible to the snapshot.
     """
 
     def __init__(self, histories, external: ExternalFieldModel, t_ref: float):
@@ -277,9 +277,10 @@ class FrozenHistoryContext:
             dt_ext = (h.t_latest + margin) - h.t_latest
             r_ext = last.r + (h.c / g) * last.u * dt_ext
             r_ext[0] = h.c * (last.t + dt_ext)
-            frozen.append(ProvisionalView(h, WorldlineSample(
-                t=last.t + dt_ext, s=last.s + (h.c / g) * dt_ext,
-                r=r_ext, u=last.u, a=np.zeros(4))))
+            snap = h.copy()
+            snap.append(WorldlineSample(t=last.t + dt_ext, s=last.s + (h.c / g) * dt_ext,
+                                        r=r_ext, u=last.u, a=np.zeros(4)))
+            frozen.append(snap)
         self._histories = tuple(frozen)
 
     @property

@@ -9,20 +9,21 @@ per particle is
 with g the asymptotic self four-force (asymptotic mode only; exact mode
 carries the self field inside F). Steps are classic fixed-size RK4 on
 whole arrays: x (N, 3), u (N, 4), s (N,) and every stage slope hold one
-row per particle, read from the histories with one gather. Mid-step
-field queries run against ProvisionalViews, each a frozen history
-extended by one stage-local node (a row of one (N, 14) node block)
-without copying it. After acceptance a fifth force evaluation fixes the
-appended acceleration sample and proper time advances by Simpson
-quadrature of c dt / gamma. Each force evaluation is one
-fields.total_faraday call, which solves the delay roots and field
-kernels of all particles as one batch and returns the (N, 4, 4) tensor
-stack that _deriv contracts with u at once. Each step ends with exactly
-one batch at the new time, which also holds the potentials' and the
-reported delays' roots: it serves the step's diagnostics and the next
-step's first evaluation. In exact mode with 2 c dt below every radius
-it is the fifth evaluation itself; otherwise it is solved afresh on the
-committed histories (see step).
+row per particle, read from the histories with one gather. Each mid-step
+evaluation runs inside worldline.staged, which puts one stage-local node
+per particle (a row of one (N, 14) node block) after each history's
+latest node and takes it off again when the evaluation is done. After
+acceptance a fifth, staged force evaluation fixes the appended
+acceleration sample, proper time advances by Simpson quadrature of
+c dt / gamma, and the new nodes are committed with append. Each force
+evaluation is one fields.total_faraday call, which solves the delay
+roots and field kernels of all particles as one batch and returns the
+(N, 4, 4) tensor stack that _deriv contracts with u at once. Each step
+ends with exactly one batch at the new time, which also holds the
+potentials' and the reported delays' roots: it serves the step's
+diagnostics and the next step's first evaluation. In exact mode with
+2 c dt below every radius it is the fifth evaluation itself; otherwise
+it is solved afresh on the committed histories (see step).
 
 Histories are the state. A SystemState is little more than the history
 set plus the stepping policy; prehistory coverage is the seeding
@@ -45,10 +46,10 @@ from .minkowski import dots, lower, raise_index
 from .retardation import max_delay
 from .worldline import (
     ParticleSpec,
-    ProvisionalView,
     WorldlineSample,
     gather,
     inertial_history,
+    staged,
     write_table,
 )
 
@@ -214,13 +215,13 @@ def seed(specs=None, positions=None, velocities=None, *, prehistories=None,
                        include_binary, renormalize_u)
 
 
-def _deriv(state: SystemState, views, t_q: float, u, report: bool = False):
+def _deriv(state: SystemState, t_q: float, u, report: bool = False):
     """Stage derivatives dx/dt (N, 3) and contravariant du/dt (N, 4) of
     every particle at the four-velocities u (N, 4) from one total_faraday
-    batch, and its report: with report, the potentials and delays of the
-    step record from the same batch."""
-    F, g, rep = total_faraday(views, range(state.n), t_q, state.external, state.mode,
-                              state.include_self, state.include_binary, report)
+    batch on the histories as they stand, and its report: with report,
+    the potentials and delays of the step record from the same batch."""
+    F, g, rep = total_faraday(state.histories, range(state.n), t_q, state.external,
+                              state.mode, state.include_self, state.include_binary, report)
     q, m0 = np.array([(h.spec.q, h.spec.m0) for h in state.histories]).T
     f_cov = (q / state.c)[:, None] * (F @ u[:, :, None])[:, :, 0]
     if g is not None:
@@ -242,11 +243,6 @@ def _sample(row) -> WorldlineSample:
     return WorldlineSample(t=row[0], s=row[1], r=row[2:6], u=row[6:10], a=row[10:])
 
 
-def _stage_views(state: SystemState, t_q, x, u, du, s):
-    return [ProvisionalView(h, _sample(row))
-            for h, row in zip(state.histories, _node_rows(state, t_q, x, u, du, s))]
-
-
 def step(state: SystemState) -> SystemState:
     """Advance every history by one RK4 step of size dt; each stage
     quantity is one array with a row per particle."""
@@ -260,7 +256,7 @@ def step(state: SystemState) -> SystemState:
     if state.last_eval is not None and state.last_eval[0] == key:
         kx1, ku1 = state.last_eval[1]
     else:
-        kx1, ku1, _ = _deriv(state, hs, t, u0)
+        kx1, ku1, _ = _deriv(state, t, u0)
 
     def advanced(frac, kx, ku):
         u = u0 + frac * dt * ku
@@ -268,14 +264,14 @@ def step(state: SystemState) -> SystemState:
         return x0 + frac * dt * kx, u, s
 
     xa, ua, sa = advanced(0.5, kx1, ku1)
-    kx2, ku2, _ = _deriv(state, _stage_views(state, t + dt / 2, xa, ua, ku1, sa),
-                         t + dt / 2, ua)
+    with staged(hs, _node_rows(state, t + dt / 2, xa, ua, ku1, sa)):
+        kx2, ku2, _ = _deriv(state, t + dt / 2, ua)
     xb, ub, sb = advanced(0.5, kx2, ku2)
-    kx3, ku3, _ = _deriv(state, _stage_views(state, t + dt / 2, xb, ub, ku2, sb),
-                         t + dt / 2, ub)
+    with staged(hs, _node_rows(state, t + dt / 2, xb, ub, ku2, sb)):
+        kx3, ku3, _ = _deriv(state, t + dt / 2, ub)
     xc, uc, sc = advanced(1.0, kx3, ku3)
-    kx4, ku4, _ = _deriv(state, _stage_views(state, t + dt, xc, uc, ku3, sc),
-                         t + dt, uc)
+    with staged(hs, _node_rows(state, t + dt, xc, uc, ku3, sc)):
+        kx4, ku4, _ = _deriv(state, t + dt, uc)
 
     t1 = t + dt
     x1 = x0 + (dt / 6.0) * (kx1 + 2 * kx2 + 2 * kx3 + kx4)
@@ -293,8 +289,8 @@ def step(state: SystemState) -> SystemState:
     # Otherwise that batch is solved on the committed histories.
     fsal = (state.mode == SelfForceMode.EXACT
             and 2.0 * c * dt < min(h.spec.sigma for h in hs))
-    kx5, ku5, report = _deriv(state, _stage_views(state, t1, x1, u1, ku4, s1), t1, u1,
-                              report=fsal)
+    with staged(hs, _node_rows(state, t1, x1, u1, ku4, s1)):
+        kx5, ku5, report = _deriv(state, t1, u1, report=fsal)
     for h, row in zip(hs, _node_rows(state, t1, x1, u1, ku5, s1)):
         try:
             h.append(_sample(row))
@@ -303,7 +299,7 @@ def step(state: SystemState) -> SystemState:
             raise
     state.t_now = t1
     if not fsal:
-        kx5, ku5, report = _deriv(state, hs, t1, u1, report=True)
+        kx5, ku5, report = _deriv(state, t1, u1, report=True)
     state.last_eval = ((t1, tuple(len(h) for h in hs)), (kx5, ku5))
     state.diagnostics.append(_diagnose(state, report, time.perf_counter() - t_w))
     return state

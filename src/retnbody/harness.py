@@ -361,7 +361,12 @@ def dump_config(cfg: RunConfig) -> str:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    return hashlib.sha256(dump_config(cfg).encode("utf-8")).hexdigest()[:16]
+    """Hash of the config without output_dir: an artifact's hash names
+    what made it, not where it was written."""
+    mapping = cfg.to_mapping()
+    del mapping["output_dir"]
+    text = yaml.safe_dump(mapping, sort_keys=True, default_flow_style=None)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 # -- state assembly -----------------------------------------------------------
@@ -381,6 +386,8 @@ def load_prehistory_csv(path, spec: ParticleSpec, cfg: RunConfig) -> WorldlineHi
     if header != CSV_HEADER:
         raise ConfigError(f"prehistory table {path} has header {header}, "
                           f"expected {CSV_HEADER}")
+    if not lines:
+        raise ConfigError(f"prehistory table {path} has no data rows")
     width = len(CSV_HEADER)
     if any(ln.count(",") != width - 1 for ln in lines):
         raise ConfigError(f"prehistory table {path}: bad row width")

@@ -19,8 +19,10 @@ after a write. The acceleration returned at a query point is recovered
 from the u-interpolant so it coincides with the stored a at the nodes.
 For t at or before the first node the history falls back to an exact
 analytic inertial extension of that node, so delay-root searches can look
-arbitrarily far into the past. A ProvisionalView adds one provisional
-node to a base history it pins, without copying it.
+arbitrarily far into the past. staged(histories, rows) writes one
+provisional node per history into its first capacity row for the length
+of a with block (an RK stage), so there is one history class and one
+query path.
 
 Every query is an array query: gather(histories, src, ts) finds the
 nodes of each source with one searchsorted over its times and then
@@ -34,6 +36,7 @@ every table it writes or reads, node tables included, goes through them.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from copy import deepcopy
 from dataclasses import dataclass
 
@@ -259,17 +262,21 @@ class WorldlineHistory:
                 "prehistory-curvature-jump": (np.arange(n, n + m) == 0) & (a_max > 1e-12)}
         new = [f for f, hit in hits.items() if np.count_nonzero(hit) and f not in self.flags]
         self.flags += sorted(new, key=lambda f: np.argmax(hits[f]))
-        cap = len(self._t)
-        while cap < n + m:
-            cap *= 2
-        if cap > len(self._t):
-            # rows beyond n are capacity, so resize's repeats are never read
-            self._t = np.resize(self._t, cap)
-            self._nodes = np.resize(self._nodes, (cap, _WIDTH))
+        self._reserve(n + m)
         self._t[n:n + m] = t
         self._nodes[n:n + m, :_A.stop] = tab[:, 1:]
         self._nodes[n:n + m, _R.start] = ct  # canonicalize so r^0 = c t holds bit-for-bit
         self._n = n + m
+
+    def _reserve(self, rows: int) -> None:
+        """Double the capacity until it holds rows nodes."""
+        cap = len(self._t)
+        while cap < rows:
+            cap *= 2
+        if cap > len(self._t):
+            # rows beyond _n are capacity, so resize's repeats are never read
+            self._t = np.resize(self._t, cap)
+            self._nodes = np.resize(self._nodes, (cap, _WIDTH))
 
     def append(self, sample: WorldlineSample) -> None:
         """Add one node: a one-row extend."""
@@ -322,12 +329,13 @@ class WorldlineHistory:
     def t_latest(self) -> float:
         return float(self._t[:self._n][-1])
 
-    # -- node lookup: the only part a ProvisionalView overrides -------------
+    # -- node lookup ---------------------------------------------------------
 
     def _take(self, k):
         """(t, rows) of the nodes k (an index array), rows with their
         Hermite slopes. Indices are clipped into the store, so one past
-        the latest node reads a capacity row: callers only do so for the
+        the latest node reads a capacity row (or, outside a staged block,
+        the stale node a block left there): callers only do so for the
         node after a query that sits on the latest node, which is never
         read."""
         lo, hi = self._n_slopes, self._n
@@ -484,58 +492,38 @@ def _segment_udotdot(t0, p, t1, q, t, c) -> np.ndarray:
     return (u[0] / c) ** 2 * ddu + (u[0] / c) * (du[0] / c) * du
 
 
-class ProvisionalView(WorldlineHistory):
-    """Read-only history extended by one provisional node (an RK stage
-    prediction or a snapshot's continuation) without mutating the base.
-    Nothing is copied: only the node lookup and table are overridden. The
-    base's length and latest time are pinned when the view is built, so
-    nodes appended to the base later stay invisible. extend (and so
-    append) raises TypeError."""
+@contextmanager
+def staged(histories, rows):
+    """Stage one provisional node per history (an RK stage prediction)
+    for the duration of a with block.
 
-    def __init__(self, base: WorldlineHistory, tail: WorldlineSample) -> None:
-        row = _sample_row(tail)
-        self.base, self.spec, self.c = base, base.spec, base.c
-        self.hard_tol, self.constraint_tol = base.hard_tol, base.constraint_tol
-        self.flags = list(base.flags)
-        self._nb, self._t_base = len(base), base.t_latest
-        advances = row[:1] > self._t_base
-        _checked_vectors(row[None], ((~advances, lambda i: NonMonotonicTime(
-            "provisional sample must advance time")),))
-        u, a = row[6:10], row[10:14]
-        self._tail_t = row[0]
-        ds, dr, du = _slopes(u, a, self.c)
-        self._tail = np.concatenate((row[1:], [ds], dr, du))
-
-    def extend(self, table) -> None:
-        raise TypeError("a ProvisionalView is read-only")
-
-    def __len__(self):
-        return self._nb + 1
-
-    @property
-    def table(self) -> np.ndarray:
-        return np.vstack((self.base.table[:self._nb],
-                          np.r_[self._tail_t, self._tail[:_A.stop]]))
-
-    @property
-    def t_first(self) -> float:
-        return self.base.t_first
-
-    @property
-    def t_latest(self) -> float:
-        return float(self._tail_t)
-
-    def _take(self, k):
-        t, rows = self.base._take(k)
-        tail = k == self._nb
-        if np.count_nonzero(tail):
-            t[tail], rows[tail] = self._tail_t, self._tail
-        return t, rows
-
-    def _after(self, ts):
-        _check_present(ts, self._tail_t)
-        i = self.base._t[:self._nb].searchsorted(ts, side="right")
-        return i + (ts >= self._tail_t)
+    rows is an (N, 14) block in CSV_HEADER order, row i for histories[i].
+    Every row must be finite and advance past its history's latest node;
+    the first failure, in row order, is raised before anything is
+    written. Row i is then written into the capacity row after history
+    i's latest node and counted as a node, so every query reads it as the
+    latest one. No tolerance is checked and no flag raised. On exit,
+    normal or not, the staged nodes are removed again.
+    """
+    hs = list(histories)
+    tab = np.asarray(rows, dtype=np.float64)
+    if tab.shape != (len(hs), len(CSV_HEADER)):
+        raise ValueError(f"staged rows need shape ({len(hs)}, {len(CSV_HEADER)}), "
+                         f"got {tab.shape}")
+    latest = np.array([h.t_latest for h in hs])
+    _checked_vectors(tab, ((~(tab[:, 0] > latest), lambda i: NonMonotonicTime(
+        "provisional sample must advance time")),))
+    for h, row in zip(hs, tab):
+        h._reserve(h._n + 1)
+        h._t[h._n] = row[0]
+        h._nodes[h._n, :_A.stop] = row[1:]
+        h._n += 1
+    try:
+        yield
+    finally:
+        for h in hs:
+            h._n -= 1
+            h._n_slopes = min(h._n_slopes, h._n)
 
 
 def _check_present(ts, t_latest) -> None:

@@ -219,6 +219,26 @@ def test_free_hamiltonian_values():
         spec.m0 * 1.0 / 2.0, abs=1e-13)
 
 
+def test_frozen_context_pins_its_histories():
+    h1 = inertial_history(ParticleSpec(1.0, 0.6, 0.4, "a"), [-1.0, 0, 0],
+                          [0.1, 0, 0], -30.0, 1.0, 64)
+    h2 = inertial_history(ParticleSpec(1.0, -0.5, 0.3, "b"), [1.0, 0, 0],
+                          [0, 0.2, 0], -30.0, 1.0, 64)
+    ctx = FrozenHistoryContext([h1, h2], ExternalFieldModel.none(), t_ref=1.0)
+    events = [np.array([1.0, -0.9, 0.0, 0.0]), np.array([1.0 + 1e-4, 1.0, 0.2, 0.0])]
+    before = [ctx.a_eff_cov(i, r).tobytes() for i, r in enumerate(events)]
+    tables = [h.table for h in ctx._histories]
+    # nodes appended to a history after capture, inside the snapshot's
+    # continuation segment, stay invisible to the context
+    for h in (h1, h2):
+        last = h.samples[-1]
+        h.append(type(last)(t=last.t + 1e-4, s=last.s + 1e-4, r=last.r + [1e-4, 0.5, 0, 0],
+                            u=np.array([1.0, 0, 0, 0]), a=np.array([0, 3.0, 0, 0])))
+    assert [ctx.a_eff_cov(i, r).tobytes() for i, r in enumerate(events)] == before
+    for h, table in zip(ctx._histories, tables):
+        assert np.array_equal(h.table, table) and len(h) == 65
+
+
 def test_static_pair_potential_closed_form():
     d = 2.0
     s1, s2 = 0.4, 0.7

@@ -446,17 +446,22 @@ def test_each_force_evaluation_calls_the_public_total_faraday(monkeypatch):
 
 
 DIAGNOSE = dyn._diagnose
+# node table columns t, a0, a1, a2, a3
+T_A = [0, 10, 11, 12, 13]
 
 
 def count_batches(monkeypatch):
-    """Record every solve_delays batch as (histories, src, obs, sigma)
-    and the number of batches solved inside each _diagnose call."""
+    """Record every solve_delays batch as (histories, src, obs, sigma,
+    last), last holding each history's latest node at call time as one
+    row (t, a0, a1, a2, a3), and the number of batches solved inside each
+    _diagnose call."""
     batches, diagnose = [], []
 
     def solve(histories, src, events, sigma, obs=-1, **kwargs):
         m = len(np.reshape(events, (-1, 4)))
+        last = np.array([h.table[-1, T_A] for h in histories])
         batches.append((tuple(histories), *(np.broadcast_to(x, m).tolist()
-                                            for x in (src, obs, sigma))))
+                                            for x in (src, obs, sigma)), last))
         return real_solve(histories, src, events, sigma, obs, **kwargs)
 
     def counted_diagnose(*args):
@@ -469,6 +474,24 @@ def count_batches(monkeypatch):
     monkeypatch.setattr(ret, "solve_delays", solve)
     monkeypatch.setattr(dyn, "_diagnose", counted_diagnose)
     return batches, diagnose
+
+
+def record_staged(monkeypatch):
+    """Record the (N, 14) rows of every staged block of the step."""
+    rows = []
+
+    def staged(histories, block):
+        rows.append(np.array(block))
+        return real(histories, block)
+
+    real = dyn.staged
+    monkeypatch.setattr(dyn, "staged", staged)
+    return rows
+
+
+def committed_last(st):
+    """Each history's latest committed node as (t, a0, a1, a2, a3)."""
+    return np.array([h.table[-1, T_A] for h in st.histories])
 
 
 def fresh_record(st):
@@ -494,11 +517,19 @@ def test_step_end_batch_without_reuse_serves_the_diagnostics(monkeypatch, mode, 
               [[0, 0.1, 0], [0.1, 0, 0], [0, -0.1, 0]], dt=0.02, mode=mode,
               external=ExternalFieldModel.uniform(E=(0.2, 0.0, 0.1)))
     batches, diagnose = count_batches(monkeypatch)
+    staged_rows = record_staged(monkeypatch)
     steps = []
     for _ in range(4):
         before = len(batches)
         step(st)
         steps.append(batches[before:])
+        # the final stage reads the staged node at t_now, the step-end
+        # batch the committed one, which differs from it in a only
+        final, end = steps[-1][-2:]
+        assert np.array_equal(final[4], staged_rows[-1][:, T_A])
+        assert np.array_equal(end[4], committed_last(st))
+        assert np.all(final[4][:, 0] == st.t_now)
+        assert not np.array_equal(final[4], end[4])
         assert st.last_eval[0][0] == st.t_now
         got, want = st.diagnostics.records[-1], fresh_record(st)
         for name in ("t", "constraint_err", "h_eff", "p_hat", "m_hat",
@@ -506,9 +537,31 @@ def test_step_end_batch_without_reuse_serves_the_diagnostics(monkeypatch, mode, 
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert [len(b) for b in steps] == [6, 5, 5, 5]
     assert diagnose == [0, 0, 0, 0]
-    for b in steps:
-        assert all(isinstance(h, wl.ProvisionalView) for h in b[-2][0])
-        assert b[-1][0] == tuple(st.histories)
+    assert len(staged_rows) == 16
+
+
+def test_failed_stage_leaves_no_staged_node(monkeypatch, tmp_path):
+    st = static_pair()
+    step(st)
+    tables = [h.table for h in st.histories]
+    staged_lens = []
+
+    def failing(histories, *args, **kwargs):
+        # the reused step-end batch serves the first evaluation, so the
+        # first call is the second stage, inside a staged block
+        staged_lens.append([len(h) for h in histories])
+        raise RuntimeError("stage failure")
+
+    monkeypatch.setattr(dyn, "total_faraday", failing)
+    with pytest.raises(RuntimeError, match="stage failure"):
+        run(st, st.t_now + 3 * st.dt, trajectory_dir=tmp_path)
+    assert staged_lens == [[len(t) + 1 for t in tables]]
+    for h, table in zip(st.histories, tables):
+        assert len(h) == len(table) and h.t_latest == table[-1, 0]
+        assert np.array_equal(h.table, table)
+        header, lines = wl.read_table(tmp_path / f"trajectory_{h.spec.label}.csv")
+        exported = np.array([[float(v) for v in ln.split(",")] for ln in lines])
+        assert header == wl.CSV_HEADER and np.array_equal(exported, table)
 
 
 def test_neutral_companion_roots_are_not_solved_in_the_force(monkeypatch):
@@ -521,10 +574,10 @@ def test_neutral_companion_roots_are_not_solved_in_the_force(monkeypatch):
         before = len(batches)
         step(st)
         *stages, end = batches[before:]
-        assert all(1 not in src for _, src, _, _ in stages)
+        assert all(1 not in src for _, src, _, _, _ in stages)
         # the step-end batch solves the neutral source's sigma_i cone once
         # per observer, for the diagnostics only
-        _, src, obs, sigma = end
+        _, src, obs, sigma, _ = end
         assert sorted((o, s) for j, o, s in zip(src, obs, sigma) if j == 1) == [
             (0, 0.6), (1, 0.7), (2, 0.5)]
     # the diagnostics still report the neutral particle's delays
@@ -551,7 +604,8 @@ def test_reused_final_evaluation_is_the_next_first_bit_for_bit(monkeypatch):
         assert np.array_equal(a.table, b.table)
     # a radius below 2 c dt lets a root iterate into the last step: the
     # step-end batch is solved afresh on the committed histories, not
-    # taken from the final stage's views, and is the next step's first
+    # taken from the final stage's staged nodes, and is the next step's
+    # first
     def small():
         spec = ParticleSpec(1.0, 0.1, 0.03, "small")
         return seed([spec], [[0, 0, 0]], [[0.1, 0, 0]], dt=0.02,
@@ -559,12 +613,15 @@ def test_reused_final_evaluation_is_the_next_first_bit_for_bit(monkeypatch):
 
     reused, fresh = small(), small()
     batches, _ = count_batches(monkeypatch)
+    staged_rows = record_staged(monkeypatch)
     for _ in range(6):
         before = len(batches)
         step(reused)
         final, end = batches[before:][-2:]
-        assert isinstance(final[0][0], wl.ProvisionalView)
-        assert end[0] == tuple(reused.histories)
+        assert np.array_equal(final[4], staged_rows[-1][:, T_A])
+        assert np.array_equal(end[4], committed_last(reused))
+        assert not np.array_equal(final[4], end[4])
+        assert final[0] == end[0] == tuple(reused.histories)
         fresh.last_eval = None
         step(fresh)
     assert np.array_equal(reused.histories[0].table, fresh.histories[0].table)

@@ -157,6 +157,16 @@ def test_config_defaults_and_hash():
     assert config_hash(cfg) == config_hash(parse_config(_cfg_mapping()))
     other = parse_config(_cfg_mapping(dt=0.01))
     assert config_hash(other) != config_hash(cfg)
+    # where the artifacts go is not part of what made them
+    assert config_hash(parse_config(_cfg_mapping(output_dir="elsewhere"))) == config_hash(cfg)
+
+
+def test_cli_artifacts_do_not_depend_on_the_output_dir(tmp_path):
+    cfg = os.path.join(CONFIG_DIR, "check_pb.yaml")
+    for name in ("one", "two"):
+        assert _cli(["check-pb", cfg, "--output-dir", str(tmp_path / name)]) == (0, "")
+    one, two = ((tmp_path / name / "pb_residuals.csv").read_bytes() for name in ("one", "two"))
+    assert one.startswith(b"# config-hash: ") and one == two
 
 
 def test_constraint_soft_sets_drift_threshold():
@@ -717,6 +727,20 @@ def test_cli_prehistory_table_non_numeric_cell(tmp_path):
         assert payload["error"] == "ConfigError"
         assert str(tmp_path / "tab.csv") in payload["detail"]
         assert f"data row {row} has a non-numeric cell" in payload["detail"]
+
+def test_cli_prehistory_table_without_data_rows(tmp_path):
+    mapping = _edited_table_config(tmp_path, 0, 0, lambda v: v,
+                                   output_dir=str(tmp_path / "empty"))
+    table = tmp_path / "tab.csv"
+    table.write_text(table.read_text(encoding="utf-8").splitlines()[0] + "\n",
+                     encoding="utf-8")
+    rc, err = _cli(["run", _write_cfg(tmp_path, mapping)])
+    assert rc == 2
+    payload = json.loads(err)
+    assert (payload["category"], payload["error"]) == ("validation", "ConfigError")
+    assert payload["detail"] == f"prehistory table {table} has no data rows"
+    assert not os.path.exists(str(tmp_path / "empty"))
+
 
 def test_check_failed_maps_to_exit3(tmp_path):
     # neutral particles cannot certify non-commutation

@@ -204,102 +204,109 @@ class TestQueries:
         assert np.max(np.abs(got - ref)) < 5e-4 * (1.0 + np.max(np.abs(ref)))
 
 
-class TestProvisionalView:
-    def test_view_matches_continued_profile(self):
+def _row(smp):
+    """A sample as one node table row in CSV_HEADER order."""
+    return np.concatenate(([smp.t, smp.s], smp.r, smp.u, smp.a))
+
+
+def _same_state(got, want):
+    for name in ("t", "s", "r", "u", "a"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def _sin_history(n=40, t1=1.95):
+    x_fn, v_fn, acc_fn = sin_profile()
+    return wl.history_from_kinematics(wl.ParticleSpec(1.0, 1.0, 0.1),
+                                      np.linspace(0.0, t1, n), x_fn, v_fn, acc_fn)
+
+
+def _tail(h, t=2.0, a=(0.028, 0.2, 0.0, 0.0)):
+    g = 1.0 / np.sqrt(1.0 - 0.14**2)
+    return sample(t, h.samples[-1].s + 0.05, sin_profile()[0](t),
+                  [g, 0.14 * g, 0.0, 0.0], a)
+
+
+def _store(h):
+    """The raw packed store, capacity rows included."""
+    return h._n, h._n_slopes, h._t.tobytes(), h._nodes.tobytes()
+
+
+class TestStaged:
+    def test_staged_matches_continued_profile(self):
         x_fn, v_fn, acc_fn = sin_profile()
         spec = wl.ParticleSpec(1.0, 1.0, 0.1)
-        nodes = np.linspace(0.0, 2.0, 81)
         h_full = wl.history_from_kinematics(spec, np.linspace(0.0, 2.1, 85),
                                             x_fn, v_fn, acc_fn)
-        h_base = wl.history_from_kinematics(spec, nodes, x_fn, v_fn, acc_fn)
-        view = wl.ProvisionalView(h_base, h_full.state_at_time(2.05))
-        t = 2.04
-        got = view.state_at_time(t)
-        assert abs(got.r[1] - x_fn(t)[0]) < 1e-6
-        assert view.t_latest == pytest.approx(2.05)
-        # base is untouched
-        assert h_base.t_latest == pytest.approx(2.0)
-        assert len(h_base) == 81
-
-    def test_view_rejects_non_advancing_samples(self):
-        h = make_inertial()
-        last = h.samples[-1]
-        with pytest.raises(wl.NonMonotonicTime):
-            wl.ProvisionalView(h, last)
-
-    def test_view_matches_appended_history_bit_for_bit(self):
-        x_fn, v_fn, acc_fn = sin_profile()
-        spec = wl.ParticleSpec(1.0, 1.0, 0.1)
-        # 40 nodes: the packed store grows past its initial capacity
-        h = wl.history_from_kinematics(spec, np.linspace(0.0, 1.95, 40),
+        h = wl.history_from_kinematics(spec, np.linspace(0.0, 2.0, 81),
                                        x_fn, v_fn, acc_fn)
-        g = 1.0 / np.sqrt(1.0 - 0.14**2)
-        tail = sample(2.0, h.samples[-1].s + 0.05, x_fn(2.0),
-                                    [g, 0.14 * g, 0.0, 0.0], [0.028, 0.2, 0.0, 0.0])
-        view = wl.ProvisionalView(h, tail)
+        with wl.staged([h], [_row(h_full.state_at_time(2.05))]):
+            assert abs(h.state_at_time(2.04).r[1] - x_fn(2.04)[0]) < 1e-6
+            assert h.t_latest == pytest.approx(2.05) and len(h) == 82
+        assert h.t_latest == pytest.approx(2.0) and len(h) == 81
+
+    def test_staged_matches_appended_history_bit_for_bit(self):
+        # 32 nodes fill the packed store, so staging grows it
+        h = _sin_history(n=32)
+        assert len(h._t) == 32
+        tail = _tail(h)
         ref = h.copy()
         ref.append(tail)
         t_node = h.samples[7].t
-        for t in (t_node, t_node + 0.013, h.t_latest, 1.97, 2.0):
-            got, want = view.state_at_time(t), ref.state_at_time(t)
-            assert got.t == want.t and got.s == want.s
-            for name in ("r", "u", "a"):
-                assert np.array_equal(getattr(got, name), getattr(want, name))
-            assert np.array_equal(view.u_dotdot_at_time(t),
-                                  ref.u_dotdot_at_time(t))
-        # the latest base node takes the tail segment, as in the appended history
-        assert not np.array_equal(view.u_dotdot_at_time(h.t_latest),
-                                  h.u_dotdot_at_time(h.t_latest))
+        ts = (t_node, t_node + 0.013, h.t_latest, 1.97, 2.0)
+        with wl.staged([h], [_row(tail)]):
+            for t in ts:
+                _same_state(h.state_at_time(t), ref.state_at_time(t))
+                assert np.array_equal(h.u_dotdot_at_time(t), ref.u_dotdot_at_time(t))
+            _same_state(h.states_at(np.array(ts)), ref.states_at(np.array(ts)))
+            staged_dd = h.u_dotdot_at_time(ref.samples[-2].t)
+        # the latest committed node takes the staged segment, as in the
+        # appended history
+        assert not np.array_equal(staged_dd, h.u_dotdot_at_time(h.t_latest))
 
-    def test_view_pins_its_base(self):
-        h = make_inertial(beta=0.3, n=9, t1=2.0)
-        g = 1.0 / np.sqrt(1.0 - 0.4**2)
-        tail = sample(2.5, h.samples[-1].s + 0.4, [0.65, 0.0, 0.0],
-                                    [g, 0.4 * g, 0.0, 0.0], [0.0, 0.3, 0.0, 0.0])
-        view = wl.ProvisionalView(h, tail)
-        ts = (2.0 + 1e-9, 2.2, 2.3, 2.5)
-        before = [view.state_at_time(t) for t in ts]
-        dd_before = [view.u_dotdot_at_time(t) for t in ts]
-        # a base node inside the view's tail segment, off the view's path
-        h.append(sample(2.25, h.samples[-1].s + 0.3, [0.9, 0.1, 0.0],
-                                      [1.0, 0.0, 0.0, 0.0], np.zeros(4)))
-        assert len(view) == 10 and view.t_latest == 2.5
-        for t, want, dd in zip(ts, before, dd_before):
-            got = view.state_at_time(t)
-            assert got.t == want.t and got.s == want.s
-            for name in ("r", "u", "a"):
-                assert np.array_equal(getattr(got, name), getattr(want, name))
-            assert np.array_equal(view.u_dotdot_at_time(t), dd)
+    def test_staged_reads_like_the_appended_history(self, tmp_path):
+        hs = [_sin_history(), make_inertial(beta=0.3, n=9, t1=1.9)]
+        rows = [_row(_tail(hs[0])), _row(sample(2.0, hs[1].samples[-1].s + 0.09,
+                                                [0.6, 0.0, 0.0], hs[1].samples[-1].u,
+                                                [0.0, 0.1, 0.0, 0.0]))]
+        refs = [h.copy() for h in hs]
+        for ref, row in zip(refs, rows):
+            ref.extend(row)
+        before = [(len(h), h.t_latest, h.table) for h in hs]
+        with wl.staged(hs, rows):
+            for h, ref in zip(hs, refs):
+                assert len(h) == len(ref) and h.t_latest == ref.t_latest == 2.0
+                assert np.array_equal(h.table, ref.table)
+            _same_state(wl.gather(hs, [0, 1, 1], [1.99, 1.95, 2.0]),
+                        wl.gather(refs, [0, 1, 1], [1.99, 1.95, 2.0]))
+            hs[0].export_csv(tmp_path / "staged.csv", comment="c")
+        refs[0].export_csv(tmp_path / "ref.csv", comment="c")
+        assert (tmp_path / "staged.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        for h, (n, t_latest, table) in zip(hs, before):
+            assert (len(h), h.t_latest) == (n, t_latest)
+            assert np.array_equal(h.table, table)
 
-    def test_view_reads_like_the_appended_history(self, tmp_path):
-        x_fn, v_fn, acc_fn = sin_profile()
-        h = wl.history_from_kinematics(wl.ParticleSpec(1.0, 1.0, 0.1),
-                                       np.linspace(0.0, 1.95, 40), x_fn, v_fn, acc_fn)
-        h.hard_tol, h.constraint_tol, h.flags = 1e-4, 1e-7, ["u-normalization-drift"]
-        g = 1.0 / np.sqrt(1.0 - 0.14**2)
-        tail = sample(2.0, h.samples[-1].s + 0.05, x_fn(2.0),
-                      [g, 0.14 * g, 0.0, 0.0], [0.028, 0.2, 0.0, 0.0])
-        view = wl.ProvisionalView(h, tail)
-        ref = h.copy()
-        ref.append(tail)
-        # a later base node stays invisible to the view
-        h.append(sample(2.5, ref.samples[-1].s + 0.4, x_fn(2.5),
-                        [1.0, 0.0, 0.0, 0.0], np.zeros(4)))
-        assert (view.hard_tol, view.constraint_tol, view.flags) == (1e-4, 1e-7, ref.flags)
-        assert np.array_equal(view.table, ref.table)
-        assert len(view.samples) == len(ref.samples) == 41
-        for got, want in zip(view.samples, ref.samples):
-            assert got.t == want.t and got.s == want.s
-            for name in ("r", "u", "a"):
-                assert np.array_equal(getattr(got, name), getattr(want, name))
-        view.export_csv(tmp_path / "view.csv", comment="c")
-        ref.export_csv(tmp_path / "ref.csv", comment="c")
-        assert (tmp_path / "view.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-        assert np.array_equal(view.transformed(np.eye(4), 0).table,
-                              ref.transformed(np.eye(4), 0).table)
-        with pytest.raises(TypeError, match="read-only"):
-            view.append(sample(3.0, 9.0, np.zeros(3), [1.0, 0.0, 0.0, 0.0], np.zeros(4)))
-        assert len(view) == 41
+    def test_staged_rejects_non_advancing_rows(self):
+        hs = [make_inertial(), make_inertial(beta=0.3)]
+        ok = _row(sample(hs[0].t_latest + 0.1, 9.0, np.zeros(3),
+                         [1.0, 0.0, 0.0, 0.0], np.zeros(4)))
+        before = [_store(h) for h in hs]
+        with pytest.raises(wl.NonMonotonicTime, match="must advance time"):
+            with wl.staged(hs, [ok, _row(hs[1].samples[-1])]):
+                pass
+        # nothing is written, not even the valid row of the first history
+        assert [_store(h) for h in hs] == before
+
+    def test_staged_exit_resets_the_slope_cache(self):
+        h, ref = _sin_history(), _sin_history()
+        with wl.staged([h], [_row(_tail(h))]):
+            h.state_at_time(1.99)
+        # a committed node at the staged time with another a
+        node = _tail(h, a=(0.014, 0.1, 0.0, 0.0))
+        h.append(node)
+        ref.append(node)
+        for t in (1.96, 1.99, 2.0):
+            _same_state(h.state_at_time(t), ref.state_at_time(t))
+        assert np.array_equal(h.u_dotdot_at_time(1.95), ref.u_dotdot_at_time(1.95))
 
 
 class TestValidation:
@@ -313,10 +320,13 @@ class TestValidation:
             h.append(self._nan_r_sample(0.0))
         assert len(h) == 0
 
-    def test_view_rejects_nan(self):
+    def test_staged_rejects_nan(self):
         h = make_inertial()
+        before = _store(h)
         with pytest.raises(ValueError, match="r must be a finite four-vector"):
-            wl.ProvisionalView(h, self._nan_r_sample(h.t_latest + 0.1))
+            with wl.staged([h], [_row(self._nan_r_sample(h.t_latest + 0.1))]):
+                pass
+        assert _store(h) == before
 
     def test_non_finite_t_and_s_rejected(self):
         h = wl.WorldlineHistory(wl.ParticleSpec(1.0, 1.0, 0.1))
