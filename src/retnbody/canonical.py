@@ -26,13 +26,13 @@ the algebra closes as
                        + eta_nu_b M_mu_a - eta_mu_b M_nu_a
 
 (the opposite global sign, i.e. the same conditions on {p, -M}, is the
-other self-consistent orientation; residual checks accept either via the
-`orientation` argument so both conventions are covered).
+other self-consistent orientation). One check covers both: relabeling M
+as s M with closure sign s multiplies each [M, p] relation by s and each
+[M, M] relation by s^2 = 1, so every residual keeps its magnitude.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,12 +180,25 @@ def _fd_gradient(fn, x: CanonicalState, step: float):
     return gr, gP
 
 
+def bracket_matrix(etas, xis, x: CanonicalState) -> np.ndarray:
+    """Local brackets [eta_a, xi_b] of two families of phase functions as
+    one (A, B) array, from one gradient per function. Each element is
+    reduced over the 4N slots as a single bracket is, so its bits do not
+    depend on the family it is computed in."""
+    def stack(fns):
+        grads = [f.gradient_at(x) for f in fns]
+        return [np.array([g[k].ravel() for g in grads]) for k in (0, 1)]
+
+    er, eP = stack(etas)
+    xr, xP = stack(xis)
+    return (np.sum(er[:, None] * xP[None], axis=-1)
+            - np.sum(eP[:, None] * xr[None], axis=-1))
+
+
 def poisson_bracket(eta_fn: PhaseFunction, xi_fn: PhaseFunction,
                     x: CanonicalState) -> float:
     """Local bracket over the unconstrained state."""
-    er, eP = eta_fn.gradient_at(x)
-    xr, xP = xi_fn.gradient_at(x)
-    return float(np.sum(er * xP) - np.sum(eP * xr))
+    return float(bracket_matrix([eta_fn], [xi_fn], x)[0, 0])
 
 
 def check_bracket_algebra(x: CanonicalState, triples) -> dict:
@@ -438,50 +451,31 @@ class GeneratorSet:
 
 
 def lorentz_condition_residuals(state: CanonicalState,
-                                gens: GeneratorSet | None = None,
-                                flip: bool = False) -> dict:
+                                gens: GeneratorSet | None = None) -> dict:
     """Max residuals of the Poincare closure relations at one state.
 
-    With flip=False the relations are checked on {p, M} with the closure
-    signs fixed by [r^mu, P_nu] = +delta (module docstring). flip=True
-    checks the same conditions on the relabeled realization {p, -M} with
-    the opposite global closure sign; both orientations are identities and
-    must give residuals at roundoff.
+    The relations are checked on {p, M} with the closure signs fixed by
+    [r^mu, P_nu] = +delta (module docstring), from one 10 x 10 bracket
+    matrix of the generators compared with the structure constants as
+    arrays.
     """
     if gens is None:
         gens = GeneratorSet()
-    s = -1.0 if flip else 1.0
-    rep = {"pp": 0.0, "Mp": 0.0, "MM": 0.0}
-    p_vals = [g.value(state) for g in gens.p_hat]
-
-    def m_val(mu, nu):
-        # value of the realization's M (s * implemented M), antisymmetric
-        if mu == nu:
-            return 0.0
-        if (mu, nu) in gens.M_pairs:
-            return s * gens.M_pairs[(mu, nu)].value(state)
-        return -s * gens.M_pairs[(nu, mu)].value(state)
-
-    for mu in range(4):
-        for nu in range(4):
-            val = poisson_bracket(gens.p_hat[mu], gens.p_hat[nu], state)
-            rep["pp"] = max(rep["pp"], abs(val))
-    for (mu, nu) in _IDX_PAIRS:
-        Mf = gens.M_pairs[(mu, nu)]
-        for al in range(4):
-            # [sM, p] against the s-signed closure in p
-            lhs = s * poisson_bracket(Mf, gens.p_hat[al], state)
-            rhs = s * (ETA[mu, al] * p_vals[nu] - ETA[nu, al] * p_vals[mu])
-            rep["Mp"] = max(rep["Mp"], abs(lhs - rhs))
-    for (mu, nu) in _IDX_PAIRS:
-        for (al, be) in _IDX_PAIRS:
-            # [sM, sM] against s * (closure in sM)
-            lhs = s * s * poisson_bracket(gens.M_pairs[(mu, nu)],
-                                          gens.M_pairs[(al, be)], state)
-            rhs = s * (ETA[mu, al] * m_val(nu, be) - ETA[nu, al] * m_val(mu, be)
-                       + ETA[nu, be] * m_val(mu, al) - ETA[mu, be] * m_val(nu, al))
-            rep["MM"] = max(rep["MM"], abs(lhs - rhs))
-    return rep
+    fns = [*gens.p_hat, *(gens.M_pairs[k] for k in _IDX_PAIRS)]
+    vals = np.array([f.value(state) for f in fns])
+    G = bracket_matrix(fns, fns, state)
+    p = vals[:4]
+    mu, nu = np.array(_IDX_PAIRS).T
+    M = np.zeros((4, 4))
+    M[mu, nu], M[nu, mu] = vals[4:], -vals[4:]
+    # [M_mu_nu, p_al] and [M_mu_nu, M_al_be] against the closure in p, M
+    Mp = ETA[mu] * p[nu, None] - ETA[nu] * p[mu, None]
+    m, n, a, b = mu[:, None], nu[:, None], mu[None], nu[None]
+    MM = (ETA[m, a] * M[n, b] - ETA[n, a] * M[m, b]
+          + ETA[n, b] * M[m, a] - ETA[m, b] * M[n, a])
+    return {"pp": float(np.max(np.abs(G[:4, :4]))),
+            "Mp": float(np.max(np.abs(G[4:, :4] - Mp))),
+            "MM": float(np.max(np.abs(G[4:, 4:] - MM)))}
 
 
 # -- constrained instant form -------------------------------------------------
@@ -506,27 +500,44 @@ class ConstrainedState:
         return self.x.shape[0]
 
 
-def _observer_event(ctx: FrozenHistoryContext, x3) -> np.ndarray:
-    return np.concatenate(([ctx.c * ctx.t_ref], np.asarray(x3, dtype=np.float64)))
+def _instant_form_p0(xp: ConstrainedState, ctx: FrozenHistoryContext,
+                     fd_step: float):
+    """Each particle's p0 term at its event, with the pi_l and the root it
+    is built from, and the term's central difference in each of its own
+    positions x^l: (p0 (N,), pi (N,3), root (N,), dp0_dx (N,3)).
 
-
-def _p0_term(ctx: FrozenHistoryContext, i: int, x3, P3) -> float:
-    spec = ctx.specs[i]
-    A = ctx.a_eff_cov(i, _observer_event(ctx, x3))
-    pi3 = np.asarray(P3, dtype=np.float64) - (spec.q / ctx.c) * A[1:]
-    root = math.sqrt(spec.m0 ** 2 * ctx.c ** 2 + float(pi3 @ pi3))
-    return root + (spec.q / ctx.c) * A[0]
-
-
-def _dp0_dx(ctx: FrozenHistoryContext, i: int, x3, P3, l: int,
-            fd_step: float) -> float:
-    """Central difference of particle i's p0 term in its position x^l."""
-    h = fd_step * (1.0 + abs(x3[l]))
-    xp_p = x3.copy()
-    xp_m = x3.copy()
-    xp_p[l] += h
-    xp_m[l] -= h
-    return (_p0_term(ctx, i, xp_p, P3) - _p0_term(ctx, i, xp_m, P3)) / (2.0 * h)
+    p0 = sqrt(m0^2 c^2 + pi.pi) + (q/c) A_0 with pi_l = P_l - (q/c) A_l is
+    evaluated at the N events and the 6N +-h probes from one
+    effective_potentials batch (only the explicit observer-position
+    dependence of A_eff is differentiated). Requires an isolated context
+    with one history per particle.
+    """
+    if ctx.external.variant != "none":
+        raise ContextMismatch(
+            "instant-form generators are defined for the isolated case; "
+            f"context carries external variant {ctx.external.variant!r}")
+    if xp.n != ctx.n:
+        raise ContextMismatch(
+            f"state has {xp.n} particles but context has {ctx.n}")
+    n, diag = xp.n, np.arange(3)
+    h = fd_step * (1.0 + np.abs(xp.x))
+    # the N events, then probe (i, l) moving particle i's x^l by +h, then by -h
+    plus = np.repeat(xp.x[:, None], 3, axis=1)
+    minus = plus.copy()
+    plus[:, diag, diag] += h
+    minus[:, diag, diag] -= h
+    x3 = np.concatenate([xp.x, plus.reshape(-1, 3), minus.reshape(-1, 3)])
+    obs = np.concatenate([np.arange(n), np.tile(np.repeat(np.arange(n), 3), 2)])
+    events = np.column_stack([np.full(len(obs), ctx.c * ctx.t_ref), x3])
+    A = effective_potentials(ctx._histories, ctx.external, obs, events)
+    q_c = np.array([spec.q / ctx.c for spec in ctx.specs])[obs]
+    m2c2 = np.array([spec.m0 ** 2 * ctx.c ** 2 for spec in ctx.specs])[obs]
+    pi3 = xp.P[obs] - q_c[:, None] * A[:, 1:]
+    # row by row: a stacked reduction rounds unlike the 3-vector @
+    root = np.sqrt(m2c2 + np.array([p @ p for p in pi3]))
+    p0 = root + q_c * A[:, 0]
+    dp0 = (p0[n:4 * n] - p0[4 * n:]).reshape(n, 3) / (2.0 * h)
+    return p0[:n], pi3[:n], root[:n], dp0
 
 
 def instant_form_constrained(xp: ConstrainedState,
@@ -536,20 +547,12 @@ def instant_form_constrained(xp: ConstrainedState,
 
     Returns a dict with the generator values (p0, p_l, M_lm, N_l0) and the
     bracket probes comm_p0_pl[l] = [p0|x', p_l] = sum_i d p0 / d r^(i)l,
-    evaluated by central differences against the frozen snapshot (only the
-    explicit observer-position dependence of A_eff is differentiated).
-    Requires an isolated context (no external potential).
+    evaluated by central differences against the frozen snapshot, all
+    from one potential batch (_instant_form_p0). Requires an isolated
+    context (no external potential) with one history per particle;
+    raises ContextMismatch otherwise.
     """
-    if ctx.external.variant != "none":
-        raise ContextMismatch(
-            "instant-form generators are defined for the isolated case; "
-            f"context carries external variant {ctx.external.variant!r}")
-    if xp.n != ctx.n:
-        raise ContextMismatch(
-            f"state has {xp.n} particles but context has {ctx.n}")
-
-    terms = [_p0_term(ctx, i, xp.x[i], xp.P[i]) for i in range(xp.n)]
-    p0 = sum(terms)
+    terms, _, _, dp0 = _instant_form_p0(xp, ctx, fd_step)
     p_l = xp.P.sum(axis=0)
     # covariant spatial positions r_l = -x^l
     x_low = -xp.x
@@ -557,13 +560,8 @@ def instant_form_constrained(xp: ConstrainedState,
     for (l, m) in ((1, 2), (1, 3), (2, 3)):
         M_lm[(l, m)] = float(np.sum(x_low[:, l - 1] * xp.P[:, m - 1]
                                     - x_low[:, m - 1] * xp.P[:, l - 1]))
-    N_l0 = np.array([sum(x_low[i, l] * terms[i] for i in range(xp.n))
-                     for l in range(3)])
-
-    comm = np.array([sum(_dp0_dx(ctx, i, xp.x[i], xp.P[i], l, fd_step)
-                         for i in range(xp.n)) for l in range(3)])
-    return {"p0": p0, "p_l": p_l, "M_lm": M_lm, "N_l0": N_l0,
-            "comm_p0_pl": comm}
+    return {"p0": sum(terms), "p_l": p_l, "M_lm": M_lm,
+            "N_l0": sum(x_low * terms[:, None]), "comm_p0_pl": sum(dp0)}
 
 
 def instant_form_increments(xp: ConstrainedState, ctx: FrozenHistoryContext,
@@ -571,22 +569,14 @@ def instant_form_increments(xp: ConstrainedState, ctx: FrozenHistoryContext,
     """Coordinate-time increments generated by the constrained p0.
 
     The evolution generator under the bracket [r^l, P_m] = +delta_lm is
-    G = -c dt p0|x'; dr^l comes out analytically, dP_l by the same
-    finite differences the non-commutation probe uses. Returns (dr, dP),
-    both (N,3).
+    G = -c dt p0|x'; dr^l = -c dt d p0 / d P_l = -c dt pi_l / root comes
+    out analytically, dP_l by the finite differences of the
+    non-commutation probe, from the same potential batch
+    (_instant_form_p0, whose ContextMismatch checks apply). Returns
+    (dr, dP), both (N,3).
     """
-    dr = np.zeros_like(xp.x)
-    dP = np.zeros_like(xp.P)
-    for i in range(xp.n):
-        spec = ctx.specs[i]
-        A = ctx.a_eff_cov(i, _observer_event(ctx, xp.x[i]))
-        pi3 = xp.P[i] - (spec.q / ctx.c) * A[1:]
-        root = math.sqrt(spec.m0 ** 2 * ctx.c ** 2 + float(pi3 @ pi3))
-        # d p0 / d P_l = pi_l / root; dr^l = -c dt (pi_l / root)
-        dr[i] = -ctx.c * dt * pi3 / root
-        for l in range(3):
-            dP[i, l] = ctx.c * dt * _dp0_dx(ctx, i, xp.x[i], xp.P[i], l, fd_step)
-    return dr, dP
+    _, pi3, root, dp0 = _instant_form_p0(xp, ctx, fd_step)
+    return -ctx.c * dt * pi3 / root[:, None], ctx.c * dt * dp0
 
 
 # -- non-local (Gateaux) brackets ---------------------------------------------

@@ -48,11 +48,11 @@ from .canonical import (
     GradientUnavailable,
     NumericalNoise,
     PhaseFunction,
+    bracket_matrix,
     check_bracket_algebra,
     instant_form_constrained,
     instant_form_increments,
     lorentz_condition_residuals,
-    poisson_bracket,
     state_from_histories,
 )
 from .dynamics import (
@@ -764,15 +764,14 @@ def cmd_check_pb(cfg: RunConfig) -> dict:
     n = max(2, len(cfg.particles))
     rows = []
 
+    # every [r, r], [P, P] and [r_i^mu, P_j,nu] against the symplectic form
+    coords = [_coordinate_function(b, i, mu) for b in "rP" for i in range(n) for mu in range(4)]
+    symplectic = np.block([[np.zeros((4 * n, 4 * n)), np.eye(4 * n)],
+                           [-np.eye(4 * n), np.zeros((4 * n, 4 * n))]])
     fund = 0.0
     for _ in range(20):
         x = _random_canonical_state(rng, n)
-        for i in range(n):
-            for mu in range(4):
-                for nu in range(4):
-                    v = poisson_bracket(_coordinate_function("r", i, mu),
-                                        _coordinate_function("P", i, nu), x)
-                    fund = max(fund, abs(v - (1.0 if mu == nu else 0.0)))
+        fund = max(fund, float(np.max(np.abs(bracket_matrix(coords, coords, x) - symplectic))))
     rows.append(("fundamental_pb", fund, 1e-14, fund < 1e-14))
 
     lor = {"pp": 0.0, "Mp": 0.0, "MM": 0.0}
@@ -811,10 +810,12 @@ def _neutral_context(ctx_histories, external, t_ref):
 
 def cmd_demo_no_interaction(cfg: RunConfig, base_dir=".") -> dict:
     """Counter-example reports plus the non-commutation certificate."""
+    if cfg.external_variant != "none":
+        raise ConfigError("demo-no-interaction certifies the isolated system; "
+                          f"external variant {cfg.external_variant!r} is not allowed")
     st = build_state(cfg, base_dir)
     run(st, cfg.t_end)
-    ext = _external_model(cfg)
-    ctx = FrozenHistoryContext(st.histories, ext, st.t_now)
+    ctx = FrozenHistoryContext(st.histories, ExternalFieldModel.none(), st.t_now)
     x = state_from_histories(st.histories, st.t_now, ctx)
     xp = ConstrainedState(x.r[:, 1:], x.P[:, 1:])
     rep = instant_form_constrained(xp, ctx)

@@ -16,6 +16,7 @@ from retnbody.canonical import (
     NumericalNoise,
     PhaseFunction,
     TranslationVariation,
+    bracket_matrix,
     check_bracket_algebra,
     effective_hamiltonian,
     effective_momentum,
@@ -148,13 +149,60 @@ def test_gradient_unavailable():
 
 
 def test_lorentz_conditions_both_orientations():
+    # the {p, -M} orientation states the same equations (module docstring),
+    # so one check covers both
     rng = np.random.default_rng(23)
     for n in (1, 2, 3):
         for _ in range(8):
             x = random_state(rng, n)
-            for flip in (False, True):
-                rep = lorentz_condition_residuals(x, flip=flip)
-                assert max(rep.values()) < 1e-11, rep
+            rep = lorentz_condition_residuals(x)
+            assert max(rep.values()) < 1e-11, rep
+
+
+def test_lorentz_residuals_match_the_bracket_by_bracket_loop():
+    # the one-matrix evaluation against one poisson_bracket per relation
+    rng = np.random.default_rng(29)
+    gens = GeneratorSet()
+    p = gens.p_hat
+    for n in (1, 2, 3, 5):
+        x = random_state(rng, n)
+        pv = [f.value(x) for f in p]
+
+        def m(mu, nu):
+            return 0.0 if mu == nu else gens.M(mu, nu).value(x)
+
+        want = {"pp": max(abs(poisson_bracket(a, b, x)) for a in p for b in p)}
+        want["Mp"] = max(abs(poisson_bracket(gens.M_pairs[k], p[al], x)
+                             - (ETA[k[0], al] * pv[k[1]] - ETA[k[1], al] * pv[k[0]]))
+                         for k in gens.M_pairs for al in range(4))
+        want["MM"] = max(abs(poisson_bracket(gens.M_pairs[(mu, nu)], gens.M_pairs[(al, be)], x)
+                             - (ETA[mu, al] * m(nu, be) - ETA[nu, al] * m(mu, be)
+                                + ETA[nu, be] * m(mu, al) - ETA[mu, be] * m(nu, al)))
+                         for mu, nu in gens.M_pairs for al, be in gens.M_pairs)
+        assert lorentz_condition_residuals(x, gens) == want
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_bracket_matrix_elements_are_single_brackets_bit_for_bit(n):
+    rng = np.random.default_rng(100 + n)
+    x = random_state(rng, n)
+    gens = GeneratorSet()
+    b = np.zeros((4, 4))
+    b[0, 2], b[2, 0] = 0.3, -0.3
+    b[1, 3], b[3, 1] = -0.8, 0.8
+    fd = PhaseFunction(lambda y: float(np.sum(y.r[:, 1] * y.P[:, 0] ** 2)), name="fd")
+    etas = [gens.p_hat[0], gens.M_pairs[(0, 1)], coord_fn("r", n - 1, 2),
+            gens.translation([0.4, -0.2, 0.7, 0.1]), fd, gens.M(3, 1)]
+    xis = [coord_fn("P", 0, 1), gens.boost(b), gens.p_hat[3], fd,
+           gens.M_pairs[(1, 2)], coord_fn("r", 0, 0), gens.translation([1.0, 0.0, 0.3, -0.5])]
+    got = bracket_matrix(etas, xis, x)
+    assert got.shape == (len(etas), len(xis))
+    for a, eta in enumerate(etas):
+        er, eP = eta.gradient_at(x)
+        for b_, xi in enumerate(xis):
+            xr, xP = xi.gradient_at(x)
+            assert got[a, b_] == np.sum(er * xP) - np.sum(eP * xr)
+            assert got[a, b_] == poisson_bracket(eta, xi, x)
 
 
 def test_generated_increments_match_group_tangents():
@@ -318,6 +366,60 @@ def test_instant_form_context_mismatch():
     with pytest.raises(ContextMismatch):
         instant_form_constrained(ConstrainedState(np.zeros((2, 3)),
                                                   np.zeros((2, 3))), ctx)
+
+
+def test_instant_form_increments_context_mismatch():
+    # increments and the constrained generators share one evaluation and
+    # its checks: an external field, or more particles than histories
+    h1, h2 = wiggling_pair(1.0, -0.8)
+    ext = ExternalFieldModel.uniform(E=(0.1, 0.0, 0.0))
+    xp = constrained_from_histories([h1, h2], FrozenHistoryContext([h1, h2], ext, 0.0))
+    with pytest.raises(ContextMismatch, match="isolated case"):
+        instant_form_increments(xp, FrozenHistoryContext([h1, h2], ext, 0.0), 1e-3)
+    ctx = FrozenHistoryContext([h1], ExternalFieldModel.none(), 0.0)
+    with pytest.raises(ContextMismatch, match="2 particles but context has 1"):
+        instant_form_increments(xp, ctx, 1e-3)
+
+
+def test_instant_form_solves_one_root_batch_per_evaluation(monkeypatch):
+    # the N events and the 6N +-h probes share one batch, and each
+    # element has the bits of its own one-observer evaluation
+    h1, h2 = wiggling_pair(1.0, -0.8)
+    ctx = FrozenHistoryContext([h1, h2], ExternalFieldModel.none(), t_ref=0.0)
+    xp = constrained_from_histories([h1, h2], ctx)
+    batches = []
+
+    def solve(histories, src, events, *args, **kwargs):
+        batches.append(len(np.reshape(events, (-1, 4))))
+        return real_solve(histories, src, events, *args, **kwargs)
+
+    real_solve = ret.solve_delays
+    monkeypatch.setattr(ret, "solve_delays", solve)
+    rep = instant_form_constrained(xp, ctx)
+    dr, dP = instant_form_increments(xp, ctx, 1e-3)
+    # 14 observer events, 3 roots each (self and the two cones of the pair)
+    assert batches == [42, 42]
+
+    def p0_term(i, x3):
+        spec = ctx.specs[i]
+        A = ctx.a_eff_cov(i, np.concatenate(([ctx.c * ctx.t_ref], x3)))
+        pi3 = xp.P[i] - (spec.q / ctx.c) * A[1:]
+        root = math.sqrt(spec.m0 ** 2 * ctx.c ** 2 + float(pi3 @ pi3))
+        return root + (spec.q / ctx.c) * A[0], -ctx.c * 1e-3 * pi3 / root
+
+    comm = np.zeros(3)
+    for i in range(2):
+        assert np.array_equal(dr[i], p0_term(i, xp.x[i])[1])
+        for l in range(3):
+            h = 1e-6 * (1.0 + abs(xp.x[i, l]))
+            xp_p, xp_m = xp.x[i].copy(), xp.x[i].copy()
+            xp_p[l] += h
+            xp_m[l] -= h
+            d = (p0_term(i, xp_p)[0] - p0_term(i, xp_m)[0]) / (2.0 * h)
+            assert dP[i, l] == ctx.c * 1e-3 * d
+            comm[l] += d
+    assert np.array_equal(rep["comm_p0_pl"], comm)
+    assert rep["p0"] == p0_term(0, xp.x[0])[0] + p0_term(1, xp.x[1])[0]
 
 
 def test_state_from_histories_matches_observer_by_observer_momenta():

@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 from retnbody.dynamics import PREHISTORY_NODES, copy_state, run, seed
-from retnbody import harness
+from retnbody import dynamics, harness
 from retnbody.harness import (
     CONFIG_SCHEMA,
     CheckFailed,
@@ -508,6 +508,45 @@ def test_cli_check_pb(tmp_path):
 def test_check_pb_jacobi_passes_at_round_off_prone_seeds(tmp_path, seed_value):
     cfg = load_config(os.path.join(CONFIG_DIR, "check_pb.yaml"))
     cmd_check_pb(replace(cfg, seed=seed_value, output_dir=str(tmp_path)))
+
+
+def test_check_pb_catches_a_gradient_leaking_into_another_particle(tmp_path, monkeypatch):
+    real = harness._coordinate_function
+
+    def leaky(block, i, mu):
+        f = real(block, i, mu)
+        exact = f.gradient
+
+        def grad(x):
+            gr, gP = exact(x)
+            (gr if block == "r" else gP)[(i + 1) % x.n, mu] += 1e-3
+            return gr, gP
+
+        f.gradient = grad
+        return f
+
+    monkeypatch.setattr(harness, "_coordinate_function", leaky)
+    cfg = load_config(os.path.join(CONFIG_DIR, "check_pb.yaml"))
+    with pytest.raises(CheckFailed, match="bracket-layer residuals"):
+        cmd_check_pb(replace(cfg, output_dir=str(tmp_path)))
+
+
+def test_cli_demo_no_interaction_rejects_an_external_field(tmp_path, monkeypatch):
+    # the instant-form certificate is defined for the isolated system, so
+    # the config is refused before any step is taken
+    with open(os.path.join(CONFIG_DIR, "demo_no_interaction.yaml")) as fh:
+        mapping = yaml.safe_load(fh)
+    mapping.update(external={"variant": "constant-uniform", "E": [0.1, 0.0, 0.0]},
+                   output_dir=str(tmp_path / "never"))
+    steps = []
+    real_step = dynamics.step
+    monkeypatch.setattr(dynamics, "step", lambda st: steps.append(st.t_now) or real_step(st))
+    rc, err = _cli(["demo-no-interaction", _write_cfg(tmp_path, mapping)])
+    assert rc == 2
+    payload = json.loads(err)
+    assert (payload["category"], payload["error"]) == ("validation", "ConfigError")
+    assert "'constant-uniform'" in payload["detail"]
+    assert steps == [] and not os.path.exists(str(tmp_path / "never"))
 
 
 def test_cli_demo_no_interaction(tmp_path):
