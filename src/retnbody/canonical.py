@@ -43,6 +43,10 @@ from .retardation import _add_potentials, _plan_roots, _root_plan
 from .worldline import HARD_TOL, ConstraintViolation, WorldlineSample, gather
 
 FD_STEP = 1e-6
+# brackets of the Poincare generators are at most quadratic in the
+# state, so the Jacobi check's central differences carry no truncation
+# error and a wide step keeps the 1/h round-off well below its threshold
+JACOBI_FD_STEP = 1e-3
 # absolute spread below which the Richardson pair of a Gateaux bracket
 # is accepted whatever its relative disagreement
 NOISE_FLOOR = 1e-9
@@ -52,7 +56,7 @@ _IDX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 class GradientUnavailable(Exception):
     """Raised when a phase function has no analytic gradient and finite
-    differencing is disallowed or fails."""
+    differencing fails, or when its analytic gradient fails its self-test."""
 
 
 class ContextMismatch(Exception):
@@ -103,8 +107,6 @@ class PhaseFunction:
     evaluator: object
     gradient: object | None = None
     name: str = ""
-    fd_ok: bool = True
-    fd_step: float = FD_STEP
 
     def value(self, x: CanonicalState) -> float:
         return float(self.evaluator(x))
@@ -113,11 +115,8 @@ class PhaseFunction:
         if self.gradient is not None:
             gr, gP = self.gradient(x)
             return np.asarray(gr, dtype=np.float64), np.asarray(gP, dtype=np.float64)
-        if not self.fd_ok:
-            raise GradientUnavailable(
-                f"phase function {self.name or '<anonymous>'} has no gradient")
         try:
-            return _fd_gradient(self.evaluator, x, self.fd_step)
+            return _fd_gradient(self.evaluator, x, FD_STEP)
         except Exception as exc:  # evaluator failed on a probe state
             raise GradientUnavailable(
                 f"finite differencing failed for {self.name or '<anonymous>'}: {exc}"
@@ -128,7 +127,7 @@ class PhaseFunction:
         if self.gradient is None:
             return 0.0
         gr_a, gP_a = self.gradient(x)
-        gr_f, gP_f = _fd_gradient(self.evaluator, x, self.fd_step)
+        gr_f, gP_f = _fd_gradient(self.evaluator, x, FD_STEP)
         scale = 1.0 + max(np.max(np.abs(gr_a)), np.max(np.abs(gP_a)))
         dev = max(np.max(np.abs(gr_a - gr_f)), np.max(np.abs(gP_a - gP_f))) / scale
         if dev > rtol:
@@ -160,9 +159,12 @@ class PhaseFunction:
 
 
 def _fd_gradient(fn, x: CanonicalState, step: float):
-    gr = np.zeros_like(x.r)
-    gP = np.zeros_like(x.P)
-    for block, out in ((x.r, gr), (x.P, gP)):
+    """Central differences (dF/dr, dF/dP) of fn over the 8N slots, each
+    (N, 4, ...) for values of shape (...): element by element
+    (fp - fm) / (2 h), with h = step (1 + |slot|)."""
+    out = []
+    for block, at in ((x.r, lambda b: x.replace(r=b)), (x.P, lambda b: x.replace(P=b))):
+        rows = []
         for i in range(x.n):
             for mu in range(4):
                 h = step * (1.0 + abs(block[i, mu]))
@@ -170,14 +172,10 @@ def _fd_gradient(fn, x: CanonicalState, step: float):
                 minus = block.copy()
                 plus[i, mu] += h
                 minus[i, mu] -= h
-                if block is x.r:
-                    fp = fn(x.replace(r=plus))
-                    fm = fn(x.replace(r=minus))
-                else:
-                    fp = fn(x.replace(P=plus))
-                    fm = fn(x.replace(P=minus))
-                out[i, mu] = (fp - fm) / (2.0 * h)
-    return gr, gP
+                fp, fm = np.asarray(fn(at(plus))), np.asarray(fn(at(minus)))
+                rows.append((fp - fm) / (2.0 * h))
+        out.append(np.reshape(rows, (x.n, 4, *rows[0].shape)))
+    return tuple(out)
 
 
 def bracket_matrix(etas, xis, x: CanonicalState) -> np.ndarray:
@@ -203,33 +201,34 @@ def poisson_bracket(eta_fn: PhaseFunction, xi_fn: PhaseFunction,
 
 def check_bracket_algebra(x: CanonicalState, triples) -> dict:
     """Max residuals of antisymmetry, linearity, Leibniz and Jacobi over
-    the supplied (eta, xi, zeta) triples."""
+    the supplied (eta, xi, zeta) triples.
+
+    Per triple, the first three come from one bracket matrix of
+    [eta, xi, 2 eta - 3 xi, eta xi] against [eta, xi, zeta]. Jacobi takes
+    the gradients of [eta, xi], [xi, zeta] and [zeta, eta] from one
+    central-difference pass of step JACOBI_FD_STEP over their 3 x 3
+    bracket matrix. Those differences are exact only for brackets at most
+    quadratic in the state, as the Poincare generators' are; a bracket of
+    higher degree reads a truncation error, not a Jacobi violation.
+    """
     rep = {"antisymmetry": 0.0, "linearity": 0.0, "leibniz": 0.0, "jacobi": 0.0}
-    for eta_fn, xi_fn, zeta_fn in triples:
-        b_ex = poisson_bracket(eta_fn, xi_fn, x)
-        rep["antisymmetry"] = max(rep["antisymmetry"],
-                                  abs(b_ex + poisson_bracket(xi_fn, eta_fn, x)))
-        comb = eta_fn.combine(2.0, xi_fn, -3.0)
-        lin = (poisson_bracket(comb, zeta_fn, x)
-               - 2.0 * poisson_bracket(eta_fn, zeta_fn, x)
-               + 3.0 * poisson_bracket(xi_fn, zeta_fn, x))
+    for triple in triples:
+        eta_fn, xi_fn, zeta_fn = triple
+        B = bracket_matrix([eta_fn, xi_fn, eta_fn.combine(2.0, xi_fn, -3.0),
+                            eta_fn * xi_fn], triple, x).tolist()
+        rep["antisymmetry"] = max(rep["antisymmetry"], abs(B[0][1] + B[1][0]))
+        lin = B[2][2] - 2.0 * B[0][2] + 3.0 * B[1][2]
         rep["linearity"] = max(rep["linearity"], abs(lin))
-        prod = eta_fn * xi_fn
-        leib = (poisson_bracket(prod, zeta_fn, x)
-                - eta_fn.value(x) * poisson_bracket(xi_fn, zeta_fn, x)
-                - poisson_bracket(eta_fn, zeta_fn, x) * xi_fn.value(x))
+        leib = B[3][2] - eta_fn.value(x) * B[1][2] - B[0][2] * xi_fn.value(x)
         rep["leibniz"] = max(rep["leibniz"], abs(leib))
 
-        # brackets of the Poincare generators are at most quadratic in the
-        # state, so central differences carry no truncation error and a
-        # wide step keeps the 1/h round-off well below the Jacobi threshold
-        def inner(a, b):
-            return PhaseFunction(lambda y, a=a, b=b: poisson_bracket(a, b, y),
-                                 fd_step=1e-3, name=f"[{a.name},{b.name}]")
-
-        jac = (poisson_bracket(inner(eta_fn, xi_fn), zeta_fn, x)
-               + poisson_bracket(inner(xi_fn, zeta_fn), eta_fn, x)
-               + poisson_bracket(inner(zeta_fn, eta_fn), xi_fn, x))
+        gr, gP = _fd_gradient(lambda y: bracket_matrix(triple, triple, y), x,
+                              JACOBI_FD_STEP)
+        jac = 0.0
+        for (a, b), outer in zip(((0, 1), (1, 2), (2, 0)), (zeta_fn, eta_fn, xi_fn)):
+            o_r, o_P = (g.ravel() for g in outer.gradient_at(x))
+            jac += float(np.sum(gr[..., a, b].ravel() * o_P)
+                         - np.sum(gP[..., a, b].ravel() * o_r))
         rep["jacobi"] = max(rep["jacobi"], abs(jac))
     return rep
 
@@ -500,8 +499,7 @@ class ConstrainedState:
         return self.x.shape[0]
 
 
-def _instant_form_p0(xp: ConstrainedState, ctx: FrozenHistoryContext,
-                     fd_step: float):
+def _instant_form_p0(xp: ConstrainedState, ctx: FrozenHistoryContext):
     """Each particle's p0 term at its event, with the pi_l and the root it
     is built from, and the term's central difference in each of its own
     positions x^l: (p0 (N,), pi (N,3), root (N,), dp0_dx (N,3)).
@@ -520,7 +518,7 @@ def _instant_form_p0(xp: ConstrainedState, ctx: FrozenHistoryContext,
         raise ContextMismatch(
             f"state has {xp.n} particles but context has {ctx.n}")
     n, diag = xp.n, np.arange(3)
-    h = fd_step * (1.0 + np.abs(xp.x))
+    h = FD_STEP * (1.0 + np.abs(xp.x))
     # the N events, then probe (i, l) moving particle i's x^l by +h, then by -h
     plus = np.repeat(xp.x[:, None], 3, axis=1)
     minus = plus.copy()
@@ -541,8 +539,7 @@ def _instant_form_p0(xp: ConstrainedState, ctx: FrozenHistoryContext,
 
 
 def instant_form_constrained(xp: ConstrainedState,
-                             ctx: FrozenHistoryContext,
-                             fd_step: float = FD_STEP) -> dict:
+                             ctx: FrozenHistoryContext) -> dict:
     """Instant-form generator values and the non-commutation probes.
 
     Returns a dict with the generator values (p0, p_l, M_lm, N_l0) and the
@@ -552,7 +549,7 @@ def instant_form_constrained(xp: ConstrainedState,
     context (no external potential) with one history per particle;
     raises ContextMismatch otherwise.
     """
-    terms, _, _, dp0 = _instant_form_p0(xp, ctx, fd_step)
+    terms, _, _, dp0 = _instant_form_p0(xp, ctx)
     p_l = xp.P.sum(axis=0)
     # covariant spatial positions r_l = -x^l
     x_low = -xp.x
@@ -565,7 +562,7 @@ def instant_form_constrained(xp: ConstrainedState,
 
 
 def instant_form_increments(xp: ConstrainedState, ctx: FrozenHistoryContext,
-                            dt: float, fd_step: float = FD_STEP):
+                            dt: float):
     """Coordinate-time increments generated by the constrained p0.
 
     The evolution generator under the bracket [r^l, P_m] = +delta_lm is
@@ -575,7 +572,7 @@ def instant_form_increments(xp: ConstrainedState, ctx: FrozenHistoryContext,
     (_instant_form_p0, whose ContextMismatch checks apply). Returns
     (dr, dP), both (N,3).
     """
-    _, pi3, root, dp0 = _instant_form_p0(xp, ctx, fd_step)
+    _, pi3, root, dp0 = _instant_form_p0(xp, ctx)
     return -ctx.c * dt * pi3 / root[:, None], ctx.c * dt * dp0
 
 

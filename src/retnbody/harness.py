@@ -864,8 +864,8 @@ def cmd_compare_asymptotic(cfg: RunConfig, base_dir=".") -> dict:
             run(st, cfg.t_end)
             finals.append((st.t_now, st))
         t_cmp = min(t for t, _ in finals)
-        pos = [np.concatenate([h.state_at_time(t_cmp).r[1:]
-                               for h in s.histories]) for _, s in finals]
+        pos = [gather(s.histories, np.arange(s.n), np.full(s.n, t_cmp)).r[:, 1:]
+               for _, s in finals]
         gap = float(np.max(np.abs(pos[0] - pos[1])))
         if not math.isfinite(gap):
             raise CheckFailed(f"divergence at sigma={sg} is not finite")

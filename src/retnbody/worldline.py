@@ -321,13 +321,19 @@ class WorldlineHistory:
         n = self._n
         return np.column_stack((self._t[:n], self._nodes[:n, :_A.stop]))
 
+    def _times(self) -> np.ndarray:
+        """Node times; raises QueryBeyondPresent on an empty history."""
+        if not self._n:
+            raise QueryBeyondPresent("history holds no samples")
+        return self._t[:self._n]
+
     @property
     def t_first(self) -> float:
-        return float(self._t[:self._n][0])
+        return float(self._times()[0])
 
     @property
     def t_latest(self) -> float:
-        return float(self._t[:self._n][-1])
+        return float(self._times()[-1])
 
     # -- node lookup ---------------------------------------------------------
 
@@ -348,11 +354,8 @@ class WorldlineHistory:
     def _after(self, ts):
         """Index of the first node after each query time, len(self) at or
         after the latest; raises QueryBeyondPresent past the latest."""
-        n = self._n
-        if not n:
-            raise QueryBeyondPresent("history holds no samples")
-        times = self._t[:n]
-        _check_present(ts, times[n - 1])
+        times = self._times()
+        _check_present(ts, times[-1])
         return times.searchsorted(ts, side="right")
 
     # -- queries -----------------------------------------------------------

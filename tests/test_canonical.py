@@ -135,9 +135,6 @@ def test_generator_gradients_match_fd():
 def test_gradient_unavailable():
     rng = np.random.default_rng(5)
     x = random_state(rng, 1)
-    f = PhaseFunction(lambda y: float(y.r[0, 0]), fd_ok=False)
-    with pytest.raises(GradientUnavailable):
-        f.gradient_at(x)
 
     def bad(y):
         raise RuntimeError("no evaluation off the base point")
@@ -203,6 +200,91 @@ def test_bracket_matrix_elements_are_single_brackets_bit_for_bit(n):
             xr, xP = xi.gradient_at(x)
             assert got[a, b_] == np.sum(er * xP) - np.sum(eP * xr)
             assert got[a, b_] == poisson_bracket(eta, xi, x)
+
+
+def scalar_bracket_algebra(x, triples):
+    """Reference: every bracket a scalar poisson_bracket call, each Jacobi
+    inner bracket differentiated on its own, slot by slot."""
+    def fd_gradient(fn, y, step=1e-3):
+        gr, gP = np.zeros_like(y.r), np.zeros_like(y.P)
+        for block, out in ((y.r, gr), (y.P, gP)):
+            for i in range(y.n):
+                for mu in range(4):
+                    h = step * (1.0 + abs(block[i, mu]))
+                    plus, minus = block.copy(), block.copy()
+                    plus[i, mu] += h
+                    minus[i, mu] -= h
+                    if block is y.r:
+                        fp, fm = fn(y.replace(r=plus)), fn(y.replace(r=minus))
+                    else:
+                        fp, fm = fn(y.replace(P=plus)), fn(y.replace(P=minus))
+                    out[i, mu] = (fp - fm) / (2.0 * h)
+        return gr, gP
+
+    def inner(a, b):
+        def ev(y):
+            return poisson_bracket(a, b, y)
+
+        return PhaseFunction(ev, lambda y: fd_gradient(ev, y))
+
+    rep = {"antisymmetry": 0.0, "linearity": 0.0, "leibniz": 0.0, "jacobi": 0.0}
+    for eta, xi, zeta in triples:
+        rep["antisymmetry"] = max(rep["antisymmetry"], abs(
+            poisson_bracket(eta, xi, x) + poisson_bracket(xi, eta, x)))
+        lin = (poisson_bracket(eta.combine(2.0, xi, -3.0), zeta, x)
+               - 2.0 * poisson_bracket(eta, zeta, x) + 3.0 * poisson_bracket(xi, zeta, x))
+        rep["linearity"] = max(rep["linearity"], abs(lin))
+        leib = (poisson_bracket(eta * xi, zeta, x)
+                - eta.value(x) * poisson_bracket(xi, zeta, x)
+                - poisson_bracket(eta, zeta, x) * xi.value(x))
+        rep["leibniz"] = max(rep["leibniz"], abs(leib))
+        jac = (poisson_bracket(inner(eta, xi), zeta, x)
+               + poisson_bracket(inner(xi, zeta), eta, x)
+               + poisson_bracket(inner(zeta, eta), xi, x))
+        rep["jacobi"] = max(rep["jacobi"], abs(jac))
+    return rep
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_bracket_algebra_matches_the_scalar_loop_bit_for_bit(n):
+    rng = np.random.default_rng(200 + n)
+    gens = GeneratorSet()
+    b = np.zeros((4, 4))
+    b[0, 1], b[1, 0] = 0.6, -0.6
+    b[2, 3], b[3, 2] = -0.4, 0.4
+    fd = PhaseFunction(lambda y: float(np.sum(y.r[:, 2] * y.P[:, 1])), name="fd")
+    triples = [
+        (gens.p_hat[0], gens.M(0, 1), gens.M(1, 2)),
+        (gens.M(0, 1), gens.M(0, 2), gens.p_hat[2]),
+        (gens.boost(b), gens.translation([0.3, -0.7, 0.2, 0.5]), gens.M(3, 1)),
+        (fd, gens.M(3, 1), gens.p_hat[1]),
+        (coord_fn("r", n - 1, 3), coord_fn("P", 0, 2), gens.boost(b)),
+    ]
+    x = random_state(rng, n)
+    got = check_bracket_algebra(x, triples)
+    assert got == scalar_bracket_algebra(x, triples)
+    assert all(type(v) is float for v in got.values())
+
+
+def test_jacobi_detects_a_field_that_is_not_a_gradient():
+    # dF/dP_0 of particle 0 equals r^1 of particle 0, but dF/dr^1 is zero:
+    # the "gradient" is not closed, so its bracket breaks Jacobi while
+    # staying exactly antisymmetric
+    def grad(y):
+        gP = np.zeros_like(y.P)
+        gP[0, 0] = y.r[0, 1]
+        return np.zeros_like(y.r), gP
+
+    bad = PhaseFunction(lambda y: 0.0, grad, name="not-a-gradient")
+    gens = GeneratorSet()
+    rng = np.random.default_rng(37)
+    x = random_state(rng, 2)
+    rep = check_bracket_algebra(x, [(bad, coord_fn("P", 0, 1), coord_fn("r", 0, 0))])
+    assert rep["antisymmetry"] == 0.0
+    assert rep["jacobi"] > 1e-3, rep
+    # the same check on a true gradient stays at round-off
+    good = check_bracket_algebra(x, [(gens.M(0, 1), coord_fn("P", 0, 1), coord_fn("r", 0, 0))])
+    assert good["jacobi"] < 1e-10, good
 
 
 def test_generated_increments_match_group_tangents():

@@ -105,6 +105,21 @@ def test_seed_requires_coverage_of_the_refined_depth():
 # -- stepping ------------------------------------------------------------------
 
 
+def test_empty_prehistory_is_refused_as_a_query_beyond_present():
+    spec = ParticleSpec(1.0, 0.5, 0.5, "empty")
+    with pytest.raises(wl.QueryBeyondPresent, match="no samples"):
+        seed(prehistories=[wl.WorldlineHistory(spec)])
+    full = inertial_history(spec, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], -5.0, 0.0, 11)
+    row = np.hstack([0.1, 0.1, 0.1, np.zeros(3), [1.0, 0.0, 0.0, 0.0], np.zeros(4)])
+    with pytest.raises(wl.QueryBeyondPresent, match="no samples"):
+        with wl.staged([full, wl.WorldlineHistory(spec)], [row, row]):
+            pass
+    assert len(full) == 11
+    with pytest.raises(wl.QueryBeyondPresent, match="no samples"):
+        cn.FrozenHistoryContext([full, wl.WorldlineHistory(spec)],
+                                ExternalFieldModel.none(), 0.0)
+
+
 def test_free_motion_single_step():
     spec = ParticleSpec(1.0, 0.0, 0.5, "free")
     v = np.array([0.6, 0.0, 0.0])

@@ -106,9 +106,9 @@ class TestQueries:
 
     def test_empty_and_one_node_histories_raise(self):
         h = wl.WorldlineHistory(wl.ParticleSpec(1.0, 1.0, 0.1))
-        with pytest.raises(IndexError):
+        with pytest.raises(wl.QueryBeyondPresent, match="no samples"):
             h.t_first
-        with pytest.raises(IndexError):
+        with pytest.raises(wl.QueryBeyondPresent, match="no samples"):
             h.t_latest
         with pytest.raises(wl.QueryBeyondPresent):
             h.state_at_time(0.0)
