@@ -40,7 +40,7 @@ import numpy as np
 from .fields import ExternalFieldModel
 from .minkowski import ETA, dots, lower, raise_index
 from .retardation import _add_potentials, _plan_roots, _root_plan
-from .worldline import HARD_TOL, ConstraintViolation, WorldlineSample, gather
+from .worldline import HARD_TOL, ConstraintViolation, commit, copy_histories, gather
 
 FD_STEP = 1e-6
 # brackets of the Poincare generators are at most quadratic in the
@@ -260,12 +260,13 @@ class FrozenHistoryContext:
     """Immutable snapshot of all histories plus per-particle effective
     potential evaluators.
 
-    The snapshot copies every history and appends one node to the copy:
-    a short inertial continuation past the capture time, so that
-    finite-difference probes of the observation event stay inside the
-    queryable range; the margin sits far below every delay root, so no
-    field or potential kernel ever interpolates inside it. Nodes appended
-    to a history later stay invisible to the snapshot.
+    The snapshot copies the histories into one store and appends one
+    node to each copy, as one block: a short inertial continuation past
+    the capture time, so that finite-difference probes of the observation
+    event stay inside the queryable range; the margin sits far below
+    every delay root, so no field or potential kernel ever interpolates
+    inside it. Nodes appended to a history later stay invisible to the
+    snapshot.
     """
 
     def __init__(self, histories, external: ExternalFieldModel, t_ref: float):
@@ -278,21 +279,19 @@ class FrozenHistoryContext:
         self.specs = tuple(h.spec for h in base)
         min_sigma = min(h.spec.sigma for h in base)
         margin = 0.02 * min_sigma / self.c + 1e-5 * (1.0 + abs(t_ref))
-        frozen = []
-        for h in base:
-            if h.t_latest < t_ref:
-                raise ValueError(
-                    f"history {h.spec.label!r} ends at {h.t_latest} before "
-                    f"capture time {t_ref}")
-            last = h.state_at_time(h.t_latest)
-            g = last.u[0]
-            dt_ext = (h.t_latest + margin) - h.t_latest
-            r_ext = last.r + (h.c / g) * last.u * dt_ext
-            r_ext[0] = h.c * (last.t + dt_ext)
-            snap = h.copy()
-            snap.append(WorldlineSample(t=last.t + dt_ext, s=last.s + (h.c / g) * dt_ext,
-                                        r=r_ext, u=last.u, a=np.zeros(4)))
-            frozen.append(snap)
+        latest = np.array([h.t_latest for h in base])
+        if np.count_nonzero(latest < t_ref):
+            h = base[int(np.argmax(latest < t_ref))]
+            raise ValueError(f"history {h.spec.label!r} ends at {h.t_latest} before "
+                             f"capture time {t_ref}")
+        last = gather(base, np.arange(len(base)), latest)
+        g = last.u[:, 0]
+        dt_ext = (latest + margin) - latest
+        r_ext = last.r + (self.c / g)[:, None] * last.u * dt_ext[:, None]
+        r_ext[:, 0] = self.c * (last.t + dt_ext)
+        frozen = copy_histories(base)
+        commit(frozen, np.column_stack((last.t + dt_ext, last.s + (self.c / g) * dt_ext, r_ext,
+                                        last.u, np.zeros((len(base), 4)))))
         self._histories = tuple(frozen)
 
     @property

@@ -15,20 +15,22 @@ per particle (a row of one (N, 14) node block) after each history's
 latest node and takes it off again when the evaluation is done. After
 acceptance a fifth, staged force evaluation fixes the appended
 acceleration sample, proper time advances by Simpson quadrature of
-c dt / gamma, and the new nodes are committed with append. Each force
-evaluation is one fields.total_faraday call, which solves the delay
-roots and field kernels of all particles as one batch and returns the
-(N, 4, 4) tensor stack that _deriv contracts with u at once. Each step
-ends with exactly one batch at the new time, which also holds the
-potentials' and the reported delays' roots: it serves the step's
-diagnostics and the next step's first evaluation. In exact mode with
-2 c dt below every radius it is the fifth evaluation itself; otherwise
-it is solved afresh on the committed histories (see step).
+c dt / gamma, and the new nodes are committed as one checked block
+(worldline.commit); they are also the states the step record and the
+next step start from. Each force evaluation is one fields.total_faraday
+call, which solves the delay roots and field kernels of all particles
+as one batch and returns the (N, 4, 4) tensor stack that _deriv
+contracts with u at once. Each step ends with exactly one batch at the
+new time, which also holds the potentials' and the reported delays'
+roots: it serves the step's diagnostics and the next step's first
+evaluation. In exact mode with 2 c dt below every radius it is the fifth
+evaluation itself; otherwise it is solved afresh on the committed
+histories (see step).
 
 Histories are the state. A SystemState is little more than the history
-set plus the stepping policy; prehistory coverage is the seeding
-invariant (delay roots must never under-run recorded samples during the
-first steps).
+set, held in one store (worldline.HistoryBank, filled by seed), plus the
+stepping policy; prehistory coverage is the seeding invariant (delay
+roots must never under-run recorded samples during the first steps).
 """
 
 from __future__ import annotations
@@ -41,14 +43,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .canonical import _IDX_PAIRS
-from .fields import ExternalFieldModel, SelfForceMode, self_faraday, total_faraday
-from .minkowski import dots, lower, raise_index
-from .retardation import max_delay
+from .fields import ExternalFieldModel, SelfForceMode, _kernel, self_faraday, total_faraday
+from .minkowski import _antisymmetric_part, dots, lower, raise_index
+from .retardation import max_delay, solve_delays
 from .worldline import (
     ParticleSpec,
     WorldlineSample,
+    commit,
+    copy_histories,
     gather,
     inertial_history,
+    share_store,
     staged,
     write_table,
 )
@@ -130,8 +135,8 @@ class SystemState:
     include_binary: bool = True
     renormalize_u: bool = False
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
-    # the step-end force evaluation of the last step, keyed by the time
-    # and history lengths it holds for (see step)
+    # the states and the step-end force evaluation of the last step,
+    # keyed by the time and history lengths they hold for (see step)
     last_eval: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -197,10 +202,12 @@ def seed(specs=None, positions=None, velocities=None, *, prehistories=None,
     vs = {i: np.asarray(velocities[i], dtype=np.float64) for i in missing}
 
     def synthesized(span):
-        return [h if h is not None else
-                inertial_history(specs[i], xs[i] - vs[i] * span, vs[i],
-                                 t0 - span, t0, PREHISTORY_NODES, c=c)
-                for i, h in enumerate(prehistories)]
+        hists = [h if h is not None else
+                 inertial_history(specs[i], xs[i] - vs[i] * span, vs[i],
+                                  t0 - span, t0, PREHISTORY_NODES, c=c)
+                 for i, h in enumerate(prehistories)]
+        share_store(hists)
+        return hists
 
     hists = synthesized(coverage_factor * _static_delay_estimate(specs, xs, c))
     depth = max_delay(hists, t0)
@@ -239,24 +246,19 @@ def _node_rows(state: SystemState, t: float, x, u, du, s) -> np.ndarray:
     return rows
 
 
-def _sample(row) -> WorldlineSample:
-    return WorldlineSample(t=row[0], s=row[1], r=row[2:6], u=row[6:10], a=row[10:])
-
-
 def step(state: SystemState) -> SystemState:
     """Advance every history by one RK4 step of size dt; each stage
     quantity is one array with a row per particle."""
     t_w = time.perf_counter()
     hs = state.histories
     dt, t, c = state.dt, state.t_now, state.c
-    base = gather(hs, np.arange(state.n), np.full(state.n, t))
-    x0, u0, s0 = base.r[:, 1:], base.u, base.s
-
     key = (t, tuple(len(h) for h in hs))
     if state.last_eval is not None and state.last_eval[0] == key:
-        kx1, ku1 = state.last_eval[1]
+        base, kx1, ku1 = state.last_eval[1]
     else:
-        kx1, ku1, _ = _deriv(state, t, u0)
+        base = gather(hs, np.arange(state.n), np.full(state.n, t))
+        kx1, ku1, _ = _deriv(state, t, base.u)
+    x0, u0, s0 = base.r[:, 1:], base.u, base.s
 
     def advanced(frac, kx, ku):
         u = u0 + frac * dt * ku
@@ -291,26 +293,24 @@ def step(state: SystemState) -> SystemState:
             and 2.0 * c * dt < min(h.spec.sigma for h in hs))
     with staged(hs, _node_rows(state, t1, x1, u1, ku4, s1)):
         kx5, ku5, report = _deriv(state, t1, u1, report=fsal)
-    for h, row in zip(hs, _node_rows(state, t1, x1, u1, ku5, s1)):
-        try:
-            h.append(_sample(row))
-        except Exception as exc:
-            exc.particle = h.spec.label
-            raise
+    rows = _node_rows(state, t1, x1, u1, ku5, s1)
+    commit(hs, rows)
     state.t_now = t1
     if not fsal:
         kx5, ku5, report = _deriv(state, t1, u1, report=True)
-    state.last_eval = ((t1, tuple(len(h) for h in hs)), (kx5, ku5))
-    state.diagnostics.append(_diagnose(state, report, time.perf_counter() - t_w))
+    # the committed nodes are the states at t1, as a gather there returns them
+    now = WorldlineSample(rows[:, 0], rows[:, 1], rows[:, 2:6], rows[:, 6:10], rows[:, 10:])
+    state.last_eval = ((t1, tuple(len(h) for h in hs)), (now, kx5, ku5))
+    state.diagnostics.append(_diagnose(state, now, report, time.perf_counter() - t_w))
     return state
 
 
-def _diagnose(state: SystemState, report, wall: float) -> StepRecord:
-    """Step record at t_now from the report of the step-end batch: the
-    potentials A (n, 4) and each observer's self delay and companions'
-    sigma_i delays. No root is solved here."""
+def _diagnose(state: SystemState, now, report, wall: float) -> StepRecord:
+    """Step record at t_now from the particles' states now at t_now and
+    the report of the step-end batch: the potentials A (n, 4) and each
+    observer's self delay and companions' sigma_i delays. No root is
+    solved here."""
     t, hs, c = state.t_now, state.histories, state.c
-    now = gather(hs, np.arange(state.n), np.full(state.n, t))
     u = now.u
     A, tau = report
     q, m0 = np.array([(h.spec.q, h.spec.m0) for h in hs]).T
@@ -365,8 +365,9 @@ def run(state: SystemState, t_end: float, trajectory_dir=None,
 
 
 def copy_state(state: SystemState, dt: float | None = None) -> SystemState:
-    """Independent deep copy (fresh histories and diagnostics)."""
-    return SystemState([h.copy() for h in state.histories], state.t_now,
+    """Independent deep copy (fresh histories in one fresh store, and
+    fresh diagnostics)."""
+    return SystemState(copy_histories(state.histories), state.t_now,
                        state.dt if dt is None else dt,
                        state.c, state.external, state.mode,
                        state.include_self, state.include_binary,
@@ -426,11 +427,13 @@ def demo_locally_isolated(q: float = 0.5, sigma: float = 0.5, m0: float = 1.0,
     h = st.histories[0]
 
     post = [r.t for r in st.diagnostics.records if r.t > t_switch + 2 * dt]
-    forces = []
-    for t in post:
-        smp = h.state_at_time(t)
-        f = (spec.q / c) * (self_faraday(h, t).matrix @ smp.u)
-        forces.append(float(np.linalg.norm(f)))
+    # the self force at every post-switch record from one root batch and
+    # one kernel pass; each tensor is contracted with u on its own
+    now = h.states_at(post)
+    roots = solve_delays((h,), 0, now.r, sigma, obs=0, now=now)
+    F = _antisymmetric_part(_kernel(roots, np.full(len(post), 2.0 * q), np.full(len(post), -1.0)),
+                            (None, 4, 4))
+    forces = [float(np.linalg.norm((spec.q / c) * (m @ u))) for m, u in zip(F, now.u)]
     max_post = max(forces) if forces else 0.0
 
     t_probe = post[len(post) // 2] if post else t_end
@@ -466,8 +469,9 @@ def demo_globally_isolated(d: float = 3.0, q: float = 0.5, sigma: float = 0.8,
     specs = [ParticleSpec(m0, q, sigma, "left"), ParticleSpec(m0, q, sigma, "right")]
     st = seed(specs, [[-d / 2, 0.0, 0.0], [d / 2, 0.0, 0.0]],
               [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], t0=0.0, dt=dt, c=c)
-    p0 = _diagnose(st, total_faraday(st.histories, range(st.n), 0.0, st.external,
-                                     report=True)[2], 0.0).p_hat
+    p0 = _diagnose(st, gather(st.histories, np.arange(st.n), np.zeros(st.n)),
+                   total_faraday(st.histories, range(st.n), 0.0, st.external,
+                                 report=True)[2], 0.0).p_hat
     run(st, t_end)
     h1, h2 = st.histories
 

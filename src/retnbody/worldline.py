@@ -7,27 +7,34 @@ A history stores time-ordered nodes (t, s, r, u, a) for one particle:
   u   dimensionless four-velocity (gamma, gamma*beta), u.u = 1 on shell
   a   du/ds, units 1/length, orthogonal to u on shell
 
-The nodes live in packed arrays that double in capacity when full. All
-of them enter through extend(table), a checked block write of (m, 14)
-rows in CSV_HEADER order (the layout export_csv writes); append is a
+The nodes of one or more histories live in one store, a HistoryBank: one
+node block and one sorted lookup key whose entries are (history slot,
+node time), each history owning a run of rows with spare capacity. A
+WorldlineHistory is a view of its own run. A history made on its own
+has a store of its own; dynamics.seed moves a system's histories into
+one store (share_store), and copy_histories copies histories into a new
+one. Nodes enter as checked block writes: extend(table) takes (m, 14)
+rows in CSV_HEADER order (the layout export_csv writes) for one
+history, commit(histories, rows) one row per history, and append is a
 one-row extend. copy() and transformed() (a Poincare map) work on whole
 columns. Queries between nodes use cubic Hermite interpolation of r
 (with the node velocity dr/dt = c u / gamma as derivative data), of u
 (with du/dt = a c / gamma), and of s (with ds/dt = c / gamma); these
-slopes are stored beside the nodes, filled in bulk on the first query
-after a write. The acceleration returned at a query point is recovered
-from the u-interpolant so it coincides with the stored a at the nodes.
-For t at or before the first node the history falls back to an exact
-analytic inertial extension of that node, so delay-root searches can look
+slopes are stored beside the nodes when they are written. The
+acceleration returned at a query point is recovered from the
+u-interpolant so it coincides with the stored a at the nodes. For t at
+or before the first node the history falls back to an exact analytic
+inertial extension of that node, so delay-root searches can look
 arbitrarily far into the past. staged(histories, rows) writes one
-provisional node per history into its first capacity row for the length
-of a with block (an RK stage), so there is one history class and one
-query path.
+provisional node per history into the spare row after its latest node
+for the length of a with block (an RK stage), so there is one history
+class and one query path.
 
 Every query is an array query: gather(histories, src, ts) finds the
-nodes of each source with one searchsorted over its times and then
-evaluates all M states in one broadcasting pass (_evaluate);
-states_at and state_at_time are gathers over one history.
+nodes of any mix of sources with one searchsorted over the key of each
+store involved and then evaluates all M states in one broadcasting pass
+(_evaluate); states_at and state_at_time are the same lookup for one
+history.
 
 write_table and read_table hold the one CSV table format of the package:
 every table it writes or reads, node tables included, goes through them.
@@ -36,8 +43,8 @@ every table it writes or reads, node tables included, goes through them.
 from __future__ import annotations
 
 import os
+import weakref
 from contextlib import contextmanager
-from copy import deepcopy
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +81,7 @@ def read_table(path) -> tuple[list, list]:
     return (lines[0].split(","), lines[1:]) if lines else ([], [])
 
 
-# a history packs its node times into _t and the rest of each node into
+# a store keeps each node time in its key and the rest of the node in
 # one row of _nodes: s, r, u and a (CSV_HEADER order without t), then the
 # Hermite slopes ds/dt, dr/dt and du/dt, so the interpolated values
 # (s, r, u) and their slopes are two contiguous blocks, _Y and _DY
@@ -82,7 +89,7 @@ _S, _R, _U, _A = 0, slice(1, 5), slice(5, 9), slice(9, 13)
 _DS, _DR, _DU = 13, slice(14, 18), slice(18, 22)
 _Y, _DY = slice(0, 9), slice(13, 22)
 _WIDTH = 22
-_INITIAL_ROWS = 16
+_SPARE_ROWS = 16  # the fewest spare rows a run is laid out with
 
 
 class QueryBeyondPresent(Exception):
@@ -145,34 +152,33 @@ def _sample_row(sample: WorldlineSample) -> np.ndarray:
     return row
 
 
-def _checked_vectors(table, checks=()) -> None:
-    """Raise the first failure of a node table, in row order and then in
-    check order: every entry finite (t, s, r, u, a in turn), then each
-    (mask of failing rows, row -> exception) pair of checks."""
+def _first_failure(table, checks=()):
+    """(row, exception) of the first failure of a node table, in row
+    order and then in check order: every entry finite (t, s, r, u, a in
+    turn), then each (mask of passing rows, row -> exception) pair of
+    checks. None when every row passes."""
     finite = np.isfinite(table)
-    ok = finite.all(axis=1)
-    for mask, _ in checks:
-        ok &= ~mask
-    if np.count_nonzero(ok) == len(ok):
-        return
+    if np.count_nonzero(finite) == finite.size and all(
+            np.count_nonzero(mask) == len(mask) for mask, _ in checks):
+        return None
 
     def nonfinite(i):
         name = CSV_HEADER[int(np.argmin(finite[i]))][0]
         kind = "number" if name in "ts" else "four-vector"
         return ValueError(f"{name} must be a finite {kind}")
 
-    checks = [(~finite.all(axis=1), nonfinite), *checks]
-    fails = np.array([mask for mask, _ in checks])
-    if fails.any():
-        i = int(np.argmax(fails.any(axis=0)))
-        raise checks[int(np.argmax(fails[:, i]))][1](i)
+    checks = [(finite.all(axis=1), nonfinite), *checks]
+    fails = ~np.array([mask for mask, _ in checks])
+    i = int(np.argmax(fails.any(axis=0)))
+    return i, checks[int(np.argmax(fails[:, i]))][1](i)
 
 
 def _slopes(u, a, c):
     """Hermite slopes ds/dt = c / gamma, dr/dt = c u / gamma and
-    du/dt = a c / gamma of one node or of a block of nodes."""
-    g = u[..., :1]
-    return c / u[..., 0], c * u / g, a * (c / g)
+    du/dt = a c / gamma of a block of nodes."""
+    g = u[:, :1]
+    w = c / g
+    return w[:, 0], c * u / g, a * w
 
 
 # cubic Hermite interpolation on the unit interval; powers are written
@@ -200,12 +206,161 @@ def _hermite_dd(y0, dy0, y1, dy1, h, x):
             + (6.0 - 12.0 * x) / (h * h) * y1 + (6.0 * x - 2.0) / h * dy1)
 
 
+def _capacity(n: int) -> int:
+    """Rows of a run laid out for n nodes: room for an eighth more, and at
+    least _SPARE_ROWS more. A move or a copy then adds no more than the
+    size of the nodes to the memory in use, and a history that grows one
+    node at a time is laid out anew after every eighth of its length."""
+    return int(n) + max(_SPARE_ROWS, int(n) // 8)
+
+
+class HistoryBank:
+    """The packed node store of one or more histories.
+
+    Slot k holds one history: a run of rows [start_k, start_k + cap_k) in
+    one node block _nodes (rows, _WIDTH) and in one lookup key _key
+    (rows,) complex, whose real part is k and whose imaginary part is the
+    node time on the n_k rows in use and +inf on the run's spare rows.
+    numpy orders complex numbers by real part and then imaginary part, so
+    the key is sorted, and one searchsorted finds (k, t) for any mix of
+    slots with no arithmetic on t. Rows are written in blocks, their
+    Hermite slopes with them; a run that is full is grown by laying all
+    runs out anew (see _capacity).
+    """
+
+    def __init__(self, c: float, caps):
+        caps = np.asarray(caps, dtype=np.intp)
+        self.c = float(c)
+        # weak references to the histories of the slots, when bound in slot
+        # order: a history holds its store, so a strong one would make a
+        # cycle that only the garbage collector frees
+        self._members = ()
+        self._n = np.zeros(len(caps), dtype=np.intp)
+        self._latest = np.full(len(caps), np.nan)  # latest node time, NaN while empty
+        self._staged = 0  # staged blocks open on the store
+        self._lay_out(caps)
+
+    @classmethod
+    def _holding(cls, histories, move: bool = False) -> "HistoryBank":
+        """A new store with a copy of each history's nodes, slot i for
+        histories[i] (from any stores). With move, history i is bound to
+        slot i as soon as its rows are copied, so each old store can be
+        freed before the next is copied; a store left holding others no
+        longer counts them as its own histories in slot order."""
+        hs = list(histories)
+        bank = cls(hs[0].c, [_capacity(len(h)) for h in hs])
+        for i, h in enumerate(hs):
+            old, k, (a, b) = h._bank, h._slot, h._span()
+            s = bank._start[i]
+            bank._t[s:s + b - a] = old._t[a:b]
+            bank._nodes[s:s + b - a] = old._nodes[a:b]
+            bank._n[i], bank._latest[i] = b - a, old._latest[k]
+            if move:
+                h._bank, h._slot, old._members = bank, i, ()
+        if move:
+            bank._members = tuple(map(weakref.ref, hs))
+        return bank
+
+    def _lay_out(self, cap) -> None:
+        """Fresh runs with capacities cap, every row spare."""
+        self._cap, self._start = cap, np.cumsum(cap) - cap
+        self._key = np.repeat(np.arange(len(cap)) + complex(0.0, np.inf), cap)
+        self._t = self._key.imag  # the node times, a view of the key
+        self._nodes = np.empty((len(self._key), _WIDTH))
+
+    def _reserve(self, slots, rows) -> None:
+        """Room for rows more nodes in each of the distinct slots: when one
+        is short, every run is laid out anew and keeps its rows."""
+        need = self._n[slots] + rows
+        if np.count_nonzero(need > self._cap[slots]):
+            cap = self._cap.copy()
+            cap[slots] = np.maximum(cap[slots], [_capacity(k) for k in need.tolist()])
+            t, nodes, old = self._t, self._nodes, self._start.tolist()
+            self._lay_out(cap)
+            # a run at a time: no copy of the whole store is made on the way
+            for a, b, n in zip(old, self._start.tolist(), self._n.tolist()):
+                self._t[b:b + n], self._nodes[b:b + n] = t[a:a + n], nodes[a:a + n]
+
+    def _extend(self, slots, tab, each: int = 1) -> np.ndarray:
+        """Write the node rows tab (CSV_HEADER order) with their slopes
+        after the latest nodes of slots, each consecutive rows per slot,
+        count them as nodes and return the store rows written. The rows
+        must fit (see _reserve)."""
+        pos = self._start[slots] + self._n[slots]
+        ds, dr, du = _slopes(tab[:, 6:10], tab[:, 10:14], self.c)
+        if each > 1:
+            # one slot, so a contiguous run of rows: written a column block
+            # at a time, with no copy of the whole table on the way
+            pos = slice(int(pos[0]), int(pos[0]) + each)
+            nodes = self._nodes[pos]
+            nodes[:, :_A.stop], nodes[:, _DS], nodes[:, _DR], nodes[:, _DU] = tab[:, 1:], ds, dr, du
+        else:
+            self._nodes[pos] = np.concatenate((tab[:, 1:], ds[:, None], dr, du), axis=1)
+        self._t[pos] = tab[:, 0]
+        self._n[slots] += each
+        self._latest[slots] = tab[each - 1::each, 0]  # each slot's last row
+        return pos
+
+    def _unstage(self, slots, pos) -> None:
+        """Take the latest nodes of slots, at store rows pos, off again."""
+        self._n[slots] -= 1
+        self._t[pos] = np.inf
+        self._latest[slots] = self._t[pos - 1]
+
+    def _tails(self, slots):
+        """(n, t, s) of each slot: its node count and the t and s of its
+        latest node, -inf while it is empty."""
+        n = self._n[slots]
+        s = self._nodes[self._start[slots] + n - 1, _S]  # masked when empty
+        return n, np.fmax(self._latest[slots], -np.inf), np.where(n > 0, s, -np.inf)
+
+    def _lookup(self, slot, ts):
+        """(t0, p, t1, q): for each query (slot, t), the node at or before
+        t (the first node before the history) and the node after it, whose
+        row is read only inside a segment. Indices are clipped into the
+        store, so one past the latest node may read a spare row or the
+        next run's first row: only a query on the latest node does so,
+        and it never reads that row."""
+        q = np.empty(len(ts), dtype=np.complex128)
+        q.real = slot
+        q.imag = ts
+        i = self._key.searchsorted(q, side="right")
+        k = np.concatenate((np.maximum(i - 1, self._start[slot]), i))
+        t, rows = self._t.take(k, mode="clip"), self._nodes.take(k, axis=0, mode="clip")
+        m = len(ts)
+        return t[:m], rows[:m], t[m:], rows[m:]
+
+    def _states(self, slot, ts) -> WorldlineSample:
+        """States of the slots slot (one, or one per time) at times ts."""
+        _check_present(ts, self._latest[slot])
+        return _evaluate(ts, *self._lookup(slot, ts), self.c)
+
+
+_ALL = slice(None)
+
+
+def _located(hs):
+    """The histories hs grouped by store: [(store, positions in hs,
+    slots)], in order of first use. A store's own histories in slot
+    order are one group with both as slice(None)."""
+    bank = hs[0]._bank
+    if tuple(map(weakref.ref, hs)) == bank._members:
+        return [(bank, _ALL, _ALL)]
+    groups = {}
+    for i, h in enumerate(hs):
+        pos, slots = groups.setdefault(h._bank, ([], []))
+        pos.append(i)
+        slots.append(h._slot)
+    return [(b, np.array(pos), np.array(slots)) for b, (pos, slots) in groups.items()]
+
+
 class WorldlineHistory:
-    """Growable sampled worldline for one particle.
+    """Growable sampled worldline for one particle: a view of one slot
+    of a HistoryBank.
 
     Single writer (the integrator) appends; readers interpolate between
-    write phases. Every node is one entry of _t and one row of _nodes;
-    rows at or beyond len(self) are capacity, never read.
+    write phases. A history made on its own holds a store of its own;
+    dynamics.seed moves a system's histories into one store.
     """
 
     def __init__(self, spec: ParticleSpec, c: float = 1.0):
@@ -218,10 +373,18 @@ class WorldlineHistory:
         self.constraint_tol = CONSTRAINT_TOL
         self.hard_tol = HARD_TOL
         self.flags: list[str] = []
-        self._n = 0         # rows in use
-        self._n_slopes = 0  # rows whose Hermite slopes are filled
-        self._t = np.empty(_INITIAL_ROWS)
-        self._nodes = np.empty((_INITIAL_ROWS, _WIDTH))
+        self._bank, self._slot = HistoryBank(self.c, [_capacity(_SPARE_ROWS)]), 0
+        self._bank._members = (weakref.ref(self),)
+
+    def _bound(self, bank: HistoryBank, slot: int, spec=None) -> "WorldlineHistory":
+        """A history with this one's c, tolerances and flags (and spec,
+        unless given) over slot of bank."""
+        out = object.__new__(WorldlineHistory)
+        out.spec = self.spec if spec is None else spec
+        out.c, out.constraint_tol, out.hard_tol = self.c, self.constraint_tol, self.hard_tol
+        out.flags = list(self.flags)
+        out._bank, out._slot = bank, slot
+        return out
 
     # -- construction -----------------------------------------------------
 
@@ -236,58 +399,17 @@ class WorldlineHistory:
         tab = np.atleast_2d(np.asarray(table, dtype=np.float64))
         if tab.ndim != 2 or tab.shape[1] != len(CSV_HEADER):
             raise ValueError(f"node rows need {len(CSV_HEADER)} columns, got {tab.shape}")
-        m, n = len(tab), self._n
-        t, s, r, u, a = tab[:, 0], tab[:, 1], tab[:, 2:6], tab[:, 6:10], tab[:, 10:14]
-        # t and s of the node before each row
-        t_prev = np.concatenate(([self._t[n - 1] if n else -np.inf], t[:-1]))
-        s_prev = np.concatenate(([self._nodes[n - 1, _S] if n else -np.inf], s[:-1]))
-        ct = self.c * t
-        norm_err = np.abs(u[:, 0] * u[:, 0] - np.sum(u[:, 1:] ** 2, axis=1) - 1.0)
-        _checked_vectors(tab, (
-            (~(t > t_prev), lambda i: NonMonotonicTime(
-                f"append at t={t[i].item()!r} does not advance past {t_prev[i].item()!r}")),
-            (~(s > s_prev), lambda i: NonMonotonicTime(
-                f"append at s={s[i].item()!r} does not advance past {s_prev[i].item()!r}")),
-            (norm_err > self.hard_tol, lambda i: ConstraintViolation(
-                f"|u.u - 1| = {norm_err[i]:.3e} exceeds hard tolerance "
-                f"{self.hard_tol:.1e}")),
-            (np.abs(r[:, 0] - ct) > 1e-9 * (1.0 + np.abs(ct)), lambda i: ConstraintViolation(
-                f"r^0 = {r[i, 0].item()!r} does not equal c t = {ct[i].item()!r}")),
-        ))
-        a_max = np.max(np.abs(a), axis=1)
-        ua = np.abs(u[:, 0] * a[:, 0] - np.sum(u[:, 1:] * a[:, 1:], axis=1))
-        hits = {"u-normalization-drift": norm_err > self.constraint_tol,
-                "u.a-orthogonality-drift": ua > self.constraint_tol * (1.0 + a_max),
-                # a != 0 at the very first node marks a C^1-only prehistory junction
-                "prehistory-curvature-jump": (np.arange(n, n + m) == 0) & (a_max > 1e-12)}
-        new = [f for f, hit in hits.items() if np.count_nonzero(hit) and f not in self.flags]
-        self.flags += sorted(new, key=lambda f: np.argmax(hits[f]))
-        self._reserve(n + m)
-        self._t[n:n + m] = t
-        self._nodes[n:n + m, :_A.stop] = tab[:, 1:]
-        self._nodes[n:n + m, _R.start] = ct  # canonicalize so r^0 = c t holds bit-for-bit
-        self._n = n + m
-
-    def _reserve(self, rows: int) -> None:
-        """Double the capacity until it holds rows nodes."""
-        cap = len(self._t)
-        while cap < rows:
-            cap *= 2
-        if cap > len(self._t):
-            # rows beyond _n are capacity, so resize's repeats are never read
-            self._t = np.resize(self._t, cap)
-            self._nodes = np.resize(self._nodes, (cap, _WIDTH))
+        _append((self,), tab)
 
     def append(self, sample: WorldlineSample) -> None:
         """Add one node: a one-row extend."""
         self.extend(_sample_row(sample))
 
     def copy(self, spec: ParticleSpec | None = None) -> "WorldlineHistory":
-        """Independent history with the same nodes, c, tolerances and
-        flags, for spec when given; nothing is re-validated."""
-        out = deepcopy(self)
-        out.spec = self.spec if spec is None else spec
-        return out
+        """Independent history in a store of its own, with the same nodes,
+        c, tolerances and flags, for spec when given; nothing is
+        re-validated."""
+        return copy_histories([self], None if spec is None else [spec])[0]
 
     def transformed(self, lam, shift4) -> "WorldlineHistory":
         """The worldline under the Poincare map r -> lam r + shift4,
@@ -305,7 +427,12 @@ class WorldlineHistory:
     # -- bookkeeping -------------------------------------------------------
 
     def __len__(self):
-        return self._n
+        return int(self._bank._n[self._slot])
+
+    def _span(self) -> tuple[int, int]:
+        """The store rows [a, b) of the nodes."""
+        a = int(self._bank._start[self._slot])
+        return a, a + len(self)
 
     @property
     def samples(self):
@@ -318,14 +445,15 @@ class WorldlineHistory:
     def table(self) -> np.ndarray:
         """Fresh (len, 14) array of the nodes in CSV_HEADER column order,
         the layout extend takes."""
-        n = self._n
-        return np.column_stack((self._t[:n], self._nodes[:n, :_A.stop]))
+        a, b = self._span()
+        return np.column_stack((self._bank._t[a:b], self._bank._nodes[a:b, :_A.stop]))
 
     def _times(self) -> np.ndarray:
         """Node times; raises QueryBeyondPresent on an empty history."""
-        if not self._n:
+        a, b = self._span()
+        if a == b:
             raise QueryBeyondPresent("history holds no samples")
-        return self._t[:self._n]
+        return self._bank._t[a:b]
 
     @property
     def t_first(self) -> float:
@@ -335,47 +463,14 @@ class WorldlineHistory:
     def t_latest(self) -> float:
         return float(self._times()[-1])
 
-    # -- node lookup ---------------------------------------------------------
-
-    def _take(self, k):
-        """(t, rows) of the nodes k (an index array), rows with their
-        Hermite slopes. Indices are clipped into the store, so one past
-        the latest node reads a capacity row (or, outside a staged block,
-        the stale node a block left there): callers only do so for the
-        node after a query that sits on the latest node, which is never
-        read."""
-        lo, hi = self._n_slopes, self._n
-        if lo < hi:
-            rows = self._nodes[lo:hi]
-            rows[:, _DS], rows[:, _DR], rows[:, _DU] = _slopes(rows[:, _U], rows[:, _A], self.c)
-            self._n_slopes = hi
-        return self._t.take(k, mode="clip"), self._nodes.take(k, axis=0, mode="clip")
-
-    def _after(self, ts):
-        """Index of the first node after each query time, len(self) at or
-        after the latest; raises QueryBeyondPresent past the latest."""
-        times = self._times()
-        _check_present(ts, times[-1])
-        return times.searchsorted(ts, side="right")
-
     # -- queries -----------------------------------------------------------
-
-    def _lookup(self, ts):
-        """(t0, p, t1, q): for each query time, the node at or before it
-        (the first node before the history) and the node after it, whose
-        row is read only inside a segment."""
-        i = self._after(ts)
-        m = len(ts)
-        t, rows = self._take(np.concatenate((i - 1, i)))
-        return t[:m], rows[:m], t[m:], rows[m:]
 
     def states_at(self, ts) -> WorldlineSample:
         """States at many times as one WorldlineSample of stacked arrays."""
-        return gather((self,), 0, ts)
+        return self._bank._states(self._slot, np.asarray(ts, dtype=np.float64).reshape(-1))
 
     def state_at_time(self, t: float) -> WorldlineSample:
-        ts = np.array([t], dtype=np.float64)
-        b = _evaluate(ts, *self._lookup(ts), self.c)
+        b = self._bank._states(self._slot, np.array([t], dtype=np.float64))
         return WorldlineSample(float(b.t[0]), float(b.s[0]), b.r[0], b.u[0], b.a[0])
 
     def u_dotdot_at_time(self, t: float) -> np.ndarray:
@@ -386,15 +481,17 @@ class WorldlineHistory:
         approximation. At a node the segment starting there is used, at
         the latest node the one ending there.
         """
-        ts = np.array([t], dtype=np.float64)
-        i = int(self._after(ts)[0]) - 1
+        bank, ts = self._bank, np.array([t], dtype=np.float64)
+        _check_present(ts, bank._latest[self._slot])
+        a, b = self._span()
+        i = int(bank._key.searchsorted(complex(self._slot, t), side="right")) - 1
         if t < self.t_first:
             return np.zeros(4)
-        if i == len(self) - 1:
+        if i == b - 1:
             i -= 1
-        if i < 0:
+        if i < a:
             raise QueryBeyondPresent("u_dotdot needs a segment; history holds one node")
-        t01, rows = self._take(np.array([i, i + 1]))
+        t01, rows = bank._t[i:i + 2], bank._nodes[i:i + 2]
         return _segment_udotdot(t01[0], rows[0], t01[1], rows[1], t, self.c)
 
     # -- export ------------------------------------------------------------
@@ -404,47 +501,137 @@ class WorldlineHistory:
         write_table(path, CSV_HEADER, self.table.tolist(), comment)
 
 
+def copy_histories(histories, specs=None) -> list:
+    """Independent copies of histories in one new store, with the same
+    nodes, c, tolerances and flags (and specs[i] for copy i when given);
+    nothing is re-validated."""
+    hs = list(histories)
+    bank = HistoryBank._holding(hs)
+    out = [h._bound(bank, i, None if specs is None else specs[i]) for i, h in enumerate(hs)]
+    bank._members = tuple(map(weakref.ref, out))
+    return out
+
+
+def share_store(histories) -> None:
+    """Move histories into one new store, history i to slot i: the same
+    objects, each one's nodes copied once."""
+    HistoryBank._holding(histories, move=True)
+
+
+def _append(hs, tab, labelled: bool = False) -> None:
+    """Append node rows tab (CSV_HEADER order) as one checked block write
+    per store: every row to hs[0] when hs holds one history, else row i
+    to hs[i] (see WorldlineHistory.extend). With labelled, a failure
+    carries its history's label as .particle. The check runs in its own
+    call, so its temporaries are freed before a long block is written."""
+    groups = _located(hs)
+    _check_rows(hs, groups, tab, labelled)
+    ct = hs[0].c * tab[:, 0]
+    for bank, pos, slots in groups:
+        # several stores hold one history each of hs, row i for hs[i]
+        rows, each = (pos if len(groups) > 1 else _ALL), (len(tab) if len(hs) == 1 else 1)
+        bank._reserve(slots, each + 1)  # and one row to stage the next node in
+        at = bank._extend(slots, tab[rows], each)
+        bank._nodes[at, _R.start] = ct[rows]  # canonicalize so r^0 = c t holds bit-for-bit
+
+
+def _check_rows(hs, groups, tab, labelled: bool) -> None:
+    """Raise the first failure of the rows _append is given, in row order
+    and then in check order; else add the flags they raise."""
+    m, one = len(tab), len(hs) == 1
+    # each row's history and its place among that history's new rows
+    owner, rank = (np.zeros(m, dtype=np.intp), np.arange(m)) if one else (np.arange(m), 0)
+    if len(groups) == 1:
+        n0, t_last, s_last = groups[0][0]._tails(groups[0][2])
+    else:
+        n0, t_last, s_last = (np.empty(len(hs), dtype=x) for x in (np.intp, float, float))
+        for bank, pos, slots in groups:
+            n0[pos], t_last[pos], s_last[pos] = bank._tails(slots)
+    hard, soft = np.array([(h.hard_tol, h.constraint_tol) for h in hs])[owner].T
+    t, s, r, u, a = tab[:, 0], tab[:, 1], tab[:, 2:6], tab[:, 6:10], tab[:, 10:14]
+    # t and s of the node before each row
+    t_prev = np.concatenate((t_last, t[:-1])) if one else t_last
+    s_prev = np.concatenate((s_last, s[:-1])) if one else s_last
+    ct = hs[0].c * t
+    norm_err = np.abs(u[:, 0] * u[:, 0] - np.sum(u[:, 1:] ** 2, axis=1) - 1.0)
+    fail = _first_failure(tab, (
+        (t > t_prev, lambda i: NonMonotonicTime(
+            f"append at t={t[i].item()!r} does not advance past {t_prev[i].item()!r}")),
+        (s > s_prev, lambda i: NonMonotonicTime(
+            f"append at s={s[i].item()!r} does not advance past {s_prev[i].item()!r}")),
+        (~(norm_err > hard), lambda i: ConstraintViolation(
+            f"|u.u - 1| = {norm_err[i]:.3e} exceeds hard tolerance {hard[i]:.1e}")),
+        (~(np.abs(r[:, 0] - ct) > 1e-9 * (1.0 + np.abs(ct))), lambda i: ConstraintViolation(
+            f"r^0 = {r[i, 0].item()!r} does not equal c t = {ct[i].item()!r}")),
+    ))
+    if fail is not None:
+        i, exc = fail
+        if labelled:
+            exc.particle = hs[owner[i]].spec.label
+        raise exc
+    a_max = np.max(np.abs(a), axis=1)
+    ua = np.abs(u[:, 0] * a[:, 0] - np.sum(u[:, 1:] * a[:, 1:], axis=1))
+    hits = {"u-normalization-drift": norm_err > soft,
+            "u.a-orthogonality-drift": ua > soft * (1.0 + a_max),
+            # a != 0 at the very first node marks a C^1-only prehistory junction
+            "prehistory-curvature-jump": (n0[owner] + rank == 0) & (a_max > 1e-12)}
+    flagged = np.logical_or.reduce(list(hits.values()))
+    for k in np.unique(owner[flagged]).tolist() if np.count_nonzero(flagged) else ():
+        h, rows = hs[k], owner == k
+        new = [f for f, hit in hits.items() if np.count_nonzero(hit[rows]) and f not in h.flags]
+        h.flags += sorted(new, key=lambda f: np.argmax(hits[f][rows]))
+
+
+def commit(histories, rows) -> None:
+    """Append one node per history as one checked block write: row i,
+    in CSV_HEADER order, to histories[i].
+
+    Every row is checked as extend checks it, against its own history.
+    Nothing is committed unless every row passes; the first failure, in
+    row order and then in check order, is raised with .particle set to
+    its history's label.
+    """
+    hs = tuple(histories)
+    tab = np.asarray(rows, dtype=np.float64)
+    if tab.shape != (len(hs), len(CSV_HEADER)):
+        raise ValueError(f"committed rows need shape ({len(hs)}, {len(CSV_HEADER)}), "
+                         f"got {tab.shape}")
+    _append(hs, tab, labelled=True)
+
+
 def gather(histories, src, ts) -> WorldlineSample:
     """States of histories[src[m]] at ts[m] for every m, as one
     WorldlineSample of stacked arrays (t, s (M,); r, u, a (M, 4)).
 
-    One node lookup per distinct source, then one evaluation of all M
-    states. src may be one index for all times; sorted indices skip a
-    permutation. The histories share one light speed. An object that is
-    not a WorldlineHistory is asked through its own state_at_time, one
-    time at a time, and its states enter the evaluation as nodes.
+    src may be one index for all times. The histories share one light
+    speed. One key lookup per store finds every node, whatever the mix
+    and order of sources, and one evaluation gives all M states; a query
+    past its history's present raises QueryBeyondPresent naming the
+    first such time in request order.
     """
     ts = np.asarray(ts, dtype=np.float64).reshape(-1)
-    src = np.asarray(src)
-    h = histories[src if src.ndim == 0 else src[0]]
-    if isinstance(h, WorldlineHistory) and (
-            src.ndim == 0 or np.count_nonzero(src != src[0]) == 0):
-        return _evaluate(ts, *h._lookup(ts), h.c)
-    src = np.broadcast_to(src, ts.shape)
-    ordered = np.count_nonzero(src[1:] < src[:-1]) == 0
-    order = None if ordered else np.argsort(src, kind="stable")
-    if order is not None:
-        src, ts = src[order], ts[order]
-    cuts = np.flatnonzero(src[1:] != src[:-1]) + 1
-    c = histories[src[0]].c
-    parts = []
-    for a, b in zip((0, *cuts.tolist()), (*cuts.tolist(), len(ts))):
-        h, tb = histories[src[a]], ts[a:b]
-        if h.c != c:
-            raise ValueError("gathered histories must share one light speed")
-        if isinstance(h, WorldlineHistory):
-            parts.append(h._lookup(tb))
-        else:
-            rows = np.zeros((b - a, _WIDTH))
-            for row, x in zip(rows, map(h.state_at_time, tb.tolist())):
-                row[:_A.stop] = np.hstack((x.s, x.r, x.u, x.a))
-            parts.append((tb, rows, tb, rows))
-    out = _evaluate(ts, *(np.concatenate(x) for x in zip(*parts)), c)
-    if order is None:
-        return out
-    back = np.empty_like(order)
-    back[order] = np.arange(len(order))
-    return out.take(back)
+    hs = tuple(histories)
+    groups = _located(hs)
+    if len(groups) == 1:
+        bank, _, slots = groups[0]
+        return bank._states(src if slots is _ALL else slots[src], ts)
+    c = groups[0][0].c
+    if any(bank.c != c for bank, _, _ in groups):
+        raise ValueError("gathered histories must share one light speed")
+    where = np.empty((2, len(hs)), dtype=np.intp)  # group and slot of each history
+    for g, (_, pos, slots) in enumerate(groups):
+        where[0, pos], where[1, pos] = g, slots
+    group, slot = (np.broadcast_to(x, ts.shape) for x in where[:, src])
+    m = len(ts)
+    latest, t0, t1 = np.empty(m), np.empty(m), np.empty(m)
+    p, q = np.empty((m, _WIDTH)), np.empty((m, _WIDTH))
+    parts = [(bank, group == g) for g, (bank, _, _) in enumerate(groups)]
+    for bank, mine in parts:
+        latest[mine] = bank._latest[slot[mine]]
+    _check_present(ts, latest)
+    for bank, mine in parts:
+        t0[mine], p[mine], t1[mine], q[mine] = bank._lookup(slot[mine], ts[mine])
+    return _evaluate(ts, t0, p, t1, q, c)
 
 
 def _evaluate(t, t0, p, t1, q, c: float) -> WorldlineSample:
@@ -503,37 +690,52 @@ def staged(histories, rows):
     rows is an (N, 14) block in CSV_HEADER order, row i for histories[i].
     Every row must be finite and advance past its history's latest node;
     the first failure, in row order, is raised before anything is
-    written. Row i is then written into the capacity row after history
-    i's latest node and counted as a node, so every query reads it as the
-    latest one. No tolerance is checked and no flag raised. On exit,
-    normal or not, the staged nodes are removed again.
+    written. The rows are then written as one block per store, row i
+    into the spare row after history i's latest node, and counted as
+    nodes, so every query reads them as the latest ones. No tolerance is
+    checked and no flag raised. On exit, normal or not, the staged nodes
+    are removed again.
     """
-    hs = list(histories)
+    hs = tuple(histories)
     tab = np.asarray(rows, dtype=np.float64)
     if tab.shape != (len(hs), len(CSV_HEADER)):
         raise ValueError(f"staged rows need shape ({len(hs)}, {len(CSV_HEADER)}), "
                          f"got {tab.shape}")
-    latest = np.array([h.t_latest for h in hs])
-    _checked_vectors(tab, ((~(tab[:, 0] > latest), lambda i: NonMonotonicTime(
+    groups = _located(hs)
+    latest = np.empty(len(hs))
+    for bank, pos, slots in groups:
+        latest[pos] = bank._latest[slots]
+    fail = _first_failure(tab, ((tab[:, 0] > latest, lambda i: NonMonotonicTime(
         "provisional sample must advance time")),))
-    for h, row in zip(hs, tab):
-        h._reserve(h._n + 1)
-        h._t[h._n] = row[0]
-        h._nodes[h._n, :_A.stop] = row[1:]
-        h._n += 1
+    if fail is not None:
+        if np.count_nonzero(np.isnan(latest)):
+            raise QueryBeyondPresent("history holds no samples")
+        raise fail[1]
+    at = []
+    for bank, pos, slots in groups:
+        if bank._staged:  # every other write leaves a spare row for one stage
+            bank._reserve(slots, 1)
+        bank._staged += 1
+        at.append(bank._extend(slots, tab[pos]))
     try:
         yield
     finally:
-        for h in hs:
-            h._n -= 1
-            h._n_slopes = min(h._n_slopes, h._n)
+        for (bank, _, slots), pos in zip(groups, at):
+            bank._staged -= 1
+            bank._unstage(slots, pos)
 
 
 def _check_present(ts, t_latest) -> None:
+    """Raise QueryBeyondPresent for the first query time, in request
+    order, past t_latest (one, or one per time; NaN for an empty
+    history)."""
     ok = ts <= t_latest  # also False for a NaN time
     if np.count_nonzero(ok) < len(ts):
+        latest = np.broadcast_to(t_latest, ts.shape)[~ok]
+        if np.count_nonzero(np.isnan(latest)):
+            raise QueryBeyondPresent("history holds no samples")
         raise QueryBeyondPresent(f"query at t={ts[~ok][0].item()!r} is beyond "
-                                 f"latest stored t={float(t_latest)!r}")
+                                 f"latest stored t={float(latest[0])!r}")
 
 
 # -- factories used by tests, demos and seeding -----------------------------

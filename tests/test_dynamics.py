@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -285,6 +287,20 @@ def test_demo_locally_isolated_pulse():
     assert rep["q_doubling_ratio"] == 4.0
 
 
+def test_post_switch_self_force_is_the_per_record_solve_bit_for_bit():
+    rep = demo_locally_isolated(t_switch=1.5, t_end=3.0, dt=0.05)
+    st = rep["state"]
+    h, spec = st.histories[0], st.histories[0].spec
+    forces = [float(np.linalg.norm((spec.q / st.c) * (fl.self_faraday(h, r.t).matrix
+                                                      @ h.state_at_time(r.t).u)))
+              for r in st.diagnostics.records if r.t > 1.5 + 2 * 0.05]
+    assert len(forces) > 20
+    assert rep["post_switch_max_self_force"] == max(forces)
+    # no record after the switch: no force
+    assert demo_locally_isolated(t_switch=1.5, t_end=1.5, dt=0.05)[
+        "post_switch_max_self_force"] == 0.0
+
+
 def test_demo_locally_isolated_no_pulse_control():
     rep = demo_locally_isolated(e_amp=0.0, t_switch=1.5, t_end=3.0, dt=0.05)
     assert rep["post_switch_max_self_force"] < 1e-12
@@ -367,6 +383,59 @@ def test_copy_state_independent():
     assert dup.t_now == 0.0
     assert dup.histories[0].t_latest == 0.0
     assert st.histories[0].t_latest > 0.0
+
+
+def test_seed_puts_the_system_in_one_store():
+    pre = inertial_history(ParticleSpec(1.0, 0.3, 0.5, "a"), [-1.0, 0, 0], [0.1, 0, 0],
+                           -6.0, 0.0, 40)
+    st = seed([None, ParticleSpec(1.0, -0.3, 0.6, "b")], [None, [1.0, 0, 0]],
+              [None, [0, 0, 0]], prehistories=[pre, None], dt=0.05)
+    assert st.histories[0] is pre
+    assert len({id(h._bank) for h in st.histories}) == 1
+    assert [ref() for ref in st.histories[0]._bank._members] == st.histories
+
+
+def test_a_prehistory_seeded_twice_is_read_from_where_it_lives():
+    pre = inertial_history(ParticleSpec(1.0, 0.3, 0.5, "a"), [-1.0, 0, 0], [0.1, 0, 0],
+                           -6.0, 0.0, 40)
+    args = ([ParticleSpec(1.0, -0.3, 0.6, "b"), None], [[1.0, 0, 0], None], [[0, 0, 0], None])
+    first = seed(*args, prehistories=[None, pre], dt=0.05)
+    second = seed(*args, prehistories=[None, pre], dt=0.05)  # moves pre out of first's store
+    step(second)
+    t = pre.t_latest
+    got = wl.gather(first.histories, [0, 1], [0.0, t])
+    assert got.t[1] == t and np.array_equal(got.r[1], pre.state_at_time(t).r)
+
+
+def test_a_dropped_store_is_freed_without_the_garbage_collector():
+    # a history holds its store and the store only weak references to its
+    # histories, so no cycle keeps a dropped system's nodes alive
+    gc.disable()
+    try:
+        st = static_pair(dt=0.05)
+        step(st)
+        stores = [weakref.ref(st.histories[0]._bank),
+                  weakref.ref(copy_state(st).histories[0]._bank)]
+        del st
+        assert [ref() for ref in stores] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_copy_state_histories_stay_independent_after_further_steps():
+    st = static_pair(dt=0.05)
+    step(st)
+    dup = copy_state(st)
+    assert len({id(h._bank) for h in dup.histories} | {id(st.histories[0]._bank)}) == 2
+    tables = [h.table for h in st.histories]
+    step(dup)
+    step(dup)
+    assert [np.array_equal(h.table, tab) for h, tab in zip(st.histories, tables)] == [True] * 2
+    step(st)
+    # the original's next step is the copy's first one, bit for bit
+    for h, g in zip(st.histories, dup.histories):
+        assert len(g) == len(h) + 1
+        assert np.array_equal(g.table[:len(h)], h.table)
 
 
 # -- batched force evaluations ---------------------------------------------------
@@ -518,7 +587,7 @@ def fresh_record(st):
     tau = [[ret.self_delay(h, st.t_now).t_ret]
            + [ret.pair_delay(hj, now.r[i], h.spec.sigma).t_ret
               for j, hj in enumerate(hs) if j != i] for i, h in enumerate(hs)]
-    return DIAGNOSE(st, (A, np.array(tau)), 0.0)
+    return DIAGNOSE(st, now, (A, np.array(tau)), 0.0)
 
 
 @pytest.mark.parametrize("mode, sigmas", [(SelfForceMode.EXACT, (0.03, 0.035, 0.032)),

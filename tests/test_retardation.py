@@ -20,6 +20,19 @@ def uniform_history(x3, v3, sigma=1.0, q=1.0, t0=-40.0, t1=2.0, n=24, c=1.0):
                                np.asarray(v3, dtype=float), t0, t1, n, c=c)
 
 
+def stub_gather(histories, src, ts):
+    """Stand-in for retardation.gather over stub sources that only answer
+    state_at_time: their states, asked one time at a time, stacked as one
+    sample with r^0 = c t."""
+    ts = np.asarray(ts, dtype=np.float64).reshape(-1)
+    src = np.broadcast_to(src, ts.shape)
+    states = [histories[k].state_at_time(t) for k, t in zip(src.tolist(), ts.tolist())]
+    r, u, a = (np.array([getattr(x, name) for x in states]).reshape(-1, 4)
+               for name in ("r", "u", "a"))
+    r[:, 0] = histories[0].c * ts
+    return wl.WorldlineSample(ts, np.array([x.s for x in states], dtype=np.float64), r, u, a)
+
+
 def bisect_oracle(obs_x3, src_pos_fn, t_obs, sigma, c=1.0, lo=0.0, hi=64.0):
     """Independent bracketing bisection on the squared delay equation."""
     def F(tau):
@@ -69,7 +82,7 @@ class TestSelfDelay:
                                t_obs, 0.7)
         assert root.t_ret == pytest.approx(oracle, abs=1e-12)
 
-    def test_no_convergence_on_superluminal_stub(self):
+    def test_no_convergence_on_superluminal_stub(self, monkeypatch):
         # a chasing source that outruns its own emission shell never
         # produces a causal root; the solver must fail loudly
         class Chasing:
@@ -83,6 +96,7 @@ class TestSelfDelay:
                                           u=np.array([1.0, 0, 0, 0]),
                                           a=np.zeros(4))
 
+        monkeypatch.setattr(ret, "gather", stub_gather)
         with pytest.raises(ret.NoConvergence):
             ret.self_delay(Chasing(), 0.0, sigma=0.5)
 
@@ -232,7 +246,7 @@ class TestPairDelay:
 
     @pytest.mark.parametrize("beta", [-0.99, 0.99])
     @pytest.mark.parametrize("seed", [0.0, 100.0])
-    def test_bracket_survives_a_wrong_source_velocity(self, beta, seed):
+    def test_bracket_survives_a_wrong_source_velocity(self, beta, seed, monkeypatch):
         # a static source that reports a velocity toward (beta < 0) or away
         # from the observer misleads every Newton step; the bracket must
         # still find the static root sqrt(d^2 + sigma^2) / c
@@ -246,6 +260,7 @@ class TestPairDelay:
                                           u=np.array([self.g, self.g * beta, 0, 0]),
                                           a=np.zeros(4))
 
+        monkeypatch.setattr(ret, "gather", stub_gather)
         root = ret.pair_delay(Misreporting(), np.zeros(4), 0.5, seed=seed)
         assert root.t_ret == pytest.approx(np.sqrt(4.25), abs=1e-11)
 

@@ -228,7 +228,8 @@ def _tail(h, t=2.0, a=(0.028, 0.2, 0.0, 0.0)):
 
 def _store(h):
     """The raw packed store, capacity rows included."""
-    return h._n, h._n_slopes, h._t.tobytes(), h._nodes.tobytes()
+    bank = h._bank
+    return bank._n.tobytes(), bank._latest.tobytes(), bank._key.tobytes(), bank._nodes.tobytes()
 
 
 class TestStaged:
@@ -245,15 +246,17 @@ class TestStaged:
         assert h.t_latest == pytest.approx(2.0) and len(h) == 81
 
     def test_staged_matches_appended_history_bit_for_bit(self):
-        # 32 nodes fill the packed store, so staging grows it
+        # a store keeps a spare row after every committed block, so the
+        # stage is written in place
         h = _sin_history(n=32)
-        assert len(h._t) == 32
+        nodes = h._bank._nodes
         tail = _tail(h)
         ref = h.copy()
         ref.append(tail)
         t_node = h.samples[7].t
         ts = (t_node, t_node + 0.013, h.t_latest, 1.97, 2.0)
         with wl.staged([h], [_row(tail)]):
+            assert h._bank._nodes is nodes
             for t in ts:
                 _same_state(h.state_at_time(t), ref.state_at_time(t))
                 assert np.array_equal(h.u_dotdot_at_time(t), ref.u_dotdot_at_time(t))
@@ -284,6 +287,22 @@ class TestStaged:
         for h, (n, t_latest, table) in zip(hs, before):
             assert (len(h), h.t_latest) == (n, t_latest)
             assert np.array_equal(h.table, table)
+
+    def test_nested_stages_grow_a_full_store(self):
+        h = make_inertial()
+        while len(h) + 1 < h._bank._cap[h._slot]:  # leave the one spare row
+            h.extend(_block(h, m=1))
+        before = h.table
+        rows = _block(h, m=2)
+        ref = h.copy()
+        ref.extend(rows)
+        with wl.staged([h], rows[:1]):
+            with wl.staged([h], rows[1:]):  # the store grows under both stages
+                assert len(h) == len(ref) and h._bank._cap[h._slot] > len(h)
+                ts = np.linspace(h.t_latest - 1.5, h.t_latest, 7)
+                _same_state(h.states_at(ts), ref.states_at(ts))
+            assert h.t_latest == rows[0, 0]
+        assert np.array_equal(h.table, before)
 
     def test_staged_rejects_non_advancing_rows(self):
         hs = [make_inertial(), make_inertial(beta=0.3)]
@@ -506,3 +525,194 @@ def test_proper_time_is_monotone(ts):
     ss = [h.state_at_time(t).s for t in ts]
     for s1, s2 in zip(ss, ss[1:]):
         assert s1 < s2
+
+
+# -- one store per system --------------------------------------------------------
+
+
+def random_table(rng, n, c=1.0):
+    """n valid nodes (CSV_HEADER order) with random spacing, velocities
+    below 0.87 c and arbitrary accelerations."""
+    t = rng.uniform(-3.0, 3.0) + np.cumsum(rng.uniform(0.05, 0.8, n))
+    v = rng.uniform(-0.5, 0.5, (n, 3))
+    g = 1.0 / np.sqrt(1.0 - np.sum(v * v, axis=1))
+    s = rng.uniform(-1.0, 1.0) + np.cumsum(rng.uniform(0.05, 0.8, n))
+    return np.column_stack((t, s, c * t, rng.normal(0.0, 2.0, (n, 3)),
+                            g, g[:, None] * v, rng.normal(0.0, 0.3, (n, 4))))
+
+
+def continued(h, tab):
+    """tab shifted in t and s to start just after h's latest node."""
+    tab = tab.copy()
+    tab[:, 0] += h.t_latest + 0.1 - tab[0, 0]
+    tab[:, 1] += h.table[-1, 1] + 0.1 - tab[0, 1]
+    tab[:, 2] = h.c * tab[:, 0]
+    return tab
+
+
+def reference_state(h, t):
+    """The per-history lookup that one store per system replaced: one
+    searchsorted over the history's own node times (clipped into its
+    nodes) and the Hermite slopes of its own table, then the module's
+    evaluation of that one query."""
+    tab, c = h.table, h.c
+    u, a = tab[:, 6:10], tab[:, 10:14]
+    nodes = np.column_stack((tab[:, 1:], c / u[:, 0], c * u / u[:, :1], a * (c / u[:, :1])))
+    ts = np.array([t])
+    i = tab[:, 0].searchsorted(ts, side="right")
+    k0, k1 = np.clip(i - 1, 0, len(tab) - 1), np.clip(i, 0, len(tab) - 1)
+    return wl._evaluate(ts, tab[k0, 0], nodes[k0], tab[k1, 0], nodes[k1], c)
+
+
+def _queries(rng, hs):
+    """(src, ts) in shuffled order: per history one time before its first
+    node, every node, the latest node and a time inside each segment."""
+    src, ts = [], []
+    for k, h in enumerate(hs):
+        t = h.table[:, 0]
+        mids = t[:-1] + rng.uniform(0.0, 1.0, len(t) - 1) * np.diff(t)
+        times = [t[0] - rng.uniform(0.01, 2.0), *t, t[-1], *mids]
+        src += [k] * len(times)
+        ts += times
+    order = rng.permutation(len(ts))
+    return np.array(src)[order], np.array(ts)[order]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4),
+       st.sampled_from(["own", "shared", "mixed"]), st.booleans())
+def test_gather_matches_the_per_history_lookup_bit_for_bit(seed, k, stores, stage):
+    rng = np.random.default_rng(seed)
+    hs = []
+    for i in range(k):
+        h = wl.WorldlineHistory(wl.ParticleSpec(1.0, 1.0, 0.1, f"h{i}"))
+        h.extend(random_table(rng, int(rng.integers(1, 10))))
+        hs.append(h)
+    if stores == "shared":
+        wl.share_store(hs)
+    elif stores == "mixed":
+        wl.share_store(hs[::2])
+    staged = []
+    if stage:
+        rows = random_table(rng, k)
+        rows[:, 0] = [h.t_latest + 0.3 for h in hs]
+        rows[:, 2] = rows[:, 0]
+        staged = [wl.staged(hs, rows)]
+    for block in staged:
+        block.__enter__()
+    try:
+        src, ts = _queries(rng, hs)
+        got = wl.gather(hs, src, ts)
+        for m, (i, t) in enumerate(zip(src.tolist(), ts.tolist())):
+            want = reference_state(hs[i], t)
+            for name in ("t", "s", "r", "u", "a"):
+                assert np.array_equal(getattr(got, name)[m], getattr(want, name)[0]), (i, t, name)
+            _same_state(hs[i].states_at([t]), want)
+    finally:
+        for block in staged:
+            block.__exit__(None, None, None)
+
+
+def test_gather_refuses_the_first_query_past_the_present_in_request_order():
+    rng = np.random.default_rng(3)
+    hs = [wl.WorldlineHistory(wl.ParticleSpec(1.0, 1.0, 0.1)) for _ in range(3)]
+    for h in hs:
+        h.extend(random_table(rng, 5))
+    wl.share_store(hs[:2])
+    late = [h.t_latest + 1.0 for h in hs]
+    for src in ([2, 0, 1], [1, 2, 0]):
+        ts = [hs[src[0]].t_first, late[src[1]], late[src[2]]]
+        with pytest.raises(wl.QueryBeyondPresent) as got:
+            wl.gather(hs, src, ts)
+        assert str(got.value) == (f"query at t={late[src[1]]!r} is beyond latest stored "
+                                  f"t={hs[src[1]].t_latest!r}")
+    with pytest.raises(wl.QueryBeyondPresent, match="t=nan is beyond"):
+        wl.gather(hs, [0, 1], [hs[0].t_first, float("nan")])
+    empty = wl.WorldlineHistory(wl.ParticleSpec(1.0, 1.0, 0.1))
+    with pytest.raises(wl.QueryBeyondPresent, match="no samples"):
+        wl.gather([hs[0], empty], [0, 1], [hs[0].t_first, 0.0])
+
+
+def test_share_store_keeps_the_histories_and_their_nodes():
+    rng = np.random.default_rng(5)
+    hs = [wl.WorldlineHistory(wl.ParticleSpec(1.0, 1.0, 0.1, f"h{i}")) for i in range(3)]
+    for h in hs:
+        h.extend(random_table(rng, 7))
+    hs[1].hard_tol = 1e-4
+    kept = [(id(h), h.table, list(h.flags), h.hard_tol) for h in hs]
+    wl.share_store(hs)
+    assert len({id(h._bank) for h in hs}) == 1
+    for h, (ident, tab, flags, hard_tol) in zip(hs, kept):
+        assert (id(h), h.flags, h.hard_tol) == (ident, flags, hard_tol)
+        assert np.array_equal(h.table, tab)
+    # each history still grows on its own
+    hs[1].extend(continued(hs[1], random_table(rng, 40)))
+    assert len(hs[1]) == 47
+    for h, (_, tab, _, _) in zip(hs[::2], kept[::2]):
+        assert np.array_equal(h.table, tab)
+
+
+def _committed_store():
+    rng = np.random.default_rng(11)
+    hs = [wl.WorldlineHistory(wl.ParticleSpec(1.0, 1.0, 0.1, label)) for label in "abc"]
+    for h in hs:
+        tab = random_table(rng, 4)
+        tab[:, 10:] = 0.0  # no flag before the commit
+        h.extend(tab)
+    wl.share_store(hs)
+    last = np.array([h.table[-1] for h in hs])
+    rows = last.copy()
+    rows[:, 0] += 0.1
+    rows[:, 1] += 0.1
+    rows[:, 2] = rows[:, 0]
+    return hs, rows
+
+
+@pytest.mark.parametrize("faults", [
+    {1: (6, 1e-3)},                    # hard tolerance at b
+    {1: (6, 1e-3), 2: (3, np.nan)},    # b first, though c's NaN is checked first in a row
+    {0: (0, -1.0), 1: (6, 1e-3)},      # t does not advance at a
+    {2: (2, 5.0)},                     # r^0 != c t at c
+])
+def test_commit_raises_the_first_failing_row_with_its_label(faults):
+    hs, rows = _committed_store()
+    for i, (col, delta) in faults.items():
+        rows[i, col] += delta
+    first = min(faults)
+    ref = hs[first].copy()
+    with pytest.raises(Exception) as want:
+        ref.extend(rows[first])
+    before = [(h.table, list(h.flags)) for h in hs]
+    with pytest.raises(type(want.value)) as got:
+        wl.commit(hs, rows)
+    assert str(got.value) == str(want.value)
+    assert got.value.particle == "abc"[first]
+    for h, (tab, flags) in zip(hs, before):
+        assert np.array_equal(h.table, tab) and h.flags == flags
+
+
+def test_commit_checks_each_row_under_its_own_history():
+    hs, rows = _committed_store()
+    hs[2].hard_tol = 1e-2
+    rows[1:, 6] += 1e-3  # over the default hard tolerance, under c's
+    with pytest.raises(wl.ConstraintViolation, match="hard tolerance 1.0e-06") as got:
+        wl.commit(hs, rows)
+    assert got.value.particle == "b"
+    rows[1, 6] -= 1e-3
+    wl.commit(hs, rows)
+    assert hs[2].flags == ["u-normalization-drift"] and hs[0].flags == hs[1].flags == []
+    for h, row in zip(hs, rows):
+        assert np.array_equal(h.table[-1], row)
+
+
+def test_commit_equals_appending_row_by_row():
+    hs, rows = _committed_store()
+    refs = [h.copy() for h in hs]
+    rows[:, 2] *= 1.0 + 1e-12  # r^0 canonicalized to c t
+    wl.commit(hs, rows)
+    for ref, row in zip(refs, rows):
+        ref.append(wl.WorldlineSample(row[0], row[1], row[2:6], row[6:10], row[10:]))
+    src, ts = _queries(np.random.default_rng(2), hs)
+    _same_state(wl.gather(hs, src, ts), wl.gather(refs, src, ts))
+    for h, ref in zip(hs, refs):
+        assert np.array_equal(h.table, ref.table) and h.flags == ref.flags
