@@ -118,9 +118,11 @@ class Diagnostics:
     def export_csv(self, path, labels, comment: str | None = None) -> None:
         """Write the records; wall times stay in memory only, because
         exported files must be bit-identical across repeated runs."""
-        rows = ([r.step, r.t, *r.constraint_err, *r.h_eff, *r.p_hat, *r.m_hat,
-                 *r.self_delays, *r.pair_delays] for r in self._records)
-        write_table(path, self.header(labels), rows, comment)
+        header = self.header(labels)
+        rows = [[r.step, r.t, *r.constraint_err, *r.h_eff, *r.p_hat, *r.m_hat,
+                 *r.self_delays, *r.pair_delays] for r in self._records]
+        write_table(path, header, np.array(rows, dtype=np.float64).reshape(-1, len(header)),
+                    comment)
 
 
 @dataclass

@@ -30,7 +30,6 @@ import fnmatch
 import hashlib
 import json
 import math
-import operator
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -380,6 +379,15 @@ def _external_model(cfg: RunConfig) -> ExternalFieldModel:
 def load_prehistory_csv(path, spec: ParticleSpec, cfg: RunConfig) -> WorldlineHistory:
     """Read a worldline table; its rows are checked as one block under
     cfg's tolerances."""
+    h = WorldlineHistory(spec, c=cfg.c)
+    h.hard_tol, h.constraint_tol = cfg.constraint_hard, cfg.constraint_soft
+    # the table's line strings are released before the store is built
+    h.extend(_prehistory_table(path))
+    return h
+
+
+def _prehistory_table(path) -> np.ndarray:
+    """The (rows, 14) float table of a prehistory CSV in CSV_HEADER order."""
     header, lines = read_table(path)
     if not header:
         raise ConfigError(f"prehistory table {path} is empty")
@@ -388,23 +396,32 @@ def load_prehistory_csv(path, spec: ParticleSpec, cfg: RunConfig) -> WorldlineHi
                           f"expected {CSV_HEADER}")
     if not lines:
         raise ConfigError(f"prehistory table {path} has no data rows")
-    width = len(CSV_HEADER)
-    if any(ln.count(",") != width - 1 for ln in lines):
+    if any(ln.count(",") != len(CSV_HEADER) - 1 for ln in lines):
         raise ConfigError(f"prehistory table {path}: bad row width")
-    h = WorldlineHistory(spec, c=cfg.c)
-    h.hard_tol, h.constraint_tol = cfg.constraint_hard, cfg.constraint_soft
-    data = iter(lines)
-    # streamed into one array: no per-cell string table is held at once
-    values = (float(v) for ln in data for v in ln.split(","))
     try:
-        table = np.fromiter(values, np.float64, width * len(lines))
+        # parsed in C as one table: no Python float is made per cell
+        return _floats(lines)
     except ValueError as exc:
-        # the rows not yet read tell which one failed
-        row = len(lines) - operator.length_hint(data)
+        # only after a failure is each row parsed alone, to name the first
+        # one that fails and its first cell that fails
+        row, ln = next((i, ln) for i, ln in enumerate(lines, 1) if not _parses(ln))
+        cell = next(v for v in ln.split(",") if not (v.strip() and _parses(v)))
         raise ConfigError(f"prehistory table {path}: data row {row} has a "
-                          f"non-numeric cell ({exc})") from exc
-    h.extend(table.reshape(-1, width))
-    return h
+                          f"non-numeric cell {cell!r}") from exc
+
+
+def _floats(lines) -> np.ndarray:
+    """(rows, cells) float64 array of comma-separated lines, read by
+    numpy's C parser; raises ValueError on a cell that is not a float."""
+    return np.loadtxt(lines, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
+
+
+def _parses(line: str) -> bool:
+    try:
+        _floats([line])
+    except ValueError:
+        return False
+    return True
 
 
 def build_state(cfg: RunConfig, base_dir=".", mode=None, dt=None):

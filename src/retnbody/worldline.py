@@ -38,6 +38,8 @@ history.
 
 write_table and read_table hold the one CSV table format of the package:
 every table it writes or reads, node tables included, goes through them.
+A float table is written in blocks of rows, one repr per cell;
+export_csv reads those blocks straight from the store.
 """
 
 from __future__ import annotations
@@ -56,20 +58,37 @@ CSV_HEADER = ["t", "s", "r0", "r1", "r2", "r3",
               "u0", "u1", "u2", "u3", "a0", "a1", "a2", "a3"]
 
 
+_BLOCK_ROWS = 1024  # rows of a float table formatted per write
+
+
 def write_table(path, header, rows, comment: str | None = None) -> None:
     """Write a CSV table: a "# comment" line when given, the header, then
-    one line per row, each ended by "\n". A string cell is written as it
-    is, any other as repr(float(v)), which reads back to the same float.
-    Rows are written one at a time, never joined into one string. The
-    parent directory is made if it is missing."""
+    one line per row, each ended by "\n". The parent directory is made if
+    it is missing.
+
+    rows is an iterable of rows or of row blocks (2-D float arrays); an
+    array alone is one block. A block is written _BLOCK_ROWS lines at a
+    time, each batch formatted as one string, one repr per cell, with one
+    write. A row is written with one write, a string cell as it is and
+    any other as repr(float(v)). Either way a number is written as the
+    repr of its float, which reads back to the same float.
+    """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    if isinstance(rows, np.ndarray):
+        rows = (rows,)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if comment is not None:
             fh.write(f"# {comment}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join([v if isinstance(v, str) else repr(float(v))
-                               for v in row]) + "\n")
+        for item in rows:
+            if isinstance(item, np.ndarray) and item.ndim == 2:
+                block = item.astype(np.float64, copy=False)
+                for i in range(0, len(block), _BLOCK_ROWS):
+                    fh.write("".join([",".join(map(repr, row)) + "\n"
+                                      for row in block[i:i + _BLOCK_ROWS].tolist()]))
+            else:
+                fh.write(",".join([v if isinstance(v, str) else repr(float(v))
+                                   for v in item]) + "\n")
 
 
 def read_table(path) -> tuple[list, list]:
@@ -497,8 +516,12 @@ class WorldlineHistory:
     # -- export ------------------------------------------------------------
 
     def export_csv(self, path, comment: str | None = None) -> None:
-        """Write the nodes as a CSV_HEADER table (see write_table)."""
-        write_table(path, CSV_HEADER, self.table.tolist(), comment)
+        """Write the nodes as a CSV_HEADER table (see write_table), read
+        from the store one block of rows at a time."""
+        bank, (a, b) = self._bank, self._span()
+        spans = ((i, min(i + _BLOCK_ROWS, b)) for i in range(a, b, _BLOCK_ROWS))
+        write_table(path, CSV_HEADER, (np.column_stack((bank._t[i:j], bank._nodes[i:j, :_A.stop]))
+                                       for i, j in spans), comment)
 
 
 def copy_histories(histories, specs=None) -> list:

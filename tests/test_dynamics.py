@@ -648,6 +648,23 @@ def test_failed_stage_leaves_no_staged_node(monkeypatch, tmp_path):
         assert header == wl.CSV_HEADER and np.array_equal(exported, table)
 
 
+def test_diagnostics_export_writes_each_number_as_repr_of_its_float(tmp_path):
+    st = static_pair()
+    run(st, st.t_now + 3 * st.dt)
+    labels = [h.spec.label for h in st.histories]
+    path = tmp_path / "diagnostics.csv"
+    st.diagnostics.export_csv(path, labels, comment="c")
+    # the reference: one cell at a time, repr(float(v)), the step number too
+    rows = [[r.step, r.t, *r.constraint_err, *r.h_eff, *r.p_hat, *r.m_hat,
+             *r.self_delays, *r.pair_delays] for r in st.diagnostics.records]
+    want = ["# c", ",".join(st.diagnostics.header(labels))]
+    want += [",".join(repr(float(v)) for v in row) for row in rows]
+    assert path.read_text(encoding="utf-8") == "".join(ln + "\n" for ln in want)
+    assert [ln.split(",", 1)[0] for ln in want[2:]] == ["1.0", "2.0", "3.0"]
+    dyn.Diagnostics().export_csv(path, labels)
+    assert path.read_text(encoding="utf-8") == ",".join(dyn.Diagnostics().header(labels)) + "\n"
+
+
 def test_neutral_companion_roots_are_not_solved_in_the_force(monkeypatch):
     specs = [ParticleSpec(1.0, 0.5, 0.6, "a"), ParticleSpec(1.0, 0.0, 0.7, "n"),
              ParticleSpec(1.2, -0.4, 0.5, "b")]

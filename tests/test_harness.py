@@ -639,8 +639,8 @@ def test_prehistory_table_round_trip(tmp_path):
     table = tmp_path / "tab.csv"
     h.export_csv(str(table), comment="hand-built prehistory")
     loaded = load_prehistory_csv(str(table), spec, parse_config(_cfg_mapping()))
-    assert loaded.t_latest == h.t_latest
-    assert np.array_equal(loaded.samples[0].r, h.samples[0].r)
+    # every cell bit for bit: -0.0 and nan bit patterns would show too
+    assert np.array_equal(loaded.table.view(np.int64), h.table.view(np.int64))
 
     cfg = _cfg_mapping(output_dir=str(tmp_path / "mix"))
     cfg["particles"][0] = {"label": "tab", "m0": 1.0, "q": 0.3,
@@ -648,6 +648,21 @@ def test_prehistory_table_round_trip(tmp_path):
     rc, err = _cli(["run", _write_cfg(tmp_path, cfg)])
     assert rc == 0, err
     assert os.path.exists(str(tmp_path / "mix" / "trajectory_tab.csv"))
+
+
+def test_long_prehistory_export_load_export_is_byte_identical(tmp_path):
+    spec, cfg = ParticleSpec(1.0, 0.5, 0.8, "left"), parse_config(_cfg_mapping())
+    t = np.linspace(-0.005 * 9999, 0.0, 10_000)
+    h = history_from_kinematics(
+        spec, t, lambda s: np.array([0.04 * np.sin(0.9 * s + 0.3), 0.03 * np.cos(1.3 * s), 0.0]),
+        lambda s: np.array([0.036 * np.cos(0.9 * s + 0.3), -0.039 * np.sin(1.3 * s), 0.0]),
+        lambda s: np.array([-0.0324 * np.sin(0.9 * s + 0.3), -0.0507 * np.cos(1.3 * s), 0.0]))
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    h.export_csv(str(first), comment="c")
+    loaded = load_prehistory_csv(str(first), spec, cfg)
+    assert np.array_equal(loaded.table.view(np.int64), h.table.view(np.int64))
+    loaded.export_csv(str(second), comment="c")
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_mixed_config_synthesizes_like_an_all_instant_one(tmp_path):
@@ -766,6 +781,49 @@ def test_cli_prehistory_table_non_numeric_cell(tmp_path):
         assert payload["error"] == "ConfigError"
         assert str(tmp_path / "tab.csv") in payload["detail"]
         assert f"data row {row} has a non-numeric cell" in payload["detail"]
+
+
+# cells float() reads but numpy's C parser does not: "1_0" (an underscore
+# digit separator) and Arabic-Indic digits; both now name their row
+@pytest.mark.parametrize("cell", ["abc", "", "1_0", "\u0661\u0662", "1.0#2", "0x1p3"])
+def test_prehistory_table_names_the_first_non_numeric_cell(tmp_path, cell):
+    spec, cfg = ParticleSpec(1.0, 0.3, 0.8, "tab"), parse_config(_cfg_mapping())
+    h = inertial_history(spec, [0.5, 0, 0], [0.1, 0, 0], -6.0, 0.0, 48)
+    table = tmp_path / "tab.csv"
+    h.export_csv(str(table), comment="hand-built")
+    lines = table.read_text(encoding="utf-8").splitlines()
+    for i, col in ((1 + 30, 5), (1 + 17, 3)):  # data rows 30 and 17
+        cells = lines[i].split(",")
+        cells[col] = cell
+        lines[i] = ",".join(cells)
+    # comment and blank lines are not data rows
+    lines = ["# one", "", *lines[:10], "", "   ", "# two", *lines[10:]]
+    table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as info:
+        load_prehistory_csv(str(table), spec, cfg)
+    assert str(info.value) == (f"prehistory table {table}: data row 17 has a "
+                               f"non-numeric cell {cell!r}")
+
+
+def test_prehistory_table_cells_read_as_float_reads_them(tmp_path):
+    spec, cfg = ParticleSpec(1.0, 0.3, 0.8, "tab"), parse_config(_cfg_mapping())
+    h = inertial_history(spec, [0.5, 0, 0], [0.1, 0, 0], -6.0, 0.0, 48)
+    table = tmp_path / "tab.csv"
+    h.export_csv(str(table))
+    lines = table.read_text(encoding="utf-8").splitlines()
+    spelled = {3: lambda v: f"  {v}\t", 4: lambda v: "+" + v if v[0] != "-" else v,
+               5: lambda v: v.upper() if "e" in v else v + "E0", 12: lambda v: v + "0"}
+    for i in range(1, len(lines), 2):
+        cells = lines[i].split(",")
+        for col, spell in spelled.items():
+            cells[col] = spell(cells[col])
+        lines[i] = ",".join(cells)
+    table.write_text("\n\n".join(lines) + "\n", encoding="utf-8")
+    want = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    loaded = load_prehistory_csv(str(table), spec, cfg)
+    assert np.array_equal(loaded.table.view(np.int64), want.view(np.int64))
+    assert np.array_equal(loaded.table, h.table)
+
 
 def test_cli_prehistory_table_without_data_rows(tmp_path):
     mapping = _edited_table_config(tmp_path, 0, 0, lambda v: v,

@@ -485,6 +485,7 @@ class TestCsvExport:
         text = path.read_text(encoding="utf-8")
         assert text == ("# config-hash: 0123\nname,x,y\n"
                         "a,nan,inf\nb c,-0.0,1e-05\nd,-inf,3.0\n")
+        assert text == per_cell_table(["name", "x", "y"], rows, "config-hash: 0123")
         path.write_text("\n# note\n" + text.replace("\nb c", "\n\n  \nb c"),
                         encoding="utf-8")
         header, lines = wl.read_table(path)
@@ -495,6 +496,66 @@ class TestCsvExport:
         assert wl.read_table(path) == (["x"], [])
         path.write_text("# comment only\n\n", encoding="utf-8")
         assert wl.read_table(path) == ([], [])
+
+
+def per_cell_table(header, rows, comment=None) -> str:
+    """The reference text of a table: one cell at a time, a string as it
+    is and any other cell as repr(float(v))."""
+    lines = ([] if comment is None else [f"# {comment}"]) + [",".join(header)]
+    lines += [",".join([v if isinstance(v, str) else repr(float(v)) for v in row])
+              for row in rows]
+    return "".join(ln + "\n" for ln in lines)
+
+
+EDGE_VALUES = [-0.0, float("nan"), float("inf"), -float("inf"), 1e16,
+               9999999999999998.0, 1e-4, 1e-5, 5e-324, 1.7976931348623157e308]
+
+
+def edge_table(n, width=14):
+    """(n, width) floats over the whole exponent range, subnormals and
+    overflow to inf included, with EDGE_VALUES repeated through it."""
+    rng = np.random.default_rng(n)
+    with np.errstate(over="ignore"):
+        tab = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-330, 310, (n, width))
+    flat = tab.reshape(-1)
+    flat[::3] = np.resize(EDGE_VALUES, flat[::3].shape)
+    return tab
+
+
+class TestFloatBlocks:
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025])
+    @pytest.mark.parametrize("comment", [None, "config-hash: 0123"])
+    def test_blocks_write_the_per_cell_bytes(self, tmp_path, n, comment):
+        tab, header = edge_table(n), wl.CSV_HEADER
+        want = per_cell_table(header, tab.tolist(), comment).encode("utf-8")
+        path = tmp_path / "t.csv"
+        wl.write_table(path, header, tab, comment)
+        assert path.read_bytes() == want
+        # the same table as uneven consecutive blocks, and one row at a time
+        for rows in ((tab[:n // 3], tab[n // 3:]), list(tab)):
+            wl.write_table(path, header, rows, comment)
+            assert path.read_bytes() == want
+
+    def test_edge_values_and_integer_blocks(self, tmp_path):
+        path = tmp_path / "t.csv"
+        wl.write_table(path, ["x"], np.array(EDGE_VALUES)[:, None])
+        assert path.read_text(encoding="utf-8") == (
+            "x\n-0.0\nnan\ninf\n-inf\n1e+16\n9999999999999998.0\n0.0001\n1e-05\n"
+            "5e-324\n1.7976931348623157e+308\n")
+        ints = np.arange(-3, 3).reshape(2, 3)
+        wl.write_table(path, ["a", "b", "c"], ints)
+        assert path.read_text(encoding="utf-8") == per_cell_table(["a", "b", "c"],
+                                                                  ints.tolist())
+
+    @pytest.mark.parametrize("n", [1, 1024, 2500])
+    def test_export_reads_the_store_in_blocks(self, tmp_path, n):
+        hs = wl.copy_histories([make_inertial(beta=0.2, n=5), make_inertial(n=n),
+                                make_inertial(beta=-0.3, n=7)])
+        path = tmp_path / "wl.csv"
+        for h in hs:
+            h.export_csv(path, comment="c")
+            assert path.read_text(encoding="utf-8") == per_cell_table(
+                wl.CSV_HEADER, h.table.tolist(), "c")
 
 
 betas = st.floats(min_value=-0.9, max_value=0.9, allow_nan=False)
