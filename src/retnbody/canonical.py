@@ -260,9 +260,9 @@ class FrozenHistoryContext:
     """Immutable snapshot of all histories plus per-particle effective
     potential evaluators.
 
-    The snapshot copies the histories into one store and appends one
-    node to each copy, as one block: a short inertial continuation past
-    the capture time, so that finite-difference probes of the observation
+    The snapshot copies the histories into one store, reads their latest
+    states from that copy, and appends one node to each copy, as one
+    block: a short inertial continuation past the capture time, so that finite-difference probes of the observation
     event stay inside the queryable range; the margin sits far below
     every delay root, so no field or potential kernel ever interpolates
     inside it. Nodes appended to a history later stay invisible to the
@@ -284,12 +284,12 @@ class FrozenHistoryContext:
             h = base[int(np.argmax(latest < t_ref))]
             raise ValueError(f"history {h.spec.label!r} ends at {h.t_latest} before "
                              f"capture time {t_ref}")
-        last = gather(base, np.arange(len(base)), latest)
+        frozen = copy_histories(base)
+        last = gather(frozen, np.arange(len(base)), latest)
         g = last.u[:, 0]
         dt_ext = (latest + margin) - latest
         r_ext = last.r + (self.c / g)[:, None] * last.u * dt_ext[:, None]
         r_ext[:, 0] = self.c * (last.t + dt_ext)
-        frozen = copy_histories(base)
         commit(frozen, np.column_stack((last.t + dt_ext, last.s + (self.c / g) * dt_ext, r_ext,
                                         last.u, np.zeros((len(base), 4)))))
         self._histories = tuple(frozen)

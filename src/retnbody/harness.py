@@ -73,6 +73,7 @@ from .worldline import (
     ParticleSpec,
     QueryBeyondPresent,
     WorldlineHistory,
+    copy_histories,
     gather,
     read_table,
     write_table,
@@ -820,9 +821,8 @@ def cmd_check_pb(cfg: RunConfig) -> dict:
 
 
 def _neutral_context(ctx_histories, external, t_ref):
-    return FrozenHistoryContext(
-        [h.copy(ParticleSpec(h.spec.m0, 0.0, h.spec.sigma, h.spec.label))
-         for h in ctx_histories], external, t_ref)
+    specs = [ParticleSpec(h.spec.m0, 0.0, h.spec.sigma, h.spec.label) for h in ctx_histories]
+    return FrozenHistoryContext(copy_histories(ctx_histories, specs), external, t_ref)
 
 
 def cmd_demo_no_interaction(cfg: RunConfig, base_dir=".") -> dict:

@@ -9,11 +9,13 @@ A history stores time-ordered nodes (t, s, r, u, a) for one particle:
 
 The nodes of one or more histories live in one store, a HistoryBank: one
 node block and one sorted lookup key whose entries are (history slot,
-node time), each history owning a run of rows with spare capacity. A
-WorldlineHistory is a view of its own run. A history made on its own
-has a store of its own; dynamics.seed moves a system's histories into
-one store (share_store), and copy_histories copies histories into a new
-one. Nodes enter as checked block writes: extend(table) takes (m, 14)
+node time), each history owning a run of rows with spare capacity, all
+of one light speed. A WorldlineHistory is a view of its own run. A
+history made on its own has a store of its own; dynamics.seed moves a
+system's histories into one store (share_store), and copy_histories
+copies histories into a new one. Histories written together share one
+store, and a write to a set spread over several raises ValueError.
+Nodes enter as checked block writes: extend(table) takes (m, 14)
 rows in CSV_HEADER order (the layout export_csv writes) for one
 history, commit(histories, rows) one row per history, and append is a
 one-row extend. copy() and transformed() (a Poincare map) work on whole
@@ -31,10 +33,10 @@ for the length of a with block (an RK stage), so there is one history
 class and one query path.
 
 Every query is an array query: gather(histories, src, ts) finds the
-nodes of any mix of sources with one searchsorted over the key of each
-store involved and then evaluates all M states in one broadcasting pass
-(_evaluate); states_at and state_at_time are the same lookup for one
-history.
+nodes of any mix of sources with one searchsorted over the key of their
+store and then evaluates all M states in one broadcasting pass
+(_evaluate); histories made apart are read from one copy of them.
+states_at and state_at_time are the same lookup for one history.
 
 write_table and read_table hold the one CSV table format of the package:
 every table it writes or reads, node tables included, goes through them.
@@ -234,15 +236,16 @@ def _capacity(n: int) -> int:
 
 
 class HistoryBank:
-    """The packed node store of one or more histories.
+    """The packed node store of one or more histories, the one store of
+    every set of histories that is written together.
 
     Slot k holds one history: a run of rows [start_k, start_k + cap_k) in
     one node block _nodes (rows, _WIDTH) and in one lookup key _key
     (rows,) complex, whose real part is k and whose imaginary part is the
     node time on the n_k rows in use and +inf on the run's spare rows.
     numpy orders complex numbers by real part and then imaginary part, so
-    the key is sorted, and one searchsorted finds (k, t) for any mix of
-    slots with no arithmetic on t. Rows are written in blocks, their
+    the key is sorted, and one searchsorted finds (k, t) for any set of
+    its slots with no arithmetic on t. Rows are written in blocks, their
     Hermite slopes with them; a run that is full is grown by laying all
     runs out anew (see _capacity).
     """
@@ -265,8 +268,11 @@ class HistoryBank:
         histories[i] (from any stores). With move, history i is bound to
         slot i as soon as its rows are copied, so each old store can be
         freed before the next is copied; a store left holding others no
-        longer counts them as its own histories in slot order."""
+        longer counts them as its own histories in slot order. Histories
+        of different light speeds are refused before anything is copied."""
         hs = list(histories)
+        if any(h.c != hs[0].c for h in hs):
+            raise ValueError("histories in one store must share one light speed")
         bank = cls(hs[0].c, [_capacity(len(h)) for h in hs])
         for i, h in enumerate(hs):
             old, k, (a, b) = h._bank, h._slot, h._span()
@@ -359,18 +365,24 @@ _ALL = slice(None)
 
 
 def _located(hs):
-    """The histories hs grouped by store: [(store, positions in hs,
-    slots)], in order of first use. A store's own histories in slot
-    order are one group with both as slice(None)."""
+    """(store, slots) of the histories hs when they share one store, with
+    slots as slice(None) for a store's own histories in slot order; None
+    when they span several stores."""
     bank = hs[0]._bank
     if tuple(map(weakref.ref, hs)) == bank._members:
-        return [(bank, _ALL, _ALL)]
-    groups = {}
-    for i, h in enumerate(hs):
-        pos, slots = groups.setdefault(h._bank, ([], []))
-        pos.append(i)
-        slots.append(h._slot)
-    return [(b, np.array(pos), np.array(slots)) for b, (pos, slots) in groups.items()]
+        return bank, _ALL
+    if any(h._bank is not bank for h in hs):
+        return None
+    return bank, np.array([h._slot for h in hs])
+
+
+def _writable(hs):
+    """(store, slots) of histories written together, which must share one
+    store: a ValueError is raised before anything is written otherwise."""
+    at = _located(hs)
+    if at is None:
+        raise ValueError("histories written together must share one store")
+    return at
 
 
 class WorldlineHistory:
@@ -543,33 +555,27 @@ def share_store(histories) -> None:
 
 def _append(hs, tab, labelled: bool = False) -> None:
     """Append node rows tab (CSV_HEADER order) as one checked block write
-    per store: every row to hs[0] when hs holds one history, else row i
-    to hs[i] (see WorldlineHistory.extend). With labelled, a failure
-    carries its history's label as .particle. The check runs in its own
-    call, so its temporaries are freed before a long block is written."""
-    groups = _located(hs)
-    _check_rows(hs, groups, tab, labelled)
-    ct = hs[0].c * tab[:, 0]
-    for bank, pos, slots in groups:
-        # several stores hold one history each of hs, row i for hs[i]
-        rows, each = (pos if len(groups) > 1 else _ALL), (len(tab) if len(hs) == 1 else 1)
-        bank._reserve(slots, each + 1)  # and one row to stage the next node in
-        at = bank._extend(slots, tab[rows], each)
-        bank._nodes[at, _R.start] = ct[rows]  # canonicalize so r^0 = c t holds bit-for-bit
+    to the one store of hs: every row to hs[0] when hs holds one history,
+    else row i to hs[i] (see WorldlineHistory.extend). With labelled, a
+    failure carries its history's label as .particle. The check runs in
+    its own call, so its temporaries are freed before a long block is
+    written."""
+    bank, slots = _writable(hs)
+    _check_rows(hs, bank._tails(slots), tab, labelled)
+    each = len(tab) if len(hs) == 1 else 1
+    bank._reserve(slots, each + 1)  # and one row to stage the next node in
+    at = bank._extend(slots, tab, each)
+    bank._nodes[at, _R.start] = hs[0].c * tab[:, 0]  # canonicalize so r^0 = c t holds bit-for-bit
 
 
-def _check_rows(hs, groups, tab, labelled: bool) -> None:
+def _check_rows(hs, tails, tab, labelled: bool) -> None:
     """Raise the first failure of the rows _append is given, in row order
-    and then in check order; else add the flags they raise."""
+    and then in check order; else add the flags they raise. tails holds
+    the (n, t, s) of hs (see HistoryBank._tails)."""
     m, one = len(tab), len(hs) == 1
     # each row's history and its place among that history's new rows
     owner, rank = (np.zeros(m, dtype=np.intp), np.arange(m)) if one else (np.arange(m), 0)
-    if len(groups) == 1:
-        n0, t_last, s_last = groups[0][0]._tails(groups[0][2])
-    else:
-        n0, t_last, s_last = (np.empty(len(hs), dtype=x) for x in (np.intp, float, float))
-        for bank, pos, slots in groups:
-            n0[pos], t_last[pos], s_last[pos] = bank._tails(slots)
+    n0, t_last, s_last = tails
     hard, soft = np.array([(h.hard_tol, h.constraint_tol) for h in hs])[owner].T
     t, s, r, u, a = tab[:, 0], tab[:, 1], tab[:, 2:6], tab[:, 6:10], tab[:, 10:14]
     # t and s of the node before each row
@@ -626,35 +632,18 @@ def gather(histories, src, ts) -> WorldlineSample:
     """States of histories[src[m]] at ts[m] for every m, as one
     WorldlineSample of stacked arrays (t, s (M,); r, u, a (M, 4)).
 
-    src may be one index for all times. The histories share one light
-    speed. One key lookup per store finds every node, whatever the mix
-    and order of sources, and one evaluation gives all M states; a query
-    past its history's present raises QueryBeyondPresent naming the
-    first such time in request order.
+    src may be one index for all times. One key lookup over the store of
+    the histories finds every node, whatever the order of sources, and
+    one evaluation gives all M states; a query past its history's
+    present raises QueryBeyondPresent naming the first such time in
+    request order. Histories made apart, in stores of their own, are
+    read from one copy of them in one store (see copy_histories), which
+    keeps every node and slope bit; they must share one light speed.
     """
     ts = np.asarray(ts, dtype=np.float64).reshape(-1)
     hs = tuple(histories)
-    groups = _located(hs)
-    if len(groups) == 1:
-        bank, _, slots = groups[0]
-        return bank._states(src if slots is _ALL else slots[src], ts)
-    c = groups[0][0].c
-    if any(bank.c != c for bank, _, _ in groups):
-        raise ValueError("gathered histories must share one light speed")
-    where = np.empty((2, len(hs)), dtype=np.intp)  # group and slot of each history
-    for g, (_, pos, slots) in enumerate(groups):
-        where[0, pos], where[1, pos] = g, slots
-    group, slot = (np.broadcast_to(x, ts.shape) for x in where[:, src])
-    m = len(ts)
-    latest, t0, t1 = np.empty(m), np.empty(m), np.empty(m)
-    p, q = np.empty((m, _WIDTH)), np.empty((m, _WIDTH))
-    parts = [(bank, group == g) for g, (bank, _, _) in enumerate(groups)]
-    for bank, mine in parts:
-        latest[mine] = bank._latest[slot[mine]]
-    _check_present(ts, latest)
-    for bank, mine in parts:
-        t0[mine], p[mine], t1[mine], q[mine] = bank._lookup(slot[mine], ts[mine])
-    return _evaluate(ts, t0, p, t1, q, c)
+    bank, slots = _located(hs) or (copy_histories(hs)[0]._bank, _ALL)
+    return bank._states(src if slots is _ALL else slots[src], ts)
 
 
 def _evaluate(t, t0, p, t1, q, c: float) -> WorldlineSample:
@@ -713,7 +702,8 @@ def staged(histories, rows):
     rows is an (N, 14) block in CSV_HEADER order, row i for histories[i].
     Every row must be finite and advance past its history's latest node;
     the first failure, in row order, is raised before anything is
-    written. The rows are then written as one block per store, row i
+    written, and so is a ValueError when the histories do not share one
+    store. The rows are then written as one block into that store, row i
     into the spare row after history i's latest node, and counted as
     nodes, so every query reads them as the latest ones. No tolerance is
     checked and no flag raised. On exit, normal or not, the staged nodes
@@ -724,28 +714,23 @@ def staged(histories, rows):
     if tab.shape != (len(hs), len(CSV_HEADER)):
         raise ValueError(f"staged rows need shape ({len(hs)}, {len(CSV_HEADER)}), "
                          f"got {tab.shape}")
-    groups = _located(hs)
-    latest = np.empty(len(hs))
-    for bank, pos, slots in groups:
-        latest[pos] = bank._latest[slots]
+    bank, slots = _writable(hs)
+    latest = bank._latest[slots]
     fail = _first_failure(tab, ((tab[:, 0] > latest, lambda i: NonMonotonicTime(
         "provisional sample must advance time")),))
     if fail is not None:
         if np.count_nonzero(np.isnan(latest)):
             raise QueryBeyondPresent("history holds no samples")
         raise fail[1]
-    at = []
-    for bank, pos, slots in groups:
-        if bank._staged:  # every other write leaves a spare row for one stage
-            bank._reserve(slots, 1)
-        bank._staged += 1
-        at.append(bank._extend(slots, tab[pos]))
+    if bank._staged:  # every other write leaves a spare row for one stage
+        bank._reserve(slots, 1)
+    bank._staged += 1
+    at = bank._extend(slots, tab)
     try:
         yield
     finally:
-        for (bank, _, slots), pos in zip(groups, at):
-            bank._staged -= 1
-            bank._unstage(slots, pos)
+        bank._staged -= 1
+        bank._unstage(slots, at)
 
 
 def _check_present(ts, t_latest) -> None:

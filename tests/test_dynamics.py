@@ -112,14 +112,36 @@ def test_empty_prehistory_is_refused_as_a_query_beyond_present():
     with pytest.raises(wl.QueryBeyondPresent, match="no samples"):
         seed(prehistories=[wl.WorldlineHistory(spec)])
     full = inertial_history(spec, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], -5.0, 0.0, 11)
+    empty = wl.WorldlineHistory(spec)
+    wl.share_store([full, empty])
     row = np.hstack([0.1, 0.1, 0.1, np.zeros(3), [1.0, 0.0, 0.0, 0.0], np.zeros(4)])
     with pytest.raises(wl.QueryBeyondPresent, match="no samples"):
-        with wl.staged([full, wl.WorldlineHistory(spec)], [row, row]):
+        with wl.staged([full, empty], [row, row]):
             pass
     assert len(full) == 11
     with pytest.raises(wl.QueryBeyondPresent, match="no samples"):
-        cn.FrozenHistoryContext([full, wl.WorldlineHistory(spec)],
-                                ExternalFieldModel.none(), 0.0)
+        cn.FrozenHistoryContext([full, empty], ExternalFieldModel.none(), 0.0)
+
+
+def test_writes_to_histories_in_several_stores_are_refused():
+    # b's history seeded into a second system moves to that system's store
+    specs = [ParticleSpec(1.0, 0.1, 0.5, "a"), ParticleSpec(1.0, 0.1, 0.5, "b")]
+    st = seed(specs, [[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [[0.0, 0.0, 0.0]] * 2, dt=0.05)
+    seed(prehistories=[st.histories[1]], dt=0.05)
+    hs = st.histories
+    before = [h.table for h in hs]
+    rows = np.array([h.table[-1] for h in hs])
+    rows[:, :3] += 0.05
+    with pytest.raises(ValueError, match="must share one store"):
+        with wl.staged(hs, rows):
+            pass
+    with pytest.raises(ValueError, match="must share one store"):
+        wl.commit(hs, rows)
+    with pytest.raises(ValueError, match="must share one store"):
+        step(st)
+    assert st.t_now == 0.0 and len(st.diagnostics) == 0
+    for h, tab in zip(hs, before):
+        assert np.array_equal(h.table, tab)
 
 
 def test_free_motion_single_step():

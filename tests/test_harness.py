@@ -25,6 +25,7 @@ from retnbody.harness import (
     cmd_action_oracle,
     cmd_check_pb,
     cmd_demo_no_interaction,
+    cmd_run,
     config_hash,
     dump_config,
     emit_plots_data,
@@ -36,6 +37,7 @@ from retnbody.harness import (
     swap_symmetry_residual,
 )
 from retnbody import retardation
+from retnbody import worldline
 from retnbody.canonical import FrozenHistoryContext, state_from_histories
 from retnbody.minkowski import lower
 from retnbody.retardation import max_delay
@@ -547,6 +549,30 @@ def test_cli_demo_no_interaction_rejects_an_external_field(tmp_path, monkeypatch
     assert (payload["category"], payload["error"]) == ("validation", "ConfigError")
     assert "'constant-uniform'" in payload["detail"]
     assert steps == [] and not os.path.exists(str(tmp_path / "never"))
+
+
+def test_gather_reads_each_shipped_set_from_its_own_store(tmp_path, monkeypatch):
+    # every producer of histories that are read together puts them in one
+    # store, so gather never copies a loose set on a run or in the demo
+    copy_histories, copies = worldline.copy_histories, []
+
+    def spy(histories, specs=None):
+        if sys._getframe(1).f_code is worldline.gather.__code__:
+            copies.append(len(histories))
+        return copy_histories(histories, specs)
+
+    monkeypatch.setattr(worldline, "copy_histories", spy)
+    cmd_run(replace(load_config(os.path.join(CONFIG_DIR, "run_pair.yaml")),
+                    output_dir=str(tmp_path / "run")))
+    cmd_demo_no_interaction(replace(load_config(os.path.join(CONFIG_DIR,
+                                                             "demo_no_interaction.yaml")),
+                                    output_dir=str(tmp_path / "ni")))
+    assert copies == []
+    # the spy sees a loose set
+    spec = ParticleSpec(1.0, 0.1, 0.5)
+    hs = [inertial_history(spec, [x, 0.0, 0.0], [0.0, 0.0, 0.0], -1.0, 0.0, 3) for x in (-1, 1)]
+    worldline.gather(hs, [0, 1], [0.0, 0.0])
+    assert copies == [2]
 
 
 def test_cli_demo_no_interaction(tmp_path):

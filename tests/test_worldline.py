@@ -268,6 +268,7 @@ class TestStaged:
 
     def test_staged_reads_like_the_appended_history(self, tmp_path):
         hs = [_sin_history(), make_inertial(beta=0.3, n=9, t1=1.9)]
+        wl.share_store(hs)
         rows = [_row(_tail(hs[0])), _row(sample(2.0, hs[1].samples[-1].s + 0.09,
                                                 [0.6, 0.0, 0.0], hs[1].samples[-1].u,
                                                 [0.0, 0.1, 0.0, 0.0]))]
@@ -306,6 +307,7 @@ class TestStaged:
 
     def test_staged_rejects_non_advancing_rows(self):
         hs = [make_inertial(), make_inertial(beta=0.3)]
+        wl.share_store(hs)
         ok = _row(sample(hs[0].t_latest + 0.1, 9.0, np.zeros(3),
                          [1.0, 0.0, 0.0, 0.0], np.zeros(4)))
         before = [_store(h) for h in hs]
@@ -658,7 +660,11 @@ def test_gather_matches_the_per_history_lookup_bit_for_bit(seed, k, stores, stag
         rows = random_table(rng, k)
         rows[:, 0] = [h.t_latest + 0.3 for h in hs]
         rows[:, 2] = rows[:, 0]
-        staged = [wl.staged(hs, rows)]
+        # a stage writes into one store: one staged block per store
+        stores = {}
+        for i, h in enumerate(hs):
+            stores.setdefault(id(h._bank), []).append(i)
+        staged = [wl.staged([hs[i] for i in idx], rows[idx]) for idx in stores.values()]
     for block in staged:
         block.__enter__()
     try:
@@ -711,6 +717,19 @@ def test_share_store_keeps_the_histories_and_their_nodes():
     assert len(hs[1]) == 47
     for h, (_, tab, _, _) in zip(hs[::2], kept[::2]):
         assert np.array_equal(h.table, tab)
+
+
+def test_stores_are_made_of_one_light_speed():
+    hs = [make_inertial(c=1.0), make_inertial(c=2.0)]
+    before = [(h._bank, _store(h)) for h in hs]
+    with pytest.raises(ValueError, match="share one light speed"):
+        wl.share_store(hs)
+    with pytest.raises(ValueError, match="share one light speed"):
+        wl.copy_histories(hs)
+    with pytest.raises(ValueError, match="share one light speed"):
+        wl.gather(hs, [0, 1], [-0.5, -0.5])
+    assert [(h._bank, _store(h)) for h in hs] == before
+    assert hs[1].state_at_time(-0.5).r[0] == -1.0
 
 
 def _committed_store():
