@@ -9,23 +9,21 @@ per particle is
 with g the asymptotic self four-force (asymptotic mode only; exact mode
 carries the self field inside F). Steps are classic fixed-size RK4 on
 whole arrays: x (N, 3), u (N, 4), s (N,) and every stage slope hold one
-row per particle, read from the histories with one gather. Each mid-step
-evaluation runs inside worldline.staged, which puts one stage-local node
-per particle (a row of one (N, 14) node block) after each history's
-latest node and takes it off again when the evaluation is done. After
-acceptance a fifth, staged force evaluation fixes the appended
-acceleration sample, proper time advances by Simpson quadrature of
-c dt / gamma, and the new nodes are committed as one checked block
-(worldline.commit); they are also the states the step record and the
-next step start from. Each force evaluation is one fields.total_faraday
-call, which solves the delay roots and field kernels of all particles
-as one batch and returns the (N, 4, 4) tensor stack that _deriv
-contracts with u at once. Each step ends with exactly one batch at the
-new time, which also holds the potentials' and the reported delays'
-roots: it serves the step's diagnostics and the next step's first
-evaluation. In exact mode with 2 c dt below every radius it is the fifth
-evaluation itself; otherwise it is solved afresh on the committed
-histories (see step).
+row per particle. Each force evaluation is one fields.total_faraday call
+on states the step holds: the base states, a stage's (N, 14) node block
+(which worldline.staged puts after each history's latest node for the
+length of the evaluation) or the committed nodes. It solves the delay
+roots and field kernels of all particles as one batch and returns the
+(N, 4, 4) tensor stack that _deriv contracts with u at once. After
+acceptance a fifth, staged evaluation fixes the appended acceleration
+sample, proper time advances by Simpson quadrature of c dt / gamma, and
+the new nodes are committed as one checked block (worldline.commit);
+they are also the states the step record and the next step start from.
+Each step ends with exactly one batch at the new time, which also holds
+the potentials' and the reported delays' roots: it serves the step's
+diagnostics and the next step's first evaluation. In exact mode with
+2 c dt below every radius it is the fifth evaluation itself; otherwise
+it is solved afresh on the committed nodes (see step).
 
 Histories are the state. A SystemState is little more than the history
 set, held in one store (worldline.HistoryBank, filled by seed), plus the
@@ -224,19 +222,19 @@ def seed(specs=None, positions=None, velocities=None, *, prehistories=None,
                        include_binary, renormalize_u)
 
 
-def _deriv(state: SystemState, t_q: float, u, report: bool = False):
+def _deriv(state: SystemState, now: WorldlineSample, report: bool = False):
     """Stage derivatives dx/dt (N, 3) and contravariant du/dt (N, 4) of
-    every particle at the four-velocities u (N, 4) from one total_faraday
-    batch on the histories as they stand, and its report: with report,
-    the potentials and delays of the step record from the same batch."""
-    F, g, rep = total_faraday(state.histories, range(state.n), t_q, state.external,
-                              state.mode, state.include_self, state.include_binary, report)
+    every particle at its state in now from one total_faraday batch on
+    the histories as they stand, and its report: with report, the
+    potentials and delays of the step record from the same batch."""
+    F, g, rep = total_faraday(state.histories, now, state.external, state.mode,
+                              state.include_self, state.include_binary, report)
     q, m0 = np.array([(h.spec.q, h.spec.m0) for h in state.histories]).T
-    f_cov = (q / state.c)[:, None] * (F @ u[:, :, None])[:, :, 0]
+    f_cov = (q / state.c)[:, None] * (F @ now.u[:, :, None])[:, :, 0]
     if g is not None:
         f_cov = f_cov + g
-    du = raise_index(f_cov / (u[:, :1] * m0[:, None]))
-    return state.c * u[:, 1:] / u[:, :1], du, rep
+    du = raise_index(f_cov / (now.u[:, :1] * m0[:, None]))
+    return state.c * now.u[:, 1:] / now.u[:, :1], du, rep
 
 
 def _node_rows(state: SystemState, t: float, x, u, du, s) -> np.ndarray:
@@ -246,6 +244,11 @@ def _node_rows(state: SystemState, t: float, x, u, du, s) -> np.ndarray:
     rows[:, 0], rows[:, 1], rows[:, 2] = t, s, state.c * t
     rows[:, 3:6], rows[:, 6:10], rows[:, 10:] = x, u, (u[:, :1] / state.c) * du
     return rows
+
+
+def _states(rows) -> WorldlineSample:
+    """The states of node rows, as a gather returns them once they are nodes."""
+    return WorldlineSample(rows[:, 0], rows[:, 1], rows[:, 2:6], rows[:, 6:10], rows[:, 10:])
 
 
 def step(state: SystemState) -> SystemState:
@@ -259,30 +262,30 @@ def step(state: SystemState) -> SystemState:
         base, kx1, ku1 = state.last_eval[1]
     else:
         base = gather(hs, np.arange(state.n), np.full(state.n, t))
-        kx1, ku1, _ = _deriv(state, t, base.u)
+        kx1, ku1, _ = _deriv(state, base)
     x0, u0, s0 = base.r[:, 1:], base.u, base.s
 
     def advanced(frac, kx, ku):
         u = u0 + frac * dt * ku
         s = s0 + frac * dt * c * 0.5 * (1.0 / u0[:, 0] + 1.0 / u[:, 0])
-        return x0 + frac * dt * kx, u, s
+        return _node_rows(state, t + frac * dt, x0 + frac * dt * kx, u, ku, s)
 
-    xa, ua, sa = advanced(0.5, kx1, ku1)
-    with staged(hs, _node_rows(state, t + dt / 2, xa, ua, ku1, sa)):
-        kx2, ku2, _ = _deriv(state, t + dt / 2, ua)
-    xb, ub, sb = advanced(0.5, kx2, ku2)
-    with staged(hs, _node_rows(state, t + dt / 2, xb, ub, ku2, sb)):
-        kx3, ku3, _ = _deriv(state, t + dt / 2, ub)
-    xc, uc, sc = advanced(1.0, kx3, ku3)
-    with staged(hs, _node_rows(state, t + dt, xc, uc, ku3, sc)):
-        kx4, ku4, _ = _deriv(state, t + dt, uc)
+    def staged_deriv(rows, report=False):
+        with staged(hs, rows):
+            return _deriv(state, _states(rows), report)
+
+    ra = advanced(0.5, kx1, ku1)
+    kx2, ku2, _ = staged_deriv(ra)
+    rb = advanced(0.5, kx2, ku2)
+    kx3, ku3, _ = staged_deriv(rb)
+    kx4, ku4, _ = staged_deriv(advanced(1.0, kx3, ku3))
 
     t1 = t + dt
     x1 = x0 + (dt / 6.0) * (kx1 + 2 * kx2 + 2 * kx3 + kx4)
     u1 = u0 + (dt / 6.0) * (ku1 + 2 * ku2 + 2 * ku3 + ku4)
     if state.renormalize_u:
         u1 = u1 / np.sqrt(dots(u1, u1))[:, None]
-    g_mid = 0.5 * (ua[:, 0] + ub[:, 0])
+    g_mid = 0.5 * (ra[:, 6] + rb[:, 6])  # u^0 of the two midpoint stages
     s1 = s0 + (c * dt / 6.0) * (1.0 / u0[:, 0] + 4.0 / g_mid + 1.0 / u1[:, 0])
 
     # first same as last: the final evaluation sees the appended nodes
@@ -293,15 +296,13 @@ def step(state: SystemState) -> SystemState:
     # Otherwise that batch is solved on the committed histories.
     fsal = (state.mode == SelfForceMode.EXACT
             and 2.0 * c * dt < min(h.spec.sigma for h in hs))
-    with staged(hs, _node_rows(state, t1, x1, u1, ku4, s1)):
-        kx5, ku5, report = _deriv(state, t1, u1, report=fsal)
+    kx5, ku5, report = staged_deriv(_node_rows(state, t1, x1, u1, ku4, s1), report=fsal)
     rows = _node_rows(state, t1, x1, u1, ku5, s1)
     commit(hs, rows)
     state.t_now = t1
+    now = _states(rows)
     if not fsal:
-        kx5, ku5, report = _deriv(state, t1, u1, report=True)
-    # the committed nodes are the states at t1, as a gather there returns them
-    now = WorldlineSample(rows[:, 0], rows[:, 1], rows[:, 2:6], rows[:, 6:10], rows[:, 10:])
+        kx5, ku5, report = _deriv(state, now, report=True)
     state.last_eval = ((t1, tuple(len(h) for h in hs)), (now, kx5, ku5))
     state.diagnostics.append(_diagnose(state, now, report, time.perf_counter() - t_w))
     return state
@@ -471,9 +472,9 @@ def demo_globally_isolated(d: float = 3.0, q: float = 0.5, sigma: float = 0.8,
     specs = [ParticleSpec(m0, q, sigma, "left"), ParticleSpec(m0, q, sigma, "right")]
     st = seed(specs, [[-d / 2, 0.0, 0.0], [d / 2, 0.0, 0.0]],
               [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], t0=0.0, dt=dt, c=c)
-    p0 = _diagnose(st, gather(st.histories, np.arange(st.n), np.zeros(st.n)),
-                   total_faraday(st.histories, range(st.n), 0.0, st.external,
-                                 report=True)[2], 0.0).p_hat
+    now = gather(st.histories, np.arange(st.n), np.zeros(st.n))
+    p0 = _diagnose(st, now, total_faraday(st.histories, now, st.external, report=True)[2],
+                   0.0).p_hat
     run(st, t_end)
     h1, h2 = st.histories
 

@@ -20,18 +20,19 @@ where dRt/ds' is -u(s') for the self bi-vector (present minus retarded
 point of the same worldline) and +u(s') for the pair bi-vector (source
 minus observer, differentiated along the source).
 
-total_faraday serves a set of observers at one time from one root batch
-(retardation.solve_delays) whose rows come from the system's one root
-plan (retardation._root_plan): every self root, every shifted-cone pair
-root of a charged companion (one root per distinct radius, equal radii
-one root doubled), or in asymptotic mode the point-limit pair roots.
-The kernel then runs once on all roots as (M, 4, 4) array operations,
-with the same elementwise grazing-emission guard. Sources with q = 0
-are left out: their kernels are multiplied by zero. It returns arrays,
-(F, g, report): the (n, 4, 4) tensor stack, the (n, 4) asymptotic
-self-force or None, and with report=True (the step-end batch of
-dynamics) the potentials and delays, whose cones join the same plan so
-that forces, potentials and delays read one DelayRoots.
+total_faraday takes the states of every particle at one time (the rows
+dynamics.step already holds) and solves one root batch
+(retardation.solve_delays) from the system's one root plan
+(retardation._root_plan): every self root, every shifted-cone pair root
+of a charged companion (one root per distinct radius, equal radii one
+root doubled), or in asymptotic mode the point-limit pair roots. The
+kernel then runs once on all roots as (M, 4, 4) array operations, with
+the same elementwise grazing-emission guard. Sources with q = 0 are left
+out: their kernels are multiplied by zero. It returns arrays, (F, g,
+report): the (n, 4, 4) tensor stack, the (n, 4) asymptotic self-force or
+None, and with report=True (the step-end batch of dynamics) the
+potentials and delays, whose cones join the same plan so that forces,
+potentials and delays read one DelayRoots.
 """
 
 from __future__ import annotations
@@ -216,37 +217,35 @@ def asymptotic_self_force(h: WorldlineHistory, t: float,
     return _asymptotic_g(h, solve_delays((h,), 0, now.r, sigma, obs=0, now=now), 0, t)
 
 
-def total_faraday(histories, observers, t: float, external: ExternalFieldModel,
+def total_faraday(histories, now, external: ExternalFieldModel,
                   mode: SelfForceMode = SelfForceMode.EXACT,
                   include_self: bool = True, include_binary: bool = True,
                   report: bool = False):
-    """Total field on each observer particle at time t, from one root
-    batch and one kernel pass, as (F, g, report).
+    """Total field on every particle from one root batch and one kernel
+    pass, as (F, g, report); now holds every history's state at one time,
+    as gather(histories, arange(n), full(n, t)) returns them.
 
-    observers are indices into histories. F is the (n, 4, 4) stack of
-    covariant tensors, one per observer, made exactly antisymmetric and
-    checked as one array. g is the (n, 4) asymptotic self-force in
-    asymptotic mode (which also collapses binary cones to the point
-    limit) and None in exact mode. include_self and include_binary are
-    debug switches that drop the corresponding contribution entirely.
+    F is the (n, 4, 4) stack of covariant tensors, made exactly
+    antisymmetric and checked as one array. g is the (n, 4) asymptotic
+    self-force in asymptotic mode (which also collapses binary cones to
+    the point limit) and None in exact mode. include_self and
+    include_binary drop the corresponding contribution entirely (with
+    both off, a charged particle is a test charge in the external field).
     report is None unless asked for; then it holds what the step
     diagnostics read from the same batch: (A, tau), A the effective
-    potentials (n, 4) at the observers' events and tau (n, N) each
-    observer's sigma_i delay on every history, its own first.
+    potentials (n, 4) at the particles' events and tau (n, N) each
+    particle's sigma_i delay on every history, its own first.
     """
     hs = tuple(histories)
-    obs = tuple(int(i) for i in observers)
-    exact = mode == SelfForceMode.EXACT
-    plan = _root_plan(tuple(h.spec for h in hs), obs, (exact, include_self, include_binary),
-                      report, report)
     n = len(hs)
-    now = gather(hs, np.arange(n), np.full(n, float(t)))
-    events = now.r[list(obs)]
-    F = np.array([external.faraday(e) for e in events], dtype=np.float64).reshape(-1, 4, 4)
-    # asymptotic mode: a neutral observer's g vanishes without a root
-    g = np.zeros((len(obs), 4)) if include_self and not exact else None
+    exact = mode == SelfForceMode.EXACT
+    plan = _root_plan(tuple(h.spec for h in hs), tuple(range(n)),
+                      (exact, include_self, include_binary), report, report)
+    F = np.array([external.faraday(e) for e in now.r], dtype=np.float64).reshape(-1, 4, 4)
+    # asymptotic mode: a neutral particle's g vanishes without a root
+    g = np.zeros((n, 4)) if include_self and not exact else None
     if plan.src.size:
-        roots = _plan_roots(hs, plan, events, now)
+        roots = _plan_roots(hs, plan, now.r, now)
         if exact or plan.pair_terms:
             K = _kernel(roots, plan.k, np.where(plan.src == plan.obs, -1.0, 1.0))
         has_self = np.flatnonzero(plan.self_row >= 0)
@@ -254,13 +253,13 @@ def total_faraday(histories, observers, t: float, external: ExternalFieldModel,
             F[has_self] += K[plan.self_row[has_self]]
         else:
             for s in has_self:
-                g[s] = _asymptotic_g(hs[obs[s]], roots, plan.self_row[s], t)
-        # each observer adds its companions' terms in source order; equal
+                g[s] = _asymptotic_g(hs[s], roots, plan.self_row[s], now.t[s])
+        # each particle adds its companions' terms in source order; equal
         # radii and the point limit: one root doubled exactly (K + K == 2 K)
         for slots, first, last in plan.pair_terms:
             F[slots] += K[first] + K[last]
     F = _antisymmetric_part(F, (None, 4, 4))
     if not report:
         return F, g, None
-    A = np.array([external.potential(e) for e in events], dtype=np.float64).reshape(-1, 4)
+    A = np.array([external.potential(e) for e in now.r], dtype=np.float64).reshape(-1, 4)
     return F, g, (_add_potentials(A, plan, roots), roots.t_ret[plan.own])

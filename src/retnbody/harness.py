@@ -425,7 +425,7 @@ def _parses(line: str) -> bool:
     return True
 
 
-def build_state(cfg: RunConfig, base_dir=".", mode=None, dt=None):
+def build_state(cfg: RunConfig, base_dir=".", mode=None):
     """Seed a SystemState from a validated config.
 
     Table particles load their own prehistory, which must reach the delay
@@ -439,7 +439,7 @@ def build_state(cfg: RunConfig, base_dir=".", mode=None, dt=None):
               for p, spec in zip(cfg.particles, specs)]
     st = seed(specs, [p.position for p in cfg.particles],
               [p.velocity for p in cfg.particles], prehistories=tables,
-              t0=cfg.t0, dt=cfg.dt if dt is None else dt, c=cfg.c,
+              t0=cfg.t0, dt=cfg.dt, c=cfg.c,
               external=_external_model(cfg),
               mode=SelfForceMode(cfg.mode if mode is None else mode))
     for h in st.histories:
@@ -586,7 +586,7 @@ def el_residual_covariant(histories, external, t, c) -> np.ndarray:
     particle at time t, (N, 4), from one total_faraday batch."""
     n = len(histories)
     now = gather(histories, np.arange(n), np.full(n, float(t)))
-    F = total_faraday(histories, range(n), t, external, SelfForceMode.EXACT)[0]
+    F = total_faraday(histories, now, external, SelfForceMode.EXACT)[0]
     q, m0 = np.array([(h.spec.q, h.spec.m0) for h in histories]).T
     return ((m0 * c)[:, None] * lower(now.a)
             - (q / c)[:, None] * (F @ now.u[:, :, None])[:, :, 0])

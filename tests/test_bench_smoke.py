@@ -22,12 +22,14 @@ def test_bench_run_reports_correct(workload):
     assert last["correct"] is True, proc.stdout
 
 
-def test_traced_ring6_reports_correct():
-    # the traced run wraps every public function of the package; each traced
-    # solution's end state must repeat the untraced one's
+@pytest.mark.parametrize("workload", ["pair_restart", "ring6", "certify"])
+def test_traced_run_reports_correct(workload):
+    # the traced run wraps every public function of the package at every
+    # import site; each traced solution's end state must repeat the
+    # untraced one's
     proc = subprocess.run(
         [sys.executable, os.path.join("bench", "run.py"),
-         "--workload", "ring6", "--trace", "1", "--seconds", "0"],
+         "--workload", workload, "--trace", "1", "--seconds", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     last = json.loads(proc.stdout.strip().splitlines()[-1])

@@ -198,12 +198,13 @@ def test_static_pair_initial_force_matches_closed_form():
     specs = [ParticleSpec(m0, q1, s1, "one"), ParticleSpec(m0, q2, s2, "two")]
     st = seed(specs, [[-d / 2, 0, 0], [d / 2, 0, 0]], [[0, 0, 0], [0, 0, 0]])
     mag = d * ((d * d + s1 * s1) ** -1.5 + (d * d + s2 * s2) ** -1.5)
+    F, g, _ = total_faraday(st.histories, wl.gather(st.histories, [0, 1], [0.0, 0.0]),
+                            st.external)
+    assert g is None
     for i, sgn in ((0, -1.0), (1, 1.0)):
         h = st.histories[i]
         smp = h.state_at_time(0.0)
-        F, g, _ = total_faraday(st.histories, [i], 0.0, st.external)
-        assert g is None
-        dudt = raise_index((h.spec.q / st.c) * (F[0] @ smp.u)) / (smp.u[0] * m0)
+        dudt = raise_index((h.spec.q / st.c) * (F[i] @ smp.u)) / (smp.u[0] * m0)
         want_x = q1 * q2 * sgn * mag / m0
         assert dudt[1] == pytest.approx(want_x, rel=1e-8)
         assert abs(dudt[0]) < 1e-12
@@ -512,7 +513,8 @@ def test_force_evaluation_call_budget(monkeypatch):
     # five evaluations in the first step, four after it: each step's last
     # is the next one's first
     assert len(per_eval) == 13
-    assert max(e["gather"] for e in per_eval) <= 4
+    # the root iterations' gathers only: the present is handed in
+    assert max(e["gather"] for e in per_eval) <= 2
     assert max(e["state_at_time"] for e in per_eval) <= 2 * st.n
     # one root batch per evaluation and none in the diagnostics, each
     # with N self roots and both cones of every ordered pair: N (2N - 1)
@@ -527,7 +529,7 @@ def test_each_force_evaluation_calls_the_public_total_faraday(monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(len(args[1]))
+        calls.append(len(args[1].t))
         return real(*args, **kwargs)
 
     real = dyn.total_faraday
@@ -549,6 +551,79 @@ def test_each_force_evaluation_calls_the_public_total_faraday(monkeypatch):
                  dt=0.02)
     assert per_step(small) == [6, 5, 5]
     assert set(calls[:13]) == {6} and set(calls[13:]) == {1}
+
+
+def test_no_force_evaluation_gathers_at_its_own_time(monkeypatch):
+    # a step holds the states of every force evaluation's present (base,
+    # staged or committed rows), so inside an evaluation the histories are
+    # only queried at retarded times, never at a stage time of the step
+    st = ring6()
+    inside, gathered = [False], []
+
+    def gather(histories, src, ts):
+        if inside[0]:
+            gathered.append(np.asarray(ts, dtype=np.float64).reshape(-1))
+        return real_gather(histories, src, ts)
+
+    def evaluation(*args, **kwargs):
+        inside[0] = True
+        try:
+            return real_faraday(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    real_gather, real_faraday = wl.gather, dyn.total_faraday
+    for mod in (wl, ret, fl, dyn):
+        monkeypatch.setattr(mod, "gather", gather)
+    monkeypatch.setattr(dyn, "total_faraday", evaluation)
+    for _ in range(3):
+        t, dt, before = st.t_now, st.dt, len(gathered)
+        step(st)
+        stage_times = [t, t + dt / 2, t + dt]
+        assert len(gathered) > before
+        assert not any(np.isin(ts, stage_times).any() for ts in gathered[before:])
+
+
+def _wide_step_pair():
+    # 2 c dt above the smaller radius: no first same as last
+    return static_pair(q1=0.1, q2=-0.1, s1=0.03, s2=0.5, dt=0.02)
+
+
+def _asymptotic_ring6():
+    st = ring6()
+    st.mode = SelfForceMode.ASYMPTOTIC
+    return st
+
+
+@pytest.mark.parametrize("make, fsal", [(ring6, True), (_wide_step_pair, False),
+                                        (_asymptotic_ring6, False)],
+                         ids=["exact", "exact_wide_step", "asymptotic"])
+def test_each_force_evaluation_is_handed_the_states_a_gather_returns(monkeypatch, make,
+                                                                     fsal):
+    # the states a step hands total_faraday equal, bit for bit, those a
+    # gather of every history at the stage time returns
+    st = make()
+    seen = []
+
+    def checked(histories, now, *args, **kwargs):
+        n = len(histories)
+        want = wl.gather(histories, np.arange(n), np.full(n, now.t[0]))
+        seen.append(now.t[0])
+        for name in ("t", "s", "r", "u", "a"):
+            got, ref = getattr(now, name), getattr(want, name)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), name
+        return real(histories, now, *args, **kwargs)
+
+    real = dyn.total_faraday
+    monkeypatch.setattr(dyn, "total_faraday", checked)
+    want = []
+    for k in range(2):
+        t, dt = st.t_now, st.dt
+        step(st)
+        # the first step evaluates at its base; later ones reuse the
+        # last step's step-end batch there
+        want += [t] * (k == 0) + [t + dt / 2] * 2 + [t + dt] * (2 if fsal else 3)
+    assert seen == want
 
 
 DIAGNOSE = dyn._diagnose

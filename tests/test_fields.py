@@ -30,6 +30,11 @@ def hyperbolic_history(b=5.0, sigma=0.8, q=1.3, t0=-12.0, t1=3.0, n=1501):
                                       x_fn, v_fn, acc_fn)
 
 
+def present(hs, t):
+    """Every history's state at time t, the now total_faraday takes."""
+    return wl.gather(hs, np.arange(len(hs)), np.full(len(hs), t))
+
+
 def fd_self_oracle(h, t, sigma, eps=2e-5):
     """Finite difference of the bracketed s'-derivative, independent of
     the analytic chain-rule expansion used in production."""
@@ -192,7 +197,7 @@ class TestTotalFaraday:
         spec = wl.ParticleSpec(1.0, 1.0, 0.4)
         h = wl.inertial_history(spec, np.zeros(3), np.array([0.2, 0, 0]),
                                 -10.0, 2.0, 25)
-        F, g, rep = fl.total_faraday([h], [0], 1.0, fl.ExternalFieldModel.none())
+        F, g, rep = fl.total_faraday([h], present([h], 1.0), fl.ExternalFieldModel.none())
         assert F.shape == (1, 4, 4)
         assert np.max(np.abs(F)) <= 1e-13
         assert g is None and rep is None
@@ -201,14 +206,14 @@ class TestTotalFaraday:
         ext = fl.ExternalFieldModel.uniform(E=(0.1, -0.2, 0.3), B=(0.0, 0.5, 0.0))
         spec = wl.ParticleSpec(1.0, 0.0, 0.4)
         h = wl.inertial_history(spec, np.zeros(3), np.zeros(3), -5.0, 2.0, 15)
-        F, g, _ = fl.total_faraday([h], [0], 1.0, ext)
+        F, g, _ = fl.total_faraday([h], present([h], 1.0), ext)
         assert np.array_equal(F[0], ext.tensor)
 
     def test_two_static_particles_superpose(self):
         d = 2.5
         ha = static_history([0.0, 0.0, 0.0], q=1.0, sigma=0.3)
         hb = static_history([d, 0.0, 0.0], q=2.0, sigma=0.6)
-        F = fl.total_faraday([ha, hb], [0], 0.5, fl.ExternalFieldModel.none())[0]
+        F = fl.total_faraday([ha, hb], present([ha, hb], 0.5), fl.ExternalFieldModel.none())[0]
         expected = 2.0 * d * ((d * d + 0.09) ** -1.5 + (d * d + 0.36) ** -1.5)
         assert np.linalg.norm(F[0, 0, 1:]) == pytest.approx(expected, rel=1e-11)
 
@@ -216,9 +221,9 @@ class TestTotalFaraday:
         d = 2.0
         ha = static_history([0.0, 0.0, 0.0], q=1.0, sigma=0.3)
         hb = static_history([d, 0.0, 0.0], q=1.5, sigma=0.6)
-        F, g, _ = fl.total_faraday([ha, hb], [0], 0.5, fl.ExternalFieldModel.none(),
-                                   fl.SelfForceMode.ASYMPTOTIC)
-        assert g.shape == (1, 4) and np.max(np.abs(g)) < 1e-12
+        F, g, _ = fl.total_faraday([ha, hb], present([ha, hb], 0.5),
+                                   fl.ExternalFieldModel.none(), fl.SelfForceMode.ASYMPTOTIC)
+        assert g.shape == (2, 4) and np.max(np.abs(g)) < 1e-12
         assert np.linalg.norm(F[0, 0, 1:]) == pytest.approx(2.0 * 1.5 / d**2,
                                                             rel=1e-11)
 
@@ -259,7 +264,7 @@ class TestBatchedTotalFaraday:
     def test_exact_matches_the_sum_of_single_terms(self):
         hs = ring_histories()
         ext = fl.ExternalFieldModel.uniform(E=(0.01, 0.0, -0.02), B=(0.0, 0.03, 0.0))
-        got, g, _ = fl.total_faraday(hs, range(6), self.t, ext)
+        got, g, _ = fl.total_faraday(hs, present(hs, self.t), ext)
         assert g is None
         for i, F in enumerate(got):
             r_i = hs[i].state_at_time(self.t).r
@@ -269,13 +274,10 @@ class TestBatchedTotalFaraday:
                     want = want + fl.binary_faraday(h_j, r_i, hs[i].spec.sigma,
                                                     h_j.spec.sigma).matrix
             assert _close(F, fl.FaradayTensor(want).matrix)
-        # an observer subset gets the same tensors
-        sub = fl.total_faraday(hs, [4, 1], self.t, ext)[0]
-        assert np.array_equal(sub, got[[4, 1]])
 
     def test_asymptotic_matches_the_sum_of_single_terms(self):
         hs = ring_histories()
-        got, gs, _ = fl.total_faraday(hs, range(6), self.t, fl.ExternalFieldModel.none(),
+        got, gs, _ = fl.total_faraday(hs, present(hs, self.t), fl.ExternalFieldModel.none(),
                                       fl.SelfForceMode.ASYMPTOTIC)
         for i, (F, g) in enumerate(zip(got, gs)):
             r_i = hs[i].state_at_time(self.t).r
@@ -299,13 +301,13 @@ class TestBatchedTotalFaraday:
 
         kernel = fl._kernel
         monkeypatch.setattr(fl, "_kernel", kernel_ratios)
-        fl.total_faraday(hs, range(6), self.t, fl.ExternalFieldModel.none())
+        fl.total_faraday(hs, present(hs, self.t), fl.ExternalFieldModel.none())
         lowest, second = np.sort(ratios[0])[:2]
         # a floor between the two smallest |Rt.u| / |Rt| trips exactly one root
         monkeypatch.setattr(fl, "_kernel", kernel)
         monkeypatch.setattr(fl, "JAC_TOL", 0.5 * (lowest + second))
         with pytest.raises(ret.DegenerateJacobian, match="in the field kernel") as err:
-            fl.total_faraday(hs, range(6), self.t, fl.ExternalFieldModel.none())
+            fl.total_faraday(hs, present(hs, self.t), fl.ExternalFieldModel.none())
         assert err.value.particle in {h.spec.label for h in hs}
 
 

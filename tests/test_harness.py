@@ -365,25 +365,26 @@ def test_action_oracle_makes_one_force_batch_per_node_time(monkeypatch, tmp_path
     calls = []
     total_faraday = harness.total_faraday
 
-    def counted(histories, observers, t, *args, **kwargs):
-        calls.append((float(t), tuple(observers)))
-        return total_faraday(histories, observers, t, *args, **kwargs)
+    def counted(histories, now, *args, **kwargs):
+        calls.append(now.t.copy())
+        return total_faraday(histories, now, *args, **kwargs)
 
     monkeypatch.setattr(harness, "total_faraday", counted)
     out = cmd_action_oracle(cfg, CONFIG_DIR)
     hists = out["state"].histories
-    # one all-observer call per interior node time, not one per particle
-    assert [t for t, _ in calls] == out["report"].times.tolist()
+    # one all-particle call per interior node time, not one per particle
+    assert [t[0] for t in calls] == out["report"].times.tolist()
     assert len(calls) == cfg.oracle.nodes - 2 == 46
-    assert all(obs == tuple(range(len(hists))) for _, obs in calls)
-    # each particle's residual equals its one-observer evaluation bit for bit
+    assert all(np.array_equal(t, np.full(len(hists), t[0])) for t in calls)
+    # each particle's residual equals the one built from its own queries
     none, c = harness.ExternalFieldModel.none(), cfg.c
     for t in out["report"].times[::9]:
         got = harness.el_residual_covariant(hists, none, t, c)
+        now = worldline.gather(hists, np.arange(len(hists)), np.full(len(hists), t))
+        F = total_faraday(hists, now, none)[0]
         for i, h in enumerate(hists):
             smp = h.state_at_time(t)
-            F = total_faraday(hists, [i], t, none)[0][0]
-            want = h.spec.m0 * c * lower(smp.a) - (h.spec.q / c) * (F @ smp.u)
+            want = h.spec.m0 * c * lower(smp.a) - (h.spec.q / c) * (F[i] @ smp.u)
             assert np.array_equal(got[i], want)
 
 
