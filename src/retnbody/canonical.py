@@ -122,20 +122,6 @@ class PhaseFunction:
                 f"finite differencing failed for {self.name or '<anonymous>'}: {exc}"
             ) from exc
 
-    def gradient_selftest(self, x: CanonicalState, rtol: float = 1e-6) -> float:
-        """Max relative deviation of the analytic gradient from central FD."""
-        if self.gradient is None:
-            return 0.0
-        gr_a, gP_a = self.gradient(x)
-        gr_f, gP_f = _fd_gradient(self.evaluator, x, FD_STEP)
-        scale = 1.0 + max(np.max(np.abs(gr_a)), np.max(np.abs(gP_a)))
-        dev = max(np.max(np.abs(gr_a - gr_f)), np.max(np.abs(gP_a - gP_f))) / scale
-        if dev > rtol:
-            raise GradientUnavailable(
-                f"analytic gradient of {self.name or '<anonymous>'} deviates "
-                f"from finite differences by {dev:.3e} (> {rtol:.1e})")
-        return dev
-
     def __mul__(self, other: "PhaseFunction") -> "PhaseFunction":
         grad = None
         if self.gradient is not None and other.gradient is not None:
@@ -262,11 +248,11 @@ class FrozenHistoryContext:
 
     The snapshot copies the histories into one store, reads their latest
     states from that copy, and appends one node to each copy, as one
-    block: a short inertial continuation past the capture time, so that finite-difference probes of the observation
-    event stay inside the queryable range; the margin sits far below
-    every delay root, so no field or potential kernel ever interpolates
-    inside it. Nodes appended to a history later stay invisible to the
-    snapshot.
+    block: a short inertial continuation past the capture time, so that
+    finite-difference probes of the observation event stay inside the
+    queryable range; the margin sits far below every delay root, so no
+    field or potential kernel ever interpolates inside it. Nodes appended
+    to a history later stay invisible to the snapshot.
     """
 
     def __init__(self, histories, external: ExternalFieldModel, t_ref: float):
@@ -426,27 +412,6 @@ class GeneratorSet:
 
         return PhaseFunction(ev, grad, name="F_translation")
 
-    def boost(self, b_upper) -> PhaseFunction:
-        """F = 1/2 b^{alpha beta} M_{alpha beta}, b antisymmetric.
-
-        The antisymmetrized sum collapses to F = sum_i r_alpha b^{ab} P_b,
-        which is what gets evaluated.
-        """
-        b = np.asarray(b_upper, dtype=np.float64)
-        if np.max(np.abs(b + b.T)) > 1e-12 * (1.0 + np.max(np.abs(b))):
-            raise ValueError("boost parameter matrix must be antisymmetric")
-        etab = ETA @ b
-
-        def ev(x):
-            return float(np.sum((x.r @ etab) * x.P))
-
-        def grad(x):
-            gr = x.P @ etab.T
-            gP = x.r @ etab
-            return gr, gP
-
-        return PhaseFunction(ev, grad, name="F_boost")
-
 
 def lorentz_condition_residuals(state: CanonicalState,
                                 gens: GeneratorSet | None = None) -> dict:
@@ -577,18 +542,6 @@ def instant_form_increments(xp: ConstrainedState, ctx: FrozenHistoryContext,
 
 # -- non-local (Gateaux) brackets ---------------------------------------------
 
-def _expm_small(A: np.ndarray) -> np.ndarray:
-    """Matrix exponential by plain Taylor series; ample for ||A|| << 1."""
-    out = np.eye(A.shape[0])
-    term = np.eye(A.shape[0])
-    for k in range(1, 40):
-        term = term @ A / k
-        out = out + term
-        if np.max(np.abs(term)) < 1e-18 * (1.0 + np.max(np.abs(out))):
-            break
-    return out
-
-
 class TranslationVariation:
     """delta0 r^mu = d^mu constant on every slot and every history sample."""
 
@@ -599,38 +552,6 @@ class TranslationVariation:
         shift = alpha * self.d
         new_state = state.replace(r=state.r + shift)
         new_hist = [h.transformed(np.eye(4), shift) for h in histories]
-        return new_state, new_hist
-
-    @classmethod
-    def from_generator(cls, a_cov):
-        # F = -p^mu a_mu gives [r^mu, F] = -a^mu
-        return cls(-raise_index(np.asarray(a_cov, dtype=np.float64)))
-
-
-class LorentzVariation:
-    """Exact one-parameter Lorentz orbit with tangent omega at alpha = 0.
-
-    omega is the mixed generator (omega^mu_nu); positions, velocities and
-    accelerations transform with expm(alpha omega), covariant momenta with
-    expm(-alpha omega^T). Using the exact orbit keeps u.u and proper-time
-    labels invariant for every alpha, so the central differences probe the
-    group direction without constraint-violation noise.
-    """
-
-    def __init__(self, omega_mixed):
-        self.omega = np.asarray(omega_mixed, dtype=np.float64)
-
-    @classmethod
-    def from_boost_parameter(cls, b_upper):
-        # F = 1/2 b^{ab} M_{ab} gives delta0 r = -(b eta) r
-        b = np.asarray(b_upper, dtype=np.float64)
-        return cls(-(b @ ETA))
-
-    def apply(self, state: CanonicalState, histories, alpha: float):
-        lam = _expm_small(alpha * self.omega)
-        lam_p = _expm_small(-alpha * self.omega.T)
-        new_state = CanonicalState(state.r @ lam.T, state.P @ lam_p.T)
-        new_hist = [h.transformed(lam, 0.0) for h in histories]
         return new_state, new_hist
 
 

@@ -184,12 +184,6 @@ def binary_faraday(h_source: WorldlineHistory, observer_event,
                          + _binary_term(h_source, obs_r, sigma_j))
 
 
-def binary_faraday_pointlimit(h_source: WorldlineHistory,
-                              observer_event) -> FaradayTensor:
-    """Leading-order binary field: both cones collapsed onto the light cone."""
-    return FaradayTensor(2.0 * _binary_term(h_source, observer_event, 0.0))
-
-
 def _asymptotic_g(h: WorldlineHistory, roots: DelayRoots, m: int, t: float) -> np.ndarray:
     q = h.spec.q
     c = h.c

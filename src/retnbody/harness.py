@@ -18,9 +18,7 @@ Euler-Lagrange residual m0 c du/ds - (q/c) F u scaled by the local
 proper-length weight. The smoothed effective potential mirrors the
 composition of a_eff_covariant: external + 2x self + the two-cone
 binary sum, with only the causal (past) root contributing through the
-Gaussian window. The swap-symmetry certificate uses the full-range
-double sum (no causal gate), which is the form whose pair-summed
-exchange identity holds for arbitrary curve pairs.
+Gaussian window.
 """
 
 from __future__ import annotations
@@ -355,11 +353,6 @@ def load_config(path) -> RunConfig:
     return parse_config(raw)
 
 
-def dump_config(cfg: RunConfig) -> str:
-    return yaml.safe_dump(cfg.to_mapping(), sort_keys=True,
-                          default_flow_style=None)
-
-
 def config_hash(cfg: RunConfig) -> str:
     """Hash of the config without output_dir: an artifact's hash names
     what made it, not where it was written."""
@@ -498,9 +491,10 @@ def _smoothed_dli(src: _FrozenSource, r_obs, sigma: float, q: float,
     """Gaussian-smoothed causal line integrals, covariant components, at
     each row of the observer block r_obs (P, 4); returns (P, 4).
 
-    Converges to lower(delta_line_integral(...)) as width -> 0: the
-    resolved root carries u/(2|R.u|) per unit charge and the leading 2
-    restores the production normalization q u/|R.u|. Rows are taken in
+    Converges as width -> 0 to lower(line_potentials(...)) of the causal
+    root on the same cone: the resolved root carries u/(2|R.u|) per unit
+    charge and the leading 2 restores the production normalization
+    q u/|R.u|. Rows are taken in
     blocks of _BLOCK_PAIRS observer-source pairs, so the temporaries stay
     near 1 MB whatever P is.
     """
@@ -581,10 +575,12 @@ def node_gradient(nodes_r, i, sources, specs, external, width, c,
     return (S[..., 0] - S[..., 1]) / (2.0 * h)
 
 
-def el_residual_covariant(histories, external, t, c) -> np.ndarray:
+def el_residual_covariant(histories, external, t) -> np.ndarray:
     """Production-path E-L residuals m0 c du/ds - (q/c) F u of every
-    particle at time t, (N, 4), from one total_faraday batch."""
+    particle at time t, (N, 4), from one total_faraday batch; c is the
+    histories' own (gather checks that they share it)."""
     n = len(histories)
+    c = histories[0].c
     now = gather(histories, np.arange(n), np.full(n, float(t)))
     F = total_faraday(histories, now, external, SelfForceMode.EXACT)[0]
     q, m0 = np.array([(h.spec.q, h.spec.m0) for h in histories]).T
@@ -634,7 +630,7 @@ def action_oracle(histories, cfg: OracleConfig, t_lo: float, t_hi: float,
     ts = np.linspace(t_lo, t_hi, cfg.nodes)
 
     # every particle's expected residual at each interior node time
-    residuals = np.array([el_residual_covariant(hists, external, float(t), c)
+    residuals = np.array([el_residual_covariant(hists, external, float(t))
                           for t in ts[1:-1]])
     grads, expect, rows = [], [], []
     worst = 0.0
@@ -705,39 +701,6 @@ def extremality_ratio(histories, cfg: OracleConfig, t_lo: float, t_hi: float,
     n_true, n_pert = math.sqrt(n_true), math.sqrt(n_pert)
     return {"gradient_norm": n_true, "perturbed_norm": n_pert,
             "ratio": n_true / n_pert if n_pert > 0 else float("inf")}
-
-
-def swap_symmetry_residual(curve_a, curve_b, charges, sigmas,
-                           width: float, c: float = 1.0) -> dict:
-    """Exchange identity of the pair-summed binary functional.
-
-    Both orderings of the full-range (uncausal) double sum must agree for
-    two arbitrary curves once summed over ordered particle pairs, because
-    relabeling swaps the shell radii the same way it swaps the charges.
-    """
-
-    def pair_term(na, nb, sigma):
-        dra, _, ma = _segment_geometry(na)
-        drb, _, mb = _segment_geometry(nb)
-        d = mb[None, :, :] - ma[:, None, :]
-        f = d[..., 0] ** 2 - d[..., 1] ** 2 - d[..., 2] ** 2 \
-            - d[..., 3] ** 2 - sigma * sigma
-        g = np.exp(-0.5 * (f / width) ** 2) / (width * math.sqrt(2 * math.pi))
-        dots = np.einsum("km,lm->kl", dra * np.array([1.0, -1, -1, -1]), drb)
-        return float(np.sum(g * dots))
-
-    n = len(charges)
-    lhs = rhs = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            pref = 2.0 * charges[i] * charges[j] / c
-            lhs += pref * pair_term(curve_a, curve_b, sigmas[j])
-            rhs += pref * pair_term(curve_b, curve_a, sigmas[i])
-    scale = max(abs(lhs), abs(rhs), 1.0)
-    return {"lhs": lhs, "rhs": rhs,
-            "residual": abs(lhs - rhs), "relative": abs(lhs - rhs) / scale}
 
 
 # -- subcommand bodies ----------------------------------------------------------

@@ -109,9 +109,6 @@ class Boost:
             lam[1:, 1:] += (g - 1.0) * np.outer(b, b) / b2
         return lam
 
-    def inverse(self) -> "Boost":
-        return Boost(-self.beta)
-
 
 def dot(a, b) -> float:
     """Minkowski scalar product a^mu eta_{mu nu} b^nu of two four-vectors."""
@@ -138,13 +135,3 @@ def lower(v) -> np.ndarray:
 def raise_index(v) -> np.ndarray:
     """Raise the index; eta is its own inverse so this equals lower()."""
     return lower(v)
-
-
-def boost(v, b) -> np.ndarray:
-    """Boost the contravariant four-vector v.
-
-    b may be a Boost instance or a beta 3-vector.
-    """
-    if not isinstance(b, Boost):
-        b = Boost(b)
-    return b.matrix() @ _as_four(np.asarray(v))

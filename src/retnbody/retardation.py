@@ -18,9 +18,10 @@ Roots are solved in batches. solve_delays runs the iteration on M
 (source, observer event, sigma) requests at once, one worldline gather
 per iteration; a root that meets its tolerance is frozen with the event
 of its last iterate, so its bits do not depend on the batch it is in.
-self_delay, pair_delay and delta_line_integral are one-batch calls of
-it. A failing root raises with the observer, source, sigma and
-observation time named, and carries the observer label as .particle.
+self_delay and pair_delay are one-batch calls of it, and
+line_potentials resolves the potential at each root of a batch. A
+failing root raises with the observer, source, sigma and observation
+time named, and carries the observer label as .particle.
 
 Which roots a system needs is decided in one place, _root_plan: the
 self cone and the two shell cones of each charged pair (or the
@@ -267,11 +268,6 @@ def line_potentials(roots: DelayRoots) -> np.ndarray:
     roots.check_jacobian(jac, scale, JAC_TOL, "at the root")
     q = np.array([h.spec.q for h in roots.histories])[roots.src]
     return q[:, None] * u / jac[:, None]
-
-
-def delta_line_integral(h: WorldlineHistory, observer_event, sigma: float) -> np.ndarray:
-    """line_potentials of the one root of h at observer_event."""
-    return line_potentials(solve_delays((h,), 0, observer_event, sigma))[0]
 
 
 class _RootPlan(NamedTuple):

@@ -142,10 +142,6 @@ class ParticleSpec:
         if not np.isfinite(self.q):
             raise ValueError("charge must be finite")
 
-    def em_mass(self, c: float = 1.0) -> float:
-        """Leading-order electromagnetic mass q^2 / (c^2 sigma)."""
-        return self.q**2 / (c**2 * self.sigma)
-
 
 @dataclass(frozen=True)
 class WorldlineSample:

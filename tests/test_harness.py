@@ -27,14 +27,12 @@ from retnbody.harness import (
     cmd_demo_no_interaction,
     cmd_run,
     config_hash,
-    dump_config,
     emit_plots_data,
     extremality_ratio,
     load_config,
     load_prehistory_csv,
     main,
     parse_config,
-    swap_symmetry_residual,
 )
 from retnbody import retardation
 from retnbody import worldline
@@ -77,6 +75,11 @@ def _write_cfg(tmp_path, mapping, name="cfg.yaml"):
     return str(path)
 
 
+def _dump(cfg):
+    """The config as the YAML text config_hash hashes, output_dir kept."""
+    return yaml.safe_dump(cfg.to_mapping(), sort_keys=True, default_flow_style=None)
+
+
 def _cli(argv):
     err = io.StringIO()
     with redirect_stderr(err):
@@ -92,9 +95,9 @@ def test_config_round_trip_idempotent():
         if not name.endswith(".yaml"):
             continue
         cfg = load_config(os.path.join(CONFIG_DIR, name))
-        again = parse_config(yaml.safe_load(dump_config(cfg)))
+        again = parse_config(yaml.safe_load(_dump(cfg)))
         assert again == cfg
-        assert dump_config(again) == dump_config(cfg)
+        assert _dump(again) == _dump(cfg)
 
 
 def test_config_unknown_keys_rejected(tmp_path):
@@ -379,7 +382,7 @@ def test_action_oracle_makes_one_force_batch_per_node_time(monkeypatch, tmp_path
     # each particle's residual equals the one built from its own queries
     none, c = harness.ExternalFieldModel.none(), cfg.c
     for t in out["report"].times[::9]:
-        got = harness.el_residual_covariant(hists, none, t, c)
+        got = harness.el_residual_covariant(hists, none, t)
         now = worldline.gather(hists, np.arange(len(hists)), np.full(len(hists), t))
         F = total_faraday(hists, now, none)[0]
         for i, h in enumerate(hists):
@@ -397,6 +400,42 @@ def test_extremality_on_dynamics_trajectories():
                             0.3, st.t_now, rng=np.random.default_rng(3))
     assert rep["ratio"] <= 0.1
     assert rep["perturbed_norm"] > 10.0 * rep["gradient_norm"]
+
+
+def swap_symmetry_residual(curve_a, curve_b, charges, sigmas,
+                           width: float, c: float = 1.0) -> dict:
+    """Exchange identity of the pair-summed binary functional of the
+    action oracle.
+
+    It uses the full-range double sum (no causal gate), the form whose
+    pair-summed exchange identity holds for arbitrary curve pairs: both
+    orderings must agree for two arbitrary curves once summed over
+    ordered particle pairs, because relabeling swaps the shell radii the
+    same way it swaps the charges.
+    """
+
+    def pair_term(na, nb, sigma):
+        dra, _, ma = harness._segment_geometry(na)
+        drb, _, mb = harness._segment_geometry(nb)
+        d = mb[None, :, :] - ma[:, None, :]
+        f = d[..., 0] ** 2 - d[..., 1] ** 2 - d[..., 2] ** 2 \
+            - d[..., 3] ** 2 - sigma * sigma
+        g = np.exp(-0.5 * (f / width) ** 2) / (width * math.sqrt(2 * math.pi))
+        dots = np.einsum("km,lm->kl", dra * np.array([1.0, -1, -1, -1]), drb)
+        return float(np.sum(g * dots))
+
+    n = len(charges)
+    lhs = rhs = 0.0
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            pref = 2.0 * charges[i] * charges[j] / c
+            lhs += pref * pair_term(curve_a, curve_b, sigmas[j])
+            rhs += pref * pair_term(curve_b, curve_a, sigmas[i])
+    scale = max(abs(lhs), abs(rhs), 1.0)
+    return {"lhs": lhs, "rhs": rhs,
+            "residual": abs(lhs - rhs), "relative": abs(lhs - rhs) / scale}
 
 
 def test_swap_symmetry_identity():

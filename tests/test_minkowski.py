@@ -14,7 +14,7 @@ def test_dot_of_unit_timelike():
 
 
 def test_boost_of_rest_velocity():
-    out = mk.boost([1.0, 0.0, 0.0, 0.0], mk.Boost(np.array([0.6, 0.0, 0.0])))
+    out = mk.Boost(np.array([0.6, 0.0, 0.0])).matrix() @ np.array([1.0, 0.0, 0.0, 0.0])
     assert np.allclose(out, [1.25, 0.75, 0.0, 0.0], rtol=0.0, atol=1e-15)
 
 
@@ -33,7 +33,7 @@ def test_boost_rejects_superluminal():
 def test_boost_inverse_round_trip():
     b = mk.Boost(np.array([0.3, -0.2, 0.5]))
     v = np.array([2.0, 0.1, -0.4, 0.7])
-    back = mk.boost(mk.boost(v, b), b.inverse())
+    back = mk.Boost(-b.beta).matrix() @ (b.matrix() @ v)
     assert np.allclose(back, v, atol=1e-14)
 
 
@@ -79,7 +79,7 @@ def test_dot_is_boost_invariant(av, bv, beta):
     b = np.array(bv)
     bst = mk.Boost(np.array(beta))
     before = mk.dot(a, b)
-    after = mk.dot(mk.boost(a, bst), mk.boost(b, bst))
+    after = mk.dot(bst.matrix() @ a, bst.matrix() @ b)
     scale = 1.0 + abs(before) + float(np.max(np.abs(a))) * float(np.max(np.abs(b)))
     assert abs(after - before) < 1e-10 * scale
 
@@ -87,4 +87,4 @@ def test_dot_is_boost_invariant(av, bv, beta):
 @given(st.tuples(finite, finite, finite, finite))
 def test_boost_identity_when_beta_zero(av):
     v = np.array(av)
-    assert np.array_equal(mk.boost(v, mk.Boost(np.zeros(3))), v)
+    assert np.array_equal(mk.Boost(np.zeros(3)).matrix() @ v, v)

@@ -265,31 +265,36 @@ class TestPairDelay:
         assert root.t_ret == pytest.approx(np.sqrt(4.25), abs=1e-11)
 
 
+def line_potential(h, observer_event, sigma):
+    """The resolved potential of the one root of h at observer_event."""
+    return ret.line_potentials(ret.solve_delays((h,), 0, observer_event, sigma))[0]
+
+
 class TestDeltaLineIntegral:
     def test_static_time_component(self):
         d, sigma, q = 2.0, 0.8, 1.7
         h = static_history([d, 0.0, 0.0], sigma=sigma, q=q)
         obs = np.array([0.0, 0.0, 0.0, 0.0])
-        pot = ret.delta_line_integral(h, obs, sigma)
+        pot = line_potential(h, obs, sigma)
         assert pot[0] == pytest.approx(q / np.sqrt(d**2 + sigma**2), rel=1e-12)
         assert np.max(np.abs(pot[1:])) == 0.0
 
     def test_zero_charge(self):
         h = static_history([2.0, 0.0, 0.0], sigma=0.5, q=0.0)
-        pot = ret.delta_line_integral(h, np.array([0.0, 0, 0, 0]), 0.5)
+        pot = line_potential(h, np.array([0.0, 0, 0, 0]), 0.5)
         assert np.array_equal(pot, np.zeros(4))
 
     def test_point_limit_is_coulomb(self):
         d, q = 3.0, 2.0
         h = static_history([d, 0.0, 0.0], sigma=1.0, q=q)
-        pot = ret.delta_line_integral(h, np.array([0.0, 0, 0, 0]), 1e-6 * d)
+        pot = line_potential(h, np.array([0.0, 0, 0, 0]), 1e-6 * d)
         assert pot[0] == pytest.approx(q / d, abs=1e-10)
 
     def test_degenerate_jacobian_guard(self, monkeypatch):
         h = static_history([2.0, 0.0, 0.0], sigma=0.5)
         monkeypatch.setattr(ret, "JAC_TOL", 1e10)
         with pytest.raises(ret.DegenerateJacobian):
-            ret.delta_line_integral(h, np.array([0.0, 0, 0, 0]), 0.5)
+            line_potential(h, np.array([0.0, 0, 0, 0]), 0.5)
 
 
 class TestMaxDelay:

@@ -40,10 +40,6 @@ class TestParticleSpec:
     def test_zero_charge_accepted(self):
         assert wl.ParticleSpec(m0=1.0, q=0.0, sigma=0.1).q == 0.0
 
-    def test_em_mass(self):
-        spec = wl.ParticleSpec(m0=1.0, q=2.0, sigma=0.5)
-        assert spec.em_mass(c=2.0) == pytest.approx(4.0 / (4.0 * 0.5))
-
 
 class TestAppend:
     def test_non_monotonic_time_rejected(self):
