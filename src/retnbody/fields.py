@@ -27,12 +27,14 @@ dynamics.step already holds) and solves one root batch
 of a charged companion (one root per distinct radius, equal radii one
 root doubled), or in asymptotic mode the point-limit pair roots. The
 kernel then runs once on all roots as (M, 4, 4) array operations, with
-the same elementwise grazing-emission guard. Sources with q = 0 are left
-out: their kernels are multiplied by zero. It returns arrays, (F, g,
-report): the (n, 4, 4) tensor stack, the (n, 4) asymptotic self-force or
-None, and with report=True (the step-end batch of dynamics) the
-potentials and delays, whose cones join the same plan so that forces,
-potentials and delays read one DelayRoots.
+the same elementwise grazing-emission guard; in asymptotic mode g is one
+array expression over every self root (_asymptotic_g, u'' from
+worldline.u_dotdot). Sources with q = 0 are left out: their kernels are
+multiplied by zero. It returns arrays, (F, g, report): the (n, 4, 4)
+tensor stack, the (n, 4) asymptotic self-force or None, and with
+report=True (the step-end batch of dynamics) the potentials and delays,
+whose cones join the same plan so that forces, potentials and delays
+read one DelayRoots.
 """
 
 from __future__ import annotations
@@ -42,10 +44,10 @@ from enum import Enum
 
 import numpy as np
 
-from .minkowski import FaradayTensor, _antisymmetric_part, dot, lower
+from .minkowski import FaradayTensor, _antisymmetric_part, dots, lower
 from .retardation import (JAC_TOL, DelayRoots, _add_potentials, _plan_roots, _root_plan,
                           solve_delays)
-from .worldline import WorldlineHistory, gather
+from .worldline import WorldlineHistory, gather, u_dotdot
 
 
 class SelfForceMode(Enum):
@@ -184,15 +186,18 @@ def binary_faraday(h_source: WorldlineHistory, observer_event,
                          + _binary_term(h_source, obs_r, sigma_j))
 
 
-def _asymptotic_g(h: WorldlineHistory, roots: DelayRoots, m: int, t: float) -> np.ndarray:
-    q = h.spec.q
-    c = h.c
-    src = roots.source
-    u, a = src.u[m], src.a[m]
-    udd = h.u_dotdot_at_time(t - roots.t_ret[m])
-    m_em = q * q / (c * c * roots.sigma[m])
-    g_contra = (-m_em * c * a
-                - (q * q / (3.0 * c)) * (udd - u * dot(u, udd)))
+def _asymptotic_g(roots: DelayRoots, rows, t) -> np.ndarray:
+    """g_mu (M, 4) of the self roots rows observed at times t, each row
+    with the bits of its own one-root evaluation."""
+    hs = roots.histories
+    src = roots.src[rows]
+    q = np.array([hs[k].spec.q for k in src.tolist()], dtype=np.float64)
+    c = hs[0].c
+    u, a = roots.source.u[rows], roots.source.a[rows]
+    udd = u_dotdot(hs, src, t - roots.t_ret[rows])
+    m_em = q * q / (c * c * roots.sigma[rows])
+    g_contra = ((-m_em * c)[:, None] * a
+                - (q * q / (3.0 * c))[:, None] * (udd - u * dots(u, udd)[:, None]))
     return lower(g_contra)
 
 
@@ -208,7 +213,7 @@ def asymptotic_self_force(h: WorldlineHistory, t: float,
     if sigma is None:
         sigma = h.spec.sigma
     now = gather((h,), 0, [t])
-    return _asymptotic_g(h, solve_delays((h,), 0, now.r, sigma, obs=0, now=now), 0, t)
+    return _asymptotic_g(solve_delays((h,), 0, now.r, sigma, obs=0, now=now), [0], now.t)[0]
 
 
 def total_faraday(histories, now, external: ExternalFieldModel,
@@ -245,9 +250,8 @@ def total_faraday(histories, now, external: ExternalFieldModel,
         has_self = np.flatnonzero(plan.self_row >= 0)
         if exact:
             F[has_self] += K[plan.self_row[has_self]]
-        else:
-            for s in has_self:
-                g[s] = _asymptotic_g(hs[s], roots, plan.self_row[s], now.t[s])
+        elif g is not None:
+            g[has_self] = _asymptotic_g(roots, plan.self_row[has_self], now.t[has_self])
         # each particle adds its companions' terms in source order; equal
         # radii and the point limit: one root doubled exactly (K + K == 2 K)
         for slots, first, last in plan.pair_terms:

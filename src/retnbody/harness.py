@@ -82,6 +82,8 @@ from .worldline import (
 # number of causal source samples inside the 3-width Gaussian window
 SOURCE_FACTOR = 24
 SUPPORT_MIN = 6
+# size of extremality_ratio's interior bump of the node positions
+BUMP_AMPLITUDE = 5e-3
 # observer-source pairs per row block of the smoothed line integrals
 _BLOCK_PAIRS = 1 << 15
 
@@ -658,14 +660,14 @@ def action_oracle(histories, cfg: OracleConfig, t_lo: float, t_hi: float,
 
 def extremality_ratio(histories, cfg: OracleConfig, t_lo: float, t_hi: float,
                       external: ExternalFieldModel | None = None,
-                      rng=None, amplitude: float = 5e-3,
-                      report: OracleReport | None = None) -> dict:
+                      rng=None, report: OracleReport | None = None) -> dict:
     """Gradient norm on the dynamics trajectory vs a perturbed copy.
 
-    The perturbation is a smooth interior bump of the spatial node
-    positions, endpoints fixed. A report from action_oracle on the same
-    histories, config and window supplies the frozen sources and the
-    on-trajectory gradients, which are then not recomputed.
+    The perturbation is a smooth interior bump of size BUMP_AMPLITUDE
+    of the spatial node positions, endpoints fixed. A report from
+    action_oracle on the same histories, config and window supplies the
+    frozen sources and the on-trajectory gradients, which are then not
+    recomputed.
     """
     external = external or ExternalFieldModel.none()
     rng = rng or np.random.default_rng(0)
@@ -694,7 +696,7 @@ def extremality_ratio(histories, cfg: OracleConfig, t_lo: float, t_hi: float,
         pert = nodes_r.copy()
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
-        pert[:, 1:] += amplitude * bump[:, None] * direction[None, :]
+        pert[:, 1:] += BUMP_AMPLITUDE * bump[:, None] * direction[None, :]
         g1 = node_gradient(pert, i, sources, specs, external, cfg.width,
                            c, cfg.fd_step)
         n_pert += float(np.sum(g1 * g1))

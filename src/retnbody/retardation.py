@@ -154,8 +154,8 @@ def solve_delays(histories, src, events, sigma, obs=-1, now=None,
     sig2 = sigma * sigma
     tol = root_tolerance(d2, sigma)
     # the delay, residual and source event of each root, filled as roots
-    # converge; a coincident static point source (d = sigma = 0) keeps
-    # tau = 0 at now
+    # converge; a coincident point source (d = sigma = 0) converges on its
+    # first iterate, tau = 0, whose gather at t_obs returns now
     t_ret = res = event = None
 
     def fill(k, tau_k, f_k, ev_k):
@@ -167,20 +167,12 @@ def solve_delays(histories, src, events, sigma, obs=-1, now=None,
         for column, x in zip(event, ev_k):
             column[k] = x
 
-    # the roots still iterating, ordered by source so that each gather
-    # takes them as contiguous runs, and their data compacted: source,
-    # t_obs, x_obs, sigma^2, tolerance, iterate and the bracket
-    # f(lo) < 0 < f(hi), where f(0) = -d^2 - sigma^2 < 0
+    # the roots still iterating, in request order, and their data
+    # compacted: source, t_obs, x_obs, sigma^2, tolerance, iterate and the
+    # bracket f(lo) < 0 < f(hi), where f(0) = -d^2 - sigma^2 <= 0
     live = np.arange(m)
     l_src, l_t, l_x, l_sig2, l_tol = src, now.t, obs_x, sig2, tol
     tau = np.sqrt(d2 + sig2) / c if seed is None else _per_root(seed, m, np.float64)
-    coincident = d2 + sig2 == 0.0
-    in_order = not (np.count_nonzero(src[1:] < src[:-1]) or np.count_nonzero(coincident))
-    if not in_order:
-        live = np.argsort(src, kind="stable")
-        live = live[~coincident[live]]
-        l_src, l_t, l_x, l_sig2, l_tol, tau = (
-            x[live] for x in (src, now.t, obs_x, sig2, tol, tau))
     lo, hi = np.zeros(len(live)), np.full(len(live), np.inf)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(MAX_ITER):
@@ -192,7 +184,7 @@ def solve_delays(histories, src, events, sigma, obs=-1, now=None,
             f = (c * tau) ** 2 - _dot(dx, dx) - l_sig2
             done = np.abs(f) <= l_tol
             n_done = np.count_nonzero(done)
-            if in_order and n_done == m:
+            if n_done == m:
                 # every root at once, in request order
                 t_ret, res, event = tau, np.abs(f), [ev.t, ev.s, ev.r, u, ev.a]
                 live = live[:0]
@@ -219,7 +211,7 @@ def solve_delays(histories, src, events, sigma, obs=-1, now=None,
             den = b + np.sqrt(b * b - (c * c - _dot(v, v)) * f)
             step = tau - f / den
             tau = np.where((den > 0.0) & (lo < step) & (step < hi), step, 0.5 * (lo + hi))
-    if t_ret is None:  # no root converged: all coincident, or no convergence
+    if t_ret is None:  # no root converged
         fill(live[:0], 0.0, 0.0, ())
     roots = DelayRoots(hs, src, obs, events, sigma, t_ret, now.s - event[1],
                        WorldlineSample(*event), res)

@@ -36,7 +36,8 @@ Every query is an array query: gather(histories, src, ts) finds the
 nodes of any mix of sources with one searchsorted over the key of their
 store and then evaluates all M states in one broadcasting pass
 (_evaluate); histories made apart are read from one copy of them.
-states_at and state_at_time are the same lookup for one history.
+states_at and state_at_time are the same lookup for one history, and
+u_dotdot(histories, src, ts) (u'' for the asymptotic self-force) too.
 
 write_table and read_table hold the one CSV table format of the package:
 every table it writes or reads, node tables included, goes through them.
@@ -162,11 +163,12 @@ class WorldlineSample:
 
 def _sample_row(sample: WorldlineSample) -> np.ndarray:
     """A sample as one float64 node table row in CSV_HEADER column order."""
-    row = np.concatenate([np.ravel(x) for x in (sample.t, sample.s, sample.r, sample.u,
-                                                sample.a)], dtype=np.float64)
-    if row.shape != (len(CSV_HEADER),):
+    if np.ndim(sample.t) or np.ndim(sample.s):
+        raise ValueError("t and s must be numbers")
+    if any(np.shape(x) != (4,) for x in (sample.r, sample.u, sample.a)):
         raise ValueError("r, u and a must be four-vectors")
-    return row
+    return np.concatenate(([sample.t, sample.s], sample.r, sample.u, sample.a),
+                          dtype=np.float64)
 
 
 def _first_failure(table, checks=()):
@@ -335,26 +337,30 @@ class HistoryBank:
         s = self._nodes[self._start[slots] + n - 1, _S]  # masked when empty
         return n, np.fmax(self._latest[slots], -np.inf), np.where(n > 0, s, -np.inf)
 
-    def _lookup(self, slot, ts):
-        """(t0, p, t1, q): for each query (slot, t), the node at or before
-        t (the first node before the history) and the node after it, whose
-        row is read only inside a segment. Indices are clipped into the
-        store, so one past the latest node may read a spare row or the
-        next run's first row: only a query on the latest node does so,
-        and it never reads that row."""
+    def _index(self, slot, ts):
+        """The key index one past the node at or before each query (slot, t),
+        the slot's first row before its history: the one key search."""
         q = np.empty(len(ts), dtype=np.complex128)
         q.real = slot
         q.imag = ts
-        i = self._key.searchsorted(q, side="right")
+        return self._key.searchsorted(q, side="right")
+
+    def _lookup(self, slot, i):
+        """(t0, p, t1, q): for each key index i of slot (see _index), the
+        node before it (the slot's first node when there is none) and the
+        node at it, whose row is read only inside a segment. Indices are
+        clipped into the store, so one past the latest node may read a
+        spare row or the next run's first row: only a query on the latest
+        node does so, and it never reads that row."""
         k = np.concatenate((np.maximum(i - 1, self._start[slot]), i))
         t, rows = self._t.take(k, mode="clip"), self._nodes.take(k, axis=0, mode="clip")
-        m = len(ts)
+        m = len(i)
         return t[:m], rows[:m], t[m:], rows[m:]
 
     def _states(self, slot, ts) -> WorldlineSample:
         """States of the slots slot (one, or one per time) at times ts."""
         _check_present(ts, self._latest[slot])
-        return _evaluate(ts, *self._lookup(slot, ts), self.c)
+        return _evaluate(ts, *self._lookup(slot, self._index(slot, ts)), self.c)
 
 
 _ALL = slice(None)
@@ -500,27 +506,6 @@ class WorldlineHistory:
         b = self._bank._states(self._slot, np.array([t], dtype=np.float64))
         return WorldlineSample(float(b.t[0]), float(b.s[0]), b.r[0], b.u[0], b.a[0])
 
-    def u_dotdot_at_time(self, t: float) -> np.ndarray:
-        """Second proper-time derivative d^2 u / ds^2 of the interpolated u.
-
-        Piecewise quadratic in t, accurate to O(h^2); used only by the
-        asymptotic radiation-reaction term, which is itself a first-order
-        approximation. At a node the segment starting there is used, at
-        the latest node the one ending there.
-        """
-        bank, ts = self._bank, np.array([t], dtype=np.float64)
-        _check_present(ts, bank._latest[self._slot])
-        a, b = self._span()
-        i = int(bank._key.searchsorted(complex(self._slot, t), side="right")) - 1
-        if t < self.t_first:
-            return np.zeros(4)
-        if i == b - 1:
-            i -= 1
-        if i < a:
-            raise QueryBeyondPresent("u_dotdot needs a segment; history holds one node")
-        t01, rows = bank._t[i:i + 2], bank._nodes[i:i + 2]
-        return _segment_udotdot(t01[0], rows[0], t01[1], rows[1], t, self.c)
-
     # -- export ------------------------------------------------------------
 
     def export_csv(self, path, comment: str | None = None) -> None:
@@ -624,6 +609,14 @@ def commit(histories, rows) -> None:
     _append(hs, tab, labelled=True)
 
 
+def _reading(histories, src):
+    """(store, slots) to read histories[src] from: their one store, else
+    one copy of them in a new store (see gather)."""
+    hs = tuple(histories)
+    bank, slots = _located(hs) or (copy_histories(hs)[0]._bank, _ALL)
+    return bank, src if slots is _ALL else slots[src]
+
+
 def gather(histories, src, ts) -> WorldlineSample:
     """States of histories[src[m]] at ts[m] for every m, as one
     WorldlineSample of stacked arrays (t, s (M,); r, u, a (M, 4)).
@@ -636,10 +629,35 @@ def gather(histories, src, ts) -> WorldlineSample:
     read from one copy of them in one store (see copy_histories), which
     keeps every node and slope bit; they must share one light speed.
     """
+    bank, slot = _reading(histories, src)
+    return bank._states(slot, np.asarray(ts, dtype=np.float64).reshape(-1))
+
+
+def u_dotdot(histories, src, ts) -> np.ndarray:
+    """d^2 u / ds^2 of the interpolated u of histories[src[m]] at ts[m]
+    for every m, (M, 4), from the nodes gather's key lookup finds.
+
+    Piecewise quadratic in t, accurate to O(h^2), for the asymptotic
+    self-force, itself a first-order approximation. A node takes the
+    segment starting there, the latest node (staged or not) the one
+    ending there; before the first node u'' is zero. A query past the
+    present, a NaN time, or a one-node history queried at its node
+    raises QueryBeyondPresent.
+    """
     ts = np.asarray(ts, dtype=np.float64).reshape(-1)
-    hs = tuple(histories)
-    bank, slots = _located(hs) or (copy_histories(hs)[0]._bank, _ALL)
-    return bank._states(src if slots is _ALL else slots[src], ts)
+    bank, slot = _reading(histories, src)
+    _check_present(ts, bank._latest[slot])
+    i, start = bank._index(slot, ts), bank._start[slot]
+    i = np.where(i == start + bank._n[slot], i - 1, i)
+    t0, p, t1, q = bank._lookup(slot, i)
+    # rows at or past their node t0 read the segment (t0, t1); with
+    # i == start that is a one-node history queried at its node
+    seg = ts >= t0
+    if np.count_nonzero(seg & (i == start)):
+        raise QueryBeyondPresent("u_dotdot needs a segment; history holds one node")
+    out = np.zeros((len(ts), 4))
+    out[seg] = _segment_udotdot(*(x[seg] for x in (ts, t0, p, t1, q)), bank.c)
+    return out
 
 
 def _evaluate(t, t0, p, t1, q, c: float) -> WorldlineSample:
@@ -681,13 +699,16 @@ def _segment(t, t0, p, t1, q, c: float):
     return y, (y[:, _U.start, None] / c) * du
 
 
-def _segment_udotdot(t0, p, t1, q, t, c) -> np.ndarray:
+def _segment_udotdot(t, t0, p, t1, q, c) -> np.ndarray:
+    """d^2 u / ds^2 of the u-interpolant at times inside segments, (M, 4)."""
     h = t1 - t0
     x = (t - t0) / h
-    y = (p[_U], p[_DU], q[_U], q[_DU], h, x)
+    y = (p[:, _U], p[:, _DU], q[:, _U], q[:, _DU], h[:, None], x[:, None])
     u, du, ddu = _hermite(*y), _hermite_d(*y), _hermite_dd(*y)
-    # d/ds = (gamma/c) d/dt applied twice to u
-    return (u[0] / c) ** 2 * ddu + (u[0] / c) * (du[0] / c) * du
+    # d/ds = (gamma/c) d/dt applied twice to u; float_power squares with
+    # C's pow, as a float's ** 2 does (x * x can differ in the last bit)
+    g = u[:, :1] / c
+    return np.float_power(g, 2.0) * ddu + g * (du[:, :1] / c) * du
 
 
 @contextmanager
@@ -745,7 +766,7 @@ def _check_present(ts, t_latest) -> None:
 # -- factories used by tests, demos and seeding -----------------------------
 
 def inertial_history(spec: ParticleSpec, x0, v3, t0: float, t1: float,
-                     n: int, c: float = 1.0, s0: float = 0.0) -> WorldlineHistory:
+                     n: int, c: float = 1.0) -> WorldlineHistory:
     """Uniformly sampled inertial worldline from t0 to t1 inclusive."""
     v = np.asarray(v3, dtype=np.float64)
     x0 = np.asarray(x0, dtype=np.float64)
@@ -756,14 +777,14 @@ def inertial_history(spec: ParticleSpec, x0, v3, t0: float, t1: float,
     u = np.concatenate(([g], g * v / c))
     ts = np.linspace(t0, t1, n)
     h = WorldlineHistory(spec, c=c)
-    h.extend(np.column_stack((ts, s0 + (c / g) * (ts - t0), c * ts,
+    h.extend(np.column_stack((ts, (c / g) * (ts - t0), c * ts,
                               x0 + (ts - t0)[:, None] * v, np.tile(u, (n, 1)),
                               np.zeros((n, 4)))))
     return h
 
 
 def history_from_kinematics(spec: ParticleSpec, t_nodes, x_fn, v_fn, acc_fn,
-                            c: float = 1.0, s0: float = 0.0) -> WorldlineHistory:
+                            c: float = 1.0) -> WorldlineHistory:
     """Sample a history from analytic position/velocity/acceleration callables.
 
     x_fn, v_fn, acc_fn map t to 3-vectors (position, dx/dt, d^2x/dt^2).
@@ -772,7 +793,7 @@ def history_from_kinematics(spec: ParticleSpec, t_nodes, x_fn, v_fn, acc_fn,
     """
     t_nodes = np.asarray(t_nodes, dtype=np.float64)
     rows = []
-    s = s0
+    s = 0.0
 
     def gamma_at(t):
         v = np.asarray(v_fn(t), dtype=np.float64)

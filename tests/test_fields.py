@@ -286,7 +286,21 @@ class TestBatchedTotalFaraday:
                 if j != i:
                     want = want + fl.binary_faraday(h_j, r_i, 0.0, 0.0).matrix
             assert _close(F, fl.FaradayTensor(want).matrix)
-            assert _close(g, fl.asymptotic_self_force(hs[i], self.t))
+            assert np.array_equal(g, fl.asymptotic_self_force(hs[i], self.t))
+
+    def test_asymptotic_self_force_is_one_call_for_every_particle(self, monkeypatch):
+        hs = ring_histories()
+        calls = []
+
+        def counted(roots, rows, t):
+            calls.append(len(rows))
+            return asymptotic_g(roots, rows, t)
+
+        asymptotic_g = fl._asymptotic_g
+        monkeypatch.setattr(fl, "_asymptotic_g", counted)
+        _, g, _ = fl.total_faraday(hs, present(hs, self.t), fl.ExternalFieldModel.none(),
+                                   fl.SelfForceMode.ASYMPTOTIC)
+        assert calls == [len(hs)] and np.count_nonzero(g)
 
     def test_one_grazing_root_raises_from_the_batch(self, monkeypatch):
         hs = ring_histories()

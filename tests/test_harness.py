@@ -24,6 +24,7 @@ from retnbody.harness import (
     build_state,
     cmd_action_oracle,
     cmd_check_pb,
+    cmd_compare_asymptotic,
     cmd_demo_no_interaction,
     cmd_run,
     config_hash,
@@ -593,11 +594,12 @@ def test_cli_demo_no_interaction_rejects_an_external_field(tmp_path, monkeypatch
 
 def test_gather_reads_each_shipped_set_from_its_own_store(tmp_path, monkeypatch):
     # every producer of histories that are read together puts them in one
-    # store, so gather never copies a loose set on a run or in the demo
+    # store, so neither gather nor u_dotdot copies a loose set on a run, in
+    # the demo or in the asymptotic comparison
     copy_histories, copies = worldline.copy_histories, []
 
     def spy(histories, specs=None):
-        if sys._getframe(1).f_code is worldline.gather.__code__:
+        if sys._getframe(1).f_code is worldline._reading.__code__:
             copies.append(len(histories))
         return copy_histories(histories, specs)
 
@@ -607,12 +609,16 @@ def test_gather_reads_each_shipped_set_from_its_own_store(tmp_path, monkeypatch)
     cmd_demo_no_interaction(replace(load_config(os.path.join(CONFIG_DIR,
                                                              "demo_no_interaction.yaml")),
                                     output_dir=str(tmp_path / "ni")))
+    cmd_compare_asymptotic(replace(load_config(os.path.join(CONFIG_DIR,
+                                                            "compare_asymptotic.yaml")),
+                                   output_dir=str(tmp_path / "asy")))
     assert copies == []
     # the spy sees a loose set
     spec = ParticleSpec(1.0, 0.1, 0.5)
     hs = [inertial_history(spec, [x, 0.0, 0.0], [0.0, 0.0, 0.0], -1.0, 0.0, 3) for x in (-1, 1)]
     worldline.gather(hs, [0, 1], [0.0, 0.0])
-    assert copies == [2]
+    worldline.u_dotdot(hs, [0, 1], [-0.5, -0.5])
+    assert copies == [2, 2]
 
 
 def test_cli_demo_no_interaction(tmp_path):

@@ -11,6 +11,11 @@ def sample(t, s, x3, u, a, c=1.0):
                               u=np.asarray(u, dtype=float), a=np.asarray(a, dtype=float))
 
 
+def _udd(h, t):
+    """u'' of h at one time, through the batched query."""
+    return wl.u_dotdot([h], 0, [t])[0]
+
+
 def make_inertial(beta=0.6, c=1.0, n=9, t1=4.0):
     spec = wl.ParticleSpec(m0=1.0, q=1.0, sigma=0.1, label="a")
     return wl.inertial_history(spec, np.zeros(3), np.array([beta * c, 0.0, 0.0]),
@@ -98,7 +103,7 @@ class TestQueries:
             with pytest.raises(wl.QueryBeyondPresent):
                 h.state_at_time(t)
             with pytest.raises(wl.QueryBeyondPresent):
-                h.u_dotdot_at_time(t)
+                _udd(h, t)
 
     def test_empty_and_one_node_histories_raise(self):
         h = wl.WorldlineHistory(wl.ParticleSpec(1.0, 1.0, 0.1))
@@ -112,7 +117,7 @@ class TestQueries:
                                       [1.0, 0.0, 0.0, 0.0], np.zeros(4)))
         # u_dotdot needs a segment; reading past the one node is refused
         with pytest.raises(wl.QueryBeyondPresent):
-            h.u_dotdot_at_time(0.0)
+            _udd(h, 0.0)
 
     def test_inertial_exact_everywhere(self):
         c = 1.0
@@ -196,7 +201,7 @@ class TestQueries:
             return g * (u_analytic(t + eps) - u_analytic(t - eps)) / (2 * eps)
 
         ref = u_analytic(t0)[0] * (duds(t0 + eps) - duds(t0 - eps)) / (2 * eps)
-        got = h.u_dotdot_at_time(t0)
+        got = _udd(h, t0)
         assert np.max(np.abs(got - ref)) < 5e-4 * (1.0 + np.max(np.abs(ref)))
 
 
@@ -255,12 +260,12 @@ class TestStaged:
             assert h._bank._nodes is nodes
             for t in ts:
                 _same_state(h.state_at_time(t), ref.state_at_time(t))
-                assert np.array_equal(h.u_dotdot_at_time(t), ref.u_dotdot_at_time(t))
+                assert np.array_equal(_udd(h, t), _udd(ref, t))
             _same_state(h.states_at(np.array(ts)), ref.states_at(np.array(ts)))
-            staged_dd = h.u_dotdot_at_time(ref.samples[-2].t)
+            staged_dd = _udd(h, ref.samples[-2].t)
         # the latest committed node takes the staged segment, as in the
         # appended history
-        assert not np.array_equal(staged_dd, h.u_dotdot_at_time(h.t_latest))
+        assert not np.array_equal(staged_dd, _udd(h, h.t_latest))
 
     def test_staged_reads_like_the_appended_history(self, tmp_path):
         hs = [_sin_history(), make_inertial(beta=0.3, n=9, t1=1.9)]
@@ -323,7 +328,7 @@ class TestStaged:
         ref.append(node)
         for t in (1.96, 1.99, 2.0):
             _same_state(h.state_at_time(t), ref.state_at_time(t))
-        assert np.array_equal(h.u_dotdot_at_time(1.95), ref.u_dotdot_at_time(1.95))
+        assert np.array_equal(_udd(h, 1.95), _udd(ref, 1.95))
 
 
 class TestValidation:
@@ -344,6 +349,17 @@ class TestValidation:
             with wl.staged([h], [_row(self._nan_r_sample(h.t_latest + 0.1))]):
                 pass
         assert _store(h) == before
+
+    def test_append_rejects_badly_shaped_samples(self):
+        h = wl.WorldlineHistory(wl.ParticleSpec(1.0, 1.0, 0.1))
+        # 14 cells in all, but r has three and u five
+        with pytest.raises(ValueError, match="r, u and a must be four-vectors"):
+            h.append(wl.WorldlineSample(t=0.0, s=0.0, r=[0.0, 0.0, 0.0],
+                                        u=[0.0, 1.0, 0.0, 0.0, 0.0], a=np.zeros(4)))
+        with pytest.raises(ValueError, match="t and s must be numbers"):
+            h.append(wl.WorldlineSample(t=np.zeros(1), s=0.0, r=np.zeros(4),
+                                        u=[1.0, 0.0, 0.0, 0.0], a=np.zeros(4)))
+        assert len(h) == 0
 
     def test_non_finite_t_and_s_rejected(self):
         h = wl.WorldlineHistory(wl.ParticleSpec(1.0, 1.0, 0.1))
@@ -674,6 +690,28 @@ def test_gather_matches_the_per_history_lookup_bit_for_bit(seed, k, stores, stag
     finally:
         for block in staged:
             block.__exit__(None, None, None)
+
+
+def test_u_dotdot_batch_over_mixed_sources_matches_one_query_calls():
+    hs = [_sin_history(), make_inertial(beta=0.3, n=9, t1=1.9), _sin_history(n=25)]
+    wl.share_store(hs)
+    rows = [_row(_tail(h)) for h in hs]
+    with wl.staged(hs, rows):
+        queries = []
+        for k, h in enumerate(hs):
+            t = h.table[:, 0]
+            # before the first node, the first node, an interior node, a
+            # time inside a segment, the latest committed node and the
+            # staged node
+            queries += [(k, x) for x in (t[0] - 0.5, t[0], t[3], 0.5 * (t[4] + t[5]),
+                                         t[-2], t[-1])]
+        order = np.random.default_rng(5).permutation(len(queries))
+        src, ts = (np.array(x)[order] for x in zip(*queries))
+        batch = wl.u_dotdot(hs, src, ts)
+        for got, k, t in zip(batch, src.tolist(), ts.tolist()):
+            assert np.array_equal(got, wl.u_dotdot(hs, k, [t])[0])
+        assert not np.count_nonzero(batch[ts < 0.0])
+        assert np.count_nonzero(batch[src == 0])  # the curved history
 
 
 def test_gather_refuses_the_first_query_past_the_present_in_request_order():
