@@ -51,7 +51,6 @@ from .worldline import (
     copy_histories,
     gather,
     inertial_history,
-    share_store,
     staged,
     write_table,
 )
@@ -177,6 +176,10 @@ def seed(specs=None, positions=None, velocities=None, *, prehistories=None,
     from the actual roots (max_delay), or the static estimate when that
     is larger. A supplied history shorter than the refined depth raises
     InsufficientPrehistory carrying required = coverage_factor * depth.
+
+    The system's histories are copies in one store (copy_histories), each
+    node and slope bit kept: a supplied history is left as it is, so it can
+    seed another system too. prehistories must name each history once.
     """
     external = external or ExternalFieldModel.none()
     if prehistories is None:
@@ -206,8 +209,7 @@ def seed(specs=None, positions=None, velocities=None, *, prehistories=None,
                  inertial_history(specs[i], xs[i] - vs[i] * span, vs[i],
                                   t0 - span, t0, PREHISTORY_NODES, c=c)
                  for i, h in enumerate(prehistories)]
-        share_store(hists)
-        return hists
+        return copy_histories(hists)
 
     hists = synthesized(coverage_factor * _static_delay_estimate(specs, xs, c))
     depth = max_delay(hists, t0)

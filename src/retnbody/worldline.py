@@ -11,10 +11,12 @@ The nodes of one or more histories live in one store, a HistoryBank: one
 node block and one sorted lookup key whose entries are (history slot,
 node time), each history owning a run of rows with spare capacity, all
 of one light speed. A WorldlineHistory is a view of its own run. A
-history made on its own has a store of its own; dynamics.seed moves a
-system's histories into one store (share_store), and copy_histories
-copies histories into a new one. Histories written together share one
-store, and a write to a set spread over several raises ValueError.
+history made on its own has a store of its own; copy_histories copies
+histories into a new one, which is how dynamics.seed builds a system.
+A set of histories read or written together lives in one store and
+names each history once: every read and write finds its store and
+slots through one membership check (_store_of), which raises ValueError
+before anything is read or written otherwise.
 Nodes enter as checked block writes: extend(table) takes (m, 14)
 rows in CSV_HEADER order (the layout export_csv writes) for one
 history, commit(histories, rows) one row per history, and append is a
@@ -30,12 +32,13 @@ inertial extension of that node, so delay-root searches can look
 arbitrarily far into the past. staged(histories, rows) writes one
 provisional node per history into the spare row after its latest node
 for the length of a with block (an RK stage), so there is one history
-class and one query path.
+class and one query path; no node is written to a store while a stage
+is open on it.
 
 Every query is an array query: gather(histories, src, ts) finds the
 nodes of any mix of sources with one searchsorted over the key of their
 store and then evaluates all M states in one broadcasting pass
-(_evaluate); histories made apart are read from one copy of them.
+(_evaluate).
 states_at and state_at_time are the same lookup for one history, and
 u_dotdot(histories, src, ts) (u'' for the asymptotic self-force) too.
 
@@ -48,7 +51,6 @@ export_csv reads those blocks straight from the store.
 from __future__ import annotations
 
 import os
-import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -227,15 +229,15 @@ def _hermite_dd(y0, dy0, y1, dy1, h, x):
 
 def _capacity(n: int) -> int:
     """Rows of a run laid out for n nodes: room for an eighth more, and at
-    least _SPARE_ROWS more. A move or a copy then adds no more than the
-    size of the nodes to the memory in use, and a history that grows one
-    node at a time is laid out anew after every eighth of its length."""
+    least _SPARE_ROWS more. A copy then adds no more than the size of the
+    nodes to the memory in use, and a history that grows one node at a
+    time is laid out anew after every eighth of its length."""
     return int(n) + max(_SPARE_ROWS, int(n) // 8)
 
 
 class HistoryBank:
     """The packed node store of one or more histories, the one store of
-    every set of histories that is written together.
+    every set of histories that is read or written together.
 
     Slot k holds one history: a run of rows [start_k, start_k + cap_k) in
     one node block _nodes (rows, _WIDTH) and in one lookup key _key
@@ -251,38 +253,10 @@ class HistoryBank:
     def __init__(self, c: float, caps):
         caps = np.asarray(caps, dtype=np.intp)
         self.c = float(c)
-        # weak references to the histories of the slots, when bound in slot
-        # order: a history holds its store, so a strong one would make a
-        # cycle that only the garbage collector frees
-        self._members = ()
         self._n = np.zeros(len(caps), dtype=np.intp)
         self._latest = np.full(len(caps), np.nan)  # latest node time, NaN while empty
         self._staged = 0  # staged blocks open on the store
         self._lay_out(caps)
-
-    @classmethod
-    def _holding(cls, histories, move: bool = False) -> "HistoryBank":
-        """A new store with a copy of each history's nodes, slot i for
-        histories[i] (from any stores). With move, history i is bound to
-        slot i as soon as its rows are copied, so each old store can be
-        freed before the next is copied; a store left holding others no
-        longer counts them as its own histories in slot order. Histories
-        of different light speeds are refused before anything is copied."""
-        hs = list(histories)
-        if any(h.c != hs[0].c for h in hs):
-            raise ValueError("histories in one store must share one light speed")
-        bank = cls(hs[0].c, [_capacity(len(h)) for h in hs])
-        for i, h in enumerate(hs):
-            old, k, (a, b) = h._bank, h._slot, h._span()
-            s = bank._start[i]
-            bank._t[s:s + b - a] = old._t[a:b]
-            bank._nodes[s:s + b - a] = old._nodes[a:b]
-            bank._n[i], bank._latest[i] = b - a, old._latest[k]
-            if move:
-                h._bank, h._slot, old._members = bank, i, ()
-        if move:
-            bank._members = tuple(map(weakref.ref, hs))
-        return bank
 
     def _lay_out(self, cap) -> None:
         """Fresh runs with capacities cap, every row spare."""
@@ -324,9 +298,11 @@ class HistoryBank:
         self._latest[slots] = tab[each - 1::each, 0]  # each slot's last row
         return pos
 
-    def _unstage(self, slots, pos) -> None:
-        """Take the latest nodes of slots, at store rows pos, off again."""
+    def _unstage(self, slots) -> None:
+        """Take the latest nodes of slots off again, wherever a stage
+        opened since has laid their runs out."""
         self._n[slots] -= 1
+        pos = self._start[slots] + self._n[slots]
         self._t[pos] = np.inf
         self._latest[slots] = self._t[pos - 1]
 
@@ -363,28 +339,26 @@ class HistoryBank:
         return _evaluate(ts, *self._lookup(slot, self._index(slot, ts)), self.c)
 
 
-_ALL = slice(None)
+def _check_set(hs) -> None:
+    """Raise ValueError unless the set hs names each history once and
+    all of them share one light speed."""
+    if len(set(map(id, hs))) < len(hs):
+        raise ValueError("a set of histories must name each history once")
+    if any(h.c != hs[0].c for h in hs):
+        raise ValueError("histories in one store must share one light speed")
 
 
-def _located(hs):
-    """(store, slots) of the histories hs when they share one store, with
-    slots as slice(None) for a store's own histories in slot order; None
-    when they span several stores."""
+def _store_of(hs):
+    """(store, slots) of a set of histories read or written together: their
+    one store and the slot of each. A ValueError is raised, before anything
+    is read or written, when they span several stores or name one history
+    twice (see _check_set); histories in one store share its light speed."""
     bank = hs[0]._bank
-    if tuple(map(weakref.ref, hs)) == bank._members:
-        return bank, _ALL
-    if any(h._bank is not bank for h in hs):
-        return None
-    return bank, np.array([h._slot for h in hs])
-
-
-def _writable(hs):
-    """(store, slots) of histories written together, which must share one
-    store: a ValueError is raised before anything is written otherwise."""
-    at = _located(hs)
-    if at is None:
-        raise ValueError("histories written together must share one store")
-    return at
+    slots = [h._slot for h in hs if h._bank is bank]
+    if len(set(slots)) < len(hs):
+        _check_set(hs)
+        raise ValueError("histories read or written together must share one store")
+    return bank, np.array(slots)
 
 
 class WorldlineHistory:
@@ -393,7 +367,7 @@ class WorldlineHistory:
 
     Single writer (the integrator) appends; readers interpolate between
     write phases. A history made on its own holds a store of its own;
-    dynamics.seed moves a system's histories into one store.
+    copy_histories puts copies of a set of histories into one store.
     """
 
     def __init__(self, spec: ParticleSpec, c: float = 1.0):
@@ -407,7 +381,6 @@ class WorldlineHistory:
         self.hard_tol = HARD_TOL
         self.flags: list[str] = []
         self._bank, self._slot = HistoryBank(self.c, [_capacity(_SPARE_ROWS)]), 0
-        self._bank._members = (weakref.ref(self),)
 
     def _bound(self, bank: HistoryBank, slot: int, spec=None) -> "WorldlineHistory":
         """A history with this one's c, tolerances and flags (and spec,
@@ -518,20 +491,20 @@ class WorldlineHistory:
 
 
 def copy_histories(histories, specs=None) -> list:
-    """Independent copies of histories in one new store, with the same
-    nodes, c, tolerances and flags (and specs[i] for copy i when given);
-    nothing is re-validated."""
+    """Independent copies of histories (from any stores) in one new store,
+    copy i in slot i, with the same nodes, slopes, c, tolerances and flags
+    (and specs[i] for copy i when given); nothing is re-validated. The
+    set must name each history once, all of one light speed; a ValueError
+    is raised before anything is copied otherwise."""
     hs = list(histories)
-    bank = HistoryBank._holding(hs)
-    out = [h._bound(bank, i, None if specs is None else specs[i]) for i, h in enumerate(hs)]
-    bank._members = tuple(map(weakref.ref, out))
-    return out
-
-
-def share_store(histories) -> None:
-    """Move histories into one new store, history i to slot i: the same
-    objects, each one's nodes copied once."""
-    HistoryBank._holding(histories, move=True)
+    _check_set(hs)
+    bank = HistoryBank(hs[0].c, [_capacity(len(h)) for h in hs])
+    for i, h in enumerate(hs):
+        (a, b), s = h._span(), bank._start[i]
+        bank._t[s:s + b - a] = h._bank._t[a:b]
+        bank._nodes[s:s + b - a] = h._bank._nodes[a:b]
+        bank._n[i], bank._latest[i] = b - a, h._bank._latest[h._slot]
+    return [h._bound(bank, i, None if specs is None else specs[i]) for i, h in enumerate(hs)]
 
 
 def _append(hs, tab, labelled: bool = False) -> None:
@@ -540,8 +513,11 @@ def _append(hs, tab, labelled: bool = False) -> None:
     else row i to hs[i] (see WorldlineHistory.extend). With labelled, a
     failure carries its history's label as .particle. The check runs in
     its own call, so its temporaries are freed before a long block is
-    written."""
-    bank, slots = _writable(hs)
+    written. Nothing is written while a stage is open on the store: the
+    stage would take the new nodes off again on its exit."""
+    bank, slots = _store_of(hs)
+    if bank._staged:
+        raise ValueError("no node can be written to a store while a stage is open on it")
     _check_rows(hs, bank._tails(slots), tab, labelled)
     each = len(tab) if len(hs) == 1 else 1
     bank._reserve(slots, each + 1)  # and one row to stage the next node in
@@ -609,14 +585,6 @@ def commit(histories, rows) -> None:
     _append(hs, tab, labelled=True)
 
 
-def _reading(histories, src):
-    """(store, slots) to read histories[src] from: their one store, else
-    one copy of them in a new store (see gather)."""
-    hs = tuple(histories)
-    bank, slots = _located(hs) or (copy_histories(hs)[0]._bank, _ALL)
-    return bank, src if slots is _ALL else slots[src]
-
-
 def gather(histories, src, ts) -> WorldlineSample:
     """States of histories[src[m]] at ts[m] for every m, as one
     WorldlineSample of stacked arrays (t, s (M,); r, u, a (M, 4)).
@@ -625,12 +593,12 @@ def gather(histories, src, ts) -> WorldlineSample:
     the histories finds every node, whatever the order of sources, and
     one evaluation gives all M states; a query past its history's
     present raises QueryBeyondPresent naming the first such time in
-    request order. Histories made apart, in stores of their own, are
-    read from one copy of them in one store (see copy_histories), which
-    keeps every node and slope bit; they must share one light speed.
+    request order. The histories must share one store and name each
+    history once (a ValueError otherwise; copy_histories puts a set made
+    apart into one store).
     """
-    bank, slot = _reading(histories, src)
-    return bank._states(slot, np.asarray(ts, dtype=np.float64).reshape(-1))
+    bank, slots = _store_of(tuple(histories))
+    return bank._states(slots[src], np.asarray(ts, dtype=np.float64).reshape(-1))
 
 
 def u_dotdot(histories, src, ts) -> np.ndarray:
@@ -642,10 +610,12 @@ def u_dotdot(histories, src, ts) -> np.ndarray:
     segment starting there, the latest node (staged or not) the one
     ending there; before the first node u'' is zero. A query past the
     present, a NaN time, or a one-node history queried at its node
-    raises QueryBeyondPresent.
+    raises QueryBeyondPresent. The histories must share one store, as
+    in gather.
     """
     ts = np.asarray(ts, dtype=np.float64).reshape(-1)
-    bank, slot = _reading(histories, src)
+    bank, slots = _store_of(tuple(histories))
+    slot = slots[src]
     _check_present(ts, bank._latest[slot])
     i, start = bank._index(slot, ts), bank._start[slot]
     i = np.where(i == start + bank._n[slot], i - 1, i)
@@ -720,18 +690,18 @@ def staged(histories, rows):
     Every row must be finite and advance past its history's latest node;
     the first failure, in row order, is raised before anything is
     written, and so is a ValueError when the histories do not share one
-    store. The rows are then written as one block into that store, row i
-    into the spare row after history i's latest node, and counted as
-    nodes, so every query reads them as the latest ones. No tolerance is
-    checked and no flag raised. On exit, normal or not, the staged nodes
-    are removed again.
+    store or name one history twice. The rows are then written as one
+    block into that store, row i into the spare row after history i's
+    latest node, and counted as nodes, so every query reads them as the
+    latest ones. No tolerance is checked and no flag raised. On exit,
+    normal or not, the staged nodes are removed again.
     """
     hs = tuple(histories)
     tab = np.asarray(rows, dtype=np.float64)
     if tab.shape != (len(hs), len(CSV_HEADER)):
         raise ValueError(f"staged rows need shape ({len(hs)}, {len(CSV_HEADER)}), "
                          f"got {tab.shape}")
-    bank, slots = _writable(hs)
+    bank, slots = _store_of(hs)
     latest = bank._latest[slots]
     fail = _first_failure(tab, ((tab[:, 0] > latest, lambda i: NonMonotonicTime(
         "provisional sample must advance time")),))
@@ -742,12 +712,12 @@ def staged(histories, rows):
     if bank._staged:  # every other write leaves a spare row for one stage
         bank._reserve(slots, 1)
     bank._staged += 1
-    at = bank._extend(slots, tab)
+    bank._extend(slots, tab)
     try:
         yield
     finally:
         bank._staged -= 1
-        bank._unstage(slots, at)
+        bank._unstage(slots)
 
 
 def _check_present(ts, t_latest) -> None:

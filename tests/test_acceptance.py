@@ -266,8 +266,8 @@ def test_06_action_gradient_oracle():
         return history_from_kinematics(spec, np.linspace(-9.0, 1.2, 2400),
                                        x_fn, v_fn, a_fn)
 
-    hists = [bent(specs[0], -1.4, 0.25, 0.9, 0.3),
-             bent(specs[1], 1.4, 0.2, 0.7, 1.1)]
+    hists = wl.copy_histories([bent(specs[0], -1.4, 0.25, 0.9, 0.3),
+                               bent(specs[1], 1.4, 0.2, 0.7, 1.1)])
     coarse = action_oracle(hists, OracleConfig(width=0.08, nodes=80),
                            0.25, 1.1)
     fine = action_oracle(hists, OracleConfig(width=0.04, nodes=160),
@@ -360,7 +360,7 @@ def test_08_non_commutation_certificate():
 
 
 def test_09_nonlocal_vs_local_brackets():
-    hists = _wiggling_pair(1.0, -0.8)
+    hists = wl.copy_histories(_wiggling_pair(1.0, -0.8))
     c = hists[0].c
     ctx = FrozenHistoryContext(hists, fl.ExternalFieldModel.none(), t_ref=0.0)
     x = state_from_histories(hists, 0.0, ctx)

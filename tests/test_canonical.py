@@ -36,6 +36,7 @@ from retnbody.minkowski import ETA, dot, lower, raise_index
 from retnbody.worldline import (
     ConstraintViolation,
     ParticleSpec,
+    copy_histories,
     history_from_kinematics,
     inertial_history,
 )
@@ -142,7 +143,8 @@ class LorentzVariation:
 
 
 def wiggling_pair(q1: float, q2: float, t_end: float = 1.0, c: float = 1.0):
-    """Two accelerated worldlines with distinct masses, radii and phases."""
+    """Two accelerated worldlines with distinct masses, radii and phases,
+    in one store."""
     spec1 = ParticleSpec(m0=1.0, q=q1, sigma=0.4, label="a")
     spec2 = ParticleSpec(m0=1.5, q=q2, sigma=0.6, label="b")
 
@@ -162,9 +164,8 @@ def wiggling_pair(q1: float, q2: float, t_end: float = 1.0, c: float = 1.0):
         nodes = np.linspace(-40.0, t_end, 1600)
         return history_from_kinematics(spec, nodes, x_fn, v_fn, a_fn, c=c)
 
-    h1 = make(-1.1, 0.25, 0.6, 0.4, spec1)
-    h2 = make(+1.1, 0.20, 0.5, 1.3, spec2)
-    return h1, h2
+    return tuple(copy_histories([make(-1.1, 0.25, 0.6, 0.4, spec1),
+                                 make(+1.1, 0.20, 0.5, 1.3, spec2)]))
 
 
 # -- fundamental brackets and algebra ----------------------------------------
@@ -456,10 +457,9 @@ def test_static_pair_potential_closed_form():
     d = 2.0
     s1, s2 = 0.4, 0.7
     q1, q2 = 1.0, -0.6
-    h1 = inertial_history(ParticleSpec(1.0, q1, s1, "a"), [-d / 2, 0, 0],
-                          [0, 0, 0], -30.0, 1.0, 64)
-    h2 = inertial_history(ParticleSpec(1.0, q2, s2, "b"), [+d / 2, 0, 0],
-                          [0, 0, 0], -30.0, 1.0, 64)
+    h1, h2 = copy_histories([
+        inertial_history(ParticleSpec(1.0, q1, s1, "a"), [-d / 2, 0, 0], [0, 0, 0], -30.0, 1.0, 64),
+        inertial_history(ParticleSpec(1.0, q2, s2, "b"), [+d / 2, 0, 0], [0, 0, 0], -30.0, 1.0, 64)])
     ctx = FrozenHistoryContext([h1, h2], ExternalFieldModel.none(), t_ref=0.0)
     r_obs = np.array([0.0, -d / 2, 0.0, 0.0])
     A = ctx.a_eff_cov(0, r_obs)
@@ -478,8 +478,8 @@ def test_static_pair_potential_closed_form():
 
 
 def test_equal_radius_pair_solves_one_root_per_pair(monkeypatch):
-    h1, h2 = wiggling_pair(0.7, -0.5)
-    hs = [h1.copy(ParticleSpec(1.0, 0.7, 0.5, "a")), h2.copy(ParticleSpec(1.5, -0.5, 0.5, "b"))]
+    hs = copy_histories(wiggling_pair(0.7, -0.5),
+                        [ParticleSpec(1.0, 0.7, 0.5, "a"), ParticleSpec(1.5, -0.5, 0.5, "b")])
     ext = ExternalFieldModel.uniform(E=(0.1, 0.0, -0.2), B=(0.0, 0.3, 0.0))
     events = np.array([h.state_at_time(0.3).r for h in hs]) + [0.0, 0.05, -0.02, 0.01]
     # the sum term by term as the two-cone rule states it: the external
@@ -590,10 +590,9 @@ def test_instant_form_solves_one_root_batch_per_evaluation(monkeypatch):
 def test_state_from_histories_matches_observer_by_observer_momenta():
     # one gather and one all-observer potentials batch give every particle
     # the bits of its own one-observer evaluation
-    h1, h2 = wiggling_pair(1.0, -0.8)
     h3 = inertial_history(ParticleSpec(1.2, 0.6, 0.5, "c"), [0.3, 2.0, -0.4],
                           [0.1, -0.2, 0.05], -40.0, 1.0, 400)
-    hs = [h1, h2, h3]
+    hs = copy_histories([*wiggling_pair(1.0, -0.8), h3])
     ctx = FrozenHistoryContext(hs, ExternalFieldModel.uniform(E=(0.1, 0.0, -0.2),
                                                               B=(0.0, 0.3, 0.0)), 0.4)
     x = state_from_histories(hs, 0.4, ctx)

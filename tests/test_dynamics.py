@@ -81,18 +81,18 @@ def test_seed_accepts_covering_prehistory():
 
 def receding_prehistories(span):
     """Inertial prehistories over span of two sigma = 0.5 charges at
-    x = -+1.5 receding at 0.5 c."""
+    x = -+1.5 receding at 0.5 c, in one store."""
     specs = [ParticleSpec(1.0, 0.5, 0.5, "left"), ParticleSpec(1.0, 0.5, 0.5, "right")]
-    return [inertial_history(spec, [x - v * span, 0, 0], [v, 0, 0], -span, 0.0, 32)
-            for spec, x, v in zip(specs, (-1.5, 1.5), (-0.5, 0.5))]
+    return wl.copy_histories(
+        [inertial_history(spec, [x - v * span, 0, 0], [v, 0, 0], -span, 0.0, 32)
+         for spec, x, v in zip(specs, (-1.5, 1.5), (-0.5, 0.5))])
 
 
 def test_seed_accepts_prehistory_reaching_the_refined_depth():
     # the root search starts at sqrt(d^2 + sigma^2)/c = 3.04, before
     # t_first = -2.5, but the deepest root (2.04) lies inside the history
     pre = receding_prehistories(2.5)
-    st = seed(prehistories=pre)
-    assert all(a is b for a, b in zip(st.histories, pre))
+    seed(prehistories=pre)
     assert max_delay(pre, 0.0) == pytest.approx(2.0415, abs=1e-4)
 
 
@@ -111,9 +111,9 @@ def test_empty_prehistory_is_refused_as_a_query_beyond_present():
     spec = ParticleSpec(1.0, 0.5, 0.5, "empty")
     with pytest.raises(wl.QueryBeyondPresent, match="no samples"):
         seed(prehistories=[wl.WorldlineHistory(spec)])
-    full = inertial_history(spec, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], -5.0, 0.0, 11)
-    empty = wl.WorldlineHistory(spec)
-    wl.share_store([full, empty])
+    full, empty = wl.copy_histories([
+        inertial_history(spec, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], -5.0, 0.0, 11),
+        wl.WorldlineHistory(spec)])
     row = np.hstack([0.1, 0.1, 0.1, np.zeros(3), [1.0, 0.0, 0.0, 0.0], np.zeros(4)])
     with pytest.raises(wl.QueryBeyondPresent, match="no samples"):
         with wl.staged([full, empty], [row, row]):
@@ -124,11 +124,10 @@ def test_empty_prehistory_is_refused_as_a_query_beyond_present():
 
 
 def test_writes_to_histories_in_several_stores_are_refused():
-    # b's history seeded into a second system moves to that system's store
-    specs = [ParticleSpec(1.0, 0.1, 0.5, "a"), ParticleSpec(1.0, 0.1, 0.5, "b")]
-    st = seed(specs, [[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [[0.0, 0.0, 0.0]] * 2, dt=0.05)
-    seed(prehistories=[st.histories[1]], dt=0.05)
-    hs = st.histories
+    # two histories made apart, each in a store of its own
+    hs = [inertial_history(ParticleSpec(1.0, 0.1, 0.5, label), [x, 0.0, 0.0], [0.0, 0.0, 0.0],
+                           -5.0, 0.0, 16) for label, x in (("a", -1.0), ("b", 1.0))]
+    st = SystemState(hs, 0.0, 0.05)
     before = [h.table for h in hs]
     rows = np.array([h.table[-1] for h in hs])
     rows[:, :3] += 0.05
@@ -411,9 +410,26 @@ def test_seed_puts_the_system_in_one_store():
                            -6.0, 0.0, 40)
     st = seed([None, ParticleSpec(1.0, -0.3, 0.6, "b")], [None, [1.0, 0, 0]],
               [None, [0, 0, 0]], prehistories=[pre, None], dt=0.05)
-    assert st.histories[0] is pre
-    assert len({id(h._bank) for h in st.histories}) == 1
-    assert [ref() for ref in st.histories[0]._bank._members] == st.histories
+    assert len({id(h._bank) for h in st.histories} | {id(pre._bank)}) == 2
+    assert np.array_equal(st.histories[0].table, pre.table)
+
+
+def test_seed_leaves_a_supplied_prehistory_as_it_is():
+    pre = inertial_history(ParticleSpec(1.0, 0.3, 0.5, "a"), [-1.0, 0, 0], [0.1, 0, 0],
+                           -6.0, 0.0, 40)
+    table = pre.table
+    st = seed([None, ParticleSpec(1.0, -0.3, 0.6, "b")], [None, [1.0, 0, 0]],
+              [None, [0, 0, 0]], prehistories=[pre, None], dt=0.05)
+    run(st, 0.25)
+    assert len(st.histories[0]) == 45
+    assert len(pre) == 40 and np.array_equal(pre.table, table)
+
+
+def test_seed_refuses_a_set_naming_one_history_twice():
+    pre = inertial_history(ParticleSpec(1.0, 0.3, 0.5, "a"), [-1.0, 0, 0], [0.1, 0, 0],
+                           -6.0, 0.0, 40)
+    with pytest.raises(ValueError, match="name each history once"):
+        seed(prehistories=[pre, pre], dt=0.05)
 
 
 def test_a_prehistory_seeded_twice_is_read_from_where_it_lives():
@@ -421,7 +437,7 @@ def test_a_prehistory_seeded_twice_is_read_from_where_it_lives():
                            -6.0, 0.0, 40)
     args = ([ParticleSpec(1.0, -0.3, 0.6, "b"), None], [[1.0, 0, 0], None], [[0, 0, 0], None])
     first = seed(*args, prehistories=[None, pre], dt=0.05)
-    second = seed(*args, prehistories=[None, pre], dt=0.05)  # moves pre out of first's store
+    second = seed(*args, prehistories=[None, pre], dt=0.05)  # copies pre once more
     step(second)
     t = pre.t_latest
     got = wl.gather(first.histories, [0, 1], [0.0, t])
@@ -429,8 +445,8 @@ def test_a_prehistory_seeded_twice_is_read_from_where_it_lives():
 
 
 def test_a_dropped_store_is_freed_without_the_garbage_collector():
-    # a history holds its store and the store only weak references to its
-    # histories, so no cycle keeps a dropped system's nodes alive
+    # a history holds its store and a store holds none of its histories,
+    # so no cycle keeps a dropped system's nodes alive
     gc.disable()
     try:
         st = static_pair(dt=0.05)

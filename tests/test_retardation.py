@@ -160,8 +160,9 @@ _BELOW_NOISE_CASES = [p.values for p in GRID if p.marks]
 
 
 def grid_batch(cases):
-    """The grid cases as one solve_delays batch over their own histories,
-    each source seen by itself (self) or by its 1.5-away observer."""
+    """The grid cases as one solve_delays batch over copies of their
+    histories in one store, each source seen by itself (self) or by its
+    1.5-away observer."""
     hs, events, obs = [], [], []
     for m, (kind, beta, sigma) in enumerate(cases):
         v = np.array([beta, 0.0, 0.0])
@@ -170,7 +171,7 @@ def grid_batch(cases):
         events.append(h.state_at_time(1.0).r if kind == "self" else
                       np.array([1.0, 1.5 if kind == "approaching" else -1.5, 0.0, 0.0]))
         obs.append(m if kind == "self" else -1)
-    return ret.solve_delays(hs, np.arange(len(cases)), events,
+    return ret.solve_delays(wl.copy_histories(hs), np.arange(len(cases)), events,
                             [sigma for _, _, sigma in cases], obs=obs)
 
 
@@ -199,8 +200,9 @@ def test_grid_as_one_batch_matches_one_root_solves_bit_for_bit():
 
 def test_unordered_batch_over_shared_sources_matches_one_root_solves():
     # static sources converge on their first iterate, all in one pass
-    hs = [static_history([2.0, 0.0, 0.0], sigma=0.5), static_history([0.0, -1.0, 0.5]),
-          uniform_history([0.5, 0.2, 0.0], [0.3, -0.2, 0.1], sigma=0.7)]
+    hs = wl.copy_histories([static_history([2.0, 0.0, 0.0], sigma=0.5),
+                            static_history([0.0, -1.0, 0.5]),
+                            uniform_history([0.5, 0.2, 0.0], [0.3, -0.2, 0.1], sigma=0.7)])
     for src in ([2, 0, 1, 0, 2, 1], [1, 0, 1, 0]):
         events = [np.array([0.5, 0.1 * m, -0.2, 0.3]) for m in range(len(src))]
         sigmas = [0.5 + 0.1 * m for m in range(len(src))]
@@ -303,15 +305,15 @@ class TestMaxDelay:
         assert ret.max_delay([h], 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_static_pair_dominates(self):
-        ha = static_history([0.0, 0.0, 0.0], sigma=4.0)
-        hb = static_history([3.0, 0.0, 0.0], sigma=4.0)
-        assert ret.max_delay([ha, hb], 0.0) == pytest.approx(5.0, abs=1e-12)
+        hs = wl.copy_histories([static_history([0.0, 0.0, 0.0], sigma=4.0),
+                                static_history([3.0, 0.0, 0.0], sigma=4.0)])
+        assert ret.max_delay(hs, 0.0) == pytest.approx(5.0, abs=1e-12)
 
     def test_three_static_matches_brute_force(self):
         rng = np.random.default_rng(7)
         xs = rng.uniform(-2, 2, size=(3, 3))
         sigmas = rng.uniform(0.3, 1.4, size=3)
-        hs = [static_history(xs[k], sigma=float(sigmas[k])) for k in range(3)]
+        hs = wl.copy_histories([static_history(xs[k], sigma=float(sigmas[k])) for k in range(3)])
         roots = []
         for i in range(3):
             roots.append(ret.self_delay(hs[i], 0.0).t_ret)

@@ -1,7 +1,10 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from retnbody import retardation as ret
 from retnbody import worldline as wl
 
 
@@ -268,12 +271,11 @@ class TestStaged:
         assert not np.array_equal(staged_dd, _udd(h, h.t_latest))
 
     def test_staged_reads_like_the_appended_history(self, tmp_path):
-        hs = [_sin_history(), make_inertial(beta=0.3, n=9, t1=1.9)]
-        wl.share_store(hs)
+        hs = wl.copy_histories([_sin_history(), make_inertial(beta=0.3, n=9, t1=1.9)])
         rows = [_row(_tail(hs[0])), _row(sample(2.0, hs[1].samples[-1].s + 0.09,
                                                 [0.6, 0.0, 0.0], hs[1].samples[-1].u,
                                                 [0.0, 0.1, 0.0, 0.0]))]
-        refs = [h.copy() for h in hs]
+        refs = wl.copy_histories(hs)
         for ref, row in zip(refs, rows):
             ref.extend(row)
         before = [(len(h), h.t_latest, h.table) for h in hs]
@@ -306,9 +308,45 @@ class TestStaged:
             assert h.t_latest == rows[0, 0]
         assert np.array_equal(h.table, before)
 
+    def test_nested_stages_leave_every_run_as_it_was(self):
+        # the inner stage lays the runs out anew, which moves b's run
+        a, b = wl.copy_histories([make_inertial(), make_inertial(beta=0.3)])
+        while len(a) + 1 < a._bank._cap[a._slot]:
+            a.extend(_block(a, m=1))
+        before = [_store(h) for h in (a, b)]
+        tables = [h.table for h in (a, b)]
+        rows = np.array([_block(a, m=1)[0], _block(b, m=1)[0]])
+        with wl.staged([a, b], rows):
+            with wl.staged([a], _block(a, m=1)):
+                pass
+        assert _store(a) != before[0]  # grown
+        for h, tab in zip((a, b), tables):
+            assert np.array_equal(h.table, tab)
+            assert h._bank._latest[h._slot] == h.t_latest
+        with pytest.raises(wl.QueryBeyondPresent):
+            wl.gather([a, b], [1], [b.t_latest + 0.1])
+
+    def test_no_node_is_written_while_a_stage_is_open(self):
+        a, b = wl.copy_histories([make_inertial(), make_inertial(beta=0.3)])
+        before = [_store(h) for h in (a, b)]
+        row = _block(a, m=1)[0]
+        with wl.staged([a], _block(a, m=1, dt=0.05)):
+            staged = _store(a)
+            for write in (lambda: wl.commit([a], _block(a, m=1, dt=0.1)),
+                          lambda: a.extend(_block(a, m=2)),
+                          lambda: a.append(wl.WorldlineSample(row[0], row[1], row[2:6],
+                                                              row[6:10], row[10:])),
+                          lambda: b.extend(_block(b, m=1))):
+                with pytest.raises(ValueError, match="while a stage is open"):
+                    write()
+                assert _store(a) == staged
+        # the counts, latest times and key as before; the staged row's node
+        # data stays behind in the spare row
+        assert [_store(h)[:3] for h in (a, b)] == [store[:3] for store in before]
+        assert (len(a), a.t_latest) == (9, 4.0)
+
     def test_staged_rejects_non_advancing_rows(self):
-        hs = [make_inertial(), make_inertial(beta=0.3)]
-        wl.share_store(hs)
+        hs = wl.copy_histories([make_inertial(), make_inertial(beta=0.3)])
         ok = _row(sample(hs[0].t_latest + 0.1, 9.0, np.zeros(3),
                          [1.0, 0.0, 0.0, 0.0], np.zeros(4)))
         before = [_store(h) for h in hs]
@@ -654,32 +692,24 @@ def _queries(rng, hs):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 4),
-       st.sampled_from(["own", "shared", "mixed"]), st.booleans())
-def test_gather_matches_the_per_history_lookup_bit_for_bit(seed, k, stores, stage):
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.booleans(), st.booleans())
+def test_gather_matches_the_per_history_lookup_bit_for_bit(seed, k, reverse, stage):
     rng = np.random.default_rng(seed)
     hs = []
     for i in range(k):
         h = wl.WorldlineHistory(wl.ParticleSpec(1.0, 1.0, 0.1, f"h{i}"))
         h.extend(random_table(rng, int(rng.integers(1, 10))))
         hs.append(h)
-    if stores == "shared":
-        wl.share_store(hs)
-    elif stores == "mixed":
-        wl.share_store(hs[::2])
-    staged = []
+    hs = wl.copy_histories(hs)
+    if reverse:  # the set in another order than its slots
+        hs = hs[::-1]
+    block = contextlib.nullcontext()
     if stage:
         rows = random_table(rng, k)
         rows[:, 0] = [h.t_latest + 0.3 for h in hs]
         rows[:, 2] = rows[:, 0]
-        # a stage writes into one store: one staged block per store
-        stores = {}
-        for i, h in enumerate(hs):
-            stores.setdefault(id(h._bank), []).append(i)
-        staged = [wl.staged([hs[i] for i in idx], rows[idx]) for idx in stores.values()]
-    for block in staged:
-        block.__enter__()
-    try:
+        block = wl.staged(hs, rows)
+    with block:
         src, ts = _queries(rng, hs)
         got = wl.gather(hs, src, ts)
         for m, (i, t) in enumerate(zip(src.tolist(), ts.tolist())):
@@ -687,14 +717,11 @@ def test_gather_matches_the_per_history_lookup_bit_for_bit(seed, k, stores, stag
             for name in ("t", "s", "r", "u", "a"):
                 assert np.array_equal(getattr(got, name)[m], getattr(want, name)[0]), (i, t, name)
             _same_state(hs[i].states_at([t]), want)
-    finally:
-        for block in staged:
-            block.__exit__(None, None, None)
 
 
 def test_u_dotdot_batch_over_mixed_sources_matches_one_query_calls():
-    hs = [_sin_history(), make_inertial(beta=0.3, n=9, t1=1.9), _sin_history(n=25)]
-    wl.share_store(hs)
+    hs = wl.copy_histories([_sin_history(), make_inertial(beta=0.3, n=9, t1=1.9),
+                            _sin_history(n=25)])
     rows = [_row(_tail(h)) for h in hs]
     with wl.staged(hs, rows):
         queries = []
@@ -719,7 +746,7 @@ def test_gather_refuses_the_first_query_past_the_present_in_request_order():
     hs = [wl.WorldlineHistory(wl.ParticleSpec(1.0, 1.0, 0.1)) for _ in range(3)]
     for h in hs:
         h.extend(random_table(rng, 5))
-    wl.share_store(hs[:2])
+    hs = wl.copy_histories(hs)
     late = [h.t_latest + 1.0 for h in hs]
     for src in ([2, 0, 1], [1, 2, 0]):
         ts = [hs[src[0]].t_first, late[src[1]], late[src[2]]]
@@ -729,41 +756,66 @@ def test_gather_refuses_the_first_query_past_the_present_in_request_order():
                                   f"t={hs[src[1]].t_latest!r}")
     with pytest.raises(wl.QueryBeyondPresent, match="t=nan is beyond"):
         wl.gather(hs, [0, 1], [hs[0].t_first, float("nan")])
-    empty = wl.WorldlineHistory(wl.ParticleSpec(1.0, 1.0, 0.1))
+    full, empty = wl.copy_histories([hs[0], wl.WorldlineHistory(wl.ParticleSpec(1.0, 1.0, 0.1))])
     with pytest.raises(wl.QueryBeyondPresent, match="no samples"):
-        wl.gather([hs[0], empty], [0, 1], [hs[0].t_first, 0.0])
+        wl.gather([full, empty], [0, 1], [full.t_first, 0.0])
 
 
-def test_share_store_keeps_the_histories_and_their_nodes():
+def test_copy_histories_keeps_the_nodes_and_leaves_the_originals():
     rng = np.random.default_rng(5)
     hs = [wl.WorldlineHistory(wl.ParticleSpec(1.0, 1.0, 0.1, f"h{i}")) for i in range(3)]
     for h in hs:
         h.extend(random_table(rng, 7))
     hs[1].hard_tol = 1e-4
-    kept = [(id(h), h.table, list(h.flags), h.hard_tol) for h in hs]
-    wl.share_store(hs)
-    assert len({id(h._bank) for h in hs}) == 1
-    for h, (ident, tab, flags, hard_tol) in zip(hs, kept):
-        assert (id(h), h.flags, h.hard_tol) == (ident, flags, hard_tol)
+    kept = [(_store(h), h.table, list(h.flags), h.hard_tol) for h in hs]
+    copies = wl.copy_histories(hs)
+    assert len({id(h._bank) for h in copies}) == 1
+    for h, (_, tab, flags, hard_tol) in zip(copies, kept):
+        assert (h.flags, h.hard_tol) == (flags, hard_tol)
         assert np.array_equal(h.table, tab)
-    # each history still grows on its own
-    hs[1].extend(continued(hs[1], random_table(rng, 40)))
-    assert len(hs[1]) == 47
-    for h, (_, tab, _, _) in zip(hs[::2], kept[::2]):
+    # each copy grows on its own, and no original with it
+    copies[1].extend(continued(copies[1], random_table(rng, 40)))
+    assert len(copies[1]) == 47
+    for h, (_, tab, _, _) in zip(copies[::2], kept[::2]):
         assert np.array_equal(h.table, tab)
+    assert [_store(h) for h in hs] == [store for store, *_ in kept]
 
 
 def test_stores_are_made_of_one_light_speed():
     hs = [make_inertial(c=1.0), make_inertial(c=2.0)]
     before = [(h._bank, _store(h)) for h in hs]
     with pytest.raises(ValueError, match="share one light speed"):
-        wl.share_store(hs)
-    with pytest.raises(ValueError, match="share one light speed"):
         wl.copy_histories(hs)
     with pytest.raises(ValueError, match="share one light speed"):
         wl.gather(hs, [0, 1], [-0.5, -0.5])
     assert [(h._bank, _store(h)) for h in hs] == before
     assert hs[1].state_at_time(-0.5).r[0] == -1.0
+
+
+def test_reads_of_histories_in_several_stores_are_refused():
+    hs = [make_inertial(), make_inertial(beta=0.3)]  # each in a store of its own
+    with pytest.raises(ValueError, match="must share one store"):
+        wl.gather(hs, [0, 1], [1.0, 1.0])
+    with pytest.raises(ValueError, match="must share one store"):
+        wl.u_dotdot(hs, [0, 1], [1.0, 1.0])
+    with pytest.raises(ValueError, match="must share one store"):
+        ret.solve_delays(hs, [0, 1], [[2.0, 0.0, 1.0, 0.0]] * 2, [0.1, 0.1])
+    together = wl.copy_histories(hs)
+    assert np.array_equal(wl.gather(together, [0, 1], [1.0, 1.0]).r,
+                          [h.state_at_time(1.0).r for h in hs])
+
+
+def test_a_set_naming_one_history_twice_is_refused():
+    h = make_inertial()
+    before = _store(h)
+    row = _block(h, m=1)
+    for call in (lambda: wl.commit([h, h], np.vstack([row, _block(h, m=1, dt=1.0)])),
+                 lambda: wl.staged([h, h], np.vstack([row, row])).__enter__(),
+                 lambda: wl.gather([h, h], [0, 1], [1.0, 2.0]),
+                 lambda: wl.copy_histories([h, h])):
+        with pytest.raises(ValueError, match="name each history once"):
+            call()
+    assert _store(h) == before
 
 
 def _committed_store():
@@ -773,7 +825,7 @@ def _committed_store():
         tab = random_table(rng, 4)
         tab[:, 10:] = 0.0  # no flag before the commit
         h.extend(tab)
-    wl.share_store(hs)
+    hs = wl.copy_histories(hs)
     last = np.array([h.table[-1] for h in hs])
     rows = last.copy()
     rows[:, 0] += 0.1
@@ -821,7 +873,7 @@ def test_commit_checks_each_row_under_its_own_history():
 
 def test_commit_equals_appending_row_by_row():
     hs, rows = _committed_store()
-    refs = [h.copy() for h in hs]
+    refs = wl.copy_histories(hs)
     rows[:, 2] *= 1.0 + 1e-12  # r^0 canonicalized to c t
     wl.commit(hs, rows)
     for ref, row in zip(refs, rows):
