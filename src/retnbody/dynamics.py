@@ -14,7 +14,8 @@ on states the step holds: the base states, a stage's (N, 14) node block
 (which worldline.staged puts after each history's latest node for the
 length of the evaluation) or the committed nodes. It solves the delay
 roots and field kernels of all particles as one batch and returns the
-(N, 4, 4) tensor stack that _deriv contracts with u at once. After
+(N, 4, 4) tensor stack that _deriv contracts with u at once; stages 2
+to 4 start their roots from the stage before (see step). After
 acceptance a fifth, staged evaluation fixes the appended acceleration
 sample, proper time advances by Simpson quadrature of c dt / gamma, and
 the new nodes are committed as one checked block (worldline.commit);
@@ -46,7 +47,9 @@ from .minkowski import _antisymmetric_part, dots, lower, raise_index
 from .retardation import max_delay, solve_delays
 from .worldline import (
     ParticleSpec,
+    WorldlineHistory,
     WorldlineSample,
+    _four_velocity,
     commit,
     copy_histories,
     gather,
@@ -134,8 +137,9 @@ class SystemState:
     include_binary: bool = True
     renormalize_u: bool = False
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
-    # the states and the step-end force evaluation of the last step,
-    # keyed by the time and history lengths they hold for (see step)
+    # the states, the step-end force evaluation and its root batch of the
+    # last step, keyed by the time and history lengths they hold for (see
+    # step)
     last_eval: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -173,9 +177,11 @@ def seed(specs=None, positions=None, velocities=None, *, prehistories=None,
     at t0 (prehistories=None means every particle is). Each None entry
     gets an exactly inertial prehistory of PREHISTORY_NODES nodes reaching
     coverage_factor times the delay depth before t0: the depth refined
-    from the actual roots (max_delay), or the static estimate when that
-    is larger. A supplied history shorter than the refined depth raises
-    InsufficientPrehistory carrying required = coverage_factor * depth.
+    from the actual roots (max_delay, with one node at t0 standing for
+    each missing prehistory), or the static estimate when that is larger;
+    each is synthesized once. A supplied history shorter than the refined
+    depth raises InsufficientPrehistory carrying required =
+    coverage_factor * depth.
 
     The system's histories are copies in one store (copy_histories), each
     node and slope bit kept: a supplied history is left as it is, so it can
@@ -204,17 +210,25 @@ def seed(specs=None, positions=None, velocities=None, *, prehistories=None,
           else h.state_at_time(t0).r[1:] for i, h in enumerate(prehistories)]
     vs = {i: np.asarray(velocities[i], dtype=np.float64) for i in missing}
 
-    def synthesized(span):
-        hists = [h if h is not None else
-                 inertial_history(specs[i], xs[i] - vs[i] * span, vs[i],
-                                  t0 - span, t0, PREHISTORY_NODES, c=c)
-                 for i, h in enumerate(prehistories)]
-        return copy_histories(hists)
-
-    hists = synthesized(coverage_factor * _static_delay_estimate(specs, xs, c))
+    # the refined depth is solved with one node at t0 standing for each
+    # missing prehistory: its inertial extension is that prehistory
+    hists = copy_histories([WorldlineHistory(specs[i], c) if h is None else h
+                            for i, h in enumerate(prehistories)])
+    if missing:
+        commit([hists[i] for i in missing],
+               [np.concatenate(([t0, 0.0, c * t0], xs[i], _four_velocity(vs[i], c),
+                                np.zeros(4))) for i in missing])
     depth = max_delay(hists, t0)
-    if missing and coverage_factor * depth > t0 - hists[missing[0]].t_first:
-        hists = synthesized(coverage_factor * depth)
+    if missing:
+        span = coverage_factor * _static_delay_estimate(specs, xs, c)
+        # the static span unless the refined depth needs more than its
+        # first node's time covers
+        if coverage_factor * depth > t0 - (t0 - span):
+            span = coverage_factor * depth
+        hists = copy_histories([
+            h if h is not None else inertial_history(specs[i], xs[i] - vs[i] * span, vs[i],
+                                                     t0 - span, t0, PREHISTORY_NODES, c=c)
+            for i, h in enumerate(prehistories)])
     shortest = min((t0 - h.t_first for h in supplied), default=math.inf)
     if shortest < depth:
         raise InsufficientPrehistory(
@@ -224,19 +238,20 @@ def seed(specs=None, positions=None, velocities=None, *, prehistories=None,
                        include_binary, renormalize_u)
 
 
-def _deriv(state: SystemState, now: WorldlineSample, report: bool = False):
+def _deriv(state: SystemState, now: WorldlineSample, report: bool = False, prev=None):
     """Stage derivatives dx/dt (N, 3) and contravariant du/dt (N, 4) of
     every particle at its state in now from one total_faraday batch on
-    the histories as they stand, and its report: with report, the
-    potentials and delays of the step record from the same batch."""
-    F, g, rep = total_faraday(state.histories, now, state.external, state.mode,
-                              state.include_self, state.include_binary, report)
+    the histories as they stand, its report (with report, the potentials
+    and delays of the step record from the same batch) and the batch,
+    started from prev when given (see total_faraday)."""
+    F, g, rep, batch = total_faraday(state.histories, now, state.external, state.mode,
+                                     state.include_self, state.include_binary, report, prev)
     q, m0 = np.array([(h.spec.q, h.spec.m0) for h in state.histories]).T
     f_cov = (q / state.c)[:, None] * (F @ now.u[:, :, None])[:, :, 0]
     if g is not None:
         f_cov = f_cov + g
     du = raise_index(f_cov / (now.u[:, :1] * m0[:, None]))
-    return state.c * now.u[:, 1:] / now.u[:, :1], du, rep
+    return state.c * now.u[:, 1:] / now.u[:, :1], du, rep, batch
 
 
 def _node_rows(state: SystemState, t: float, x, u, du, s) -> np.ndarray:
@@ -255,16 +270,25 @@ def _states(rows) -> WorldlineSample:
 
 def step(state: SystemState) -> SystemState:
     """Advance every history by one RK4 step of size dt; each stage
-    quantity is one array with a row per particle."""
+    quantity is one array with a row per particle.
+
+    The root batches of stages 2 to 4, and of the final stage when it is
+    not the step-end batch, start warm: each root from the model step off
+    the same root in the evaluation before (total_faraday's prev), whose
+    observer event is at most dt/2 away; the retarded time moves smoothly
+    with it. The first evaluation (when not reused) and the step-end batch
+    start cold: they serve the diagnostics and the next step's first
+    evaluation, so their roots keep the bits of a fresh solve, whatever
+    the step before them did."""
     t_w = time.perf_counter()
     hs = state.histories
     dt, t, c = state.dt, state.t_now, state.c
     key = (t, tuple(len(h) for h in hs))
     if state.last_eval is not None and state.last_eval[0] == key:
-        base, kx1, ku1 = state.last_eval[1]
+        base, kx1, ku1, batch = state.last_eval[1]
     else:
         base = gather(hs, np.arange(state.n), np.full(state.n, t))
-        kx1, ku1, _ = _deriv(state, base)
+        kx1, ku1, _, batch = _deriv(state, base)
     x0, u0, s0 = base.r[:, 1:], base.u, base.s
 
     def advanced(frac, kx, ku):
@@ -272,15 +296,15 @@ def step(state: SystemState) -> SystemState:
         s = s0 + frac * dt * c * 0.5 * (1.0 / u0[:, 0] + 1.0 / u[:, 0])
         return _node_rows(state, t + frac * dt, x0 + frac * dt * kx, u, ku, s)
 
-    def staged_deriv(rows, report=False):
+    def staged_deriv(rows, report=False, prev=None):
         with staged(hs, rows):
-            return _deriv(state, _states(rows), report)
+            return _deriv(state, _states(rows), report, prev)
 
     ra = advanced(0.5, kx1, ku1)
-    kx2, ku2, _ = staged_deriv(ra)
+    kx2, ku2, _, batch = staged_deriv(ra, prev=batch)
     rb = advanced(0.5, kx2, ku2)
-    kx3, ku3, _ = staged_deriv(rb)
-    kx4, ku4, _ = staged_deriv(advanced(1.0, kx3, ku3))
+    kx3, ku3, _, batch = staged_deriv(rb, prev=batch)
+    kx4, ku4, _, batch = staged_deriv(advanced(1.0, kx3, ku3), prev=batch)
 
     t1 = t + dt
     x1 = x0 + (dt / 6.0) * (kx1 + 2 * kx2 + 2 * kx3 + kx4)
@@ -298,14 +322,15 @@ def step(state: SystemState) -> SystemState:
     # Otherwise that batch is solved on the committed histories.
     fsal = (state.mode == SelfForceMode.EXACT
             and 2.0 * c * dt < min(h.spec.sigma for h in hs))
-    kx5, ku5, report = staged_deriv(_node_rows(state, t1, x1, u1, ku4, s1), report=fsal)
+    kx5, ku5, report, batch = staged_deriv(_node_rows(state, t1, x1, u1, ku4, s1),
+                                           report=fsal, prev=None if fsal else batch)
     rows = _node_rows(state, t1, x1, u1, ku5, s1)
     commit(hs, rows)
     state.t_now = t1
     now = _states(rows)
     if not fsal:
-        kx5, ku5, report = _deriv(state, now, report=True)
-    state.last_eval = ((t1, tuple(len(h) for h in hs)), (now, kx5, ku5))
+        kx5, ku5, report, batch = _deriv(state, now, report=True)
+    state.last_eval = ((t1, tuple(len(h) for h in hs)), (now, kx5, ku5, batch))
     state.diagnostics.append(_diagnose(state, now, report, time.perf_counter() - t_w))
     return state
 

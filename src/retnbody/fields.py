@@ -30,11 +30,12 @@ kernel then runs once on all roots as (M, 4, 4) array operations, with
 the same elementwise grazing-emission guard; in asymptotic mode g is one
 array expression over every self root (_asymptotic_g, u'' from
 worldline.u_dotdot). Sources with q = 0 are left out: their kernels are
-multiplied by zero. It returns arrays, (F, g, report): the (n, 4, 4)
-tensor stack, the (n, 4) asymptotic self-force or None, and with
+multiplied by zero. It returns arrays, (F, g, report, batch): the
+(n, 4, 4) tensor stack, the (n, 4) asymptotic self-force or None, with
 report=True (the step-end batch of dynamics) the potentials and delays,
 whose cones join the same plan so that forces, potentials and delays
-read one DelayRoots.
+read one DelayRoots, and the (plan, roots) batch itself, which the next
+evaluation of an RK step may start its roots from (prev).
 """
 
 from __future__ import annotations
@@ -219,10 +220,10 @@ def asymptotic_self_force(h: WorldlineHistory, t: float,
 def total_faraday(histories, now, external: ExternalFieldModel,
                   mode: SelfForceMode = SelfForceMode.EXACT,
                   include_self: bool = True, include_binary: bool = True,
-                  report: bool = False):
+                  report: bool = False, prev=None):
     """Total field on every particle from one root batch and one kernel
-    pass, as (F, g, report); now holds every history's state at one time,
-    as gather(histories, arange(n), full(n, t)) returns them.
+    pass, as (F, g, report, batch); now holds every history's state at one
+    time, as gather(histories, arange(n), full(n, t)) returns them.
 
     F is the (n, 4, 4) stack of covariant tensors, made exactly
     antisymmetric and checked as one array. g is the (n, 4) asymptotic
@@ -234,6 +235,12 @@ def total_faraday(histories, now, external: ExternalFieldModel,
     diagnostics read from the same batch: (A, tau), A the effective
     potentials (n, 4) at the particles' events and tau (n, N) each
     particle's sigma_i delay on every history, its own first.
+
+    batch is the (plan, roots) of this evaluation, None when it solves no
+    root. prev, the batch of an evaluation at a nearby time, starts every
+    root that both batches hold from the model step off its root there
+    (retardation._first_iterates); without it the batch starts cold, and
+    its roots have the bits of any other cold batch holding them.
     """
     hs = tuple(histories)
     n = len(hs)
@@ -243,8 +250,10 @@ def total_faraday(histories, now, external: ExternalFieldModel,
     F = np.array([external.faraday(e) for e in now.r], dtype=np.float64).reshape(-1, 4, 4)
     # asymptotic mode: a neutral particle's g vanishes without a root
     g = np.zeros((n, 4)) if include_self and not exact else None
+    batch = None
     if plan.src.size:
-        roots = _plan_roots(hs, plan, now.r, now)
+        roots = _plan_roots(hs, plan, now.r, now, prev)
+        batch = plan, roots
         if exact or plan.pair_terms:
             K = _kernel(roots, plan.k, np.where(plan.src == plan.obs, -1.0, 1.0))
         has_self = np.flatnonzero(plan.self_row >= 0)
@@ -258,6 +267,6 @@ def total_faraday(histories, now, external: ExternalFieldModel,
             F[slots] += K[first] + K[last]
     F = _antisymmetric_part(F, (None, 4, 4))
     if not report:
-        return F, g, None
+        return F, g, None, batch
     A = np.array([external.potential(e) for e in now.r], dtype=np.float64).reshape(-1, 4)
-    return F, g, (_add_potentials(A, plan, roots), roots.t_ret[plan.own])
+    return F, g, (_add_potentials(A, plan, roots), roots.t_ret[plan.own]), batch

@@ -342,10 +342,17 @@ def parse_config(mapping) -> RunConfig:
     )
 
 
+# libyaml's safe loader and dumper where PyYAML was built with it: the
+# same documents and text as the pure-Python classes, several times
+# faster on a config
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
 def load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_YAML_LOADER)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -360,7 +367,7 @@ def config_hash(cfg: RunConfig) -> str:
     what made it, not where it was written."""
     mapping = cfg.to_mapping()
     del mapping["output_dir"]
-    text = yaml.safe_dump(mapping, sort_keys=True, default_flow_style=None)
+    text = yaml.dump(mapping, Dumper=_YAML_DUMPER, sort_keys=True, default_flow_style=None)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 

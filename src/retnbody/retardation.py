@@ -17,8 +17,19 @@ bracket bisects it instead.
 Roots are solved in batches. solve_delays runs the iteration on M
 (source, observer event, sigma) requests at once, one worldline gather
 per iteration; a root that meets its tolerance is frozen with the event
-of its last iterate, so its bits do not depend on the batch it is in.
-self_delay and pair_delay are one-batch calls of it, and
+of its last iterate, so its bits do not depend on the batch it is in,
+only on its first iterate. A cold batch starts every root from the
+static guess sqrt(d^2 + sigma^2) / c. A warm batch (_plan_roots with the
+previous batch of an RK step) starts each root from the iteration's own
+model step off the same root in that batch, its source moving on
+inertially from the converged event to the new observer event
+(_first_iterates): by the implicit function theorem a retarded time
+moves smoothly with the observation time wherever Rt.u != 0, so this
+first iterate is close, and it costs no gather. A root with no
+counterpart there, or whose step is not a finite positive delay, starts
+from the static guess. The bracket, tolerance and iteration budget are
+the same either way, and every root is checked on a gather of its last
+iterate. self_delay and pair_delay are one-batch calls of it, and
 line_potentials resolves the potential at each root of a batch. A
 failing root raises with the observer, source, sigma and observation
 time named, and carries the observer label as .particle.
@@ -131,6 +142,20 @@ def _per_root(x, m: int, dtype=None) -> np.ndarray:
     return x if x.ndim else np.full(m, x)
 
 
+def _model_step(tau, f, dx, u, c):
+    """(den, step): the root tau - f / den of f's model for a source
+    moving on inertially from its event at the delay tau, with dx = x_obs -
+    x_src, u the source's four-velocity and v = c u/u^0. The model is
+    f + 2 b s + (c^2 - v^2) s^2 with b = f'/2, and den = b + sqrt(b^2 -
+    (c^2 - v^2) f): the step is exact for inertial sources, -f/f' as
+    f -> 0, and always forward while f < 0, where den > 0. Where den is
+    not positive (or NaN) the step is no root; the solver bisects."""
+    v = c * u[:, 1:] / u[:, :1]
+    b = c * c * tau - _dot(dx, v)
+    den = b + np.sqrt(b * b - (c * c - _dot(v, v)) * f)
+    return den, tau - f / den
+
+
 def solve_delays(histories, src, events, sigma, obs=-1, now=None,
                  seed=None) -> DelayRoots:
     """Causal roots of f(tau) = (c tau)^2 - |dx|^2 - sigma^2 for M
@@ -138,8 +163,14 @@ def solve_delays(histories, src, events, sigma, obs=-1, now=None,
 
     src, obs and sigma give one value per root or one for all; events are
     the (M, 4) observer events (r^0 = c t_obs). now, the source states at
-    the observation times, is gathered when not given. seed replaces the
-    static first iterate sqrt(d^2 + sigma^2) / c.
+    the observation times, is gathered when not given.
+
+    The first iterate of each root is the static guess sqrt(d^2 +
+    sigma^2) / c, d the distance at t_obs, unless seed (one value per root
+    or one for all) gives another: a NaN in seed keeps that root's static
+    guess. Whatever the first iterate, the bracket, the tolerance and the
+    iteration budget are the same, and every root is checked on a gather
+    of its own last iterate.
     """
     hs = tuple(histories)
     events = np.asarray(events, dtype=np.float64).reshape(-1, 4)
@@ -172,7 +203,10 @@ def solve_delays(histories, src, events, sigma, obs=-1, now=None,
     # bracket f(lo) < 0 < f(hi), where f(0) = -d^2 - sigma^2 <= 0
     live = np.arange(m)
     l_src, l_t, l_x, l_sig2, l_tol = src, now.t, obs_x, sig2, tol
-    tau = np.sqrt(d2 + sig2) / c if seed is None else _per_root(seed, m, np.float64)
+    tau = np.sqrt(d2 + sig2) / c
+    if seed is not None:
+        seed = _per_root(seed, m, np.float64)
+        tau = np.where(np.isnan(seed), tau, seed)
     lo, hi = np.zeros(len(live)), np.full(len(live), np.inf)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(MAX_ITER):
@@ -202,14 +236,9 @@ def solve_delays(histories, src, events, sigma, obs=-1, now=None,
             lo = np.where(below, tau, lo)
             hi = np.where(below, hi, tau)
             # Newton step on f's model for a source moving on inertially
-            # from this event, f + 2 b s + (c^2 - v^2) s^2 with b = f'/2 and
-            # v = c u/u^0: exact for inertial sources, -f/f' as f -> 0, and
-            # always forward while f < 0. A step outside (lo, hi), or with
-            # no positive denominator, bisects.
-            v = c * u[:, 1:] / u[:, :1]
-            b = c * c * tau - _dot(dx, v)
-            den = b + np.sqrt(b * b - (c * c - _dot(v, v)) * f)
-            step = tau - f / den
+            # from this event (_model_step). A step outside (lo, hi), or
+            # with no positive denominator, bisects.
+            den, step = _model_step(tau, f, dx, u, c)
             tau = np.where((den > 0.0) & (lo < step) & (step < hi), step, 0.5 * (lo + hi))
     if t_ret is None:  # no root converged
         fill(live[:0], 0.0, 0.0, ())
@@ -277,6 +306,11 @@ class _RootPlan(NamedTuple):
     potential_terms: tuple  # per rank: (slots, rows) potential terms
     own: np.ndarray         # per slot and source, own history first: the
     #                         sigma_i root, -1 where none is solved
+
+    # a plan is made once per arguments (_root_plan is cached) and holds
+    # arrays, so it is hashed and compared by identity (see _row_map)
+    __hash__ = object.__hash__
+    __eq__ = object.__eq__
 
 
 def _by_rank(per_slot) -> tuple:
@@ -352,12 +386,51 @@ def _root_plan(specs, observers, forces=None, potentials: bool = False,
     return plan
 
 
-def _plan_roots(histories, plan: _RootPlan, events, now=None) -> DelayRoots:
+@lru_cache(maxsize=64)
+def _row_map(prev: _RootPlan, plan: _RootPlan) -> np.ndarray:
+    """For each row of plan, the row of prev with the same source,
+    observer and sigma, or -1 where prev has none."""
+    def keys(p):
+        return zip(p.src.tolist(), p.obs.tolist(), p.sigma.tolist())
+
+    index = {key: r for r, key in enumerate(keys(prev))}
+    rows = np.array([index.get(key, -1) for key in keys(plan)], dtype=np.intp)
+    rows.flags.writeable = False  # shared by every call with these plans
+    return rows
+
+
+def _first_iterates(prev, plan: _RootPlan, events, t) -> np.ndarray:
+    """First iterates of the plan's roots, for observer events (one per
+    row) at times t, from the previous batch prev = (plan, roots), with no
+    gather: the model step of the solver (_model_step) from the root of the
+    same source, observer and sigma in prev, its source moving on
+    inertially from its converged event to the new observer event. NaN,
+    so the static guess, where prev has no such root or the step is not a
+    finite positive delay."""
+    prev_plan, roots = prev
+    rows = _row_map(prev_plan, plan)
+    src = roots.source
+    u, c = src.u[rows], roots.histories[0].c
+    tau = t - src.t[rows]
+    dx = events[:, 1:] - src.r[rows, 1:]
+    f = (c * tau) ** 2 - _dot(dx, dx) - plan.sigma * plan.sigma
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        step = _model_step(tau, f, dx, u, c)[1]
+        return np.where((rows >= 0) & (step > 0.0) & (step < np.inf), step, np.nan)
+
+
+def _plan_roots(histories, plan: _RootPlan, events, now=None, prev=None) -> DelayRoots:
     """The plan's roots for observer events (one per observer slot) as
     one batch; now, the states of all histories at the observation time,
-    is gathered by the solver when not given."""
-    return solve_delays(histories, plan.src, events[plan.slot], plan.sigma, obs=plan.obs,
-                        now=None if now is None else now.take(plan.src))
+    is gathered by the solver when not given. With prev, the (plan, roots)
+    of a batch on nearby observer events, and now, the batch starts from
+    the first iterates _first_iterates makes from it; without, cold."""
+    events = events[plan.slot]
+    if now is not None:
+        now = now.take(plan.src)
+    seed = None if prev is None else _first_iterates(prev, plan, events, now.t)
+    return solve_delays(histories, plan.src, events, plan.sigma, obs=plan.obs, now=now,
+                        seed=seed)
 
 
 def _add_potentials(A, plan: _RootPlan, roots: DelayRoots):

@@ -494,10 +494,14 @@ def copy_histories(histories, specs=None) -> list:
     """Independent copies of histories (from any stores) in one new store,
     copy i in slot i, with the same nodes, slopes, c, tolerances and flags
     (and specs[i] for copy i when given); nothing is re-validated. The
-    set must name each history once, all of one light speed; a ValueError
-    is raised before anything is copied otherwise."""
+    set must name each history once, all of one light speed, and no
+    stage may be open on a store it is copied from (a staged node is
+    provisional, not one of the nodes); a ValueError is raised before
+    anything is copied otherwise."""
     hs = list(histories)
     _check_set(hs)
+    if any(h._bank._staged for h in hs):
+        raise ValueError("no history can be copied while a stage is open on its store")
     bank = HistoryBank(hs[0].c, [_capacity(len(h)) for h in hs])
     for i, h in enumerate(hs):
         (a, b), s = h._span(), bank._start[i]
@@ -672,12 +676,13 @@ def _segment(t, t0, p, t1, q, c: float):
 def _segment_udotdot(t, t0, p, t1, q, c) -> np.ndarray:
     """d^2 u / ds^2 of the u-interpolant at times inside segments, (M, 4)."""
     h = t1 - t0
-    x = (t - t0) / h
-    y = (p[:, _U], p[:, _DU], q[:, _U], q[:, _DU], h[:, None], x[:, None])
-    u, du, ddu = _hermite(*y), _hermite_d(*y), _hermite_dd(*y)
-    # d/ds = (gamma/c) d/dt applied twice to u; float_power squares with
-    # C's pow, as a float's ** 2 does (x * x can differ in the last bit)
-    g = u[:, :1] / c
+    w = (h[:, None], ((t - t0) / h)[:, None])
+    y = (p[:, _U], p[:, _DU], q[:, _U], q[:, _DU])
+    du, ddu = _hermite_d(*y, *w), _hermite_dd(*y, *w)
+    # d/ds = (gamma/c) d/dt applied twice to u, so of the value only u^0
+    # is read; float_power squares with C's pow, as a float's ** 2 does
+    # (x * x can differ in the last bit)
+    g = _hermite(*(v[:, :1] for v in y), *w) / c
     return np.float_power(g, 2.0) * ddu + g * (du[:, :1] / c) * du
 
 
@@ -735,16 +740,24 @@ def _check_present(ts, t_latest) -> None:
 
 # -- factories used by tests, demos and seeding -----------------------------
 
+def _four_velocity(v3, c: float) -> np.ndarray:
+    """u = (gamma, gamma v / c) of a 3-velocity dx/dt; ValueError when it
+    is not below c."""
+    v = np.asarray(v3, dtype=np.float64)
+    b2 = float(v @ v) / c**2
+    if b2 >= 1.0:
+        raise ValueError("Superluminal velocity")
+    g = 1.0 / np.sqrt(1.0 - b2)
+    return np.concatenate(([g], g * v / c))
+
+
 def inertial_history(spec: ParticleSpec, x0, v3, t0: float, t1: float,
                      n: int, c: float = 1.0) -> WorldlineHistory:
     """Uniformly sampled inertial worldline from t0 to t1 inclusive."""
     v = np.asarray(v3, dtype=np.float64)
     x0 = np.asarray(x0, dtype=np.float64)
-    b2 = float(v @ v) / c**2
-    if b2 >= 1.0:
-        raise ValueError("Superluminal velocity")
-    g = 1.0 / np.sqrt(1.0 - b2)
-    u = np.concatenate(([g], g * v / c))
+    u = _four_velocity(v, c)
+    g = u[0]
     ts = np.linspace(t0, t1, n)
     h = WorldlineHistory(spec, c=c)
     h.extend(np.column_stack((ts, (c / g) * (ts - t0), c * ts,

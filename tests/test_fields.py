@@ -197,7 +197,7 @@ class TestTotalFaraday:
         spec = wl.ParticleSpec(1.0, 1.0, 0.4)
         h = wl.inertial_history(spec, np.zeros(3), np.array([0.2, 0, 0]),
                                 -10.0, 2.0, 25)
-        F, g, rep = fl.total_faraday([h], present([h], 1.0), fl.ExternalFieldModel.none())
+        F, g, rep, _ = fl.total_faraday([h], present([h], 1.0), fl.ExternalFieldModel.none())
         assert F.shape == (1, 4, 4)
         assert np.max(np.abs(F)) <= 1e-13
         assert g is None and rep is None
@@ -206,7 +206,7 @@ class TestTotalFaraday:
         ext = fl.ExternalFieldModel.uniform(E=(0.1, -0.2, 0.3), B=(0.0, 0.5, 0.0))
         spec = wl.ParticleSpec(1.0, 0.0, 0.4)
         h = wl.inertial_history(spec, np.zeros(3), np.zeros(3), -5.0, 2.0, 15)
-        F, g, _ = fl.total_faraday([h], present([h], 1.0), ext)
+        F, g, _, _ = fl.total_faraday([h], present([h], 1.0), ext)
         assert np.array_equal(F[0], ext.tensor)
 
     def test_two_static_particles_superpose(self):
@@ -221,8 +221,8 @@ class TestTotalFaraday:
         d = 2.0
         ha, hb = wl.copy_histories([static_history([0.0, 0.0, 0.0], q=1.0, sigma=0.3),
                                     static_history([d, 0.0, 0.0], q=1.5, sigma=0.6)])
-        F, g, _ = fl.total_faraday([ha, hb], present([ha, hb], 0.5),
-                                   fl.ExternalFieldModel.none(), fl.SelfForceMode.ASYMPTOTIC)
+        F, g, _, _ = fl.total_faraday([ha, hb], present([ha, hb], 0.5),
+                                      fl.ExternalFieldModel.none(), fl.SelfForceMode.ASYMPTOTIC)
         assert g.shape == (2, 4) and np.max(np.abs(g)) < 1e-12
         assert np.linalg.norm(F[0, 0, 1:]) == pytest.approx(2.0 * 1.5 / d**2,
                                                             rel=1e-11)
@@ -265,7 +265,7 @@ class TestBatchedTotalFaraday:
     def test_exact_matches_the_sum_of_single_terms(self):
         hs = ring_histories()
         ext = fl.ExternalFieldModel.uniform(E=(0.01, 0.0, -0.02), B=(0.0, 0.03, 0.0))
-        got, g, _ = fl.total_faraday(hs, present(hs, self.t), ext)
+        got, g, _, _ = fl.total_faraday(hs, present(hs, self.t), ext)
         assert g is None
         for i, F in enumerate(got):
             r_i = hs[i].state_at_time(self.t).r
@@ -278,8 +278,9 @@ class TestBatchedTotalFaraday:
 
     def test_asymptotic_matches_the_sum_of_single_terms(self):
         hs = ring_histories()
-        got, gs, _ = fl.total_faraday(hs, present(hs, self.t), fl.ExternalFieldModel.none(),
-                                      fl.SelfForceMode.ASYMPTOTIC)
+        got, gs, _, _ = fl.total_faraday(hs, present(hs, self.t),
+                                         fl.ExternalFieldModel.none(),
+                                         fl.SelfForceMode.ASYMPTOTIC)
         for i, (F, g) in enumerate(zip(got, gs)):
             r_i = hs[i].state_at_time(self.t).r
             want = np.zeros((4, 4))
@@ -299,8 +300,8 @@ class TestBatchedTotalFaraday:
 
         asymptotic_g = fl._asymptotic_g
         monkeypatch.setattr(fl, "_asymptotic_g", counted)
-        _, g, _ = fl.total_faraday(hs, present(hs, self.t), fl.ExternalFieldModel.none(),
-                                   fl.SelfForceMode.ASYMPTOTIC)
+        _, g, _, _ = fl.total_faraday(hs, present(hs, self.t), fl.ExternalFieldModel.none(),
+                                      fl.SelfForceMode.ASYMPTOTIC)
         assert calls == [len(hs)] and np.count_nonzero(g)
 
     def test_one_grazing_root_raises_from_the_batch(self, monkeypatch):

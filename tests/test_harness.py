@@ -164,6 +164,49 @@ def test_config_defaults_and_hash():
     assert config_hash(parse_config(_cfg_mapping(output_dir="elsewhere"))) == config_hash(cfg)
 
 
+def _bench_shaped_mappings():
+    """Configs shaped like the benchmark's: a pair restarted from
+    prehistory tables and a ring of six with full-precision positions and
+    velocities."""
+    rng = np.random.default_rng(0)
+    ring = [{"label": f"p{k}", "m0": 1.0 + 0.15 * k, "q": (-1) ** k * (0.35 + 0.03 * k),
+             "sigma": 0.5 + 0.06 * k, "position": rng.normal(0.0, 3.0, 3).tolist(),
+             "velocity": rng.normal(0.0, 0.02, 3).tolist()} for k in range(6)]
+    pair = [{"label": label, "m0": m0, "q": q, "sigma": sigma,
+             "prehistory": f"prehistory_{label}.csv"}
+            for label, m0, q, sigma in (("left", 1.0, 0.5, 0.8), ("right", 1.5, -0.4, 0.7))]
+    return [_cfg_mapping(particles=ring, t_end=0.2),
+            _cfg_mapping(particles=pair, dt=0.005, t_end=0.3)]
+
+
+def test_config_yaml_classes_read_and_write_as_the_pure_ones():
+    # load_config and config_hash use libyaml's classes when PyYAML has
+    # them: the documents read and the text hashed must not change
+    shipped = [os.path.join(CONFIG_DIR, name) for name in sorted(os.listdir(CONFIG_DIR))
+               if name.endswith(".yaml")]
+    assert len(shipped) >= 6
+    mappings = _bench_shaped_mappings()
+    for path in shipped:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        mapping = yaml.load(text, Loader=harness._YAML_LOADER)
+        assert mapping == yaml.load(text, Loader=yaml.SafeLoader)
+        mappings.append(mapping)
+    for cfg in map(parse_config, mappings):
+        assert yaml.dump(cfg.to_mapping(), Dumper=harness._YAML_DUMPER, sort_keys=True,
+                         default_flow_style=None) == _dump(cfg)
+
+
+def test_cli_unparsable_yaml_is_a_config_error(tmp_path):
+    path = tmp_path / "broken.yaml"
+    path.write_text("particles: [{label: a, m0: 1.0\nmode: exact\n")
+    with pytest.raises(ConfigError, match="cannot parse config"):
+        load_config(str(path))
+    rc, err = _cli(["run", str(path)])
+    payload = json.loads(err)
+    assert (rc, payload["category"], payload["error"]) == (2, "validation", "ConfigError")
+
+
 def test_cli_artifacts_do_not_depend_on_the_output_dir(tmp_path):
     cfg = os.path.join(CONFIG_DIR, "check_pb.yaml")
     for name in ("one", "two"):

@@ -1,3 +1,4 @@
+import re
 from functools import partial
 
 import numpy as np
@@ -350,3 +351,96 @@ def test_dual_seed_uniqueness(beta, sigma):
     from_ten = ret.self_delay(h, 0.0, sigma=sigma, seed=10.0 * static_est).t_ret
     assert abs(from_zero - from_ten) < 1e-11 * (1.0 + static_est)
     assert abs(from_zero - static_est) < 1e-11 * (1.0 + static_est)
+
+
+# -- warm batches: first iterates from the batch before ----------------------------
+
+
+def curved_pair_histories():
+    """Two charges of distinct radii on curved worldlines, in one store."""
+    def orbit(x0, amp, om):
+        return (lambda t: np.array([x0 + amp * np.sin(om * t), 0.3 * amp * np.cos(om * t), 0.0]),
+                lambda t: amp * om * np.array([np.cos(om * t), -0.3 * np.sin(om * t), 0.0]),
+                lambda t: -amp * om * om * np.array([np.sin(om * t), 0.3 * np.cos(om * t), 0.0]))
+
+    t_nodes = np.linspace(-6.0, 2.0, 321)
+    return wl.copy_histories([
+        wl.history_from_kinematics(wl.ParticleSpec(1.0, q, sigma, label), t_nodes,
+                                   *orbit(x0, amp, om))
+        for label, q, sigma, x0, amp, om in (("left", 0.5, 0.8, -1.5, 0.2, 0.9),
+                                             ("right", -0.4, 0.7, 1.5, 0.3, 1.2))])
+
+
+def present(hs, t):
+    return wl.gather(hs, np.arange(len(hs)), np.full(len(hs), t))
+
+
+def test_first_iterates_fall_back_to_the_static_guess_row_by_row(monkeypatch):
+    hs = curved_pair_histories()
+    specs = tuple(h.spec for h in hs)
+    # asymptotic forces: the point-limit pair cones; the step-end plan
+    # adds both shell cones of each pair, which the forces' batch lacks
+    forces = ret._root_plan(specs, (0, 1), (False, True, True))
+    report = ret._root_plan(specs, (0, 1), (False, True, True), True, True)
+    now_a, now_b = present(hs, 1.0), present(hs, 1.01)
+    prev = (forces, ret._plan_roots(hs, forces, now_a.r, now_a))
+    rows = ret._row_map(forces, report)
+    assert ret._row_map(forces, report) is rows  # built once per pair of plans
+    assert sorted(report.sigma[rows < 0].tolist()) == [0.7, 0.7, 0.8, 0.8]
+    events, t = now_b.r[report.slot], now_b.t[report.src]
+    seeds = ret._first_iterates(prev, report, events, t)
+    assert np.array_equal(np.isnan(seeds), rows < 0)
+    cold = ret._plan_roots(hs, report, now_b.r, now_b)
+    assert np.all(np.abs(seeds - cold.t_ret)[rows >= 0] < 1e-4)  # 0.01 after prev
+
+    # a model step that is negative, NaN or infinite falls back as well
+    def model_step(*args):
+        den, step = real_model(*args)
+        step[:3] = [-0.5, np.nan, np.inf]
+        return den, step
+
+    real_model = ret._model_step
+    with monkeypatch.context() as m:
+        m.setattr(ret, "_model_step", model_step)
+        faulty = ret._first_iterates(prev, forces, now_b.r[forces.slot], now_b.t[forces.src])
+    assert np.isnan(faulty).tolist() == [True, True, True, False]
+
+    # each NaN row starts from the static guess, every other from its seed,
+    # and every root is the cold batch's to its tolerance
+    first = []
+
+    def gather(histories, src, ts):
+        first.append(np.array(ts))
+        return real_gather(histories, src, ts)
+
+    real_gather = ret.gather
+    monkeypatch.setattr(ret, "gather", gather)
+    roots = ret.solve_delays(hs, report.src, events, report.sigma, obs=report.obs,
+                             now=now_b.take(report.src), seed=seeds)
+    d = events[:, 1:] - now_b.r[report.src, 1:]
+    static = np.sqrt(ret._dot(d, d) + report.sigma * report.sigma) / hs[0].c
+    assert np.array_equal(first[0], t - np.where(rows < 0, static, seeds))
+    assert np.all(np.abs(roots.t_ret - cold.t_ret) < 1e-10)
+
+
+def test_warm_batches_fail_as_cold_ones(monkeypatch):
+    hs = curved_pair_histories()
+    plan = ret._root_plan(tuple(h.spec for h in hs), (0, 1), (True, True, True))
+    now_a, now_b = present(hs, 0.5), present(hs, 1.0)
+    prev = (plan, ret._plan_roots(hs, plan, now_a.r, now_a))
+
+    def failure(kind, call, prev):
+        with pytest.raises(kind) as err:
+            call(ret._plan_roots(hs, plan, now_b.r, now_b, prev))
+        return str(err.value), err.value.particle
+
+    monkeypatch.setattr(ret, "JAC_TOL", 1e10)  # every root grazes
+    warm = failure(ret.DegenerateJacobian, ret.line_potentials, prev)
+    assert warm == failure(ret.DegenerateJacobian, ret.line_potentials, None)
+    assert warm[0].startswith("|Rt.u| = ") and "(observer 'left', source 'left'" in warm[0]
+    monkeypatch.setattr(ret, "MAX_ITER", 1)  # no first iterate lands within tolerance
+    warm, cold = (failure(ret.NoConvergence, len, p) for p in (prev, None))
+    pattern = (r"delay iteration exhausted 1 evaluations with residual \S+ > \S+ "
+               r"\(observer 'left', source 'left', sigma=0\.8, t_obs=1\.0\)")
+    assert re.fullmatch(pattern, warm[0]) and re.fullmatch(pattern, cold[0])
+    assert warm[1] == cold[1] == "left"

@@ -345,6 +345,21 @@ class TestStaged:
         assert [_store(h)[:3] for h in (a, b)] == [store[:3] for store in before]
         assert (len(a), a.t_latest) == (9, 4.0)
 
+    def test_no_history_is_copied_while_a_stage_is_open(self):
+        # a staged node is provisional: a copy made inside the block would
+        # keep it as a committed node, never checked
+        h, other = make_inertial(), make_inertial(beta=0.3)
+        table = h.table
+        row = _block(h, m=1, dt=0.05)[0]
+        row[1], row[6:10] = 0.0, [3.0, 0.0, 0.0, 0.0]  # s goes back, u off shell
+        with wl.staged([h], [row]):
+            for copy in (h.copy, lambda: wl.copy_histories([other, h])):
+                with pytest.raises(ValueError, match="copied while a stage is open"):
+                    copy()
+            assert len(other.copy()) == 9  # a store with no stage open
+        assert len(h) == 9 and np.array_equal(h.table, table)
+        assert np.array_equal(h.copy().table, table)
+
     def test_staged_rejects_non_advancing_rows(self):
         hs = wl.copy_histories([make_inertial(), make_inertial(beta=0.3)])
         ok = _row(sample(hs[0].t_latest + 0.1, 9.0, np.zeros(3),
@@ -739,6 +754,30 @@ def test_u_dotdot_batch_over_mixed_sources_matches_one_query_calls():
             assert np.array_equal(got, wl.u_dotdot(hs, k, [t])[0])
         assert not np.count_nonzero(batch[ts < 0.0])
         assert np.count_nonzero(batch[src == 0])  # the curved history
+
+
+def test_segment_udotdot_is_the_full_value_formula_bit_for_bit():
+    # only u^0 of the value interpolant is evaluated; the oracle evaluates
+    # all four components, as the formula did before
+    def oracle(t, t0, p, t1, q, c):
+        h = t1 - t0
+        x = (t - t0) / h
+        y = (p[:, wl._U], p[:, wl._DU], q[:, wl._U], q[:, wl._DU], h[:, None], x[:, None])
+        u, du, ddu = wl._hermite(*y), wl._hermite_d(*y), wl._hermite_dd(*y)
+        g = u[:, :1] / c
+        return np.float_power(g, 2.0) * ddu + g * (du[:, :1] / c) * du
+
+    rng = np.random.default_rng(17)
+    for c in (1.0, 2.5):
+        h = wl.WorldlineHistory(wl.ParticleSpec(1.0, 1.0, 0.1), c=c)
+        h.extend(random_table(rng, 30, c))
+        (a, b), bank = h._span(), h._bank
+        for m in (1, 5, 29):
+            k = a + rng.integers(0, b - a - 1, m)
+            t0, t1 = bank._t[k], bank._t[k + 1]
+            t = t0 + rng.uniform(0.0, 1.0, m) * (t1 - t0)
+            args = (t, t0, bank._nodes[k], t1, bank._nodes[k + 1], c)
+            assert wl._segment_udotdot(*args).tobytes() == oracle(*args).tobytes()
 
 
 def test_gather_refuses_the_first_query_past_the_present_in_request_order():
