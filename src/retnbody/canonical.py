@@ -300,11 +300,12 @@ def effective_potentials(histories, external: ExternalFieldModel, observers,
     """A_eff of each observer particle at its event, (n, 4), from one root
     batch of the system's root plan (retardation._root_plan).
 
-    Each observer adds, one term at a time, the external potential, its
-    doubled self term and each charged companion's sigma_i and sigma_j
-    terms; q = 0 adds nothing. The batch holds one root per cone: 2N - 1
-    per observer among N charged particles of distinct radii, and an
-    equal-radius pair's one root enters the sum twice.
+    Each observer's potential is the external potential plus one sum
+    over its roots, each term weighted by the plan: its self term at
+    weight 2 and each charged companion's sigma_i and sigma_j terms at
+    weight 1; q = 0 adds nothing. The batch holds one root per cone:
+    2N - 1 per observer among N charged particles of distinct radii, and
+    an equal-radius pair's one root enters the sum once at weight 2.
     """
     hs = tuple(histories)
     events = np.asarray(events, dtype=np.float64).reshape(-1, 4)

@@ -13,9 +13,10 @@ row per particle. Each force evaluation is one fields.total_faraday call
 on states the step holds: the base states, a stage's (N, 14) node block
 (which worldline.staged puts after each history's latest node for the
 length of the evaluation) or the committed nodes. It solves the delay
-roots and field kernels of all particles as one batch and returns the
-(N, 4, 4) tensor stack that _deriv contracts with u at once; stages 2
-to 4 start their roots from the stage before (see step). After
+roots and field kernels of all particles as one batch and returns each
+particle's covariant force (q/c) F u + g as an (N, 4) array, which _deriv
+divides by u^0 m0 and raises; stages 2 to 4 start their roots from the
+stage before (see step). After
 acceptance a fifth, staged evaluation fixes the appended acceleration
 sample, proper time advances by Simpson quadrature of c dt / gamma, and
 the new nodes are committed as one checked block (worldline.commit);
@@ -37,13 +38,13 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .canonical import _IDX_PAIRS
-from .fields import ExternalFieldModel, SelfForceMode, _kernel, self_faraday, total_faraday
-from .minkowski import _antisymmetric_part, dots, lower, raise_index
+from .fields import ExternalFieldModel, SelfForceMode, _tensor, self_faraday, total_faraday
+from .minkowski import dots, lower, raise_index
 from .retardation import max_delay, solve_delays
 from .worldline import (
     ParticleSpec,
@@ -141,6 +142,8 @@ class SystemState:
     # last step, keyed by the time and history lengths they hold for (see
     # step)
     last_eval: tuple | None = field(default=None, repr=False, compare=False)
+    # (origin, k): step k + 1 ends at origin + (k + 1) dt; None is (t_now, 0)
+    grid: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -244,13 +247,10 @@ def _deriv(state: SystemState, now: WorldlineSample, report: bool = False, prev=
     the histories as they stand, its report (with report, the potentials
     and delays of the step record from the same batch) and the batch,
     started from prev when given (see total_faraday)."""
-    F, g, rep, batch = total_faraday(state.histories, now, state.external, state.mode,
-                                     state.include_self, state.include_binary, report, prev)
-    q, m0 = np.array([(h.spec.q, h.spec.m0) for h in state.histories]).T
-    f_cov = (q / state.c)[:, None] * (F @ now.u[:, :, None])[:, :, 0]
-    if g is not None:
-        f_cov = f_cov + g
-    du = raise_index(f_cov / (now.u[:, :1] * m0[:, None]))
+    f, rep, batch = total_faraday(state.histories, now, state.external, state.mode,
+                                  state.include_self, state.include_binary, report, prev)
+    m0 = np.array([h.spec.m0 for h in state.histories])
+    du = raise_index(f / (now.u[:, :1] * m0[:, None]))
     return state.c * now.u[:, 1:] / now.u[:, :1], du, rep, batch
 
 
@@ -283,6 +283,7 @@ def step(state: SystemState) -> SystemState:
     t_w = time.perf_counter()
     hs = state.histories
     dt, t, c = state.dt, state.t_now, state.c
+    origin, k = state.grid or (t, 0)
     key = (t, tuple(len(h) for h in hs))
     if state.last_eval is not None and state.last_eval[0] == key:
         base, kx1, ku1, batch = state.last_eval[1]
@@ -306,7 +307,7 @@ def step(state: SystemState) -> SystemState:
     kx3, ku3, _, batch = staged_deriv(rb, prev=batch)
     kx4, ku4, _, batch = staged_deriv(advanced(1.0, kx3, ku3), prev=batch)
 
-    t1 = t + dt
+    t1 = origin + (k + 1) * dt
     x1 = x0 + (dt / 6.0) * (kx1 + 2 * kx2 + 2 * kx3 + kx4)
     u1 = u0 + (dt / 6.0) * (ku1 + 2 * ku2 + 2 * ku3 + ku4)
     if state.renormalize_u:
@@ -326,7 +327,7 @@ def step(state: SystemState) -> SystemState:
                                            report=fsal, prev=None if fsal else batch)
     rows = _node_rows(state, t1, x1, u1, ku5, s1)
     commit(hs, rows)
-    state.t_now = t1
+    state.t_now, state.grid = t1, (origin, k + 1)
     now = _states(rows)
     if not fsal:
         kx5, ku5, report, batch = _deriv(state, now, report=True)
@@ -359,18 +360,25 @@ def _diagnose(state: SystemState, now, report, wall: float) -> StepRecord:
                       pair_delays=tau[:, 1:].ravel(), wall_time=wall)
 
 
+def step_count(span: float, dt: float) -> int:
+    """The steps of dt in span, which must be one or more whole steps up to rounding."""
+    steps = span / dt
+    n = int(round(steps))
+    if not (n >= 1 and abs(steps - n) <= 1e-9 * steps):
+        raise ValueError(f"dt = {dt!r} does not divide {span!r} into whole steps ({steps!r})")
+    return n
+
+
 def run(state: SystemState, t_end: float, trajectory_dir=None,
         diagnostics_path=None, csv_comment: str | None = None) -> SystemState:
     """Step until t_end; CSV sinks are flushed even on mid-run failure.
 
-    An exception raised by a step carries .step and .t, the step's number
-    and start time.
+    t_end must be a whole number n of steps after t_now, up to rounding;
+    step k ends at t_end - (n - k) dt, the last exactly on t_end. An
+    exception raised by a step carries .step and .t, its number and start.
     """
-    if not t_end > state.t_now:
-        raise ValueError(f"t_end={t_end} must exceed t_now={state.t_now}")
-    n_steps = int(round((t_end - state.t_now) / state.dt))
-    if n_steps < 1:
-        raise ValueError("t_end is less than one step away")
+    n_steps = step_count(t_end - state.t_now, state.dt)
+    state.grid = (float(t_end), -n_steps)
     try:
         for _ in range(n_steps):
             t_step = state.t_now
@@ -397,11 +405,8 @@ def run(state: SystemState, t_end: float, trajectory_dir=None,
 def copy_state(state: SystemState, dt: float | None = None) -> SystemState:
     """Independent deep copy (fresh histories in one fresh store, and
     fresh diagnostics)."""
-    return SystemState(copy_histories(state.histories), state.t_now,
-                       state.dt if dt is None else dt,
-                       state.c, state.external, state.mode,
-                       state.include_self, state.include_binary,
-                       state.renormalize_u)
+    return replace(state, histories=copy_histories(state.histories),
+                   dt=state.dt if dt is None else dt, diagnostics=Diagnostics(), last_eval=None)
 
 
 # -- demonstration scenarios --------------------------------------------------
@@ -461,8 +466,7 @@ def demo_locally_isolated(q: float = 0.5, sigma: float = 0.5, m0: float = 1.0,
     # one kernel pass; each tensor is contracted with u on its own
     now = h.states_at(post)
     roots = solve_delays((h,), 0, now.r, sigma, obs=0, now=now)
-    F = _antisymmetric_part(_kernel(roots, np.full(len(post), 2.0 * q), np.full(len(post), -1.0)),
-                            (None, 4, 4))
+    F = _tensor(roots, np.full(len(post), 2.0 * q), np.full(len(post), -1.0))
     forces = [float(np.linalg.norm((spec.q / c) * (m @ u))) for m, u in zip(F, now.u)]
     max_post = max(forces) if forces else 0.0
 
@@ -524,9 +528,7 @@ def flow_non_bijectivity_check(state_a: SystemState, state_b: SystemState,
     rb = run(copy_state(state_b), t_end)
     rf = run(fine, t_end)
 
-    # accumulated end times differ at roundoff between dt grids
-    t_cmp = min(ra.t_now, rb.t_now, rf.t_now)
-    tol = float(np.max(np.abs(now(ra, t_cmp).r - now(rf, t_cmp).r)))
+    tol = float(np.max(np.abs(now(ra, t_end).r - now(rf, t_end).r)))
 
     ts = [rec.t for rec in ra.diagnostics.records]
     div = np.zeros(len(ts))

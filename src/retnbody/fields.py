@@ -21,21 +21,19 @@ point of the same worldline) and +u(s') for the pair bi-vector (source
 minus observer, differentiated along the source).
 
 total_faraday takes the states of every particle at one time (the rows
-dynamics.step already holds) and solves one root batch
-(retardation.solve_delays) from the system's one root plan
-(retardation._root_plan): every self root, every shifted-cone pair root
-of a charged companion (one root per distinct radius, equal radii one
-root doubled), or in asymptotic mode the point-limit pair roots. The
-kernel then runs once on all roots as (M, 4, 4) array operations, with
-the same elementwise grazing-emission guard; in asymptotic mode g is one
-array expression over every self root (_asymptotic_g, u'' from
-worldline.u_dotdot). Sources with q = 0 are left out: their kernels are
-multiplied by zero. It returns arrays, (F, g, report, batch): the
-(n, 4, 4) tensor stack, the (n, 4) asymptotic self-force or None, with
-report=True (the step-end batch of dynamics) the potentials and delays,
-whose cones join the same plan so that forces, potentials and delays
-read one DelayRoots, and the (plan, roots) batch itself, which the next
-evaluation of an RK step may start its roots from (prev).
+dynamics.step already holds) and solves one root batch from the system's
+one root plan (retardation._root_plan; each root's kernel weight k sums
+the terms it stands for). The equations of motion read the field only
+through the Lorentz force (q/c) F u, so the kernel gives each root's
+covariant factors (W, Rt), (M, 4) arrays with an elementwise
+grazing-emission guard, contracts them with the observer's u as
+W (Rt.u) - Rt (W.u) and sums them per observer (retardation._per_slot);
+g is one array expression over every self root (_asymptotic_g). It
+returns (f, report, batch): the (n, 4) covariant force (q/c) F u + g,
+the step diagnostics' potentials and delays from the same batch on
+request, and the batch's (plan, roots), from which the next evaluation
+of an RK step may start its roots (prev). self_faraday and
+binary_faraday build one root's tensor W Rt - Rt W (_tensor).
 """
 
 from __future__ import annotations
@@ -46,8 +44,8 @@ from enum import Enum
 import numpy as np
 
 from .minkowski import FaradayTensor, _antisymmetric_part, dots, lower
-from .retardation import (JAC_TOL, DelayRoots, _add_potentials, _plan_roots, _root_plan,
-                          solve_delays)
+from .retardation import (JAC_TOL, DelayRoots, _add_potentials, _dot, _per_slot, _plan_roots,
+                          _root_plan, solve_delays)
 from .worldline import WorldlineHistory, gather, u_dotdot
 
 
@@ -113,11 +111,15 @@ class ExternalFieldModel:
                    potential_fn=potential_fn)
 
     def faraday(self, r) -> np.ndarray:
+        """F_mu nu at an event r (4,) or at each row of r (P, 4); user tensors are checked."""
+        r = np.asarray(r, dtype=np.float64)
+        shape = r.shape[:-1] + (4, 4)
         if self.variant == "none":
-            return np.zeros((4, 4))
+            return np.zeros(shape)
         if self.variant == "constant-uniform":
-            return self.tensor
-        return np.asarray(self.faraday_fn(np.asarray(r)), dtype=np.float64)
+            return np.broadcast_to(self.tensor, shape)
+        return _antisymmetric_part([self.faraday_fn(p) for p in r.reshape(-1, 4)],
+                                   (None, 4, 4)).reshape(shape)
 
     def potential(self, r) -> np.ndarray:
         """A_mu at one event r (4,), or at each row of a block r (P, 4)."""
@@ -126,18 +128,16 @@ class ExternalFieldModel:
             return np.zeros(r.shape)
         if self.variant == "constant-uniform":
             return -0.5 * (self.tensor @ r.T).T
-        if r.ndim == 1:
-            return np.asarray(self.potential_fn(r), dtype=np.float64)
-        return np.array([self.potential_fn(p) for p in r],
+        return np.array([self.potential_fn(p) for p in r.reshape(-1, 4)],
                         dtype=np.float64).reshape(r.shape)
 
 
-def _kernel(roots: DelayRoots, k, u_sign) -> np.ndarray:
-    """The expanded s'-derivative kernel -(k/|D|)[dN/D - N dD/D^2] of
-    every root, (M, 4, 4), with k and u_sign one per root; the bi-vector
-    is source minus observer for u_sign = +1 (pair) and observer minus
-    source for -1 (self). It equals W Rt - Rt W with
-    W = -(k / |D| D)(a - u dD/D), so it is exactly antisymmetric."""
+def _kernel(roots: DelayRoots, k, u_sign):
+    """Covariant factors (W, Rt), each (M, 4), of the expanded
+    s'-derivative kernel -(k/|D|)[dN/D - N dD/D^2] = W Rt - Rt W of every
+    root, W = -(k / |D| D)(a - u dD/D), with k and u_sign one per root;
+    Rt is source minus observer for u_sign = +1 (pair) and observer minus
+    source for -1 (self)."""
     src = roots.source
     rt = u_sign[:, None] * (src.r - roots.events)
     vec = np.stack((rt, src.u, src.a), axis=1)  # (M, 3, 4): Rt, u, a
@@ -149,8 +149,14 @@ def _kernel(roots: DelayRoots, k, u_sign) -> np.ndarray:
                          "in the field kernel")
     dD = u_sign * prod[:, 1, 1] + prod[:, 0, 2]
     w = (-k / (np.abs(D) * D))[:, None] * (low[:, 2] - low[:, 1] * (dD / D)[:, None])
-    rt_l = low[:, 0]
-    return w[:, :, None] * rt_l[:, None, :] - rt_l[:, :, None] * w[:, None, :]
+    return w, low[:, 0]
+
+
+def _tensor(roots: DelayRoots, k, u_sign) -> np.ndarray:
+    """The kernel tensors W Rt - Rt W of every root, (M, 4, 4), exactly
+    antisymmetric."""
+    w, rt = _kernel(roots, k, u_sign)
+    return w[:, :, None] * rt[:, None, :] - rt[:, :, None] * w[:, None, :]
 
 
 def self_faraday(h: WorldlineHistory, t: float,
@@ -164,13 +170,13 @@ def self_faraday(h: WorldlineHistory, t: float,
         sigma = h.spec.sigma
     now = gather((h,), 0, [t])
     roots = solve_delays((h,), 0, now.r, sigma, obs=0, now=now)
-    return FaradayTensor(_kernel(roots, np.array([2.0 * h.spec.q]), np.array([-1.0]))[0])
+    return FaradayTensor(_tensor(roots, np.array([2.0 * h.spec.q]), np.array([-1.0]))[0])
 
 
 def _binary_term(h_source: WorldlineHistory, obs_r, sigma_shift: float) -> np.ndarray:
     """Pair kernel of one emission cone of h_source at the event obs_r."""
     roots = solve_delays((h_source,), 0, obs_r, sigma_shift)
-    return _kernel(roots, np.array([h_source.spec.q]), np.ones(1))[0]
+    return _tensor(roots, np.array([h_source.spec.q]), np.ones(1))[0]
 
 
 def binary_faraday(h_source: WorldlineHistory, observer_event,
@@ -221,20 +227,19 @@ def total_faraday(histories, now, external: ExternalFieldModel,
                   mode: SelfForceMode = SelfForceMode.EXACT,
                   include_self: bool = True, include_binary: bool = True,
                   report: bool = False, prev=None):
-    """Total field on every particle from one root batch and one kernel
-    pass, as (F, g, report, batch); now holds every history's state at one
+    """Covariant force on every particle from one root batch and one kernel
+    pass, as (f, report, batch); now holds every history's state at one
     time, as gather(histories, arange(n), full(n, t)) returns them.
 
-    F is the (n, 4, 4) stack of covariant tensors, made exactly
-    antisymmetric and checked as one array. g is the (n, 4) asymptotic
-    self-force in asymptotic mode (which also collapses binary cones to
-    the point limit) and None in exact mode. include_self and
-    include_binary drop the corresponding contribution entirely (with
-    both off, a charged particle is a test charge in the external field).
-    report is None unless asked for; then it holds what the step
-    diagnostics read from the same batch: (A, tau), A the effective
-    potentials (n, 4) at the particles' events and tau (n, N) each
-    particle's sigma_i delay on every history, its own first.
+    f (n, 4) is (q/c) F u + g: F the total covariant field, contracted
+    root by root with the particle's u, and g the first-order self-force
+    in asymptotic mode (which also collapses binary cones to the point
+    limit). include_self and include_binary drop the corresponding
+    contribution entirely (with both off, a charged particle is a test
+    charge in the external field). report is None unless asked for; then
+    it holds what the step diagnostics read from the same batch: (A, tau),
+    A the effective potentials (n, 4) at the particles' events and tau
+    (n, N) each particle's sigma_i delay on every history, its own first.
 
     batch is the (plan, roots) of this evaluation, None when it solves no
     root. prev, the batch of an evaluation at a nearby time, starts every
@@ -247,26 +252,26 @@ def total_faraday(histories, now, external: ExternalFieldModel,
     exact = mode == SelfForceMode.EXACT
     plan = _root_plan(tuple(h.spec for h in hs), tuple(range(n)),
                       (exact, include_self, include_binary), report, report)
-    F = np.array([external.faraday(e) for e in now.r], dtype=np.float64).reshape(-1, 4, 4)
-    # asymptotic mode: a neutral particle's g vanishes without a root
-    g = np.zeros((n, 4)) if include_self and not exact else None
-    batch = None
+    Fu = (external.faraday(now.r) @ now.u[:, :, None])[:, :, 0]
+    g = batch = None
     if plan.src.size:
         roots = _plan_roots(hs, plan, now.r, now, prev)
         batch = plan, roots
-        if exact or plan.pair_terms:
-            K = _kernel(roots, plan.k, np.where(plan.src == plan.obs, -1.0, 1.0))
-        has_self = np.flatnonzero(plan.self_row >= 0)
-        if exact:
-            F[has_self] += K[plan.self_row[has_self]]
-        elif g is not None:
+        if np.count_nonzero(plan.k):
+            w, rt = _kernel(roots, plan.k, np.where(plan.src == plan.obs, -1.0, 1.0))
+            u_obs = now.u[plan.slot]
+            Fu = Fu + _per_slot(plan, w * _dot(rt, u_obs)[:, None]
+                                - rt * _dot(w, u_obs)[:, None], n)
+        if include_self and not exact:
+            # a neutral particle's g vanishes without a root
+            has_self = np.flatnonzero(plan.self_row >= 0)
+            g = np.zeros((n, 4))
             g[has_self] = _asymptotic_g(roots, plan.self_row[has_self], now.t[has_self])
-        # each particle adds its companions' terms in source order; equal
-        # radii and the point limit: one root doubled exactly (K + K == 2 K)
-        for slots, first, last in plan.pair_terms:
-            F[slots] += K[first] + K[last]
-    F = _antisymmetric_part(F, (None, 4, 4))
+    q = np.array([h.spec.q for h in hs])
+    f = (q / hs[0].c)[:, None] * Fu
+    if g is not None:
+        f = f + g
     if not report:
-        return F, g, None, batch
+        return f, None, batch
     A = np.array([external.potential(e) for e in now.r], dtype=np.float64).reshape(-1, 4)
-    return F, g, (_add_potentials(A, plan, roots), roots.t_ret[plan.own]), batch
+    return f, (_add_potentials(A, plan, roots), roots.t_ret[plan.own]), batch

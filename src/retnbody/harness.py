@@ -58,6 +58,7 @@ from .dynamics import (
     demo_locally_isolated,
     run,
     seed,
+    step_count,
 )
 from .fields import ExternalFieldModel, SelfForceMode, total_faraday
 from .minkowski import lower
@@ -295,12 +296,10 @@ def parse_config(mapping) -> RunConfig:
     if error is not None:
         raise ConfigError(f"schema violation: {error.message}") from error
     _require_finite(mapping)
-    if not mapping["t_end"] > mapping["t0"]:
-        raise ConfigError("t_end must exceed t0")
-    steps = (mapping["t_end"] - mapping["t0"]) / mapping["dt"]
-    if not (round(steps) >= 1 and abs(steps - round(steps)) <= 1e-9 * steps):
-        raise ConfigError(f"dt = {mapping['dt']!r} does not divide t_end - t0 into a "
-                          f"whole number of steps ({steps!r})")
+    try:
+        step_count(mapping["t_end"] - mapping["t0"], mapping["dt"])
+    except ValueError as exc:
+        raise ConfigError(f"t_end - t0: {exc}") from exc
     labels = [p["label"] for p in mapping["particles"]]
     if len(set(labels)) != len(labels):
         raise ConfigError("particle labels must be unique")
@@ -585,16 +584,15 @@ def node_gradient(nodes_r, i, sources, specs, external, width, c,
 
 
 def el_residual_covariant(histories, external, t) -> np.ndarray:
-    """Production-path E-L residuals m0 c du/ds - (q/c) F u of every
-    particle at time t, (N, 4), from one total_faraday batch; c is the
-    histories' own (gather checks that they share it)."""
+    """Production-path E-L residuals m0 c du/ds - f of every particle at
+    time t, (N, 4), f the covariant force (q/c) F u of one total_faraday
+    batch; c is the histories' own (gather checks that they share it)."""
     n = len(histories)
     c = histories[0].c
     now = gather(histories, np.arange(n), np.full(n, float(t)))
-    F = total_faraday(histories, now, external, SelfForceMode.EXACT)[0]
-    q, m0 = np.array([(h.spec.q, h.spec.m0) for h in histories]).T
-    return ((m0 * c)[:, None] * lower(now.a)
-            - (q / c)[:, None] * (F @ now.u[:, :, None])[:, :, 0])
+    f = total_faraday(histories, now, external, SelfForceMode.EXACT)[0]
+    m0 = np.array([h.spec.m0 for h in histories])
+    return (m0 * c)[:, None] * lower(now.a) - f
 
 
 @dataclass
@@ -847,14 +845,10 @@ def cmd_compare_asymptotic(cfg: RunConfig, base_dir=".") -> dict:
     for sg in cfg.sweep_sigmas:
         parts = tuple(replace(p, sigma=float(sg)) for p in cfg.particles)
         swept = replace(cfg, particles=parts)
-        finals = []
+        pos = []
         for md in ("exact", "asymptotic"):
-            st = build_state(swept, base_dir, mode=md)
-            run(st, cfg.t_end)
-            finals.append((st.t_now, st))
-        t_cmp = min(t for t, _ in finals)
-        pos = [gather(s.histories, np.arange(s.n), np.full(s.n, t_cmp)).r[:, 1:]
-               for _, s in finals]
+            st = run(build_state(swept, base_dir, mode=md), cfg.t_end)
+            pos.append(gather(st.histories, np.arange(st.n), np.full(st.n, cfg.t_end)).r[:, 1:])
         gap = float(np.max(np.abs(pos[0] - pos[1])))
         if not math.isfinite(gap):
             raise CheckFailed(f"divergence at sigma={sg} is not finite")

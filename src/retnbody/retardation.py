@@ -34,12 +34,15 @@ line_potentials resolves the potential at each root of a batch. A
 failing root raises with the observer, source, sigma and observation
 time named, and carries the observer label as .particle.
 
-Which roots a system needs is decided in one place, _root_plan: the
-self cone and the two shell cones of each charged pair (or the
-point-limit cone in asymptotic mode) for the forces, the same cones for
-the effective potentials, and each neutral source's sigma_i cone where
-delays are reported. fields.total_faraday, canonical.effective_potentials,
-the step-end batch of dynamics and max_delay all read it.
+Which roots a system needs, and how each enters its observer's sums, is
+decided in one place, _root_plan: the self cone and the two shell cones
+of each charged pair (or the point-limit cone in asymptotic mode) for
+the forces, the same cones for the effective potentials, and each
+neutral source's sigma_i cone where delays are reported. Each root's
+weights sum the terms it stands for, so an observer's force or potential
+is one weighted sum over its roots (_per_slot). fields.total_faraday,
+canonical.effective_potentials, the step-end batch of dynamics and
+max_delay all read it.
 """
 
 from __future__ import annotations
@@ -295,15 +298,13 @@ class _RootPlan(NamedTuple):
     """The delay roots of one batch, one row per root ordered by source,
     and how forces, potentials and delays read them."""
 
-    src: np.ndarray     # per root: source, observer, observer slot,
-    obs: np.ndarray     # sigma, kernel weight and potential weight
-    slot: np.ndarray
-    sigma: np.ndarray
-    k: np.ndarray
-    w: np.ndarray
+    src: np.ndarray     # per root: source, observer, observer slot and
+    obs: np.ndarray     # sigma; the kernel weight k and potential weight
+    slot: np.ndarray    # w, each the sum over the terms the root stands
+    sigma: np.ndarray   # for (self: k = 2 q, w = 2; shell cone: k = q_j,
+    k: np.ndarray       # w = 1; equal radii and the point limit:
+    w: np.ndarray       # k = 2 q_j, w = 2)
     self_row: np.ndarray    # per observer slot: its self-force root, or -1
-    pair_terms: tuple       # per rank: (slots, first, last) binary kernel terms
-    potential_terms: tuple  # per rank: (slots, rows) potential terms
     own: np.ndarray         # per slot and source, own history first: the
     #                         sigma_i root, -1 where none is solved
 
@@ -313,46 +314,36 @@ class _RootPlan(NamedTuple):
     __eq__ = object.__eq__
 
 
-def _by_rank(per_slot) -> tuple:
-    """Per-slot term lists regrouped by rank: for each r, the slots with
-    an r-th term and that term's columns, as index arrays."""
-    return tuple(
-        tuple(np.array(x, dtype=np.intp) for x in zip(
-            *[(s, *terms[r]) for s, terms in enumerate(per_slot) if len(terms) > r]))
-        for r in range(max(map(len, per_slot), default=0)))
-
-
 @lru_cache(maxsize=64)
 def _root_plan(specs, observers, forces=None, potentials: bool = False,
                neutral: bool = False) -> _RootPlan:
     """The roots a system needs at a set of observers (indices into specs).
 
     forces, None or (exact, include_self, include_binary), asks for the
-    Faraday tensor: a charged observer's self cone (kernel weight 2 q in
-    exact mode; the first-order self-force's root in asymptotic mode),
-    and per charged companion j its sigma_i and sigma_j cones (weight
-    q_j each), or in asymptotic mode the point-limit cone sigma = 0 for
-    both. potentials asks for A_eff: the self cone at weight 2, then each
-    charged companion's sigma_i and sigma_j cones at weight 1, one term
-    each. neutral adds every neutral source's sigma_i cone, weightless,
-    so that every delay is reported. Equal radii share one root; a
-    source with q = 0 gets no other root.
+    force: a charged observer's self cone (kernel weight 2 q in exact
+    mode; the first-order self-force's root in asymptotic mode), and per
+    charged companion j its sigma_i and sigma_j cones (weight q_j each),
+    or in asymptotic mode the point-limit cone sigma = 0 for both.
+    potentials asks for A_eff: the self cone at weight 2 and each charged
+    companion's sigma_i and sigma_j cones at weight 1. neutral adds every
+    neutral source's sigma_i cone, weightless, so that every delay is
+    reported. A root shared by several cones (equal radii, the point
+    limit) sums their weights; a source with q = 0 gets no other root.
     """
     exact, with_self, with_binary = forces or (True, False, False)
     rows = {}  # (source, slot, sigma) -> [kernel weight, potential weight]
 
     def root(key, k=0.0, w=0.0):
         kw = rows.setdefault(key, [0.0, 0.0])
-        kw[0], kw[1] = k or kw[0], w or kw[1]
+        kw[0] += k
+        kw[1] += w
         return key
 
-    self_keys, pairs, terms, own = [], [], [], []
+    self_keys, own = [], []
     for s, i in enumerate(observers):
         sources = (i, *(j for j in range(len(specs)) if j != i))
         own.append([(j, s, specs[i].sigma) for j in sources])
         self_keys.append(None)
-        pairs.append([])
-        terms.append([])
         for j, first in zip(sources, own[s]):
             q = specs[j].q
             if not q:
@@ -362,14 +353,15 @@ def _root_plan(specs, observers, forces=None, potentials: bool = False,
                 if with_self:
                     self_keys[s] = root(first, k=2.0 * q if exact else 0.0)
                 if potentials:
-                    terms[s].append([root(first, w=2.0)])
+                    root(first, w=2.0)
             else:
                 cones = (first, (j, s, specs[j].sigma))
                 if with_binary:
-                    pairs[s].append([root(key, k=q) for key in
-                                     (cones if exact else [(j, s, 0.0)] * 2)])
+                    for key in cones if exact else [(j, s, 0.0)] * 2:
+                        root(key, k=q)
                 if potentials:
-                    terms[s] += [[root(key, w=1.0)] for key in cones]
+                    for key in cones:
+                        root(key, w=1.0)
     keys = sorted(rows, key=lambda key: key[0])  # stable: first use within a source
     row = {key: r for r, key in enumerate(keys)}
     cols = np.array(keys, dtype=np.float64).reshape(-1, 3)
@@ -378,10 +370,8 @@ def _root_plan(specs, observers, forces=None, potentials: bool = False,
     plan = _RootPlan(
         src, np.array(observers, dtype=np.intp)[slot], slot, cols[:, 2], k, w,
         np.array([row.get(key, -1) for key in self_keys], dtype=np.intp),
-        *(_by_rank([[[row[key] for key in term] for term in t] for t in x])
-          for x in (pairs, terms)),
         np.array([[row.get(key, -1) for key in o] for o in own], dtype=np.intp))
-    for x in (*plan[:7], plan.own, *(x for ranks in plan[7:9] for r in ranks for x in r)):
+    for x in plan:
         x.flags.writeable = False  # shared by every call with these arguments
     return plan
 
@@ -433,13 +423,17 @@ def _plan_roots(histories, plan: _RootPlan, events, now=None, prev=None) -> Dela
                         seed=seed)
 
 
+def _per_slot(plan: _RootPlan, terms, n: int) -> np.ndarray:
+    """(n, 4) sums of the (M, 4) per-root terms over each observer slot,
+    each slot's terms added to zero in root order (one bincount)."""
+    bins = (4 * plan.slot[:, None] + np.arange(4)).ravel()
+    return np.bincount(bins, weights=terms.ravel(), minlength=4 * n).reshape(n, 4)
+
+
 def _add_potentials(A, plan: _RootPlan, roots: DelayRoots):
-    """A (one row per observer slot) plus the plan's potential terms,
-    added one at a time in plan order."""
-    terms = plan.w[:, None] * lower(line_potentials(roots))
-    for slots, rows in plan.potential_terms:
-        A[slots] += terms[rows]
-    return A
+    """A (one row per observer slot) plus the sum of the plan's weighted
+    potential terms."""
+    return A + _per_slot(plan, plan.w[:, None] * lower(line_potentials(roots)), len(A))
 
 
 def max_delay(histories, t0: float) -> float:

@@ -482,16 +482,15 @@ def test_equal_radius_pair_solves_one_root_per_pair(monkeypatch):
                         [ParticleSpec(1.0, 0.7, 0.5, "a"), ParticleSpec(1.5, -0.5, 0.5, "b")])
     ext = ExternalFieldModel.uniform(E=(0.1, 0.0, -0.2), B=(0.0, 0.3, 0.0))
     events = np.array([h.state_at_time(0.3).r for h in hs]) + [0.0, 0.05, -0.02, 0.01]
-    # the sum term by term as the two-cone rule states it: the external
-    # potential, the doubled self term, then the companion's sigma_i and
-    # sigma_j terms, each from its own single-root solve
+    # the sum as the two-cone rule states it, each term from its own
+    # single-root solve: the doubled self term plus the companion's sigma_i
+    # and sigma_j terms, which share one root and so enter as one doubled
+    # term, added to zero and then to the external potential
     want = []
     for i, e in enumerate(events):
-        A = ext.potential(e)
-        A += 2.0 * lower(line_potential(hs[i], e, hs[i].spec.sigma))
-        for sigma in (hs[i].spec.sigma, hs[1 - i].spec.sigma):
-            A += 1.0 * lower(line_potential(hs[1 - i], e, sigma))
-        want.append(A)
+        terms = 0.0 + 2.0 * lower(line_potential(hs[i], e, hs[i].spec.sigma))
+        terms = terms + 2.0 * lower(line_potential(hs[1 - i], e, hs[i].spec.sigma))
+        want.append(ext.potential(e) + terms)
     roots = []
 
     def solve(histories, src, events, *args, **kwargs):

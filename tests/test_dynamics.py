@@ -21,7 +21,7 @@ from retnbody import dynamics as dyn
 from retnbody import fields as fl
 from retnbody import retardation as ret
 from retnbody import worldline as wl
-from retnbody.fields import ExternalFieldModel, SelfForceMode, total_faraday
+from retnbody.fields import ExternalFieldModel, SelfForceMode
 from retnbody.minkowski import dot, raise_index
 from retnbody.retardation import max_delay
 from retnbody.worldline import (
@@ -192,18 +192,21 @@ def test_magnetic_orbit_speed_and_constraint():
     assert np.max(np.abs(h.state_at_time(t_chk).r[1:] - want)) < 1e-6
 
 
-def test_static_pair_initial_force_matches_closed_form():
+def test_static_pair_initial_force_matches_closed_form(total_force):
     d, q1, q2, s1, s2, m0 = 2.0, 1.0, -0.6, 0.5, 0.7, 1.3
     specs = [ParticleSpec(m0, q1, s1, "one"), ParticleSpec(m0, q2, s2, "two")]
     st = seed(specs, [[-d / 2, 0, 0], [d / 2, 0, 0]], [[0, 0, 0], [0, 0, 0]])
     mag = d * ((d * d + s1 * s1) ** -1.5 + (d * d + s2 * s2) ** -1.5)
-    F, g, _, _ = total_faraday(st.histories, wl.gather(st.histories, [0, 1], [0.0, 0.0]),
-                               st.external)
-    assert g is None
+    f, _, _, bound = total_force(st.histories, wl.gather(st.histories, [0, 1], [0.0, 0.0]),
+                                 st.external)
     for i, sgn in ((0, -1.0), (1, 1.0)):
-        h = st.histories[i]
+        h, other = st.histories[i], st.histories[1 - i]
         smp = h.state_at_time(0.0)
-        dudt = raise_index((h.spec.q / st.c) * (F[i] @ smp.u)) / (smp.u[0] * m0)
+        # the single-term oracle: (q/c) (self + binary tensor) @ u
+        F = fl.self_faraday(h, 0.0).matrix + fl.binary_faraday(
+            other, smp.r, h.spec.sigma, other.spec.sigma).matrix
+        assert np.all(np.abs(f[i] - (h.spec.q / st.c) * (F @ smp.u)) <= bound[i])
+        dudt = raise_index(f[i]) / (smp.u[0] * m0)
         want_x = q1 * q2 * sgn * mag / m0
         assert dudt[1] == pytest.approx(want_x, rel=1e-8)
         assert abs(dudt[0]) < 1e-12
@@ -265,6 +268,27 @@ def test_diagnostics_rows_and_header():
     assert len(hdr) == len(flat)
     assert rec.self_delays[0] > 0.0
     assert rec.wall_time >= 0.0
+
+
+@pytest.mark.parametrize("tensor, message", [
+    (0.1 * np.eye(4), "matrix is not antisymmetric"),
+    (np.full((4, 4), np.nan), "tensor entries must be finite")])
+def test_a_user_field_tensor_is_checked_in_every_step(tensor, message):
+    ext = ExternalFieldModel.analytic(lambda r: tensor, lambda r: np.zeros(4))
+    st = seed([ParticleSpec(1.0, 0.5, 0.4, "u")], [[0, 0, 0]], [[0, 0, 0]], dt=0.05,
+              external=ext)
+    with pytest.raises(ValueError, match=message):
+        step(st)
+
+
+def test_run_ends_exactly_on_t_end():
+    # 240 steps of dt = 0.01 added one at a time end at 2.399999999999993
+    st = seed([ParticleSpec(1.0, 0.0, 0.5, "free")], [[0, 0, 0]], [[0.3, 0, 0]], dt=0.01)
+    run(st, 2.4)
+    assert st.t_now == 2.4 and len(st.diagnostics) == 240
+    assert st.histories[0].state_at_time(2.4).t == 2.4
+    with pytest.raises(ValueError, match="does not divide .* into whole steps"):
+        run(st, 2.425)
 
 
 def test_partial_output_preserved_on_failure(tmp_path):

@@ -12,6 +12,7 @@ import yaml
 
 from retnbody.dynamics import PREHISTORY_NODES, copy_state, run, seed
 from retnbody import dynamics, harness
+from retnbody import fields as fl
 from retnbody.harness import (
     CONFIG_SCHEMA,
     CheckFailed,
@@ -403,7 +404,7 @@ def test_action_oracle_reuses_the_on_trajectory_gradients(monkeypatch, tmp_path)
         extremality_ratio(hists, cfg.oracle, t_lo + 0.01, t_hi,
                           report=out["report"])
 
-def test_action_oracle_makes_one_force_batch_per_node_time(monkeypatch, tmp_path):
+def test_action_oracle_makes_one_force_batch_per_node_time(monkeypatch, tmp_path, total_force):
     cfg = replace(load_config(os.path.join(CONFIG_DIR, "action_oracle.yaml")),
                   output_dir=str(tmp_path))
     calls = []
@@ -420,16 +421,21 @@ def test_action_oracle_makes_one_force_batch_per_node_time(monkeypatch, tmp_path
     assert [t[0] for t in calls] == out["report"].times.tolist()
     assert len(calls) == cfg.oracle.nodes - 2 == 46
     assert all(np.array_equal(t, np.full(len(hists), t[0])) for t in calls)
-    # each particle's residual equals the one built from its own queries
+    # each particle's residual is m0 c a minus the batch's force, which is
+    # the single-term oracle (q/c) (self + binary tensors) @ u to rounding
     none, c = harness.ExternalFieldModel.none(), cfg.c
     for t in out["report"].times[::9]:
         got = harness.el_residual_covariant(hists, none, t)
         now = worldline.gather(hists, np.arange(len(hists)), np.full(len(hists), t))
-        F = total_faraday(hists, now, none)[0]
+        f, _, _, bound = total_force(hists, now, none)
         for i, h in enumerate(hists):
             smp = h.state_at_time(t)
-            want = h.spec.m0 * c * lower(smp.a) - (h.spec.q / c) * (F[i] @ smp.u)
-            assert np.array_equal(got[i], want)
+            assert np.array_equal(got[i], h.spec.m0 * c * lower(smp.a) - f[i])
+            F = fl.self_faraday(h, t).matrix
+            for h_j in hists:
+                if h_j is not h:
+                    F = F + fl.binary_faraday(h_j, smp.r, h.spec.sigma, h_j.spec.sigma).matrix
+            assert np.all(np.abs(f[i] - (h.spec.q / c) * (F @ smp.u)) <= bound[i])
 
 
 def test_extremality_on_dynamics_trajectories():
