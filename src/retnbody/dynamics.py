@@ -11,21 +11,27 @@ carries the self field inside F). Steps are classic fixed-size RK4 on
 whole arrays: x (N, 3), u (N, 4), s (N,) and every stage slope hold one
 row per particle. Each force evaluation is one fields.total_faraday call
 on states the step holds: the base states, a stage's (N, 14) node block
-(which worldline.staged puts after each history's latest node for the
-length of the evaluation) or the committed nodes. It solves the delay
-roots and field kernels of all particles as one batch and returns each
-particle's covariant force (q/c) F u + g as an (N, 4) array, which _deriv
-divides by u^0 m0 and raises; stages 2 to 4 start their roots from the
-stage before (see step). After
-acceptance a fifth, staged evaluation fixes the appended acceleration
-sample, proper time advances by Simpson quadrature of c dt / gamma, and
-the new nodes are committed as one checked block (worldline.commit);
-they are also the states the step record and the next step start from.
-Each step ends with exactly one batch at the new time, which also holds
-the potentials' and the reported delays' roots: it serves the step's
-diagnostics and the next step's first evaluation. In exact mode with
-2 c dt below every radius it is the fifth evaluation itself; otherwise
-it is solved afresh on the committed nodes (see step).
+or the committed nodes. It solves the delay roots and field kernels of
+all particles as one batch and returns each particle's covariant force
+(q/c) F u + g as an (N, 4) array, which _deriv divides by u^0 m0 and
+raises; stages 2 to 4 start their roots from the stage before (see
+step). After acceptance a fifth evaluation fixes the appended
+acceleration sample, proper time advances by Simpson quadrature of
+c dt / gamma, and the new nodes are committed as one checked block
+(worldline.commit); they are also the states the step record and the
+next step start from. Each step ends with exactly one batch at the new
+time, which also holds the potentials' and the reported delays' roots:
+it serves the step's diagnostics and the next step's first evaluation.
+
+A stage's node block is written to the store only where a query can
+read it. In exact mode with 2 c dt below every radius (first same as
+last, see step) no root iterate reaches back less than dt: stages 2 to
+4 and the fifth evaluation run on the committed histories, their rows
+checked as worldline.staged checks them but not written, and the fifth
+evaluation is the step-end batch. Otherwise each of them runs with its
+block staged (worldline.staged puts it after each history's latest node
+for the length of the evaluation), and the step-end batch is solved
+afresh on the committed nodes.
 
 Histories are the state. A SystemState is little more than the history
 set, held in one store (worldline.HistoryBank, filled by seed), plus the
@@ -50,6 +56,7 @@ from .worldline import (
     ParticleSpec,
     WorldlineHistory,
     WorldlineSample,
+    _check_stage,
     _four_velocity,
     commit,
     copy_histories,
@@ -61,6 +68,8 @@ from .worldline import (
 
 # nodes of each synthesized inertial prehistory
 PREHISTORY_NODES = 16
+
+_MU, _NU = np.array(_IDX_PAIRS).T  # the index pairs of m_hat's components
 
 
 class InsufficientPrehistory(Exception):
@@ -272,6 +281,13 @@ def step(state: SystemState) -> SystemState:
     """Advance every history by one RK4 step of size dt; each stage
     quantity is one array with a row per particle.
 
+    Under the first-same-as-last gate (exact mode, 2 c dt below every
+    radius) no query of a stage evaluation reads the stage's node, so
+    stages 2 to 4 and the final stage are evaluated on the committed
+    histories: their rows are checked as staged checks them, and no node
+    is written. Otherwise each of those evaluations runs with its rows
+    staged (worldline.staged).
+
     The root batches of stages 2 to 4, and of the final stage when it is
     not the step-end batch, start warm: each root from the model step off
     the same root in the evaluation before (total_faraday's prev), whose
@@ -284,6 +300,18 @@ def step(state: SystemState) -> SystemState:
     hs = state.histories
     dt, t, c = state.dt, state.t_now, state.c
     origin, k = state.grid or (t, 0)
+    # first same as last: in exact mode every root iterate reaches back at
+    # least sigma / 2c. A model-step root has c tau >= sigma; a bisection
+    # midpoint is at least hi / 2, and f(hi) >= 0 gives c hi >= sigma; a
+    # warm first iterate (retardation._first_iterates) is a model root
+    # with a positive step. So 2 c dt < min sigma keeps every query of an
+    # evaluation at a time in (t, t + dt] before t: no evaluation reads a
+    # stage's node, nor the appended node of the step, and the final
+    # evaluation is the step-end batch. Should the argument ever fail, a
+    # query past t raises QueryBeyondPresent. Otherwise the stages are
+    # staged and the step-end batch is solved on the committed histories.
+    fsal = (state.mode == SelfForceMode.EXACT
+            and 2.0 * c * dt < min(h.spec.sigma for h in hs))
     key = (t, tuple(len(h) for h in hs))
     if state.last_eval is not None and state.last_eval[0] == key:
         base, kx1, ku1, batch = state.last_eval[1]
@@ -297,15 +325,18 @@ def step(state: SystemState) -> SystemState:
         s = s0 + frac * dt * c * 0.5 * (1.0 / u0[:, 0] + 1.0 / u[:, 0])
         return _node_rows(state, t + frac * dt, x0 + frac * dt * kx, u, ku, s)
 
-    def staged_deriv(rows, report=False, prev=None):
+    def stage_deriv(rows, report=False, prev=None):
+        if fsal:
+            _check_stage(hs, rows)
+            return _deriv(state, _states(rows), report, prev)
         with staged(hs, rows):
             return _deriv(state, _states(rows), report, prev)
 
     ra = advanced(0.5, kx1, ku1)
-    kx2, ku2, _, batch = staged_deriv(ra, prev=batch)
+    kx2, ku2, _, batch = stage_deriv(ra, prev=batch)
     rb = advanced(0.5, kx2, ku2)
-    kx3, ku3, _, batch = staged_deriv(rb, prev=batch)
-    kx4, ku4, _, batch = staged_deriv(advanced(1.0, kx3, ku3), prev=batch)
+    kx3, ku3, _, batch = stage_deriv(rb, prev=batch)
+    kx4, ku4, _, batch = stage_deriv(advanced(1.0, kx3, ku3), prev=batch)
 
     t1 = origin + (k + 1) * dt
     x1 = x0 + (dt / 6.0) * (kx1 + 2 * kx2 + 2 * kx3 + kx4)
@@ -315,16 +346,9 @@ def step(state: SystemState) -> SystemState:
     g_mid = 0.5 * (ra[:, 6] + rb[:, 6])  # u^0 of the two midpoint stages
     s1 = s0 + (c * dt / 6.0) * (1.0 / u0[:, 0] + 4.0 / g_mid + 1.0 / u1[:, 0])
 
-    # first same as last: the final evaluation sees the appended nodes
-    # except for their a, which only a query inside the step just taken
-    # reads. In exact mode every root iterate reaches back at least
-    # sigma / 2c (f < 0 below sigma / c), so 2 c dt < min sigma keeps all
-    # of them out of it: the final evaluation is then the step-end batch.
-    # Otherwise that batch is solved on the committed histories.
-    fsal = (state.mode == SelfForceMode.EXACT
-            and 2.0 * c * dt < min(h.spec.sigma for h in hs))
-    kx5, ku5, report, batch = staged_deriv(_node_rows(state, t1, x1, u1, ku4, s1),
-                                           report=fsal, prev=None if fsal else batch)
+    # the final evaluation fixes the appended acceleration sample
+    kx5, ku5, report, batch = stage_deriv(_node_rows(state, t1, x1, u1, ku4, s1),
+                                          report=fsal, prev=None if fsal else batch)
     rows = _node_rows(state, t1, x1, u1, ku5, s1)
     commit(hs, rows)
     state.t_now, state.grid = t1, (origin, k + 1)
@@ -351,9 +375,10 @@ def _diagnose(state: SystemState, now, report, wall: float) -> StepRecord:
     heff = dots(pi, pi) / (2.0 * m0 * c)
     r_low = lower(now.r)
     p_hat = P.sum(axis=0)
-    m_hat = np.array([
-        float(np.sum(r_low[:, mu] * P[:, nu] - r_low[:, nu] * P[:, mu]))
-        for mu, nu in _IDX_PAIRS])
+    # one row of terms per index pair, each summed along its contiguous
+    # row: the order, so the bits, of a sum of that pair's terms alone
+    rl, Pl = r_low.T, P.T
+    m_hat = np.sum(rl[_MU] * Pl[_NU] - rl[_NU] * Pl[_MU], axis=1)
     return StepRecord(step=len(state.diagnostics) + 1, t=t,
                       constraint_err=np.abs(dots(u, u) - 1.0), h_eff=heff, p_hat=p_hat,
                       m_hat=m_hat, self_delays=tau[:, 0],

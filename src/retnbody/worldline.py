@@ -33,12 +33,14 @@ arbitrarily far into the past. staged(histories, rows) writes one
 provisional node per history into the spare row after its latest node
 for the length of a with block (an RK stage), so there is one history
 class and one query path; no node is written to a store while a stage
-is open on it.
+is open on it. _check_stage makes staged's checks and writes nothing,
+for a stage whose node no query can read.
 
 Every query is an array query: gather(histories, src, ts) finds the
 nodes of any mix of sources with one searchsorted over the key of their
 store and then evaluates all M states in one broadcasting pass
-(_evaluate).
+(_evaluate). A query reads only the two nodes around it, so its cost
+grows with the log of the store's length and no more.
 states_at and state_at_time are the same lookup for one history, and
 u_dotdot(histories, src, ts) (u'' for the asymptotic self-force) too.
 
@@ -245,9 +247,10 @@ class HistoryBank:
     node time on the n_k rows in use and +inf on the run's spare rows.
     numpy orders complex numbers by real part and then imaginary part, so
     the key is sorted, and one searchsorted finds (k, t) for any set of
-    its slots with no arithmetic on t. Rows are written in blocks, their
-    Hermite slopes with them; a run that is full is grown by laying all
-    runs out anew (see _capacity).
+    its slots with no arithmetic on t, and a query then reads only the
+    two nodes around it (_lookup): O(log n) in the store's n rows. Rows
+    are written in blocks, their Hermite slopes with them; a run that is
+    full is grown by laying all runs out anew (see _capacity).
     """
 
     def __init__(self, c: float, caps):
@@ -327,9 +330,12 @@ class HistoryBank:
         node at it, whose row is read only inside a segment. Indices are
         clipped into the store, so one past the latest node may read a
         spare row or the next run's first row: only a query on the latest
-        node does so, and it never reads that row."""
+        node does so, and it never reads that row. Only the 2 M rows
+        looked up are read, whatever the size of the store: the times come
+        from the contiguous key (take on the strided view _t would first
+        copy the whole column)."""
         k = np.concatenate((np.maximum(i - 1, self._start[slot]), i))
-        t, rows = self._t.take(k, mode="clip"), self._nodes.take(k, axis=0, mode="clip")
+        t, rows = self._key.take(k, mode="clip").imag, self._nodes.take(k, axis=0, mode="clip")
         m = len(i)
         return t[:m], rows[:m], t[m:], rows[m:]
 
@@ -686,20 +692,17 @@ def _segment_udotdot(t, t0, p, t1, q, c) -> np.ndarray:
     return np.float_power(g, 2.0) * ddu + g * (du[:, :1] / c) * du
 
 
-@contextmanager
-def staged(histories, rows):
-    """Stage one provisional node per history (an RK stage prediction)
-    for the duration of a with block.
+def _check_stage(histories, rows):
+    """(store, slots, table) of one provisional node per history, once
+    the rows pass the checks staged makes before it writes them.
 
     rows is an (N, 14) block in CSV_HEADER order, row i for histories[i].
     Every row must be finite and advance past its history's latest node;
-    the first failure, in row order, is raised before anything is
-    written, and so is a ValueError when the histories do not share one
-    store or name one history twice. The rows are then written as one
-    block into that store, row i into the spare row after history i's
-    latest node, and counted as nodes, so every query reads them as the
-    latest ones. No tolerance is checked and no flag raised. On exit,
-    normal or not, the staged nodes are removed again.
+    the first failure, in row order, is raised, and so is a ValueError
+    when the histories do not share one store or name one history twice.
+    No tolerance is checked and no flag raised. Nothing is written: a
+    stage whose node no query can read is checked here and not staged
+    (see dynamics.step).
     """
     hs = tuple(histories)
     tab = np.asarray(rows, dtype=np.float64)
@@ -714,6 +717,21 @@ def staged(histories, rows):
         if np.count_nonzero(np.isnan(latest)):
             raise QueryBeyondPresent("history holds no samples")
         raise fail[1]
+    return bank, slots, tab
+
+
+@contextmanager
+def staged(histories, rows):
+    """Stage one provisional node per history (an RK stage prediction)
+    for the duration of a with block.
+
+    The rows are checked first (_check_stage), before anything is
+    written. They are then written as one block into the histories'
+    store, row i into the spare row after history i's latest node, and
+    counted as nodes, so every query reads them as the latest ones. On
+    exit, normal or not, the staged nodes are removed again.
+    """
+    bank, slots, tab = _check_stage(histories, rows)
     if bank._staged:  # every other write leaves a spare row for one stage
         bank._reserve(slots, 1)
     bank._staged += 1

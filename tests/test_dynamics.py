@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import math
 import weakref
@@ -22,7 +23,7 @@ from retnbody import fields as fl
 from retnbody import retardation as ret
 from retnbody import worldline as wl
 from retnbody.fields import ExternalFieldModel, SelfForceMode
-from retnbody.minkowski import dot, raise_index
+from retnbody.minkowski import dot, lower, raise_index
 from retnbody.retardation import max_delay
 from retnbody.worldline import (
     ConstraintViolation,
@@ -268,6 +269,24 @@ def test_diagnostics_rows_and_header():
     assert len(hdr) == len(flat)
     assert rec.self_delays[0] > 0.0
     assert rec.wall_time >= 0.0
+
+
+def test_m_hat_is_each_index_pairs_own_sum_bit_for_bit():
+    # nine particles: numpy adds fewer than eight terms one at a time, so
+    # only eight or more tell summation orders apart
+    rng = np.random.default_rng(4)
+    n = 9
+    specs = [ParticleSpec(1.0 + 0.1 * k, 0.2 * (-1) ** k, 0.5, f"p{k}") for k in range(n)]
+    st = seed(specs, 4.0 * rng.normal(size=(n, 3)), 0.1 * rng.normal(size=(n, 3)), t0=1.3)
+    now = wl.gather(st.histories, np.arange(n), np.full(n, st.t_now))
+    A = rng.normal(size=(n, 4))
+    rec = DIAGNOSE(st, now, (A, rng.uniform(size=(n, n))), 0.0)
+    q, m0 = np.array([(s.q, s.m0) for s in specs]).T
+    P = m0[:, None] * lower(now.u) + q[:, None] * A
+    r_low = lower(now.r)
+    want = [float(np.sum(r_low[:, mu] * P[:, nu] - r_low[:, nu] * P[:, mu]))
+            for mu, nu in cn._IDX_PAIRS]
+    assert np.array_equal(rec.m_hat, want)
 
 
 @pytest.mark.parametrize("tensor, message", [
@@ -639,13 +658,17 @@ def _asymptotic_ring6():
 def test_each_force_evaluation_is_handed_the_states_a_gather_returns(monkeypatch, make,
                                                                      fsal):
     # the states a step hands total_faraday equal, bit for bit, those a
-    # gather of every history at the stage time returns
+    # gather of every history at the stage time returns; a stage the step
+    # does not stage (first same as last) is staged here to be gathered
     st = make()
     seen = []
 
     def checked(histories, now, *args, **kwargs):
         n = len(histories)
-        want = wl.gather(histories, np.arange(n), np.full(n, now.t[0]))
+        rows = np.column_stack((now.t, now.s, now.r, now.u, now.a))
+        ahead = now.t[0] > histories[0].t_latest
+        with wl.staged(histories, rows) if ahead else contextlib.nullcontext():
+            want = wl.gather(histories, np.arange(n), np.full(n, now.t[0]))
         seen.append(now.t[0])
         for name in ("t", "s", "r", "u", "a"):
             got, ref = getattr(now, name), getattr(want, name)
@@ -759,28 +782,74 @@ def test_step_end_batch_without_reuse_serves_the_diagnostics(monkeypatch, mode, 
     assert len(staged_rows) == 16
 
 
-def test_failed_stage_leaves_no_staged_node(monkeypatch, tmp_path):
-    st = static_pair()
+@pytest.mark.parametrize("make, fsal", [(static_pair, True), (_wide_step_pair, False)],
+                         ids=["first_same_as_last", "wide_step"])
+def test_failed_stage_leaves_no_staged_node(monkeypatch, tmp_path, make, fsal):
+    st = make()
     step(st)
     tables = [h.table for h in st.histories]
     staged_lens = []
 
     def failing(histories, *args, **kwargs):
         # the reused step-end batch serves the first evaluation, so the
-        # first call is the second stage, inside a staged block
+        # first call is the second stage: on the committed histories under
+        # first same as last, else inside a staged block
         staged_lens.append([len(h) for h in histories])
         raise RuntimeError("stage failure")
 
     monkeypatch.setattr(dyn, "total_faraday", failing)
     with pytest.raises(RuntimeError, match="stage failure"):
         run(st, st.t_now + 3 * st.dt, trajectory_dir=tmp_path)
-    assert staged_lens == [[len(t) + 1 for t in tables]]
+    assert staged_lens == [[len(t) + (not fsal) for t in tables]]
     for h, table in zip(st.histories, tables):
         assert len(h) == len(table) and h.t_latest == table[-1, 0]
         assert np.array_equal(h.table, table)
         header, lines = wl.read_table(tmp_path / f"trajectory_{h.spec.label}.csv")
         exported = np.array([[float(v) for v in ln.split(",")] for ln in lines])
         assert header == wl.CSV_HEADER and np.array_equal(exported, table)
+
+
+@pytest.mark.parametrize("make, writes", [(static_pair, 0), (_wide_step_pair, 4)],
+                         ids=["first_same_as_last", "wide_step"])
+def test_a_stage_node_is_written_only_where_a_query_can_read_it(monkeypatch, make, writes):
+    # under first same as last no query of a stage evaluation reaches the
+    # stage's node, so stages 2 to 4 and the final stage write none;
+    # otherwise each of the four writes one. Either way a step commits once
+    st = make()
+    stage_writes = []
+
+    def extend(bank, *args, **kwargs):
+        stage_writes.append(bank._staged > 0)
+        return real(bank, *args, **kwargs)
+
+    real = wl.HistoryBank._extend
+    monkeypatch.setattr(wl.HistoryBank, "_extend", extend)
+    per_step = []
+    for _ in range(3):
+        before = len(stage_writes)
+        step(st)
+        per_step.append(sorted(stage_writes[before:]))
+    assert per_step == [[False] + [True] * writes] * 3
+
+
+def test_a_non_finite_stage_is_refused_before_it_is_evaluated(monkeypatch):
+    # the stage rows are checked as staged checks them, staged or not: a
+    # NaN force in the first evaluation gives the second stage a NaN s
+    st = static_pair()
+    tables = [h.table for h in st.histories]
+    calls = []
+
+    def nan_first(*args, **kwargs):
+        f, rep, batch = real(*args, **kwargs)
+        calls.append(f)
+        return (np.full_like(f, np.nan) if len(calls) == 1 else f), rep, batch
+
+    real = dyn.total_faraday
+    monkeypatch.setattr(dyn, "total_faraday", nan_first)
+    with pytest.raises(ValueError, match="s must be a finite number"):
+        step(st)
+    assert len(calls) == 1  # refused before the second stage is evaluated
+    assert all(np.array_equal(h.table, table) for h, table in zip(st.histories, tables))
 
 
 def test_diagnostics_export_writes_each_number_as_repr_of_its_float(tmp_path):

@@ -92,13 +92,21 @@ class TestSelfFaraday:
             fl.self_faraday(h, 0.5)
 
 
-def test_uniform_acceleration_self_force_converges_to_the_closed_form():
-    """Self-force on hyperbolic motion of proper acceleration alpha (c = 1).
+SPACINGS = (0.1, 0.05, 0.025, 0.0125)
 
-    Take the observer at proper time 0, at rest at the origin, so
-    u = (1, 0, 0, 0) and a = alpha (0, 1, 0, 0); the source point at proper
-    time s' < 0 is r' = (sinh(alpha s'), cosh(alpha s') - 1, 0, 0) / alpha
-    with u' = (cosh(alpha s'), sinh(alpha s'), 0, 0). With Rt = -r',
+
+@pytest.mark.parametrize("alpha, q, sigma, c, spacings", [
+    (0.8, 0.3, 0.5, 1.0, SPACINGS), (0.8, 0.3, 0.5, 2.0, SPACINGS[1:]),
+    (1.6, 0.3, 0.5, 2.0, SPACINGS[1:]), (0.5, 0.2, 0.8, 1.0, SPACINGS[1:])],
+    ids=["c1", "c2", "c2_alpha1.6", "c1_sigma0.8"])
+def test_uniform_acceleration_self_force_converges_to_the_closed_form(alpha, q, sigma, c,
+                                                                      spacings):
+    """Self-force on hyperbolic motion of proper acceleration alpha.
+
+    Take c = 1 first, and the observer at proper time 0, at rest at the
+    origin, so u = (1, 0, 0, 0) and a = alpha (0, 1, 0, 0); the source point
+    at proper time s' < 0 is r' = (sinh(alpha s'), cosh(alpha s') - 1, 0, 0)
+    / alpha with u' = (cosh(alpha s'), sinh(alpha s'), 0, 0). With Rt = -r',
     Rt.Rt = (4 / alpha^2) sinh^2(delta / 2), delta = -alpha s', so the
     shifted cone Rt.Rt = sigma^2 puts the root at
 
@@ -120,22 +128,33 @@ def test_uniform_acceleration_self_force_converges_to_the_closed_form():
         f_mu = -(q^2 / sigma) a_mu (1 + (alpha sigma / 2)^2)^(-3/2),
 
     which is -m_em a_mu as sigma -> 0 (the Schott term vanishes on
-    hyperbolic motion). The sampled worldline converges to it as its
-    nodes are refined.
+    hyperbolic motion). With c kept, the worldline is
+    x(t) = (c^2 / alpha) (sqrt(1 + (alpha t / c)^2) - 1), its a = du/ds =
+    (alpha / c^2) (sinh, cosh, 0, 0) of the rapidity asinh(alpha t / c),
+    and the force (q / c) F u is
+
+        f_mu = -(q^2 / (c sigma)) a_mu (1 + (alpha sigma / 2 c^2)^2)^(-3/2).
+
+    The sampled worldline converges to it as its nodes are refined.
     """
-    alpha, q, sigma, t = 0.8, 0.3, 0.5, 0.5
+    t = 0.5
     spec = wl.ParticleSpec(1.0, q, sigma, "hyp")
-    s = np.arcsinh(alpha * t) / alpha
-    a = alpha * np.array([np.sinh(alpha * s), np.cosh(alpha * s), 0.0, 0.0])
-    want = -(q * q / sigma) * mk.lower(a) * (1.0 + (alpha * sigma / 2.0) ** 2) ** -1.5
+    phi = np.arcsinh(alpha * t / c)
+    a = (alpha / c**2) * np.array([np.sinh(phi), np.cosh(phi), 0.0, 0.0])
+    want = (-(q * q / (c * sigma)) * mk.lower(a)
+            * (1.0 + (alpha * sigma / (2.0 * c * c)) ** 2) ** -1.5)
+
+    def gamma(tn):
+        return np.sqrt(1.0 + (alpha * tn / c) ** 2)
+
     errors = []
-    for spacing in (0.1, 0.05, 0.025, 0.0125):
+    for spacing in spacings:
         h = wl.history_from_kinematics(
             spec, np.linspace(-1.0, t, int(round((t + 1.0) / spacing)) + 1),
-            lambda tn: np.array([(np.sqrt(1.0 + (alpha * tn) ** 2) - 1.0) / alpha, 0.0, 0.0]),
-            lambda tn: np.array([alpha * tn / np.sqrt(1.0 + (alpha * tn) ** 2), 0.0, 0.0]),
-            lambda tn: np.array([alpha / (1.0 + (alpha * tn) ** 2) ** 1.5, 0.0, 0.0]))
-        single = q * (fl.self_faraday(h, t).matrix @ h.state_at_time(t).u)
+            lambda tn: np.array([(c * c / alpha) * (gamma(tn) - 1.0), 0.0, 0.0]),
+            lambda tn: np.array([alpha * tn / gamma(tn), 0.0, 0.0]),
+            lambda tn: np.array([alpha / gamma(tn) ** 3, 0.0, 0.0]), c=c)
+        single = (q / c) * (fl.self_faraday(h, t).matrix @ h.state_at_time(t).u)
         batch = fl.total_faraday([h], present([h], t), fl.ExternalFieldModel.none())[0][0]
         errors.append(max(np.max(np.abs(f - want)) for f in (single, batch)))
     assert errors[0] < 1e-6 * np.max(np.abs(want))

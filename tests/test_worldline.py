@@ -1,4 +1,5 @@
 import contextlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,21 @@ class TestQueries:
                 h.state_at_time(t)
             with pytest.raises(wl.QueryBeyondPresent):
                 _udd(h, t)
+
+    def test_a_query_reads_only_its_nodes_whatever_the_store_size(self):
+        # a one-row query on a 10^5-node store allocates a few rows, not a
+        # copy of the store's time column (0.8 MB)
+        h = make_inertial(n=100_001, t1=100.0)
+        t = [h.t_first + 50.0005]
+        for query in (lambda: wl.gather([h], 0, t), lambda: wl.u_dotdot([h], 0, t)):
+            query()
+            tracemalloc.start()
+            try:
+                query()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 1024
 
     def test_empty_and_one_node_histories_raise(self):
         h = wl.WorldlineHistory(wl.ParticleSpec(1.0, 1.0, 0.1))
