@@ -390,10 +390,7 @@ class GeneratorSet:
         self.M_pairs = {(mu, nu): _m_hat(mu, nu) for mu, nu in _IDX_PAIRS}
 
     def M(self, mu: int, nu: int) -> PhaseFunction:
-        if mu == nu:
-            return PhaseFunction(lambda x: 0.0,
-                                 lambda x: (np.zeros_like(x.r), np.zeros_like(x.P)),
-                                 name="0")
+        """M_mu_nu for mu != nu: a stored pair, or its negative."""
         if (mu, nu) in self.M_pairs:
             return self.M_pairs[(mu, nu)]
         base = self.M_pairs[(nu, mu)]

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .canonical import _IDX_PAIRS
-from .fields import ExternalFieldModel, SelfForceMode, _tensor, self_faraday, total_faraday
+from .fields import ExternalFieldModel, SelfForceMode, _tensor, total_faraday
 from .minkowski import dots, lower, raise_index
 from .retardation import max_delay, solve_delays
 from .worldline import (
@@ -140,11 +140,8 @@ class SystemState:
     histories: list
     t_now: float
     dt: float
-    c: float = 1.0
     external: ExternalFieldModel = field(default_factory=ExternalFieldModel.none)
     mode: SelfForceMode = SelfForceMode.EXACT
-    include_self: bool = True
-    include_binary: bool = True
     renormalize_u: bool = False
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
     # the states, the step-end force evaluation and its root batch of the
@@ -157,6 +154,10 @@ class SystemState:
     @property
     def n(self) -> int:
         return len(self.histories)
+
+    @property
+    def c(self) -> float:
+        return self.histories[0].c  # the nodes' own, so never at odds with them
 
     @property
     def specs(self):
@@ -178,15 +179,14 @@ def _static_delay_estimate(specs, positions, c: float) -> float:
 def seed(specs=None, positions=None, velocities=None, *, prehistories=None,
          t0: float = 0.0, dt: float = 1e-2, c: float = 1.0,
          external: ExternalFieldModel | None = None,
-         mode: SelfForceMode = SelfForceMode.EXACT,
-         include_self: bool = True, include_binary: bool = True,
-         renormalize_u: bool = False,
+         mode: SelfForceMode = SelfForceMode.EXACT, renormalize_u: bool = False,
          coverage_factor: float = 1.2) -> SystemState:
     """Build a valid SystemState; the one place prehistories are made and checked.
 
-    prehistories holds one entry per particle: a supplied history ending
-    at t0, or None for a particle given by specs, positions and velocities
-    at t0 (prehistories=None means every particle is). Each None entry
+    prehistories holds one entry per particle: a supplied history of light
+    speed c ending at t0 (up to 1e-12 (1 + |t0|) after it), or None for a
+    particle given by specs, positions and velocities at t0
+    (prehistories=None means every particle is). Each None entry
     gets an exactly inertial prehistory of PREHISTORY_NODES nodes reaching
     coverage_factor times the delay depth before t0: the depth refined
     from the actual roots (max_delay, with one node at t0 standing for
@@ -209,7 +209,7 @@ def seed(specs=None, positions=None, velocities=None, *, prehistories=None,
     for h in supplied:
         if h.c != c:
             raise ValueError("prehistory light speed differs from the config c")
-        if abs(h.t_latest - t0) > 1e-12 * (1.0 + abs(t0)):
+        if h.t_latest < t0 or h.t_latest - t0 > 1e-12 * (1.0 + abs(t0)):
             raise ValueError(
                 f"prehistory of {h.spec.label!r} ends at {h.t_latest}, "
                 f"expected t0={t0}")
@@ -246,8 +246,7 @@ def seed(specs=None, positions=None, velocities=None, *, prehistories=None,
         raise InsufficientPrehistory(
             f"prehistory coverage {shortest} is below the refined delay "
             f"depth {depth}", required=coverage_factor * depth)
-    return SystemState(hists, t0, dt, c, external, mode, include_self,
-                       include_binary, renormalize_u)
+    return SystemState(hists, t0, dt, external, mode, renormalize_u)
 
 
 def _deriv(state: SystemState, now: WorldlineSample, report: bool = False, prev=None):
@@ -256,8 +255,7 @@ def _deriv(state: SystemState, now: WorldlineSample, report: bool = False, prev=
     the histories as they stand, its report (with report, the potentials
     and delays of the step record from the same batch) and the batch,
     started from prev when given (see total_faraday)."""
-    f, rep, batch = total_faraday(state.histories, now, state.external, state.mode,
-                                  state.include_self, state.include_binary, report, prev)
+    f, rep, batch = total_faraday(state.histories, now, state.external, state.mode, report, prev)
     m0 = np.array([h.spec.m0 for h in state.histories])
     du = raise_index(f / (now.u[:, :1] * m0[:, None]))
     return state.c * now.u[:, 1:] / now.u[:, :1], du, rep, batch
@@ -436,25 +434,30 @@ def copy_state(state: SystemState, dt: float | None = None) -> SystemState:
 
 # -- demonstration scenarios --------------------------------------------------
 
+# the pulse demo's particle, the time its pulse switches off, its end and step
+PULSE = ParticleSpec(m0=1.0, q=0.5, sigma=0.5, label="pulse")
+PULSE_SWITCH, PULSE_END, PULSE_DT = 2.0, 4.0, 0.02
+# the pair demo's two charges, their distance, its end and step
+PAIR = (ParticleSpec(1.0, 0.5, 0.8, "left"), ParticleSpec(1.0, 0.5, 0.8, "right"))
+PAIR_D, PAIR_END, PAIR_DT = 3.0, 1.0, 0.05
 
-def demo_locally_isolated(q: float = 0.5, sigma: float = 0.5, m0: float = 1.0,
-                          e_amp: float = 0.3, t_switch: float = 2.0,
-                          t_end: float = 4.0, dt: float = 0.02,
-                          c: float = 1.0) -> dict:
-    """One particle kicked by an external pulse that switches off.
+
+def demo_locally_isolated(e_amp: float = 0.3, c: float = 1.0) -> dict:
+    """One particle (PULSE) kicked by an external pulse that switches off
+    at PULSE_SWITCH, run to PULSE_END.
 
     After switch-off the exact self force stays nonzero (the history is
     curved inside the delay window) even though no external field acts;
     with the pulse amplitude at zero the worldline stays inertial and the
-    self force vanishes. Doubling the charge on the frozen final history
-    multiplies the self force by exactly four.
+    self force vanishes. Doubling the charge on the frozen history
+    multiplies the self force at a probe record by exactly four.
 
     The pulse envelope is sin^2, so the acceleration is continuously
     differentiable at both junctions. Keep q^2/(c^2 sigma) below m0: the
     delayed self-force feedback is amplifying when the EM mass dominates
     the bare mass and the run then trips the kinematic hard tolerance.
     """
-    spec = ParticleSpec(m0=m0, q=q, sigma=sigma, label="pulse")
+    q, t_switch, dt = PULSE.q, PULSE_SWITCH, PULSE_DT
     F_on = ExternalFieldModel.uniform(E=(e_amp, 0.0, 0.0)).tensor
 
     def env(tau):
@@ -481,25 +484,25 @@ def demo_locally_isolated(q: float = 0.5, sigma: float = 0.5, m0: float = 1.0,
         return A
 
     ext = ExternalFieldModel.analytic(far, pot)
-    st = seed([spec], [[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0]],
+    st = seed([PULSE], [[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0]],
               t0=0.0, dt=dt, c=c, external=ext)
-    run(st, t_end)
+    run(st, PULSE_END)
     h = st.histories[0]
 
     post = [r.t for r in st.diagnostics.records if r.t > t_switch + 2 * dt]
     # the self force at every post-switch record from one root batch and
     # one kernel pass; each tensor is contracted with u on its own
     now = h.states_at(post)
-    roots = solve_delays((h,), 0, now.r, sigma, obs=0, now=now)
-    F = _tensor(roots, np.full(len(post), 2.0 * q), np.full(len(post), -1.0))
-    forces = [float(np.linalg.norm((spec.q / c) * (m @ u))) for m, u in zip(F, now.u)]
-    max_post = max(forces) if forces else 0.0
+    roots = solve_delays((h,), 0, now.r, PULSE.sigma, obs=0, now=now)
+    ones = np.ones(len(post))
+    F = _tensor(roots, 2.0 * q * ones, -ones)
+    max_post = max(float(np.linalg.norm((q / c) * (m @ u))) for m, u in zip(F, now.u))
 
-    t_probe = post[len(post) // 2] if post else t_end
-    doubled = h.copy(ParticleSpec(m0=m0, q=2.0 * q, sigma=sigma, label="pulse2q"))
-    smp = h.state_at_time(t_probe)
-    f1 = (spec.q / c) * (self_faraday(h, t_probe).matrix @ smp.u)
-    f2 = (2.0 * spec.q / c) * (self_faraday(doubled, t_probe).matrix @ smp.u)
+    # at the probe record the doubled charge's force: the same root at
+    # kernel weight 2 (2 q)
+    k = len(post) // 2
+    f1 = (q / c) * (F[k] @ now.u[k])
+    f2 = (2.0 * q / c) * (_tensor(roots, 4.0 * q * ones, -ones)[k] @ now.u[k])
     n1, n2 = float(np.linalg.norm(f1)), float(np.linalg.norm(f2))
     ratio = n2 / n1 if n1 > 0.0 else float("nan")
     return {"post_switch_max_self_force": max_post,
@@ -508,19 +511,17 @@ def demo_locally_isolated(q: float = 0.5, sigma: float = 0.5, m0: float = 1.0,
             "state": st}
 
 
-def demo_globally_isolated(d: float = 3.0, q: float = 0.5, sigma: float = 0.8,
-                           m0: float = 1.0, t_end: float = 1.0,
-                           dt: float = 0.05, c: float = 1.0) -> dict:
-    """Two equal charges released from rest; no external field.
+def demo_globally_isolated(c: float = 1.0) -> dict:
+    """Two equal charges (PAIR) released from rest PAIR_D apart; no
+    external field.
 
     Reports the mirror-symmetry residual of the trajectories. As in the
-    pulse demo, keep q^2/(c^2 sigma) below m0 so the delayed self-force
+    pulse demo, q^2/(c^2 sigma) stays below m0 so the delayed self-force
     feedback damps.
     """
-    specs = [ParticleSpec(m0, q, sigma, "left"), ParticleSpec(m0, q, sigma, "right")]
-    st = seed(specs, [[-d / 2, 0.0, 0.0], [d / 2, 0.0, 0.0]],
-              [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], t0=0.0, dt=dt, c=c)
-    run(st, t_end)
+    st = seed(PAIR, [[-PAIR_D / 2, 0.0, 0.0], [PAIR_D / 2, 0.0, 0.0]],
+              [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], t0=0.0, dt=PAIR_DT, c=c)
+    run(st, PAIR_END)
     h1, h2 = st.histories
 
     ts = [rec.t for rec in st.diagnostics.records]

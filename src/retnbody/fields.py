@@ -22,18 +22,20 @@ minus observer, differentiated along the source).
 
 total_faraday takes the states of every particle at one time (the rows
 dynamics.step already holds) and solves one root batch from the system's
-one root plan (retardation._root_plan; each root's kernel weight k sums
-the terms it stands for). The equations of motion read the field only
-through the Lorentz force (q/c) F u, so the kernel gives each root's
-covariant factors (W, Rt), (M, 4) arrays with an elementwise
-grazing-emission guard, contracts them with the observer's u as
-W (Rt.u) - Rt (W.u) and sums them per observer (retardation._per_slot);
-g is one array expression over every self root (_asymptotic_g). It
-returns (f, report, batch): the (n, 4) covariant force (q/c) F u + g,
-the step diagnostics' potentials and delays from the same batch on
-request, and the batch's (plan, roots), from which the next evaluation
-of an RK step may start its roots (prev). self_faraday and
-binary_faraday build one root's tensor W Rt - Rt W (_tensor).
+one root plan for its self-force mode (retardation._root_plan; each
+root's kernel weight k sums the terms it stands for). Self and binary
+fields always act together, as in the system's one variational
+principle. The equations of motion read the field only through the
+Lorentz force (q/c) F u, so the kernel gives each root's covariant
+factors (W, Rt), (M, 4) arrays with an elementwise grazing-emission
+guard, contracts them with the observer's u as W (Rt.u) - Rt (W.u) and
+sums them per observer (retardation._per_slot); g is one array
+expression over every self root (_asymptotic_g). It returns (f, report,
+batch): the (n, 4) covariant force (q/c) F u + g, the step diagnostics'
+potentials and delays from the same batch on request, and the batch's
+(plan, roots), from which the next evaluation of an RK step may start
+its roots (prev). self_faraday and binary_faraday build one root's
+tensor W Rt - Rt W (_tensor).
 """
 
 from __future__ import annotations
@@ -225,21 +227,19 @@ def asymptotic_self_force(h: WorldlineHistory, t: float,
 
 def total_faraday(histories, now, external: ExternalFieldModel,
                   mode: SelfForceMode = SelfForceMode.EXACT,
-                  include_self: bool = True, include_binary: bool = True,
                   report: bool = False, prev=None):
     """Covariant force on every particle from one root batch and one kernel
     pass, as (f, report, batch); now holds every history's state at one
     time, as gather(histories, arange(n), full(n, t)) returns them.
 
-    f (n, 4) is (q/c) F u + g: F the total covariant field, contracted
-    root by root with the particle's u, and g the first-order self-force
-    in asymptotic mode (which also collapses binary cones to the point
-    limit). include_self and include_binary drop the corresponding
-    contribution entirely (with both off, a charged particle is a test
-    charge in the external field). report is None unless asked for; then
-    it holds what the step diagnostics read from the same batch: (A, tau),
-    A the effective potentials (n, 4) at the particles' events and tau
-    (n, N) each particle's sigma_i delay on every history, its own first.
+    f (n, 4) is (q/c) F u + g: F the total covariant field (external,
+    self and binary), contracted root by root with the particle's u, and
+    g the first-order self-force in asymptotic mode (which also collapses
+    binary cones to the point limit). report is None unless asked for;
+    then it holds what the step diagnostics read from the same batch:
+    (A, tau), A the effective potentials (n, 4) at the particles' events
+    and tau (n, N) each particle's sigma_i delay on every history, its
+    own first.
 
     batch is the (plan, roots) of this evaluation, None when it solves no
     root. prev, the batch of an evaluation at a nearby time, starts every
@@ -250,8 +250,7 @@ def total_faraday(histories, now, external: ExternalFieldModel,
     hs = tuple(histories)
     n = len(hs)
     exact = mode == SelfForceMode.EXACT
-    plan = _root_plan(tuple(h.spec for h in hs), tuple(range(n)),
-                      (exact, include_self, include_binary), report, report)
+    plan = _root_plan(tuple(h.spec for h in hs), tuple(range(n)), mode, report, report)
     Fu = (external.faraday(now.r) @ now.u[:, :, None])[:, :, 0]
     g = batch = None
     if plan.src.size:
@@ -262,7 +261,7 @@ def total_faraday(histories, now, external: ExternalFieldModel,
             u_obs = now.u[plan.slot]
             Fu = Fu + _per_slot(plan, w * _dot(rt, u_obs)[:, None]
                                 - rt * _dot(w, u_obs)[:, None], n)
-        if include_self and not exact:
+        if not exact:
             # a neutral particle's g vanishes without a root
             has_self = np.flatnonzero(plan.self_row >= 0)
             g = np.zeros((n, 4))

@@ -254,8 +254,7 @@ def solve_delays(histories, src, events, sigma, obs=-1, now=None,
     return roots
 
 
-def self_delay(h: WorldlineHistory, t: float, sigma: float | None = None,
-               seed: float | None = None) -> DelayRoot:
+def self_delay(h: WorldlineHistory, t: float, sigma: float | None = None) -> DelayRoot:
     """Causal root of the 1-particle delay equation at observation time t.
 
     sigma defaults to the particle's own radius.
@@ -263,18 +262,17 @@ def self_delay(h: WorldlineHistory, t: float, sigma: float | None = None,
     if sigma is None:
         sigma = h.spec.sigma
     now = gather((h,), 0, [t])
-    return solve_delays((h,), 0, now.r, sigma, obs=0, now=now, seed=seed).root(0)
+    return solve_delays((h,), 0, now.r, sigma, obs=0, now=now).root(0)
 
 
-def pair_delay(h_source: WorldlineHistory, observer_event, sigma_shift: float,
-               seed: float | None = None) -> DelayRoot:
+def pair_delay(h_source: WorldlineHistory, observer_event, sigma_shift: float) -> DelayRoot:
     """Causal root of the 2-particle delay equation.
 
     observer_event is the observer's four-position (r^0 = c t); the root is
     searched on the source history. sigma_shift selects which particle's
     radius shifts the cone (each binary field needs both choices).
     """
-    return solve_delays((h_source,), 0, observer_event, sigma_shift, seed=seed).root(0)
+    return solve_delays((h_source,), 0, observer_event, sigma_shift).root(0)
 
 
 def line_potentials(roots: DelayRoots) -> np.ndarray:
@@ -315,22 +313,23 @@ class _RootPlan(NamedTuple):
 
 
 @lru_cache(maxsize=64)
-def _root_plan(specs, observers, forces=None, potentials: bool = False,
+def _root_plan(specs, observers, mode=None, potentials: bool = False,
                neutral: bool = False) -> _RootPlan:
     """The roots a system needs at a set of observers (indices into specs).
 
-    forces, None or (exact, include_self, include_binary), asks for the
-    force: a charged observer's self cone (kernel weight 2 q in exact
-    mode; the first-order self-force's root in asymptotic mode), and per
-    charged companion j its sigma_i and sigma_j cones (weight q_j each),
-    or in asymptotic mode the point-limit cone sigma = 0 for both.
+    mode, the fields.SelfForceMode of the force or None for no force,
+    asks for the force: a charged observer's self cone (kernel weight 2 q
+    in exact mode; the first-order self-force's root in asymptotic mode),
+    and per charged companion j its sigma_i and sigma_j cones (weight q_j
+    each), or in asymptotic mode the point-limit cone sigma = 0 for both.
     potentials asks for A_eff: the self cone at weight 2 and each charged
     companion's sigma_i and sigma_j cones at weight 1. neutral adds every
     neutral source's sigma_i cone, weightless, so that every delay is
     reported. A root shared by several cones (equal radii, the point
     limit) sums their weights; a source with q = 0 gets no other root.
     """
-    exact, with_self, with_binary = forces or (True, False, False)
+    forces = mode is not None
+    exact = forces and mode.value == "exact"
     rows = {}  # (source, slot, sigma) -> [kernel weight, potential weight]
 
     def root(key, k=0.0, w=0.0):
@@ -350,13 +349,13 @@ def _root_plan(specs, observers, forces=None, potentials: bool = False,
                 if neutral:
                     root(first)
             elif j == i:
-                if with_self:
+                if forces:
                     self_keys[s] = root(first, k=2.0 * q if exact else 0.0)
                 if potentials:
                     root(first, w=2.0)
             else:
                 cones = (first, (j, s, specs[j].sigma))
-                if with_binary:
+                if forces:
                     for key in cones if exact else [(j, s, 0.0)] * 2:
                         root(key, k=q)
                 if potentials:

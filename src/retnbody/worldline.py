@@ -258,7 +258,7 @@ class HistoryBank:
         self.c = float(c)
         self._n = np.zeros(len(caps), dtype=np.intp)
         self._latest = np.full(len(caps), np.nan)  # latest node time, NaN while empty
-        self._staged = 0  # staged blocks open on the store
+        self._staged = False  # a stage is open on the store
         self._lay_out(caps)
 
     def _lay_out(self, cap) -> None:
@@ -302,8 +302,7 @@ class HistoryBank:
         return pos
 
     def _unstage(self, slots) -> None:
-        """Take the latest nodes of slots off again, wherever a stage
-        opened since has laid their runs out."""
+        """Take the latest nodes of slots, the staged ones, off again."""
         self._n[slots] -= 1
         pos = self._start[slots] + self._n[slots]
         self._t[pos] = np.inf
@@ -699,7 +698,8 @@ def _check_stage(histories, rows):
     rows is an (N, 14) block in CSV_HEADER order, row i for histories[i].
     Every row must be finite and advance past its history's latest node;
     the first failure, in row order, is raised, and so is a ValueError
-    when the histories do not share one store or name one history twice.
+    when the histories do not share one store or name one history twice,
+    or when a stage is open on their store (one stage per store).
     No tolerance is checked and no flag raised. Nothing is written: a
     stage whose node no query can read is checked here and not staged
     (see dynamics.step).
@@ -710,6 +710,8 @@ def _check_stage(histories, rows):
         raise ValueError(f"staged rows need shape ({len(hs)}, {len(CSV_HEADER)}), "
                          f"got {tab.shape}")
     bank, slots = _store_of(hs)
+    if bank._staged:
+        raise ValueError("a stage is already open on the histories' store")
     latest = bank._latest[slots]
     fail = _first_failure(tab, ((tab[:, 0] > latest, lambda i: NonMonotonicTime(
         "provisional sample must advance time")),))
@@ -725,21 +727,21 @@ def staged(histories, rows):
     """Stage one provisional node per history (an RK stage prediction)
     for the duration of a with block.
 
-    The rows are checked first (_check_stage), before anything is
-    written. They are then written as one block into the histories'
-    store, row i into the spare row after history i's latest node, and
-    counted as nodes, so every query reads them as the latest ones. On
-    exit, normal or not, the staged nodes are removed again.
+    One stage is open on a store at a time: a second one raises a
+    ValueError. The rows are checked first (_check_stage), before
+    anything is written. They are then written as one block into the
+    histories' store, row i into the spare row every other write leaves
+    after history i's latest node, and counted as nodes, so every query
+    reads them as the latest ones. On exit, normal or not, the staged
+    nodes are removed again.
     """
     bank, slots, tab = _check_stage(histories, rows)
-    if bank._staged:  # every other write leaves a spare row for one stage
-        bank._reserve(slots, 1)
-    bank._staged += 1
+    bank._staged = True
     bank._extend(slots, tab)
     try:
         yield
     finally:
-        bank._staged -= 1
+        bank._staged = False
         bank._unstage(slots)
 
 

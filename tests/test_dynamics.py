@@ -105,6 +105,25 @@ def test_seed_requires_coverage_of_the_refined_depth():
     assert err.value.required == pytest.approx(2.4497, abs=1e-4)
 
 
+def test_seed_refuses_a_prehistory_ending_just_before_t0():
+    # inside the end-time tolerance, but with no state at t0
+    h = inertial_history(ParticleSpec(1.0, 0.5, 0.5, "short"), [0.0, 0.0, 0.0],
+                         [0.0, 0.0, 0.0], -5.0, -5e-13, 11)
+    with pytest.raises(ValueError, match="ends at -5e-13, expected t0=0.0"):
+        seed(prehistories=[h])
+
+
+def test_system_state_reads_its_light_speed_from_the_histories():
+    pre = inertial_history(ParticleSpec(1.0, 0.5, 0.5, "c2"), [0.0, 0.0, 0.0],
+                           [0.6, 0.0, 0.0], -5.0, 0.0, 16, c=2.0)
+    seeded = seed(prehistories=[pre], dt=0.01, c=2.0)
+    bare = SystemState(wl.copy_histories([pre]), 0.0, 0.01)
+    step(seeded)
+    step(bare)
+    assert np.array_equal(bare.histories[0].table, seeded.histories[0].table)
+    assert bare.c == seeded.c == 2.0
+
+
 # -- stepping ------------------------------------------------------------------
 
 
@@ -168,13 +187,26 @@ def test_free_motion_long_run():
     assert abs(dot(smp.u, smp.u) - 1.0) < 1e-13
 
 
-def test_magnetic_orbit_speed_and_constraint():
+@pytest.fixture
+def lorentz_only(monkeypatch):
+    """Every step's force the external Lorentz force (q/c) F_ext u alone,
+    as on test charges; a report holds the external potentials and zero
+    delays, and no root batch is made."""
+    def lorentz(histories, now, external, mode, report=False, prev=None):
+        n = len(histories)
+        q = np.array([h.spec.q for h in histories])
+        f = (q / histories[0].c)[:, None] * (external.faraday(now.r) @ now.u[:, :, None])[:, :, 0]
+        return f, (external.potential(now.r), np.zeros((n, n))) if report else None, None
+
+    monkeypatch.setattr(dyn, "total_faraday", lorentz)
+
+
+def test_magnetic_orbit_speed_and_constraint(lorentz_only):
     spec = ParticleSpec(1.0, 1.0, 0.5, "orb")
     B = 0.5
     v0 = 0.3
     st = seed([spec], [[0, 0, 0]], [[v0, 0, 0]], dt=0.01,
-              external=ExternalFieldModel.uniform(B=(0.0, 0.0, B)),
-              include_self=False, include_binary=False)
+              external=ExternalFieldModel.uniform(B=(0.0, 0.0, B)))
     run(st, 10.0)
     assert len(st.diagnostics) == 1000
     h = st.histories[0]
@@ -310,11 +342,10 @@ def test_run_ends_exactly_on_t_end():
         run(st, 2.425)
 
 
-def test_partial_output_preserved_on_failure(tmp_path):
+def test_partial_output_preserved_on_failure(tmp_path, lorentz_only):
     spec = ParticleSpec(0.05, 5.0, 0.4, "hot")
     st = seed([spec], [[0, 0, 0]], [[0, 0, 0]], dt=0.5,
-              external=ExternalFieldModel.uniform(E=(50.0, 0.0, 0.0)),
-              include_self=False, include_binary=False)
+              external=ExternalFieldModel.uniform(E=(50.0, 0.0, 0.0)))
     with pytest.raises(ConstraintViolation):
         run(st, 5.0, trajectory_dir=str(tmp_path),
             diagnostics_path=str(tmp_path / "diag.csv"))
@@ -344,43 +375,49 @@ def test_exact_vs_asymptotic_divergence_shrinks_with_sigma():
 # -- demos ----------------------------------------------------------------------
 
 
-def test_demo_locally_isolated_pulse():
-    rep = demo_locally_isolated(t_switch=1.5, t_end=3.0, dt=0.05)
-    assert rep["post_switch_max_self_force"] > 1e-12
-    f1, f2 = rep["force_pair"]
+@pytest.fixture(scope="module")
+def pulse():
+    return demo_locally_isolated()
+
+
+def test_demo_locally_isolated_pulse(pulse):
+    assert pulse["post_switch_max_self_force"] > 1e-12
+    f1, f2 = pulse["force_pair"]
     assert np.array_equal(4.0 * f1, f2)
-    assert rep["q_doubling_ratio"] == 4.0
+    assert pulse["q_doubling_ratio"] == 4.0
 
 
-def test_post_switch_self_force_is_the_per_record_solve_bit_for_bit():
-    rep = demo_locally_isolated(t_switch=1.5, t_end=3.0, dt=0.05)
-    st = rep["state"]
+def test_post_switch_self_force_is_the_per_record_solve_bit_for_bit(pulse):
+    st = pulse["state"]
     h, spec = st.histories[0], st.histories[0].spec
-    forces = [float(np.linalg.norm((spec.q / st.c) * (fl.self_faraday(h, r.t).matrix
-                                                      @ h.state_at_time(r.t).u)))
-              for r in st.diagnostics.records if r.t > 1.5 + 2 * 0.05]
+    post = [r.t for r in st.diagnostics.records if r.t > dyn.PULSE_SWITCH + 2 * dyn.PULSE_DT]
+    forces = [(spec.q / st.c) * (fl.self_faraday(h, t).matrix @ h.state_at_time(t).u)
+              for t in post]
     assert len(forces) > 20
-    assert rep["post_switch_max_self_force"] == max(forces)
-    # no record after the switch: no force
-    assert demo_locally_isolated(t_switch=1.5, t_end=1.5, dt=0.05)[
-        "post_switch_max_self_force"] == 0.0
+    assert pulse["post_switch_max_self_force"] == max(float(np.linalg.norm(f)) for f in forces)
+    # the probe record's force too
+    assert np.array_equal(pulse["force_pair"][0], forces[len(forces) // 2])
 
 
 def test_demo_locally_isolated_no_pulse_control():
-    rep = demo_locally_isolated(e_amp=0.0, t_switch=1.5, t_end=3.0, dt=0.05)
+    rep = demo_locally_isolated(e_amp=0.0)
     assert rep["post_switch_max_self_force"] < 1e-12
 
 
 def test_demo_globally_isolated():
-    rep = demo_globally_isolated(d=3.0, q=0.5, sigma=0.8, t_end=1.0, dt=0.05)
+    rep = demo_globally_isolated()
     assert rep["mirror_residual"] < 1e-9
 
 
-def test_demo_globally_isolated_neutral():
-    rep = demo_globally_isolated(d=3.0, q=0.0, sigma=0.8, t_end=1.0, dt=0.05)
-    assert rep["mirror_residual"] < 1e-14
-    records = rep["state"].diagnostics.records
+def test_a_neutral_pair_keeps_its_momentum_and_mirror_symmetry():
+    specs = [ParticleSpec(1.0, 0.0, 0.8, "left"), ParticleSpec(1.0, 0.0, 0.8, "right")]
+    st = seed(specs, [[-1.5, 0, 0], [1.5, 0, 0]], [[0, 0, 0], [0, 0, 0]], dt=0.05)
+    run(st, 1.0)
+    records = st.diagnostics.records
     assert np.max(np.abs(records[-1].p_hat - records[0].p_hat)) < 1e-14
+    ts = [r.t for r in records]
+    h1, h2 = st.histories
+    assert np.max(np.abs(h1.states_at(ts).r[:, 1:] + h2.states_at(ts).r[:, 1:])) < 1e-14
 
 
 # -- flow non-bijectivity ---------------------------------------------------------
@@ -819,7 +856,7 @@ def test_a_stage_node_is_written_only_where_a_query_can_read_it(monkeypatch, mak
     stage_writes = []
 
     def extend(bank, *args, **kwargs):
-        stage_writes.append(bank._staged > 0)
+        stage_writes.append(bank._staged)
         return real(bank, *args, **kwargs)
 
     real = wl.HistoryBank._extend

@@ -1,4 +1,5 @@
-"""Every public name of the package has a caller on a shipped path.
+"""Every public name of the package, and every defaulted parameter of a
+public function or method, has a caller on a shipped path.
 
 The scan parses each src/retnbody/*.py with ast and collects the public
 top-level functions and classes and the public methods of each class.
@@ -14,7 +15,9 @@ The scan goes by name, not by binding. A method that shares its name
 with another callable is invisible to it: WorldlineHistory.append counts
 as called by every list.append in the package, so whether it has a
 shipped caller is checked by hand (acceptance check 10 and
-scripts/boost_round_trip.py call it).
+scripts/boost_round_trip.py call it). The parameter scan goes by name
+too: a parameter counts as passed when any call of a callable of that
+name passes it.
 """
 
 import ast
@@ -38,24 +41,81 @@ def _names_used(paths) -> set:
     return used
 
 
+MODULES = sorted((ROOT / "src" / "retnbody").glob("*.py"))
+
+
 def _public_definitions(path):
-    """(qualified name, bare name) of each public top-level function or
-    class of the module at path and each public method of its classes."""
+    """(qualified name, node, whether a method) of each public top-level
+    function or class of the module at path and each public method of
+    its classes."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
         if not isinstance(node, defs) or node.name.startswith("_"):
             continue
-        yield f"{path.stem}.{node.name}", node.name
+        yield f"{path.stem}.{node.name}", node, False
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, defs) and not member.name.startswith("_"):
-                    yield f"{path.stem}.{node.name}.{member.name}", member.name
+                    yield f"{path.stem}.{node.name}.{member.name}", member, True
 
 
 def test_every_public_name_has_a_shipped_caller():
     used = _names_used(SHIPPED)
-    modules = sorted((ROOT / "src" / "retnbody").glob("*.py"))
-    assert modules
-    uncalled = [qual for path in modules for qual, name in _public_definitions(path)
-                if name not in used]
+    assert MODULES
+    uncalled = [qual for path in MODULES for qual, node, _ in _public_definitions(path)
+                if node.name not in used]
     assert uncalled == [], f"public names no shipped path calls: {uncalled}"
+
+
+# defaulted parameters no shipped call passes, each kept for its reason
+KEEP = {
+    "worldline.history_from_kinematics(c)":
+        "a history's light speed, which every history factory takes: without it no "
+        "c != 1 history could be sampled (the test helpers pass it through)",
+}
+
+
+def _calls(paths) -> dict:
+    """Every call in paths, keyed by the bare name of the callable."""
+    calls = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _defaulted(fn, method: bool):
+    """(name, index) of each defaulted parameter of fn, the index where a
+    call passes it positionally (self or cls not counted), None for a
+    keyword-only one."""
+    args = fn.args
+    pos = [*args.posonlyargs, *args.args]
+    static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+    skip = int(method and not static)
+    first = len(pos) - len(args.defaults)
+    for i, arg in enumerate(pos[first:], start=first):
+        yield arg.arg, i - skip
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _passes(call, name: str, index) -> bool:
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg is None or k.arg == name for k in call.keywords):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def test_every_defaulted_parameter_has_a_shipped_caller():
+    calls = _calls(SHIPPED)
+    unpassed = [f"{qual}({name})" for path in MODULES
+                for qual, node, method in _public_definitions(path)
+                if not isinstance(node, ast.ClassDef)
+                for name, index in _defaulted(node, method)
+                if not any(_passes(c, name, index) for c in calls.get(node.name, ()))]
+    assert sorted(unpassed) == sorted(KEEP), \
+        f"defaulted parameters no shipped call passes (KEEP: {sorted(KEEP)}): {sorted(unpassed)}"

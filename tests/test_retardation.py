@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from retnbody import retardation as ret
 from retnbody import worldline as wl
+from retnbody.fields import SelfForceMode
 
 
 def static_history(x3, sigma=1.0, q=1.0, t0=-20.0, t1=2.0, n=12, c=1.0):
@@ -264,7 +265,7 @@ class TestPairDelay:
                                           a=np.zeros(4))
 
         monkeypatch.setattr(ret, "gather", stub_gather)
-        root = ret.pair_delay(Misreporting(), np.zeros(4), 0.5, seed=seed)
+        root = ret.solve_delays((Misreporting(),), 0, np.zeros(4), 0.5, seed=seed).root(0)
         assert root.t_ret == pytest.approx(np.sqrt(4.25), abs=1e-11)
 
 
@@ -346,9 +347,14 @@ def test_delay_monotone_in_sigma(s1, s2):
 @given(st.floats(min_value=-0.8, max_value=0.8), sigmas)
 def test_dual_seed_uniqueness(beta, sigma):
     h = uniform_history([1.0, 0.0, 0.0], [beta, 0.0, 0.0], sigma=sigma)
-    static_est = ret.self_delay(h, 0.0, sigma=sigma, seed=None).t_ret
-    from_zero = ret.self_delay(h, 0.0, sigma=sigma, seed=0.0).t_ret
-    from_ten = ret.self_delay(h, 0.0, sigma=sigma, seed=10.0 * static_est).t_ret
+    now = wl.gather((h,), 0, [0.0])
+
+    def self_root(seed):
+        return ret.solve_delays((h,), 0, now.r, sigma, obs=0, now=now, seed=seed).t_ret[0]
+
+    static_est = self_root(None)
+    from_zero = self_root(0.0)
+    from_ten = self_root(10.0 * static_est)
     assert abs(from_zero - from_ten) < 1e-11 * (1.0 + static_est)
     assert abs(from_zero - static_est) < 1e-11 * (1.0 + static_est)
 
@@ -380,8 +386,8 @@ def test_first_iterates_fall_back_to_the_static_guess_row_by_row(monkeypatch):
     specs = tuple(h.spec for h in hs)
     # asymptotic forces: the point-limit pair cones; the step-end plan
     # adds both shell cones of each pair, which the forces' batch lacks
-    forces = ret._root_plan(specs, (0, 1), (False, True, True))
-    report = ret._root_plan(specs, (0, 1), (False, True, True), True, True)
+    forces = ret._root_plan(specs, (0, 1), SelfForceMode.ASYMPTOTIC)
+    report = ret._root_plan(specs, (0, 1), SelfForceMode.ASYMPTOTIC, True, True)
     now_a, now_b = present(hs, 1.0), present(hs, 1.01)
     prev = (forces, ret._plan_roots(hs, forces, now_a.r, now_a))
     rows = ret._row_map(forces, report)
@@ -425,7 +431,7 @@ def test_first_iterates_fall_back_to_the_static_guess_row_by_row(monkeypatch):
 
 def test_warm_batches_fail_as_cold_ones(monkeypatch):
     hs = curved_pair_histories()
-    plan = ret._root_plan(tuple(h.spec for h in hs), (0, 1), (True, True, True))
+    plan = ret._root_plan(tuple(h.spec for h in hs), (0, 1), SelfForceMode.EXACT)
     now_a, now_b = present(hs, 0.5), present(hs, 1.0)
     prev = (plan, ret._plan_roots(hs, plan, now_a.r, now_a))
 

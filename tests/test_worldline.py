@@ -308,39 +308,24 @@ class TestStaged:
             assert (len(h), h.t_latest) == (n, t_latest)
             assert np.array_equal(h.table, table)
 
-    def test_nested_stages_grow_a_full_store(self):
-        h = make_inertial()
-        while len(h) + 1 < h._bank._cap[h._slot]:  # leave the one spare row
-            h.extend(_block(h, m=1))
-        before = h.table
-        rows = _block(h, m=2)
-        ref = h.copy()
-        ref.extend(rows)
-        with wl.staged([h], rows[:1]):
-            with wl.staged([h], rows[1:]):  # the store grows under both stages
-                assert len(h) == len(ref) and h._bank._cap[h._slot] > len(h)
-                ts = np.linspace(h.t_latest - 1.5, h.t_latest, 7)
-                _same_state(h.states_at(ts), ref.states_at(ts))
-            assert h.t_latest == rows[0, 0]
-        assert np.array_equal(h.table, before)
-
-    def test_nested_stages_leave_every_run_as_it_was(self):
-        # the inner stage lays the runs out anew, which moves b's run
+    def test_a_second_stage_on_a_store_is_refused(self):
+        # one stage per store: the second raises before it writes, even
+        # where its rows would need the store to grow
         a, b = wl.copy_histories([make_inertial(), make_inertial(beta=0.3)])
-        while len(a) + 1 < a._bank._cap[a._slot]:
+        while len(a) + 1 < a._bank._cap[a._slot]:  # leave the one spare row
             a.extend(_block(a, m=1))
         before = [_store(h) for h in (a, b)]
         tables = [h.table for h in (a, b)]
-        rows = np.array([_block(a, m=1)[0], _block(b, m=1)[0]])
-        with wl.staged([a, b], rows):
-            with wl.staged([a], _block(a, m=1)):
-                pass
-        assert _store(a) != before[0]  # grown
+        with wl.staged([a, b], np.array([_block(a, m=1)[0], _block(b, m=1)[0]])):
+            staged = [_store(h) for h in (a, b)]
+            for second in ([a], [b], [a, b]):
+                with pytest.raises(ValueError, match="a stage is already open"):
+                    with wl.staged(second, [_block(h, m=1)[0] for h in second]):
+                        pass
+                assert [_store(h) for h in (a, b)] == staged
+        assert [_store(h)[:3] for h in (a, b)] == [store[:3] for store in before]
         for h, tab in zip((a, b), tables):
             assert np.array_equal(h.table, tab)
-            assert h._bank._latest[h._slot] == h.t_latest
-        with pytest.raises(wl.QueryBeyondPresent):
-            wl.gather([a, b], [1], [b.t_latest + 0.1])
 
     def test_no_node_is_written_while_a_stage_is_open(self):
         a, b = wl.copy_histories([make_inertial(), make_inertial(beta=0.3)])
