@@ -39,7 +39,7 @@ import numpy as np
 
 from .fields import ExternalFieldModel
 from .minkowski import ETA, dots, lower, raise_index
-from .retardation import _add_potentials, _plan_roots, _root_plan
+from .retardation import _add_potentials, _dot, _plan_roots, _root_plan
 from .worldline import HARD_TOL, ConstraintViolation, commit, copy_histories, gather
 
 FD_STEP = 1e-6
@@ -311,7 +311,7 @@ def effective_potentials(histories, external: ExternalFieldModel, observers,
     events = np.asarray(events, dtype=np.float64).reshape(-1, 4)
     plan = _root_plan(tuple(h.spec for h in hs), tuple(int(i) for i in observers),
                       potentials=True)
-    A = np.array([external.potential(e) for e in events], dtype=np.float64).reshape(-1, 4)
+    A = external.potential(events)
     if not plan.src.size:
         return A
     return _add_potentials(A, plan, _plan_roots(hs, plan, events))
@@ -493,8 +493,7 @@ def _instant_form_p0(xp: ConstrainedState, ctx: FrozenHistoryContext):
     q_c = np.array([spec.q / ctx.c for spec in ctx.specs])[obs]
     m2c2 = np.array([spec.m0 ** 2 * ctx.c ** 2 for spec in ctx.specs])[obs]
     pi3 = xp.P[obs] - q_c[:, None] * A[:, 1:]
-    # row by row: a stacked reduction rounds unlike the 3-vector @
-    root = np.sqrt(m2c2 + np.array([p @ p for p in pi3]))
+    root = np.sqrt(m2c2 + _dot(pi3, pi3))
     p0 = root + q_c * A[:, 0]
     dp0 = (p0[n:4 * n] - p0[4 * n:]).reshape(n, 3) / (2.0 * h)
     return p0[:n], pi3[:n], root[:n], dp0

@@ -23,15 +23,12 @@ next step start from. Each step ends with exactly one batch at the new
 time, which also holds the potentials' and the reported delays' roots:
 it serves the step's diagnostics and the next step's first evaluation.
 
-A stage's node block is written to the store only where a query can
-read it. In exact mode with 2 c dt below every radius (first same as
-last, see step) no root iterate reaches back less than dt: stages 2 to
-4 and the fifth evaluation run on the committed histories, their rows
-checked as worldline.staged checks them but not written, and the fifth
-evaluation is the step-end batch. Otherwise each of them runs with its
-block staged (worldline.staged puts it after each history's latest node
-for the length of the evaluation), and the step-end batch is solved
-afresh on the committed nodes.
+Stages 2 to 4 and the fifth evaluation run with their node blocks
+staged (worldline.staged), which the store writes only when a query
+reads past the committed nodes. The fifth evaluation starts cold; when
+no query read its stage it made every query on the committed nodes, so
+it is the step-end batch, and otherwise the step-end batch is solved
+afresh once the nodes are committed.
 
 Histories are the state. A SystemState is little more than the history
 set, held in one store (worldline.HistoryBank, filled by seed), plus the
@@ -56,7 +53,6 @@ from .worldline import (
     ParticleSpec,
     WorldlineHistory,
     WorldlineSample,
-    _check_stage,
     _four_velocity,
     commit,
     copy_histories,
@@ -279,37 +275,22 @@ def step(state: SystemState) -> SystemState:
     """Advance every history by one RK4 step of size dt; each stage
     quantity is one array with a row per particle.
 
-    Under the first-same-as-last gate (exact mode, 2 c dt below every
-    radius) no query of a stage evaluation reads the stage's node, so
-    stages 2 to 4 and the final stage are evaluated on the committed
-    histories: their rows are checked as staged checks them, and no node
-    is written. Otherwise each of those evaluations runs with its rows
-    staged (worldline.staged).
-
-    The root batches of stages 2 to 4, and of the final stage when it is
-    not the step-end batch, start warm: each root from the model step off
-    the same root in the evaluation before (total_faraday's prev), whose
-    observer event is at most dt/2 away; the retarded time moves smoothly
-    with it. The first evaluation (when not reused) and the step-end batch
-    start cold: they serve the diagnostics and the next step's first
-    evaluation, so their roots keep the bits of a fresh solve, whatever
-    the step before them did."""
+    Stages 2 to 4 and the final stage each run with their rows staged
+    (worldline.staged). The root batches of stages 2 to 4 start warm:
+    each root from the model step off the same root in the evaluation
+    before (total_faraday's prev), whose observer event is at most dt/2
+    away; the retarded time moves smoothly with it. The first evaluation
+    (when not reused) and the final one start cold. When no query of the
+    final evaluation read its stage, every query was on the committed
+    nodes, so its batch is, bit for bit, a fresh batch on the histories
+    after the commit, and it is the step-end batch; otherwise the
+    step-end batch is solved afresh, cold. Either way the step-end batch
+    serves the diagnostics and the next step's first evaluation with the
+    bits of a fresh solve, whatever the step before it did."""
     t_w = time.perf_counter()
     hs = state.histories
     dt, t, c = state.dt, state.t_now, state.c
     origin, k = state.grid or (t, 0)
-    # first same as last: in exact mode every root iterate reaches back at
-    # least sigma / 2c. A model-step root has c tau >= sigma; a bisection
-    # midpoint is at least hi / 2, and f(hi) >= 0 gives c hi >= sigma; a
-    # warm first iterate (retardation._first_iterates) is a model root
-    # with a positive step. So 2 c dt < min sigma keeps every query of an
-    # evaluation at a time in (t, t + dt] before t: no evaluation reads a
-    # stage's node, nor the appended node of the step, and the final
-    # evaluation is the step-end batch. Should the argument ever fail, a
-    # query past t raises QueryBeyondPresent. Otherwise the stages are
-    # staged and the step-end batch is solved on the committed histories.
-    fsal = (state.mode == SelfForceMode.EXACT
-            and 2.0 * c * dt < min(h.spec.sigma for h in hs))
     key = (t, tuple(len(h) for h in hs))
     if state.last_eval is not None and state.last_eval[0] == key:
         base, kx1, ku1, batch = state.last_eval[1]
@@ -323,12 +304,9 @@ def step(state: SystemState) -> SystemState:
         s = s0 + frac * dt * c * 0.5 * (1.0 / u0[:, 0] + 1.0 / u[:, 0])
         return _node_rows(state, t + frac * dt, x0 + frac * dt * kx, u, ku, s)
 
-    def stage_deriv(rows, report=False, prev=None):
-        if fsal:
-            _check_stage(hs, rows)
-            return _deriv(state, _states(rows), report, prev)
+    def stage_deriv(rows, prev):
         with staged(hs, rows):
-            return _deriv(state, _states(rows), report, prev)
+            return _deriv(state, _states(rows), prev=prev)
 
     ra = advanced(0.5, kx1, ku1)
     kx2, ku2, _, batch = stage_deriv(ra, prev=batch)
@@ -345,13 +323,14 @@ def step(state: SystemState) -> SystemState:
     s1 = s0 + (c * dt / 6.0) * (1.0 / u0[:, 0] + 4.0 / g_mid + 1.0 / u1[:, 0])
 
     # the final evaluation fixes the appended acceleration sample
-    kx5, ku5, report, batch = stage_deriv(_node_rows(state, t1, x1, u1, ku4, s1),
-                                          report=fsal, prev=None if fsal else batch)
+    rows = _node_rows(state, t1, x1, u1, ku4, s1)
+    with staged(hs, rows) as stage:
+        kx5, ku5, report, batch = _deriv(state, _states(rows), report=True)
     rows = _node_rows(state, t1, x1, u1, ku5, s1)
     commit(hs, rows)
     state.t_now, state.grid = t1, (origin, k + 1)
     now = _states(rows)
-    if not fsal:
+    if stage.read:
         kx5, ku5, report, batch = _deriv(state, now, report=True)
     state.last_eval = ((t1, tuple(len(h) for h in hs)), (now, kx5, ku5, batch))
     state.diagnostics.append(_diagnose(state, now, report, time.perf_counter() - t_w))

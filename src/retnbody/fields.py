@@ -129,7 +129,8 @@ class ExternalFieldModel:
         if self.variant == "none":
             return np.zeros(r.shape)
         if self.variant == "constant-uniform":
-            return -0.5 * (self.tensor @ r.T).T
+            # a stacked mat-vec: each row rounds like the one-event T @ r
+            return -0.5 * (self.tensor @ r.reshape(-1, 4, 1)).reshape(r.shape)
         return np.array([self.potential_fn(p) for p in r.reshape(-1, 4)],
                         dtype=np.float64).reshape(r.shape)
 
@@ -272,5 +273,5 @@ def total_faraday(histories, now, external: ExternalFieldModel,
         f = f + g
     if not report:
         return f, None, batch
-    A = np.array([external.potential(e) for e in now.r], dtype=np.float64).reshape(-1, 4)
+    A = external.potential(now.r)
     return f, (_add_potentials(A, plan, roots), roots.t_ret[plan.own]), batch

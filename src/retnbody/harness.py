@@ -533,7 +533,7 @@ def _smoothed_a_eff(sources, specs, external: ExternalFieldModel, i: int,
                     r_obs, width: float, c: float) -> np.ndarray:
     """Smoothed analogue of a_eff_covariant on frozen sources, at each row
     of r_obs (P, 4)."""
-    A = external.potential(r_obs).astype(np.float64)
+    A = external.potential(r_obs)
     A += 2.0 * _smoothed_dli(sources[i], r_obs, specs[i].sigma, specs[i].q,
                              width, c)
     for j, src in enumerate(sources):

@@ -29,12 +29,12 @@ acceleration returned at a query point is recovered from the
 u-interpolant so it coincides with the stored a at the nodes. For t at
 or before the first node the history falls back to an exact analytic
 inertial extension of that node, so delay-root searches can look
-arbitrarily far into the past. staged(histories, rows) writes one
-provisional node per history into the spare row after its latest node
-for the length of a with block (an RK stage), so there is one history
-class and one query path; no node is written to a store while a stage
-is open on it. _check_stage makes staged's checks and writes nothing,
-for a stage whose node no query can read.
+arbitrarily far into the past. staged(histories, rows) holds one
+provisional node per history for the length of a with block (an RK
+stage) and writes it into the spare row after the history's latest
+node when a query first reads it, so there is one history class and
+one query path, and a stage no query reads writes nothing; no node is
+written to a store while a stage is open on it.
 
 Every query is an array query: gather(histories, src, ts) finds the
 nodes of any mix of sources with one searchsorted over the key of their
@@ -53,7 +53,6 @@ export_csv reads those blocks straight from the store.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,7 +257,7 @@ class HistoryBank:
         self.c = float(c)
         self._n = np.zeros(len(caps), dtype=np.intp)
         self._latest = np.full(len(caps), np.nan)  # latest node time, NaN while empty
-        self._staged = False  # a stage is open on the store
+        self._stage = None  # the stage open on the store (see staged)
         self._lay_out(caps)
 
     def _lay_out(self, cap) -> None:
@@ -340,8 +339,34 @@ class HistoryBank:
 
     def _states(self, slot, ts) -> WorldlineSample:
         """States of the slots slot (one, or one per time) at times ts."""
-        _check_present(ts, self._latest[slot])
+        self._present(slot, ts)
         return _evaluate(ts, *self._lookup(slot, self._index(slot, ts)), self.c)
+
+    def _present(self, slot, ts, at_latest: bool = False) -> None:
+        """Raise QueryBeyondPresent for the first query time, in request
+        order, past the latest node of its slot (slot is one, or one per
+        time). A time past that node (with at_latest, at or past it) of a
+        slot of the open stage, and not past its staged time, reads the
+        stage: the stage's rows are written first (see staged)."""
+        latest = self._latest[slot]
+        ok = ts < latest if at_latest else ts <= latest  # also False for a NaN time
+        if np.count_nonzero(ok) == len(ts):
+            return
+        stage = self._stage
+        if stage is not None and not stage.read:
+            t_staged = np.full(len(self._n), np.nan)
+            t_staged[stage.slots] = stage.tab[:, 0]
+            if np.count_nonzero(~ok & (ts <= t_staged[slot])):
+                stage.read = True
+                self._extend(stage.slots, stage.tab)
+                latest = self._latest[slot]
+        ok = ts <= latest
+        if np.count_nonzero(ok) < len(ts):
+            latest = np.broadcast_to(latest, ts.shape)[~ok]
+            if np.count_nonzero(np.isnan(latest)):
+                raise QueryBeyondPresent("history holds no samples")
+            raise QueryBeyondPresent(f"query at t={ts[~ok][0].item()!r} is beyond "
+                                     f"latest stored t={float(latest[0])!r}")
 
 
 def _check_set(hs) -> None:
@@ -505,7 +530,7 @@ def copy_histories(histories, specs=None) -> list:
     anything is copied otherwise."""
     hs = list(histories)
     _check_set(hs)
-    if any(h._bank._staged for h in hs):
+    if any(h._bank._stage is not None for h in hs):
         raise ValueError("no history can be copied while a stage is open on its store")
     bank = HistoryBank(hs[0].c, [_capacity(len(h)) for h in hs])
     for i, h in enumerate(hs):
@@ -525,7 +550,7 @@ def _append(hs, tab, labelled: bool = False) -> None:
     written. Nothing is written while a stage is open on the store: the
     stage would take the new nodes off again on its exit."""
     bank, slots = _store_of(hs)
-    if bank._staged:
+    if bank._stage is not None:
         raise ValueError("no node can be written to a store while a stage is open on it")
     _check_rows(hs, bank._tails(slots), tab, labelled)
     each = len(tab) if len(hs) == 1 else 1
@@ -616,16 +641,16 @@ def u_dotdot(histories, src, ts) -> np.ndarray:
 
     Piecewise quadratic in t, accurate to O(h^2), for the asymptotic
     self-force, itself a first-order approximation. A node takes the
-    segment starting there, the latest node (staged or not) the one
-    ending there; before the first node u'' is zero. A query past the
-    present, a NaN time, or a one-node history queried at its node
-    raises QueryBeyondPresent. The histories must share one store, as
-    in gather.
+    segment starting there, the latest node the one ending there (so a
+    query at it reads an open stage); before the first node u'' is
+    zero. A query past the present, a NaN time, or a one-node history
+    queried at its node raises QueryBeyondPresent. The histories must
+    share one store, as in gather.
     """
     ts = np.asarray(ts, dtype=np.float64).reshape(-1)
     bank, slots = _store_of(tuple(histories))
     slot = slots[src]
-    _check_present(ts, bank._latest[slot])
+    bank._present(slot, ts, at_latest=True)
     i, start = bank._index(slot, ts), bank._start[slot]
     i = np.where(i == start + bank._n[slot], i - 1, i)
     t0, p, t1, q = bank._lookup(slot, i)
@@ -691,18 +716,46 @@ def _segment_udotdot(t, t0, p, t1, q, c) -> np.ndarray:
     return np.float_power(g, 2.0) * ddu + g * (du[:, :1] / c) * du
 
 
-def _check_stage(histories, rows):
-    """(store, slots, table) of one provisional node per history, once
-    the rows pass the checks staged makes before it writes them.
+class _Stage:
+    """The context manager staged returns; read tells whether a query
+    has read (and so written) its rows."""
+
+    def __init__(self, bank, slots, tab):
+        self.bank, self.slots, self.tab, self.read = bank, slots, tab, False
+
+    def __enter__(self) -> "_Stage":
+        self.bank._stage = self
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.bank._stage = None
+        if self.read:
+            self.bank._unstage(self.slots)
+
+
+def staged(histories, rows) -> _Stage:
+    """Stage one provisional node per history (an RK stage prediction)
+    for the duration of a with block: with staged(hs, rows) as stage,
+    after which stage.read tells whether any query read the rows.
 
     rows is an (N, 14) block in CSV_HEADER order, row i for histories[i].
     Every row must be finite and advance past its history's latest node;
     the first failure, in row order, is raised, and so is a ValueError
     when the histories do not share one store or name one history twice,
-    or when a stage is open on their store (one stage per store).
-    No tolerance is checked and no flag raised. Nothing is written: a
-    stage whose node no query can read is checked here and not staged
-    (see dynamics.step).
+    or when a stage is open on their store (one stage per store). No
+    tolerance is checked, no flag raised and nothing written before the
+    checks pass.
+
+    The rows are written when a query first reads them, and only then:
+    a time past a staged history's latest node (for u_dotdot, at or past
+    it, as the node takes the segment ending there until a row follows
+    it) and not past its staged time; a time past that still raises
+    QueryBeyondPresent. The query writes them as one block, row i into
+    the spare row every other write leaves after history i's latest
+    node, and sets stage.read. From then on they are the latest nodes
+    for every read, len, table, t_latest and export_csv included, which
+    see only the committed nodes before. On exit, normal or not, written
+    rows are removed again.
     """
     hs = tuple(histories)
     tab = np.asarray(rows, dtype=np.float64)
@@ -710,7 +763,7 @@ def _check_stage(histories, rows):
         raise ValueError(f"staged rows need shape ({len(hs)}, {len(CSV_HEADER)}), "
                          f"got {tab.shape}")
     bank, slots = _store_of(hs)
-    if bank._staged:
+    if bank._stage is not None:
         raise ValueError("a stage is already open on the histories' store")
     latest = bank._latest[slots]
     fail = _first_failure(tab, ((tab[:, 0] > latest, lambda i: NonMonotonicTime(
@@ -719,43 +772,7 @@ def _check_stage(histories, rows):
         if np.count_nonzero(np.isnan(latest)):
             raise QueryBeyondPresent("history holds no samples")
         raise fail[1]
-    return bank, slots, tab
-
-
-@contextmanager
-def staged(histories, rows):
-    """Stage one provisional node per history (an RK stage prediction)
-    for the duration of a with block.
-
-    One stage is open on a store at a time: a second one raises a
-    ValueError. The rows are checked first (_check_stage), before
-    anything is written. They are then written as one block into the
-    histories' store, row i into the spare row every other write leaves
-    after history i's latest node, and counted as nodes, so every query
-    reads them as the latest ones. On exit, normal or not, the staged
-    nodes are removed again.
-    """
-    bank, slots, tab = _check_stage(histories, rows)
-    bank._staged = True
-    bank._extend(slots, tab)
-    try:
-        yield
-    finally:
-        bank._staged = False
-        bank._unstage(slots)
-
-
-def _check_present(ts, t_latest) -> None:
-    """Raise QueryBeyondPresent for the first query time, in request
-    order, past t_latest (one, or one per time; NaN for an empty
-    history)."""
-    ok = ts <= t_latest  # also False for a NaN time
-    if np.count_nonzero(ok) < len(ts):
-        latest = np.broadcast_to(t_latest, ts.shape)[~ok]
-        if np.count_nonzero(np.isnan(latest)):
-            raise QueryBeyondPresent("history holds no samples")
-        raise QueryBeyondPresent(f"query at t={ts[~ok][0].item()!r} is beyond "
-                                 f"latest stored t={float(latest[0])!r}")
+    return _Stage(bank, slots, tab)
 
 
 # -- factories used by tests, demos and seeding -----------------------------

@@ -639,11 +639,11 @@ def test_each_force_evaluation_calls_the_public_total_faraday(monkeypatch):
 
     # the final stage's evaluation is the next step's first
     assert per_step(ring6()) == [5, 4, 4]
-    # a radius below 2 c dt: four stages, then the step-end batch solved
-    # afresh, which is the next step's first
+    # a radius below 2 c dt but above c dt: no root reaches into the step,
+    # so no query reads the final stage, and it is reused all the same
     small = seed([ParticleSpec(1.0, 0.1, 0.03, "small")], [[0, 0, 0]], [[0.1, 0, 0]],
                  dt=0.02)
-    assert per_step(small) == [6, 5, 5]
+    assert per_step(small) == [5, 4, 4]
     assert set(calls[:13]) == {6} and set(calls[13:]) == {1}
 
 
@@ -679,7 +679,7 @@ def test_no_force_evaluation_gathers_at_its_own_time(monkeypatch):
 
 
 def _wide_step_pair():
-    # 2 c dt above the smaller radius: no first same as last
+    # 2 c dt above the smaller radius, c dt below it
     return static_pair(q1=0.1, q2=-0.1, s1=0.03, s2=0.5, dt=0.02)
 
 
@@ -689,23 +689,50 @@ def _asymptotic_ring6():
     return st
 
 
-@pytest.mark.parametrize("make, fsal", [(ring6, True), (_wide_step_pair, False),
-                                        (_asymptotic_ring6, False)],
-                         ids=["exact", "exact_wide_step", "asymptotic"])
+def _triple(sigmas, charges=(0.1, -0.12), mode=SelfForceMode.EXACT):
+    """Two charges and a neutral particle at distances 0.5 to 0.64, in a
+    uniform external field, stepped at dt = 0.02."""
+    specs = [ParticleSpec(1.0, charges[0], sigmas[0], "a"), ParticleSpec(1.0, 0.0, sigmas[1], "n"),
+             ParticleSpec(1.2, charges[1], sigmas[2], "b")]
+    return seed(specs, [[-0.5, 0, 0], [0, 0.4, 0], [0.5, 0, 0]],
+                [[0, 0.1, 0], [0.1, 0, 0], [0, -0.1, 0]], dt=0.02, mode=mode,
+                external=ExternalFieldModel.uniform(E=(0.2, 0.0, 0.1)))
+
+
+def _small_radii():
+    # radii below c dt: the self roots of the last stages fall inside the
+    # step, so those stages are read
+    return _triple((0.01, 0.012, 0.011), (0.05, -0.06))
+
+
+def _detached(histories):
+    """Copies of histories in a store of their own, rebuilt from their
+    tables: the committed nodes, with the same bits, and no open stage."""
+    refs = wl.copy_histories([wl.WorldlineHistory(h.spec, h.c) for h in histories])
+    for ref, h in zip(refs, histories):
+        ref.extend(h.table)
+    return refs
+
+
+@pytest.mark.parametrize("make, reads", [(ring6, False), (_wide_step_pair, False),
+                                         (_asymptotic_ring6, False), (_small_radii, True)],
+                         ids=["exact", "exact_wide_step", "asymptotic", "exact_read"])
 def test_each_force_evaluation_is_handed_the_states_a_gather_returns(monkeypatch, make,
-                                                                     fsal):
+                                                                     reads):
     # the states a step hands total_faraday equal, bit for bit, those a
-    # gather of every history at the stage time returns; a stage the step
-    # does not stage (first same as last) is staged here to be gathered
+    # gather of every history at the stage time returns. A gather past
+    # the committed nodes would read the step's stage, so it is made on
+    # detached copies with the same rows staged
     st = make()
     seen = []
 
     def checked(histories, now, *args, **kwargs):
         n = len(histories)
         rows = np.column_stack((now.t, now.s, now.r, now.u, now.a))
-        ahead = now.t[0] > histories[0].t_latest
-        with wl.staged(histories, rows) if ahead else contextlib.nullcontext():
-            want = wl.gather(histories, np.arange(n), np.full(n, now.t[0]))
+        refs = _detached(histories)
+        ahead = now.t[0] > refs[0].t_latest
+        with wl.staged(refs, rows) if ahead else contextlib.nullcontext():
+            want = wl.gather(refs, np.arange(n), np.full(n, now.t[0]))
         seen.append(now.t[0])
         for name in ("t", "s", "r", "u", "a"):
             got, ref = getattr(now, name), getattr(want, name)
@@ -719,8 +746,9 @@ def test_each_force_evaluation_is_handed_the_states_a_gather_returns(monkeypatch
         t, dt = st.t_now, st.dt
         step(st)
         # the first step evaluates at its base; later ones reuse the
-        # last step's step-end batch there
-        want += [t] * (k == 0) + [t + dt / 2] * 2 + [t + dt] * (2 if fsal else 3)
+        # last step's step-end batch there, which is the final stage's
+        # unless a query read that stage
+        want += [t] * (k == 0) + [t + dt / 2] * 2 + [t + dt] * (3 if reads else 2)
     assert seen == want
 
 
@@ -756,16 +784,19 @@ def count_batches(monkeypatch):
 
 
 def record_staged(monkeypatch):
-    """Record the (N, 14) rows of every staged block of the step."""
-    rows = []
+    """Record every stage of the step as its (N, 14) rows and the stage
+    opened, whose read is final once its block is left."""
+    stages = []
 
+    @contextlib.contextmanager
     def staged(histories, block):
-        rows.append(np.array(block))
-        return real(histories, block)
+        with real(histories, block) as stage:
+            stages.append((np.array(block), stage))
+            yield stage
 
     real = dyn.staged
     monkeypatch.setattr(dyn, "staged", staged)
-    return rows
+    return stages
 
 
 def committed_last(st):
@@ -785,59 +816,62 @@ def fresh_record(st):
     return DIAGNOSE(st, now, (A, np.array(tau)), 0.0)
 
 
-@pytest.mark.parametrize("mode, sigmas", [(SelfForceMode.EXACT, (0.03, 0.035, 0.032)),
+@pytest.mark.parametrize("mode, sigmas", [(SelfForceMode.EXACT, (0.01, 0.012, 0.011)),
                                           (SelfForceMode.ASYMPTOTIC, (0.5, 0.6, 0.55))])
 def test_step_end_batch_without_reuse_serves_the_diagnostics(monkeypatch, mode, sigmas):
-    # exact radii below 2 c dt, or asymptotic mode: no evaluation is
-    # reused, and the step-end batch is solved on the committed histories
-    specs = [ParticleSpec(1.0, 0.1, sigmas[0], "a"), ParticleSpec(1.0, 0.0, sigmas[1], "n"),
-             ParticleSpec(1.2, -0.12, sigmas[2], "b")]
-    st = seed(specs, [[-0.5, 0, 0], [0, 0.4, 0], [0.5, 0, 0]],
-              [[0, 0.1, 0], [0.1, 0, 0], [0, -0.1, 0]], dt=0.02, mode=mode,
-              external=ExternalFieldModel.uniform(E=(0.2, 0.0, 0.1)))
+    # exact radii below c dt: queries of the final stage read its staged
+    # node, so the step-end batch is solved afresh on the committed
+    # histories. Asymptotic radii and distances above 2 c dt: no query
+    # reads the final stage, and its batch is reused as the step-end
+    # batch. Either way the diagnostics are those of a fresh solve
+    read = mode == SelfForceMode.EXACT
+    st = _triple(sigmas, (0.05, -0.06) if read else (0.1, -0.12), mode)
     batches, diagnose = count_batches(monkeypatch)
-    staged_rows = record_staged(monkeypatch)
+    stages = record_staged(monkeypatch)
     steps = []
     for _ in range(4):
-        before = len(batches)
+        before, t = len(batches), st.t_now
         step(st)
         steps.append(batches[before:])
-        # the final stage reads the staged node at t_now, the step-end
-        # batch the committed one, which differs from it in a only
-        final, end = steps[-1][-2:]
-        assert np.array_equal(final[4], staged_rows[-1][:, T_A])
-        assert np.array_equal(end[4], committed_last(st))
-        assert np.all(final[4][:, 0] == st.t_now)
-        assert not np.array_equal(final[4], end[4])
+        assert stages[-1][1].read == read
+        # the final stage's batch starts on the committed node at t (its
+        # stage, when read, is written by a query of the iteration); a
+        # step-end batch solved afresh starts on the node committed at t_now
+        final = steps[-1][-1 - read]
+        assert np.array_equal(final[4][:, 0], np.full(st.n, t))
+        if read:
+            assert np.array_equal(steps[-1][-1][4], committed_last(st))
         assert st.last_eval[0][0] == st.t_now
         got, want = st.diagnostics.records[-1], fresh_record(st)
         for name in ("t", "constraint_err", "h_eff", "p_hat", "m_hat",
                      "self_delays", "pair_delays"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    assert [len(b) for b in steps] == [6, 5, 5, 5]
+    assert [len(b) for b in steps] == [5 + read] + [4 + read] * 3
     assert diagnose == [0, 0, 0, 0]
-    assert len(staged_rows) == 16
+    assert len(stages) == 16
 
 
-@pytest.mark.parametrize("make, fsal", [(static_pair, True), (_wide_step_pair, False)],
+@pytest.mark.parametrize("make, read", [(static_pair, False), (_wide_step_pair, True)],
                          ids=["first_same_as_last", "wide_step"])
-def test_failed_stage_leaves_no_staged_node(monkeypatch, tmp_path, make, fsal):
+def test_failed_stage_leaves_no_staged_node(monkeypatch, tmp_path, make, read):
     st = make()
     step(st)
     tables = [h.table for h in st.histories]
     staged_lens = []
 
-    def failing(histories, *args, **kwargs):
+    def failing(histories, now, *args, **kwargs):
         # the reused step-end batch serves the first evaluation, so the
-        # first call is the second stage: on the committed histories under
-        # first same as last, else inside a staged block
+        # first call is the second stage's, inside its staged block; a
+        # gather at the stage time reads the stage, which writes it
+        if read:
+            wl.gather(histories, np.arange(len(histories)), now.t)
         staged_lens.append([len(h) for h in histories])
         raise RuntimeError("stage failure")
 
     monkeypatch.setattr(dyn, "total_faraday", failing)
     with pytest.raises(RuntimeError, match="stage failure"):
         run(st, st.t_now + 3 * st.dt, trajectory_dir=tmp_path)
-    assert staged_lens == [[len(t) + (not fsal) for t in tables]]
+    assert staged_lens == [[len(t) + read for t in tables]]
     for h, table in zip(st.histories, tables):
         assert len(h) == len(table) and h.t_latest == table[-1, 0]
         assert np.array_equal(h.table, table)
@@ -846,32 +880,37 @@ def test_failed_stage_leaves_no_staged_node(monkeypatch, tmp_path, make, fsal):
         assert header == wl.CSV_HEADER and np.array_equal(exported, table)
 
 
-@pytest.mark.parametrize("make, writes", [(static_pair, 0), (_wide_step_pair, 4)],
-                         ids=["first_same_as_last", "wide_step"])
+@pytest.mark.parametrize("make, writes", [(static_pair, 0), (_wide_step_pair, 0),
+                                          (_small_radii, 2)],
+                         ids=["first_same_as_last", "wide_step", "read"])
 def test_a_stage_node_is_written_only_where_a_query_can_read_it(monkeypatch, make, writes):
-    # under first same as last no query of a stage evaluation reaches the
-    # stage's node, so stages 2 to 4 and the final stage write none;
-    # otherwise each of the four writes one. Either way a step commits once
+    # a stage's node is written when a query first reads past the
+    # committed nodes, and only then: with every radius above c dt no
+    # root of a stage reaches into the step, and nothing is written;
+    # radii below it read (and write) stage 4 and the final stage. Either
+    # way a step commits once
     st = make()
     stage_writes = []
 
     def extend(bank, *args, **kwargs):
-        stage_writes.append(bank._staged)
+        stage_writes.append(bank._stage is not None)
         return real(bank, *args, **kwargs)
 
     real = wl.HistoryBank._extend
     monkeypatch.setattr(wl.HistoryBank, "_extend", extend)
+    stages = record_staged(monkeypatch)
     per_step = []
     for _ in range(3):
-        before = len(stage_writes)
+        before, first = len(stage_writes), len(stages)
         step(st)
         per_step.append(sorted(stage_writes[before:]))
+        assert sum(stage.read for _, stage in stages[first:]) == writes
     assert per_step == [[False] + [True] * writes] * 3
 
 
 def test_a_non_finite_stage_is_refused_before_it_is_evaluated(monkeypatch):
-    # the stage rows are checked as staged checks them, staged or not: a
-    # NaN force in the first evaluation gives the second stage a NaN s
+    # staged checks the stage rows before they are evaluated: a NaN
+    # force in the first evaluation gives the second stage a NaN s
     st = static_pair()
     tables = [h.table for h in st.histories]
     calls = []
@@ -944,10 +983,9 @@ def test_reused_final_evaluation_is_the_next_first_bit_for_bit(monkeypatch):
     assert reused.histories[0].t_first < 0.0 < reused.t_now - 0.06
     for a, b in zip(reused.histories, fresh.histories):
         assert np.array_equal(a.table, b.table)
-    # a radius below 2 c dt lets a root iterate into the last step: the
-    # step-end batch is solved afresh on the committed histories, not
-    # taken from the final stage's staged nodes, and is the next step's
-    # first
+    # a radius below 2 c dt but above c dt: no root of the final stage
+    # reaches into the step, so no query reads its stage, and its batch is
+    # the next step's first, as a fresh solve on the committed histories
     def small():
         spec = ParticleSpec(1.0, 0.1, 0.03, "small")
         return seed([spec], [[0, 0, 0]], [[0.1, 0, 0]], dt=0.02,
@@ -955,18 +993,51 @@ def test_reused_final_evaluation_is_the_next_first_bit_for_bit(monkeypatch):
 
     reused, fresh = small(), small()
     batches, _ = count_batches(monkeypatch)
-    staged_rows = record_staged(monkeypatch)
-    for _ in range(6):
+    stages = record_staged(monkeypatch)
+    for k in range(6):
         before = len(batches)
         step(reused)
-        final, end = batches[before:][-2:]
-        assert np.array_equal(final[4], staged_rows[-1][:, T_A])
-        assert np.array_equal(end[4], committed_last(reused))
-        assert not np.array_equal(final[4], end[4])
-        assert final[0] == end[0] == tuple(reused.histories)
+        assert len(batches) - before == (4 if k else 5)
+        assert not any(stage.read for _, stage in stages)
         fresh.last_eval = None
         step(fresh)
     assert np.array_equal(reused.histories[0].table, fresh.histories[0].table)
+    assert np.array_equal(reused.diagnostics.records[-1].h_eff,
+                          fresh.diagnostics.records[-1].h_eff)
+
+
+def test_a_query_inside_the_step_leads_to_a_fresh_step_end_batch(monkeypatch):
+    # 2 c dt below both radii: no root of the final stage reaches into the
+    # step. Should a query of its batch do so all the same (here one extra
+    # gather inside (t, t1)), it reads the stage and the step-end batch is
+    # solved afresh on the committed histories, not taken from the stage
+    st = static_pair()
+    start, cold_t1 = [], []
+
+    def solve(histories, src, events, sigma, obs=-1, now=None, seed=None):
+        roots = real(histories, src, events, sigma, obs, now, seed)
+        # the cold batches after the step's start: the final stage's, then
+        # the step-end batch when it is solved afresh
+        t = start[-1]
+        if seed is None and np.all(np.reshape(events, (-1, 4))[:, 0] > t):
+            if t not in [k for k, _ in cold_t1]:
+                wl.gather(histories, 0, [t + 0.5 * st.dt])
+            cold_t1.append((t, roots))
+        return roots
+
+    real = ret.solve_delays
+    monkeypatch.setattr(ret, "solve_delays", solve)
+    for _ in range(3):
+        t = st.t_now
+        start.append(t)
+        step(st)
+        # the final stage's batch, then the step-end batch
+        assert [k for k, _ in cold_t1].count(t) == 2
+        assert st.last_eval[1][3][1] is cold_t1[-1][1]
+        got, want = st.diagnostics.records[-1], fresh_record(st)
+        for name in ("t", "constraint_err", "h_eff", "p_hat", "m_hat",
+                     "self_delays", "pair_delays"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 # -- warm root batches -------------------------------------------------------------
@@ -1021,9 +1092,8 @@ def test_every_warm_root_meets_its_tolerance_under_a_fresh_gather(monkeypatch, m
     monkeypatch.setattr(ret, "solve_delays", solve)
     for _ in range(20):
         step(st)
-    # stages 2 to 4 start warm, and the final stage too where it is not the
-    # step-end batch (asymptotic mode)
-    assert len(worst) == 20 * (3 if mode == SelfForceMode.EXACT else 4)
+    # stages 2 to 4 start warm; the final stage starts cold
+    assert len(worst) == 20 * 3
     assert max(worst) <= 1.0
 
 

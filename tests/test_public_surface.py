@@ -4,9 +4,11 @@ public function or method, has a caller on a shipped path.
 The scan parses each src/retnbody/*.py with ast and collects the public
 top-level functions and classes and the public methods of each class.
 Each must be named somewhere in src/, scripts/, bench/ or the
-acceptance gate tests/test_acceptance.py, as an ast.Name, an
-ast.Attribute or an import alias. Unit tests do not count: a name only
-they call is a test oracle and belongs in the test file that uses it.
+acceptance gate tests/test_acceptance.py, as an ast.Name that is not
+assigned to, an ast.Attribute or an import alias. Unit tests do not
+count: a name only they call is a test oracle and belongs in the test
+file that uses it. Every private definition (module level, or a method)
+must be named somewhere in src/ outside its own definition.
 
 ast, not tokenize: config_hash is called only inside an f-string, which
 Python 3.11's tokenize reads as one string token.
@@ -29,10 +31,12 @@ SHIPPED = [*sorted((ROOT / "src").rglob("*.py")), *sorted((ROOT / "scripts").rgl
 
 
 def _names_used(paths) -> set:
+    """Names read in paths: every name but an assignment's target, every
+    attribute and every import alias."""
     used = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
@@ -119,3 +123,38 @@ def test_every_defaulted_parameter_has_a_shipped_caller():
                 if not any(_passes(c, name, index) for c in calls.get(node.name, ()))]
     assert sorted(unpassed) == sorted(KEEP), \
         f"defaulted parameters no shipped call passes (KEEP: {sorted(KEEP)}): {sorted(unpassed)}"
+
+
+
+def _private_definitions(path):
+    """(qualified name, name) of each private top-level function, class or
+    constant of the module at path and each private method of its
+    classes; dunder names are the language's, not the package's."""
+    def private(name):
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{path.stem}.{node.name}.{m.name}", m.name) for m in node.body
+                        if isinstance(m, funcs) and private(m.name))
+        if isinstance(node, (*funcs, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for target in targets for t in ast.walk(target)
+                     if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from ((f"{path.stem}.{name}", name) for name in names if private(name))
+
+
+def test_every_private_definition_has_a_caller():
+    # a helper left behind when its last caller is folded away is caught
+    # here: every private definition is named somewhere in src/ other
+    # than where it is defined
+    used = _names_used(sorted((ROOT / "src").rglob("*.py")))
+    defined = [d for path in MODULES for d in _private_definitions(path)]
+    assert len(defined) > 50
+    orphans = [qual for qual, name in defined if name not in used]
+    assert orphans == [], f"private definitions nothing in src/ names: {orphans}"

@@ -295,18 +295,54 @@ class TestStaged:
         for ref, row in zip(refs, rows):
             ref.extend(row)
         before = [(len(h), h.t_latest, h.table) for h in hs]
-        with wl.staged(hs, rows):
+        with wl.staged(hs, rows) as stage:
+            # until a query reads the stage, whole-history reads see the
+            # committed nodes only, and a query at or before them reads none
+            _same_state(wl.gather(hs, [0, 1], [1.9, 1.9]), wl.gather(refs, [0, 1], [1.9, 1.9]))
+            assert [(len(h), h.t_latest) for h in hs] == [b[:2] for b in before]
+            assert not stage.read
+            # a query past a history's latest node reads the stage, which
+            # is written: from then on the histories read as the appended ones
+            _same_state(wl.gather(hs, [0, 1, 1], [1.99, 1.95, 2.0]),
+                        wl.gather(refs, [0, 1, 1], [1.99, 1.95, 2.0]))
+            assert stage.read
             for h, ref in zip(hs, refs):
                 assert len(h) == len(ref) and h.t_latest == ref.t_latest == 2.0
                 assert np.array_equal(h.table, ref.table)
-            _same_state(wl.gather(hs, [0, 1, 1], [1.99, 1.95, 2.0]),
-                        wl.gather(refs, [0, 1, 1], [1.99, 1.95, 2.0]))
             hs[0].export_csv(tmp_path / "staged.csv", comment="c")
         refs[0].export_csv(tmp_path / "ref.csv", comment="c")
         assert (tmp_path / "staged.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
         for h, (n, t_latest, table) in zip(hs, before):
             assert (len(h), h.t_latest) == (n, t_latest)
             assert np.array_equal(h.table, table)
+
+    def test_a_stage_is_written_when_a_query_first_reads_it(self):
+        a, b = wl.copy_histories([make_inertial(), make_inertial(beta=0.3)])
+        before = [_store(h) for h in (a, b)]
+        row = _block(a, m=1, dt=0.05)[0]
+        # no query reads the stage: a state at or before the latest node,
+        # u'' before it, or a query past the latest node of a history not
+        # staged, which raises as it does with no stage open
+        with wl.staged([a], [row]) as stage:
+            a.state_at_time(4.0)
+            wl.gather([a, b], [0, 1], [3.9, 4.0])
+            _udd(a, 3.9)
+            with pytest.raises(wl.QueryBeyondPresent, match="beyond latest stored t=4.0"):
+                wl.gather([a, b], [1], [4.01])
+            assert [_store(h) for h in (a, b)] == before and not stage.read
+        assert [_store(h) for h in (a, b)] == before
+        # u'' at the latest node reads it: the node takes the segment
+        # ending there until a row follows it
+        with wl.staged([a], [row]) as stage:
+            _udd(a, 4.0)
+            assert stage.read and (len(a), a.t_latest) == (10, 4.05)
+        assert [_store(h)[:3] for h in (a, b)] == [store[:3] for store in before]
+        # a query past the staged time writes the stage, then raises
+        with wl.staged([a], [row]) as stage:
+            with pytest.raises(wl.QueryBeyondPresent, match="beyond latest stored t=4.05"):
+                a.states_at([4.02, 4.1])
+            assert stage.read
+        assert (len(a), a.t_latest) == (9, 4.0)
 
     def test_a_second_stage_on_a_store_is_refused(self):
         # one stage per store: the second raises before it writes, even
