@@ -755,17 +755,25 @@ def test_gather_matches_the_per_history_lookup_bit_for_bit(seed, k, reverse, sta
     hs = wl.copy_histories(hs)
     if reverse:  # the set in another order than its slots
         hs = hs[::-1]
-    block = contextlib.nullcontext()
+    # with a stage, the queries and the reference come from copies with
+    # the rows appended: the staged node and a time inside each staged
+    # segment are queried, so the gather reads (and writes) the stage
+    refs, block = hs, contextlib.nullcontext()
     if stage:
         rows = random_table(rng, k)
         rows[:, 0] = [h.t_latest + 0.3 for h in hs]
+        rows[:, 1] = [h.table[-1, 1] + 0.3 for h in hs]
         rows[:, 2] = rows[:, 0]
+        refs = wl.copy_histories(hs)
+        for ref, row in zip(refs, rows):
+            ref.extend(row)
         block = wl.staged(hs, rows)
-    with block:
-        src, ts = _queries(rng, hs)
+    with block as st:
+        src, ts = _queries(rng, refs)
         got = wl.gather(hs, src, ts)
+        assert not stage or st.read
         for m, (i, t) in enumerate(zip(src.tolist(), ts.tolist())):
-            want = reference_state(hs[i], t)
+            want = reference_state(refs[i], t)
             for name in ("t", "s", "r", "u", "a"):
                 assert np.array_equal(getattr(got, name)[m], getattr(want, name)[0]), (i, t, name)
             _same_state(hs[i].states_at([t]), want)
@@ -775,20 +783,25 @@ def test_u_dotdot_batch_over_mixed_sources_matches_one_query_calls():
     hs = wl.copy_histories([_sin_history(), make_inertial(beta=0.3, n=9, t1=1.9),
                             _sin_history(n=25)])
     rows = [_row(_tail(h)) for h in hs]
-    with wl.staged(hs, rows):
+    refs = wl.copy_histories(hs)
+    for ref, row in zip(refs, rows):
+        ref.extend(row)
+    with wl.staged(hs, rows) as stage:
         queries = []
-        for k, h in enumerate(hs):
-            t = h.table[:, 0]
+        for k, (h, row) in enumerate(zip(hs, rows)):
+            t = np.append(h.table[:, 0], row[0])
             # before the first node, the first node, an interior node, a
-            # time inside a segment, the latest committed node and the
-            # staged node
+            # time inside a segment, the latest committed node, a time
+            # inside the staged segment and the staged node
             queries += [(k, x) for x in (t[0] - 0.5, t[0], t[3], 0.5 * (t[4] + t[5]),
-                                         t[-2], t[-1])]
+                                         t[-2], 0.5 * (t[-2] + t[-1]), t[-1])]
         order = np.random.default_rng(5).permutation(len(queries))
         src, ts = (np.array(x)[order] for x in zip(*queries))
         batch = wl.u_dotdot(hs, src, ts)
+        assert stage.read
         for got, k, t in zip(batch, src.tolist(), ts.tolist()):
             assert np.array_equal(got, wl.u_dotdot(hs, k, [t])[0])
+            assert np.array_equal(got, wl.u_dotdot(refs, k, [t])[0])
         assert not np.count_nonzero(batch[ts < 0.0])
         assert np.count_nonzero(batch[src == 0])  # the curved history
 
