@@ -303,18 +303,16 @@ def effective_potentials(histories, external: ExternalFieldModel, observers,
     Each observer's potential is the external potential plus one sum
     over its roots, each term weighted by the plan: its self term at
     weight 2 and each charged companion's sigma_i and sigma_j terms at
-    weight 1; q = 0 adds nothing. The batch holds one root per cone:
-    2N - 1 per observer among N charged particles of distinct radii, and
-    an equal-radius pair's one root enters the sum once at weight 2.
+    weight 1; a neutral source's one root (its sigma_i cone, which the
+    plan holds for the reported delays) has weight 0 and adds nothing.
+    The batch holds one root per cone: 2N - 1 per observer among N
+    charged particles of distinct radii, and an equal-radius pair's one
+    root enters the sum once at weight 2.
     """
     hs = tuple(histories)
     events = np.asarray(events, dtype=np.float64).reshape(-1, 4)
-    plan = _root_plan(tuple(h.spec for h in hs), tuple(int(i) for i in observers),
-                      potentials=True)
-    A = external.potential(events)
-    if not plan.src.size:
-        return A
-    return _add_potentials(A, plan, _plan_roots(hs, plan, events))
+    plan = _root_plan(tuple(h.spec for h in hs), tuple(int(i) for i in observers))
+    return _add_potentials(external.potential(events), plan, _plan_roots(hs, plan, events))
 
 
 def state_from_histories(histories, t: float,

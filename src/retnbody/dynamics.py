@@ -12,16 +12,17 @@ whole arrays: x (N, 3), u (N, 4), s (N,) and every stage slope hold one
 row per particle. Each force evaluation is one fields.total_faraday call
 on states the step holds: the base states, a stage's (N, 14) node block
 or the committed nodes. It solves the delay roots and field kernels of
-all particles as one batch and returns each particle's covariant force
-(q/c) F u + g as an (N, 4) array, which _deriv divides by u^0 m0 and
-raises; stages 2 to 4 start their roots from the stage before (see
-step). After acceptance a fifth evaluation fixes the appended
-acceleration sample, proper time advances by Simpson quadrature of
-c dt / gamma, and the new nodes are committed as one checked block
-(worldline.commit); they are also the states the step record and the
-next step start from. Each step ends with exactly one batch at the new
-time, which also holds the potentials' and the reported delays' roots:
-it serves the step's diagnostics and the next step's first evaluation.
+all particles as one batch of the system's one root plan and returns
+each particle's covariant force (q/c) F u + g as an (N, 4) array, which
+_deriv divides by u^0 m0 and raises; stages 2 to 4 start their roots
+from the stage before (see step). After acceptance a fifth evaluation
+fixes the appended acceleration sample, proper time advances by Simpson
+quadrature of c dt / gamma, and the new nodes are committed as one
+checked block (worldline.commit); they are also the states the step
+record and the next step start from. Each step ends with exactly one
+batch at the new time. Its plan also holds the potentials' and the
+reported delays' roots, so it serves the step's diagnostics and the next
+step's first evaluation.
 
 Stages 2 to 4 and the fifth evaluation run with their node blocks
 staged (worldline.staged), which the store writes only when a query
@@ -48,7 +49,7 @@ import numpy as np
 from .canonical import _IDX_PAIRS
 from .fields import ExternalFieldModel, SelfForceMode, _tensor, total_faraday
 from .minkowski import dots, lower, raise_index
-from .retardation import max_delay, solve_delays
+from .retardation import _add_potentials, max_delay, solve_delays
 from .worldline import (
     ParticleSpec,
     WorldlineHistory,
@@ -245,16 +246,15 @@ def seed(specs=None, positions=None, velocities=None, *, prehistories=None,
     return SystemState(hists, t0, dt, external, mode, renormalize_u)
 
 
-def _deriv(state: SystemState, now: WorldlineSample, report: bool = False, prev=None):
+def _deriv(state: SystemState, now: WorldlineSample, prev=None):
     """Stage derivatives dx/dt (N, 3) and contravariant du/dt (N, 4) of
     every particle at its state in now from one total_faraday batch on
-    the histories as they stand, its report (with report, the potentials
-    and delays of the step record from the same batch) and the batch,
-    started from prev when given (see total_faraday)."""
-    f, rep, batch = total_faraday(state.histories, now, state.external, state.mode, report, prev)
+    the histories as they stand, and that batch, started from prev when
+    given (see total_faraday)."""
+    f, batch = total_faraday(state.histories, now, state.external, state.mode, prev)
     m0 = np.array([h.spec.m0 for h in state.histories])
     du = raise_index(f / (now.u[:, :1] * m0[:, None]))
-    return state.c * now.u[:, 1:] / now.u[:, :1], du, rep, batch
+    return state.c * now.u[:, 1:] / now.u[:, :1], du, batch
 
 
 def _node_rows(state: SystemState, t: float, x, u, du, s) -> np.ndarray:
@@ -276,17 +276,18 @@ def step(state: SystemState) -> SystemState:
     quantity is one array with a row per particle.
 
     Stages 2 to 4 and the final stage each run with their rows staged
-    (worldline.staged). The root batches of stages 2 to 4 start warm:
-    each root from the model step off the same root in the evaluation
-    before (total_faraday's prev), whose observer event is at most dt/2
-    away; the retarded time moves smoothly with it. The first evaluation
-    (when not reused) and the final one start cold. When no query of the
-    final evaluation read its stage, every query was on the committed
-    nodes, so its batch is, bit for bit, a fresh batch on the histories
-    after the commit, and it is the step-end batch; otherwise the
-    step-end batch is solved afresh, cold. Either way the step-end batch
-    serves the diagnostics and the next step's first evaluation with the
-    bits of a fresh solve, whatever the step before it did."""
+    (worldline.staged). Every evaluation solves the same root plan, so
+    the root batches of stages 2 to 4 start warm: each root from the
+    model step off the same row in the evaluation before (total_faraday's
+    prev), whose observer event is at most dt/2 away; the retarded time
+    moves smoothly with it. The first evaluation (when not reused) and
+    the final one start cold. When no query of the final evaluation read
+    its stage, every query was on the committed nodes, so its batch is,
+    bit for bit, a fresh batch on the histories after the commit, and it
+    is the step-end batch; otherwise the step-end batch is solved
+    afresh, cold. Either way the step-end batch serves the diagnostics
+    and the next step's first evaluation with the bits of a fresh solve,
+    whatever the step before it did."""
     t_w = time.perf_counter()
     hs = state.histories
     dt, t, c = state.dt, state.t_now, state.c
@@ -296,7 +297,7 @@ def step(state: SystemState) -> SystemState:
         base, kx1, ku1, batch = state.last_eval[1]
     else:
         base = gather(hs, np.arange(state.n), np.full(state.n, t))
-        kx1, ku1, _, batch = _deriv(state, base)
+        kx1, ku1, batch = _deriv(state, base)
     x0, u0, s0 = base.r[:, 1:], base.u, base.s
 
     def advanced(frac, kx, ku):
@@ -309,10 +310,10 @@ def step(state: SystemState) -> SystemState:
             return _deriv(state, _states(rows), prev=prev)
 
     ra = advanced(0.5, kx1, ku1)
-    kx2, ku2, _, batch = stage_deriv(ra, prev=batch)
+    kx2, ku2, batch = stage_deriv(ra, prev=batch)
     rb = advanced(0.5, kx2, ku2)
-    kx3, ku3, _, batch = stage_deriv(rb, prev=batch)
-    kx4, ku4, _, batch = stage_deriv(advanced(1.0, kx3, ku3), prev=batch)
+    kx3, ku3, batch = stage_deriv(rb, prev=batch)
+    kx4, ku4, batch = stage_deriv(advanced(1.0, kx3, ku3), prev=batch)
 
     t1 = origin + (k + 1) * dt
     x1 = x0 + (dt / 6.0) * (kx1 + 2 * kx2 + 2 * kx3 + kx4)
@@ -325,26 +326,28 @@ def step(state: SystemState) -> SystemState:
     # the final evaluation fixes the appended acceleration sample
     rows = _node_rows(state, t1, x1, u1, ku4, s1)
     with staged(hs, rows) as stage:
-        kx5, ku5, report, batch = _deriv(state, _states(rows), report=True)
+        kx5, ku5, batch = _deriv(state, _states(rows))
     rows = _node_rows(state, t1, x1, u1, ku5, s1)
     commit(hs, rows)
     state.t_now, state.grid = t1, (origin, k + 1)
     now = _states(rows)
     if stage.read:
-        kx5, ku5, report, batch = _deriv(state, now, report=True)
+        kx5, ku5, batch = _deriv(state, now)
     state.last_eval = ((t1, tuple(len(h) for h in hs)), (now, kx5, ku5, batch))
-    state.diagnostics.append(_diagnose(state, now, report, time.perf_counter() - t_w))
+    state.diagnostics.append(_diagnose(state, now, batch, time.perf_counter() - t_w))
     return state
 
 
-def _diagnose(state: SystemState, now, report, wall: float) -> StepRecord:
+def _diagnose(state: SystemState, now, batch, wall: float) -> StepRecord:
     """Step record at t_now from the particles' states now at t_now and
-    the report of the step-end batch: the potentials A (n, 4) and each
-    observer's self delay and companions' sigma_i delays. No root is
-    solved here."""
+    the step-end batch (plan, roots): the potentials A (n, 4) summed over
+    its roots and each observer's self delay and companions' sigma_i
+    delays, read off its rows. No root is solved here."""
     t, hs, c = state.t_now, state.histories, state.c
     u = now.u
-    A, tau = report
+    plan, roots = batch
+    A = _add_potentials(state.external.potential(now.r), plan, roots)
+    tau = roots.t_ret[plan.own]
     q, m0 = np.array([(h.spec.q, h.spec.m0) for h in hs]).T
     qA = (q / c)[:, None] * A
     P = (m0 * c)[:, None] * lower(u) + qA

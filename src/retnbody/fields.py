@@ -21,7 +21,7 @@ point of the same worldline) and +u(s') for the pair bi-vector (source
 minus observer, differentiated along the source).
 
 total_faraday takes the states of every particle at one time (the rows
-dynamics.step already holds) and solves one root batch from the system's
+dynamics.step already holds) and solves one root batch of the system's
 one root plan for its self-force mode (retardation._root_plan; each
 root's kernel weight k sums the terms it stands for). Self and binary
 fields always act together, as in the system's one variational
@@ -30,12 +30,13 @@ Lorentz force (q/c) F u, so the kernel gives each root's covariant
 factors (W, Rt), (M, 4) arrays with an elementwise grazing-emission
 guard, contracts them with the observer's u as W (Rt.u) - Rt (W.u) and
 sums them per observer (retardation._per_slot); g is one array
-expression over every self root (_asymptotic_g). It returns (f, report,
-batch): the (n, 4) covariant force (q/c) F u + g, the step diagnostics'
-potentials and delays from the same batch on request, and the batch's
-(plan, roots), from which the next evaluation of an RK step may start
-its roots (prev). self_faraday and binary_faraday build one root's
-tensor W Rt - Rt W (_tensor).
+expression over every self root (_asymptotic_g). It returns (f, batch):
+the (n, 4) covariant force (q/c) F u + g, and the batch's (plan, roots).
+The plan also holds the roots of the potentials and the reported delays,
+so the step diagnostics read them off the batch, and the next
+evaluation of an RK step may start its roots from it (prev).
+self_faraday and binary_faraday build one root's tensor W Rt - Rt W
+(_tensor).
 """
 
 from __future__ import annotations
@@ -46,8 +47,7 @@ from enum import Enum
 import numpy as np
 
 from .minkowski import FaradayTensor, _antisymmetric_part, dots, lower
-from .retardation import (JAC_TOL, DelayRoots, _add_potentials, _dot, _per_slot, _plan_roots,
-                          _root_plan, solve_delays)
+from .retardation import JAC_TOL, DelayRoots, _dot, _per_slot, _plan_roots, _root_plan, solve_delays
 from .worldline import WorldlineHistory, gather, u_dotdot
 
 
@@ -227,51 +227,38 @@ def asymptotic_self_force(h: WorldlineHistory, t: float,
 
 
 def total_faraday(histories, now, external: ExternalFieldModel,
-                  mode: SelfForceMode = SelfForceMode.EXACT,
-                  report: bool = False, prev=None):
+                  mode: SelfForceMode = SelfForceMode.EXACT, prev=None):
     """Covariant force on every particle from one root batch and one kernel
-    pass, as (f, report, batch); now holds every history's state at one
-    time, as gather(histories, arange(n), full(n, t)) returns them.
+    pass, as (f, batch); now holds every history's state at one time, as
+    gather(histories, arange(n), full(n, t)) returns them.
 
     f (n, 4) is (q/c) F u + g: F the total covariant field (external,
     self and binary), contracted root by root with the particle's u, and
     g the first-order self-force in asymptotic mode (which also collapses
-    binary cones to the point limit). report is None unless asked for;
-    then it holds what the step diagnostics read from the same batch:
-    (A, tau), A the effective potentials (n, 4) at the particles' events
-    and tau (n, N) each particle's sigma_i delay on every history, its
-    own first.
+    binary cones to the point limit).
 
-    batch is the (plan, roots) of this evaluation, None when it solves no
-    root. prev, the batch of an evaluation at a nearby time, starts every
-    root that both batches hold from the model step off its root there
-    (retardation._first_iterates); without it the batch starts cold, and
-    its roots have the bits of any other cold batch holding them.
+    batch is the (plan, roots) of this evaluation: the system's one root
+    plan for the mode, which also holds every potential's and reported
+    delay's root, and its roots. prev, the batch of an evaluation at a
+    nearby time, starts every root from the model step off the same row
+    there (retardation._first_iterates) when it holds the same plan;
+    otherwise the batch starts cold, and its roots have the bits of any
+    other cold batch holding them.
     """
     hs = tuple(histories)
     n = len(hs)
-    exact = mode == SelfForceMode.EXACT
-    plan = _root_plan(tuple(h.spec for h in hs), tuple(range(n)), mode, report, report)
+    plan = _root_plan(tuple(h.spec for h in hs), tuple(range(n)), mode)
     Fu = (external.faraday(now.r) @ now.u[:, :, None])[:, :, 0]
-    g = batch = None
-    if plan.src.size:
-        roots = _plan_roots(hs, plan, now.r, now, prev)
-        batch = plan, roots
-        if np.count_nonzero(plan.k):
-            w, rt = _kernel(roots, plan.k, np.where(plan.src == plan.obs, -1.0, 1.0))
-            u_obs = now.u[plan.slot]
-            Fu = Fu + _per_slot(plan, w * _dot(rt, u_obs)[:, None]
-                                - rt * _dot(w, u_obs)[:, None], n)
-        if not exact:
-            # a neutral particle's g vanishes without a root
-            has_self = np.flatnonzero(plan.self_row >= 0)
-            g = np.zeros((n, 4))
-            g[has_self] = _asymptotic_g(roots, plan.self_row[has_self], now.t[has_self])
+    warm = prev is not None and prev[0] is plan
+    roots = _plan_roots(hs, plan, now.r, now, prev[1] if warm else None)
+    if np.count_nonzero(plan.k):
+        w, rt = _kernel(roots, plan.k, np.where(plan.src == plan.obs, -1.0, 1.0))
+        u_obs = now.u[plan.slot]
+        Fu = Fu + _per_slot(plan, w * _dot(rt, u_obs)[:, None] - rt * _dot(w, u_obs)[:, None], n)
     q = np.array([h.spec.q for h in hs])
     f = (q / hs[0].c)[:, None] * Fu
-    if g is not None:
-        f = f + g
-    if not report:
-        return f, None, batch
-    A = external.potential(now.r)
-    return f, (_add_potentials(A, plan, roots), roots.t_ret[plan.own]), batch
+    if mode != SelfForceMode.EXACT:
+        # a neutral particle's g vanishes without a root
+        has_self = np.flatnonzero(plan.self_row >= 0)
+        f[has_self] += _asymptotic_g(roots, plan.self_row[has_self], now.t[has_self])
+    return f, (plan, roots)

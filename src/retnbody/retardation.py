@@ -20,35 +20,36 @@ per iteration; a root that meets its tolerance is frozen with the event
 of its last iterate, so its bits do not depend on the batch it is in,
 only on its first iterate. A cold batch starts every root from the
 static guess sqrt(d^2 + sigma^2) / c. A warm batch (_plan_roots with the
-previous batch of an RK step) starts each root from the iteration's own
-model step off the same root in that batch, its source moving on
-inertially from the converged event to the new observer event
-(_first_iterates): by the implicit function theorem a retarded time
-moves smoothly with the observation time wherever Rt.u != 0, so this
-first iterate is close, and it costs no gather. A root with no
-counterpart there, or whose step is not a finite positive delay, starts
-from the static guess. The bracket, tolerance and iteration budget are
-the same either way, and every root is checked on a gather of its last
-iterate. self_delay and pair_delay are one-batch calls of it, and
+roots of the previous batch of an RK step, on the same plan) starts
+each root from the iteration's own model step off the same row of that
+batch, its source moving on inertially from the converged event to the
+new observer event (_first_iterates): by the implicit function theorem
+a retarded time moves smoothly with the observation time wherever
+Rt.u != 0, so this first iterate is close, and it costs no gather. A
+root whose step is not a finite positive delay starts from the static
+guess. The bracket, tolerance and iteration budget are the same either
+way, and every root is checked on a gather of its last iterate.
+self_delay and pair_delay are one-batch calls of it, and
 line_potentials resolves the potential at each root of a batch. A
 failing root raises with the observer, source, sigma and observation
 time named, and carries the observer label as .particle.
 
 Which roots a system needs, and how each enters its observer's sums, is
-decided in one place, _root_plan: the self cone and the two shell cones
-of each charged pair (or the point-limit cone in asymptotic mode) for
-the forces, the same cones for the effective potentials, and each
-neutral source's sigma_i cone where delays are reported. Each root's
-weights sum the terms it stands for, so an observer's force or potential
-is one weighted sum over its roots (_per_slot). fields.total_faraday,
-canonical.effective_potentials, the step-end batch of dynamics and
-max_delay all read it.
+decided in one place, _root_plan, one plan per (specs, observers, mode):
+the self cone and the two shell cones of each charged pair, which the
+effective potentials read, each neutral source's sigma_i cone, which
+only the reported delays read, and, for a force, the point-limit cone
+of each charged pair in asymptotic mode. Each root's weights sum the
+terms it stands for, so an observer's force or potential is one
+weighted sum over its roots (_per_slot). fields.total_faraday (so every
+batch of dynamics), canonical.effective_potentials and max_delay all
+read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -221,6 +222,7 @@ def solve_delays(histories, src, events, sigma, obs=-1, now=None,
             f = (c * tau) ** 2 - _dot(dx, dx) - l_sig2
             done = np.abs(f) <= l_tol
             n_done = np.count_nonzero(done)
+            # three exits and a lazy fill, not one scatter: one scatter made steps 5-10% slower
             if n_done == m:
                 # every root at once, in request order
                 t_ret, res, event = tau, np.abs(f), [ev.t, ev.s, ev.r, u, ev.a]
@@ -304,29 +306,24 @@ class _RootPlan(NamedTuple):
     w: np.ndarray       # k = 2 q_j, w = 2)
     self_row: np.ndarray    # per observer slot: its self-force root, or -1
     own: np.ndarray         # per slot and source, own history first: the
-    #                         sigma_i root, -1 where none is solved
-
-    # a plan is made once per arguments (_root_plan is cached) and holds
-    # arrays, so it is hashed and compared by identity (see _row_map)
-    __hash__ = object.__hash__
-    __eq__ = object.__eq__
+    #                         sigma_i root
 
 
-@lru_cache(maxsize=64)
-def _root_plan(specs, observers, mode=None, potentials: bool = False,
-               neutral: bool = False) -> _RootPlan:
-    """The roots a system needs at a set of observers (indices into specs).
+@cache
+def _root_plan(specs, observers, mode=None) -> _RootPlan:
+    """The roots a system needs at a set of observers (indices into
+    specs): one plan per arguments for the life of the process, so every
+    evaluation of a system solves the same rows in the same order.
 
-    mode, the fields.SelfForceMode of the force or None for no force,
-    asks for the force: a charged observer's self cone (kernel weight 2 q
-    in exact mode; the first-order self-force's root in asymptotic mode),
-    and per charged companion j its sigma_i and sigma_j cones (weight q_j
-    each), or in asymptotic mode the point-limit cone sigma = 0 for both.
-    potentials asks for A_eff: the self cone at weight 2 and each charged
-    companion's sigma_i and sigma_j cones at weight 1. neutral adds every
-    neutral source's sigma_i cone, weightless, so that every delay is
-    reported. A root shared by several cones (equal radii, the point
-    limit) sums their weights; a source with q = 0 gets no other root.
+    Every charged observer gets its self cone and, per charged companion
+    j, its sigma_i and sigma_j cones, at potential weight 2 and 1; every
+    neutral source gets its sigma_i cone, weightless, so that every delay
+    is reported. mode, the fields.SelfForceMode of the force or None for
+    no force, adds the kernel weights: 2 q on the self cone in exact
+    mode, q_j on each shell cone, or in asymptotic mode q_j twice on the
+    point-limit cone sigma = 0 (the self cone is then the first-order
+    self-force's root, at kernel weight 0). A root shared by several
+    cones (equal radii, the point limit) sums their weights.
     """
     forces = mode is not None
     exact = forces and mode.value == "exact"
@@ -346,21 +343,18 @@ def _root_plan(specs, observers, mode=None, potentials: bool = False,
         for j, first in zip(sources, own[s]):
             q = specs[j].q
             if not q:
-                if neutral:
-                    root(first)
+                root(first)
             elif j == i:
                 if forces:
                     self_keys[s] = root(first, k=2.0 * q if exact else 0.0)
-                if potentials:
-                    root(first, w=2.0)
+                root(first, w=2.0)
             else:
                 cones = (first, (j, s, specs[j].sigma))
                 if forces:
                     for key in cones if exact else [(j, s, 0.0)] * 2:
                         root(key, k=q)
-                if potentials:
-                    for key in cones:
-                        root(key, w=1.0)
+                for key in cones:
+                    root(key, w=1.0)
     keys = sorted(rows, key=lambda key: key[0])  # stable: first use within a source
     row = {key: r for r, key in enumerate(keys)}
     cols = np.array(keys, dtype=np.float64).reshape(-1, 3)
@@ -369,55 +363,38 @@ def _root_plan(specs, observers, mode=None, potentials: bool = False,
     plan = _RootPlan(
         src, np.array(observers, dtype=np.intp)[slot], slot, cols[:, 2], k, w,
         np.array([row.get(key, -1) for key in self_keys], dtype=np.intp),
-        np.array([[row.get(key, -1) for key in o] for o in own], dtype=np.intp))
+        np.array([[row[key] for key in o] for o in own], dtype=np.intp))
     for x in plan:
         x.flags.writeable = False  # shared by every call with these arguments
     return plan
 
 
-@lru_cache(maxsize=64)
-def _row_map(prev: _RootPlan, plan: _RootPlan) -> np.ndarray:
-    """For each row of plan, the row of prev with the same source,
-    observer and sigma, or -1 where prev has none."""
-    def keys(p):
-        return zip(p.src.tolist(), p.obs.tolist(), p.sigma.tolist())
-
-    index = {key: r for r, key in enumerate(keys(prev))}
-    rows = np.array([index.get(key, -1) for key in keys(plan)], dtype=np.intp)
-    rows.flags.writeable = False  # shared by every call with these plans
-    return rows
-
-
-def _first_iterates(prev, plan: _RootPlan, events, t) -> np.ndarray:
-    """First iterates of the plan's roots, for observer events (one per
-    row) at times t, from the previous batch prev = (plan, roots), with no
-    gather: the model step of the solver (_model_step) from the root of the
-    same source, observer and sigma in prev, its source moving on
+def _first_iterates(prev: DelayRoots, events, t) -> np.ndarray:
+    """First iterates of a plan's roots, for observer events (one per
+    row) at times t, from prev, the roots of the same plan on nearby
+    observer events, read row for row with no gather: the model step of
+    the solver (_model_step) from prev's root, its source moving on
     inertially from its converged event to the new observer event. NaN,
-    so the static guess, where prev has no such root or the step is not a
-    finite positive delay."""
-    prev_plan, roots = prev
-    rows = _row_map(prev_plan, plan)
-    src = roots.source
-    u, c = src.u[rows], roots.histories[0].c
-    tau = t - src.t[rows]
-    dx = events[:, 1:] - src.r[rows, 1:]
-    f = (c * tau) ** 2 - _dot(dx, dx) - plan.sigma * plan.sigma
+    so the static guess, where the step is not a finite positive delay."""
+    src, c = prev.source, prev.histories[0].c
+    tau = t - src.t
+    dx = events[:, 1:] - src.r[:, 1:]
+    f = (c * tau) ** 2 - _dot(dx, dx) - prev.sigma * prev.sigma
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        step = _model_step(tau, f, dx, u, c)[1]
-        return np.where((rows >= 0) & (step > 0.0) & (step < np.inf), step, np.nan)
+        step = _model_step(tau, f, dx, src.u, c)[1]
+        return np.where((step > 0.0) & (step < np.inf), step, np.nan)
 
 
 def _plan_roots(histories, plan: _RootPlan, events, now=None, prev=None) -> DelayRoots:
     """The plan's roots for observer events (one per observer slot) as
     one batch; now, the states of all histories at the observation time,
-    is gathered by the solver when not given. With prev, the (plan, roots)
-    of a batch on nearby observer events, and now, the batch starts from
-    the first iterates _first_iterates makes from it; without, cold."""
+    is gathered by the solver when not given. With prev, the roots of the
+    same plan on nearby observer events, and now, the batch starts from
+    the first iterates _first_iterates makes from them; without, cold."""
     events = events[plan.slot]
     if now is not None:
         now = now.take(plan.src)
-    seed = None if prev is None else _first_iterates(prev, plan, events, now.t)
+    seed = None if prev is None else _first_iterates(prev, events, now.t)
     return solve_delays(histories, plan.src, events, plan.sigma, obs=plan.obs, now=now,
                         seed=seed)
 
@@ -441,7 +418,6 @@ def max_delay(histories, t0: float) -> float:
     of each neutral source, as one batch."""
     hs = tuple(histories)
     n = len(hs)
-    plan = _root_plan(tuple(h.spec for h in hs), tuple(range(n)), potentials=True,
-                      neutral=True)
+    plan = _root_plan(tuple(h.spec for h in hs), tuple(range(n)))
     now = gather(hs, np.arange(n), np.full(n, float(t0)))
     return float(_plan_roots(hs, plan, now.r, now).t_ret.max())

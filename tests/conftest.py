@@ -8,7 +8,7 @@ EPS = np.finfo(np.float64).eps
 
 @pytest.fixture
 def total_force(monkeypatch):
-    """fields.total_faraday returning (f, report, batch, bound): bound (n, 4)
+    """fields.total_faraday returning (f, batch, bound): bound (n, 4)
     is the rounding bound of f against the single-term oracle
     (q/c) (sum of the field tensors) @ u + g.
 
@@ -33,7 +33,7 @@ def total_force(monkeypatch):
 
     def call(histories, now, external, *args, g=0.0, **kwargs):
         factors.clear()
-        f, report, batch = fl.total_faraday(histories, now, external, *args, **kwargs)
+        f, batch = fl.total_faraday(histories, now, external, *args, **kwargs)
         u = np.abs(now.u)
         mag = (np.abs(external.faraday(now.r)) @ u[:, :, None])[:, :, 0]
         m = np.zeros(len(histories))
@@ -46,6 +46,6 @@ def total_force(monkeypatch):
             np.add.at(m, plan.slot, 1.0)
         q_c = np.array([abs(h.spec.q) / h.c for h in histories])
         bound = ((2.0 * m + 20.0) * EPS)[:, None] * (q_c[:, None] * mag + np.abs(g))
-        return f, report, batch, bound
+        return f, batch, bound
 
     return call

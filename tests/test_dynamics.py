@@ -2,6 +2,7 @@ import contextlib
 import gc
 import math
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -190,15 +191,17 @@ def test_free_motion_long_run():
 @pytest.fixture
 def lorentz_only(monkeypatch):
     """Every step's force the external Lorentz force (q/c) F_ext u alone,
-    as on test charges; a report holds the external potentials and zero
-    delays, and no root batch is made."""
-    def lorentz(histories, now, external, mode, report=False, prev=None):
+    as on test charges, and no root batch made: the stand-in batch gives
+    the diagnostics the external potentials and zero delays."""
+    def lorentz(histories, now, external, mode, prev=None):
         n = len(histories)
         q = np.array([h.spec.q for h in histories])
         f = (q / histories[0].c)[:, None] * (external.faraday(now.r) @ now.u[:, :, None])[:, :, 0]
-        return f, (external.potential(now.r), np.zeros((n, n))) if report else None, None
+        return f, (SimpleNamespace(own=np.zeros((n, n), dtype=np.intp)),
+                   SimpleNamespace(t_ret=np.zeros(1)))
 
     monkeypatch.setattr(dyn, "total_faraday", lorentz)
+    monkeypatch.setattr(dyn, "_add_potentials", lambda A, plan, roots: A)
 
 
 def test_magnetic_orbit_speed_and_constraint(lorentz_only):
@@ -230,7 +233,7 @@ def test_static_pair_initial_force_matches_closed_form(total_force):
     specs = [ParticleSpec(m0, q1, s1, "one"), ParticleSpec(m0, q2, s2, "two")]
     st = seed(specs, [[-d / 2, 0, 0], [d / 2, 0, 0]], [[0, 0, 0], [0, 0, 0]])
     mag = d * ((d * d + s1 * s1) ** -1.5 + (d * d + s2 * s2) ** -1.5)
-    f, _, _, bound = total_force(st.histories, wl.gather(st.histories, [0, 1], [0.0, 0.0]),
+    f, _, bound = total_force(st.histories, wl.gather(st.histories, [0, 1], [0.0, 0.0]),
                                  st.external)
     for i, sgn in ((0, -1.0), (1, 1.0)):
         h, other = st.histories[i], st.histories[1 - i]
@@ -303,7 +306,7 @@ def test_diagnostics_rows_and_header():
     assert rec.wall_time >= 0.0
 
 
-def test_m_hat_is_each_index_pairs_own_sum_bit_for_bit():
+def test_m_hat_is_each_index_pairs_own_sum_bit_for_bit(monkeypatch):
     # nine particles: numpy adds fewer than eight terms one at a time, so
     # only eight or more tell summation orders apart
     rng = np.random.default_rng(4)
@@ -312,7 +315,8 @@ def test_m_hat_is_each_index_pairs_own_sum_bit_for_bit():
     st = seed(specs, 4.0 * rng.normal(size=(n, 3)), 0.1 * rng.normal(size=(n, 3)), t0=1.3)
     now = wl.gather(st.histories, np.arange(n), np.full(n, st.t_now))
     A = rng.normal(size=(n, 4))
-    rec = DIAGNOSE(st, now, (A, rng.uniform(size=(n, n))), 0.0)
+    monkeypatch.setattr(dyn, "_add_potentials", lambda *args: A)
+    rec = DIAGNOSE(st, now, fl.total_faraday(st.histories, now, st.external)[1], 0.0)
     q, m0 = np.array([(s.q, s.m0) for s in specs]).T
     P = m0[:, None] * lower(now.u) + q[:, None] * A
     r_low = lower(now.r)
@@ -805,15 +809,20 @@ def committed_last(st):
 
 
 def fresh_record(st):
-    """The step record at t_now from roots solved afresh on the committed
-    histories: effective_potentials and one single-root solve per delay."""
+    """The step record at t_now from a cold batch solved afresh on the
+    committed histories, whose potentials and delays are first checked,
+    bit for bit, against effective_potentials and one single-root solve
+    per delay."""
     hs, n = st.histories, st.n
     now = wl.gather(hs, np.arange(n), np.full(n, st.t_now))
+    plan, roots = batch = fl.total_faraday(hs, now, st.external, st.mode)[1]
     A = cn.effective_potentials(hs, st.external, range(n), now.r)
     tau = [[ret.self_delay(h, st.t_now).t_ret]
            + [ret.pair_delay(hj, now.r[i], h.spec.sigma).t_ret
               for j, hj in enumerate(hs) if j != i] for i, h in enumerate(hs)]
-    return DIAGNOSE(st, now, (A, np.array(tau)), 0.0)
+    assert np.array_equal(ret._add_potentials(st.external.potential(now.r), plan, roots), A)
+    assert np.array_equal(roots.t_ret[plan.own], tau)
+    return DIAGNOSE(st, now, batch, 0.0)
 
 
 @pytest.mark.parametrize("mode, sigmas", [(SelfForceMode.EXACT, (0.01, 0.012, 0.011)),
@@ -916,9 +925,9 @@ def test_a_non_finite_stage_is_refused_before_it_is_evaluated(monkeypatch):
     calls = []
 
     def nan_first(*args, **kwargs):
-        f, rep, batch = real(*args, **kwargs)
+        f, batch = real(*args, **kwargs)
         calls.append(f)
-        return (np.full_like(f, np.nan) if len(calls) == 1 else f), rep, batch
+        return (np.full_like(f, np.nan) if len(calls) == 1 else f), batch
 
     real = dyn.total_faraday
     monkeypatch.setattr(dyn, "total_faraday", nan_first)
@@ -945,36 +954,61 @@ def test_diagnostics_export_writes_each_number_as_repr_of_its_float(tmp_path):
     assert path.read_text(encoding="utf-8") == ",".join(dyn.Diagnostics().header(labels)) + "\n"
 
 
-def test_neutral_companion_roots_are_not_solved_in_the_force(monkeypatch):
-    specs = [ParticleSpec(1.0, 0.5, 0.6, "a"), ParticleSpec(1.0, 0.0, 0.7, "n"),
-             ParticleSpec(1.2, -0.4, 0.5, "b")]
-    st = seed(specs, [[-1.5, 0, 0], [0, 1.2, 0], [1.5, 0, 0]],
-              [[0, 0.05, 0], [0.1, 0, 0], [0, -0.05, 0]], dt=0.02)
-    batches, _ = count_batches(monkeypatch)
-    for _ in range(2):
-        before = len(batches)
+@pytest.mark.parametrize("make", [ring6, _asymptotic_ring6, lambda: _triple((0.5, 0.6, 0.55)),
+                                  _small_radii],
+                         ids=["exact", "asymptotic", "neutral_trio", "neutral_trio_read"])
+def test_a_step_chains_one_plan(monkeypatch, make):
+    # every evaluation solves the system's one root plan: the stage
+    # batches, the final batch and a step-end batch solved afresh (the
+    # read trio's) hold the same (source, observer, sigma) rows in the same
+    # order, each neutral source's sigma_i cone included
+    st = make()
+    n = st.n
+    plan = ret._root_plan(tuple(st.specs), tuple(range(n)), st.mode)
+    batches, diagnose = count_batches(monkeypatch)
+    for _ in range(3):
         step(st)
-        *stages, end = batches[before:]
-        assert all(1 not in src for _, src, _, _, _ in stages)
-        # the step-end batch solves the neutral source's sigma_i cone once
-        # per observer, for the diagnostics only
-        _, src, obs, sigma, _ = end
-        assert sorted((o, s) for j, o, s in zip(src, obs, sigma) if j == 1) == [
-            (0, 0.6), (1, 0.7), (2, 0.5)]
+        assert st.last_eval[1][3][0] is plan
+    assert {tuple(map(tuple, b[1:4])) for b in batches} == {
+        (tuple(plan.src.tolist()), tuple(plan.obs.tolist()), tuple(plan.sigma.tolist()))}
+    assert sorted({(j, o) for j, o in zip(plan.src.tolist(), plan.obs.tolist())}) == [
+        (j, o) for j in range(n) for o in range(n)]
+    assert diagnose == [0, 0, 0]
     # the diagnostics still report the neutral particle's delays
     rec = st.diagnostics.records[-1]
     assert np.all(rec.self_delays > 0.0) and np.all(rec.pair_delays > 0.0)
 
 
-def test_reused_final_evaluation_is_the_next_first_bit_for_bit(monkeypatch):
+def _curved_small_pair():
     # radii just above 2 c dt: after three steps every root lands on the
     # curved, integrated part of the histories
-    def pair():
-        specs = [ParticleSpec(1.0, 0.1, 0.05, "a"), ParticleSpec(1.2, -0.1, 0.06, "b")]
-        return seed(specs, [[-0.3, 0, 0], [0.3, 0.1, 0]], [[0, 0.1, 0], [0.05, 0, 0]],
-                    dt=0.02, external=ExternalFieldModel.uniform(E=(0.3, 0.0, 0.1)))
+    specs = [ParticleSpec(1.0, 0.1, 0.05, "a"), ParticleSpec(1.2, -0.1, 0.06, "b")]
+    return seed(specs, [[-0.3, 0, 0], [0.3, 0.1, 0]], [[0, 0.1, 0], [0.05, 0, 0]],
+                dt=0.02, external=ExternalFieldModel.uniform(E=(0.3, 0.0, 0.1)))
 
-    reused, fresh = pair(), pair()
+
+def test_a_system_keeps_its_plan_while_other_plans_are_made():
+    # a plan is one object per arguments for the life of the process, so
+    # plans made for other systems between two steps leave the next
+    # steps' warm starts warm: the tables equal an uninterrupted run's
+    interrupted, straight = _curved_small_pair(), _curved_small_pair()
+    for _ in range(12):
+        step(interrupted)
+    plan = interrupted.last_eval[1][3][0]
+    for k in range(70):
+        ret._root_plan((ParticleSpec(1.0, 0.1, 0.2 + 0.01 * k, f"o{k}"),), (0,),
+                       SelfForceMode.EXACT)
+    for _ in range(3):
+        step(interrupted)
+    assert interrupted.last_eval[1][3][0] is plan
+    for _ in range(15):
+        step(straight)
+    for a, b in zip(interrupted.histories, straight.histories):
+        assert np.array_equal(a.table, b.table)
+
+
+def test_reused_final_evaluation_is_the_next_first_bit_for_bit(monkeypatch):
+    reused, fresh = _curved_small_pair(), _curved_small_pair()
     for _ in range(12):
         step(reused)
         assert reused.last_eval is not None
@@ -1120,13 +1154,10 @@ def test_a_step_makes_at_most_ten_gathers(monkeypatch):
 @MODES
 def test_warm_and_cold_batches_agree(monkeypatch, mode):
     warm, cold = curved_pair(mode), curved_pair(mode)
-    for _ in range(20):
+    for _ in range(21):
         step(warm)
-    misses = ret._row_map.cache_info().misses
-    step(warm)  # the row maps of a step are built once, not per call
-    assert ret._row_map.cache_info().misses == misses
     monkeypatch.setattr(ret, "_first_iterates",
-                        lambda prev, plan, events, t: np.full(len(plan.src), np.nan))
+                        lambda prev, events, t: np.full(len(events), np.nan))
     for _ in range(21):
         step(cold)
     # the two runs differ (in the last bits of the stage roots), and each

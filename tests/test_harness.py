@@ -427,7 +427,7 @@ def test_action_oracle_makes_one_force_batch_per_node_time(monkeypatch, tmp_path
     for t in out["report"].times[::9]:
         got = harness.el_residual_covariant(hists, none, t)
         now = worldline.gather(hists, np.arange(len(hists)), np.full(len(hists), t))
-        f, _, _, bound = total_force(hists, now, none)
+        f, _, bound = total_force(hists, now, none)
         for i, h in enumerate(hists):
             smp = h.state_at_time(t)
             assert np.array_equal(got[i], h.spec.m0 * c * lower(smp.a) - f[i])

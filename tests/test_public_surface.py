@@ -1,5 +1,5 @@
 """Every public name of the package, and every defaulted parameter of a
-public function or method, has a caller on a shipped path.
+function or method, has a caller on a shipped path.
 
 The scan parses each src/retnbody/*.py with ast and collects the public
 top-level functions and classes and the public methods of each class.
@@ -8,7 +8,9 @@ acceptance gate tests/test_acceptance.py, as an ast.Name that is not
 assigned to, an ast.Attribute or an import alias. Unit tests do not
 count: a name only they call is a test oracle and belongs in the test
 file that uses it. Every private definition (module level, or a method)
-must be named somewhere in src/ outside its own definition.
+must be named somewhere in src/ outside its own definition, and every
+defaulted parameter of a private function or method must be passed by
+some call in src/.
 
 ast, not tokenize: config_hash is called only inside an f-string, which
 Python 3.11's tokenize reads as one string token.
@@ -114,30 +116,60 @@ def _passes(call, name: str, index) -> bool:
     return index is not None and len(call.args) > index
 
 
+def _unpassed(definitions, calls) -> list:
+    """'qual(name)' of each defaulted parameter of the functions among
+    definitions that no call in calls passes."""
+    return sorted(f"{qual}({name})" for qual, node, method in definitions
+                  if not isinstance(node, ast.ClassDef)
+                  for name, index in _defaulted(node, method)
+                  if not any(_passes(c, name, index) for c in calls.get(node.name, ())))
+
+
 def test_every_defaulted_parameter_has_a_shipped_caller():
-    calls = _calls(SHIPPED)
-    unpassed = [f"{qual}({name})" for path in MODULES
-                for qual, node, method in _public_definitions(path)
-                if not isinstance(node, ast.ClassDef)
-                for name, index in _defaulted(node, method)
-                if not any(_passes(c, name, index) for c in calls.get(node.name, ()))]
-    assert sorted(unpassed) == sorted(KEEP), \
-        f"defaulted parameters no shipped call passes (KEEP: {sorted(KEEP)}): {sorted(unpassed)}"
+    unpassed = _unpassed([d for path in MODULES for d in _public_definitions(path)],
+                         _calls(SHIPPED))
+    assert unpassed == sorted(KEEP), \
+        f"defaulted parameters no shipped call passes (KEEP: {sorted(KEEP)}): {unpassed}"
+
+
+def _private(name) -> bool:
+    """A private name of the package; dunder names are the language's."""
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_functions(path):
+    """(qualified name, node, whether a method) of each private top-level
+    function of the module at path and each private method of its
+    classes."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, funcs) and _private(node.name):
+            yield f"{path.stem}.{node.name}", node, False
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{path.stem}.{node.name}.{m.name}", m, True) for m in node.body
+                        if isinstance(m, funcs) and _private(m.name))
+
+
+def test_every_defaulted_parameter_of_a_private_function_is_passed_in_src():
+    # a private flag whose last passing call was folded away (a leftover
+    # such as report=False that every call leaves at its default) is caught
+    # here: only calls in src/ count
+    defined = [d for path in MODULES for d in _private_functions(path)]
+    assert len(defined) > 30
+    unpassed = _unpassed(defined, _calls(sorted((ROOT / "src").rglob("*.py"))))
+    assert unpassed == [], f"defaulted private parameters no call in src/ passes: {unpassed}"
 
 
 
 def _private_definitions(path):
     """(qualified name, name) of each private top-level function, class or
     constant of the module at path and each private method of its
-    classes; dunder names are the language's, not the package's."""
-    def private(name):
-        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
-
+    classes."""
     funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
         if isinstance(node, ast.ClassDef):
             yield from ((f"{path.stem}.{node.name}.{m.name}", m.name) for m in node.body
-                        if isinstance(m, funcs) and private(m.name))
+                        if isinstance(m, funcs) and _private(m.name))
         if isinstance(node, (*funcs, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -146,7 +178,7 @@ def _private_definitions(path):
                      if isinstance(t, ast.Name)]
         else:
             continue
-        yield from ((f"{path.stem}.{name}", name) for name in names if private(name))
+        yield from ((f"{path.stem}.{name}", name) for name in names if _private(name))
 
 
 def test_every_private_definition_has_a_caller():

@@ -383,23 +383,15 @@ def present(hs, t):
 
 def test_first_iterates_fall_back_to_the_static_guess_row_by_row(monkeypatch):
     hs = curved_pair_histories()
-    specs = tuple(h.spec for h in hs)
-    # asymptotic forces: the point-limit pair cones; the step-end plan
-    # adds both shell cones of each pair, which the forces' batch lacks
-    forces = ret._root_plan(specs, (0, 1), SelfForceMode.ASYMPTOTIC)
-    report = ret._root_plan(specs, (0, 1), SelfForceMode.ASYMPTOTIC, True, True)
+    plan = ret._root_plan(tuple(h.spec for h in hs), (0, 1), SelfForceMode.ASYMPTOTIC)
     now_a, now_b = present(hs, 1.0), present(hs, 1.01)
-    prev = (forces, ret._plan_roots(hs, forces, now_a.r, now_a))
-    rows = ret._row_map(forces, report)
-    assert ret._row_map(forces, report) is rows  # built once per pair of plans
-    assert sorted(report.sigma[rows < 0].tolist()) == [0.7, 0.7, 0.8, 0.8]
-    events, t = now_b.r[report.slot], now_b.t[report.src]
-    seeds = ret._first_iterates(prev, report, events, t)
-    assert np.array_equal(np.isnan(seeds), rows < 0)
-    cold = ret._plan_roots(hs, report, now_b.r, now_b)
-    assert np.all(np.abs(seeds - cold.t_ret)[rows >= 0] < 1e-4)  # 0.01 after prev
+    prev = ret._plan_roots(hs, plan, now_a.r, now_a)
+    events, t = now_b.r[plan.slot], now_b.t[plan.src]
+    cold = ret._plan_roots(hs, plan, now_b.r, now_b)
+    # each row starts off the same row of prev, 0.01 earlier
+    assert np.all(np.abs(ret._first_iterates(prev, events, t) - cold.t_ret) < 1e-4)
 
-    # a model step that is negative, NaN or infinite falls back as well
+    # a model step that is negative, NaN or infinite falls back
     def model_step(*args):
         den, step = real_model(*args)
         step[:3] = [-0.5, np.nan, np.inf]
@@ -408,8 +400,8 @@ def test_first_iterates_fall_back_to_the_static_guess_row_by_row(monkeypatch):
     real_model = ret._model_step
     with monkeypatch.context() as m:
         m.setattr(ret, "_model_step", model_step)
-        faulty = ret._first_iterates(prev, forces, now_b.r[forces.slot], now_b.t[forces.src])
-    assert np.isnan(faulty).tolist() == [True, True, True, False]
+        seeds = ret._first_iterates(prev, events, t)
+    assert np.isnan(seeds).tolist() == [True] * 3 + [False] * (len(seeds) - 3)
 
     # each NaN row starts from the static guess, every other from its seed,
     # and every root is the cold batch's to its tolerance
@@ -421,11 +413,11 @@ def test_first_iterates_fall_back_to_the_static_guess_row_by_row(monkeypatch):
 
     real_gather = ret.gather
     monkeypatch.setattr(ret, "gather", gather)
-    roots = ret.solve_delays(hs, report.src, events, report.sigma, obs=report.obs,
-                             now=now_b.take(report.src), seed=seeds)
-    d = events[:, 1:] - now_b.r[report.src, 1:]
-    static = np.sqrt(ret._dot(d, d) + report.sigma * report.sigma) / hs[0].c
-    assert np.array_equal(first[0], t - np.where(rows < 0, static, seeds))
+    roots = ret.solve_delays(hs, plan.src, events, plan.sigma, obs=plan.obs,
+                             now=now_b.take(plan.src), seed=seeds)
+    d = events[:, 1:] - now_b.r[plan.src, 1:]
+    static = np.sqrt(ret._dot(d, d) + plan.sigma * plan.sigma) / hs[0].c
+    assert np.array_equal(first[0], t - np.where(np.isnan(seeds), static, seeds))
     assert np.all(np.abs(roots.t_ret - cold.t_ret) < 1e-10)
 
 
@@ -433,7 +425,7 @@ def test_warm_batches_fail_as_cold_ones(monkeypatch):
     hs = curved_pair_histories()
     plan = ret._root_plan(tuple(h.spec for h in hs), (0, 1), SelfForceMode.EXACT)
     now_a, now_b = present(hs, 0.5), present(hs, 1.0)
-    prev = (plan, ret._plan_roots(hs, plan, now_a.r, now_a))
+    prev = ret._plan_roots(hs, plan, now_a.r, now_a)
 
     def failure(kind, call, prev):
         with pytest.raises(kind) as err:
