@@ -14,22 +14,27 @@ on states the step holds: the base states, a stage's (N, 14) node block
 or the committed nodes. It solves the delay roots and field kernels of
 all particles as one batch of the system's one root plan and returns
 each particle's covariant force (q/c) F u + g as an (N, 4) array, which
-_deriv divides by u^0 m0 and raises; stages 2 to 4 start their roots
-from the stage before (see step). After acceptance a fifth evaluation
-fixes the appended acceleration sample, proper time advances by Simpson
-quadrature of c dt / gamma, and the new nodes are committed as one
-checked block (worldline.commit); they are also the states the step
-record and the next step start from. Each step ends with exactly one
-batch at the new time. Its plan also holds the potentials' and the
-reported delays' roots, so it serves the step's diagnostics and the next
-step's first evaluation.
+_deriv divides by u^0 m0 and raises; every evaluation but a state's
+first starts its roots from the evaluation before (see step). After
+acceptance a fifth evaluation fixes the appended acceleration sample,
+proper time advances by Simpson quadrature of c dt / gamma, and the new
+nodes are committed as one checked block (worldline.commit); they are
+also the states the step record and the next step start from. Each
+step ends with exactly one batch at the new time. Its plan also holds
+the potentials' and the reported delays' roots, so it serves the step's
+diagnostics and the next step's first evaluation.
 
 Stages 2 to 4 and the fifth evaluation run with their node blocks
 staged (worldline.staged), which the store writes only when a query
-reads past the committed nodes. The fifth evaluation starts cold; when
-no query read its stage it made every query on the committed nodes, so
-it is the step-end batch, and otherwise the step-end batch is solved
-afresh once the nodes are committed.
+reads past the committed nodes. When no query read the fifth
+evaluation's stage it made every query on the committed nodes, so its
+batch is the step-end batch; otherwise the step-end batch is solved
+again, from the fifth's, once the nodes are committed. Only a state's
+first evaluation starts cold (the first step of a run or a restart, or
+a state with no cached step-end batch), so a state's continuation is
+fixed, bit for bit, by the state with its cached batch; a restart from
+the committed nodes agrees with the uninterrupted run to the root
+tolerance, not bit for bit.
 
 Histories are the state. A SystemState is little more than the history
 set, held in one store (worldline.HistoryBank, filled by seed), plus the
@@ -92,6 +97,8 @@ class StepRecord:
     m_hat: np.ndarray
     self_delays: np.ndarray
     pair_delays: np.ndarray
+    # per particle: the step's local error estimate (see step)
+    local_error: np.ndarray
     wall_time: float
 
 
@@ -124,7 +131,8 @@ class Diagnostics:
 
     def export_csv(self, path, labels, comment: str | None = None) -> None:
         """Write the records; wall times stay in memory only, because
-        exported files must be bit-identical across repeated runs."""
+        exported files must be bit-identical across repeated runs, and so
+        do local error estimates, so that the file keeps its columns."""
         header = self.header(labels)
         rows = [[r.step, r.t, *r.constraint_err, *r.h_eff, *r.p_hat, *r.m_hat,
                  *r.self_delays, *r.pair_delays] for r in self._records]
@@ -142,8 +150,9 @@ class SystemState:
     renormalize_u: bool = False
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
     # the states, the step-end force evaluation and its root batch of the
-    # last step, keyed by the time and history lengths they hold for (see
-    # step)
+    # last step, keyed by the time and history lengths they hold for: the
+    # next step's first evaluation, from which its other evaluations start
+    # (see step); None, and the next step starts cold
     last_eval: tuple | None = field(default=None, repr=False, compare=False)
     # (origin, k): step k + 1 ends at origin + (k + 1) dt; None is (t_now, 0)
     grid: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -277,17 +286,21 @@ def step(state: SystemState) -> SystemState:
 
     Stages 2 to 4 and the final stage each run with their rows staged
     (worldline.staged). Every evaluation solves the same root plan, so
-    the root batches of stages 2 to 4 start warm: each root from the
-    model step off the same row in the evaluation before (total_faraday's
-    prev), whose observer event is at most dt/2 away; the retarded time
-    moves smoothly with it. The first evaluation (when not reused) and
-    the final one start cold. When no query of the final evaluation read
-    its stage, every query was on the committed nodes, so its batch is,
-    bit for bit, a fresh batch on the histories after the commit, and it
-    is the step-end batch; otherwise the step-end batch is solved
-    afresh, cold. Either way the step-end batch serves the diagnostics
-    and the next step's first evaluation with the bits of a fresh solve,
-    whatever the step before it did."""
+    each root batch starts warm: each root from the model step off the
+    same row in the evaluation before (total_faraday's prev), whose
+    observer event is at most dt/2 away; the retarded time moves
+    smoothly with it. Only the first evaluation of a state with no
+    cached step-end batch starts cold. When no query of the final
+    evaluation read its stage, every query was on the committed nodes,
+    so its batch is the step-end batch; otherwise the step-end batch is
+    solved again on the committed nodes, from the final batch. Either
+    way it serves the diagnostics and the next step's first evaluation.
+
+    The step records (dt/6) |k4 - k5| per particle, k5 the final
+    evaluation's slopes: the difference between RK4 and its
+    first-same-as-last embedded solution of weights (1/6, 1/3, 1/3, 0,
+    1/6), an estimate of the step's local error at no extra
+    evaluation."""
     t_w = time.perf_counter()
     hs = state.histories
     dt, t, c = state.dt, state.t_now, state.c
@@ -326,23 +339,29 @@ def step(state: SystemState) -> SystemState:
     # the final evaluation fixes the appended acceleration sample
     rows = _node_rows(state, t1, x1, u1, ku4, s1)
     with staged(hs, rows) as stage:
-        kx5, ku5, batch = _deriv(state, _states(rows))
+        kx5, ku5, batch = _deriv(state, _states(rows), prev=batch)
     rows = _node_rows(state, t1, x1, u1, ku5, s1)
     commit(hs, rows)
     state.t_now, state.grid = t1, (origin, k + 1)
     now = _states(rows)
     if stage.read:
-        kx5, ku5, batch = _deriv(state, now)
+        kx5, ku5, batch = _deriv(state, now, prev=batch)
     state.last_eval = ((t1, tuple(len(h) for h in hs)), (now, kx5, ku5, batch))
-    state.diagnostics.append(_diagnose(state, now, batch, time.perf_counter() - t_w))
+    # the local error estimate, its position part in units of c weighted
+    # by |u|
+    err = (dt / 6.0) * np.sqrt(
+        np.sum((ku4 - ku5) ** 2, axis=1)
+        + np.sum(u1 * u1, axis=1) * np.sum((kx4 - kx5) ** 2, axis=1) / (c * c))
+    state.diagnostics.append(_diagnose(state, now, batch, time.perf_counter() - t_w, err))
     return state
 
 
-def _diagnose(state: SystemState, now, batch, wall: float) -> StepRecord:
+def _diagnose(state: SystemState, now, batch, wall: float, local_error) -> StepRecord:
     """Step record at t_now from the particles' states now at t_now and
     the step-end batch (plan, roots): the potentials A (n, 4) summed over
     its roots and each observer's self delay and companions' sigma_i
-    delays, read off its rows. No root is solved here."""
+    delays, read off its rows, and the step's local error estimate (n,).
+    No root is solved here."""
     t, hs, c = state.t_now, state.histories, state.c
     u = now.u
     plan, roots = batch
@@ -362,7 +381,8 @@ def _diagnose(state: SystemState, now, batch, wall: float) -> StepRecord:
     return StepRecord(step=len(state.diagnostics) + 1, t=t,
                       constraint_err=np.abs(dots(u, u) - 1.0), h_eff=heff, p_hat=p_hat,
                       m_hat=m_hat, self_delays=tau[:, 0],
-                      pair_delays=tau[:, 1:].ravel(), wall_time=wall)
+                      pair_delays=tau[:, 1:].ravel(), local_error=local_error,
+                      wall_time=wall)
 
 
 def step_count(span: float, dt: float) -> int:
@@ -409,9 +429,18 @@ def run(state: SystemState, t_end: float, trajectory_dir=None,
 
 def copy_state(state: SystemState, dt: float | None = None) -> SystemState:
     """Independent deep copy (fresh histories in one fresh store, and
-    fresh diagnostics)."""
-    return replace(state, histories=copy_histories(state.histories),
-                   dt=state.dt if dt is None else dt, diagnostics=Diagnostics(), last_eval=None)
+    fresh diagnostics) that steps on bit for bit as the original would.
+
+    The copy shares the original's last_eval, which no step writes into
+    and which holds for t_now whatever dt is; its roots name the
+    original's histories, of which a warm start reads only the light
+    speed. The copy keeps the step grid unless dt changes, which starts
+    a new grid at t_now."""
+    dup = replace(state, histories=copy_histories(state.histories),
+                  dt=state.dt if dt is None else dt, diagnostics=Diagnostics())
+    if dup.dt == state.dt:
+        dup.grid = state.grid
+    return dup
 
 
 # -- demonstration scenarios --------------------------------------------------

@@ -20,14 +20,16 @@ per iteration; a root that meets its tolerance is frozen with the event
 of its last iterate, so its bits do not depend on the batch it is in,
 only on its first iterate. A cold batch starts every root from the
 static guess sqrt(d^2 + sigma^2) / c. A warm batch (_plan_roots with the
-roots of the previous batch of an RK step, on the same plan) starts
-each root from the iteration's own model step off the same row of that
-batch, its source moving on inertially from the converged event to the
-new observer event (_first_iterates): by the implicit function theorem
-a retarded time moves smoothly with the observation time wherever
-Rt.u != 0, so this first iterate is close, and it costs no gather. A
-root whose step is not a finite positive delay starts from the static
-guess. The bracket, tolerance and iteration budget are the same either
+roots of the evaluation before, on the same plan) starts each root from
+the iteration's own model step off the same row of that batch, its
+source moving on inertially from the converged event to the new
+observer event (_first_iterates): by the implicit function theorem a
+retarded time moves smoothly with the observation time wherever Rt.u !=
+0, so this first iterate is close, and it costs no gather. A root whose
+step is not a finite positive delay starts from the static guess. Every
+batch of a run but its first is warm (see dynamics.step); a warm
+batch's roots agree with a cold one's to the root tolerance, not bit
+for bit. The bracket, tolerance and iteration budget are the same either
 way, and every root is checked on a gather of its last iterate.
 self_delay and pair_delay are one-batch calls of it, and
 line_potentials resolves the potential at each root of a batch. A

@@ -1,7 +1,9 @@
 import contextlib
 import gc
 import math
+import os
 import weakref
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -316,7 +318,8 @@ def test_m_hat_is_each_index_pairs_own_sum_bit_for_bit(monkeypatch):
     now = wl.gather(st.histories, np.arange(n), np.full(n, st.t_now))
     A = rng.normal(size=(n, 4))
     monkeypatch.setattr(dyn, "_add_potentials", lambda *args: A)
-    rec = DIAGNOSE(st, now, fl.total_faraday(st.histories, now, st.external)[1], 0.0)
+    rec = DIAGNOSE(st, now, fl.total_faraday(st.histories, now, st.external)[1], 0.0,
+                   np.zeros(n))
     q, m0 = np.array([(s.q, s.m0) for s in specs]).T
     P = m0[:, None] * lower(now.u) + q[:, None] * A
     r_low = lower(now.r)
@@ -763,17 +766,20 @@ T_A = [0, 10, 11, 12, 13]
 
 def count_batches(monkeypatch):
     """Record every solve_delays batch as (histories, src, obs, sigma,
-    last), last holding each history's latest node at call time as one
-    row (t, a0, a1, a2, a3), and the number of batches solved inside each
-    _diagnose call."""
+    last, seed, roots), last holding each history's latest node at call
+    time as one row (t, a0, a1, a2, a3), seed the first iterates it was
+    handed (None for a cold batch) and roots the batch solved, and the
+    number of batches solved inside each _diagnose call."""
     batches, diagnose = [], []
 
     def solve(histories, src, events, sigma, obs=-1, **kwargs):
         m = len(np.reshape(events, (-1, 4)))
         last = np.array([h.table[-1, T_A] for h in histories])
+        roots = real_solve(histories, src, events, sigma, obs, **kwargs)
         batches.append((tuple(histories), *(np.broadcast_to(x, m).tolist()
-                                            for x in (src, obs, sigma)), last))
-        return real_solve(histories, src, events, sigma, obs, **kwargs)
+                                            for x in (src, obs, sigma)), last,
+                        kwargs.get("seed"), roots))
+        return roots
 
     def counted_diagnose(*args):
         before = len(batches)
@@ -822,17 +828,90 @@ def fresh_record(st):
               for j, hj in enumerate(hs) if j != i] for i, h in enumerate(hs)]
     assert np.array_equal(ret._add_potentials(st.external.potential(now.r), plan, roots), A)
     assert np.array_equal(roots.t_ret[plan.own], tau)
-    return DIAGNOSE(st, now, batch, 0.0)
+    return DIAGNOSE(st, now, batch, 0.0, np.zeros(n))
+
+
+RECORDED = ("t", "constraint_err", "h_eff", "p_hat", "m_hat", "self_delays", "pair_delays",
+            "local_error")
+
+
+def assert_served_by_the_step_end_batch(st):
+    """The last step record is, bit for bit, the one _diagnose reads off
+    the step-end batch cached in st.last_eval."""
+    (t, _), (now, _, _, batch) = st.last_eval
+    got = st.diagnostics.records[-1]
+    want = DIAGNOSE(st, now, batch, 0.0, got.local_error)
+    assert t == st.t_now
+    for name in RECORDED:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def assert_records_agree(got, want, rel=1e-12):
+    """Each reported quantity of two step records agrees within rel of
+    its own size."""
+    for name in ("h_eff", "p_hat", "m_hat", "self_delays", "pair_delays"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert np.all(np.abs(x - y) <= rel * np.max(np.abs(x))), name
+
+
+def assert_agrees_with_a_cold_solve(st):
+    """The last step record agrees with fresh_record's to the root
+    tolerance. That is about 1e-12 (1 + (c tau)^2) on the squared delay
+    equation, so it lets a delay tau move by 1e-12 (1 + 1 / (c tau)^2)
+    of itself, and the record's quantities with the shortest delay."""
+    got = st.diagnostics.records[-1]
+    rel = 1e-12 * (1.0 + 1.0 / (st.c * np.min(got.self_delays)) ** 2)
+    assert_records_agree(got, fresh_record(st), rel)
+
+
+def assert_runs_agree(a, b):
+    """Two runs of one system that started their roots from different
+    first iterates differ in the last bits and agree to the root
+    tolerance: each of t, s, r, u and a relative to its own size (a
+    component such as a^0 = (u_vec . a_vec) / u^0 sits far below the
+    vector it is part of), and each step record."""
+    assert not all(np.array_equal(x.table, y.table) for x, y in zip(a.histories, b.histories))
+    groups = [slice(0, 1), slice(1, 2), slice(2, 6), slice(6, 10), slice(10, 14)]
+    for x, y in zip(a.histories, b.histories):
+        ta, tb = x.table, y.table
+        assert ta.shape == tb.shape
+        for g in groups:
+            assert np.all(np.abs(ta[:, g] - tb[:, g]) <= 1e-12 * np.max(np.abs(ta[:, g]))), g
+    assert len(a.diagnostics) == len(b.diagnostics)
+    for got, want in zip(a.diagnostics.records, b.diagnostics.records):
+        assert_records_agree(got, want)
+
+
+def assert_steps_on_like(a, b):
+    """Two runs whose tables are equal bit for bit, and so are the
+    records of the steps both recorded (the last ones of the longer)."""
+    for x, y in zip(a.histories, b.histories):
+        assert np.array_equal(x.table, y.table)
+    n = min(len(a.diagnostics), len(b.diagnostics))
+    assert n
+    for got, want in zip(a.diagnostics.records[-n:], b.diagnostics.records[-n:]):
+        for name in RECORDED:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def seeded_from(seed, roots, prev) -> bool:
+    """Whether roots, solved from the first iterates seed, started from
+    those the roots prev give their observer events
+    (retardation._first_iterates)."""
+    t = roots.events[:, 0] / roots.histories[0].c
+    return seed is not None and np.array_equal(
+        seed, ret._first_iterates(prev, roots.events, t), equal_nan=True)
 
 
 @pytest.mark.parametrize("mode, sigmas", [(SelfForceMode.EXACT, (0.01, 0.012, 0.011)),
                                           (SelfForceMode.ASYMPTOTIC, (0.5, 0.6, 0.55))])
 def test_step_end_batch_without_reuse_serves_the_diagnostics(monkeypatch, mode, sigmas):
     # exact radii below c dt: queries of the final stage read its staged
-    # node, so the step-end batch is solved afresh on the committed
-    # histories. Asymptotic radii and distances above 2 c dt: no query
-    # reads the final stage, and its batch is reused as the step-end
-    # batch. Either way the diagnostics are those of a fresh solve
+    # node, so the step-end batch is solved again on the committed
+    # histories, from the final batch. Asymptotic radii and distances
+    # above 2 c dt: no query reads the final stage, and its batch is the
+    # step-end batch. Either way the diagnostics are read off the
+    # step-end batch and agree with a cold solve's to the root tolerance
     read = mode == SelfForceMode.EXACT
     st = _triple(sigmas, (0.05, -0.06) if read else (0.1, -0.12), mode)
     batches, diagnose = count_batches(monkeypatch)
@@ -845,17 +924,19 @@ def test_step_end_batch_without_reuse_serves_the_diagnostics(monkeypatch, mode, 
         assert stages[-1][1].read == read
         # the final stage's batch starts on the committed node at t (its
         # stage, when read, is written by a query of the iteration); a
-        # step-end batch solved afresh starts on the node committed at t_now
+        # step-end batch solved again starts on the node committed at t_now
         final = steps[-1][-1 - read]
         assert np.array_equal(final[4][:, 0], np.full(st.n, t))
+        end = steps[-1][-1]
+        assert st.last_eval[1][3][1] is end[6]
         if read:
-            assert np.array_equal(steps[-1][-1][4], committed_last(st))
-        assert st.last_eval[0][0] == st.t_now
-        got, want = st.diagnostics.records[-1], fresh_record(st)
-        for name in ("t", "constraint_err", "h_eff", "p_hat", "m_hat",
-                     "self_delays", "pair_delays"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert np.array_equal(end[4], committed_last(st))
+            assert seeded_from(*end[5:], final[6])
+        assert_served_by_the_step_end_batch(st)
+        assert_agrees_with_a_cold_solve(st)
     assert [len(b) for b in steps] == [5 + read] + [4 + read] * 3
+    # only the first evaluation of the state starts cold
+    assert [b[5] is None for b in sum(steps, [])] == [True] + [False] * (16 + 4 * read)
     assert diagnose == [0, 0, 0, 0]
     assert len(stages) == 16
 
@@ -959,7 +1040,7 @@ def test_diagnostics_export_writes_each_number_as_repr_of_its_float(tmp_path):
                          ids=["exact", "asymptotic", "neutral_trio", "neutral_trio_read"])
 def test_a_step_chains_one_plan(monkeypatch, make):
     # every evaluation solves the system's one root plan: the stage
-    # batches, the final batch and a step-end batch solved afresh (the
+    # batches, the final batch and a step-end batch solved again (the
     # read trio's) hold the same (source, observer, sigma) rows in the same
     # order, each neutral source's sigma_i cone included
     st = make()
@@ -1007,71 +1088,36 @@ def test_a_system_keeps_its_plan_while_other_plans_are_made():
         assert np.array_equal(a.table, b.table)
 
 
-def test_reused_final_evaluation_is_the_next_first_bit_for_bit(monkeypatch):
-    reused, fresh = _curved_small_pair(), _curved_small_pair()
-    for _ in range(12):
-        step(reused)
-        assert reused.last_eval is not None
-        fresh.last_eval = None
-        step(fresh)
-    assert reused.histories[0].t_first < 0.0 < reused.t_now - 0.06
-    for a, b in zip(reused.histories, fresh.histories):
-        assert np.array_equal(a.table, b.table)
-    # a radius below 2 c dt but above c dt: no root of the final stage
-    # reaches into the step, so no query reads its stage, and its batch is
-    # the next step's first, as a fresh solve on the committed histories
-    def small():
-        spec = ParticleSpec(1.0, 0.1, 0.03, "small")
-        return seed([spec], [[0, 0, 0]], [[0.1, 0, 0]], dt=0.02,
-                    external=ExternalFieldModel.uniform(E=(0.3, 0.0, 0.1)))
-
-    reused, fresh = small(), small()
-    batches, _ = count_batches(monkeypatch)
-    stages = record_staged(monkeypatch)
-    for k in range(6):
-        before = len(batches)
-        step(reused)
-        assert len(batches) - before == (4 if k else 5)
-        assert not any(stage.read for _, stage in stages)
-        fresh.last_eval = None
-        step(fresh)
-    assert np.array_equal(reused.histories[0].table, fresh.histories[0].table)
-    assert np.array_equal(reused.diagnostics.records[-1].h_eff,
-                          fresh.diagnostics.records[-1].h_eff)
-
-
 def test_a_query_inside_the_step_leads_to_a_fresh_step_end_batch(monkeypatch):
     # 2 c dt below both radii: no root of the final stage reaches into the
     # step. Should a query of its batch do so all the same (here one extra
     # gather inside (t, t1)), it reads the stage and the step-end batch is
-    # solved afresh on the committed histories, not taken from the stage
+    # solved again on the committed histories, from the final batch, not
+    # taken from the stage
     st = static_pair()
-    start, cold_t1 = [], []
+    at_t1 = []
 
     def solve(histories, src, events, sigma, obs=-1, now=None, seed=None):
         roots = real(histories, src, events, sigma, obs, now, seed)
-        # the cold batches after the step's start: the final stage's, then
-        # the step-end batch when it is solved afresh
-        t = start[-1]
-        if seed is None and np.all(np.reshape(events, (-1, 4))[:, 0] > t):
-            if t not in [k for k, _ in cold_t1]:
+        # the batches at the step's end: stage 4's, the final stage's,
+        # then the step-end batch
+        if np.all(np.reshape(events, (-1, 4))[:, 0] > t + 0.75 * st.dt):
+            at_t1.append((seed, roots))
+            if len(at_t1) == 2:
                 wl.gather(histories, 0, [t + 0.5 * st.dt])
-            cold_t1.append((t, roots))
         return roots
 
     real = ret.solve_delays
     monkeypatch.setattr(ret, "solve_delays", solve)
     for _ in range(3):
         t = st.t_now
-        start.append(t)
+        at_t1.clear()
         step(st)
-        # the final stage's batch, then the step-end batch
-        assert [k for k, _ in cold_t1].count(t) == 2
-        assert st.last_eval[1][3][1] is cold_t1[-1][1]
-        got, want = st.diagnostics.records[-1], fresh_record(st)
-        for name in ("t", "constraint_err", "h_eff", "p_hat", "m_hat",
-                     "self_delays", "pair_delays"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert len(at_t1) == 3
+        assert seeded_from(*at_t1[1], at_t1[0][1]) and seeded_from(*at_t1[2], at_t1[1][1])
+        assert st.last_eval[1][3][1] is at_t1[2][1]
+        assert_served_by_the_step_end_batch(st)
+        assert_agrees_with_a_cold_solve(st)
 
 
 # -- warm root batches -------------------------------------------------------------
@@ -1103,11 +1149,15 @@ MODES = pytest.mark.parametrize("mode", [SelfForceMode.EXACT, SelfForceMode.ASYM
                                 ids=["exact", "asymptotic"])
 
 
-@MODES
-def test_every_warm_root_meets_its_tolerance_under_a_fresh_gather(monkeypatch, mode):
+@pytest.mark.parametrize("make", [curved_pair, lambda: curved_pair(SelfForceMode.ASYMPTOTIC),
+                                  _small_radii], ids=["exact", "asymptotic", "exact_read"])
+def test_every_warm_root_meets_its_tolerance_under_a_fresh_gather(monkeypatch, make):
     # the bench's residual gate does not see the batched solver, so each
-    # root of a warm batch is re-evaluated here, inside the stage it saw
-    st = curved_pair(mode)
+    # root of a warm batch is re-evaluated here, inside the stage it saw.
+    # Radii below c dt (exact_read) read the final stage, so the step-end
+    # batch is solved again, warm, on the committed histories
+    st = make()
+    stages = record_staged(monkeypatch)
     worst = []
 
     def solve(histories, src, events, sigma, obs=-1, now=None, seed=None):
@@ -1126,13 +1176,17 @@ def test_every_warm_root_meets_its_tolerance_under_a_fresh_gather(monkeypatch, m
     monkeypatch.setattr(ret, "solve_delays", solve)
     for _ in range(20):
         step(st)
-    # stages 2 to 4 start warm; the final stage starts cold
-    assert len(worst) == 20 * 3
+    # every evaluation but the first starts warm: stages 2 to 4, the
+    # final stage and each step-end batch solved again
+    reads = sum(stage.read for _, stage in stages[3::4])
+    assert (reads >= 1) == (make is _small_radii)
+    assert len(worst) == 20 * 4 + reads
     assert max(worst) <= 1.0
 
 
-def test_a_step_makes_at_most_ten_gathers(monkeypatch):
-    # stages 2 to 4 start from the stage before: 16 gathers per step cold
+def test_a_step_makes_at_most_six_gathers_after_the_first(monkeypatch):
+    # every evaluation but the state's first starts from the one before:
+    # 16 gathers per step cold
     st = curved_pair()
     calls = [0]
 
@@ -1148,7 +1202,7 @@ def test_a_step_makes_at_most_ten_gathers(monkeypatch):
         step(st)
         per_step.append(calls[0])
     # the first step also solves its first evaluation, cold
-    assert max(per_step[1:]) <= 10 and per_step[0] <= 14
+    assert max(per_step[1:]) <= 6 and per_step[0] <= 10
 
 
 @MODES
@@ -1160,18 +1214,101 @@ def test_warm_and_cold_batches_agree(monkeypatch, mode):
                         lambda prev, events, t: np.full(len(events), np.nan))
     for _ in range(21):
         step(cold)
-    # the two runs differ (in the last bits of the stage roots), and each
-    # of t, s, r, u and a agrees relative to its own size: a component such
-    # as a^0 = (u_vec . a_vec) / u^0 sits far below the vector it is part of
-    assert not all(np.array_equal(a.table, b.table)
-                   for a, b in zip(warm.histories, cold.histories))
-    groups = [slice(0, 1), slice(1, 2), slice(2, 6), slice(6, 10), slice(10, 14)]
-    for a, b in zip(warm.histories, cold.histories):
-        ta, tb = a.table, b.table
-        assert ta.shape == tb.shape
-        for g in groups:
-            assert np.all(np.abs(ta[:, g] - tb[:, g]) <= 1e-12 * np.max(np.abs(ta[:, g]))), g
-    for got, want in zip(warm.diagnostics.records, cold.diagnostics.records):
-        for name in ("h_eff", "p_hat", "m_hat", "self_delays", "pair_delays"):
-            x, y = getattr(got, name), getattr(want, name)
-            assert np.all(np.abs(x - y) <= 1e-12 * np.max(np.abs(x))), name
+    assert_runs_agree(warm, cold)
+
+
+@MODES
+def test_a_state_that_drops_its_cached_batch_agrees_to_root_tolerance(mode):
+    # only a state's first evaluation starts cold, so a state whose
+    # last_eval is dropped starts each step's roots cold again: its run
+    # moves in the last bits and agrees with the uninterrupted one as a
+    # cold run agrees with a warm one
+    kept, dropped = curved_pair(mode), curved_pair(mode)
+    for _ in range(21):
+        step(kept)
+        assert kept.last_eval is not None
+        dropped.last_eval = None
+        step(dropped)
+    assert_runs_agree(kept, dropped)
+
+
+def _cached_bytes(st):
+    """The bytes of every array of the states, slopes and step-end batch
+    cached in st.last_eval."""
+    now, kx, ku, (_, roots) = st.last_eval[1]
+    events = [getattr(x, name) for x in (now, roots.source) for name in ("t", "s", "r", "u", "a")]
+    arrays = [*events, kx, ku, roots.src, roots.obs, roots.events, roots.sigma, roots.t_ret,
+              roots.s_ret, roots.residual]
+    return [np.asarray(x).tobytes() for x in arrays]
+
+
+@MODES
+def test_a_copy_made_mid_run_steps_on_bit_for_bit_like_its_original(monkeypatch, mode):
+    # copy_state carries the step grid and the cached step-end batch,
+    # which no step writes into: the copy steps on as its original does.
+    # The cache holds for t_now whatever the step, so a copy with a new
+    # dt starts warm too
+    st = curved_pair(mode)
+    for _ in range(5):
+        step(st)
+    cached = _cached_bytes(st)
+    dup = copy_state(st)
+    assert dup.last_eval is st.last_eval
+    for _ in range(10):
+        step(dup)
+    assert _cached_bytes(st) == cached
+    for _ in range(10):
+        step(st)
+    assert_steps_on_like(st, dup)
+    halves = [copy_state(x, dt=x.dt / 2) for x in (st, dup)]
+    batches, _ = count_batches(monkeypatch)
+    for half in halves:
+        before = len(batches)
+        for _ in range(10):
+            step(half)
+        # the first step reuses the cached batch at its start
+        assert len(batches) - before == 10 * 4
+    assert halves[0].t_now == st.t_now + 10 * st.dt / 2
+    assert_steps_on_like(*halves)
+
+
+# -- local error estimate ----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def run_pair_errors():
+    """{dt: (t, local_error)} of configs/run_pair.yaml run at dt = 0.02
+    and 0.01: each step's end time and its estimate per particle."""
+    from retnbody import harness
+
+    cfg = harness.load_config(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                           "run_pair.yaml"))
+    out = {}
+    for dt in (0.02, 0.01):
+        st = harness.build_state(replace(cfg, dt=dt))
+        run(st, cfg.t_end)
+        recs = st.diagnostics.records
+        out[dt] = (np.array([r.t for r in recs]), np.array([r.local_error for r in recs]))
+    return out
+
+
+def test_the_local_error_estimate_falls_as_dt_to_the_fourth_where_the_forces_are_smooth(
+        run_pair_errors):
+    # before t0 + sigma/c of the smaller radius (0.7) every root lies on
+    # the inertial prehistories, so the forces are smooth and the
+    # estimate falls as dt^4 (16x per halving)
+    (t2, e2), (t1, e1) = run_pair_errors[0.02], run_pair_errors[0.01]
+    assert e2.shape == (50, 2) and e1.shape == (100, 2)
+    assert np.all(e2 > 0.0) and np.all(e1 > 0.0)
+    assert np.max(e2[t2 < 0.66]) >= 12.0 * np.max(e1[t1 < 0.66])
+
+
+def test_the_local_error_estimate_peaks_where_a_self_root_crosses_t0(
+        run_pair_errors):
+    # the self root of right (sigma 0.7) crosses t0, where the
+    # acceleration jumps, in the step ending at 0.72, and left's (sigma
+    # 0.8) in the one ending at 0.82: there RK4 loses its order
+    t, e = run_pair_errors[0.02]
+    assert t[np.argsort(e.max(axis=1))[-2:]].tolist() == pytest.approx([0.72, 0.82])
+    assert t[np.argmax(e, axis=0)].tolist() == pytest.approx([0.82, 0.72])
+    assert np.min(e.max(axis=0)) > 100.0 * np.max(e[t < 0.66])
