@@ -154,7 +154,8 @@ class SystemState:
     # next step's first evaluation, from which its other evaluations start
     # (see step); None, and the next step starts cold
     last_eval: tuple | None = field(default=None, repr=False, compare=False)
-    # (origin, k): step k + 1 ends at origin + (k + 1) dt; None is (t_now, 0)
+    # (origin, k, dt): step k + 1 ends at origin + (k + 1) dt while the
+    # state's dt is the grid's; None, or another dt, starts (t_now, 0, dt)
     grid: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -304,7 +305,7 @@ def step(state: SystemState) -> SystemState:
     t_w = time.perf_counter()
     hs = state.histories
     dt, t, c = state.dt, state.t_now, state.c
-    origin, k = state.grid or (t, 0)
+    origin, k, _ = state.grid if state.grid and state.grid[2] == dt else (t, 0, dt)
     key = (t, tuple(len(h) for h in hs))
     if state.last_eval is not None and state.last_eval[0] == key:
         base, kx1, ku1, batch = state.last_eval[1]
@@ -342,7 +343,7 @@ def step(state: SystemState) -> SystemState:
         kx5, ku5, batch = _deriv(state, _states(rows), prev=batch)
     rows = _node_rows(state, t1, x1, u1, ku5, s1)
     commit(hs, rows)
-    state.t_now, state.grid = t1, (origin, k + 1)
+    state.t_now, state.grid = t1, (origin, k + 1, dt)
     now = _states(rows)
     if stage.read:
         kx5, ku5, batch = _deriv(state, now, prev=batch)
@@ -403,7 +404,7 @@ def run(state: SystemState, t_end: float, trajectory_dir=None,
     exception raised by a step carries .step and .t, its number and start.
     """
     n_steps = step_count(t_end - state.t_now, state.dt)
-    state.grid = (float(t_end), -n_steps)
+    state.grid = (float(t_end), -n_steps, state.dt)
     try:
         for _ in range(n_steps):
             t_step = state.t_now
@@ -434,12 +435,11 @@ def copy_state(state: SystemState, dt: float | None = None) -> SystemState:
     The copy shares the original's last_eval, which no step writes into
     and which holds for t_now whatever dt is; its roots name the
     original's histories, of which a warm start reads only the light
-    speed. The copy keeps the step grid unless dt changes, which starts
-    a new grid at t_now."""
+    speed. The copy keeps the step grid, which holds only for the grid's
+    own dt (see step)."""
     dup = replace(state, histories=copy_histories(state.histories),
                   dt=state.dt if dt is None else dt, diagnostics=Diagnostics())
-    if dup.dt == state.dt:
-        dup.grid = state.grid
+    dup.grid = state.grid
     return dup
 
 

@@ -12,13 +12,14 @@ The action oracle certifies the implemented forces against the
 variational formulation. Each particle's action is discretized on
 coordinate-time nodes with every source worldline frozen, the delta in
 the squared-interval argument is replaced by a normalized Gaussian of
-width w, and the gradient with respect to interior node positions
-(central finite differences) is compared against the local
+width w, and the exact gradient of that discretized action with
+respect to interior node positions is compared against the local
 Euler-Lagrange residual m0 c du/ds - (q/c) F u scaled by the local
-proper-length weight. The smoothed effective potential mirrors the
-composition of a_eff_covariant: external + 2x self + the two-cone
-binary sum, with only the causal (past) root contributing through the
-Gaussian window.
+proper-length weight. The smoothed effective potential reads its cones
+and their weights off the system's root plan (retardation._root_plan),
+as a_eff_covariant does: external + 2x self + the two-cone binary sum,
+with only the causal (past) samples contributing through the Gaussian
+window.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .dynamics import (
 )
 from .fields import ExternalFieldModel, SelfForceMode, total_faraday
 from .minkowski import lower
-from .retardation import DegenerateJacobian, NoConvergence, max_delay
+from .retardation import DegenerateJacobian, NoConvergence, _root_plan, max_delay
 from .worldline import (
     CONSTRAINT_TOL,
     CSV_HEADER,
@@ -176,7 +177,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "width": _POS,
                 "nodes": {"type": "integer", "minimum": 32},
-                "fd_step": _POS,
             },
             "required": ["width"],
             "additionalProperties": False,
@@ -215,19 +215,16 @@ class ParticleConfig:
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Gaussian width, observer node count, and FD step of the oracle."""
+    """Gaussian width and observer node count of the oracle."""
 
     width: float
     nodes: int = 64
-    fd_step: float = 1e-6
 
     def __post_init__(self):
         if not (self.width > 0.0 and math.isfinite(self.width)):
             raise ConfigError("oracle width must be positive and finite")
         if self.nodes < 32:
             raise ConfigError("oracle needs at least 32 nodes")
-        if not (self.fd_step > 0.0 and math.isfinite(self.fd_step)):
-            raise ConfigError("oracle fd_step must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -269,8 +266,7 @@ class RunConfig:
             out["sweep"] = {"sigmas": list(self.sweep_sigmas)}
         if self.oracle is not None:
             out["oracle"] = {"width": self.oracle.width,
-                             "nodes": self.oracle.nodes,
-                             "fd_step": self.oracle.fd_step}
+                             "nodes": self.oracle.nodes}
         return out
 
 
@@ -335,8 +331,7 @@ def parse_config(mapping) -> RunConfig:
         sweep_sigmas=tuple(float(v) for v in sweep["sigmas"])
         if sweep else None,
         oracle=OracleConfig(width=float(oracle["width"]),
-                            nodes=int(oracle.get("nodes", OracleConfig.nodes)),
-                            fd_step=float(oracle.get("fd_step", OracleConfig.fd_step)))
+                            nodes=int(oracle.get("nodes", OracleConfig.nodes)))
         if oracle else None,
     )
 
@@ -494,21 +489,26 @@ def _freeze_source(h: WorldlineHistory, t_hi: float, m: int) -> _FrozenSource:
     return _FrozenSource(t=ts, r=rs, u_cov=us, w_quad=w)
 
 
-def _smoothed_dli(src: _FrozenSource, r_obs, sigma: float, q: float,
-                  width: float, c: float) -> np.ndarray:
-    """Gaussian-smoothed causal line integrals, covariant components, at
-    each row of the observer block r_obs (P, 4); returns (P, 4).
+def _smoothed_dli(src: _FrozenSource, r_obs, dr, sigma: float, q: float,
+                  width: float, c: float):
+    """Gaussian-smoothed causal line integrals A, covariant components, at
+    each row of the observer block r_obs (P, 4), and their derivatives
+    J_mu = (dA_nu/dr^mu) dr^nu along the rows of dr (P, 4): (A, J), each
+    (P, 4).
 
-    Converges as width -> 0 to lower(line_potentials(...)) of the causal
-    root on the same cone: the resolved root carries u/(2|R.u|) per unit
-    charge and the leading 2 restores the production normalization
-    q u/|R.u|. Rows are taken in
-    blocks of _BLOCK_PAIRS observer-source pairs, so the temporaries stay
-    near 1 MB whatever P is.
+    A converges as width -> 0 to lower(line_potentials(...)) of the
+    causal root on the same cone: the resolved root carries u/(2|R.u|)
+    per unit charge and the leading 2 restores the production
+    normalization q u/|R.u|. J differentiates the Gaussian g(f) of each
+    source sample, dg/df = -g f / w^2 with df/dr = 2 lower(r - r_s); the
+    causal mask is a step in the source time and is not differentiated.
+    Rows are taken in blocks of _BLOCK_PAIRS observer-source pairs, so
+    the temporaries stay near 1 MB whatever P is.
     """
     rows = max(1, _BLOCK_PAIRS // len(src.t))
     src_r = src.r.T.copy()  # one contiguous row per component
-    out = np.empty((len(r_obs), 4))
+    src_r_cov = lower(src.r)
+    A, J = np.empty((len(r_obs), 4)), np.empty((len(r_obs), 4))
     for b in range(0, len(r_obs), rows):
         blk = r_obs[b:b + rows]
         f = np.square(blk[:, 0, None] - src_r[0])
@@ -525,62 +525,63 @@ def _smoothed_dli(src: _FrozenSource, r_obs, sigma: float, q: float,
         g = np.exp(-0.5 * (f / width) ** 2) / (width * math.sqrt(2.0 * math.pi))
         g *= causal
         g *= src.w_quad
-        out[b:b + rows] = 2.0 * q * (g @ src.u_cov)
-    return out
+        A[b:b + rows] = 2.0 * q * (g @ src.u_cov)
+        k = g * (-f / (width * width)) * (dr[b:b + rows] @ src.u_cov.T)
+        J[b:b + rows] = 4.0 * q * (lower(blk) * k.sum(axis=1)[:, None] - k @ src_r_cov)
+    return A, J
 
 
 def _smoothed_a_eff(sources, specs, external: ExternalFieldModel, i: int,
-                    r_obs, width: float, c: float) -> np.ndarray:
-    """Smoothed analogue of a_eff_covariant on frozen sources, at each row
-    of r_obs (P, 4)."""
+                    r_obs, dr, width: float, c: float):
+    """Smoothed analogue of a_eff_covariant on frozen sources at each row
+    of r_obs (P, 4), and its derivative J along the rows of dr (P, 4), as
+    in _smoothed_dli: (A, J).
+
+    The cones and their weights are the rows of particle i's root plan
+    that carry a potential weight. In the linear gauge of the
+    constant-uniform field J is F dr / 2, and 0 with no field; a
+    user-analytic field gives no derivative of its potential and is
+    refused."""
+    if external.variant == "user-analytic":
+        raise ValueError("the action oracle differentiates the external potential, "
+                         "which a user-analytic field model does not give")
     A = external.potential(r_obs)
-    A += 2.0 * _smoothed_dli(sources[i], r_obs, specs[i].sigma, specs[i].q,
-                             width, c)
-    for j, src in enumerate(sources):
-        if j == i:
-            continue
-        A += _smoothed_dli(src, r_obs, specs[i].sigma, specs[j].q, width, c)
-        A += _smoothed_dli(src, r_obs, specs[j].sigma, specs[j].q, width, c)
-    return A
+    J = 0.5 * np.einsum("pmn,pn->pm", external.faraday(r_obs), dr)
+    plan = _root_plan(tuple(specs), (i,))
+    for j, sigma, w in zip(plan.src, plan.sigma, plan.w):
+        if w:
+            a, d = _smoothed_dli(sources[j], r_obs, dr, sigma, specs[j].q, width, c)
+            A += w * a
+            J += w * d
+    return A, J
 
 
 def _segment_geometry(nodes_r):
-    """Segment vectors, proper lengths and midpoints of the node paths
-    nodes_r (K, ..., 4), nodes along the first axis."""
+    """Segment vectors, proper lengths and midpoints of the node path
+    nodes_r (K, 4)."""
     dr = nodes_r[1:] - nodes_r[:-1]
-    sq = dr[..., 0] ** 2 - dr[..., 1] ** 2 - dr[..., 2] ** 2 - dr[..., 3] ** 2
+    sq = dr[:, 0] ** 2 - dr[:, 1] ** 2 - dr[:, 2] ** 2 - dr[:, 3] ** 2
     if np.any(sq <= 0.0):
         raise ValueError("worldline segments must be timelike")
     return dr, np.sqrt(sq), 0.5 * (nodes_r[1:] + nodes_r[:-1])
 
 
-def node_gradient(nodes_r, i, sources, specs, external, width, c,
-                  fd_step: float) -> np.ndarray:
-    """Central-FD gradient of the discretized action at interior nodes.
+def node_gradient(nodes_r, i, sources, specs, external, width, c) -> np.ndarray:
+    """Gradient of particle i's discretized action at the interior nodes
+    of nodes_r (K, 4): (K - 2, 4), covariant.
 
-    Only segments k-1 and k move with node k, so each perturbed action
-    is the local action of those two segments: their summed proper
-    lengths, then each segment's A.dr in segment order. The midpoints of
-    all perturbed segments (2 segments x 2 signs x 4 axes per interior
-    node) are evaluated as one block.
+    Segment k contributes m0 c L_k + (q/c) A(mid_k).dr_k. Its derivative
+    in its end node is pull_k + half_k, with pull = m0 c lower(dr)/L +
+    (q/c) A and half = (q/2c) J, J_mu = (dA_nu/dr^mu) dr^nu at the
+    midpoint; in its start node it is -pull_k + half_k. The midpoints of
+    all segments are evaluated as one block.
     """
-    n = len(nodes_r) - 2
-    h = fd_step * (1.0 + np.abs(nodes_r[1:-1]))
-    # node k moved by +h and -h along each axis mu: (n, mu, sign, 4)
-    moved = np.repeat(nodes_r[1:-1], 8, axis=0).reshape(n, 4, 2, 4)
-    for mu in range(4):
-        moved[:, mu, 0, mu] += h[:, mu]
-        moved[:, mu, 1, mu] -= h[:, mu]
-    shape = moved.shape
-    paths = np.stack((np.broadcast_to(nodes_r[:-2, None, None], shape), moved,
-                      np.broadcast_to(nodes_r[2:, None, None], shape)))
-    dr, L, mid = _segment_geometry(paths)
-    A = _smoothed_a_eff(sources, specs, external, i, mid.reshape(-1, 4),
-                        width, c).reshape(dr.shape)
-    S = specs[i].m0 * c * (L[0] + L[1])
-    for a, d in zip(A, dr):
-        S += (specs[i].q / c) * np.einsum("...m,...m->...", a, d)
-    return (S[..., 0] - S[..., 1]) / (2.0 * h)
+    dr, L, mid = _segment_geometry(nodes_r)
+    A, J = _smoothed_a_eff(sources, specs, external, i, mid, dr, width, c)
+    m0, q = specs[i].m0, specs[i].q
+    pull = m0 * c * lower(dr) / L[:, None] + (q / c) * A
+    half = (0.5 * q / c) * J
+    return pull[:-1] - pull[1:] + half[:-1] + half[1:]
 
 
 def el_residual_covariant(histories, external, t) -> np.ndarray:
@@ -602,7 +603,6 @@ class OracleReport:
     expected: list             # per particle, -weight * E-L residual
     rel_mismatch: float        # worst relative disagreement (not gated)
     rows: list                 # CSV-ready (label, t, |grad|, |expected|, rel)
-    sources: list              # frozen source samplings, one per particle
 
 
 def _freeze_sources(hists, cfg: OracleConfig, t_hi: float) -> list:
@@ -617,11 +617,12 @@ def action_oracle(histories, cfg: OracleConfig, t_lo: float, t_hi: float,
     below t_lo for every retarded root.
 
     rel_mismatch and the per-node relative column are reported, not
-    gated: on a dynamics trajectory both the gradient and the expected
-    Euler-Lagrange residual sit at finite-difference round-off, so their
-    ratio is noise there. Only extremality_ratio certifies such a
-    trajectory; the relative agreement is meaningful where the forces
-    are resolved, as on prescribed worldlines.
+    gated: on a dynamics trajectory the expected Euler-Lagrange residual
+    is near zero, since the trajectory solves the equations of motion,
+    and the gradient is near zero with it, so their ratio measures
+    nothing there. Only extremality_ratio certifies such a trajectory;
+    the relative agreement is meaningful where the forces are resolved,
+    as on prescribed worldlines.
     """
     external = external or ExternalFieldModel.none()
     hists = list(histories)
@@ -643,8 +644,7 @@ def action_oracle(histories, cfg: OracleConfig, t_lo: float, t_hi: float,
     worst = 0.0
     for i, h in enumerate(hists):
         nodes_r = h.states_at(ts).r
-        g = node_gradient(nodes_r, i, sources, specs, external, cfg.width,
-                          c, cfg.fd_step)
+        g = node_gradient(nodes_r, i, sources, specs, external, cfg.width, c)
         _, L, _ = _segment_geometry(nodes_r)
         wgt = 0.5 * (L[:-1] + L[1:])
         want = -wgt[:, None] * residuals[:, i]
@@ -659,20 +659,16 @@ def action_oracle(histories, cfg: OracleConfig, t_lo: float, t_hi: float,
             rows.append((h.spec.label, float(t), gn, wn, rel))
             worst = max(worst, rel)
     return OracleReport(times=ts[1:-1], gradients=grads, expected=expect,
-                        rel_mismatch=worst, rows=rows,
-                        sources=sources)
+                        rel_mismatch=worst, rows=rows)
 
 
 def extremality_ratio(histories, cfg: OracleConfig, t_lo: float, t_hi: float,
                       external: ExternalFieldModel | None = None,
-                      rng=None, report: OracleReport | None = None) -> dict:
+                      rng=None) -> dict:
     """Gradient norm on the dynamics trajectory vs a perturbed copy.
 
     The perturbation is a smooth interior bump of size BUMP_AMPLITUDE
-    of the spatial node positions, endpoints fixed. A report from
-    action_oracle on the same histories, config and window supplies the
-    frozen sources and the on-trajectory gradients, which are then not
-    recomputed.
+    of the spatial node positions, endpoints fixed.
     """
     external = external or ExternalFieldModel.none()
     rng = rng or np.random.default_rng(0)
@@ -680,30 +676,20 @@ def extremality_ratio(histories, cfg: OracleConfig, t_lo: float, t_hi: float,
     c = hists[0].c
     specs = [h.spec for h in hists]
     ts = np.linspace(t_lo, t_hi, cfg.nodes)
-    if report is None:
-        sources = _freeze_sources(hists, cfg, t_hi)
-    elif np.array_equal(report.times, ts[1:-1]):
-        sources = report.sources
-    else:
-        raise ValueError("the oracle report was made on other observer nodes")
+    sources = _freeze_sources(hists, cfg, t_hi)
     bump = np.sin(np.pi * np.linspace(0.0, 1.0, cfg.nodes))
 
     n_true = 0.0
     n_pert = 0.0
     for i, h in enumerate(hists):
         nodes_r = h.states_at(ts).r
-        if report is None:
-            g0 = node_gradient(nodes_r, i, sources, specs, external,
-                               cfg.width, c, cfg.fd_step)
-        else:
-            g0 = report.gradients[i]
+        g0 = node_gradient(nodes_r, i, sources, specs, external, cfg.width, c)
         n_true += float(np.sum(g0 * g0))
         pert = nodes_r.copy()
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
         pert[:, 1:] += BUMP_AMPLITUDE * bump[:, None] * direction[None, :]
-        g1 = node_gradient(pert, i, sources, specs, external, cfg.width,
-                           c, cfg.fd_step)
+        g1 = node_gradient(pert, i, sources, specs, external, cfg.width, c)
         n_pert += float(np.sum(g1 * g1))
     n_true, n_pert = math.sqrt(n_true), math.sqrt(n_pert)
     return {"gradient_norm": n_true, "perturbed_norm": n_pert,
@@ -869,8 +855,7 @@ def cmd_action_oracle(cfg: RunConfig, base_dir=".") -> dict:
         t_lo = max(h.t_first for h in st.histories) + 1.02 * depth
     rep = action_oracle(st.histories, cfg.oracle, t_lo, st.t_now, ext)
     ext_rep = extremality_ratio(st.histories, cfg.oracle, t_lo, st.t_now,
-                                ext, rng=np.random.default_rng(cfg.seed),
-                                report=rep)
+                                ext, rng=np.random.default_rng(cfg.seed))
     out = _Artifacts(cfg)
     out.write("action_residuals.csv",
               ["particle", "t", "grad_norm", "force_norm", "relative"], rep.rows)

@@ -45,7 +45,9 @@ of each charged pair in asymptotic mode. Each root's weights sum the
 terms it stands for, so an observer's force or potential is one
 weighted sum over its roots (_per_slot). fields.total_faraday (so every
 batch of dynamics), canonical.effective_potentials and max_delay all
-read it.
+read it, and so does the action oracle's smoothed potential
+(harness._smoothed_a_eff), which takes its cones and weights from the
+rows with a potential weight.
 """
 
 from __future__ import annotations

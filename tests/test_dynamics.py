@@ -1272,6 +1272,22 @@ def test_a_copy_made_mid_run_steps_on_bit_for_bit_like_its_original(monkeypatch,
     assert_steps_on_like(*halves)
 
 
+def test_a_new_dt_on_a_stepped_state_starts_a_new_grid_at_t_now():
+    # the grid holds for the dt it was laid with: a state whose dt is
+    # assigned after some steps steps on from t_now on the new dt, and
+    # does not end its step on the old grid, before t_now
+    st = curved_pair()
+    for _ in range(5):
+        step(st)
+    t5 = st.t_now
+    st.dt /= 2
+    step(st)
+    assert st.t_now == t5 + st.dt == pytest.approx(0.0275, abs=1e-15)
+    assert st.grid == (t5, 1, st.dt)
+    step(st)
+    assert st.t_now == t5 + 2 * st.dt
+
+
 # -- local error estimate ----------------------------------------------------------
 
 

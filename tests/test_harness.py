@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 from contextlib import redirect_stderr
 from dataclasses import replace
 
@@ -229,8 +230,40 @@ def test_oracle_config_validation():
         OracleConfig(width=0.0)
     with pytest.raises(ConfigError):
         OracleConfig(width=0.1, nodes=16)
-    with pytest.raises(ConfigError):
-        OracleConfig(width=0.1, fd_step=-1.0)
+
+
+def test_an_oracle_fd_step_is_an_unknown_key(tmp_path):
+    # the oracle's gradient is exact, so a step for it is no longer a key
+    mapping = _cfg_mapping(oracle={"width": 0.08, "nodes": 48, "fd_step": 1e-6})
+    with pytest.raises(ConfigError, match="schema violation"):
+        parse_config(mapping)
+    rc, err = _cli(["action-oracle", _write_cfg(tmp_path, mapping),
+                    "--output-dir", str(tmp_path / "ao")])
+    assert rc == 2 and json.loads(err)["category"] == "validation"
+    assert not os.path.exists(tmp_path / "ao")
+
+
+def _schema_keys(schema, prefix=""):
+    """The documented keys of a config schema: each leaf property, and
+    each list of objects, whose items' keys follow as "list[].key"."""
+    for name, sub in schema["properties"].items():
+        key = prefix + name
+        if "properties" in sub:
+            yield from _schema_keys(sub, key + ".")
+        elif "properties" in sub.get("items", {}):
+            yield key
+            yield from _schema_keys(sub["items"], key + "[].")
+        else:
+            yield key
+
+
+def test_the_config_readme_table_lists_exactly_the_schema_keys():
+    with open(os.path.join(CONFIG_DIR, "README.md"), encoding="utf-8") as fh:
+        cells = [ln.split("|")[1] for ln in fh if ln.startswith("| `")]
+    documented = [key for cell in cells for key in re.findall(r"`([^`]+)`", cell)]
+    keys = list(_schema_keys(CONFIG_SCHEMA))
+    assert "oracle.nodes" in keys and "particles[].sigma" in keys
+    assert sorted(documented) == sorted(keys)
 
 
 def test_config_validator_is_compiled_once(monkeypatch):
@@ -337,9 +370,10 @@ def test_oracle_window_needs_history_depth():
 
 
 
-def _dli_at_point(src, r_obs, sigma, q, width, c):
-    """One observer point's smoothed line integral, the per-point form the
-    block evaluation replaces."""
+def _dli_at_point(src, r_obs, dr, sigma, q, width, c):
+    """One observer point's smoothed line integral A and its derivative
+    J_mu = (dA_nu/dr^mu) dr^nu along dr, the per-point form the block
+    evaluation replaces."""
     d = r_obs[None, :] - src.r
     f = d[:, 0] ** 2 - d[:, 1] ** 2 - d[:, 2] ** 2 - d[:, 3] ** 2 \
         - sigma * sigma
@@ -352,7 +386,9 @@ def _dli_at_point(src, r_obs, sigma, q, width, c):
             f"refine the source sampling")
     g = np.exp(-0.5 * (f / width) ** 2) / (width * math.sqrt(2.0 * math.pi))
     g = g * causal * src.w_quad
-    return 2.0 * q * (g @ src.u_cov)
+    # d/dr^mu of g(f): -g f / w^2 times df/dr^mu = 2 lower(r - r_s)_mu
+    dg = (-g * f / width ** 2)[:, None] * 2.0 * lower(d)
+    return 2.0 * q * (g @ src.u_cov), 2.0 * q * ((src.u_cov @ dr) @ dg)
 
 
 def test_smoothed_line_integral_blocks_match_points():
@@ -364,24 +400,125 @@ def test_smoothed_line_integral_blocks_match_points():
     for count in (1, rows, 2 * rows + 3):
         obs = hists[0].states_at(np.linspace(0.25, 1.1, count)).r
         obs[:, 1:] += rng.normal(scale=0.01, size=(count, 3))
-        got = harness._smoothed_dli(src, obs, 0.8, -0.4, 0.08, 1.0)
-        assert got.shape == (count, 4)
-        for p, row in zip(obs, got):
-            want = _dli_at_point(src, p, 0.8, -0.4, 0.08, 1.0)
-            assert np.linalg.norm(row - want) <= 1e-14 * np.linalg.norm(want)
+        dr = np.column_stack((np.full(count, 0.02), rng.normal(scale=0.005, size=(count, 3))))
+        A, J = harness._smoothed_dli(src, obs, dr, 0.8, -0.4, 0.08, 1.0)
+        assert A.shape == J.shape == (count, 4)
+        for p, d, a, j in zip(obs, dr, A, J):
+            want_a, want_j = _dli_at_point(src, p, d, 0.8, -0.4, 0.08, 1.0)
+            assert np.linalg.norm(a - want_a) <= 1e-14 * np.linalg.norm(want_a)
+            # the block form subtracts two sums of size |r| sum |k|
+            # (measured: 3.9e-14)
+            assert np.linalg.norm(j - want_j) <= 1e-13 * np.linalg.norm(want_j)
 
     # an observer before the first source sample sees no causal sample;
     # it sits in the third block and fails with the per-point message
     obs = hists[0].states_at(np.linspace(0.25, 1.1, 2 * rows + 3)).r
     obs[-1, 0] = src.t[0] - 1.0
+    dr = np.zeros_like(obs)
     with pytest.raises(WidthTooSmall) as want:
-        _dli_at_point(src, obs[-1], 0.8, -0.4, 0.08, 1.0)
+        _dli_at_point(src, obs[-1], dr[-1], 0.8, -0.4, 0.08, 1.0)
     with pytest.raises(WidthTooSmall) as got:
-        harness._smoothed_dli(src, obs, 0.8, -0.4, 0.08, 1.0)
+        harness._smoothed_dli(src, obs, dr, 0.8, -0.4, 0.08, 1.0)
     assert str(got.value) == str(want.value)
 
 
-def test_action_oracle_reuses_the_on_trajectory_gradients(monkeypatch, tmp_path):
+def _fd_segment_geometry(nodes_r):
+    """Segment vectors, proper lengths and midpoints of the node paths
+    nodes_r (K, ..., 4), nodes along the first axis."""
+    dr = nodes_r[1:] - nodes_r[:-1]
+    sq = dr[..., 0] ** 2 - dr[..., 1] ** 2 - dr[..., 2] ** 2 - dr[..., 3] ** 2
+    if np.any(sq <= 0.0):
+        raise ValueError("worldline segments must be timelike")
+    return dr, np.sqrt(sq), 0.5 * (nodes_r[1:] + nodes_r[:-1])
+
+
+def _fd_a_eff(sources, specs, external, i, r_obs, width, c):
+    """Smoothed A_eff of particle i with its cones listed by hand:
+    external + 2x self + both shell cones of every companion."""
+    def dli(src, sigma, q):
+        return harness._smoothed_dli(src, r_obs, np.zeros_like(r_obs), sigma, q, width, c)[0]
+
+    A = external.potential(r_obs)
+    A += 2.0 * dli(sources[i], specs[i].sigma, specs[i].q)
+    for j, src in enumerate(sources):
+        if j == i:
+            continue
+        A += dli(src, specs[i].sigma, specs[j].q)
+        A += dli(src, specs[j].sigma, specs[j].q)
+    return A
+
+
+def fd_node_gradient(nodes_r, i, sources, specs, external, width, c,
+                     fd_step=1e-6):
+    """Central-FD gradient of the discretized action at interior nodes,
+    the reference for the closed form.
+
+    Only segments k-1 and k move with node k, so each perturbed action
+    is the local action of those two segments: their summed proper
+    lengths, then each segment's A.dr in segment order. The midpoints of
+    all perturbed segments (2 segments x 2 signs x 4 axes per interior
+    node) are evaluated as one block.
+    """
+    n = len(nodes_r) - 2
+    h = fd_step * (1.0 + np.abs(nodes_r[1:-1]))
+    # node k moved by +h and -h along each axis mu: (n, mu, sign, 4)
+    moved = np.repeat(nodes_r[1:-1], 8, axis=0).reshape(n, 4, 2, 4)
+    for mu in range(4):
+        moved[:, mu, 0, mu] += h[:, mu]
+        moved[:, mu, 1, mu] -= h[:, mu]
+    shape = moved.shape
+    paths = np.stack((np.broadcast_to(nodes_r[:-2, None, None], shape), moved,
+                      np.broadcast_to(nodes_r[2:, None, None], shape)))
+    dr, L, mid = _fd_segment_geometry(paths)
+    A = _fd_a_eff(sources, specs, external, i, mid.reshape(-1, 4),
+                  width, c).reshape(dr.shape)
+    S = specs[i].m0 * c * (L[0] + L[1])
+    for a, d in zip(A, dr):
+        S += (specs[i].q / c) * np.einsum("...m,...m->...", a, d)
+    return (S[..., 0] - S[..., 1]) / (2.0 * h)
+
+
+@pytest.fixture(scope="module")
+def oracle_trajectory():
+    """The shipped action-oracle config's trajectories, its oracle config
+    and its observer window."""
+    cfg = load_config(os.path.join(CONFIG_DIR, "action_oracle.yaml"))
+    st = run(build_state(cfg, CONFIG_DIR), cfg.t_end)
+    return st.histories, cfg.oracle, (0.06, st.t_now)
+
+
+@pytest.mark.parametrize("case", ["trajectory", "bumped", "uniform_field", "wiggle_pair"])
+def test_the_closed_form_gradient_matches_finite_differences(oracle_trajectory, case):
+    hists, cfg, (t_lo, t_hi) = oracle_trajectory
+    external = harness.ExternalFieldModel.none()
+    if case == "uniform_field":
+        external = harness.ExternalFieldModel.uniform(E=(0.05, -0.02, 0.01),
+                                                      B=(0.0, 0.03, 0.04))
+    if case == "wiggle_pair":
+        hists, cfg, (t_lo, t_hi) = _wiggle_pair(), OracleConfig(width=0.08, nodes=80), (0.25, 1.1)
+    ts = np.linspace(t_lo, t_hi, cfg.nodes)
+    sources = harness._freeze_sources(hists, cfg, t_hi)
+    specs = [h.spec for h in hists]
+    for i, h in enumerate(hists):
+        nodes_r = h.states_at(ts).r
+        if case == "bumped":
+            bump = np.sin(np.pi * np.linspace(0.0, 1.0, cfg.nodes))
+            nodes_r[:, 1:] += harness.BUMP_AMPLITUDE * bump[:, None] * np.array([0.6, 0.8, 0.0])
+        g = harness.node_gradient(nodes_r, i, sources, specs, external, cfg.width, hists[0].c)
+        want = fd_node_gradient(nodes_r, i, sources, specs, external, cfg.width, hists[0].c)
+        assert g.shape == want.shape == (cfg.nodes - 2, 4)
+        assert np.max(np.abs(g - want)) <= 1e-6 * np.max(np.abs(want))
+
+
+def test_the_oracle_refuses_an_external_field_it_cannot_differentiate(oracle_trajectory):
+    hists, cfg, (t_lo, t_hi) = oracle_trajectory
+    analytic = harness.ExternalFieldModel.analytic(lambda r: np.zeros((4, 4)),
+                                                   lambda r: np.zeros(4))
+    with pytest.raises(ValueError, match="user-analytic"):
+        action_oracle(hists, cfg, 0.3, t_hi, analytic)
+
+
+def test_action_oracle_reports_the_standalone_extremality(monkeypatch, tmp_path):
     cfg = replace(load_config(os.path.join(CONFIG_DIR, "action_oracle.yaml")),
                   output_dir=str(tmp_path))
     passes = []
@@ -393,16 +530,15 @@ def test_action_oracle_reuses_the_on_trajectory_gradients(monkeypatch, tmp_path)
 
     monkeypatch.setattr(harness, "node_gradient", counted)
     out = cmd_action_oracle(cfg, CONFIG_DIR)
-    # per particle: the on-trajectory pass and the perturbed one
-    assert sorted(passes) == [0, 0, 1, 1]
+    # per particle: the oracle's pass, then extremality_ratio's
+    # on-trajectory pass and its perturbed one
+    assert sorted(passes) == [0, 0, 0, 1, 1, 1]
     hists, (t_lo, t_hi) = out["state"].histories, out["window"]
     alone = extremality_ratio(hists, cfg.oracle, t_lo, t_hi,
                               rng=np.random.default_rng(cfg.seed))
     assert alone == out["extremality"]
-    assert len(passes) == 8
-    with pytest.raises(ValueError, match="other observer nodes"):
-        extremality_ratio(hists, cfg.oracle, t_lo + 0.01, t_hi,
-                          report=out["report"])
+    assert len(passes) == 10
+
 
 def test_action_oracle_makes_one_force_batch_per_node_time(monkeypatch, tmp_path, total_force):
     cfg = replace(load_config(os.path.join(CONFIG_DIR, "action_oracle.yaml")),
