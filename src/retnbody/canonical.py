@@ -37,12 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ExternalFieldModel
+from .fields import ExternalFieldModel, _external_gradient, _potential_gradients
 from .minkowski import ETA, dots, lower, raise_index
-from .retardation import _add_potentials, _dot, _plan_roots, _root_plan
+from .retardation import _add_potentials, _dot, _per_slot, _plan_roots, _root_plan
 from .worldline import HARD_TOL, ConstraintViolation, commit, copy_histories, gather
 
-FD_STEP = 1e-6
 # brackets of the Poincare generators are at most quadratic in the
 # state, so the Jacobi check's central differences carry no truncation
 # error and a wide step keeps the 1/h round-off well below its threshold
@@ -52,11 +51,6 @@ JACOBI_FD_STEP = 1e-3
 NOISE_FLOOR = 1e-9
 
 _IDX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
-class GradientUnavailable(Exception):
-    """Raised when a phase function has no analytic gradient and finite
-    differencing fails, or when its analytic gradient fails its self-test."""
 
 
 class ContextMismatch(Exception):
@@ -101,45 +95,34 @@ class CanonicalState:
 
 @dataclass
 class PhaseFunction:
-    """Scalar function of the canonical state with an optional analytic
-    gradient returning (dF/dr, dF/dP), each of shape (N,4)."""
+    """Scalar function of the canonical state and its analytic gradient,
+    which returns (dF/dr, dF/dP), each of shape (N,4)."""
 
     evaluator: object
-    gradient: object | None = None
+    gradient: object
     name: str = ""
 
     def value(self, x: CanonicalState) -> float:
         return float(self.evaluator(x))
 
     def gradient_at(self, x: CanonicalState):
-        if self.gradient is not None:
-            gr, gP = self.gradient(x)
-            return np.asarray(gr, dtype=np.float64), np.asarray(gP, dtype=np.float64)
-        try:
-            return _fd_gradient(self.evaluator, x, FD_STEP)
-        except Exception as exc:  # evaluator failed on a probe state
-            raise GradientUnavailable(
-                f"finite differencing failed for {self.name or '<anonymous>'}: {exc}"
-            ) from exc
+        gr, gP = self.gradient(x)
+        return np.asarray(gr, dtype=np.float64), np.asarray(gP, dtype=np.float64)
 
     def __mul__(self, other: "PhaseFunction") -> "PhaseFunction":
-        grad = None
-        if self.gradient is not None and other.gradient is not None:
-            def grad(x, a=self, b=other):
-                ga_r, ga_P = a.gradient(x)
-                gb_r, gb_P = b.gradient(x)
-                va, vb = a.value(x), b.value(x)
-                return ga_r * vb + gb_r * va, ga_P * vb + gb_P * va
+        def grad(x, a=self, b=other):
+            ga_r, ga_P = a.gradient(x)
+            gb_r, gb_P = b.gradient(x)
+            va, vb = a.value(x), b.value(x)
+            return ga_r * vb + gb_r * va, ga_P * vb + gb_P * va
         return PhaseFunction(lambda x: self.value(x) * other.value(x), grad,
                              name=f"({self.name})*({other.name})")
 
     def combine(self, ca: float, other: "PhaseFunction", cb: float) -> "PhaseFunction":
-        grad = None
-        if self.gradient is not None and other.gradient is not None:
-            def grad(x, a=self, b=other):
-                ga_r, ga_P = a.gradient(x)
-                gb_r, gb_P = b.gradient(x)
-                return ca * ga_r + cb * gb_r, ca * ga_P + cb * gb_P
+        def grad(x, a=self, b=other):
+            ga_r, ga_P = a.gradient(x)
+            gb_r, gb_P = b.gradient(x)
+            return ca * ga_r + cb * gb_r, ca * ga_P + cb * gb_P
         return PhaseFunction(lambda x: ca * self.value(x) + cb * other.value(x),
                              grad, name=f"{ca}*({self.name})+{cb}*({other.name})")
 
@@ -249,10 +232,11 @@ class FrozenHistoryContext:
     The snapshot copies the histories into one store, reads their latest
     states from that copy, and appends one node to each copy, as one
     block: a short inertial continuation past the capture time, so that
-    finite-difference probes of the observation event stay inside the
-    queryable range; the margin sits far below every delay root, so no
-    field or potential kernel ever interpolates inside it. Nodes appended
-    to a history later stay invisible to the snapshot.
+    an event up to the margin past c t_ref still evaluates, as a central
+    difference in a state's r^0 needs (the shipped certificates observe at
+    c t_ref). The margin sits far below every delay root, so no field or
+    potential kernel ever interpolates inside it. Nodes appended to a
+    history later stay invisible to the snapshot.
     """
 
     def __init__(self, histories, external: ExternalFieldModel, t_ref: float):
@@ -315,6 +299,21 @@ def effective_potentials(histories, external: ExternalFieldModel, observers,
     return _add_potentials(external.potential(events), plan, _plan_roots(hs, plan, events))
 
 
+def _potentials_and_gradients(histories, external: ExternalFieldModel, observers, events):
+    """(A, dA): effective_potentials, with its bits, and from the same
+    batch their gradients in the events, histories fixed, dA[i, mu, nu] =
+    dA_nu/dr^mu: the external part plus each root's closed-form term at
+    kernel weight k = q_src w (fields._potential_gradients)."""
+    hs = tuple(histories)
+    events = np.asarray(events, dtype=np.float64).reshape(-1, 4)
+    plan = _root_plan(tuple(h.spec for h in hs), tuple(int(i) for i in observers))
+    roots = _plan_roots(hs, plan, events)
+    k = np.array([h.spec.q for h in hs])[plan.src] * plan.w
+    dA = _per_slot(plan, _potential_gradients(roots, k), len(events))
+    return (_add_potentials(external.potential(events), plan, roots),
+            _external_gradient(external, events) + dA)
+
+
 def state_from_histories(histories, t: float,
                          ctx: FrozenHistoryContext) -> CanonicalState:
     """Canonical state carried by the histories at time t: P as
@@ -343,8 +342,18 @@ def system_hamiltonian(state: CanonicalState, ctx: FrozenHistoryContext) -> floa
 
 
 def hamiltonian_phase_function(ctx: FrozenHistoryContext) -> PhaseFunction:
-    """H_N as a local phase function over the frozen snapshot (FD gradient)."""
-    return PhaseFunction(lambda x: system_hamiltonian(x, ctx), name="H_N")
+    """H_N as a local phase function over the frozen snapshot, with its
+    closed-form gradient dH/dP = pi^mu / (m0 c) and dH/dr^mu =
+    -(q/c) (dA_nu/dr^mu) pi^nu / (m0 c), A and dA from one batch over
+    every particle (_potentials_and_gradients)."""
+    q_c, m0c = np.array([(s.q / ctx.c, s.m0 * ctx.c) for s in ctx.specs]).T
+
+    def grad(x):
+        A, dA = _potentials_and_gradients(ctx._histories, ctx.external, range(x.n), x.r)
+        pi_up = raise_index(x.P - q_c[:, None] * A) / m0c[:, None]
+        return -q_c[:, None] * (dA @ pi_up[:, :, None])[:, :, 0], pi_up
+
+    return PhaseFunction(lambda x: system_hamiltonian(x, ctx), grad, name="H_N")
 
 
 # -- Poincare generators over the unconstrained state ------------------------
@@ -461,14 +470,15 @@ class ConstrainedState:
 
 def _instant_form_p0(xp: ConstrainedState, ctx: FrozenHistoryContext):
     """Each particle's p0 term at its event, with the pi_l and the root it
-    is built from, and the term's central difference in each of its own
-    positions x^l: (p0 (N,), pi (N,3), root (N,), dp0_dx (N,3)).
+    is built from, and the term's derivative in each of its own positions
+    x^l: (p0 (N,), pi (N,3), root (N,), dp0_dx (N,3)).
 
-    p0 = sqrt(m0^2 c^2 + pi.pi) + (q/c) A_0 with pi_l = P_l - (q/c) A_l is
-    evaluated at the N events and the 6N +-h probes from one
-    effective_potentials batch (only the explicit observer-position
-    dependence of A_eff is differentiated). Requires an isolated context
-    with one history per particle.
+    p0 = sqrt(m0^2 c^2 + pi.pi) + (q/c) A_0 with pi_l = P_l - (q/c) A_l,
+    and dp0/dx^l = (q/c)(dA_0/dx^l - pi_m (dA_m/dx^l) / root), from one
+    potential batch over the N events (_potentials_and_gradients; only
+    the explicit observer-position dependence of A_eff is
+    differentiated). Requires an isolated context with one history per
+    particle.
     """
     if ctx.external.variant != "none":
         raise ContextMismatch(
@@ -477,24 +487,14 @@ def _instant_form_p0(xp: ConstrainedState, ctx: FrozenHistoryContext):
     if xp.n != ctx.n:
         raise ContextMismatch(
             f"state has {xp.n} particles but context has {ctx.n}")
-    n, diag = xp.n, np.arange(3)
-    h = FD_STEP * (1.0 + np.abs(xp.x))
-    # the N events, then probe (i, l) moving particle i's x^l by +h, then by -h
-    plus = np.repeat(xp.x[:, None], 3, axis=1)
-    minus = plus.copy()
-    plus[:, diag, diag] += h
-    minus[:, diag, diag] -= h
-    x3 = np.concatenate([xp.x, plus.reshape(-1, 3), minus.reshape(-1, 3)])
-    obs = np.concatenate([np.arange(n), np.tile(np.repeat(np.arange(n), 3), 2)])
-    events = np.column_stack([np.full(len(obs), ctx.c * ctx.t_ref), x3])
-    A = effective_potentials(ctx._histories, ctx.external, obs, events)
-    q_c = np.array([spec.q / ctx.c for spec in ctx.specs])[obs]
-    m2c2 = np.array([spec.m0 ** 2 * ctx.c ** 2 for spec in ctx.specs])[obs]
-    pi3 = xp.P[obs] - q_c[:, None] * A[:, 1:]
+    events = np.column_stack([np.full(xp.n, ctx.c * ctx.t_ref), xp.x])
+    A, dA = _potentials_and_gradients(ctx._histories, ctx.external, range(xp.n), events)
+    q_c = np.array([spec.q / ctx.c for spec in ctx.specs])
+    m2c2 = np.array([spec.m0 ** 2 * ctx.c ** 2 for spec in ctx.specs])
+    pi3 = xp.P - q_c[:, None] * A[:, 1:]
     root = np.sqrt(m2c2 + _dot(pi3, pi3))
-    p0 = root + q_c * A[:, 0]
-    dp0 = (p0[n:4 * n] - p0[4 * n:]).reshape(n, 3) / (2.0 * h)
-    return p0[:n], pi3[:n], root[:n], dp0
+    dp0 = q_c[:, None] * (dA[:, 1:, 0] - (dA[:, 1:, 1:] @ pi3[:, :, None])[:, :, 0] / root[:, None])
+    return root + q_c * A[:, 0], pi3, root, dp0
 
 
 def instant_form_constrained(xp: ConstrainedState,
@@ -503,8 +503,8 @@ def instant_form_constrained(xp: ConstrainedState,
 
     Returns a dict with the generator values (p0, p_l, M_lm, N_l0) and the
     bracket probes comm_p0_pl[l] = [p0|x', p_l] = sum_i d p0 / d r^(i)l,
-    evaluated by central differences against the frozen snapshot, all
-    from one potential batch (_instant_form_p0). Requires an isolated
+    differentiated in closed form against the frozen snapshot, all from
+    one potential batch (_instant_form_p0). Requires an isolated
     context (no external potential) with one history per particle;
     raises ContextMismatch otherwise.
     """
@@ -525,10 +525,9 @@ def instant_form_increments(xp: ConstrainedState, ctx: FrozenHistoryContext,
     """Coordinate-time increments generated by the constrained p0.
 
     The evolution generator under the bracket [r^l, P_m] = +delta_lm is
-    G = -c dt p0|x'; dr^l = -c dt d p0 / d P_l = -c dt pi_l / root comes
-    out analytically, dP_l by the finite differences of the
-    non-commutation probe, from the same potential batch
-    (_instant_form_p0, whose ContextMismatch checks apply). Returns
+    G = -c dt p0|x'; dr^l = -c dt d p0 / d P_l = -c dt pi_l / root and
+    dP_l = c dt d p0 / d x^l, both in closed form from one potential
+    batch (_instant_form_p0, whose ContextMismatch checks apply). Returns
     (dr, dP), both (N,3).
     """
     _, pi3, root, dp0 = _instant_form_p0(xp, ctx)

@@ -36,7 +36,8 @@ The plan also holds the roots of the potentials and the reported delays,
 so the step diagnostics read them off the batch, and the next
 evaluation of an RK step may start its roots from it (prev).
 self_faraday and binary_faraday build one root's tensor W Rt - Rt W
-(_tensor).
+(_tensor); the same factors give each root's potential gradient
+(_potential_gradients), whose antisymmetric part is that tensor.
 """
 
 from __future__ import annotations
@@ -142,17 +143,14 @@ def _kernel(roots: DelayRoots, k, u_sign):
     Rt is source minus observer for u_sign = +1 (pair) and observer minus
     source for -1 (self)."""
     src = roots.source
-    rt = u_sign[:, None] * (src.r - roots.events)
-    vec = np.stack((rt, src.u, src.a), axis=1)  # (M, 3, 4): Rt, u, a
-    low = lower(vec)
-    # Minkowski products: Rt.Rt, Rt.u, Rt.a and u.Rt, u.u, u.a
-    prod = low[:, :2] @ vec.swapaxes(1, 2)
-    D = prod[:, 0, 1]
-    roots.check_jacobian(np.abs(D), np.sqrt(np.abs(prod[:, 0, 0])), JAC_TOL,
+    rt_up = u_sign[:, None] * (src.r - roots.events)
+    rt, u = lower(rt_up), lower(src.u)
+    D = _dot(rt, src.u)
+    roots.check_jacobian(np.abs(D), np.sqrt(np.abs(_dot(rt, rt_up))), JAC_TOL,
                          "in the field kernel")
-    dD = u_sign * prod[:, 1, 1] + prod[:, 0, 2]
-    w = (-k / (np.abs(D) * D))[:, None] * (low[:, 2] - low[:, 1] * (dD / D)[:, None])
-    return w, low[:, 0]
+    dD = u_sign * _dot(u, src.u) + _dot(rt, src.a)
+    w = (-k / (np.abs(D) * D))[:, None] * (lower(src.a) - u * (dD / D)[:, None])
+    return w, rt
 
 
 def _tensor(roots: DelayRoots, k, u_sign) -> np.ndarray:
@@ -160,6 +158,27 @@ def _tensor(roots: DelayRoots, k, u_sign) -> np.ndarray:
     antisymmetric."""
     w, rt = _kernel(roots, k, u_sign)
     return w[:, :, None] * rt[:, None, :] - rt[:, :, None] * w[:, None, :]
+
+
+def _potential_gradients(roots: DelayRoots, k) -> np.ndarray:
+    """dA_nu/dx^mu, (M, 4, 4) indexed [m, mu, nu], of every root's
+    potential term k u_nu / |D| in its observer event x, sources fixed:
+    -Rt_mu W_nu - (k / |D| D) u_mu u_nu, (W, Rt) the self-sign kernel
+    factors (the retarded point moves by ds'/dx^mu = Rt_mu / D). Its
+    antisymmetric part is the root's kernel tensor (_tensor): F = dA."""
+    w, rt = _kernel(roots, k, np.full(len(k), -1.0))
+    u, D = lower(roots.source.u), _dot(rt, roots.source.u)
+    return (-rt[:, :, None] * w[:, None, :]
+            - (k / (np.abs(D) * D))[:, None, None] * (u[:, :, None] * u[:, None, :]))
+
+
+def _external_gradient(external: ExternalFieldModel, r) -> np.ndarray:
+    """dA_nu/dr^mu of the external potential at each row of r (P, 4), as
+    (P, 4, 4) indexed [p, mu, nu]: F/2 in the constant-uniform linear
+    gauge, 0 with none; a user-analytic model has none to give (ValueError)."""
+    if external.variant == "user-analytic":
+        raise ValueError("a user-analytic field model gives no derivative of its potential")
+    return 0.5 * external.faraday(r)
 
 
 def self_faraday(h: WorldlineHistory, t: float,

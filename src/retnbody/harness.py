@@ -43,7 +43,6 @@ from .canonical import (
     ContextMismatch,
     FrozenHistoryContext,
     GeneratorSet,
-    GradientUnavailable,
     NumericalNoise,
     PhaseFunction,
     bracket_matrix,
@@ -61,7 +60,7 @@ from .dynamics import (
     seed,
     step_count,
 )
-from .fields import ExternalFieldModel, SelfForceMode, total_faraday
+from .fields import ExternalFieldModel, SelfForceMode, _external_gradient, total_faraday
 from .minkowski import lower
 from .retardation import DegenerateJacobian, NoConvergence, _root_plan, max_delay
 from .worldline import (
@@ -538,15 +537,13 @@ def _smoothed_a_eff(sources, specs, external: ExternalFieldModel, i: int,
     in _smoothed_dli: (A, J).
 
     The cones and their weights are the rows of particle i's root plan
-    that carry a potential weight. In the linear gauge of the
-    constant-uniform field J is F dr / 2, and 0 with no field; a
-    user-analytic field gives no derivative of its potential and is
-    refused."""
-    if external.variant == "user-analytic":
-        raise ValueError("the action oracle differentiates the external potential, "
-                         "which a user-analytic field model does not give")
+    that carry a potential weight. The external part of J contracts
+    fields._external_gradient with dr: F dr / 2 in the constant-uniform
+    field's linear gauge and 0 with no field, and a user-analytic field,
+    which gives no derivative of its potential, is refused there
+    (ValueError)."""
+    J = np.einsum("pmn,pn->pm", _external_gradient(external, r_obs), dr)
     A = external.potential(r_obs)
-    J = 0.5 * np.einsum("pmn,pn->pm", external.faraday(r_obs), dr)
     plan = _root_plan(tuple(specs), (i,))
     for j, sigma, w in zip(plan.src, plan.sigma, plan.w):
         if w:
@@ -917,7 +914,7 @@ def emit_plots_data(run_dir) -> list:
 _NUMERICAL_ERRORS = (
     ConstraintViolation, NonMonotonicTime, QueryBeyondPresent,
     NoConvergence, DegenerateJacobian, InsufficientPrehistory,
-    GradientUnavailable, NumericalNoise, ContextMismatch, WidthTooSmall,
+    NumericalNoise, ContextMismatch, WidthTooSmall,
     CheckFailed, FloatingPointError, ValueError,
 )
 

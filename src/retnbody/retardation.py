@@ -52,6 +52,7 @@ rows with a potential weight.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
@@ -404,10 +405,11 @@ def _plan_roots(histories, plan: _RootPlan, events, now=None, prev=None) -> Dela
 
 
 def _per_slot(plan: _RootPlan, terms, n: int) -> np.ndarray:
-    """(n, 4) sums of the (M, 4) per-root terms over each observer slot,
-    each slot's terms added to zero in root order (one bincount)."""
-    bins = (4 * plan.slot[:, None] + np.arange(4)).ravel()
-    return np.bincount(bins, weights=terms.ravel(), minlength=4 * n).reshape(n, 4)
+    """(n, ...) sums of the (M, ...) per-root terms over each observer
+    slot, each slot's terms added to zero in root order (one bincount)."""
+    size = math.prod(terms.shape[1:])
+    bins = (size * plan.slot[:, None] + np.arange(size)).ravel()
+    return np.bincount(bins, weights=terms.ravel(), minlength=size * n).reshape(n, *terms.shape[1:])
 
 
 def _add_potentials(A, plan: _RootPlan, roots: DelayRoots):

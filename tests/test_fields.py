@@ -452,6 +452,23 @@ class TestBatchedTotalFaraday:
         assert err.value.particle in {h.spec.label for h in hs}
 
 
+def test_the_antisymmetric_part_of_each_root_potential_gradient_is_its_kernel_tensor():
+    # F = dA root by root: G - G^T is the kernel tensor of the same root
+    # and weight, for the self cones, both shell cones of every pair and
+    # the equal-radius pair's one root
+    hs = ring_histories()
+    n = len(hs)
+    plan = ret._root_plan(tuple(h.spec for h in hs), tuple(range(n)))
+    now = present(hs, 0.7)
+    roots = ret._plan_roots(hs, plan, now.r, now)
+    k = np.array([h.spec.q for h in hs])[plan.src] * plan.w
+    G = fl._potential_gradients(roots, k)
+    T = fl._tensor(roots, k, np.full(len(k), -1.0))
+    assert G.shape == (len(k), 4, 4) and np.count_nonzero(T)
+    scale = np.max(np.abs(G), axis=(1, 2))[:, None, None]
+    assert np.all(np.abs(G - G.swapaxes(1, 2) - T) <= 1e-15 * scale)
+
+
 class TestExternalFieldModel:
     def test_uniform_potential_gauge(self):
         ext = fl.ExternalFieldModel.uniform(E=(0.2, 0.0, -0.1), B=(0.3, 0.1, 0.0))

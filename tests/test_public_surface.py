@@ -73,6 +73,27 @@ def test_every_public_name_has_a_shipped_caller():
     assert uncalled == [], f"public names no shipped path calls: {uncalled}"
 
 
+def _public_constants(path):
+    """(qualified name, name) of each public module-level assignment of
+    the module at path."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((f"{path.stem}.{t.id}", t.id) for target in targets
+                        for t in ast.walk(target)
+                        if isinstance(t, ast.Name) and not t.id.startswith("_"))
+
+
+def test_every_public_constant_is_read_on_a_shipped_path():
+    # a step or tolerance left behind when the code that read it goes is
+    # caught here, as an uncalled function is above
+    used = _names_used(SHIPPED)
+    defined = [d for path in MODULES for d in _public_constants(path)]
+    assert len(defined) > 10
+    unread = [qual for qual, name in defined if name not in used]
+    assert unread == [], f"public constants no shipped path reads: {unread}"
+
+
 # defaulted parameters no shipped call passes, each kept for its reason
 KEEP = {
     "worldline.history_from_kinematics(c)":
