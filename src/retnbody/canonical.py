@@ -100,7 +100,6 @@ class PhaseFunction:
 
     evaluator: object
     gradient: object
-    name: str = ""
 
     def value(self, x: CanonicalState) -> float:
         return float(self.evaluator(x))
@@ -115,16 +114,14 @@ class PhaseFunction:
             gb_r, gb_P = b.gradient(x)
             va, vb = a.value(x), b.value(x)
             return ga_r * vb + gb_r * va, ga_P * vb + gb_P * va
-        return PhaseFunction(lambda x: self.value(x) * other.value(x), grad,
-                             name=f"({self.name})*({other.name})")
+        return PhaseFunction(lambda x: self.value(x) * other.value(x), grad)
 
     def combine(self, ca: float, other: "PhaseFunction", cb: float) -> "PhaseFunction":
         def grad(x, a=self, b=other):
             ga_r, ga_P = a.gradient(x)
             gb_r, gb_P = b.gradient(x)
             return ca * ga_r + cb * gb_r, ca * ga_P + cb * gb_P
-        return PhaseFunction(lambda x: ca * self.value(x) + cb * other.value(x),
-                             grad, name=f"{ca}*({self.name})+{cb}*({other.name})")
+        return PhaseFunction(lambda x: ca * self.value(x) + cb * other.value(x), grad)
 
 
 def _fd_gradient(fn, x: CanonicalState, step: float):
@@ -353,7 +350,7 @@ def hamiltonian_phase_function(ctx: FrozenHistoryContext) -> PhaseFunction:
         pi_up = raise_index(x.P - q_c[:, None] * A) / m0c[:, None]
         return -q_c[:, None] * (dA @ pi_up[:, :, None])[:, :, 0], pi_up
 
-    return PhaseFunction(lambda x: system_hamiltonian(x, ctx), grad, name="H_N")
+    return PhaseFunction(lambda x: system_hamiltonian(x, ctx), grad)
 
 
 # -- Poincare generators over the unconstrained state ------------------------
@@ -368,7 +365,7 @@ def _p_hat(mu: int) -> PhaseFunction:
         gP[:, mu] = 1.0
         return gr, gP
 
-    return PhaseFunction(ev, grad, name=f"p_{mu}")
+    return PhaseFunction(ev, grad)
 
 
 def _m_hat(mu: int, nu: int) -> PhaseFunction:
@@ -385,7 +382,7 @@ def _m_hat(mu: int, nu: int) -> PhaseFunction:
         gP[:, mu] -= r_low[:, nu]
         return gr, gP
 
-    return PhaseFunction(ev, grad, name=f"M_{mu}{nu}")
+    return PhaseFunction(ev, grad)
 
 
 class GeneratorSet:
@@ -415,7 +412,7 @@ class GeneratorSet:
             gP = np.tile(-a_up, (x.n, 1))
             return gr, gP
 
-        return PhaseFunction(ev, grad, name="F_translation")
+        return PhaseFunction(ev, grad)
 
 
 def lorentz_condition_residuals(state: CanonicalState,

@@ -31,6 +31,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, replace
 
 import jsonschema
@@ -72,6 +73,7 @@ from .worldline import (
     ParticleSpec,
     QueryBeyondPresent,
     WorldlineHistory,
+    _table_lines,
     copy_histories,
     gather,
     read_table,
@@ -377,13 +379,37 @@ def load_prehistory_csv(path, spec: ParticleSpec, cfg: RunConfig) -> WorldlineHi
     cfg's tolerances."""
     h = WorldlineHistory(spec, c=cfg.c)
     h.hard_tol, h.constraint_tol = cfg.constraint_hard, cfg.constraint_soft
-    # the table's line strings are released before the store is built
     h.extend(_prehistory_table(path))
     return h
 
 
 def _prehistory_table(path) -> np.ndarray:
-    """The (rows, 14) float table of a prehistory CSV in CSV_HEADER order."""
+    """The (rows, 14) float table of a prehistory CSV in CSV_HEADER order.
+
+    A valid table is read in one pass: its header is found by read_table's
+    rule (_table_lines) and the rest of the open file goes straight to
+    numpy's C reader, so no Python string is kept per line. A table that
+    reader refuses, or reads to any shape but (rows >= 1, 14), is read
+    again line by line by _diagnosed_prehistory_table, which names what
+    is wrong or, when only blank or "#" lines among the rows upset the
+    C reader, returns the table."""
+    with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+        # numpy warns on an empty data section, which reads as no rows here
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        if next(_table_lines(fh), "").split(",") == CSV_HEADER:
+            try:
+                tab = _floats(fh)
+            except ValueError:
+                pass
+            else:
+                if len(tab) and tab.shape[1] == len(CSV_HEADER):
+                    return tab
+    return _diagnosed_prehistory_table(path)
+
+
+def _diagnosed_prehistory_table(path) -> np.ndarray:
+    """_prehistory_table read line by line (read_table): the ConfigError
+    that names the table's first fault, or the table if it has none."""
     header, lines = read_table(path)
     if not header:
         raise ConfigError(f"prehistory table {path} is empty")
@@ -407,8 +433,9 @@ def _prehistory_table(path) -> np.ndarray:
 
 
 def _floats(lines) -> np.ndarray:
-    """(rows, cells) float64 array of comma-separated lines, read by
-    numpy's C parser; raises ValueError on a cell that is not a float."""
+    """(rows, cells) float64 array of comma-separated lines (a list of
+    strings or an open file), read by numpy's C parser; raises ValueError
+    on a cell that is not a float or a row of another width."""
     return np.loadtxt(lines, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
 
 
@@ -726,7 +753,7 @@ def _coordinate_function(block: str, i: int, mu: int) -> PhaseFunction:
         (gr_ if block == "r" else gP_)[i, mu] = 1.0
         return gr_, gP_
 
-    return PhaseFunction(ev, gradient=gr, name=f"{block}[{i},{mu}]")
+    return PhaseFunction(ev, gradient=gr)
 
 
 def cmd_check_pb(cfg: RunConfig) -> dict:

@@ -45,9 +45,11 @@ states_at and state_at_time are the same lookup for one history, and
 u_dotdot(histories, src, ts) (u'' for the asymptotic self-force) too.
 
 write_table and read_table hold the one CSV table format of the package:
-every table it writes or reads, node tables included, goes through them.
-A float table is written in blocks of rows, one repr per cell;
-export_csv reads those blocks straight from the store.
+every table it writes goes through write_table, and every table it reads
+through read_table except a prehistory table, which harness streams from
+the file into numpy's C reader after finding its header by the same
+rule (_table_lines). A float table is written in blocks of rows, one
+repr per cell; export_csv reads those blocks straight from the store.
 """
 
 from __future__ import annotations
@@ -102,8 +104,15 @@ def read_table(path) -> tuple[list, list]:
     data lines, stripped but not split into cells; blank lines and lines
     starting with "#" are skipped. A table with no header reads ([], [])."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [s for s in map(str.strip, fh) if s and not s.startswith("#")]
+        lines = list(_table_lines(fh))
     return (lines[0].split(","), lines[1:]) if lines else ([], [])
+
+
+def _table_lines(fh):
+    """The lines of an open table that count: each stripped, skipping the
+    blank ones and those starting with "#". The first is the header; the
+    file is read no further than the lines taken."""
+    return (s for s in map(str.strip, fh) if s and not s.startswith("#"))
 
 
 # a store keeps each node time in its key and the rest of the node in

@@ -875,13 +875,18 @@ def test_prehistory_table_round_trip(tmp_path):
     assert os.path.exists(str(tmp_path / "mix" / "trajectory_tab.csv"))
 
 
-def test_long_prehistory_export_load_export_is_byte_identical(tmp_path):
-    spec, cfg = ParticleSpec(1.0, 0.5, 0.8, "left"), parse_config(_cfg_mapping())
+def _long_history(spec):
+    """A 10^4-node history with no constant column but r3, u3 and a3."""
     t = np.linspace(-0.005 * 9999, 0.0, 10_000)
-    h = history_from_kinematics(
+    return history_from_kinematics(
         spec, t, lambda s: np.array([0.04 * np.sin(0.9 * s + 0.3), 0.03 * np.cos(1.3 * s), 0.0]),
         lambda s: np.array([0.036 * np.cos(0.9 * s + 0.3), -0.039 * np.sin(1.3 * s), 0.0]),
         lambda s: np.array([-0.0324 * np.sin(0.9 * s + 0.3), -0.0507 * np.cos(1.3 * s), 0.0]))
+
+
+def test_long_prehistory_export_load_export_is_byte_identical(tmp_path):
+    spec, cfg = ParticleSpec(1.0, 0.5, 0.8, "left"), parse_config(_cfg_mapping())
+    h = _long_history(spec)
     first, second = tmp_path / "first.csv", tmp_path / "second.csv"
     h.export_csv(str(first), comment="c")
     loaded = load_prehistory_csv(str(first), spec, cfg)
@@ -1062,6 +1067,68 @@ def test_cli_prehistory_table_without_data_rows(tmp_path):
     assert (payload["category"], payload["error"]) == ("validation", "ConfigError")
     assert payload["detail"] == f"prehistory table {table} has no data rows"
     assert not os.path.exists(str(tmp_path / "empty"))
+
+
+def _no_read_table(path):
+    raise AssertionError(f"{path} was read line by line")
+
+
+@pytest.mark.parametrize("shape", ["long", "one row", "crlf"])
+def test_streamed_prehistory_table_equals_the_line_path(tmp_path, monkeypatch, shape):
+    spec = ParticleSpec(1.0, 0.5, 0.8, "left")
+    table = tmp_path / "tab.csv"
+    if shape == "long":
+        _long_history(spec).export_csv(str(table), comment="c")
+    else:
+        inertial_history(spec, [0.5, 0, 0], [0.1, 0, 0], -6.0, 0.0, 48).export_csv(str(table))
+        lines = table.read_text(encoding="utf-8").splitlines()
+        ending = "\r\n" if shape == "crlf" else "\n"
+        table.write_text(ending.join(lines[:2] if shape == "one row" else lines) + ending,
+                         encoding="utf-8", newline="")
+    lined = harness._diagnosed_prehistory_table(str(table))
+    monkeypatch.setattr(harness, "read_table", _no_read_table)
+    streamed = harness._prehistory_table(str(table))
+    assert streamed.shape == lined.shape == ({"long": 10_000, "one row": 1}.get(shape, 48), 14)
+    assert np.array_equal(streamed.view(np.int64), lined.view(np.int64))
+
+
+def test_prehistory_table_with_blank_and_comment_lines_among_rows_loads(tmp_path):
+    spec, cfg = ParticleSpec(1.0, 0.3, 0.8, "tab"), parse_config(_cfg_mapping())
+    h = inertial_history(spec, [0.5, 0, 0], [0.1, 0, 0], -6.0, 0.0, 48)
+    table = tmp_path / "tab.csv"
+    h.export_csv(str(table), comment="c")
+    lines = table.read_text(encoding="utf-8").splitlines()
+    # numpy's C reader refuses the whitespace-only and "#" lines
+    lines = [*lines[:5], "", "   ", "# between rows", *lines[5:30], "\t", "", *lines[30:], " "]
+    table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    loaded = load_prehistory_csv(str(table), spec, cfg)
+    assert np.array_equal(loaded.table.view(np.int64), h.table.view(np.int64))
+
+
+def test_valid_prehistory_table_is_read_in_one_pass(tmp_path, monkeypatch):
+    spec, cfg = ParticleSpec(1.0, 0.3, 0.8, "tab"), parse_config(_cfg_mapping())
+    h = inertial_history(spec, [0.5, 0, 0], [0.1, 0, 0], -6.0, 0.0, 48)
+    table = tmp_path / "tab.csv"
+    h.export_csv(str(table), comment="c")
+    # blank and "#" lines before the header do not leave the one-pass path
+    table.write_text("# one\n\n  \n" + table.read_text(encoding="utf-8"), encoding="utf-8")
+    monkeypatch.setattr(harness, "read_table", _no_read_table)
+    loaded = load_prehistory_csv(str(table), spec, cfg)
+    assert np.array_equal(loaded.table.view(np.int64), h.table.view(np.int64))
+
+
+@pytest.mark.parametrize("rows", [1, 48])
+def test_prehistory_table_of_thirteen_columns_has_bad_row_width(tmp_path, rows):
+    # numpy's C reader reads it as a (rows, 13) table
+    spec, cfg = ParticleSpec(1.0, 0.3, 0.8, "tab"), parse_config(_cfg_mapping())
+    table = tmp_path / "tab.csv"
+    inertial_history(spec, [0.5, 0, 0], [0.1, 0, 0], -6.0, 0.0, 48).export_csv(str(table))
+    header, *lines = table.read_text(encoding="utf-8").splitlines()
+    lines = [ln.rsplit(",", 1)[0] for ln in lines[:rows]]
+    table.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^prehistory table {re.escape(str(table))}: "
+                                          "bad row width$"):
+        load_prehistory_csv(str(table), spec, cfg)
 
 
 def test_check_failed_maps_to_exit3(tmp_path):
