@@ -5,8 +5,11 @@ The ring is the bench's ring6 geometry: particle k sits at angle 2 pi k / N
 with a small random offset and velocity, alternating charge sign, and mass,
 charge magnitude and radius set by k mod 6. The ring radius grows as 3 N / 6,
 so neighbours keep ring6's spacing. At N = 6 and the default seed the
-particles are those of ring6. Times are raw time.perf_counter readings,
-not normalised for host speed: compare them within one run.
+particles are those of ring6. N = 1 is a single self-interacting charge,
+the shape of the certify workload's median step (a one-particle pulse
+step), whose cost is per-call overhead, not physics. Times are raw
+time.perf_counter readings, not normalised for host speed: compare them
+within one run.
 """
 
 import argparse

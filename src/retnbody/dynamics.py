@@ -262,8 +262,7 @@ def _deriv(state: SystemState, now: WorldlineSample, prev=None):
     the histories as they stand, and that batch, started from prev when
     given (see total_faraday)."""
     f, batch = total_faraday(state.histories, now, state.external, state.mode, prev)
-    m0 = np.array([h.spec.m0 for h in state.histories])
-    du = raise_index(f / (now.u[:, :1] * m0[:, None]))
+    du = raise_index(f / (now.u[:, :1] * batch[0].obs_m0[:, None]))
     return state.c * now.u[:, 1:] / now.u[:, :1], du, batch
 
 
@@ -363,24 +362,20 @@ def _diagnose(state: SystemState, now, batch, wall: float, local_error) -> StepR
     its roots and each observer's self delay and companions' sigma_i
     delays, read off its rows, and the step's local error estimate (n,).
     No root is solved here."""
-    t, hs, c = state.t_now, state.histories, state.c
-    u = now.u
-    plan, roots = batch
+    c, u, (plan, roots) = state.c, now.u, batch
     A = _add_potentials(state.external.potential(now.r), plan, roots)
     tau = roots.t_ret[plan.own]
-    q, m0 = np.array([(h.spec.q, h.spec.m0) for h in hs]).T
-    qA = (q / c)[:, None] * A
+    m0 = plan.obs_m0
+    qA = (plan.obs_q / c)[:, None] * A
     P = (m0 * c)[:, None] * lower(u) + qA
     pi = P - qA
     heff = dots(pi, pi) / (2.0 * m0 * c)
-    r_low = lower(now.r)
-    p_hat = P.sum(axis=0)
     # one row of terms per index pair, each summed along its contiguous
     # row: the order, so the bits, of a sum of that pair's terms alone
-    rl, Pl = r_low.T, P.T
+    rl, Pl = lower(now.r).T, P.T
     m_hat = np.sum(rl[_MU] * Pl[_NU] - rl[_NU] * Pl[_MU], axis=1)
-    return StepRecord(step=len(state.diagnostics) + 1, t=t,
-                      constraint_err=np.abs(dots(u, u) - 1.0), h_eff=heff, p_hat=p_hat,
+    return StepRecord(step=len(state.diagnostics) + 1, t=state.t_now,
+                      constraint_err=np.abs(dots(u, u) - 1.0), h_eff=heff, p_hat=P.sum(axis=0),
                       m_hat=m_hat, self_delays=tau[:, 0],
                       pair_delays=tau[:, 1:].ravel(), local_error=local_error,
                       wall_time=wall)

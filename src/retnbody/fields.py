@@ -29,7 +29,8 @@ principle. The equations of motion read the field only through the
 Lorentz force (q/c) F u, so the kernel gives each root's covariant
 factors (W, Rt), (M, 4) arrays with an elementwise grazing-emission
 guard, contracts them with the observer's u as W (Rt.u) - Rt (W.u) and
-sums them per observer (retardation._per_slot); g is one array
+sums them per observer (retardation._per_slot) with the plan's signs,
+charges and bins (a field of variant none adds nothing); g is one array
 expression over every self root (_asymptotic_g). It returns (f, batch):
 the (n, 4) covariant force (q/c) F u + g, and the batch's (plan, roots).
 The plan also holds the roots of the potentials and the reported delays,
@@ -188,8 +189,7 @@ def self_faraday(h: WorldlineHistory, t: float,
     Vanishes identically on inertial stretches because the bi-vector is
     then parallel to u(s') and every antisymmetric combination dies.
     """
-    if sigma is None:
-        sigma = h.spec.sigma
+    sigma = h.spec.sigma if sigma is None else sigma
     now = gather((h,), 0, [t])
     roots = solve_delays((h,), 0, now.r, sigma, obs=0, now=now)
     return FaradayTensor(_tensor(roots, np.array([2.0 * h.spec.q]), np.array([-1.0]))[0])
@@ -215,12 +215,11 @@ def binary_faraday(h_source: WorldlineHistory, observer_event,
                          + _binary_term(h_source, obs_r, sigma_j))
 
 
-def _asymptotic_g(roots: DelayRoots, rows, t) -> np.ndarray:
-    """g_mu (M, 4) of the self roots rows observed at times t, each row
-    with the bits of its own one-root evaluation."""
+def _asymptotic_g(roots: DelayRoots, rows, t, q) -> np.ndarray:
+    """g_mu (M, 4) of the self roots rows observed at times t, q their
+    charges, each row with the bits of its own one-root evaluation."""
     hs = roots.histories
     src = roots.src[rows]
-    q = np.array([hs[k].spec.q for k in src.tolist()], dtype=np.float64)
     c = hs[0].c
     u, a = roots.source.u[rows], roots.source.a[rows]
     udd = u_dotdot(hs, src, t - roots.t_ret[rows])
@@ -239,10 +238,10 @@ def asymptotic_self_force(h: WorldlineHistory, t: float,
     m_em = q^2 / (c^2 sigma). The projected second term is orthogonal to
     u by construction whenever u.u = 1.
     """
-    if sigma is None:
-        sigma = h.spec.sigma
+    sigma = h.spec.sigma if sigma is None else sigma
     now = gather((h,), 0, [t])
-    return _asymptotic_g(solve_delays((h,), 0, now.r, sigma, obs=0, now=now), [0], now.t)[0]
+    roots = solve_delays((h,), 0, now.r, sigma, obs=0, now=now)
+    return _asymptotic_g(roots, [0], now.t, np.array([h.spec.q]))[0]
 
 
 def total_faraday(histories, now, external: ExternalFieldModel,
@@ -267,17 +266,17 @@ def total_faraday(histories, now, external: ExternalFieldModel,
     hs = tuple(histories)
     n = len(hs)
     plan = _root_plan(tuple(h.spec for h in hs), tuple(range(n)), mode)
-    Fu = (external.faraday(now.r) @ now.u[:, :, None])[:, :, 0]
+    Fu = np.zeros((n, 4)) if external.variant == "none" else (
+        external.faraday(now.r) @ now.u[:, :, None])[:, :, 0]
     warm = prev is not None and prev[0] is plan
     roots = _plan_roots(hs, plan, now.r, now, prev[1] if warm else None)
-    if np.count_nonzero(plan.k):
-        w, rt = _kernel(roots, plan.k, np.where(plan.src == plan.obs, -1.0, 1.0))
+    if plan.has_k:
+        w, rt = _kernel(roots, plan.k, plan.sign)
         u_obs = now.u[plan.slot]
-        Fu = Fu + _per_slot(plan, w * _dot(rt, u_obs)[:, None] - rt * _dot(w, u_obs)[:, None], n)
-    q = np.array([h.spec.q for h in hs])
-    f = (q / hs[0].c)[:, None] * Fu
+        Fu += _per_slot(plan, w * _dot(rt, u_obs)[:, None] - rt * _dot(w, u_obs)[:, None], n)
+    f = (plan.obs_q / hs[0].c)[:, None] * Fu
     if mode != SelfForceMode.EXACT:
         # a neutral particle's g vanishes without a root
-        has_self = np.flatnonzero(plan.self_row >= 0)
-        f[has_self] += _asymptotic_g(roots, plan.self_row[has_self], now.t[has_self])
+        i = np.flatnonzero(plan.self_row >= 0)
+        f[i] += _asymptotic_g(roots, plan.self_row[i], now.t[i], plan.obs_q[i])
     return f, (plan, roots)

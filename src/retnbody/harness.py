@@ -615,9 +615,8 @@ def el_residual_covariant(histories, external, t) -> np.ndarray:
     n = len(histories)
     c = histories[0].c
     now = gather(histories, np.arange(n), np.full(n, float(t)))
-    f = total_faraday(histories, now, external, SelfForceMode.EXACT)[0]
-    m0 = np.array([h.spec.m0 for h in histories])
-    return (m0 * c)[:, None] * lower(now.a) - f
+    f, (plan, _) = total_faraday(histories, now, external, SelfForceMode.EXACT)
+    return (plan.obs_m0 * c)[:, None] * lower(now.a) - f
 
 
 @dataclass

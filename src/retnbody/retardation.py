@@ -34,7 +34,8 @@ way, and every root is checked on a gather of its last iterate.
 self_delay and pair_delay are one-batch calls of it, and
 line_potentials resolves the potential at each root of a batch. A
 failing root raises with the observer, source, sigma and observation
-time named, and carries the observer label as .particle.
+time named, and carries the observer label as .particle. Products of
+stacked vectors are one np.vecdot call (_dot), each row rounded as a @ b.
 
 Which roots a system needs, and how each enters its observer's sums, is
 decided in one place, _root_plan, one plan per (specs, observers, mode):
@@ -43,16 +44,18 @@ effective potentials read, each neutral source's sigma_i cone, which
 only the reported delays read, and, for a force, the point-limit cone
 of each charged pair in asymptotic mode. Each root's weights sum the
 terms it stands for, so an observer's force or potential is one
-weighted sum over its roots (_per_slot). fields.total_faraday (so every
-batch of dynamics), canonical.effective_potentials and max_delay all
-read it, and so does the action oracle's smoothed potential
+weighted sum over its roots (_per_slot). The plan also carries the
+constants each evaluation reads: per root its kernel sign, source charge
+and bins, per observer its charge and mass, and whether any k is nonzero.
+fields.total_faraday (so every batch of dynamics),
+canonical.effective_potentials and max_delay all read it, and so does
+the action oracle's smoothed potential
 (harness._smoothed_a_eff), which takes its cones and weights from the
 rows with a potential weight.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
@@ -141,9 +144,8 @@ def root_tolerance(d2: float, sigma: float) -> float:
     return 1e-12 * (1.0 + d2 + sigma**2)
 
 
-def _dot(a, b):
-    """Euclidean products of stacked vectors, each rounded like a @ b."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+# Euclidean products of stacked vectors in one call, each rounded like a @ b
+_dot = np.vecdot
 
 
 def _per_root(x, m: int, dtype=None) -> np.ndarray:
@@ -172,7 +174,8 @@ def solve_delays(histories, src, events, sigma, obs=-1, now=None,
 
     src, obs and sigma give one value per root or one for all; events are
     the (M, 4) observer events (r^0 = c t_obs). now, the source states at
-    the observation times, is gathered when not given.
+    the observation times (the solver reads their t, s and r), is gathered
+    when not given.
 
     The first iterate of each root is the static guess sqrt(d^2 +
     sigma^2) / c, d the distance at t_obs, unless seed (one value per root
@@ -193,16 +196,13 @@ def solve_delays(histories, src, events, sigma, obs=-1, now=None,
     d2 = _dot(d0, d0)
     sig2 = sigma * sigma
     tol = root_tolerance(d2, sigma)
-    # the delay, residual and source event of each root, filled as roots
-    # converge; a coincident point source (d = sigma = 0) converges on its
-    # first iterate, tau = 0, whose gather at t_obs returns now
+    # the delay, residual and source event of each root, filled as roots converge
     t_ret = res = event = None
 
     def fill(k, tau_k, f_k, ev_k):
         nonlocal t_ret, res, event
         if t_ret is None:
-            t_ret, res = np.zeros(m), np.zeros(m)
-            event = [np.array(x) for x in (now.t, now.s, now.r, now.u, now.a)]
+            t_ret, res, *event = (*np.zeros((4, m)), *np.zeros((3, m, 4)))
         t_ret[k], res[k] = tau_k, np.abs(f_k)
         for column, x in zip(event, ev_k):
             column[k] = x
@@ -266,8 +266,7 @@ def self_delay(h: WorldlineHistory, t: float, sigma: float | None = None) -> Del
 
     sigma defaults to the particle's own radius.
     """
-    if sigma is None:
-        sigma = h.spec.sigma
+    sigma = h.spec.sigma if sigma is None else sigma
     now = gather((h,), 0, [t])
     return solve_delays((h,), 0, now.r, sigma, obs=0, now=now).root(0)
 
@@ -282,9 +281,10 @@ def pair_delay(h_source: WorldlineHistory, observer_event, sigma_shift: float) -
     return solve_delays((h_source,), 0, observer_event, sigma_shift).root(0)
 
 
-def line_potentials(roots: DelayRoots) -> np.ndarray:
+def line_potentials(roots: DelayRoots, q) -> np.ndarray:
     """Resolve 2q * integral ds u(s) delta(Rt.Rt - sigma^2) at each root,
-    q the source's charge: an (M, 4) array.
+    q the source's charge (one per root, or one for all), or any multiple
+    of it: an (M, 4) array.
 
     The delta contributes 1/|d(Rt.Rt)/ds| = 1/|2 Rt.u| at the root, so the
     result is q * u(s_ret) / |Rt.u(s_ret)|: the shifted Lienard-Wiechert-type
@@ -295,13 +295,12 @@ def line_potentials(roots: DelayRoots) -> np.ndarray:
     jac = np.abs(rt[:, 0] * u[:, 0] - _dot(rt[:, 1:], u[:, 1:]))
     scale = np.sqrt(np.abs(_dot(rt, rt))) * np.sqrt(np.abs(_dot(u, u)))
     roots.check_jacobian(jac, scale, JAC_TOL, "at the root")
-    q = np.array([h.spec.q for h in roots.histories])[roots.src]
-    return q[:, None] * u / jac[:, None]
+    return _per_root(q, len(u), np.float64)[:, None] * u / jac[:, None]
 
 
 class _RootPlan(NamedTuple):
     """The delay roots of one batch, one row per root ordered by source,
-    and how forces, potentials and delays read them."""
+    how forces, potentials and delays read them, and their constants."""
 
     src: np.ndarray     # per root: source, observer, observer slot and
     obs: np.ndarray     # sigma; the kernel weight k and potential weight
@@ -312,6 +311,12 @@ class _RootPlan(NamedTuple):
     self_row: np.ndarray    # per observer slot: its self-force root, or -1
     own: np.ndarray         # per slot and source, own history first: the
     #                         sigma_i root
+    sign: np.ndarray    # per root: the kernel sign (-1 self, +1 pair),
+    q: np.ndarray       # the source's charge and the bins 4 slot + mu of
+    bins: np.ndarray    # its four terms (_per_slot); per observer slot:
+    obs_q: np.ndarray   # the charge and rest mass; has_k, 0-d: whether
+    obs_m0: np.ndarray  # any kernel weight is nonzero
+    has_k: np.ndarray
 
 
 @cache
@@ -365,10 +370,14 @@ def _root_plan(specs, observers, mode=None) -> _RootPlan:
     cols = np.array(keys, dtype=np.float64).reshape(-1, 3)
     src, slot = cols[:, :2].T.astype(np.intp)
     k, w = np.array([rows[key] for key in keys], dtype=np.float64).reshape(-1, 2).T
+    obs = np.array(observers, dtype=np.intp)
+    q, m0 = np.array([(spec.q, spec.m0) for spec in specs], dtype=np.float64).T
     plan = _RootPlan(
-        src, np.array(observers, dtype=np.intp)[slot], slot, cols[:, 2], k, w,
+        src, obs[slot], slot, cols[:, 2], k, w,
         np.array([row.get(key, -1) for key in self_keys], dtype=np.intp),
-        np.array([[row[key] for key in o] for o in own], dtype=np.intp))
+        np.array([[row[key] for key in o] for o in own], dtype=np.intp),
+        np.where(src == obs[slot], -1.0, 1.0), q[src], 4 * slot[:, None] + np.arange(4),
+        q[obs], m0[obs], np.array(np.count_nonzero(k) > 0))
     for x in plan:
         x.flags.writeable = False  # shared by every call with these arguments
     return plan
@@ -396,26 +405,28 @@ def _plan_roots(histories, plan: _RootPlan, events, now=None, prev=None) -> Dela
     is gathered by the solver when not given. With prev, the roots of the
     same plan on nearby observer events, and now, the batch starts from
     the first iterates _first_iterates makes from them; without, cold."""
-    events = events[plan.slot]
+    events, src = events[plan.slot], plan.src
     if now is not None:
-        now = now.take(plan.src)
+        now = WorldlineSample(now.t[src], now.s[src], now.r[src], None, None)
     seed = None if prev is None else _first_iterates(prev, events, now.t)
-    return solve_delays(histories, plan.src, events, plan.sigma, obs=plan.obs, now=now,
-                        seed=seed)
+    return solve_delays(histories, src, events, plan.sigma, obs=plan.obs, now=now, seed=seed)
 
 
 def _per_slot(plan: _RootPlan, terms, n: int) -> np.ndarray:
-    """(n, ...) sums of the (M, ...) per-root terms over each observer
-    slot, each slot's terms added to zero in root order (one bincount)."""
-    size = math.prod(terms.shape[1:])
-    bins = (size * plan.slot[:, None] + np.arange(size)).ravel()
-    return np.bincount(bins, weights=terms.ravel(), minlength=size * n).reshape(n, *terms.shape[1:])
+    """(n, 4, ...) sums of the (M, 4, ...) per-root terms over each
+    observer slot, each slot's terms added to zero in root order (one
+    bincount): each further axis of 4 refines the plan's bins."""
+    bins = plan.bins
+    for _ in terms.shape[2:]:
+        bins = 4 * bins[..., None] + np.arange(4)
+    return np.bincount(bins.ravel(), weights=terms.ravel(),
+                       minlength=terms[0].size * n).reshape(n, *terms.shape[1:])
 
 
 def _add_potentials(A, plan: _RootPlan, roots: DelayRoots):
     """A (one row per observer slot) plus the sum of the plan's weighted
     potential terms."""
-    return A + _per_slot(plan, plan.w[:, None] * lower(line_potentials(roots)), len(A))
+    return A + _per_slot(plan, lower(line_potentials(roots, plan.q * plan.w)), len(A))
 
 
 def max_delay(histories, t0: float) -> float:

@@ -167,11 +167,6 @@ class WorldlineSample:
     u: np.ndarray
     a: np.ndarray
 
-    def take(self, idx) -> "WorldlineSample":
-        """Rows idx of a sample whose fields are stacked arrays."""
-        return WorldlineSample(self.t[idx], self.s[idx], self.r[idx], self.u[idx],
-                               self.a[idx])
-
 
 def _sample_row(sample: WorldlineSample) -> np.ndarray:
     """A sample as one float64 node table row in CSV_HEADER column order."""

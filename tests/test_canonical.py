@@ -100,7 +100,7 @@ def gradient_selftest(f: PhaseFunction, x: CanonicalState, rtol: float = 1e-6) -
 
 def line_potential(h, observer_event, sigma):
     """The resolved potential of the one root of h at observer_event."""
-    return ret.line_potentials(ret.solve_delays((h,), 0, observer_event, sigma))[0]
+    return ret.line_potentials(ret.solve_delays((h,), 0, observer_event, sigma), h.spec.q)[0]
 
 
 def _expm_small(A: np.ndarray) -> np.ndarray:

@@ -197,9 +197,9 @@ def lorentz_only(monkeypatch):
     the diagnostics the external potentials and zero delays."""
     def lorentz(histories, now, external, mode, prev=None):
         n = len(histories)
-        q = np.array([h.spec.q for h in histories])
+        q, m0 = np.array([(h.spec.q, h.spec.m0) for h in histories]).T
         f = (q / histories[0].c)[:, None] * (external.faraday(now.r) @ now.u[:, :, None])[:, :, 0]
-        return f, (SimpleNamespace(own=np.zeros((n, n), dtype=np.intp)),
+        return f, (SimpleNamespace(own=np.zeros((n, n), dtype=np.intp), obs_q=q, obs_m0=m0),
                    SimpleNamespace(t_ret=np.zeros(1)))
 
     monkeypatch.setattr(dyn, "total_faraday", lorentz)

@@ -415,8 +415,8 @@ class TestBatchedTotalFaraday:
         hs = ring_histories()
         calls = []
 
-        def counted(roots, rows, t):
-            calls.append(asymptotic_g(roots, rows, t))
+        def counted(roots, rows, t, q):
+            calls.append(asymptotic_g(roots, rows, t, q))
             return calls[-1]
 
         asymptotic_g = fl._asymptotic_g

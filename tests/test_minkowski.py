@@ -88,3 +88,27 @@ def test_dot_is_boost_invariant(av, bv, beta):
 def test_boost_identity_when_beta_zero(av):
     v = np.array(av)
     assert np.array_equal(mk.Boost(np.zeros(3)).matrix() @ v, v)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 66, 5000])
+def test_batched_products_have_the_bits_of_single_products(m):
+    # _dot and dots are one np.vecdot call over the batch; each row must
+    # round exactly as its own a @ b and dot do, on contiguous stacks and
+    # on strided column slices (as ev.r[:, 1:] is), over 16 decades
+    from retnbody.retardation import _dot
+
+    rng = np.random.default_rng(m)
+
+    def block():
+        return rng.normal(size=(m, 5)) * 10.0 ** rng.uniform(-8.0, 8.0, size=(m, 5))
+
+    a, b = block(), block()
+    for k in (3, 4):
+        for x, y in [(np.ascontiguousarray(a[:, :k]), np.ascontiguousarray(b[:, :k])),
+                     (a[:, 5 - k:], b[:, 5 - k:]), (a[:, :k], b[:, 1:1 + k])]:
+            want = np.array([xi @ yi for xi, yi in zip(x, y)])
+            assert _dot(x, y).tobytes() == want.tobytes()
+    for x, y in [(np.ascontiguousarray(a[:, :4]), np.ascontiguousarray(b[:, 1:])),
+                 (a[:, 1:], b[:, :4])]:
+        want = np.array([mk.dot(xi, yi) for xi, yi in zip(x, y)])
+        assert mk.dots(x, y).tobytes() == want.tobytes()

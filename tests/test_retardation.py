@@ -271,7 +271,7 @@ class TestPairDelay:
 
 def line_potential(h, observer_event, sigma):
     """The resolved potential of the one root of h at observer_event."""
-    return ret.line_potentials(ret.solve_delays((h,), 0, observer_event, sigma))[0]
+    return ret.line_potentials(ret.solve_delays((h,), 0, observer_event, sigma), h.spec.q)[0]
 
 
 class TestDeltaLineIntegral:
@@ -414,7 +414,7 @@ def test_first_iterates_fall_back_to_the_static_guess_row_by_row(monkeypatch):
     real_gather = ret.gather
     monkeypatch.setattr(ret, "gather", gather)
     roots = ret.solve_delays(hs, plan.src, events, plan.sigma, obs=plan.obs,
-                             now=now_b.take(plan.src), seed=seeds)
+                             now=real_gather(hs, plan.src, t), seed=seeds)
     d = events[:, 1:] - now_b.r[plan.src, 1:]
     static = np.sqrt(ret._dot(d, d) + plan.sigma * plan.sigma) / hs[0].c
     assert np.array_equal(first[0], t - np.where(np.isnan(seeds), static, seeds))
@@ -432,9 +432,12 @@ def test_warm_batches_fail_as_cold_ones(monkeypatch):
             call(ret._plan_roots(hs, plan, now_b.r, now_b, prev))
         return str(err.value), err.value.particle
 
+    def potentials(roots):
+        return ret.line_potentials(roots, plan.q)
+
     monkeypatch.setattr(ret, "JAC_TOL", 1e10)  # every root grazes
-    warm = failure(ret.DegenerateJacobian, ret.line_potentials, prev)
-    assert warm == failure(ret.DegenerateJacobian, ret.line_potentials, None)
+    warm = failure(ret.DegenerateJacobian, potentials, prev)
+    assert warm == failure(ret.DegenerateJacobian, potentials, None)
     assert warm[0].startswith("|Rt.u| = ") and "(observer 'left', source 'left'" in warm[0]
     monkeypatch.setattr(ret, "MAX_ITER", 1)  # no first iterate lands within tolerance
     warm, cold = (failure(ret.NoConvergence, len, p) for p in (prev, None))
@@ -442,3 +445,44 @@ def test_warm_batches_fail_as_cold_ones(monkeypatch):
                r"\(observer 'left', source 'left', sigma=0\.8, t_obs=1\.0\)")
     assert re.fullmatch(pattern, warm[0]) and re.fullmatch(pattern, cold[0])
     assert warm[1] == cold[1] == "left"
+
+
+def _ring6_specs():
+    return tuple(wl.ParticleSpec(1.0 + 0.15 * k, (0.35 + 0.03 * k) * (-1) ** k,
+                                 0.5 + 0.06 * k, f"p{k}") for k in range(6))
+
+
+@pytest.mark.parametrize("mode", [SelfForceMode.EXACT, SelfForceMode.ASYMPTOTIC, None])
+@pytest.mark.parametrize("specs, observers", [
+    (_ring6_specs(), tuple(range(6))),
+    ((wl.ParticleSpec(1.0, 0.5, 0.5, "pulse"),), (0,)),
+    ((wl.ParticleSpec(1.0, 0.5, 0.8, "a"), wl.ParticleSpec(1.2, -0.4, 0.6, "b"),
+      wl.ParticleSpec(0.9, 0.0, 0.7, "n")), (0, 1, 2)),
+    ((wl.ParticleSpec(1.0, 0.5, 0.8, "a"), wl.ParticleSpec(1.2, -0.4, 0.6, "b"),
+      wl.ParticleSpec(0.9, 0.0, 0.7, "n")), (2, 0)),
+], ids=["ring6", "pulse", "pair_and_neutral", "pair_and_neutral_subset"])
+def test_root_plan_caches_its_per_system_constants(specs, observers, mode):
+    # the constants every evaluation of a plan reads equal what the specs
+    # give, and the plan's arrays are shared, so read-only
+    plan = ret._root_plan(specs, observers, mode)
+    assert np.array_equal(plan.obs, np.array(observers)[plan.slot])
+    assert np.array_equal(plan.sign, np.where(plan.src == plan.obs, -1.0, 1.0))
+    assert np.array_equal(plan.q, [specs[j].q for j in plan.src])
+    assert np.array_equal(plan.bins, [[4 * s + mu for mu in range(4)] for s in plan.slot])
+    assert np.array_equal(plan.obs_q, [specs[i].q for i in observers])
+    assert np.array_equal(plan.obs_m0, [specs[i].m0 for i in observers])
+    # in asymptotic mode a lone charge's self cone carries no kernel weight
+    assert plan.has_k == any(k != 0.0 for k in plan.k) == (
+        mode is SelfForceMode.EXACT or mode is SelfForceMode.ASYMPTOTIC and len(specs) > 1)
+    for name, x in zip(plan._fields, plan):
+        assert isinstance(x, np.ndarray) and not x.flags.writeable, name
+    # _per_slot adds each slot's terms to zero in root order, one row (and
+    # for (M, 4, 4) terms one entry) at a time
+    rng = np.random.default_rng(len(plan.src))
+    n = len(observers)
+    for shape in [(4,), (4, 4)]:
+        terms = rng.normal(size=(len(plan.src), *shape))
+        want = np.zeros((n, *shape))
+        for s, term in zip(plan.slot, terms):
+            want[s] += term
+        assert ret._per_slot(plan, terms, n).tobytes() == want.tobytes()
