@@ -29,8 +29,8 @@ principle. The equations of motion read the field only through the
 Lorentz force (q/c) F u, so the kernel gives each root's covariant
 factors (W, Rt), (M, 4) arrays with an elementwise grazing-emission
 guard, contracts them with the observer's u as W (Rt.u) - Rt (W.u) and
-sums them per observer (retardation._per_slot) with the plan's signs,
-charges and bins (a field of variant none adds nothing); g is one array
+adds them per observer (retardation._per_slot) to the external F u
+(ExternalFieldModel.faraday_u, no tensor for variant none); g is one array
 expression over every self root (_asymptotic_g). It returns (f, batch):
 the (n, 4) covariant force (q/c) F u + g, and the batch's (plan, roots).
 The plan also holds the roots of the potentials and the reported delays,
@@ -124,6 +124,11 @@ class ExternalFieldModel:
             return np.broadcast_to(self.tensor, shape)
         return _antisymmetric_part([self.faraday_fn(p) for p in r.reshape(-1, 4)],
                                    (None, 4, 4)).reshape(shape)
+
+    def faraday_u(self, r, u) -> np.ndarray:
+        """F_mu nu u^nu at each row of r and u (P, 4), each rounded like F @ u."""
+        return np.zeros(u.shape) if self.variant == "none" else (
+            self.faraday(r) @ u[:, :, None])[:, :, 0]
 
     def potential(self, r) -> np.ndarray:
         """A_mu at one event r (4,), or at each row of a block r (P, 4)."""
@@ -266,11 +271,10 @@ def total_faraday(histories, now, external: ExternalFieldModel,
     hs = tuple(histories)
     n = len(hs)
     plan = _root_plan(tuple(h.spec for h in hs), tuple(range(n)), mode)
-    Fu = np.zeros((n, 4)) if external.variant == "none" else (
-        external.faraday(now.r) @ now.u[:, :, None])[:, :, 0]
+    Fu = external.faraday_u(now.r, now.u)
     warm = prev is not None and prev[0] is plan
     roots = _plan_roots(hs, plan, now.r, now, prev[1] if warm else None)
-    if plan.has_k:
+    if np.count_nonzero(plan.k):
         w, rt = _kernel(roots, plan.k, plan.sign)
         u_obs = now.u[plan.slot]
         Fu += _per_slot(plan, w * _dot(rt, u_obs)[:, None] - rt * _dot(w, u_obs)[:, None], n)

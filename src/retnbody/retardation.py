@@ -46,10 +46,9 @@ of each charged pair in asymptotic mode. Each root's weights sum the
 terms it stands for, so an observer's force or potential is one
 weighted sum over its roots (_per_slot). The plan also carries the
 constants each evaluation reads: per root its kernel sign, source charge
-and bins, per observer its charge and mass, and whether any k is nonzero.
-fields.total_faraday (so every batch of dynamics),
-canonical.effective_potentials and max_delay all read it, and so does
-the action oracle's smoothed potential
+and bins, per observer its charge and mass. fields.total_faraday (so
+every batch of dynamics), canonical.effective_potentials and max_delay
+all read it, and so does the action oracle's smoothed potential
 (harness._smoothed_a_eff), which takes its cones and weights from the
 rows with a potential weight.
 """
@@ -144,7 +143,7 @@ def root_tolerance(d2: float, sigma: float) -> float:
     return 1e-12 * (1.0 + d2 + sigma**2)
 
 
-# Euclidean products of stacked vectors in one call, each rounded like a @ b
+# Euclidean products of stacked vectors, one call, each rounded like a @ b
 _dot = np.vecdot
 
 
@@ -174,8 +173,7 @@ def solve_delays(histories, src, events, sigma, obs=-1, now=None,
 
     src, obs and sigma give one value per root or one for all; events are
     the (M, 4) observer events (r^0 = c t_obs). now, the source states at
-    the observation times (the solver reads their t, s and r), is gathered
-    when not given.
+    the observation times (only t, s and r are read), is gathered if not given.
 
     The first iterate of each root is the static guess sqrt(d^2 +
     sigma^2) / c, d the distance at t_obs, unless seed (one value per root
@@ -314,9 +312,8 @@ class _RootPlan(NamedTuple):
     sign: np.ndarray    # per root: the kernel sign (-1 self, +1 pair),
     q: np.ndarray       # the source's charge and the bins 4 slot + mu of
     bins: np.ndarray    # its four terms (_per_slot); per observer slot:
-    obs_q: np.ndarray   # the charge and rest mass; has_k, 0-d: whether
-    obs_m0: np.ndarray  # any kernel weight is nonzero
-    has_k: np.ndarray
+    obs_q: np.ndarray   # the charge and rest mass
+    obs_m0: np.ndarray
 
 
 @cache
@@ -377,7 +374,7 @@ def _root_plan(specs, observers, mode=None) -> _RootPlan:
         np.array([row.get(key, -1) for key in self_keys], dtype=np.intp),
         np.array([[row[key] for key in o] for o in own], dtype=np.intp),
         np.where(src == obs[slot], -1.0, 1.0), q[src], 4 * slot[:, None] + np.arange(4),
-        q[obs], m0[obs], np.array(np.count_nonzero(k) > 0))
+        q[obs], m0[obs])
     for x in plan:
         x.flags.writeable = False  # shared by every call with these arguments
     return plan

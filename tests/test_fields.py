@@ -505,6 +505,19 @@ class TestExternalFieldModel:
             assert np.allclose(block, [ext.potential(r) for r in rs],
                                rtol=1e-15, atol=0.0)
 
+    def test_faraday_u_is_each_rows_tensor_times_its_velocity(self):
+        # every variant, none included, rounds each row like F(r) @ u
+        rng = np.random.default_rng(3)
+        rs, us = rng.normal(size=(7, 4)), rng.normal(size=(7, 4))
+        for ext in (fl.ExternalFieldModel.none(),
+                    fl.ExternalFieldModel.uniform(E=(0.2, 0.0, -0.1),
+                                                  B=(0.3, 0.1, 0.0)),
+                    fl.ExternalFieldModel.analytic(
+                        lambda r: np.outer(r, r[::-1]) - np.outer(r[::-1], r),
+                        lambda r: np.zeros(4))):
+            want = np.array([ext.faraday(r) @ u for r, u in zip(rs, us)])
+            assert ext.faraday_u(rs, us).tobytes() == want.tobytes()
+
     def test_analytic_variant_requires_callables(self):
         with pytest.raises(ValueError):
             fl.ExternalFieldModel(variant="user-analytic")

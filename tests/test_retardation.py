@@ -472,7 +472,7 @@ def test_root_plan_caches_its_per_system_constants(specs, observers, mode):
     assert np.array_equal(plan.obs_q, [specs[i].q for i in observers])
     assert np.array_equal(plan.obs_m0, [specs[i].m0 for i in observers])
     # in asymptotic mode a lone charge's self cone carries no kernel weight
-    assert plan.has_k == any(k != 0.0 for k in plan.k) == (
+    assert any(k != 0.0 for k in plan.k) == (
         mode is SelfForceMode.EXACT or mode is SelfForceMode.ASYMPTOTIC and len(specs) > 1)
     for name, x in zip(plan._fields, plan):
         assert isinstance(x, np.ndarray) and not x.flags.writeable, name
