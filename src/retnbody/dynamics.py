@@ -56,6 +56,7 @@ from .fields import ExternalFieldModel, SelfForceMode, _tensor, total_faraday
 from .minkowski import dots, lower, raise_index
 from .retardation import _add_potentials, max_delay, solve_delays
 from .worldline import (
+    ConstraintViolation,
     ParticleSpec,
     WorldlineHistory,
     WorldlineSample,
@@ -269,9 +270,9 @@ def _deriv(state: SystemState, now: WorldlineSample, prev=None):
 def _node_rows(state: SystemState, t: float, x, u, du, s) -> np.ndarray:
     """One node per particle at time t as (N, 14) rows in CSV_HEADER
     order, with a = (gamma / c) du/dt."""
-    rows = np.empty((state.n, 14))
-    rows[:, 0], rows[:, 1], rows[:, 2] = t, s, state.c * t
-    rows[:, 3:6], rows[:, 6:10], rows[:, 10:] = x, u, (u[:, :1] / state.c) * du
+    c, rows = state.c, np.empty((len(u), 14))
+    rows[:, 0], rows[:, 1], rows[:, 2] = t, s, c * t
+    rows[:, 3:6], rows[:, 6:10], rows[:, 10:] = x, u, (u[:, :1] / c) * du
     return rows
 
 
@@ -296,6 +297,10 @@ def step(state: SystemState) -> SystemState:
     solved again on the committed nodes, from the final batch. Either
     way it serves the diagnostics and the next step's first evaluation.
 
+    With renormalize_u, u is divided by sqrt(u.u) at the step's end; a
+    u.u that is not positive raises ConstraintViolation naming the
+    particle, before the square root.
+
     The step records (dt/6) |k4 - k5| per particle, k5 the final
     evaluation's slopes: the difference between RK4 and its
     first-same-as-last embedded solution of weights (1/6, 1/3, 1/3, 0,
@@ -312,10 +317,11 @@ def step(state: SystemState) -> SystemState:
         base = gather(hs, np.arange(state.n), np.full(state.n, t))
         kx1, ku1, batch = _deriv(state, base)
     x0, u0, s0 = base.r[:, 1:], base.u, base.s
+    inv_g0 = 1.0 / u0[:, 0]
 
     def advanced(frac, kx, ku):
         u = u0 + frac * dt * ku
-        s = s0 + frac * dt * c * 0.5 * (1.0 / u0[:, 0] + 1.0 / u[:, 0])
+        s = s0 + frac * dt * c * 0.5 * (inv_g0 + 1.0 / u[:, 0])
         return _node_rows(state, t + frac * dt, x0 + frac * dt * kx, u, ku, s)
 
     def stage_deriv(rows, prev):
@@ -332,15 +338,23 @@ def step(state: SystemState) -> SystemState:
     x1 = x0 + (dt / 6.0) * (kx1 + 2 * kx2 + 2 * kx3 + kx4)
     u1 = u0 + (dt / 6.0) * (ku1 + 2 * ku2 + 2 * ku3 + ku4)
     if state.renormalize_u:
-        u1 = u1 / np.sqrt(dots(u1, u1))[:, None]
+        uu = dots(u1, u1)
+        off = uu <= 0.0  # no real square root, and no mass shell to project on
+        if np.count_nonzero(off):
+            i = int(np.argmax(off))
+            exc = ConstraintViolation(f"u.u = {uu[i]:.3e} is not positive, so u cannot be "
+                                      "renormalized onto the mass shell")
+            exc.particle = hs[i].spec.label
+            raise exc
+        u1 = u1 / np.sqrt(uu)[:, None]
     g_mid = 0.5 * (ra[:, 6] + rb[:, 6])  # u^0 of the two midpoint stages
-    s1 = s0 + (c * dt / 6.0) * (1.0 / u0[:, 0] + 4.0 / g_mid + 1.0 / u1[:, 0])
+    s1 = s0 + (c * dt / 6.0) * (inv_g0 + 4.0 / g_mid + 1.0 / u1[:, 0])
 
     # the final evaluation fixes the appended acceleration sample
     rows = _node_rows(state, t1, x1, u1, ku4, s1)
     with staged(hs, rows) as stage:
         kx5, ku5, batch = _deriv(state, _states(rows), prev=batch)
-    rows = _node_rows(state, t1, x1, u1, ku5, s1)
+    rows[:, 10:] = (u1[:, :1] / c) * ku5  # a, as _node_rows makes it
     commit(hs, rows)
     state.t_now, state.grid = t1, (origin, k + 1, dt)
     now = _states(rows)
@@ -350,8 +364,8 @@ def step(state: SystemState) -> SystemState:
     # the local error estimate, its position part in units of c weighted
     # by |u|
     err = (dt / 6.0) * np.sqrt(
-        np.sum((ku4 - ku5) ** 2, axis=1)
-        + np.sum(u1 * u1, axis=1) * np.sum((kx4 - kx5) ** 2, axis=1) / (c * c))
+        np.add.reduce((ku4 - ku5) ** 2, axis=1)
+        + np.add.reduce(u1 * u1, axis=1) * np.add.reduce((kx4 - kx5) ** 2, axis=1) / (c * c))
     state.diagnostics.append(_diagnose(state, now, batch, time.perf_counter() - t_w, err))
     return state
 
@@ -364,7 +378,7 @@ def _diagnose(state: SystemState, now, batch, wall: float, local_error) -> StepR
     No root is solved here."""
     c, u, (plan, roots) = state.c, now.u, batch
     A = _add_potentials(state.external.potential(now.r), plan, roots)
-    tau = roots.t_ret[plan.own]
+    tau = roots.t_ret.take(plan.own)
     m0 = plan.obs_m0
     qA = (plan.obs_q / c)[:, None] * A
     P = (m0 * c)[:, None] * lower(u) + qA
@@ -373,9 +387,11 @@ def _diagnose(state: SystemState, now, batch, wall: float, local_error) -> StepR
     # one row of terms per index pair, each summed along its contiguous
     # row: the order, so the bits, of a sum of that pair's terms alone
     rl, Pl = lower(now.r).T, P.T
-    m_hat = np.sum(rl[_MU] * Pl[_NU] - rl[_NU] * Pl[_MU], axis=1)
+    m_hat = np.add.reduce(rl.take(_MU, axis=0) * Pl.take(_NU, axis=0)
+                          - rl.take(_NU, axis=0) * Pl.take(_MU, axis=0), axis=1)
     return StepRecord(step=len(state.diagnostics) + 1, t=state.t_now,
-                      constraint_err=np.abs(dots(u, u) - 1.0), h_eff=heff, p_hat=P.sum(axis=0),
+                      constraint_err=np.abs(dots(u, u) - 1.0), h_eff=heff,
+                      p_hat=np.add.reduce(P, axis=0),
                       m_hat=m_hat, self_delays=tau[:, 0],
                       pair_delays=tau[:, 1:].ravel(), local_error=local_error,
                       wall_time=wall)

@@ -152,10 +152,10 @@ def _kernel(roots: DelayRoots, k, u_sign):
     rt_up = u_sign[:, None] * (src.r - roots.events)
     rt, u = lower(rt_up), lower(src.u)
     D = _dot(rt, src.u)
-    roots.check_jacobian(np.abs(D), np.sqrt(np.abs(_dot(rt, rt_up))), JAC_TOL,
-                         "in the field kernel")
+    abs_d = np.abs(D)
+    roots.check_jacobian(abs_d, np.sqrt(np.abs(_dot(rt, rt_up))), JAC_TOL, "in the field kernel")
     dD = u_sign * _dot(u, src.u) + _dot(rt, src.a)
-    w = (-k / (np.abs(D) * D))[:, None] * (lower(src.a) - u * (dD / D)[:, None])
+    w = (-k / (abs_d * D))[:, None] * (lower(src.a) - u * (dD / D)[:, None])
     return w, rt
 
 
@@ -270,13 +270,13 @@ def total_faraday(histories, now, external: ExternalFieldModel,
     """
     hs = tuple(histories)
     n = len(hs)
-    plan = _root_plan(tuple(h.spec for h in hs), tuple(range(n)), mode)
+    plan = _root_plan(tuple([h.spec for h in hs]), tuple(range(n)), mode)
     Fu = external.faraday_u(now.r, now.u)
     warm = prev is not None and prev[0] is plan
     roots = _plan_roots(hs, plan, now.r, now, prev[1] if warm else None)
     if np.count_nonzero(plan.k):
         w, rt = _kernel(roots, plan.k, plan.sign)
-        u_obs = now.u[plan.slot]
+        u_obs = now.u.take(plan.slot, axis=0)
         Fu += _per_slot(plan, w * _dot(rt, u_obs)[:, None] - rt * _dot(w, u_obs)[:, None], n)
     f = (plan.obs_q / hs[0].c)[:, None] * Fu
     if mode != SelfForceMode.EXACT:

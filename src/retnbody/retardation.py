@@ -26,7 +26,10 @@ source moving on inertially from the converged event to the new
 observer event (_first_iterates): by the implicit function theorem a
 retarded time moves smoothly with the observation time wherever Rt.u !=
 0, so this first iterate is close, and it costs no gather. A root whose
-step is not a finite positive delay starts from the static guess. Every
+step is not a finite positive delay starts from the static guess, which
+is made only for such roots; the bracket is made once a root needs a
+Newton step, so a warm batch whose roots all converge on their first
+iterate builds neither. Every
 batch of a run but its first is warm (see dynamics.step); a warm
 batch's roots agree with a cold one's to the root tolerance, not bit
 for bit. The bracket, tolerance and iteration budget are the same either
@@ -194,27 +197,33 @@ def solve_delays(histories, src, events, sigma, obs=-1, now=None,
     d2 = _dot(d0, d0)
     sig2 = sigma * sigma
     tol = root_tolerance(d2, sigma)
-    # the delay, residual and source event of each root, filled as roots converge
-    t_ret = res = event = None
+    # the first iterates: the static guess, made only where a root has no seed
+    if seed is None:
+        tau = np.sqrt(d2 + sig2) / c
+    else:
+        tau = _per_root(seed, m, np.float64)
+        static = np.isnan(tau)
+        if np.count_nonzero(static):
+            tau = np.where(static, np.sqrt(d2 + sig2) / c, tau)
+    # the delay, residual and source event of each root, filled as roots
+    # converge, or the last gather's events when every root converges on it
+    t_ret = res = event = source = None
 
-    def fill(k, tau_k, f_k, ev_k):
+    def fill(k, tau_k, res_k, ev_k):
         nonlocal t_ret, res, event
         if t_ret is None:
             t_ret, res, *event = (*np.zeros((4, m)), *np.zeros((3, m, 4)))
-        t_ret[k], res[k] = tau_k, np.abs(f_k)
+        t_ret[k], res[k] = tau_k, res_k
         for column, x in zip(event, ev_k):
             column[k] = x
 
     # the roots still iterating, in request order, and their data
     # compacted: source, t_obs, x_obs, sigma^2, tolerance, iterate and the
-    # bracket f(lo) < 0 < f(hi), where f(0) = -d^2 - sigma^2 <= 0
+    # bracket f(lo) < 0 < f(hi), where f(0) = -d^2 - sigma^2 <= 0: made
+    # once a root needs a step, (0, inf) before
     live = np.arange(m)
     l_src, l_t, l_x, l_sig2, l_tol = src, now.t, obs_x, sig2, tol
-    tau = np.sqrt(d2 + sig2) / c
-    if seed is not None:
-        seed = _per_root(seed, m, np.float64)
-        tau = np.where(np.isnan(seed), tau, seed)
-    lo, hi = np.zeros(len(live)), np.full(len(live), np.inf)
+    lo = hi = None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(MAX_ITER):
             if not live.size:
@@ -223,26 +232,30 @@ def solve_delays(histories, src, events, sigma, obs=-1, now=None,
             u = ev.u
             dx = l_x - ev.r[:, 1:]
             f = (c * tau) ** 2 - _dot(dx, dx) - l_sig2
-            done = np.abs(f) <= l_tol
+            res_f = np.abs(f)
+            done = res_f <= l_tol
             n_done = np.count_nonzero(done)
             # three exits and a lazy fill, not one scatter: one scatter made steps 5-10% slower
             if n_done == m:
                 # every root at once, in request order
-                t_ret, res, event = tau, np.abs(f), [ev.t, ev.s, ev.r, u, ev.a]
+                t_ret, res, source = tau, res_f, ev
                 live = live[:0]
                 break
             if n_done == len(live):
-                fill(live, tau, f, (ev.t, ev.s, ev.r, u, ev.a))
+                fill(live, tau, res_f, (ev.t, ev.s, ev.r, u, ev.a))
                 live = live[:0]
                 break
             if n_done:
-                fill(live[done], tau[done], f[done], (x[done] for x in (ev.t, ev.s, ev.r, u, ev.a)))
+                fill(live[done], tau[done], res_f[done],
+                     [x[done] for x in (ev.t, ev.s, ev.r, u, ev.a)])
                 go = ~done
-                live, f, dx, u, l_src, l_t, l_x, l_sig2, l_tol, tau, lo, hi = (
-                    x[go] for x in (live, f, dx, u, l_src, l_t, l_x, l_sig2, l_tol, tau, lo, hi))
+                live, f, dx, u, l_src, l_t, l_x, l_sig2, l_tol, tau = [
+                    x[go] for x in (live, f, dx, u, l_src, l_t, l_x, l_sig2, l_tol, tau)]
+                if lo is not None:
+                    lo, hi = lo[go], hi[go]
             below = f < 0.0
-            lo = np.where(below, tau, lo)
-            hi = np.where(below, hi, tau)
+            lo = np.where(below, tau, 0.0 if lo is None else lo)
+            hi = np.where(below, np.inf if hi is None else hi, tau)
             # Newton step on f's model for a source moving on inertially
             # from this event (_model_step). A step outside (lo, hi), or
             # with no positive denominator, bisects.
@@ -250,8 +263,9 @@ def solve_delays(histories, src, events, sigma, obs=-1, now=None,
             tau = np.where((den > 0.0) & (lo < step) & (step < hi), step, 0.5 * (lo + hi))
     if t_ret is None:  # no root converged
         fill(live[:0], 0.0, 0.0, ())
-    roots = DelayRoots(hs, src, obs, events, sigma, t_ret, now.s - event[1],
-                       WorldlineSample(*event), res)
+    if source is None:
+        source = WorldlineSample(*event)
+    roots = DelayRoots(hs, src, obs, events, sigma, t_ret, now.s - source.s, source, res)
     if live.size:
         raise roots.fail(NoConvergence, f"delay iteration exhausted {MAX_ITER} "
                          f"evaluations with residual {abs(f[0]):.3e} > "
@@ -402,9 +416,9 @@ def _plan_roots(histories, plan: _RootPlan, events, now=None, prev=None) -> Dela
     is gathered by the solver when not given. With prev, the roots of the
     same plan on nearby observer events, and now, the batch starts from
     the first iterates _first_iterates makes from them; without, cold."""
-    events, src = events[plan.slot], plan.src
+    events, src = events.take(plan.slot, axis=0), plan.src
     if now is not None:
-        now = WorldlineSample(now.t[src], now.s[src], now.r[src], None, None)
+        now = WorldlineSample(now.t[src], now.s[src], now.r.take(src, axis=0), None, None)
     seed = None if prev is None else _first_iterates(prev, events, now.t)
     return solve_delays(histories, src, events, plan.sigma, obs=plan.obs, now=now, seed=seed)
 

@@ -20,11 +20,17 @@ before anything is read or written otherwise.
 Nodes enter as checked block writes: extend(table) takes (m, 14)
 rows in CSV_HEADER order (the layout export_csv writes) for one
 history, commit(histories, rows) one row per history, and append is a
-one-row extend. copy() and transformed() (a Poincare map) work on whole
-columns. Queries between nodes use cubic Hermite interpolation of r
-(with the node velocity dr/dt = c u / gamma as derivative data), of u
-(with du/dt = a c / gamma), and of s (with ds/dt = c / gamma); these
-slopes are stored beside the nodes when they are written. The
+one-row extend. All three share one check path (_check_rows), which
+reads each row's predecessor from the store's record of every
+history's latest (t, s) and makes one array pass per check, whatever
+the number of rows; commit's failures, like staged's, name their
+history as .particle. copy() and transformed() (a Poincare map) work
+on whole columns. Queries between nodes use cubic Hermite interpolation
+of r (with the node velocity dr/dt = c u / gamma as derivative data),
+of u (with du/dt = a c / gamma), and of s (with ds/dt = c / gamma);
+these slopes are stored beside the nodes when they are written, and
+the value and t-derivative weights of a segment share one set of
+powers (_weights). The
 acceleration returned at a query point is recovered from the
 u-interpolant so it coincides with the stored a at the nodes. For t at
 or before the first node the history falls back to an exact analytic
@@ -181,20 +187,24 @@ def _sample_row(sample: WorldlineSample) -> np.ndarray:
 def _first_failure(table, checks=()):
     """(row, exception) of the first failure of a node table, in row
     order and then in check order: every entry finite (t, s, r, u, a in
-    turn), then each (mask of passing rows, row -> exception) pair of
-    checks. None when every row passes."""
+    turn), then each (mask of failing rows, row -> exception) pair of
+    checks. A check need not fail a row with a non-finite entry, which
+    fails first. None when every row passes."""
     finite = np.isfinite(table)
-    if np.count_nonzero(finite) == finite.size and all(
-            np.count_nonzero(mask) == len(mask) for mask, _ in checks):
-        return None
+    if np.count_nonzero(finite) == finite.size:
+        for mask, _ in checks:
+            if np.count_nonzero(mask):
+                break
+        else:
+            return None
 
     def nonfinite(i):
         name = CSV_HEADER[int(np.argmin(finite[i]))][0]
         kind = "number" if name in "ts" else "four-vector"
         return ValueError(f"{name} must be a finite {kind}")
 
-    checks = [(finite.all(axis=1), nonfinite), *checks]
-    fails = ~np.array([mask for mask, _ in checks])
+    checks = [(~finite.all(axis=1), nonfinite), *checks]
+    fails = np.array([mask for mask, _ in checks])
     i = int(np.argmax(fails.any(axis=0)))
     return i, checks[int(np.argmax(fails[:, i]))][1](i)
 
@@ -207,24 +217,25 @@ def _slopes(u, a, c):
     return w[:, 0], c * u / g, a * w
 
 
-# cubic Hermite interpolation on the unit interval; powers are written
-# as products, so a query rounds the same way whatever its batch
-def _powers(x):
+# cubic Hermite interpolation on the unit interval x of a segment of
+# length h: the weights of (y0, dy0, y1, dy1) in the value and in its
+# t-derivative. Powers are written as products, so a query rounds the
+# same way whatever its batch
+def _weights(h, x):
+    """(value weights, derivative weights) from one set of powers, each
+    weight with the bits of its own formula: t3 - 2 x^3 is -2 x^3 + t3,
+    and 0.0 - d0 is (6 x - 6 x^2) / h, +0.0 where d0 is 0."""
     x2 = x * x
-    return x2, 3.0 * x2, x2 * x
+    t3, x3 = 3.0 * x2, x2 * x
+    two_x3, s6x2 = 2.0 * x3, 6.0 * x2
+    d0 = (s6x2 - 6.0 * x) / h
+    return ((two_x3 - t3 + 1.0, h * (x3 - 2.0 * x2 + x), t3 - two_x3, h * (x3 - x2)),
+            (d0, t3 - 4.0 * x + 1.0, 0.0 - d0, t3 - 2.0 * x))
 
 
-def _hermite(y0, dy0, y1, dy1, h, x):
-    x2, t3, x3 = _powers(x)
-    return ((2.0 * x3 - t3 + 1.0) * y0 + h * (x3 - 2.0 * x2 + x) * dy0
-            + (-2.0 * x3 + t3) * y1 + h * (x3 - x2) * dy1)
-
-
-def _hermite_d(y0, dy0, y1, dy1, h, x):
-    x2, t3, _ = _powers(x)
-    s6x2, s6x = 6.0 * x2, 6.0 * x
-    return ((s6x2 - s6x) / h * y0 + (t3 - 4.0 * x + 1.0) * dy0
-            + (s6x - s6x2) / h * y1 + (t3 - 2.0 * x) * dy1)
+def _combine(w, y0, dy0, y1, dy1):
+    """The weighted sum w0 y0 + w1 dy0 + w2 y1 + w3 dy1, in that order."""
+    return w[0] * y0 + w[1] * dy0 + w[2] * y1 + w[3] * dy1
 
 
 def _hermite_dd(y0, dy0, y1, dy1, h, x):
@@ -260,7 +271,9 @@ class HistoryBank:
         caps = np.asarray(caps, dtype=np.intp)
         self.c = float(c)
         self._n = np.zeros(len(caps), dtype=np.intp)
-        self._latest = np.full(len(caps), np.nan)  # latest node time, NaN while empty
+        # the (t, s) of each slot's latest node, NaN while it is empty
+        self._last = np.full((len(caps), 2), np.nan)
+        self._latest = self._last[:, 0]  # a view: the latest node times
         self._stage = None  # the stage open on the store (see staged)
         self._lay_out(caps)
 
@@ -289,7 +302,8 @@ class HistoryBank:
         after the latest nodes of slots, each consecutive rows per slot,
         count them as nodes and return the store rows written. The rows
         must fit (see _reserve)."""
-        pos = self._start[slots] + self._n[slots]
+        n = self._n[slots]
+        pos = self._start[slots] + n
         ds, dr, du = _slopes(tab[:, 6:10], tab[:, 10:14], self.c)
         if each > 1:
             # one slot, so a contiguous run of rows: written a column block
@@ -300,8 +314,8 @@ class HistoryBank:
         else:
             self._nodes[pos] = np.concatenate((tab[:, 1:], ds[:, None], dr, du), axis=1)
         self._t[pos] = tab[:, 0]
-        self._n[slots] += each
-        self._latest[slots] = tab[each - 1::each, 0]  # each slot's last row
+        self._n[slots] = n + each
+        self._last[slots] = tab[each - 1::each, :2]  # each slot's last row
         return pos
 
     def _unstage(self, slots) -> None:
@@ -310,13 +324,11 @@ class HistoryBank:
         pos = self._start[slots] + self._n[slots]
         self._t[pos] = np.inf
         self._latest[slots] = self._t[pos - 1]
+        self._last[slots, 1] = self._nodes[pos - 1, _S]
 
     def _tails(self, slots):
-        """(n, t, s) of each slot: its node count and the t and s of its
-        latest node, -inf while it is empty."""
-        n = self._n[slots]
-        s = self._nodes[self._start[slots] + n - 1, _S]  # masked when empty
-        return n, np.fmax(self._latest[slots], -np.inf), np.where(n > 0, s, -np.inf)
+        """(k, 2): the (t, s) of each slot's latest node, NaN while it is empty."""
+        return self._last.take(slots, axis=0)
 
     def _index(self, slot, ts):
         """The key index one past the node at or before each query (slot, t),
@@ -541,7 +553,7 @@ def copy_histories(histories, specs=None) -> list:
         (a, b), s = h._span(), bank._start[i]
         bank._t[s:s + b - a] = h._bank._t[a:b]
         bank._nodes[s:s + b - a] = h._bank._nodes[a:b]
-        bank._n[i], bank._latest[i] = b - a, h._bank._latest[h._slot]
+        bank._n[i], bank._last[i] = b - a, h._bank._last[h._slot]
     return [h._bound(bank, i, None if specs is None else specs[i]) for i, h in enumerate(hs)]
 
 
@@ -556,54 +568,59 @@ def _append(hs, tab, labelled: bool = False) -> None:
     bank, slots = _store_of(hs)
     if bank._stage is not None:
         raise ValueError("no node can be written to a store while a stage is open on it")
-    _check_rows(hs, bank._tails(slots), tab, labelled)
+    ct = hs[0].c * tab[:, 0]
+    _check_rows(hs, bank._tails(slots), tab, ct, labelled)
     each = len(tab) if len(hs) == 1 else 1
     bank._reserve(slots, each + 1)  # and one row to stage the next node in
     at = bank._extend(slots, tab, each)
-    bank._nodes[at, _R.start] = hs[0].c * tab[:, 0]  # canonicalize so r^0 = c t holds bit-for-bit
+    bank._nodes[at, _R.start] = ct  # canonicalize so r^0 = c t holds bit-for-bit
 
 
-def _check_rows(hs, tails, tab, labelled: bool) -> None:
+_FLAGS = ("u-normalization-drift", "u.a-orthogonality-drift", "prehistory-curvature-jump")
+
+
+def _check_rows(hs, tails, tab, ct, labelled: bool) -> None:
     """Raise the first failure of the rows _append is given, in row order
-    and then in check order; else add the flags they raise. tails holds
-    the (n, t, s) of hs (see HistoryBank._tails)."""
-    m, one = len(tab), len(hs) == 1
-    # each row's history and its place among that history's new rows
-    owner, rank = (np.zeros(m, dtype=np.intp), np.arange(m)) if one else (np.arange(m), 0)
-    n0, t_last, s_last = tails
-    hard, soft = np.array([(h.hard_tol, h.constraint_tol) for h in hs])[owner].T
+    and then in check order, with .particle its history's label when
+    labelled; else add the _FLAGS they raise to their histories, in the
+    order of the first row raising each. tails holds the (t, s) of hs
+    (see HistoryBank._tails) and ct the c t of each row."""
+    one = len(hs) == 1  # else row i is hs[i]'s
+    hard = np.array([h.hard_tol for h in hs])  # one per history
     t, s, r, u, a = tab[:, 0], tab[:, 1], tab[:, 2:6], tab[:, 6:10], tab[:, 10:14]
-    # t and s of the node before each row
-    t_prev = np.concatenate((t_last, t[:-1])) if one else t_last
-    s_prev = np.concatenate((s_last, s[:-1])) if one else s_last
-    ct = hs[0].c * t
-    norm_err = np.abs(u[:, 0] * u[:, 0] - np.sum(u[:, 1:] ** 2, axis=1) - 1.0)
+    # the (t, s) of the node before each row, NaN before a history's
+    # first node, which no row needs to advance past
+    prev = np.concatenate((tails, tab[:-1, :2])) if one else tails
+    behind = tab[:, :2] <= prev
+    norm_err = np.abs(u[:, 0] * u[:, 0] - np.add.reduce(u[:, 1:] ** 2, axis=1) - 1.0)
     fail = _first_failure(tab, (
-        (t > t_prev, lambda i: NonMonotonicTime(
-            f"append at t={t[i].item()!r} does not advance past {t_prev[i].item()!r}")),
-        (s > s_prev, lambda i: NonMonotonicTime(
-            f"append at s={s[i].item()!r} does not advance past {s_prev[i].item()!r}")),
-        (~(norm_err > hard), lambda i: ConstraintViolation(
-            f"|u.u - 1| = {norm_err[i]:.3e} exceeds hard tolerance {hard[i]:.1e}")),
-        (~(np.abs(r[:, 0] - ct) > 1e-9 * (1.0 + np.abs(ct))), lambda i: ConstraintViolation(
+        (behind[:, 0], lambda i: NonMonotonicTime(
+            f"append at t={t[i].item()!r} does not advance past {prev[i, 0].item()!r}")),
+        (behind[:, 1], lambda i: NonMonotonicTime(
+            f"append at s={s[i].item()!r} does not advance past {prev[i, 1].item()!r}")),
+        (norm_err > hard, lambda i: ConstraintViolation(
+            f"|u.u - 1| = {norm_err[i]:.3e} exceeds hard tolerance {hard[0 if one else i]:.1e}")),
+        (np.abs(r[:, 0] - ct) > 1e-9 * (1.0 + np.abs(ct)), lambda i: ConstraintViolation(
             f"r^0 = {r[i, 0].item()!r} does not equal c t = {ct[i].item()!r}")),
     ))
     if fail is not None:
         i, exc = fail
         if labelled:
-            exc.particle = hs[owner[i]].spec.label
+            exc.particle = hs[0 if one else i].spec.label
         raise exc
-    a_max = np.max(np.abs(a), axis=1)
-    ua = np.abs(u[:, 0] * a[:, 0] - np.sum(u[:, 1:] * a[:, 1:], axis=1))
-    hits = {"u-normalization-drift": norm_err > soft,
-            "u.a-orthogonality-drift": ua > soft * (1.0 + a_max),
+    soft = np.array([h.constraint_tol for h in hs])
+    a_max = np.maximum.reduce(np.abs(a), axis=1)
+    ua = np.abs(u[:, 0] * a[:, 0] - np.add.reduce(u[:, 1:] * a[:, 1:], axis=1))
+    hits = (norm_err > soft, ua > soft * (1.0 + a_max),
             # a != 0 at the very first node marks a C^1-only prehistory junction
-            "prehistory-curvature-jump": (n0[owner] + rank == 0) & (a_max > 1e-12)}
-    flagged = np.logical_or.reduce(list(hits.values()))
-    for k in np.unique(owner[flagged]).tolist() if np.count_nonzero(flagged) else ():
-        h, rows = hs[k], owner == k
-        new = [f for f, hit in hits.items() if np.count_nonzero(hit[rows]) and f not in h.flags]
-        h.flags += sorted(new, key=lambda f: np.argmax(hits[f][rows]))
+            np.isnan(prev[:, 0]) & (a_max > 1e-12))
+    if not any(np.count_nonzero(hit) for hit in hits):
+        return
+    hits = np.array(hits)
+    for h, hit in [(hs[0], hits)] if one else zip(hs, hits.T[:, :, None]):
+        new = [(int(np.argmax(rows)), f) for f, rows in zip(_FLAGS, hit)
+               if np.count_nonzero(rows) and f not in h.flags]
+        h.flags += [f for _, f in sorted(new, key=lambda first: first[0])]
 
 
 def commit(histories, rows) -> None:
@@ -702,21 +719,23 @@ def _segment(t, t0, p, t1, q, c: float):
     # one segment's basis weights are plain floats: the same arithmetic
     # (so the same bits) at a fraction of the array overhead
     h, x = (h.item(), x.item()) if len(t) == 1 else (h[:, None], x[:, None])
-    y = _hermite(p[:, _Y], p[:, _DY], q[:, _Y], q[:, _DY], h, x)
-    du = _hermite_d(p[:, _U], p[:, _DU], q[:, _U], q[:, _DU], h, x)
+    w, d = _weights(h, x)
+    y = _combine(w, p[:, _Y], p[:, _DY], q[:, _Y], q[:, _DY])
+    du = _combine(d, p[:, _U], p[:, _DU], q[:, _U], q[:, _DU])
     return y, (y[:, _U.start, None] / c) * du
 
 
 def _segment_udotdot(t, t0, p, t1, q, c) -> np.ndarray:
     """d^2 u / ds^2 of the u-interpolant at times inside segments, (M, 4)."""
     h = t1 - t0
-    w = (h[:, None], ((t - t0) / h)[:, None])
+    hx = (h[:, None], ((t - t0) / h)[:, None])
+    w, d = _weights(*hx)
     y = (p[:, _U], p[:, _DU], q[:, _U], q[:, _DU])
-    du, ddu = _hermite_d(*y, *w), _hermite_dd(*y, *w)
+    du, ddu = _combine(d, *y), _hermite_dd(*y, *hx)
     # d/ds = (gamma/c) d/dt applied twice to u, so of the value only u^0
     # is read; float_power squares with C's pow, as a float's ** 2 does
     # (x * x can differ in the last bit)
-    g = _hermite(*(v[:, :1] for v in y), *w) / c
+    g = _combine(w, *(v[:, :1] for v in y)) / c
     return np.float_power(g, 2.0) * ddu + g * (du[:, :1] / c) * du
 
 
@@ -744,11 +763,13 @@ def staged(histories, rows) -> _Stage:
 
     rows is an (N, 14) block in CSV_HEADER order, row i for histories[i].
     Every row must be finite and advance past its history's latest node;
-    the first failure, in row order, is raised, and so is a ValueError
-    when the histories do not share one store or name one history twice,
-    or when a stage is open on their store (one stage per store). No
-    tolerance is checked, no flag raised and nothing written before the
-    checks pass.
+    the first failure, in row order, is raised with .particle set to its
+    history's label (QueryBeyondPresent, naming the first empty history,
+    when a history holds no node), and so is a ValueError when the
+    histories do not share one store or name one history twice, or when
+    a stage is open on their store (one stage per store). No tolerance
+    is checked, no flag raised and nothing written before the checks
+    pass.
 
     The rows are written when a query first reads them, and only then:
     a time past a staged history's latest node (for u_dotdot, at or past
@@ -770,12 +791,15 @@ def staged(histories, rows) -> _Stage:
     if bank._stage is not None:
         raise ValueError("a stage is already open on the histories' store")
     latest = bank._latest[slots]
-    fail = _first_failure(tab, ((tab[:, 0] > latest, lambda i: NonMonotonicTime(
+    fail = _first_failure(tab, ((~(tab[:, 0] > latest), lambda i: NonMonotonicTime(
         "provisional sample must advance time")),))
     if fail is not None:
-        if np.count_nonzero(np.isnan(latest)):
-            raise QueryBeyondPresent("history holds no samples")
-        raise fail[1]
+        empty = np.isnan(latest)
+        if np.count_nonzero(empty):
+            fail = int(np.argmax(empty)), QueryBeyondPresent("history holds no samples")
+        i, exc = fail
+        exc.particle = hs[i].spec.label
+        raise exc
     return _Stage(bank, slots, tab)
 
 

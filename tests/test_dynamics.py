@@ -2,6 +2,7 @@ import contextlib
 import gc
 import math
 import os
+import sys
 import weakref
 from dataclasses import replace
 from types import SimpleNamespace
@@ -1328,3 +1329,49 @@ def test_the_local_error_estimate_peaks_where_a_self_root_crosses_t0(
     assert t[np.argsort(e.max(axis=1))[-2:]].tolist() == pytest.approx([0.72, 0.82])
     assert t[np.argmax(e, axis=0)].tolist() == pytest.approx([0.82, 0.72])
     assert np.min(e.max(axis=0)) > 100.0 * np.max(e[t < 0.66])
+
+
+def test_renormalizing_u_of_a_non_positive_u_u_names_the_particle():
+    # the run_pair charges at a quarter of their radii, in asymptotic
+    # mode: the first-order self-force takes the right charge's u.u below
+    # zero on the step from t = 0.86, where renormalizing u would take
+    # its square root
+    specs = [ParticleSpec(1.0, 0.5, 0.2, "left"), ParticleSpec(1.5, -0.4, 0.175, "right")]
+    st = seed(specs, [[-1.5, 0, 0], [1.5, 0.3, 0]], [[0, 0, 0], [0, 0, 0]], dt=0.02,
+              mode=SelfForceMode.ASYMPTOTIC, renormalize_u=True)
+    with pytest.raises(wl.ConstraintViolation, match="u.u = -4.399e-01 is not positive") as err:
+        run(st, 1.0)
+    assert (err.value.particle, err.value.step, err.value.t) == ("right", 44, pytest.approx(0.86))
+    assert st.t_now == pytest.approx(0.86) and len(st.diagnostics) == 43
+
+
+def python_calls(fn) -> int:
+    """The Python-level calls into the package's source files while fn
+    runs: sys.setprofile call events whose code lives there, generator
+    resumptions included."""
+    root = os.path.dirname(dyn.__file__) + os.sep
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            calls[0] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return calls[0]
+
+
+# the Python-level calls one warm step of the exact curved pair makes; a
+# change that adds calls to a step's fixed-cost paths raises it on purpose
+STEP_CALLS = 252
+
+
+def test_a_warm_step_keeps_its_call_budget():
+    # a count, not a time: the same on every host and numpy version
+    st = curved_pair()
+    step(st)  # the first step starts cold
+    assert python_calls(lambda: step(st)) <= STEP_CALLS

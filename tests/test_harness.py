@@ -717,6 +717,23 @@ def test_cli_numerical_failure_names_step_time_and_particle(tmp_path, monkeypatc
     assert "observer 'a'" in payload["detail"] and "t_obs=" in payload["detail"]
 
 
+def test_cli_stage_failure_names_the_particle_of_its_row(tmp_path, monkeypatch):
+    # the first force on b is NaN, so b's row of the first stage is not
+    # finite: staged refuses it and names b, as a commit would
+    def nan_on_b(histories, now, *args, **kwargs):
+        f, batch = real(histories, now, *args, **kwargs)
+        f[1] = np.nan
+        return f, batch
+
+    real = dynamics.total_faraday
+    monkeypatch.setattr(dynamics, "total_faraday", nan_on_b)
+    rc, err = _cli(["run", _write_cfg(tmp_path, _cfg_mapping(output_dir=str(tmp_path / "nan")))])
+    assert rc == 3
+    payload = json.loads(err)
+    assert (payload["error"], payload["detail"]) == ("ValueError", "s must be a finite number")
+    assert (payload["step"], payload["t"], payload["particle"]) == (1, 0.0, "b")
+
+
 def test_cli_check_pb(tmp_path):
     out = str(tmp_path / "pb")
     rc, err = _cli(["check-pb", os.path.join(CONFIG_DIR, "check_pb.yaml"),

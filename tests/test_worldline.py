@@ -247,9 +247,10 @@ def _tail(h, t=2.0, a=(0.028, 0.2, 0.0, 0.0)):
 
 
 def _store(h):
-    """The raw packed store, capacity rows included."""
+    """The raw packed store, capacity rows included: the node counts, the
+    (t, s) of the latest nodes, the key and the node block."""
     bank = h._bank
-    return bank._n.tobytes(), bank._latest.tobytes(), bank._key.tobytes(), bank._nodes.tobytes()
+    return bank._n.tobytes(), bank._last.tobytes(), bank._key.tobytes(), bank._nodes.tobytes()
 
 
 class TestStaged:
@@ -377,7 +378,7 @@ class TestStaged:
                 with pytest.raises(ValueError, match="while a stage is open"):
                     write()
                 assert _store(a) == staged
-        # the counts, latest times and key as before; the staged row's node
+        # the counts, latest (t, s) and key as before; the staged row's node
         # data stays behind in the spare row
         assert [_store(h)[:3] for h in (a, b)] == [store[:3] for store in before]
         assert (len(a), a.t_latest) == (9, 4.0)
@@ -435,10 +436,30 @@ class TestValidation:
     def test_staged_rejects_nan(self):
         h = make_inertial()
         before = _store(h)
-        with pytest.raises(ValueError, match="r must be a finite four-vector"):
+        with pytest.raises(ValueError, match="r must be a finite four-vector") as err:
             with wl.staged([h], [_row(self._nan_r_sample(h.t_latest + 0.1))]):
                 pass
+        assert err.value.particle == "a"
         assert _store(h) == before
+
+    def test_a_stage_failure_names_the_history_of_its_row(self):
+        # the row at fault, after a valid one; an empty history is named
+        # whichever row fails
+        specs = [wl.ParticleSpec(1.0, 1.0, 0.1, label) for label in "abc"]
+        hs = wl.copy_histories([make_inertial(), make_inertial(beta=0.3), make_inertial()], specs)
+        rows = np.array([_row(self._nan_r_sample(h.t_latest + 0.1)) for h in hs])
+        rows[[0, 2], 3] = 0.0
+        with pytest.raises(ValueError, match="r must be a finite four-vector") as err:
+            wl.staged(hs, rows)
+        assert err.value.particle == "b"
+        rows[1, 3], rows[2, 0] = 0.0, hs[2].t_latest
+        with pytest.raises(wl.NonMonotonicTime) as err:
+            wl.staged(hs, rows)
+        assert err.value.particle == "c"
+        empty = wl.copy_histories([make_inertial(), wl.WorldlineHistory(specs[1])])
+        with pytest.raises(wl.QueryBeyondPresent, match="holds no samples") as err:
+            wl.staged(empty, rows[:2])
+        assert err.value.particle == "b"
 
     def test_append_rejects_badly_shaped_samples(self):
         h = wl.WorldlineHistory(wl.ParticleSpec(1.0, 1.0, 0.1))
@@ -806,6 +827,45 @@ def test_u_dotdot_batch_over_mixed_sources_matches_one_query_calls():
         assert np.count_nonzero(batch[src == 0])  # the curved history
 
 
+# the cubic Hermite value and t-derivative, each from its own powers and
+# weights: the formulas wl._weights shares its products between
+def hermite(y0, dy0, y1, dy1, h, x):
+    x2 = x * x
+    t3, x3 = 3.0 * x2, x2 * x
+    return ((2.0 * x3 - t3 + 1.0) * y0 + h * (x3 - 2.0 * x2 + x) * dy0
+            + (-2.0 * x3 + t3) * y1 + h * (x3 - x2) * dy1)
+
+
+def hermite_d(y0, dy0, y1, dy1, h, x):
+    x2 = x * x
+    t3 = 3.0 * x2
+    s6x2, s6x = 6.0 * x2, 6.0 * x
+    return ((s6x2 - s6x) / h * y0 + (t3 - 4.0 * x + 1.0) * dy0
+            + (s6x - s6x2) / h * y1 + (t3 - 2.0 * x) * dy1)
+
+
+def test_shared_weights_have_the_bits_of_each_formula():
+    # the edges: x = 1 (where 6 x^2 - 6 x is 0 and its negation's sign
+    # shows), x next to 1, and x so small that x^2 underflows
+    rng = np.random.default_rng(29)
+    edges = [1.0, np.nextafter(1.0, 0.0), 0.5, 1e-17, 1e-200, 5e-324]
+    for m in (1, 6, 500):
+        for _ in range(20):
+            x = rng.uniform(0.0, 1.0, (m, 1))
+            x[0] = rng.choice(edges)
+            h = rng.uniform(1e-3, 10.0, (m, 1))
+            ys = [rng.normal(size=(m, 9)) * rng.choice([0.0, -0.0, 1.0, 1e-8], size=(m, 9))
+                  for _ in range(4)]
+            w, d = wl._weights(h, x)
+            assert wl._combine(w, *ys).tobytes() == hermite(*ys, h, x).tobytes()
+            assert wl._combine(d, *ys).tobytes() == hermite_d(*ys, h, x).tobytes()
+    for x in edges:  # one segment's weights are plain floats
+        ys = [rng.normal(size=(1, 9)) for _ in range(4)]
+        w, d = wl._weights(0.7, x)
+        assert wl._combine(w, *ys).tobytes() == hermite(*ys, 0.7, x).tobytes()
+        assert wl._combine(d, *ys).tobytes() == hermite_d(*ys, 0.7, x).tobytes()
+
+
 def test_segment_udotdot_is_the_full_value_formula_bit_for_bit():
     # only u^0 of the value interpolant is evaluated; the oracle evaluates
     # all four components, as the formula did before
@@ -813,7 +873,7 @@ def test_segment_udotdot_is_the_full_value_formula_bit_for_bit():
         h = t1 - t0
         x = (t - t0) / h
         y = (p[:, wl._U], p[:, wl._DU], q[:, wl._U], q[:, wl._DU], h[:, None], x[:, None])
-        u, du, ddu = wl._hermite(*y), wl._hermite_d(*y), wl._hermite_dd(*y)
+        u, du, ddu = hermite(*y), hermite_d(*y), wl._hermite_dd(*y)
         g = u[:, :1] / c
         return np.float_power(g, 2.0) * ddu + g * (du[:, :1] / c) * du
 
@@ -971,3 +1031,200 @@ def test_commit_equals_appending_row_by_row():
     _same_state(wl.gather(hs, src, ts), wl.gather(refs, src, ts))
     for h, ref in zip(hs, refs):
         assert np.array_equal(h.table, ref.table) and h.flags == ref.flags
+
+
+# -- the check path against a reference copy of its per-check form --------
+#
+# _first_failure_ref and _check_rows_ref are a reference copy of the
+# write checks, one mask of passing rows per check and flags per row
+# owner, with tails read from the histories: the store's check path must
+# raise the same exception, with the same text, and add the same flags in
+# the same order, on any table
+
+
+def _first_failure_ref(table, checks=()):
+    finite = np.isfinite(table)
+    if np.count_nonzero(finite) == finite.size and all(
+            np.count_nonzero(mask) == len(mask) for mask, _ in checks):
+        return None
+
+    def nonfinite(i):
+        name = wl.CSV_HEADER[int(np.argmin(finite[i]))][0]
+        kind = "number" if name in "ts" else "four-vector"
+        return ValueError(f"{name} must be a finite {kind}")
+
+    checks = [(finite.all(axis=1), nonfinite), *checks]
+    fails = ~np.array([mask for mask, _ in checks])
+    i = int(np.argmax(fails.any(axis=0)))
+    return i, checks[int(np.argmax(fails[:, i]))][1](i)
+
+
+def _tails_ref(hs):
+    """(n, t, s) of each history's latest node, -inf while it is empty."""
+    last = [h.table[-1, :2] if len(h) else (-np.inf, -np.inf) for h in hs]
+    return np.array([len(h) for h in hs]), *np.array(last, dtype=float).reshape(-1, 2).T
+
+
+def _check_rows_ref(hs, tails, tab, labelled):
+    m, one = len(tab), len(hs) == 1
+    owner, rank = (np.zeros(m, dtype=np.intp), np.arange(m)) if one else (np.arange(m), 0)
+    n0, t_last, s_last = tails
+    hard, soft = np.array([(h.hard_tol, h.constraint_tol) for h in hs])[owner].T
+    t, s, r, u, a = tab[:, 0], tab[:, 1], tab[:, 2:6], tab[:, 6:10], tab[:, 10:14]
+    t_prev = np.concatenate((t_last, t[:-1])) if one else t_last
+    s_prev = np.concatenate((s_last, s[:-1])) if one else s_last
+    ct = hs[0].c * t
+    norm_err = np.abs(u[:, 0] * u[:, 0] - np.sum(u[:, 1:] ** 2, axis=1) - 1.0)
+    fail = _first_failure_ref(tab, (
+        (t > t_prev, lambda i: wl.NonMonotonicTime(
+            f"append at t={t[i].item()!r} does not advance past {t_prev[i].item()!r}")),
+        (s > s_prev, lambda i: wl.NonMonotonicTime(
+            f"append at s={s[i].item()!r} does not advance past {s_prev[i].item()!r}")),
+        (~(norm_err > hard), lambda i: wl.ConstraintViolation(
+            f"|u.u - 1| = {norm_err[i]:.3e} exceeds hard tolerance {hard[i]:.1e}")),
+        (~(np.abs(r[:, 0] - ct) > 1e-9 * (1.0 + np.abs(ct))), lambda i: wl.ConstraintViolation(
+            f"r^0 = {r[i, 0].item()!r} does not equal c t = {ct[i].item()!r}")),
+    ))
+    if fail is not None:
+        i, exc = fail
+        if labelled:
+            exc.particle = hs[owner[i]].spec.label
+        raise exc
+    a_max = np.max(np.abs(a), axis=1)
+    ua = np.abs(u[:, 0] * a[:, 0] - np.sum(u[:, 1:] * a[:, 1:], axis=1))
+    hits = {"u-normalization-drift": norm_err > soft,
+            "u.a-orthogonality-drift": ua > soft * (1.0 + a_max),
+            "prehistory-curvature-jump": (n0[owner] + rank == 0) & (a_max > 1e-12)}
+    flagged = np.logical_or.reduce(list(hits.values()))
+    for k in np.unique(owner[flagged]).tolist() if np.count_nonzero(flagged) else ():
+        h, rows = hs[k], owner == k
+        new = [f for f, hit in hits.items() if np.count_nonzero(hit[rows]) and f not in h.flags]
+        h.flags += sorted(new, key=lambda f: np.argmax(hits[f][rows]))
+
+
+def _staged_check_ref(hs, tab):
+    """The stage checks, their failure labelled as a commit's is: with the
+    failing row's history, or the first empty one."""
+    latest = np.array([h.t_latest if len(h) else np.nan for h in hs])
+    fail = _first_failure_ref(tab, ((tab[:, 0] > latest, lambda i: wl.NonMonotonicTime(
+        "provisional sample must advance time")),))
+    if fail is not None:
+        i, exc = fail
+        if np.count_nonzero(np.isnan(latest)):
+            i, exc = int(np.argmax(np.isnan(latest))), wl.QueryBeyondPresent(
+                "history holds no samples")
+        exc.particle = hs[i].spec.label
+        raise exc
+
+
+_FAULTS = ("nan", "inf", "t", "s", "hard", "r0", "soft", "ua", "curvature")
+
+
+def _inject(rng, tab, row, fault, prev):
+    """Put fault into tab[row], prev the (t, s) of the node before it; a
+    fault near a tolerance falls on either side of it, as the tolerances
+    of the row's history (_histories) and its |a| decide."""
+    x = tab[row]
+    if fault == "nan":
+        x[rng.integers(14)] = np.nan
+    elif fault == "inf":
+        x[rng.integers(14)] = rng.choice([np.inf, -np.inf])
+    elif fault in ("t", "s"):
+        k = "ts".index(fault)
+        x[k] = prev[k] - rng.choice([0.0, 0.1])  # stands still or goes back
+        if k == 0:
+            x[2] = x[0]
+    elif fault in ("hard", "soft"):  # |u.u - 1| at about eps
+        eps = rng.choice([1e-3, 2e-6] if fault == "hard" else [1e-8, 1.5e-9, 5e-10])
+        x[6] = np.sqrt(1.0 + rng.choice([-eps, eps]) + x[7:10] @ x[7:10])
+    elif fault == "r0":  # off by more, or less, than 1e-9 (1 + |c t|)
+        x[2] += rng.choice([1e-3, 2e-9, 1e-10])
+    elif fault == "ua":  # u.a about u^0 times the shift of a^0
+        x[10] += rng.choice([1e-4, 1.5e-9, 1.5e-10])
+    elif fault == "curvature":  # |a| above, or below, the 1e-12 a first node may have
+        x[10:] += rng.choice([1e-3, 1e-10, 1e-13])
+
+
+def _orthogonal(tab, scale):
+    """tab with a scaled by scale and its a^0 set so that u.a = 0."""
+    tab = tab.copy()
+    u, a = tab[:, 6:10], tab[:, 10:14]
+    a[:, 1:] *= scale
+    a[:, 0] = np.sum(u[:, 1:] * a[:, 1:], axis=1) / u[:, 0]
+    return tab
+
+
+def _faulty(rng, tab, tails, fault):
+    """tab with fault and up to two random faults more at random rows (a
+    curvature fault on row 0); tails gives the (t, s) before row 0."""
+    tab = tab.copy()
+    for fault in (fault, *rng.choice(_FAULTS, rng.integers(0, 3))):
+        row = 0 if fault == "curvature" else int(rng.integers(len(tab)))
+        _inject(rng, tab, row, fault, tab[row - 1, :2] if row else tails)
+    return tab
+
+
+def _outcome(write, hs):
+    """(exception type, text, particle) of write(), or the flags of hs after it."""
+    try:
+        write()
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "particle", None)
+    return [list(h.flags) for h in hs]
+
+
+def _histories(rng, n, empty=()):
+    """n histories in one store, with random tolerances; those in empty hold no node."""
+    hs = []
+    for k in range(n):
+        h = wl.WorldlineHistory(wl.ParticleSpec(1.0, 1.0, 0.1, f"p{k}"))
+        h.constraint_tol = rng.choice([1e-9, 1e-10])
+        h.hard_tol = rng.choice([1e-6, 1e-5])
+        if k not in empty:
+            tab = random_table(rng, int(rng.integers(1, 4)))
+            tab[:, 10:] = 0.0
+            h.extend(tab)
+            h.flags = [str(f) for f in rng.choice(wl._FLAGS, rng.integers(0, 2), replace=False)]
+        hs.append(h)
+    return wl.copy_histories(hs)
+
+
+def _next_rows(rng, hs):
+    """One clean row per history, after its latest node."""
+    rows = random_table(rng, len(hs))
+    for row, h in zip(rows, hs):
+        t, s = h.table[-1, :2] if len(h) else (0.0, 0.0)
+        row[0], row[1] = t + rng.uniform(0.01, 0.5), s + rng.uniform(0.01, 0.5)
+        row[2] = row[0]
+    return _orthogonal(rows, rng.choice([0.0, 1.0], (len(hs), 1)))
+
+
+@pytest.mark.parametrize("seed", range(63))
+def test_the_write_checks_raise_and_flag_as_the_reference_checks(seed):
+    rng = np.random.default_rng(seed)
+    with np.errstate(all="ignore"):  # a reference check of an inf entry warns
+        # extend: 1 row, a few rows, or 10^4 rows to one history
+        for m in (1, int(rng.integers(2, 9)), 10_000):
+            (h,) = _histories(rng, 1, empty=(0,) if rng.random() < 0.5 else ())
+            ref = h.copy()
+            tail = h.table[-1, :2] if len(h) else np.zeros(2)
+            tab = continued(h, random_table(rng, m)) if len(h) else random_table(rng, m)
+            tab = _faulty(rng, _orthogonal(tab, rng.choice([0.0, 1.0])), tail,
+                          _FAULTS[seed % len(_FAULTS)])
+            want = _outcome(lambda: _check_rows_ref((ref,), _tails_ref((ref,)), tab, False), [ref])
+            assert _outcome(lambda: h.extend(tab), [h]) == want
+        # commit and staged: one row to each of N histories of one store
+        for n in (1, int(rng.integers(2, 7))):
+            empty = (int(rng.integers(n)),) if rng.random() < 0.5 else ()
+            hs = _histories(rng, n, empty)
+            refs = wl.copy_histories(hs)
+            rows = _next_rows(rng, hs)
+            tails = np.array([h.table[-1, :2] if len(h) else np.zeros(2) for h in hs])
+            for fault in (_FAULTS[(seed + n) % len(_FAULTS)],
+                          *rng.choice(_FAULTS, rng.integers(0, 2))):
+                i = int(rng.integers(n))
+                _inject(rng, rows, i, fault, tails[i])
+            want = _outcome(lambda: _staged_check_ref(refs, rows), refs)
+            assert _outcome(lambda: wl.staged(hs, rows), hs) == want
+            want = _outcome(lambda: _check_rows_ref(refs, _tails_ref(refs), rows, True), refs)
+            assert _outcome(lambda: wl.commit(hs, rows), hs) == want
