@@ -7,9 +7,10 @@ charge magnitude and radius set by k mod 6. The ring radius grows as 3 N / 6,
 so neighbours keep ring6's spacing. At N = 6 and the default seed the
 particles are those of ring6. N = 1 is a single self-interacting charge,
 the shape of the certify workload's median step (a one-particle pulse
-step), whose cost is per-call overhead, not physics. Times are raw
-time.perf_counter readings, not normalised for host speed: compare them
-within one run.
+step), whose cost is per-call overhead, not physics. --mode picks the
+self-force mode (exact by default; asymptotic reads u'' at every self
+root). Times are raw time.perf_counter readings, not normalised for host
+speed: compare them within one run.
 """
 
 import argparse
@@ -20,6 +21,7 @@ import time
 import numpy as np
 
 from retnbody.dynamics import seed, step
+from retnbody.fields import SelfForceMode
 from retnbody.worldline import ParticleSpec
 
 DT = 0.02
@@ -45,11 +47,14 @@ def main():
     ap.add_argument("--sizes", type=int, nargs="+", default=[6, 12, 24, 48])
     ap.add_argument("--steps", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--mode", choices=[m.value for m in SelfForceMode],
+                    default=SelfForceMode.EXACT.value)
     args = ap.parse_args()
 
     print(f"{'N':>4} {'steps':>6} {'median ms/step':>15} {'min ms/step':>12}")
     for n in args.sizes:
-        st = seed(*ring(n, np.random.default_rng(args.seed)), dt=DT)
+        st = seed(*ring(n, np.random.default_rng(args.seed)), dt=DT,
+                  mode=SelfForceMode(args.mode))
         ms = []
         for _ in range(args.steps):
             t = time.perf_counter()

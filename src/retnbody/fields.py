@@ -31,7 +31,9 @@ factors (W, Rt), (M, 4) arrays with an elementwise grazing-emission
 guard, contracts them with the observer's u as W (Rt.u) - Rt (W.u) and
 adds them per observer (retardation._per_slot) to the external F u
 (ExternalFieldModel.faraday_u, no tensor for variant none); g is one array
-expression over every self root (_asymptotic_g). It returns (f, batch):
+expression over every self root (_asymptotic_g), with the plan's
+constants and u'' read off the segment each self root's gather found
+(no second lookup of the event). It returns (f, batch):
 the (n, 4) covariant force (q/c) F u + g, and the batch's (plan, roots).
 The plan also holds the roots of the potentials and the reported delays,
 so the step diagnostics read them off the batch, and the next
@@ -49,8 +51,9 @@ from enum import Enum
 import numpy as np
 
 from .minkowski import FaradayTensor, _antisymmetric_part, dots, lower
-from .retardation import JAC_TOL, DelayRoots, _dot, _per_slot, _plan_roots, _root_plan, solve_delays
-from .worldline import WorldlineHistory, gather, u_dotdot
+from .retardation import (JAC_TOL, DelayRoots, _dot, _per_slot, _plan_roots, _root_plan,
+                           _self_force_constants, solve_delays)
+from .worldline import WorldlineHistory, _read_udotdot, gather
 
 
 class SelfForceMode(Enum):
@@ -220,18 +223,16 @@ def binary_faraday(h_source: WorldlineHistory, observer_event,
                          + _binary_term(h_source, obs_r, sigma_j))
 
 
-def _asymptotic_g(roots: DelayRoots, rows, t, q) -> np.ndarray:
-    """g_mu (M, 4) of the self roots rows observed at times t, q their
-    charges, each row with the bits of its own one-root evaluation."""
-    hs = roots.histories
-    src = roots.src[rows]
-    c = hs[0].c
-    u, a = roots.source.u[rows], roots.source.a[rows]
-    udd = u_dotdot(hs, src, t - roots.t_ret[rows])
-    m_em = q * q / (c * c * roots.sigma[rows])
-    g_contra = ((-m_em * c)[:, None] * a
-                - (q * q / (3.0 * c))[:, None] * (udd - u * dots(u, udd)[:, None]))
-    return lower(g_contra)
+def _asymptotic_g(roots: DelayRoots, rows, em, rad) -> np.ndarray:
+    """g_mu (M, 4) of the self roots rows, em = -m_em c and rad = q^2 / 3c
+    one per row, each row with the bits of its own one-root evaluation.
+    u'' comes from the segment each source event was read from where it
+    lies strictly inside one (worldline._read_udotdot); u_dotdot looks up
+    the others."""
+    src = roots.source
+    t, u, a = src.t[rows], src.u[rows], src.a[rows]
+    udd = _read_udotdot(roots.histories, roots.src[rows], t, u, [x[rows] for x in roots.segment])
+    return lower(em[:, None] * a - rad[:, None] * (udd - u * dots(u, udd)[:, None]))
 
 
 def asymptotic_self_force(h: WorldlineHistory, t: float,
@@ -246,7 +247,8 @@ def asymptotic_self_force(h: WorldlineHistory, t: float,
     sigma = h.spec.sigma if sigma is None else sigma
     now = gather((h,), 0, [t])
     roots = solve_delays((h,), 0, now.r, sigma, obs=0, now=now)
-    return _asymptotic_g(roots, [0], now.t, np.array([h.spec.q]))[0]
+    return _asymptotic_g(roots, [0], *_self_force_constants(np.array([h.spec.q]), roots.sigma,
+                                                            h.c))[0]
 
 
 def total_faraday(histories, now, external: ExternalFieldModel,
@@ -270,7 +272,8 @@ def total_faraday(histories, now, external: ExternalFieldModel,
     """
     hs = tuple(histories)
     n = len(hs)
-    plan = _root_plan(tuple([h.spec for h in hs]), tuple(range(n)), mode)
+    c = hs[0].c
+    plan = _root_plan(tuple([h.spec for h in hs]), tuple(range(n)), mode, c)
     Fu = external.faraday_u(now.r, now.u)
     warm = prev is not None and prev[0] is plan
     roots = _plan_roots(hs, plan, now.r, now, prev[1] if warm else None)
@@ -278,9 +281,8 @@ def total_faraday(histories, now, external: ExternalFieldModel,
         w, rt = _kernel(roots, plan.k, plan.sign)
         u_obs = now.u.take(plan.slot, axis=0)
         Fu += _per_slot(plan, w * _dot(rt, u_obs)[:, None] - rt * _dot(w, u_obs)[:, None], n)
-    f = (plan.obs_q / hs[0].c)[:, None] * Fu
-    if mode != SelfForceMode.EXACT:
+    f = (plan.obs_q / c)[:, None] * Fu
+    if plan.g_row.size:
         # a neutral particle's g vanishes without a root
-        i = np.flatnonzero(plan.self_row >= 0)
-        f[i] += _asymptotic_g(roots, plan.self_row[i], now.t[i], plan.obs_q[i])
+        f[plan.g_slot] += _asymptotic_g(roots, plan.g_row, plan.g_em, plan.g_rad)
     return f, (plan, roots)

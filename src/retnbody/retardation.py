@@ -16,20 +16,26 @@ bracket bisects it instead.
 
 Roots are solved in batches. solve_delays runs the iteration on M
 (source, observer event, sigma) requests at once, one worldline gather
-per iteration; a root that meets its tolerance is frozen with the event
-of its last iterate, so its bits do not depend on the batch it is in,
-only on its first iterate. A cold batch starts every root from the
-static guess sqrt(d^2 + sigma^2) / c. A warm batch (_plan_roots with the
-roots of the evaluation before, on the same plan) starts each root from
-the iteration's own model step off the same row of that batch, its
-source moving on inertially from the converged event to the new
-observer event (_first_iterates): by the implicit function theorem a
-retarded time moves smoothly with the observation time wherever Rt.u !=
-0, so this first iterate is close, and it costs no gather. A root whose
-step is not a finite positive delay starts from the static guess, which
-is made only for such roots; the bracket is made once a root needs a
-Newton step, so a warm batch whose roots all converge on their first
-iterate builds neither. Every
+per iteration (worldline._read); a root that meets its tolerance is
+frozen with the event of its last iterate, so its bits do not depend on
+the batch it is in, only on its first iterate. Each root keeps the
+segment its last gather read: a Newton iterate strictly inside it is
+read off its two node rows with no lookup, and the batch hands the
+segments on with its roots (DelayRoots.segment), so the asymptotic
+self-force reads u'' at a self root strictly inside one with no lookup
+either. A cold
+batch starts every root from the static guess sqrt(d^2 + sigma^2) / c.
+A warm batch (_plan_roots with the roots of the evaluation before, on
+the same plan, handed to the solver as seed) starts each root from the
+iteration's own model step off the same row of that batch, its source
+moving on inertially from the converged event to the new observer
+event (_first_iterates, inside the solver's one errstate): by the
+implicit function theorem a retarded time moves smoothly with the
+observation time wherever Rt.u != 0, so this first iterate is close,
+and it costs no gather. A root whose step is not a finite positive
+delay starts from the static guess, which is made only for such roots;
+the bracket is made once a root needs a Newton step, so a warm batch
+whose roots all converge on their first iterate builds neither. Every
 batch of a run but its first is warm (see dynamics.step); a warm
 batch's roots agree with a cold one's to the root tolerance, not bit
 for bit. The bracket, tolerance and iteration budget are the same either
@@ -41,7 +47,8 @@ time named, and carries the observer label as .particle. Products of
 stacked vectors are one np.vecdot call (_dot), each row rounded as a @ b.
 
 Which roots a system needs, and how each enters its observer's sums, is
-decided in one place, _root_plan, one plan per (specs, observers, mode):
+decided in one place, _root_plan, one plan per (specs, observers, mode,
+c):
 the self cone and the two shell cones of each charged pair, which the
 effective potentials read, each neutral source's sigma_i cone, which
 only the reported delays read, and, for a force, the point-limit cone
@@ -49,7 +56,9 @@ of each charged pair in asymptotic mode. Each root's weights sum the
 terms it stands for, so an observer's force or potential is one
 weighted sum over its roots (_per_slot). The plan also carries the
 constants each evaluation reads: per root its kernel sign, source charge
-and bins, per observer its charge and mass. fields.total_faraday (so
+and bins, per observer its charge and mass, and in asymptotic mode the
+self roots, their observers and the constants of g (-m_em c and
+q^2 / 3c at the plan's light speed). fields.total_faraday (so
 every batch of dynamics), canonical.effective_potentials and max_delay
 all read it, and so does the action oracle's smoothed potential
 (harness._smoothed_a_eff), which takes its cones and weights from the
@@ -65,7 +74,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .minkowski import lower
-from .worldline import WorldlineHistory, WorldlineSample, gather
+from .worldline import WorldlineHistory, WorldlineSample, _read, _Segment, gather
 
 MAX_ITER = 120
 JAC_TOL = 1e-10  # floor of |Rt.u| / (|Rt| |u|) at a delta-line-integral root
@@ -94,11 +103,13 @@ class DelayRoot:
             raise ValueError(f"delay must be a finite non-negative time, got {self.t_ret!r}")
 
 
-@dataclass(frozen=True)
-class DelayRoots:
+class DelayRoots(NamedTuple):
     """M roots solved as one batch. Root m lies on histories[src[m]] for
     the observer event events[m] and shell radius sigma[m]; obs[m] is the
-    observer's index in histories, -1 for an event on none of them."""
+    observer's index in histories, -1 for an event on none of them.
+    segment, the worldline._Segment each source event was read from,
+    serves later reads of the events with no lookup (None: not kept).
+    Immutable, and built as a tuple is: every batch builds one."""
 
     histories: tuple
     src: np.ndarray
@@ -109,6 +120,7 @@ class DelayRoots:
     s_ret: np.ndarray
     source: WorldlineSample  # stacked source events
     residual: np.ndarray
+    segment: _Segment | None = None
 
     def label(self, k: int):
         return self.histories[k].spec.label if k >= 0 else None
@@ -179,11 +191,16 @@ def solve_delays(histories, src, events, sigma, obs=-1, now=None,
     the observation times (only t, s and r are read), is gathered if not given.
 
     The first iterate of each root is the static guess sqrt(d^2 +
-    sigma^2) / c, d the distance at t_obs, unless seed (one value per root
-    or one for all) gives another: a NaN in seed keeps that root's static
-    guess. Whatever the first iterate, the bracket, the tolerance and the
-    iteration budget are the same, and every root is checked on a gather
-    of its own last iterate.
+    sigma^2) / c, d the distance at t_obs, unless seed gives another:
+    one value per root or one for all, a NaN keeping that root's static
+    guess, or the DelayRoots of the same requests at nearby observer
+    events, whose model steps (_first_iterates) then give them inside
+    the solver's one errstate. Whatever the first iterate, the bracket,
+    the tolerance and the iteration budget are the same, and every root
+    is checked on a gather of its own last iterate. An iterate strictly
+    inside the segment its root's last gather read is read from that
+    segment's rows with no lookup (worldline._read), with the bits of a
+    gather; the roots keep the segment of their last gather (segment).
     """
     hs = tuple(histories)
     events = np.asarray(events, dtype=np.float64).reshape(-1, 4)
@@ -197,38 +214,41 @@ def solve_delays(histories, src, events, sigma, obs=-1, now=None,
     d2 = _dot(d0, d0)
     sig2 = sigma * sigma
     tol = root_tolerance(d2, sigma)
-    # the first iterates: the static guess, made only where a root has no seed
-    if seed is None:
-        tau = np.sqrt(d2 + sig2) / c
-    else:
-        tau = _per_root(seed, m, np.float64)
-        static = np.isnan(tau)
-        if np.count_nonzero(static):
-            tau = np.where(static, np.sqrt(d2 + sig2) / c, tau)
-    # the delay, residual and source event of each root, filled as roots
-    # converge, or the last gather's events when every root converges on it
-    t_ret = res = event = source = None
+    # the delay, residual, source event and segment of each root, filled
+    # as roots converge, or the last gather's when every root converges on it
+    t_ret = res = columns = source = segment = None
 
-    def fill(k, tau_k, res_k, ev_k):
-        nonlocal t_ret, res, event
+    def fill(k, tau_k, res_k, cols):
+        nonlocal t_ret, res, columns
         if t_ret is None:
-            t_ret, res, *event = (*np.zeros((4, m)), *np.zeros((3, m, 4)))
+            t_ret, res = np.zeros(m), np.zeros(m)
+            columns = [np.zeros((m, *x.shape[1:])) for x in cols]
         t_ret[k], res[k] = tau_k, res_k
-        for column, x in zip(event, ev_k):
+        for column, x in zip(columns, cols):
             column[k] = x
 
     # the roots still iterating, in request order, and their data
-    # compacted: source, t_obs, x_obs, sigma^2, tolerance, iterate and the
-    # bracket f(lo) < 0 < f(hi), where f(0) = -d^2 - sigma^2 <= 0: made
-    # once a root needs a step, (0, inf) before
+    # compacted: source, t_obs, x_obs, sigma^2, tolerance, iterate, the
+    # segment of the last gather and the bracket f(lo) < 0 < f(hi), where
+    # f(0) = -d^2 - sigma^2 <= 0: made once a root needs a step, (0, inf)
+    # before
     live = np.arange(m)
     l_src, l_t, l_x, l_sig2, l_tol = src, now.t, obs_x, sig2, tol
-    lo = hi = None
+    lo = hi = seg = None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # the first iterates: the static guess, made only where a root has no seed
+        if seed is None:
+            tau = np.sqrt(d2 + sig2) / c
+        else:
+            tau = (_first_iterates(seed, events, now.t) if isinstance(seed, DelayRoots)
+                   else _per_root(seed, m, np.float64))
+            static = np.isnan(tau)
+            if np.count_nonzero(static):
+                tau = np.where(static, np.sqrt(d2 + sig2) / c, tau)
         for _ in range(MAX_ITER):
             if not live.size:
                 break
-            ev = gather(hs, l_src, l_t - tau)
+            ev, seg = _read(hs, l_src, l_t - tau, seg)
             u = ev.u
             dx = l_x - ev.r[:, 1:]
             f = (c * tau) ** 2 - _dot(dx, dx) - l_sig2
@@ -238,19 +258,19 @@ def solve_delays(histories, src, events, sigma, obs=-1, now=None,
             # three exits and a lazy fill, not one scatter: one scatter made steps 5-10% slower
             if n_done == m:
                 # every root at once, in request order
-                t_ret, res, source = tau, res_f, ev
+                t_ret, res, source, segment = tau, res_f, ev, seg
                 live = live[:0]
                 break
             if n_done == len(live):
-                fill(live, tau, res_f, (ev.t, ev.s, ev.r, u, ev.a))
+                fill(live, tau, res_f, (*ev, *seg))
                 live = live[:0]
                 break
             if n_done:
-                fill(live[done], tau[done], res_f[done],
-                     [x[done] for x in (ev.t, ev.s, ev.r, u, ev.a)])
+                fill(live[done], tau[done], res_f[done], [x[done] for x in (*ev, *seg)])
                 go = ~done
                 live, f, dx, u, l_src, l_t, l_x, l_sig2, l_tol, tau = [
                     x[go] for x in (live, f, dx, u, l_src, l_t, l_x, l_sig2, l_tol, tau)]
+                seg = _Segment(*[x[go] for x in seg])
                 if lo is not None:
                     lo, hi = lo[go], hi[go]
             below = f < 0.0
@@ -262,10 +282,12 @@ def solve_delays(histories, src, events, sigma, obs=-1, now=None,
             den, step = _model_step(tau, f, dx, u, c)
             tau = np.where((den > 0.0) & (lo < step) & (step < hi), step, 0.5 * (lo + hi))
     if t_ret is None:  # no root converged
-        fill(live[:0], 0.0, 0.0, ())
-    if source is None:
-        source = WorldlineSample(*event)
-    roots = DelayRoots(hs, src, obs, events, sigma, t_ret, now.s - source.s, source, res)
+        t_ret, res = np.zeros(m), np.zeros(m)
+        source = WorldlineSample(*np.zeros((2, m)), *np.zeros((3, m, 4)))
+    elif source is None:
+        source, segment = WorldlineSample(*columns[:5]), _Segment(*columns[5:])
+    roots = DelayRoots(hs, src, obs, events, sigma, t_ret, now.s - source.s, source, res,
+                       segment)
     if live.size:
         raise roots.fail(NoConvergence, f"delay iteration exhausted {MAX_ITER} "
                          f"evaluations with residual {abs(f[0]):.3e} > "
@@ -320,18 +342,28 @@ class _RootPlan(NamedTuple):
     sigma: np.ndarray   # for (self: k = 2 q, w = 2; shell cone: k = q_j,
     k: np.ndarray       # w = 1; equal radii and the point limit:
     w: np.ndarray       # k = 2 q_j, w = 2)
-    self_row: np.ndarray    # per observer slot: its self-force root, or -1
-    own: np.ndarray         # per slot and source, own history first: the
-    #                         sigma_i root
+    own: np.ndarray     # per slot and source, own history first: the
+    #                     sigma_i root
     sign: np.ndarray    # per root: the kernel sign (-1 self, +1 pair),
     q: np.ndarray       # the source's charge and the bins 4 slot + mu of
     bins: np.ndarray    # its four terms (_per_slot); per observer slot:
     obs_q: np.ndarray   # the charge and rest mass
     obs_m0: np.ndarray
+    g_slot: np.ndarray  # per observer slot that takes the asymptotic
+    g_row: np.ndarray   # self-force g (a charged one, in asymptotic
+    g_em: np.ndarray    # mode): the slot, its self root, -m_em c and
+    g_rad: np.ndarray   # q^2 / 3c, m_em = q^2 / (c^2 sigma)
+
+
+def _self_force_constants(q, sigma, c: float):
+    """(-m_em c, q^2 / 3c) of the first-order self-force of charges q of
+    radii sigma, m_em = q^2 / (c^2 sigma): the factors of du/ds and of
+    the projected u'' in g."""
+    return -(q * q / (c * c * sigma)) * c, q * q / (3.0 * c)
 
 
 @cache
-def _root_plan(specs, observers, mode=None) -> _RootPlan:
+def _root_plan(specs, observers, mode=None, c: float = 1.0) -> _RootPlan:
     """The roots a system needs at a set of observers (indices into
     specs): one plan per arguments for the life of the process, so every
     evaluation of a system solves the same rows in the same order.
@@ -343,8 +375,9 @@ def _root_plan(specs, observers, mode=None) -> _RootPlan:
     no force, adds the kernel weights: 2 q on the self cone in exact
     mode, q_j on each shell cone, or in asymptotic mode q_j twice on the
     point-limit cone sigma = 0 (the self cone is then the first-order
-    self-force's root, at kernel weight 0). A root shared by several
-    cones (equal radii, the point limit) sums their weights.
+    self-force's root, at kernel weight 0, and the plan holds the
+    constants of g at light speed c). A root shared by several cones
+    (equal radii, the point limit) sums their weights.
     """
     forces = mode is not None
     exact = forces and mode.value == "exact"
@@ -356,18 +389,19 @@ def _root_plan(specs, observers, mode=None) -> _RootPlan:
         kw[1] += w
         return key
 
-    self_keys, own = [], []
+    g_keys, own = [], []  # g_keys: (slot, self root) of each g (asymptotic mode)
     for s, i in enumerate(observers):
         sources = (i, *(j for j in range(len(specs)) if j != i))
         own.append([(j, s, specs[i].sigma) for j in sources])
-        self_keys.append(None)
         for j, first in zip(sources, own[s]):
             q = specs[j].q
             if not q:
                 root(first)
             elif j == i:
-                if forces:
-                    self_keys[s] = root(first, k=2.0 * q if exact else 0.0)
+                if exact:
+                    root(first, k=2.0 * q)
+                elif forces:
+                    g_keys.append((s, first))
                 root(first, w=2.0)
             else:
                 cones = (first, (j, s, specs[j].sigma))
@@ -383,12 +417,13 @@ def _root_plan(specs, observers, mode=None) -> _RootPlan:
     k, w = np.array([rows[key] for key in keys], dtype=np.float64).reshape(-1, 2).T
     obs = np.array(observers, dtype=np.intp)
     q, m0 = np.array([(spec.q, spec.m0) for spec in specs], dtype=np.float64).T
+    g_slot, g_row = np.array([(s, row[key]) for s, key in g_keys], dtype=np.intp).reshape(-1, 2).T
     plan = _RootPlan(
         src, obs[slot], slot, cols[:, 2], k, w,
-        np.array([row.get(key, -1) for key in self_keys], dtype=np.intp),
         np.array([[row[key] for key in o] for o in own], dtype=np.intp),
         np.where(src == obs[slot], -1.0, 1.0), q[src], 4 * slot[:, None] + np.arange(4),
-        q[obs], m0[obs])
+        q[obs], m0[obs], g_slot, g_row,
+        *_self_force_constants(q[obs[g_slot]], cols[g_row, 2], float(c)))
     for x in plan:
         x.flags.writeable = False  # shared by every call with these arguments
     return plan
@@ -400,27 +435,28 @@ def _first_iterates(prev: DelayRoots, events, t) -> np.ndarray:
     observer events, read row for row with no gather: the model step of
     the solver (_model_step) from prev's root, its source moving on
     inertially from its converged event to the new observer event. NaN,
-    so the static guess, where the step is not a finite positive delay."""
+    so the static guess, where the step is not a finite positive delay.
+    solve_delays makes them inside its errstate, so they raise no
+    floating-point warning there."""
     src, c = prev.source, prev.histories[0].c
     tau = t - src.t
     dx = events[:, 1:] - src.r[:, 1:]
     f = (c * tau) ** 2 - _dot(dx, dx) - prev.sigma * prev.sigma
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        step = _model_step(tau, f, dx, src.u, c)[1]
-        return np.where((step > 0.0) & (step < np.inf), step, np.nan)
+    step = _model_step(tau, f, dx, src.u, c)[1]
+    return np.where((step > 0.0) & (step < np.inf), step, np.nan)
 
 
 def _plan_roots(histories, plan: _RootPlan, events, now=None, prev=None) -> DelayRoots:
     """The plan's roots for observer events (one per observer slot) as
     one batch; now, the states of all histories at the observation time,
     is gathered by the solver when not given. With prev, the roots of the
-    same plan on nearby observer events, and now, the batch starts from
-    the first iterates _first_iterates makes from them; without, cold."""
+    same plan on nearby observer events, the batch starts from the first
+    iterates _first_iterates makes from them (solve_delays' seed); without,
+    cold."""
     events, src = events.take(plan.slot, axis=0), plan.src
     if now is not None:
         now = WorldlineSample(now.t[src], now.s[src], now.r.take(src, axis=0), None, None)
-    seed = None if prev is None else _first_iterates(prev, events, now.t)
-    return solve_delays(histories, src, events, plan.sigma, obs=plan.obs, now=now, seed=seed)
+    return solve_delays(histories, src, events, plan.sigma, obs=plan.obs, now=now, seed=prev)
 
 
 def _per_slot(plan: _RootPlan, terms, n: int) -> np.ndarray:

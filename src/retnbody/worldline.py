@@ -49,6 +49,12 @@ store and then evaluates all M states in one broadcasting pass
 grows with the log of the store's length and no more.
 states_at and state_at_time are the same lookup for one history, and
 u_dotdot(histories, src, ts) (u'' for the asymptotic self-force) too.
+A delay-root batch reads its events through _read, the same lookup
+handing back the segment each state was read from (_Segment: its two
+node rows and du/dt there). A later iterate strictly inside that
+segment is read off its rows with no lookup, and so is u'' at an event
+strictly inside one (_read_udotdot); u_dotdot looks up only an event on
+a node or before the first node. Both give the bits of a fresh lookup.
 
 write_table and read_table hold the one CSV table format of the package:
 every table it writes goes through write_table, and every table it reads
@@ -62,6 +68,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -162,16 +169,30 @@ class ParticleSpec:
             raise ValueError("charge must be finite")
 
 
-@dataclass(frozen=True)
-class WorldlineSample:
+class WorldlineSample(NamedTuple):
     """One node (t, s, r, u, a), or M of them as stacked arrays (what a
-    gather returns); checked where it enters a history."""
+    gather returns); checked where it enters a history. Immutable, and
+    built as a tuple is: a gather builds one per call."""
 
     t: float
     s: float
     r: np.ndarray
     u: np.ndarray
     a: np.ndarray
+
+
+class _Segment(NamedTuple):
+    """The segment each of M states was read from (_evaluate with keep):
+    its nodes (t0, p) and (t1, q), p and q rows of _nodes, and du/dt at
+    the state. A state not read strictly inside a segment (on a node, or
+    before the first node) has an empty one, t1 = t0, which serves no
+    later read."""
+
+    t0: np.ndarray
+    p: np.ndarray
+    t1: np.ndarray
+    q: np.ndarray
+    du: np.ndarray
 
 
 def _sample_row(sample: WorldlineSample) -> np.ndarray:
@@ -353,10 +374,11 @@ class HistoryBank:
         m = len(i)
         return t[:m], rows[:m], t[m:], rows[m:]
 
-    def _states(self, slot, ts) -> WorldlineSample:
-        """States of the slots slot (one, or one per time) at times ts."""
+    def _states(self, slot, ts, keep: bool = False):
+        """States of the slots slot (one, or one per time) at times ts
+        (with keep, and their segments: see _evaluate)."""
         self._present(slot, ts)
-        return _evaluate(ts, *self._lookup(slot, self._index(slot, ts)), self.c)
+        return _evaluate(ts, *self._lookup(slot, self._index(slot, ts)), self.c, keep)
 
     def _present(self, slot, ts, at_latest: bool = False) -> None:
         """Raise QueryBeyondPresent for the first query time, in request
@@ -656,6 +678,31 @@ def gather(histories, src, ts) -> WorldlineSample:
     return bank._states(slots[src], np.asarray(ts, dtype=np.float64).reshape(-1))
 
 
+def _read(histories, src, ts, kept=None):
+    """gather(histories, src, ts) for a caller that reads the same events
+    again, as (states, segment): segment the _Segment each state was read
+    from. histories is a tuple, src one source per time and ts a float
+    array. kept, the segment of the same rows' last read, is consumed: a
+    time strictly inside its row's segment there is read from that
+    segment's rows with no lookup, since a lookup would find the same two
+    nodes; only the other times are looked up, as gather looks them up
+    and raising as it raises."""
+    if kept is not None:
+        t0, p, t1, q, _ = kept
+        fresh = ~((t0 < ts) & (ts < t1))
+        n = np.count_nonzero(fresh)
+        if not n:
+            return _evaluate(ts, t0, p, t1, q, histories[0].c, keep=True)
+        if n < len(ts):
+            bank, slots = _store_of(histories)
+            slot, at = slots[src[fresh]], ts[fresh]
+            bank._present(slot, at)
+            t0[fresh], p[fresh], t1[fresh], q[fresh] = bank._lookup(slot, bank._index(slot, at))
+            return _evaluate(ts, t0, p, t1, q, bank.c, keep=True)
+    bank, slots = _store_of(histories)
+    return bank._states(slots[src], ts, keep=True)
+
+
 def u_dotdot(histories, src, ts) -> np.ndarray:
     """d^2 u / ds^2 of the interpolated u of histories[src[m]] at ts[m]
     for every m, (M, 4), from the nodes gather's key lookup finds.
@@ -685,20 +732,43 @@ def u_dotdot(histories, src, ts) -> np.ndarray:
     return out
 
 
-def _evaluate(t, t0, p, t1, q, c: float) -> WorldlineSample:
+def _read_udotdot(histories, src, t, u, segment) -> np.ndarray:
+    """u_dotdot(histories, src, t) of states _read read at times t, u
+    their u and segment their _Segment: a state read strictly inside its
+    segment takes u'' from that segment's rows and the u and du/dt read
+    there, with no lookup and the bits of u_dotdot's; u_dotdot looks up
+    only the others (a state on a node or before the first node)."""
+    t0, p, t1, q, du = segment
+    inside = t0 < t
+    n = np.count_nonzero(inside)
+    c = histories[0].c
+    if n == len(t):
+        return _segment_udotdot(t, t0, p, t1, q, c, u, du)
+    if not n:
+        return u_dotdot(histories, src, t)
+    out = np.empty((len(t), 4))
+    out[inside] = _segment_udotdot(*(x[inside] for x in (t, t0, p, t1, q)), c,
+                                   u[inside], du[inside])
+    out[~inside] = u_dotdot(histories, src[~inside], t[~inside])
+    return out
+
+
+def _evaluate(t, t0, p, t1, q, c: float, keep: bool = False):
     """The one interpolation formula: states at times t from the node
     (t0, p) at or before each time and the node (t1, q) after it, as node
     rows of _nodes. A time on a node returns that node, a time before
     the first node its inertial extension, any other the cubic Hermite
-    interpolant of the segment, with a from the derivative of u."""
+    interpolant of the segment, with a from the derivative of u. With
+    keep, (states, segment): segment the _Segment each state was read
+    from (for _read)."""
     seg = t > t0
     n_seg = np.count_nonzero(seg)
     if n_seg == len(t):
-        y, a = _segment(t, t0, p, t1, q, c)
+        y, a, du = _segment(t, t0, p, t1, q, c)
     else:
         y, a = p[:, _Y].copy(), p[:, _A].copy()
         if n_seg:
-            y[seg], a[seg] = _segment(t[seg], t0[seg], p[seg], t1[seg], q[seg], c)
+            y[seg], a[seg], du_seg = _segment(t[seg], t0[seg], p[seg], t1[seg], q[seg], c)
         pre = t < t0
         if np.count_nonzero(pre):
             # inertial extension of the first node
@@ -707,13 +777,21 @@ def _evaluate(t, t0, p, t1, q, c: float) -> WorldlineSample:
             y[pre, _R] = pp[:, _R] + v[:, None] * pp[:, _U] * dt[:, None]
             y[pre, _S] = pp[:, _S] + v * dt
             a[pre] = 0.0
+        if keep:
+            # a state read on a node or before the first keeps an empty
+            # segment: the row after a latest node is no node of its history
+            du = np.zeros((len(t), 4))
+            if n_seg:
+                du[seg] = du_seg
+            t1 = np.where(seg, t1, t0)
     r = y[:, _R]
     r[:, 0] = c * t
-    return WorldlineSample(t=t, s=y[:, _S], r=r, u=y[:, _U], a=a)
+    out = WorldlineSample(t, y[:, _S], r, y[:, _U], a)
+    return (out, _Segment(t0, p, t1, q, du)) if keep else out
 
 
 def _segment(t, t0, p, t1, q, c: float):
-    """(s, r, u) as one (M, 9) block and a of times inside segments."""
+    """(s, r, u) as one (M, 9) block, a and du/dt of times inside segments."""
     h = t1 - t0
     x = (t - t0) / h
     # one segment's basis weights are plain floats: the same arithmetic
@@ -722,21 +800,24 @@ def _segment(t, t0, p, t1, q, c: float):
     w, d = _weights(h, x)
     y = _combine(w, p[:, _Y], p[:, _DY], q[:, _Y], q[:, _DY])
     du = _combine(d, p[:, _U], p[:, _DU], q[:, _U], q[:, _DU])
-    return y, (y[:, _U.start, None] / c) * du
+    return y, (y[:, _U.start, None] / c) * du, du
 
 
-def _segment_udotdot(t, t0, p, t1, q, c) -> np.ndarray:
-    """d^2 u / ds^2 of the u-interpolant at times inside segments, (M, 4)."""
+def _segment_udotdot(t, t0, p, t1, q, c, u=None, du=None) -> np.ndarray:
+    """d^2 u / ds^2 of the u-interpolant at times inside segments, (M, 4):
+    the one u'' formula. u and du/dt at the times are interpolated unless
+    given (as _segment reads them, so with the same bits)."""
     h = t1 - t0
     hx = (h[:, None], ((t - t0) / h)[:, None])
-    w, d = _weights(*hx)
     y = (p[:, _U], p[:, _DU], q[:, _U], q[:, _DU])
-    du, ddu = _combine(d, *y), _hermite_dd(*y, *hx)
+    if du is None:
+        w, d = _weights(*hx)
+        u, du = _combine(w, *(v[:, :1] for v in y)), _combine(d, *y)
     # d/ds = (gamma/c) d/dt applied twice to u, so of the value only u^0
     # is read; float_power squares with C's pow, as a float's ** 2 does
     # (x * x can differ in the last bit)
-    g = _combine(w, *(v[:, :1] for v in y)) / c
-    return np.float_power(g, 2.0) * ddu + g * (du[:, :1] / c) * du
+    g = u[:, :1] / c
+    return np.float_power(g, 2.0) * _hermite_dd(*y, *hx) + g * (du[:, :1] / c) * du
 
 
 class _Stage:

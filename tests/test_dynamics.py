@@ -594,6 +594,8 @@ def test_force_evaluation_call_budget(monkeypatch):
     gather = counted("gather", wl.gather)
     for mod in (wl, ret, fl, dyn):
         monkeypatch.setattr(mod, "gather", gather)
+    # the root iterations gather through retardation._read
+    monkeypatch.setattr(ret, "_read", counted("gather", ret._read))
     monkeypatch.setattr(wl.WorldlineHistory, "state_at_time",
                         counted("state_at_time", wl.WorldlineHistory.state_at_time))
     per_eval = []
@@ -674,9 +676,16 @@ def test_no_force_evaluation_gathers_at_its_own_time(monkeypatch):
         finally:
             inside[0] = False
 
-    real_gather, real_faraday = wl.gather, dyn.total_faraday
+    def read(histories, src, ts, kept=None):
+        # the root iterations' gathers, each time read off a kept segment too
+        if inside[0]:
+            gathered.append(np.asarray(ts, dtype=np.float64).reshape(-1))
+        return real_read(histories, src, ts, kept)
+
+    real_gather, real_read, real_faraday = wl.gather, ret._read, dyn.total_faraday
     for mod in (wl, ret, fl, dyn):
         monkeypatch.setattr(mod, "gather", gather)
+    monkeypatch.setattr(ret, "_read", read)
     monkeypatch.setattr(dyn, "total_faraday", evaluation)
     for _ in range(3):
         t, dt, before = st.t_now, st.dt, len(gathered)
@@ -896,12 +905,12 @@ def assert_steps_on_like(a, b):
 
 
 def seeded_from(seed, roots, prev) -> bool:
-    """Whether roots, solved from the first iterates seed, started from
-    those the roots prev give their observer events
-    (retardation._first_iterates)."""
-    t = roots.events[:, 0] / roots.histories[0].c
-    return seed is not None and np.array_equal(
-        seed, ret._first_iterates(prev, roots.events, t), equal_nan=True)
+    """Whether roots were solved from the first iterates the roots prev
+    give their observer events (retardation._first_iterates): a warm
+    batch is handed prev as its seed, of the same rows, and the solver
+    makes them from it."""
+    return seed is prev and np.array_equal(prev.src, roots.src) and np.array_equal(
+        prev.sigma, roots.sigma)
 
 
 @pytest.mark.parametrize("mode, sigmas", [(SelfForceMode.EXACT, (0.01, 0.012, 0.011)),
@@ -1046,7 +1055,7 @@ def test_a_step_chains_one_plan(monkeypatch, make):
     # order, each neutral source's sigma_i cone included
     st = make()
     n = st.n
-    plan = ret._root_plan(tuple(st.specs), tuple(range(n)), st.mode)
+    plan = ret._root_plan(tuple(st.specs), tuple(range(n)), st.mode, st.c)
     batches, diagnose = count_batches(monkeypatch)
     for _ in range(3):
         step(st)
@@ -1191,12 +1200,12 @@ def test_a_step_makes_at_most_six_gathers_after_the_first(monkeypatch):
     st = curved_pair()
     calls = [0]
 
-    def gather(*args, **kwargs):
+    def read(*args, **kwargs):
         calls[0] += 1
         return real(*args, **kwargs)
 
-    real = ret.gather
-    monkeypatch.setattr(ret, "gather", gather)
+    real = ret._read  # the root iterations' gather
+    monkeypatch.setattr(ret, "_read", read)
     per_step = []
     for _ in range(6):
         calls[0] = 0

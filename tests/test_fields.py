@@ -204,6 +204,56 @@ def test_boosted_uniform_acceleration_self_field_converges_to_the_boosted_closed
     assert np.all(orders >= 2.0), orders
 
 
+def test_hyperbolic_motion_in_a_uniform_field_is_integrated_to_the_closed_form():
+    """The exact-mode equations of motion, stepped, against a closed form
+    once the roots read the integrated history.
+
+    Take c = 1 and hyperbolic motion of proper acceleration alpha along x
+    from rest at t = 0: x*(t) = (c^2 / alpha) (sqrt(1 + (alpha t / c)^2) - 1)
+    and u^1 = alpha t / c. The test of the self-force above gives, at every
+    proper time, the covariant self-force f_self = -(q^2 / (c sigma)) kappa a
+    with kappa = (1 + (alpha sigma / 2 c^2)^2)^(-3/2). A uniform E along x
+    adds (q / c) F u, and in the instantaneous rest frame, where
+    u = (1, 0, 0, 0) and a = (alpha / c^2) (0, 1, 0, 0), the equation of
+    motion m0 c a^mu = f^mu reads along x
+
+        m0 c alpha / c^2 = q E / c - (q^2 / (c sigma)) kappa alpha / c^2,
+
+    both sides the x component of a four-vector that is the same
+    multiple of a at every proper time, since F u and a are. So the
+    hyperbola solves the equations exactly when
+
+        E = (alpha / q) (m0 + (q^2 / (c^2 sigma)) kappa).
+
+    The prehistory is the hyperbola itself, sampled at the step size on
+    [-1, 0], so there is no junction. The run goes to t = 2, past the self
+    delay of about sigma / c = 0.5, so from t = 0.5 on every root reads
+    nodes the integrator wrote. Measured: 1.2e-10 in x and 2.2e-10 in u^1
+    at dt = 0.01, and an observed order of 3.99 between dt = 0.02 and
+    0.01.
+    """
+    from retnbody.dynamics import run, seed
+
+    alpha, q, sigma, c = 0.8, 0.3, 0.5, 1.0
+    kappa = (1.0 + (alpha * sigma / (2.0 * c * c)) ** 2) ** -1.5
+    E = (alpha / q) * (1.0 + (q * q / (c * c * sigma)) * kappa)  # m0 = 1
+    errors = []
+    for dt in (0.02, 0.01):
+        h = uniform_acceleration_history(alpha, q, sigma, c, dt, 0.0)
+        st = seed(prehistories=[h], dt=dt, c=c,
+                  external=fl.ExternalFieldModel.uniform(E=(E, 0.0, 0.0)))
+        run(st, 2.0)
+        tab = st.histories[0].table
+        t = tab[tab[:, 0] > 0.0, 0]
+        assert st.t_now == pytest.approx(2.0) and len(t) == round(2.0 / dt)
+        x_err = np.max(np.abs(tab[tab[:, 0] > 0.0, 3]
+                              - (c * c / alpha) * (np.sqrt(1.0 + (alpha * t / c) ** 2) - 1.0)))
+        u_err = np.max(np.abs(tab[tab[:, 0] > 0.0, 7] - alpha * t / c))
+        errors.append(x_err)
+    assert x_err < 1e-9 and u_err < 1e-9, (x_err, u_err)
+    assert np.log2(errors[0] / errors[1]) >= 3.5, errors
+
+
 class TestBinaryFaraday:
     def test_zero_source_charge(self):
         h = static_history([2.0, 0.0, 0.0], q=0.0)
@@ -329,7 +379,7 @@ class TestTotalFaraday:
                                 -10.0, 2.0, 25)
         f, (plan, roots), bound = total_force([h], present([h], 1.0),
                                               fl.ExternalFieldModel.none())
-        assert f.shape == (1, 4) and plan.self_row.tolist() == [0] and roots.t_ret.shape == (1,)
+        assert f.shape == (1, 4) and plan.sign.tolist() == [-1.0] and roots.t_ret.shape == (1,)
         assert np.max(np.abs(f)) <= 1e-13
         assert np.all(np.abs(f - single_term_force([h], 1.0)[0]) <= bound)
 

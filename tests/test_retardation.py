@@ -35,6 +35,21 @@ def stub_gather(histories, src, ts):
     return wl.WorldlineSample(ts, np.array([x.s for x in states], dtype=np.float64), r, u, a)
 
 
+def stub_read(histories, src, ts, kept=None):
+    """Stand-in for retardation._read (the solver's gather) over the same
+    stub sources: their states, each with an empty segment (t1 = t0), so
+    no later iterate is read off it."""
+    states = stub_gather(histories, src, ts)
+    rows = np.zeros((len(states.t), wl._WIDTH))
+    return states, wl._Segment(states.t, rows, states.t, rows, np.zeros((len(states.t), 4)))
+
+
+def stub_sources(monkeypatch):
+    """Point the solver's gathers at stub sources (stub_gather, stub_read)."""
+    monkeypatch.setattr(ret, "gather", stub_gather)
+    monkeypatch.setattr(ret, "_read", stub_read)
+
+
 def bisect_oracle(obs_x3, src_pos_fn, t_obs, sigma, c=1.0, lo=0.0, hi=64.0):
     """Independent bracketing bisection on the squared delay equation."""
     def F(tau):
@@ -98,7 +113,7 @@ class TestSelfDelay:
                                           u=np.array([1.0, 0, 0, 0]),
                                           a=np.zeros(4))
 
-        monkeypatch.setattr(ret, "gather", stub_gather)
+        stub_sources(monkeypatch)
         with pytest.raises(ret.NoConvergence):
             ret.self_delay(Chasing(), 0.0, sigma=0.5)
 
@@ -264,7 +279,7 @@ class TestPairDelay:
                                           u=np.array([self.g, self.g * beta, 0, 0]),
                                           a=np.zeros(4))
 
-        monkeypatch.setattr(ret, "gather", stub_gather)
+        stub_sources(monkeypatch)
         root = ret.solve_delays((Misreporting(),), 0, np.zeros(4), 0.5, seed=seed).root(0)
         assert root.t_ret == pytest.approx(np.sqrt(4.25), abs=1e-11)
 
@@ -390,6 +405,12 @@ def test_first_iterates_fall_back_to_the_static_guess_row_by_row(monkeypatch):
     cold = ret._plan_roots(hs, plan, now_b.r, now_b)
     # each row starts off the same row of prev, 0.01 earlier
     assert np.all(np.abs(ret._first_iterates(prev, events, t) - cold.t_ret) < 1e-4)
+    # a batch handed prev as its seed makes those first iterates itself
+    warm = ret._plan_roots(hs, plan, now_b.r, now_b, prev)
+    seeded = ret.solve_delays(hs, plan.src, events, plan.sigma, obs=plan.obs,
+                              now=ret.gather(hs, plan.src, t),
+                              seed=ret._first_iterates(prev, events, t))
+    assert warm.t_ret.tobytes() == seeded.t_ret.tobytes()
 
     # a model step that is negative, NaN or infinite falls back
     def model_step(*args):
@@ -407,14 +428,14 @@ def test_first_iterates_fall_back_to_the_static_guess_row_by_row(monkeypatch):
     # and every root is the cold batch's to its tolerance
     first = []
 
-    def gather(histories, src, ts):
+    def read(histories, src, ts, kept=None):
         first.append(np.array(ts))
-        return real_gather(histories, src, ts)
+        return real_read(histories, src, ts, kept)
 
-    real_gather = ret.gather
-    monkeypatch.setattr(ret, "gather", gather)
+    real_read = ret._read
+    monkeypatch.setattr(ret, "_read", read)
     roots = ret.solve_delays(hs, plan.src, events, plan.sigma, obs=plan.obs,
-                             now=real_gather(hs, plan.src, t), seed=seeds)
+                             now=ret.gather(hs, plan.src, t), seed=seeds)
     d = events[:, 1:] - now_b.r[plan.src, 1:]
     static = np.sqrt(ret._dot(d, d) + plan.sigma * plan.sigma) / hs[0].c
     assert np.array_equal(first[0], t - np.where(np.isnan(seeds), static, seeds))
@@ -471,6 +492,19 @@ def test_root_plan_caches_its_per_system_constants(specs, observers, mode):
     assert np.array_equal(plan.bins, [[4 * s + mu for mu in range(4)] for s in plan.slot])
     assert np.array_equal(plan.obs_q, [specs[i].q for i in observers])
     assert np.array_equal(plan.obs_m0, [specs[i].m0 for i in observers])
+    # in asymptotic mode each charged observer takes g at its self root,
+    # with -m_em c and q^2 / 3c at the plan's light speed
+    asymptotic = mode is SelfForceMode.ASYMPTOTIC
+    assert plan.g_slot.tolist() == [s for s, i in enumerate(observers)
+                                    if asymptotic and specs[i].q]
+    for c in (1.0, 2.0):
+        at_c = ret._root_plan(specs, observers, mode, c)
+        assert np.array_equal(at_c.g_row, plan.g_row)
+        for s, r, em, rad in zip(at_c.g_slot, at_c.g_row, at_c.g_em, at_c.g_rad):
+            spec = specs[observers[s]]
+            assert plan.src[r] == plan.obs[r] == observers[s] and plan.sigma[r] == spec.sigma
+            assert em == -(spec.q * spec.q / (c * c * spec.sigma)) * c
+            assert rad == spec.q * spec.q / (3.0 * c)
     # in asymptotic mode a lone charge's self cone carries no kernel weight
     assert any(k != 0.0 for k in plan.k) == (
         mode is SelfForceMode.EXACT or mode is SelfForceMode.ASYMPTOTIC and len(specs) > 1)

@@ -41,3 +41,10 @@ def test_ring_scaling_prints_one_row_per_size():
     rows = [ln.split() for ln in out.splitlines()[1:]]
     assert [r[:2] for r in rows] == [["1", "2"], ["6", "2"]], out
     assert all(float(r[2]) > 0.0 for r in rows)
+
+
+def test_ring_scaling_runs_asymptotic_rings():
+    out = _run("ring_scaling.py", "--mode", "asymptotic", "--sizes", "2", "--steps", "2")
+    rows = [ln.split() for ln in out.splitlines()[1:]]
+    assert [r[:2] for r in rows] == [["2", "2"]], out
+    assert float(rows[0][2]) > 0.0
