@@ -9,8 +9,10 @@ particles are those of ring6. N = 1 is a single self-interacting charge,
 the shape of the certify workload's median step (a one-particle pulse
 step), whose cost is per-call overhead, not physics. --mode picks the
 self-force mode (exact by default; asymptotic reads u'' at every self
-root). Times are raw time.perf_counter readings, not normalised for host
-speed: compare them within one run.
+root). The median and min cover every step; the last column is the first
+step alone, whose root batches start cold. Times are raw
+time.perf_counter readings, not normalised for host speed: compare them
+within one run.
 """
 
 import argparse
@@ -51,7 +53,8 @@ def main():
                     default=SelfForceMode.EXACT.value)
     args = ap.parse_args()
 
-    print(f"{'N':>4} {'steps':>6} {'median ms/step':>15} {'min ms/step':>12}")
+    print(f"{'N':>4} {'steps':>6} {'median ms/step':>15} {'min ms/step':>12} "
+          f"{'first ms':>9}")
     for n in args.sizes:
         st = seed(*ring(n, np.random.default_rng(args.seed)), dt=DT,
                   mode=SelfForceMode(args.mode))
@@ -60,7 +63,8 @@ def main():
             t = time.perf_counter()
             step(st)
             ms.append(1e3 * (time.perf_counter() - t))
-        print(f"{n:>4} {args.steps:>6} {statistics.median(ms):>15.3f} {min(ms):>12.3f}")
+        print(f"{n:>4} {args.steps:>6} {statistics.median(ms):>15.3f} {min(ms):>12.3f} "
+              f"{ms[0]:>9.3f}")
 
 
 if __name__ == "__main__":

@@ -16,14 +16,14 @@ bracket bisects it instead.
 
 Roots are solved in batches. solve_delays runs the iteration on M
 (source, observer event, sigma) requests at once, one worldline gather
-per iteration (worldline._read); a root that meets its tolerance is
-frozen with the event of its last iterate, so its bits do not depend on
-the batch it is in, only on its first iterate. Each root keeps the
-segment its last gather read: a Newton iterate strictly inside it is
-read off its two node rows with no lookup, and the batch hands the
-segments on with its roots (DelayRoots.segment), so the asymptotic
-self-force reads u'' at a self root strictly inside one with no lookup
-either. A cold
+of every row per iteration (worldline._read); a root that meets its
+tolerance keeps its delay, so each later gather reads its event again,
+bit for bit, and its bits do not depend on the batch it is in, only on
+its first iterate. Each root keeps the segment its last gather read: a
+later iterate strictly inside it, a kept root's included, is read off
+its two node rows with no lookup, and the batch hands the segments on
+with its roots (DelayRoots.segment), so the asymptotic self-force reads
+u'' at a self root strictly inside one with no lookup either. A cold
 batch starts every root from the static guess sqrt(d^2 + sigma^2) / c.
 A warm batch (_plan_roots with the roots of the evaluation before, on
 the same plan, handed to the solver as seed) starts each root from the
@@ -197,10 +197,16 @@ def solve_delays(histories, src, events, sigma, obs=-1, now=None,
     events, whose model steps (_first_iterates) then give them inside
     the solver's one errstate. Whatever the first iterate, the bracket,
     the tolerance and the iteration budget are the same, and every root
-    is checked on a gather of its own last iterate. An iterate strictly
-    inside the segment its root's last gather read is read from that
-    segment's rows with no lookup (worldline._read), with the bits of a
-    gather; the roots keep the segment of their last gather (segment).
+    is checked on a gather of its own last iterate.
+
+    Every iteration gathers every row. A root that meets its tolerance
+    keeps its delay, so later gathers read its event again, bit for bit;
+    the iteration stops once every root meets it, and after MAX_ITER
+    gathers raises NoConvergence naming the first root, in request
+    order, that does not. An iterate strictly inside the segment its
+    root's last gather read is read from that segment's rows with no
+    lookup (worldline._read), with the bits of a gather; the roots keep
+    the segment of their last gather (segment).
     """
     hs = tuple(histories)
     events = np.asarray(events, dtype=np.float64).reshape(-1, 4)
@@ -214,26 +220,8 @@ def solve_delays(histories, src, events, sigma, obs=-1, now=None,
     d2 = _dot(d0, d0)
     sig2 = sigma * sigma
     tol = root_tolerance(d2, sigma)
-    # the delay, residual, source event and segment of each root, filled
-    # as roots converge, or the last gather's when every root converges on it
-    t_ret = res = columns = source = segment = None
-
-    def fill(k, tau_k, res_k, cols):
-        nonlocal t_ret, res, columns
-        if t_ret is None:
-            t_ret, res = np.zeros(m), np.zeros(m)
-            columns = [np.zeros((m, *x.shape[1:])) for x in cols]
-        t_ret[k], res[k] = tau_k, res_k
-        for column, x in zip(columns, cols):
-            column[k] = x
-
-    # the roots still iterating, in request order, and their data
-    # compacted: source, t_obs, x_obs, sigma^2, tolerance, iterate, the
-    # segment of the last gather and the bracket f(lo) < 0 < f(hi), where
-    # f(0) = -d^2 - sigma^2 <= 0: made once a root needs a step, (0, inf)
-    # before
-    live = np.arange(m)
-    l_src, l_t, l_x, l_sig2, l_tol = src, now.t, obs_x, sig2, tol
+    # the bracket f(lo) < 0 < f(hi), where f(0) = -d^2 - sigma^2 <= 0: made
+    # once a root needs a step, (0, inf) before
     lo = hi = seg = None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # the first iterates: the static guess, made only where a root has no seed
@@ -246,52 +234,27 @@ def solve_delays(histories, src, events, sigma, obs=-1, now=None,
             if np.count_nonzero(static):
                 tau = np.where(static, np.sqrt(d2 + sig2) / c, tau)
         for _ in range(MAX_ITER):
-            if not live.size:
+            ev, seg = _read(hs, src, now.t - tau, seg)
+            dx = obs_x - ev.r[:, 1:]
+            f = (c * tau) ** 2 - _dot(dx, dx) - sig2
+            res = np.abs(f)
+            done = res <= tol  # False for a NaN residual
+            if np.count_nonzero(done) == m:
                 break
-            ev, seg = _read(hs, l_src, l_t - tau, seg)
-            u = ev.u
-            dx = l_x - ev.r[:, 1:]
-            f = (c * tau) ** 2 - _dot(dx, dx) - l_sig2
-            res_f = np.abs(f)
-            done = res_f <= l_tol
-            n_done = np.count_nonzero(done)
-            # three exits and a lazy fill, not one scatter: one scatter made steps 5-10% slower
-            if n_done == m:
-                # every root at once, in request order
-                t_ret, res, source, segment = tau, res_f, ev, seg
-                live = live[:0]
-                break
-            if n_done == len(live):
-                fill(live, tau, res_f, (*ev, *seg))
-                live = live[:0]
-                break
-            if n_done:
-                fill(live[done], tau[done], res_f[done], [x[done] for x in (*ev, *seg)])
-                go = ~done
-                live, f, dx, u, l_src, l_t, l_x, l_sig2, l_tol, tau = [
-                    x[go] for x in (live, f, dx, u, l_src, l_t, l_x, l_sig2, l_tol, tau)]
-                seg = _Segment(*[x[go] for x in seg])
-                if lo is not None:
-                    lo, hi = lo[go], hi[go]
             below = f < 0.0
             lo = np.where(below, tau, 0.0 if lo is None else lo)
             hi = np.where(below, np.inf if hi is None else hi, tau)
             # Newton step on f's model for a source moving on inertially
             # from this event (_model_step). A step outside (lo, hi), or
             # with no positive denominator, bisects.
-            den, step = _model_step(tau, f, dx, u, c)
-            tau = np.where((den > 0.0) & (lo < step) & (step < hi), step, 0.5 * (lo + hi))
-    if t_ret is None:  # no root converged
-        t_ret, res = np.zeros(m), np.zeros(m)
-        source = WorldlineSample(*np.zeros((2, m)), *np.zeros((3, m, 4)))
-    elif source is None:
-        source, segment = WorldlineSample(*columns[:5]), _Segment(*columns[5:])
-    roots = DelayRoots(hs, src, obs, events, sigma, t_ret, now.s - source.s, source, res,
-                       segment)
-    if live.size:
+            den, step = _model_step(tau, f, dx, ev.u, c)
+            ok = (den > 0.0) & (lo < step) & (step < hi)
+            tau = np.where(done, tau, np.where(ok, step, 0.5 * (lo + hi)))
+    roots = DelayRoots(hs, src, obs, events, sigma, tau, now.s - ev.s, ev, res, seg)
+    if np.count_nonzero(done) < m:
+        k = int(np.argmin(done))
         raise roots.fail(NoConvergence, f"delay iteration exhausted {MAX_ITER} "
-                         f"evaluations with residual {abs(f[0]):.3e} > "
-                         f"{tol[live[0]]:.3e}", live[0])
+                         f"evaluations with residual {res[k]:.3e} > {tol[k]:.3e}", k)
     return roots
 
 

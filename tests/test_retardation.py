@@ -192,27 +192,46 @@ def grid_batch(cases):
                             [sigma for _, _, sigma in cases], obs=obs)
 
 
-def _same_root(batch, m, root):
-    src = batch.source
-    return (batch.t_ret[m] == root.t_ret and batch.s_ret[m] == root.s_ret
-            and batch.residual[m] == root.residual and src.t[m] == root.source_event.t
-            and src.s[m] == root.source_event.s
-            and all(np.array_equal(getattr(src, k)[m], getattr(root.source_event, k))
-                    for k in ("r", "u", "a")))
+def _solo(call):
+    """The one-root batch a self_delay or pair_delay call solves."""
+    batches = []
+
+    def recorded(*args, **kwargs):
+        batches.append(solve(*args, **kwargs))
+        return batches[-1]
+
+    solve = ret.solve_delays
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ret, "solve_delays", recorded)
+        call()
+    [batch] = batches
+    return batch
+
+
+def _same_root(batch, m, other, k=0):
+    """Row m of batch has the bits of row k of other: its delay, retarded
+    s, residual, source event and the segment that event was read from."""
+    def bits(roots, i):
+        return [np.asarray(x[i]).tobytes() for x in (
+            roots.t_ret, roots.s_ret, roots.residual, *roots.source, *roots.segment)]
+
+    return bits(batch, m) == bits(other, k)
 
 
 def test_grid_as_one_batch_matches_one_root_solves_bit_for_bit():
+    # the batch's roots converge on different reads, each kept root read
+    # again while the others iterate, and keep a one-root solve's bits
     batch = grid_batch(_SOLVABLE)
     for m, case in enumerate(_SOLVABLE):
         call, oracle = grid_case(*case)
-        assert _same_root(batch, m, call())
+        assert _same_root(batch, m, _solo(call))
         tau = batch.t_ret[m]
         assert abs(tau - oracle) <= 1e-10 * (1.0 + tau)
     # a root's bits do not depend on its place in the batch
     perm = np.random.default_rng(3).permutation(len(_SOLVABLE))
     shuffled = grid_batch([_SOLVABLE[k] for k in perm])
     for m, k in enumerate(perm):
-        assert _same_root(shuffled, m, batch.root(k))
+        assert _same_root(shuffled, m, batch, k)
 
 
 def test_unordered_batch_over_shared_sources_matches_one_root_solves():
@@ -225,7 +244,14 @@ def test_unordered_batch_over_shared_sources_matches_one_root_solves():
         sigmas = [0.5 + 0.1 * m for m in range(len(src))]
         batch = ret.solve_delays(hs, src, events, sigmas)
         for m, (j, event, sigma) in enumerate(zip(src, events, sigmas)):
-            assert _same_root(batch, m, ret.pair_delay(hs[j], event, sigma))
+            assert _same_root(batch, m, _solo(partial(ret.pair_delay, hs[j], event, sigma)))
+
+
+def test_an_empty_batch_solves_to_no_roots():
+    hs = wl.copy_histories([static_history([0.0, 0.0, 0.0])])
+    roots = ret.solve_delays(hs, np.zeros(0, dtype=np.intp), np.zeros((0, 4)), np.zeros(0))
+    assert roots.t_ret.shape == roots.residual.shape == (0,)
+    assert roots.source.r.shape == (0, 4) and len(roots.segment.t0) == 0
 
 
 def test_grid_roots_below_the_noise_fail_in_their_own_batch():

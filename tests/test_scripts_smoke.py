@@ -40,11 +40,14 @@ def test_ring_scaling_prints_one_row_per_size():
     out = _run("ring_scaling.py", "--sizes", "1", "6", "--steps", "2")
     rows = [ln.split() for ln in out.splitlines()[1:]]
     assert [r[:2] for r in rows] == [["1", "2"], ["6", "2"]], out
-    assert all(float(r[2]) > 0.0 for r in rows)
+    assert out.splitlines()[0].split()[-2:] == ["first", "ms"], out
+    assert all(len(r) == 5 for r in rows), out
+    # median, min and the first step's ms: the min covers the first step too
+    assert all(float(r[2]) > 0.0 and float(r[4]) >= float(r[3]) > 0.0 for r in rows)
 
 
 def test_ring_scaling_runs_asymptotic_rings():
     out = _run("ring_scaling.py", "--mode", "asymptotic", "--sizes", "2", "--steps", "2")
     rows = [ln.split() for ln in out.splitlines()[1:]]
     assert [r[:2] for r in rows] == [["2", "2"]], out
-    assert float(rows[0][2]) > 0.0
+    assert len(rows[0]) == 5 and float(rows[0][4]) >= float(rows[0][3]) > 0.0

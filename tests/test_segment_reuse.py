@@ -255,21 +255,25 @@ def test_g_inside_the_step_is_the_reference_bit_for_bit(monkeypatch, n):
 @pytest.mark.parametrize("n", [2, 6])
 def test_g_of_roots_converging_on_different_iterations_is_the_reference(monkeypatch, n):
     # the first particle is at rest, so its self root converges on its
-    # static guess; the others need Newton steps, so the roots are filled
-    # in as they converge
+    # static guess; the others need Newton steps, so that root is read
+    # again at its kept delay while they iterate
     hs = _system(n, -3.0, 1.0, period=0.9)
     rest = wl.inertial_history(hs[0].spec, hs[0].table[0, 3:6], np.zeros(3), -3.0, 1.0, 65)
     hs = wl.copy_histories([rest, *hs[1:]])
     reads = []
 
     def read(histories, src, ts, kept=None):
-        reads.append(len(ts))
+        reads.append(ts.copy())
         return real_read(histories, src, ts, kept)
 
     real_read = ret._read
     monkeypatch.setattr(ret, "_read", read)
     roots, rows, g, want, _ = _g_of(monkeypatch, hs, _present(hs, 0.93))
-    assert reads[0] > reads[1] > 0  # some roots left the batch before others
+    [own] = rows[roots.src[rows] == 0]  # the at-rest particle's self root
+    ts = np.array(reads)
+    assert len(ts) >= 2
+    assert np.all(ts[:, own] == ts[0, own])  # converged on the first read
+    assert np.count_nonzero(ts[1:] != ts[:-1])  # other roots still iterated
     assert kinds(roots, rows) == ["inside"] * n
     assert g.tobytes() == want.tobytes()
 
