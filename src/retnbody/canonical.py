@@ -29,6 +29,16 @@ the algebra closes as
 other self-consistent orientation). One check covers both: relabeling M
 as s M with closure sign s multiplies each [M, p] relation by s and each
 [M, M] relation by s^2 = 1, so every residual keeps its magnitude.
+
+Stacks of states: a CanonicalState may hold one state, r and P of shape
+(N, 4), or a stack of them, (..., N, 4). A phase function that takes
+stacks evaluates one to one value per state, shape (...), and
+differentiates it to one gradient pair per state, each (..., N, 4). The
+Poincare generators do (H_N takes one state at a time), so the bracket
+engine (bracket_matrix), the closure check (lorentz_condition_residuals)
+and the Jacobi pass of check_bracket_algebra take a whole stack in one
+array pass, and each state's results carry the bits a single-state call
+gives it.
 """
 
 from __future__ import annotations
@@ -67,7 +77,8 @@ class NumericalNoise(Exception):
 
 @dataclass(frozen=True)
 class CanonicalState:
-    """Super-abundant N-body state: r (N,4) contravariant, P (N,4) covariant."""
+    """Super-abundant N-body state: r (N,4) contravariant, P (N,4) covariant,
+    or a stack of such states, r and P of shape (..., N, 4)."""
 
     r: np.ndarray
     P: np.ndarray
@@ -75,8 +86,8 @@ class CanonicalState:
     def __post_init__(self):
         r = np.atleast_2d(np.asarray(self.r, dtype=np.float64))
         P = np.atleast_2d(np.asarray(self.P, dtype=np.float64))
-        if r.shape != P.shape or r.shape[1] != 4:
-            raise ValueError(f"state needs matching (N,4) blocks, got {r.shape} / {P.shape}")
+        if r.shape != P.shape or r.shape[-1] != 4:
+            raise ValueError(f"state needs matching (..., N, 4) blocks, got {r.shape} / {P.shape}")
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(P))):
             raise ValueError("state components must be finite")
         object.__setattr__(self, "r", r)
@@ -84,7 +95,7 @@ class CanonicalState:
 
     @property
     def n(self) -> int:
-        return self.r.shape[0]
+        return self.r.shape[-2]
 
     def replace(self, r=None, P=None) -> "CanonicalState":
         return CanonicalState(self.r if r is None else r,
@@ -96,13 +107,17 @@ class CanonicalState:
 @dataclass
 class PhaseFunction:
     """Scalar function of the canonical state and its analytic gradient,
-    which returns (dF/dr, dF/dP), each of shape (N,4)."""
+    which returns (dF/dr, dF/dP), each of the state's shape. On a stack of
+    states (..., N, 4) the evaluator returns one value per state, shape
+    (...), and the gradient one (..., N, 4) pair."""
 
     evaluator: object
     gradient: object
 
-    def value(self, x: CanonicalState) -> float:
-        return float(self.evaluator(x))
+    def value(self, x: CanonicalState):
+        """F at a state as a float, or at a stack as an array (...)."""
+        v = self.evaluator(x)
+        return float(v) if np.ndim(v) == 0 else np.asarray(v, dtype=np.float64)
 
     def gradient_at(self, x: CanonicalState):
         gr, gP = self.gradient(x)
@@ -112,7 +127,8 @@ class PhaseFunction:
         def grad(x, a=self, b=other):
             ga_r, ga_P = a.gradient(x)
             gb_r, gb_P = b.gradient(x)
-            va, vb = a.value(x), b.value(x)
+            # each state's value scales its own (N, 4) blocks
+            va, vb = (np.asarray(f.value(x))[..., None, None] for f in (a, b))
             return ga_r * vb + gb_r * va, ga_P * vb + gb_P * va
         return PhaseFunction(lambda x: self.value(x) * other.value(x), grad)
 
@@ -124,39 +140,24 @@ class PhaseFunction:
         return PhaseFunction(lambda x: ca * self.value(x) + cb * other.value(x), grad)
 
 
-def _fd_gradient(fn, x: CanonicalState, step: float):
-    """Central differences (dF/dr, dF/dP) of fn over the 8N slots, each
-    (N, 4, ...) for values of shape (...): element by element
-    (fp - fm) / (2 h), with h = step (1 + |slot|)."""
-    out = []
-    for block, at in ((x.r, lambda b: x.replace(r=b)), (x.P, lambda b: x.replace(P=b))):
-        rows = []
-        for i in range(x.n):
-            for mu in range(4):
-                h = step * (1.0 + abs(block[i, mu]))
-                plus = block.copy()
-                minus = block.copy()
-                plus[i, mu] += h
-                minus[i, mu] -= h
-                fp, fm = np.asarray(fn(at(plus))), np.asarray(fn(at(minus)))
-                rows.append((fp - fm) / (2.0 * h))
-        out.append(np.reshape(rows, (x.n, 4, *rows[0].shape)))
-    return tuple(out)
-
-
 def bracket_matrix(etas, xis, x: CanonicalState) -> np.ndarray:
     """Local brackets [eta_a, xi_b] of two families of phase functions as
-    one (A, B) array, from one gradient per function. Each element is
-    reduced over the 4N slots as a single bracket is, so its bits do not
-    depend on the family it is computed in."""
-    def stack(fns):
-        grads = [f.gradient_at(x) for f in fns]
-        return [np.array([g[k].ravel() for g in grads]) for k in (0, 1)]
-
-    er, eP = stack(etas)
-    xr, xP = stack(xis)
-    return (np.sum(er[:, None] * xP[None], axis=-1)
-            - np.sum(eP[:, None] * xr[None], axis=-1))
+    one (..., A, B) array at x, a state or a stack of states (..., N, 4),
+    from one gradient per distinct function: a function named in both
+    families, or twice in one, is differentiated once. Each element is
+    reduced over its state's 4N slots as a single bracket is, so its bits
+    depend neither on the family nor on the stack it is computed in."""
+    etas, xis = list(etas), list(xis)
+    distinct = {id(f): f for f in etas + xis}  # in order of first appearance
+    row = {key: k for k, key in enumerate(distinct)}
+    flat = x.r.shape[:-2] + (-1,)
+    grads = [f.gradient_at(x) for f in distinct.values()]
+    gr, gP = (np.stack([g[k].reshape(flat) for g in grads], axis=-2) for k in (0, 1))
+    a = [row[id(f)] for f in etas]
+    b = [row[id(f)] for f in xis]
+    er, eP = gr[..., a, None, :], gP[..., a, None, :]
+    xr, xP = gr[..., None, b, :], gP[..., None, b, :]
+    return np.sum(er * xP, axis=-1) - np.sum(eP * xr, axis=-1)
 
 
 def poisson_bracket(eta_fn: PhaseFunction, xi_fn: PhaseFunction,
@@ -165,19 +166,40 @@ def poisson_bracket(eta_fn: PhaseFunction, xi_fn: PhaseFunction,
     return float(bracket_matrix([eta_fn], [xi_fn], x)[0, 0])
 
 
+def _shifted_states(x: CanonicalState, step: float):
+    """The 16N states of a central-difference pass over the 8N slots of
+    the state x (r, then P, particle by particle) as one (2, 8N) stack:
+    [0, k] moves slot k by +h_k and [1, k] by -h_k, h = step (1 + |slot|).
+    Returns the stack and h."""
+    slots = np.concatenate((x.r.ravel(), x.P.ravel()))
+    h = step * (1.0 + np.abs(slots))
+    k = np.arange(len(slots))
+    ys = np.tile(slots, (2, len(slots), 1))
+    ys[0, k, k] += h
+    ys[1, k, k] -= h
+    ys = ys.reshape(2, len(slots), 2, x.n, 4)
+    return CanonicalState(ys[..., 0, :, :], ys[..., 1, :, :]), h
+
+
 def check_bracket_algebra(x: CanonicalState, triples) -> dict:
     """Max residuals of antisymmetry, linearity, Leibniz and Jacobi over
-    the supplied (eta, xi, zeta) triples.
+    the supplied (eta, xi, zeta) triples at the state x.
 
     Per triple, the first three come from one bracket matrix of
     [eta, xi, 2 eta - 3 xi, eta xi] against [eta, xi, zeta]. Jacobi takes
-    the gradients of [eta, xi], [xi, zeta] and [zeta, eta] from one
-    central-difference pass of step JACOBI_FD_STEP over their 3 x 3
-    bracket matrix. Those differences are exact only for brackets at most
-    quadratic in the state, as the Poincare generators' are; a bracket of
-    higher degree reads a truncation error, not a Jacobi violation.
+    the gradients of [eta, xi], [xi, zeta] and [zeta, eta] from central
+    differences of step JACOBI_FD_STEP over their 3 x 3 bracket matrix,
+    (fp - fm) / 2h element by element, with fp and fm from one
+    bracket_matrix call on the stack of x's 16N shifted states
+    (_shifted_states). So each function of a triple must take stacks of
+    states (PhaseFunction), as the Poincare generators do. Those
+    differences are exact only for brackets at most quadratic in the
+    state, as the Poincare generators' are; a bracket of higher degree
+    reads a truncation error, not a Jacobi violation.
     """
     rep = {"antisymmetry": 0.0, "linearity": 0.0, "leibniz": 0.0, "jacobi": 0.0}
+    ys, h = _shifted_states(x, JACOBI_FD_STEP)
+    half = 4 * x.n
     for triple in triples:
         eta_fn, xi_fn, zeta_fn = triple
         B = bracket_matrix([eta_fn, xi_fn, eta_fn.combine(2.0, xi_fn, -3.0),
@@ -188,13 +210,12 @@ def check_bracket_algebra(x: CanonicalState, triples) -> dict:
         leib = B[3][2] - eta_fn.value(x) * B[1][2] - B[0][2] * xi_fn.value(x)
         rep["leibniz"] = max(rep["leibniz"], abs(leib))
 
-        gr, gP = _fd_gradient(lambda y: bracket_matrix(triple, triple, y), x,
-                              JACOBI_FD_STEP)
+        fp, fm = bracket_matrix(triple, triple, ys)
+        d = (fp - fm) / (2.0 * h)[:, None, None]  # (8N, 3, 3): d/dr slots, then d/dP
         jac = 0.0
         for (a, b), outer in zip(((0, 1), (1, 2), (2, 0)), (zeta_fn, eta_fn, xi_fn)):
             o_r, o_P = (g.ravel() for g in outer.gradient_at(x))
-            jac += float(np.sum(gr[..., a, b].ravel() * o_P)
-                         - np.sum(gP[..., a, b].ravel() * o_r))
+            jac += float(np.sum(d[:half, a, b] * o_P) - np.sum(d[half:, a, b] * o_r))
         rep["jacobi"] = max(rep["jacobi"], abs(jac))
     return rep
 
@@ -356,90 +377,89 @@ def hamiltonian_phase_function(ctx: FrozenHistoryContext) -> PhaseFunction:
 
 def _p_hat(mu: int) -> PhaseFunction:
     def ev(x, mu=mu):
-        return float(np.sum(x.P[:, mu]))
+        return np.sum(x.P[..., mu], axis=-1)
 
     def grad(x, mu=mu):
-        gr = np.zeros_like(x.r)
         gP = np.zeros_like(x.P)
-        gP[:, mu] = 1.0
-        return gr, gP
+        gP[..., mu] = 1.0
+        return np.zeros_like(x.r), gP
 
     return PhaseFunction(ev, grad)
 
 
 def _m_hat(mu: int, nu: int) -> PhaseFunction:
     def ev(x, mu=mu, nu=nu):
-        r_low = x.r @ ETA
-        return float(np.sum(r_low[:, mu] * x.P[:, nu] - r_low[:, nu] * x.P[:, mu]))
+        r_low = lower(x.r)
+        return np.sum(r_low[..., mu] * x.P[..., nu] - r_low[..., nu] * x.P[..., mu], axis=-1)
 
     def grad(x, mu=mu, nu=nu):
-        r_low = x.r @ ETA
-        gr = np.zeros_like(x.r)
+        r_low = lower(x.r)
         gP = np.zeros_like(x.P)
-        gr += np.outer(x.P[:, nu], ETA[mu]) - np.outer(x.P[:, mu], ETA[nu])
-        gP[:, nu] += r_low[:, mu]
-        gP[:, mu] -= r_low[:, nu]
-        return gr, gP
+        gP[..., nu] += r_low[..., mu]
+        gP[..., mu] -= r_low[..., nu]
+        return x.P[..., nu, None] * ETA[mu] - x.P[..., mu, None] * ETA[nu], gP
 
     return PhaseFunction(ev, grad)
 
 
 class GeneratorSet:
     """Poincare generators: four translations and six antisymmetric pairs,
-    each a sum over however many particles the state holds."""
+    each a sum over however many particles the state holds, each taking
+    a state or a stack of states."""
 
     def __init__(self):
         self.p_hat = tuple(_p_hat(mu) for mu in range(4))
         self.M_pairs = {(mu, nu): _m_hat(mu, nu) for mu, nu in _IDX_PAIRS}
 
     def M(self, mu: int, nu: int) -> PhaseFunction:
-        """M_mu_nu for mu != nu: a stored pair, or its negative."""
-        if (mu, nu) in self.M_pairs:
-            return self.M_pairs[(mu, nu)]
-        base = self.M_pairs[(nu, mu)]
-        return base.combine(-1.0, base, 0.0)
+        """M_mu_nu for distinct mu, nu in 0..3: a stored pair, or for
+        mu > nu the same expression in the reversed indices, which is
+        -M_nu_mu bit for bit."""
+        if mu == nu or not {mu, nu} <= {0, 1, 2, 3}:
+            raise ValueError(f"M_mu_nu needs distinct indices in 0..3, got {(mu, nu)}")
+        return self.M_pairs[(mu, nu)] if mu < nu else _m_hat(mu, nu)
 
     def translation(self, a_cov) -> PhaseFunction:
         """F = -p^mu a_mu; generates r -> r - a (raised), P unchanged."""
         a_up = raise_index(np.asarray(a_cov, dtype=np.float64))
 
         def ev(x):
-            return -float(np.sum(x.P @ a_up))
+            return -np.sum(x.P @ a_up, axis=-1)
 
         def grad(x):
-            gr = np.zeros_like(x.r)
-            gP = np.tile(-a_up, (x.n, 1))
-            return gr, gP
+            return np.zeros_like(x.r), np.tile(-a_up, (*x.P.shape[:-1], 1))
 
         return PhaseFunction(ev, grad)
 
 
 def lorentz_condition_residuals(state: CanonicalState,
                                 gens: GeneratorSet | None = None) -> dict:
-    """Max residuals of the Poincare closure relations at one state.
+    """Max residuals of the Poincare closure relations at a state, or
+    over a stack of states (..., N, 4), where each equals the largest of
+    the per-state calls' residuals bit for bit.
 
     The relations are checked on {p, M} with the closure signs fixed by
     [r^mu, P_nu] = +delta (module docstring), from one 10 x 10 bracket
-    matrix of the generators compared with the structure constants as
-    arrays.
+    matrix of the generators per state compared with the structure
+    constants as arrays.
     """
     if gens is None:
         gens = GeneratorSet()
     fns = [*gens.p_hat, *(gens.M_pairs[k] for k in _IDX_PAIRS)]
-    vals = np.array([f.value(state) for f in fns])
+    vals = np.stack([np.asarray(f.value(state)) for f in fns], axis=-1)
     G = bracket_matrix(fns, fns, state)
-    p = vals[:4]
+    p = vals[..., :4]
     mu, nu = np.array(_IDX_PAIRS).T
-    M = np.zeros((4, 4))
-    M[mu, nu], M[nu, mu] = vals[4:], -vals[4:]
+    M = np.zeros((*vals.shape[:-1], 4, 4))
+    M[..., mu, nu], M[..., nu, mu] = vals[..., 4:], -vals[..., 4:]
     # [M_mu_nu, p_al] and [M_mu_nu, M_al_be] against the closure in p, M
-    Mp = ETA[mu] * p[nu, None] - ETA[nu] * p[mu, None]
+    Mp = ETA[mu] * p[..., nu, None] - ETA[nu] * p[..., mu, None]
     m, n, a, b = mu[:, None], nu[:, None], mu[None], nu[None]
-    MM = (ETA[m, a] * M[n, b] - ETA[n, a] * M[m, b]
-          + ETA[n, b] * M[m, a] - ETA[m, b] * M[n, a])
-    return {"pp": float(np.max(np.abs(G[:4, :4]))),
-            "Mp": float(np.max(np.abs(G[4:, :4] - Mp))),
-            "MM": float(np.max(np.abs(G[4:, 4:] - MM)))}
+    MM = (ETA[m, a] * M[..., n, b] - ETA[n, a] * M[..., m, b]
+          + ETA[n, b] * M[..., m, a] - ETA[m, b] * M[..., n, a])
+    return {"pp": float(np.max(np.abs(G[..., :4, :4]))),
+            "Mp": float(np.max(np.abs(G[..., 4:, :4] - Mp))),
+            "MM": float(np.max(np.abs(G[..., 4:, 4:] - MM)))}
 
 
 # -- constrained instant form -------------------------------------------------

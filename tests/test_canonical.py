@@ -1,4 +1,6 @@
 import math
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from retnbody.canonical import (
     NumericalNoise,
     PhaseFunction,
     TranslationVariation,
-    _fd_gradient,
     _potentials_and_gradients,
     bracket_matrix,
     check_bracket_algebra,
@@ -31,7 +32,7 @@ from retnbody.canonical import (
     system_hamiltonian,
 )
 from retnbody import retardation as ret
-from retnbody import dynamics
+from retnbody import dynamics, harness
 from retnbody.fields import ExternalFieldModel
 from retnbody.minkowski import ETA, dot, lower, raise_index
 from retnbody.worldline import (
@@ -42,15 +43,17 @@ from retnbody.worldline import (
     inertial_history,
 )
 
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+
 
 def coord_fn(block: str, i: int, mu: int) -> PhaseFunction:
     def ev(x):
-        return float(getattr(x, block)[i, mu])
+        return getattr(x, block)[..., i, mu]
 
     def grad(x):
         gr = np.zeros_like(x.r)
         gP = np.zeros_like(x.P)
-        (gr if block == "r" else gP)[i, mu] = 1.0
+        (gr if block == "r" else gP)[..., i, mu] = 1.0
         return gr, gP
 
     return PhaseFunction(ev, grad)
@@ -73,7 +76,7 @@ def boost_generator(b_upper) -> PhaseFunction:
     etab = ETA @ b
 
     def ev(x):
-        return float(np.sum((x.r @ etab) * x.P))
+        return np.sum((x.r @ etab) * x.P, axis=(-2, -1))
 
     def grad(x):
         gr = x.P @ etab.T
@@ -85,6 +88,27 @@ def boost_generator(b_upper) -> PhaseFunction:
 
 # step of the central differences the analytic gradients are checked against
 FD_STEP = 1e-6
+
+
+def _fd_gradient(fn, x: CanonicalState, step: float):
+    """Central differences (dF/dr, dF/dP) of a scalar phase function over
+    the 8N slots of a state, or of each state of a stack, each of the
+    state's shape: element by element (fp - fm) / (2 h), with
+    h = step (1 + |slot|)."""
+    out = []
+    for block, at in ((x.r, lambda b: x.replace(r=b)), (x.P, lambda b: x.replace(P=b))):
+        grad = np.zeros_like(block)
+        for i in range(x.n):
+            for mu in range(4):
+                h = step * (1.0 + np.abs(block[..., i, mu]))
+                plus = block.copy()
+                minus = block.copy()
+                plus[..., i, mu] += h
+                minus[..., i, mu] -= h
+                fp, fm = np.asarray(fn(at(plus))), np.asarray(fn(at(minus)))
+                grad[..., i, mu] = (fp - fm) / (2.0 * h)
+        out.append(grad)
+    return tuple(out)
 
 
 def gradient_selftest(f: PhaseFunction, x: CanonicalState, rtol: float = 1e-6) -> float:
@@ -261,7 +285,7 @@ def test_bracket_matrix_elements_are_single_brackets_bit_for_bit(n):
     b[1, 3], b[3, 1] = -0.8, 0.8
 
     def ev(y):
-        return float(np.sum(y.r[:, 1] * y.P[:, 0] ** 2))
+        return np.sum(y.r[..., 1] * y.P[..., 0] ** 2, axis=-1)
 
     fd = PhaseFunction(ev, lambda y: _fd_gradient(ev, y, FD_STEP))
     etas = [gens.p_hat[0], gens.M_pairs[(0, 1)], coord_fn("r", n - 1, 2),
@@ -330,7 +354,7 @@ def test_bracket_algebra_matches_the_scalar_loop_bit_for_bit(n):
     b[2, 3], b[3, 2] = -0.4, 0.4
 
     def ev(y):
-        return float(np.sum(y.r[:, 2] * y.P[:, 1]))
+        return np.sum(y.r[..., 2] * y.P[..., 1], axis=-1)
 
     fd = PhaseFunction(ev, lambda y: _fd_gradient(ev, y, FD_STEP))
     triples = [
@@ -352,10 +376,10 @@ def test_jacobi_detects_a_field_that_is_not_a_gradient():
     # staying exactly antisymmetric
     def grad(y):
         gP = np.zeros_like(y.P)
-        gP[0, 0] = y.r[0, 1]
+        gP[..., 0, 0] = y.r[..., 0, 1]
         return np.zeros_like(y.r), gP
 
-    bad = PhaseFunction(lambda y: 0.0, grad)
+    bad = PhaseFunction(lambda y: np.zeros(y.r.shape[:-2]), grad)
     gens = GeneratorSet()
     rng = np.random.default_rng(37)
     x = random_state(rng, 2)
@@ -365,6 +389,97 @@ def test_jacobi_detects_a_field_that_is_not_a_gradient():
     # the same check on a true gradient stays at round-off
     good = check_bracket_algebra(x, [(gens.M(0, 1), coord_fn("P", 0, 1), coord_fn("r", 0, 0))])
     assert good["jacobi"] < 1e-10, good
+
+
+def test_M_names_an_index_pair_it_cannot_build():
+    gens = GeneratorSet()
+    with pytest.raises(ValueError, match=r"\(0, 0\)"):
+        gens.M(0, 0)
+    with pytest.raises(ValueError, match=r"\(4, 1\)"):
+        gens.M(4, 1)
+    with pytest.raises(ValueError, match=r"\(-1, 2\)"):
+        gens.M(-1, 2)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_a_stack_of_states_gives_each_state_its_single_state_bits(n):
+    rng = np.random.default_rng(300 + n)
+    gens = GeneratorSet()
+    b = np.zeros((4, 4))
+    b[0, 3], b[3, 0] = 0.5, -0.5
+    b[1, 2], b[2, 1] = -0.9, 0.9
+
+    def ev(y):
+        return np.sum(y.r[..., 3] * y.P[..., 2] ** 2, axis=-1)
+
+    fd = PhaseFunction(ev, lambda y: _fd_gradient(ev, y, FD_STEP))
+    fns = [*gens.p_hat, *gens.M_pairs.values(), gens.M(2, 0), gens.translation([0.4, -0.2, 0.7, 0.1]),
+           boost_generator(b), coord_fn("P", n - 1, 1), fd]
+    xs = CanonicalState(rng.normal(0.0, 2.0, (3, 2, n, 4)), rng.normal(0.0, 1.5, (3, 2, n, 4)))
+    got = bracket_matrix(fns[:12], fns[5:], xs)
+    assert got.shape == (3, 2, 12, len(fns) - 5)
+    singles = [CanonicalState(xs.r[k], xs.P[k]) for k in np.ndindex(3, 2)]
+    for k, x in zip(np.ndindex(3, 2), singles):
+        assert got[k].tobytes() == bracket_matrix(fns[:12], fns[5:], x).tobytes()
+
+    reps = [lorentz_condition_residuals(x, gens) for x in singles]
+    assert lorentz_condition_residuals(xs, gens) == {k: max(r[k] for r in reps) for k in reps[0]}
+
+    calls = []
+
+    def counted(f):
+        def grad(y):
+            calls.append(f)
+            return f.gradient(y)
+
+        return PhaseFunction(f.evaluator, grad)
+
+    wrapped = [counted(f) for f in fns]
+    assert bracket_matrix(wrapped, wrapped, xs).tobytes() == bracket_matrix(fns, fns, xs).tobytes()
+    assert len(calls) == len(fns)
+
+
+@pytest.mark.parametrize("seed_value", [None, 143, 246, 286, 325, 332, 371])
+def test_check_pb_rows_match_a_per_state_reference(tmp_path, seed_value):
+    cfg = harness.load_config(os.path.join(CONFIG_DIR, "check_pb.yaml"))
+    if seed_value is not None:
+        cfg = replace(cfg, seed=seed_value)
+    got = harness.cmd_check_pb(replace(cfg, output_dir=str(tmp_path)))["rows"]
+
+    rng = np.random.default_rng(cfg.seed)
+    n = max(2, len(cfg.particles))
+    coords = [coord_fn(blk, i, mu) for blk in "rP" for i in range(n) for mu in range(4)]
+    fund = 0.0
+    for _ in range(20):
+        x = harness._random_canonical_state(rng, n)
+        for a, ca in enumerate(coords):
+            for b_, cb in enumerate(coords):
+                want = 1.0 if b_ - a == 4 * n else -1.0 if a - b_ == 4 * n else 0.0
+                fund = max(fund, abs(poisson_bracket(ca, cb, x) - want))
+    gens = GeneratorSet()
+    reps = [lorentz_condition_residuals(harness._random_canonical_state(rng, n), gens)
+            for _ in range(100)]
+    triples = [(gens.p_hat[0], gens.M(0, 1), gens.M(1, 2)),
+               (gens.M(0, 1), gens.M(0, 2), gens.p_hat[2]),
+               (gens.p_hat[1], gens.p_hat[2], gens.M(2, 3))]
+    algs = [scalar_bracket_algebra(harness._random_canonical_state(rng, n), triples)
+            for _ in range(5)]
+    want = [("fundamental_pb", fund, 1e-14, fund < 1e-14)]
+    want += [(f"lorentz_condition_{k}", max(r[k] for r in reps), 1e-11,
+              max(r[k] for r in reps) < 1e-11) for k in ("pp", "Mp", "MM")]
+    want += [(f"bracket_{k}", max(r[k] for r in algs), 1e-10, max(r[k] for r in algs) < 1e-10)
+             for k in ("antisymmetry", "linearity", "leibniz", "jacobi")]
+    assert got == want
+
+
+def test_a_stacked_draw_takes_the_normals_of_single_draws():
+    one, many = np.random.default_rng(2024), np.random.default_rng(2024)
+    xs = harness._random_canonical_state(many, 3, 100)
+    singles = [harness._random_canonical_state(one, 3) for _ in range(100)]
+    assert xs.r.shape == xs.P.shape == (100, 3, 4)
+    assert xs.r.tobytes() == np.array([x.r for x in singles]).tobytes()
+    assert xs.P.tobytes() == np.array([x.P for x in singles]).tobytes()
+    assert many.bit_generator.state == one.bit_generator.state
 
 
 def test_generated_increments_match_group_tangents():
