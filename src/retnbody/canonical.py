@@ -326,7 +326,7 @@ def _potentials_and_gradients(histories, external: ExternalFieldModel, observers
     events = np.asarray(events, dtype=np.float64).reshape(-1, 4)
     plan = _root_plan(tuple(h.spec for h in hs), tuple(int(i) for i in observers))
     roots = _plan_roots(hs, plan, events)
-    dA = _per_slot(plan, _potential_gradients(roots, plan.q * plan.w), len(events))
+    dA = _per_slot(plan, _potential_gradients(roots, plan.qw), len(events))
     return (_add_potentials(external.potential(events), plan, roots),
             _external_gradient(external, events) + dA)
 

@@ -14,15 +14,18 @@ on states the step holds: the base states, a stage's (N, 14) node block
 or the committed nodes. It solves the delay roots and field kernels of
 all particles as one batch of the system's one root plan and returns
 each particle's covariant force (q/c) F u + g as an (N, 4) array, which
-_deriv divides by u^0 m0 and raises; every evaluation but a state's
-first starts its roots from the evaluation before (see step). After
-acceptance a fifth evaluation fixes the appended acceleration sample,
-proper time advances by Simpson quadrature of c dt / gamma, and the new
-nodes are committed as one checked block (worldline.commit); they are
-also the states the step record and the next step start from. Each
-step ends with exactly one batch at the new time. Its plan also holds
-the potentials' and the reported delays' roots, so it serves the step's
-diagnostics and the next step's first evaluation.
+_deriv divides by u^0 m0 (the plan's m0 column) and raises; every
+evaluation but a state's first starts its roots from the evaluation
+before (see step). Each stage's (N, 14) node rows are written column by
+column where they are computed, with no copy. After acceptance a fifth
+evaluation fixes the appended acceleration sample, proper time advances
+by Simpson quadrature of c dt / gamma, and the new nodes are committed
+as one checked block (worldline.commit); they are also the states the
+step record and the next step start from. Each step ends with exactly
+one batch at the new time. Its plan also holds the potentials' and the
+reported delays' roots, so it serves the step's diagnostics and the
+next step's first evaluation, which the state caches under the time and
+the history lengths it holds for (read once per step).
 
 Stages 2 to 4 and the fifth evaluation run with their node blocks
 staged (worldline.staged), which the store writes only when a query
@@ -263,16 +266,16 @@ def _deriv(state: SystemState, now: WorldlineSample, prev=None):
     the histories as they stand, and that batch, started from prev when
     given (see total_faraday)."""
     f, batch = total_faraday(state.histories, now, state.external, state.mode, prev)
-    du = raise_index(f / (now.u[:, :1] * batch[0].obs_m0[:, None]))
-    return state.c * now.u[:, 1:] / now.u[:, :1], du, batch
+    g = now.u[:, :1]
+    du = raise_index(f / (g * batch[0].m0_col))
+    return state.c * now.u[:, 1:] / g, du, batch
 
 
-def _node_rows(state: SystemState, t: float, x, u, du, s) -> np.ndarray:
-    """One node per particle at time t as (N, 14) rows in CSV_HEADER
-    order, with a = (gamma / c) du/dt."""
-    c, rows = state.c, np.empty((len(u), 14))
-    rows[:, 0], rows[:, 1], rows[:, 2] = t, s, c * t
-    rows[:, 3:6], rows[:, 6:10], rows[:, 10:] = x, u, (u[:, :1] / c) * du
+def _node_rows(rows, c: float, t: float, du) -> np.ndarray:
+    """Complete (N, 14) node rows in CSV_HEADER order, one per particle,
+    whose s, x and u are written: t, r^0 = c t and a = (gamma / c) du/dt."""
+    rows[:, 0], rows[:, 2] = t, c * t
+    np.multiply(rows[:, 6:7] / c, du, out=rows[:, 10:])
     return rows
 
 
@@ -299,7 +302,9 @@ def step(state: SystemState) -> SystemState:
 
     With renormalize_u, u is divided by sqrt(u.u) at the step's end; a
     u.u that is not positive raises ConstraintViolation naming the
-    particle, before the square root.
+    particle, before the square root. The step record's external
+    potential is read at the new nodes before they are committed, so a
+    user-analytic potential that fails its check commits nothing.
 
     The step records (dt/6) |k4 - k5| per particle, k5 the final
     evaluation's slopes: the difference between RK4 and its
@@ -308,21 +313,24 @@ def step(state: SystemState) -> SystemState:
     evaluation."""
     t_w = time.perf_counter()
     hs = state.histories
-    dt, t, c = state.dt, state.t_now, state.c
+    n, dt, t, c = len(hs), state.dt, state.t_now, state.c
     origin, k, _ = state.grid if state.grid and state.grid[2] == dt else (t, 0, dt)
-    key = (t, tuple(len(h) for h in hs))
-    if state.last_eval is not None and state.last_eval[0] == key:
+    lengths = tuple([len(h) for h in hs])
+    if state.last_eval is not None and state.last_eval[0] == (t, lengths):
         base, kx1, ku1, batch = state.last_eval[1]
     else:
-        base = gather(hs, np.arange(state.n), np.full(state.n, t))
+        base = gather(hs, np.arange(n), np.full(n, t))
         kx1, ku1, batch = _deriv(state, base)
     x0, u0, s0 = base.r[:, 1:], base.u, base.s
     inv_g0 = 1.0 / u0[:, 0]
 
     def advanced(frac, kx, ku):
-        u = u0 + frac * dt * ku
-        s = s0 + frac * dt * c * 0.5 * (inv_g0 + 1.0 / u[:, 0])
-        return _node_rows(state, t + frac * dt, x0 + frac * dt * kx, u, ku, s)
+        # the stage's node rows, each column written where it is computed
+        h, rows = frac * dt, np.empty((n, 14))
+        u = np.add(u0, h * ku, out=rows[:, 6:10])
+        np.add(s0, h * c * 0.5 * (inv_g0 + 1.0 / u[:, 0]), out=rows[:, 1])
+        np.add(x0, h * kx, out=rows[:, 3:6])
+        return _node_rows(rows, c, t + h, ku)
 
     def stage_deriv(rows, prev):
         with staged(hs, rows):
@@ -335,7 +343,8 @@ def step(state: SystemState) -> SystemState:
     kx4, ku4, batch = stage_deriv(advanced(1.0, kx3, ku3), prev=batch)
 
     t1 = origin + (k + 1) * dt
-    x1 = x0 + (dt / 6.0) * (kx1 + 2 * kx2 + 2 * kx3 + kx4)
+    rows = np.empty((n, 14))  # the final stage's, and the committed nodes
+    np.add(x0, (dt / 6.0) * (kx1 + 2 * kx2 + 2 * kx3 + kx4), out=rows[:, 3:6])
     u1 = u0 + (dt / 6.0) * (ku1 + 2 * ku2 + 2 * ku3 + ku4)
     if state.renormalize_u:
         uu = dots(u1, u1)
@@ -347,40 +356,48 @@ def step(state: SystemState) -> SystemState:
             exc.particle = hs[i].spec.label
             raise exc
         u1 = u1 / np.sqrt(uu)[:, None]
+    rows[:, 6:10] = u1
     g_mid = 0.5 * (ra[:, 6] + rb[:, 6])  # u^0 of the two midpoint stages
-    s1 = s0 + (c * dt / 6.0) * (inv_g0 + 4.0 / g_mid + 1.0 / u1[:, 0])
+    np.add(s0, (c * dt / 6.0) * (inv_g0 + 4.0 / g_mid + 1.0 / u1[:, 0]), out=rows[:, 1])
 
     # the final evaluation fixes the appended acceleration sample
-    rows = _node_rows(state, t1, x1, u1, ku4, s1)
+    _node_rows(rows, c, t1, ku4)
     with staged(hs, rows) as stage:
         kx5, ku5, batch = _deriv(state, _states(rows), prev=batch)
     rows[:, 10:] = (u1[:, :1] / c) * ku5  # a, as _node_rows makes it
+    # the step record's external potential at the new nodes, read (and a
+    # user-analytic one checked) before they are committed
+    A_ext = state.external.potential(rows[:, 2:6])
     commit(hs, rows)
     state.t_now, state.grid = t1, (origin, k + 1, dt)
     now = _states(rows)
     if stage.read:
         kx5, ku5, batch = _deriv(state, now, prev=batch)
-    state.last_eval = ((t1, tuple(len(h) for h in hs)), (now, kx5, ku5, batch))
+    # commit wrote one node per history
+    state.last_eval = ((t1, tuple([m + 1 for m in lengths])), (now, kx5, ku5, batch))
     # the local error estimate, its position part in units of c weighted
     # by |u|
     err = (dt / 6.0) * np.sqrt(
         np.add.reduce((ku4 - ku5) ** 2, axis=1)
         + np.add.reduce(u1 * u1, axis=1) * np.add.reduce((kx4 - kx5) ** 2, axis=1) / (c * c))
-    state.diagnostics.append(_diagnose(state, now, batch, time.perf_counter() - t_w, err))
+    state.diagnostics.append(_diagnose(state, now, batch, time.perf_counter() - t_w, err,
+                                       A_ext))
     return state
 
 
-def _diagnose(state: SystemState, now, batch, wall: float, local_error) -> StepRecord:
+def _diagnose(state: SystemState, now, batch, wall: float, local_error,
+              A_ext) -> StepRecord:
     """Step record at t_now from the particles' states now at t_now and
-    the step-end batch (plan, roots): the potentials A (n, 4) summed over
-    its roots and each observer's self delay and companions' sigma_i
-    delays, read off its rows, and the step's local error estimate (n,).
-    No root is solved here."""
+    the step-end batch (plan, roots): the potentials A (n, 4), the
+    external ones A_ext at now.r plus the sum over its roots, and each
+    observer's self delay and companions' sigma_i delays, read off its
+    rows, and the step's local error estimate (n,). No root is solved
+    here."""
     c, u, (plan, roots) = state.c, now.u, batch
-    A = _add_potentials(state.external.potential(now.r), plan, roots)
+    A = _add_potentials(A_ext, plan, roots)
     tau = roots.t_ret.take(plan.own)
     m0 = plan.obs_m0
-    qA = (plan.obs_q / c)[:, None] * A
+    qA = plan.q_c * A
     P = (m0 * c)[:, None] * lower(u) + qA
     pi = P - qA
     heff = dots(pi, pi) / (2.0 * m0 * c)
@@ -464,22 +481,10 @@ PAIR = (ParticleSpec(1.0, 0.5, 0.8, "left"), ParticleSpec(1.0, 0.5, 0.8, "right"
 PAIR_D, PAIR_END, PAIR_DT = 3.0, 1.0, 0.05
 
 
-def demo_locally_isolated(e_amp: float = 0.3, c: float = 1.0) -> dict:
-    """One particle (PULSE) kicked by an external pulse that switches off
-    at PULSE_SWITCH, run to PULSE_END.
-
-    After switch-off the exact self force stays nonzero (the history is
-    curved inside the delay window) even though no external field acts;
-    with the pulse amplitude at zero the worldline stays inertial and the
-    self force vanishes. Doubling the charge on the frozen history
-    multiplies the self force at a probe record by exactly four.
-
-    The pulse envelope is sin^2, so the acceleration is continuously
-    differentiable at both junctions. Keep q^2/(c^2 sigma) below m0: the
-    delayed self-force feedback is amplifying when the EM mass dominates
-    the bare mass and the run then trips the kinematic hard tolerance.
-    """
-    q, t_switch, dt = PULSE.q, PULSE_SWITCH, PULSE_DT
+def _pulse_field(e_amp: float, c: float) -> ExternalFieldModel:
+    """The pulse demo's user-analytic field: E along x of amplitude e_amp
+    times a sin^2 envelope that switches off at PULSE_SWITCH."""
+    t_switch = PULSE_SWITCH
     F_on = ExternalFieldModel.uniform(E=(e_amp, 0.0, 0.0)).tensor
 
     def env(tau):
@@ -505,13 +510,31 @@ def demo_locally_isolated(e_amp: float = 0.3, c: float = 1.0) -> dict:
         A[1] = c * e_amp * env_integral(r[0] / c)
         return A
 
-    ext = ExternalFieldModel.analytic(far, pot)
+    return ExternalFieldModel.analytic(far, pot)
+
+
+def demo_locally_isolated(e_amp: float = 0.3, c: float = 1.0) -> dict:
+    """One particle (PULSE) kicked by an external pulse that switches off
+    at PULSE_SWITCH, run to PULSE_END.
+
+    After switch-off the exact self force stays nonzero (the history is
+    curved inside the delay window) even though no external field acts;
+    with the pulse amplitude at zero the worldline stays inertial and the
+    self force vanishes. Doubling the charge on the frozen history
+    multiplies the self force at a probe record by exactly four.
+
+    The pulse envelope is sin^2, so the acceleration is continuously
+    differentiable at both junctions. Keep q^2/(c^2 sigma) below m0: the
+    delayed self-force feedback is amplifying when the EM mass dominates
+    the bare mass and the run then trips the kinematic hard tolerance.
+    """
+    q, dt = PULSE.q, PULSE_DT
     st = seed([PULSE], [[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0]],
-              t0=0.0, dt=dt, c=c, external=ext)
+              t0=0.0, dt=dt, c=c, external=_pulse_field(e_amp, c))
     run(st, PULSE_END)
     h = st.histories[0]
 
-    post = [r.t for r in st.diagnostics.records if r.t > t_switch + 2 * dt]
+    post = [r.t for r in st.diagnostics.records if r.t > PULSE_SWITCH + 2 * dt]
     # the self force at every post-switch record from one root batch and
     # one kernel pass; each tensor is contracted with u on its own
     now = h.states_at(post)

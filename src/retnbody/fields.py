@@ -20,24 +20,30 @@ where dRt/ds' is -u(s') for the self bi-vector (present minus retarded
 point of the same worldline) and +u(s') for the pair bi-vector (source
 minus observer, differentiated along the source).
 
-total_faraday takes the states of every particle at one time (the rows
-dynamics.step already holds) and solves one root batch of the system's
-one root plan for its self-force mode (retardation._root_plan; each
-root's kernel weight k sums the terms it stands for). Self and binary
-fields always act together, as in the system's one variational
-principle. The equations of motion read the field only through the
-Lorentz force (q/c) F u, so the kernel gives each root's covariant
-factors (W, Rt), (M, 4) arrays with an elementwise grazing-emission
-guard, contracts them with the observer's u as W (Rt.u) - Rt (W.u) and
-adds them per observer (retardation._per_slot) to the external F u
-(ExternalFieldModel.faraday_u, no tensor for variant none); g is one array
-expression over every self root (_asymptotic_g), with the plan's
-constants and u'' read off the segment each self root's gather found
-(no second lookup of the event). It returns (f, batch):
-the (n, 4) covariant force (q/c) F u + g, and the batch's (plan, roots).
-The plan also holds the roots of the potentials and the reported delays,
-so the step diagnostics read them off the batch, and the next
-evaluation of an RK step may start its roots from it (prev).
+total_faraday, the one force path, takes the states of every particle
+at one time (the rows dynamics.step already holds) and solves one root
+batch of the system's one root plan for its self-force mode
+(retardation._root_plan; each root's kernel weight k sums the terms it
+stands for), handing the plan's rows to the one solver as the plan
+holds them (retardation._plan_roots). Self and binary fields always act
+together, as in the system's one variational principle. The equations
+of motion read the field only through the Lorentz force (q/c) F u, so
+the kernel gives each root's covariant factors (W, Rt), (M, 4) arrays
+with an elementwise grazing-emission guard, contracts them with the
+observer's u as W (Rt.u) - Rt (W.u) and adds them per observer
+(retardation._per_slot) to the external F u (ExternalFieldModel.faraday_u:
+no tensor for variant none, the user tensors checked in one pass for
+user-analytic), then scales each observer's sum by the plan's q / c; g
+is one array expression over every self root (_asymptotic_g), with the
+plan's constants and u'' read off the segment each self root's gather
+found (no second lookup of the event). It returns (f, batch): the
+(n, 4) covariant force (q/c) F u + g, and the batch's (plan, roots). The
+plan also holds the roots of the potentials and the reported delays, so
+the step diagnostics read them off the batch, and the next evaluation of
+an RK step may start its roots from it (prev). A user-analytic model's
+tensors and potentials are checked where they are read: a tensor must
+be a finite antisymmetric 4x4 matrix and a potential a finite
+four-vector (ValueError).
 self_faraday and binary_faraday build one root's tensor W Rt - Rt W
 (_tensor); the same factors give each root's potential gradient
 (_potential_gradients), whose antisymmetric part is that tensor.
@@ -50,7 +56,7 @@ from enum import Enum
 
 import numpy as np
 
-from .minkowski import FaradayTensor, _antisymmetric_part, dots, lower
+from .minkowski import _SIGNS, FaradayTensor, _antisymmetric_part, dots, lower
 from .retardation import (JAC_TOL, DelayRoots, _dot, _per_slot, _plan_roots, _root_plan,
                            _self_force_constants, solve_delays)
 from .worldline import WorldlineHistory, _read_udotdot, gather
@@ -125,13 +131,19 @@ class ExternalFieldModel:
             return np.zeros(shape)
         if self.variant == "constant-uniform":
             return np.broadcast_to(self.tensor, shape)
-        return _antisymmetric_part([self.faraday_fn(p) for p in r.reshape(-1, 4)],
-                                   (None, 4, 4)).reshape(shape)
+        return self._user_tensors(r.reshape(-1, 4)).reshape(shape)
+
+    def _user_tensors(self, r) -> np.ndarray:
+        """The user tensors at each row of r (P, 4), checked: (P, 4, 4)."""
+        return _antisymmetric_part([self.faraday_fn(p) for p in r], (None, 4, 4))
 
     def faraday_u(self, r, u) -> np.ndarray:
         """F_mu nu u^nu at each row of r and u (P, 4), each rounded like F @ u."""
-        return np.zeros(u.shape) if self.variant == "none" else (
-            self.faraday(r) @ u[:, :, None])[:, :, 0]
+        if self.variant == "none":
+            return np.zeros(u.shape)
+        F = (np.broadcast_to(self.tensor, (len(u), 4, 4)) if self.variant == "constant-uniform"
+             else self._user_tensors(r))
+        return (F @ u[:, :, None])[:, :, 0]
 
     def potential(self, r) -> np.ndarray:
         """A_mu at one event r (4,), or at each row of a block r (P, 4)."""
@@ -141,8 +153,19 @@ class ExternalFieldModel:
         if self.variant == "constant-uniform":
             # a stacked mat-vec: each row rounds like the one-event T @ r
             return -0.5 * (self.tensor @ r.reshape(-1, 4, 1)).reshape(r.shape)
-        return np.array([self.potential_fn(p) for p in r.reshape(-1, 4)],
-                        dtype=np.float64).reshape(r.shape)
+        return _four_potentials([self.potential_fn(p) for p in r.reshape(-1, 4)]).reshape(r.shape)
+
+
+def _four_potentials(values) -> np.ndarray:
+    """The (P, 4) array of P user potentials, after checking in one pass
+    that each is a four-vector and every component finite (ValueError)."""
+    A = np.array(values, dtype=np.float64)
+    if A.shape[1:] != (4,):
+        raise ValueError(f"expected a four-potential of 4 components at each event, "
+                         f"got shape {A.shape[1:]}")
+    if np.count_nonzero(np.isfinite(A)) < A.size:
+        raise ValueError("four-potential components must be finite")
+    return A
 
 
 def _kernel(roots: DelayRoots, k, u_sign):
@@ -153,12 +176,13 @@ def _kernel(roots: DelayRoots, k, u_sign):
     source for -1 (self)."""
     src = roots.source
     rt_up = u_sign[:, None] * (src.r - roots.events)
-    rt, u = lower(rt_up), lower(src.u)
+    # lowered by eta's diagonal, as minkowski.lower lowers them
+    rt, u = rt_up * _SIGNS, src.u * _SIGNS
     D = _dot(rt, src.u)
     abs_d = np.abs(D)
     roots.check_jacobian(abs_d, np.sqrt(np.abs(_dot(rt, rt_up))), JAC_TOL, "in the field kernel")
     dD = u_sign * _dot(u, src.u) + _dot(rt, src.a)
-    w = (-k / (abs_d * D))[:, None] * (lower(src.a) - u * (dD / D)[:, None])
+    w = (-k / (abs_d * D))[:, None] * (src.a * _SIGNS - u * (dD / D)[:, None])
     return w, rt
 
 
@@ -266,22 +290,26 @@ def total_faraday(histories, now, external: ExternalFieldModel,
     plan for the mode, which also holds every potential's and reported
     delay's root, and its roots. prev, the batch of an evaluation at a
     nearby time, starts every root from the model step off the same row
-    there (retardation._first_iterates) when it holds the same plan;
+    there (retardation._first_iterates) when it holds the same plan (one
+    whose key, the arguments it was made for, equals this evaluation's);
     otherwise the batch starts cold, and its roots have the bits of any
     other cold batch holding them.
     """
     hs = tuple(histories)
     n = len(hs)
-    c = hs[0].c
-    plan = _root_plan(tuple([h.spec for h in hs]), tuple(range(n)), mode, c)
+    key = (tuple([h.spec for h in hs]), tuple(range(n)), mode, hs[0].c)
+    # prev's plan is this one when made for the same arguments: then the
+    # plan is not looked up again (the key compares item by item, each the
+    # same object, where a lookup would hash every spec)
+    warm = prev is not None and prev[0].key == key
+    plan = prev[0] if warm else _root_plan(*key)
     Fu = external.faraday_u(now.r, now.u)
-    warm = prev is not None and prev[0] is plan
     roots = _plan_roots(hs, plan, now.r, now, prev[1] if warm else None)
     if np.count_nonzero(plan.k):
         w, rt = _kernel(roots, plan.k, plan.sign)
         u_obs = now.u.take(plan.slot, axis=0)
         Fu += _per_slot(plan, w * _dot(rt, u_obs)[:, None] - rt * _dot(w, u_obs)[:, None], n)
-    f = (plan.obs_q / c)[:, None] * Fu
+    f = plan.q_c * Fu
     if plan.g_row.size:
         # a neutral particle's g vanishes without a root
         f[plan.g_slot] += _asymptotic_g(roots, plan.g_row, plan.g_em, plan.g_rad)

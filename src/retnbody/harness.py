@@ -626,6 +626,7 @@ class OracleReport:
     expected: list             # per particle, -weight * E-L residual
     rel_mismatch: float        # worst relative disagreement (not gated)
     rows: list                 # CSV-ready (label, t, |grad|, |expected|, rel)
+    sources: list              # the frozen sources the gradients were taken on
 
 
 def _freeze_sources(hists, cfg: OracleConfig, t_hi: float) -> list:
@@ -682,16 +683,19 @@ def action_oracle(histories, cfg: OracleConfig, t_lo: float, t_hi: float,
             rows.append((h.spec.label, float(t), gn, wn, rel))
             worst = max(worst, rel)
     return OracleReport(times=ts[1:-1], gradients=grads, expected=expect,
-                        rel_mismatch=worst, rows=rows)
+                        rel_mismatch=worst, rows=rows, sources=sources)
 
 
 def extremality_ratio(histories, cfg: OracleConfig, t_lo: float, t_hi: float,
                       external: ExternalFieldModel | None = None,
-                      rng=None) -> dict:
+                      rng=None, oracle: OracleReport | None = None) -> dict:
     """Gradient norm on the dynamics trajectory vs a perturbed copy.
 
     The perturbation is a smooth interior bump of size BUMP_AMPLITUDE
-    of the spatial node positions, endpoints fixed.
+    of the spatial node positions, endpoints fixed. oracle, the
+    action_oracle report on the same histories, cfg, window and external
+    field, gives the on-trajectory gradients and the frozen sources,
+    which are then not made again; the result is the same.
     """
     external = external or ExternalFieldModel.none()
     rng = rng or np.random.default_rng(0)
@@ -699,14 +703,15 @@ def extremality_ratio(histories, cfg: OracleConfig, t_lo: float, t_hi: float,
     c = hists[0].c
     specs = [h.spec for h in hists]
     ts = np.linspace(t_lo, t_hi, cfg.nodes)
-    sources = _freeze_sources(hists, cfg, t_hi)
+    sources = _freeze_sources(hists, cfg, t_hi) if oracle is None else oracle.sources
     bump = np.sin(np.pi * np.linspace(0.0, 1.0, cfg.nodes))
 
     n_true = 0.0
     n_pert = 0.0
     for i, h in enumerate(hists):
         nodes_r = h.states_at(ts).r
-        g0 = node_gradient(nodes_r, i, sources, specs, external, cfg.width, c)
+        g0 = (node_gradient(nodes_r, i, sources, specs, external, cfg.width, c)
+              if oracle is None else oracle.gradients[i])
         n_true += float(np.sum(g0 * g0))
         pert = nodes_r.copy()
         direction = rng.normal(size=3)
@@ -879,7 +884,7 @@ def cmd_action_oracle(cfg: RunConfig, base_dir=".") -> dict:
         t_lo = max(h.t_first for h in st.histories) + 1.02 * depth
     rep = action_oracle(st.histories, cfg.oracle, t_lo, st.t_now, ext)
     ext_rep = extremality_ratio(st.histories, cfg.oracle, t_lo, st.t_now,
-                                ext, rng=np.random.default_rng(cfg.seed))
+                                ext, rng=np.random.default_rng(cfg.seed), oracle=rep)
     out = _Artifacts(cfg)
     out.write("action_residuals.csv",
               ["particle", "t", "grad_norm", "force_norm", "relative"], rep.rows)

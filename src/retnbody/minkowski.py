@@ -34,13 +34,17 @@ def _antisymmetric_part(matrix, shape) -> np.ndarray:
     shape (None for any length), finiteness and that each symmetric part
     is within _ANTISYM_TOL of its matrix's scale."""
     m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != len(shape) or any(k not in (None, n) for k, n in zip(shape, m.shape)):
+    # shape is (4, 4) or (None, 4, 4), a stack of any length
+    if m.ndim != len(shape) or m.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
     m_t = m.swapaxes(-1, -2)
-    scale = np.abs(m).max(axis=(-2, -1))  # inf or NaN with any such entry
+    # inf or NaN with any such entry (the maximum of a matrix is exact,
+    # whatever the order of the reduction)
+    scale = np.maximum.reduce(np.abs(m), axis=(-2, -1))
     if np.count_nonzero(np.isfinite(scale)) < scale.size:
         raise ValueError("tensor entries must be finite")
-    if np.count_nonzero(np.abs(m + m_t).max(axis=(-2, -1)) > _ANTISYM_TOL * scale):
+    if np.count_nonzero(np.maximum.reduce(np.abs(m + m_t), axis=(-2, -1))
+                        > _ANTISYM_TOL * scale):
         raise ValueError("matrix is not antisymmetric")
     return 0.5 * (m - m_t)
 

@@ -14,55 +14,59 @@ which gives f and, from the source velocity, f' and the step to the
 root of f for a source moving on inertially. A step that leaves the
 bracket bisects it instead.
 
-Roots are solved in batches. solve_delays runs the iteration on M
-(source, observer event, sigma) requests at once, one worldline gather
-of every row per iteration (worldline._read); a root that meets its
-tolerance keeps its delay, so each later gather reads its event again,
-bit for bit, and its bits do not depend on the batch it is in, only on
-its first iterate. Each root keeps the segment its last gather read: a
-later iterate strictly inside it, a kept root's included, is read off
-its two node rows with no lookup, and the batch hands the segments on
-with its roots (DelayRoots.segment), so the asymptotic self-force reads
-u'' at a self root strictly inside one with no lookup either. A cold
-batch starts every root from the static guess sqrt(d^2 + sigma^2) / c.
-A warm batch (_plan_roots with the roots of the evaluation before, on
-the same plan, handed to the solver as seed) starts each root from the
-iteration's own model step off the same row of that batch, its source
-moving on inertially from the converged event to the new observer
-event (_first_iterates, inside the solver's one errstate): by the
-implicit function theorem a retarded time moves smoothly with the
-observation time wherever Rt.u != 0, so this first iterate is close,
-and it costs no gather. A root whose step is not a finite positive
-delay starts from the static guess, which is made only for such roots;
-the bracket is made once a root needs a Newton step, so a warm batch
-whose roots all converge on their first iterate builds neither. Every
-batch of a run but its first is warm (see dynamics.step); a warm
-batch's roots agree with a cold one's to the root tolerance, not bit
-for bit. The bracket, tolerance and iteration budget are the same either
-way, and every root is checked on a gather of its last iterate.
-self_delay and pair_delay are one-batch calls of it, and
-line_potentials resolves the potential at each root of a batch. A
-failing root raises with the observer, source, sigma and observation
-time named, and carries the observer label as .particle. Products of
-stacked vectors are one np.vecdot call (_dot), each row rounded as a @ b.
+Roots are solved in batches by one solver, _solve, which runs the
+iteration on M (source, observer event, sigma) requests at once, one
+worldline gather of every row per iteration (worldline._read). Its two
+callers only hand it normalized arguments: solve_delays, the public
+entry, turns scalars into per-root arrays and solves a cold batch, and
+_plan_roots hands it a plan's batch as the plan holds it (sigma^2 per
+root included), the roots of the evaluation before as seed. A root that
+meets its tolerance keeps its delay, so each later gather reads its
+event again, bit for bit, and its bits do not depend on the batch it is
+in, only on its first iterate. Each root keeps the segment its last
+gather read: a later iterate strictly inside it, a kept root's included,
+is read off its two node rows with no lookup, and the batch hands the
+segments on with its roots (DelayRoots.segment), so the asymptotic
+self-force reads u'' at a self root strictly inside one with no lookup
+either. A cold batch starts every root from the static guess sqrt(d^2 +
+sigma^2) / c. A warm batch (_plan_roots with the roots of the evaluation
+before, on the same plan) starts each root from the iteration's own
+model step off the same row of that batch, its source moving on
+inertially from the converged event to the new observer event
+(_first_iterates, inside the solver's one errstate): by the implicit
+function theorem a retarded time moves smoothly with the observation
+time wherever Rt.u != 0, so this first iterate is close, and it costs no
+gather. A root whose step is not a finite positive delay starts from the
+static guess, which is made only for such roots; the bracket is made
+once a root needs a Newton step, so a warm batch whose roots all
+converge on their first iterate builds neither. Every batch of a run but
+its first is warm (see dynamics.step); a warm batch's roots agree with a
+cold one's to the root tolerance, not bit for bit. The bracket,
+tolerance and iteration budget are the same either way, and every root
+is checked on a gather of its last iterate. self_delay and pair_delay
+are one-batch calls of it, and line_potentials resolves the potential at
+each root of a batch. A failing root raises with the observer, source,
+sigma and observation time named, and carries the observer label as
+.particle. Products of stacked vectors are one np.vecdot call (_dot),
+each row rounded as a @ b.
 
 Which roots a system needs, and how each enters its observer's sums, is
 decided in one place, _root_plan, one plan per (specs, observers, mode,
-c):
-the self cone and the two shell cones of each charged pair, which the
-effective potentials read, each neutral source's sigma_i cone, which
-only the reported delays read, and, for a force, the point-limit cone
-of each charged pair in asymptotic mode. Each root's weights sum the
-terms it stands for, so an observer's force or potential is one
-weighted sum over its roots (_per_slot). The plan also carries the
-constants each evaluation reads: per root its kernel sign, source charge
-and bins, per observer its charge and mass, and in asymptotic mode the
-self roots, their observers and the constants of g (-m_em c and
-q^2 / 3c at the plan's light speed). fields.total_faraday (so
-every batch of dynamics), canonical.effective_potentials and max_delay
-all read it, and so does the action oracle's smoothed potential
-(harness._smoothed_a_eff), which takes its cones and weights from the
-rows with a potential weight.
+c): the self cone and the two shell cones of each charged pair, which
+the effective potentials read, each neutral source's sigma_i cone, which
+only the reported delays read, and, for a force, the point-limit cone of
+each charged pair in asymptotic mode. Each root's weights sum the terms
+it stands for, so an observer's force or potential is one weighted sum
+over its roots (_per_slot). The plan also carries the constants each
+evaluation reads, made once with it: per root its kernel sign, sigma^2,
+source charge, potential weight q w and bins, per observer its charge
+and mass and, as columns at the plan's light speed, q / c and m0, and in
+asymptotic mode the self roots, their observers and the constants of g
+(-m_em c and q^2 / 3c). Nothing of them is worked out again per
+evaluation. fields.total_faraday (so every batch of dynamics),
+canonical.effective_potentials and max_delay all read it, and so does
+the action oracle's smoothed potential (harness._smoothed_a_eff), which
+takes its cones and weights from the rows with a potential weight.
 """
 
 from __future__ import annotations
@@ -181,23 +185,41 @@ def _model_step(tau, f, dx, u, c):
     return den, tau - f / den
 
 
-def solve_delays(histories, src, events, sigma, obs=-1, now=None,
-                 seed=None) -> DelayRoots:
+def solve_delays(histories, src, events, sigma, obs=-1, now=None) -> DelayRoots:
     """Causal roots of f(tau) = (c tau)^2 - |dx|^2 - sigma^2 for M
-    requests in one batch, dx = x_obs - x_src(t_obs - tau).
+    requests in one cold batch, dx = x_obs - x_src(t_obs - tau).
 
     src, obs and sigma give one value per root or one for all; events are
     the (M, 4) observer events (r^0 = c t_obs). now, the source states at
-    the observation times (only t, s and r are read), is gathered if not given.
+    the observation times (only t, s and r are read), is gathered if not
+    given. Only the arguments are normalized here; _solve, the one
+    solver, solves the batch.
+    """
+    hs = tuple(histories)
+    events = np.asarray(events, dtype=np.float64).reshape(-1, 4)
+    m = len(events)
+    src, obs, sigma = _per_root(src, m), _per_root(obs, m), _per_root(sigma, m, np.float64)
+    if now is None:
+        now = gather(hs, src, events[:, 0] / hs[0].c)  # gather checks the shared c
+    return _solve(hs, src, events, sigma, obs, now, None, sigma * sigma)
+
+
+def _solve(hs, src, events, sigma, obs, now, seed, sig2) -> DelayRoots:
+    """The delay roots of M requests in one batch: the one solver, on
+    normalized arguments (solve_delays normalizes them; a root plan's
+    batches, _plan_roots, come normalized, sig2 = sigma^2 held by the
+    plan). hs is a tuple of histories, src, obs, sigma and sig2 hold one
+    value per root, events (M, 4) and now the source states at the
+    observation times (t, s and r are read).
 
     The first iterate of each root is the static guess sqrt(d^2 +
     sigma^2) / c, d the distance at t_obs, unless seed gives another:
-    one value per root or one for all, a NaN keeping that root's static
-    guess, or the DelayRoots of the same requests at nearby observer
-    events, whose model steps (_first_iterates) then give them inside
-    the solver's one errstate. Whatever the first iterate, the bracket,
-    the tolerance and the iteration budget are the same, and every root
-    is checked on a gather of its own last iterate.
+    one value per root, a NaN keeping that root's static guess, or the
+    DelayRoots of the same requests at nearby observer events, whose
+    model steps (_first_iterates) then give them inside the solver's one
+    errstate. Whatever the first iterate, the bracket, the tolerance and
+    the iteration budget are the same, and every root is checked on a
+    gather of its own last iterate.
 
     Every iteration gathers every row. A root that meets its tolerance
     keeps its delay, so later gathers read its event again, bit for bit;
@@ -208,17 +230,11 @@ def solve_delays(histories, src, events, sigma, obs=-1, now=None,
     lookup (worldline._read), with the bits of a gather; the roots keep
     the segment of their last gather (segment).
     """
-    hs = tuple(histories)
-    events = np.asarray(events, dtype=np.float64).reshape(-1, 4)
     m = len(events)
-    src, obs, sigma = _per_root(src, m), _per_root(obs, m), _per_root(sigma, m, np.float64)
-    c = hs[0].c  # gather checks that the sources share it
-    if now is None:
-        now = gather(hs, src, events[:, 0] / c)
+    c = hs[0].c
     obs_x = events[:, 1:]
     d0 = obs_x - now.r[:, 1:]
     d2 = _dot(d0, d0)
-    sig2 = sigma * sigma
     tol = root_tolerance(d2, sigma)
     # the bracket f(lo) < 0 < f(hi), where f(0) = -d^2 - sigma^2 <= 0: made
     # once a root needs a step, (0, inf) before
@@ -228,8 +244,8 @@ def solve_delays(histories, src, events, sigma, obs=-1, now=None,
         if seed is None:
             tau = np.sqrt(d2 + sig2) / c
         else:
-            tau = (_first_iterates(seed, events, now.t) if isinstance(seed, DelayRoots)
-                   else _per_root(seed, m, np.float64))
+            tau = (_first_iterates(seed, events, now.t, sig2) if isinstance(seed, DelayRoots)
+                   else seed)
             static = np.isnan(tau)
             if np.count_nonzero(static):
                 tau = np.where(static, np.sqrt(d2 + sig2) / c, tau)
@@ -250,12 +266,12 @@ def solve_delays(histories, src, events, sigma, obs=-1, now=None,
             den, step = _model_step(tau, f, dx, ev.u, c)
             ok = (den > 0.0) & (lo < step) & (step < hi)
             tau = np.where(done, tau, np.where(ok, step, 0.5 * (lo + hi)))
-    roots = DelayRoots(hs, src, obs, events, sigma, tau, now.s - ev.s, ev, res, seg)
-    if np.count_nonzero(done) < m:
-        k = int(np.argmin(done))
-        raise roots.fail(NoConvergence, f"delay iteration exhausted {MAX_ITER} "
-                         f"evaluations with residual {res[k]:.3e} > {tol[k]:.3e}", k)
-    return roots
+        else:
+            k = int(np.argmin(done))
+            raise DelayRoots(hs, src, obs, events, sigma, tau, now.s - ev.s, ev, res).fail(
+                NoConvergence, f"delay iteration exhausted {MAX_ITER} evaluations with "
+                f"residual {res[k]:.3e} > {tol[k]:.3e}", k)
+    return DelayRoots(hs, src, obs, events, sigma, tau, now.s - ev.s, ev, res, seg)
 
 
 def self_delay(h: WorldlineHistory, t: float, sigma: float | None = None) -> DelayRoot:
@@ -316,6 +332,11 @@ class _RootPlan(NamedTuple):
     g_row: np.ndarray   # self-force g (a charged one, in asymptotic
     g_em: np.ndarray    # mode): the slot, its self root, -m_em c and
     g_rad: np.ndarray   # q^2 / 3c, m_em = q^2 / (c^2 sigma)
+    sig2: np.ndarray    # per root: sigma^2 and the potential weight q w;
+    qw: np.ndarray      # per observer slot, at the plan's light speed:
+    q_c: np.ndarray     # q / c and m0 as (n, 1) columns
+    m0_col: np.ndarray
+    key: tuple          # (specs, observers, mode, c): what it was made for
 
 
 def _self_force_constants(q, sigma, c: float):
@@ -381,30 +402,33 @@ def _root_plan(specs, observers, mode=None, c: float = 1.0) -> _RootPlan:
     obs = np.array(observers, dtype=np.intp)
     q, m0 = np.array([(spec.q, spec.m0) for spec in specs], dtype=np.float64).T
     g_slot, g_row = np.array([(s, row[key]) for s, key in g_keys], dtype=np.intp).reshape(-1, 2).T
+    sigma = cols[:, 2]
     plan = _RootPlan(
-        src, obs[slot], slot, cols[:, 2], k, w,
+        src, obs[slot], slot, sigma, k, w,
         np.array([[row[key] for key in o] for o in own], dtype=np.intp),
         np.where(src == obs[slot], -1.0, 1.0), q[src], 4 * slot[:, None] + np.arange(4),
         q[obs], m0[obs], g_slot, g_row,
-        *_self_force_constants(q[obs[g_slot]], cols[g_row, 2], float(c)))
-    for x in plan:
+        *_self_force_constants(q[obs[g_slot]], cols[g_row, 2], float(c)),
+        sigma * sigma, q[src] * w, (q[obs] / float(c))[:, None], m0[obs][:, None],
+        (specs, observers, mode, c))
+    for x in plan[:-1]:
         x.flags.writeable = False  # shared by every call with these arguments
     return plan
 
 
-def _first_iterates(prev: DelayRoots, events, t) -> np.ndarray:
+def _first_iterates(prev: DelayRoots, events, t, sig2) -> np.ndarray:
     """First iterates of a plan's roots, for observer events (one per
     row) at times t, from prev, the roots of the same plan on nearby
     observer events, read row for row with no gather: the model step of
     the solver (_model_step) from prev's root, its source moving on
-    inertially from its converged event to the new observer event. NaN,
-    so the static guess, where the step is not a finite positive delay.
-    solve_delays makes them inside its errstate, so they raise no
-    floating-point warning there."""
+    inertially from its converged event to the new observer event; sig2
+    holds each row's sigma^2. NaN, so the static guess, where the step is
+    not a finite positive delay. _solve makes them inside its errstate,
+    so they raise no floating-point warning there."""
     src, c = prev.source, prev.histories[0].c
     tau = t - src.t
     dx = events[:, 1:] - src.r[:, 1:]
-    f = (c * tau) ** 2 - _dot(dx, dx) - prev.sigma * prev.sigma
+    f = (c * tau) ** 2 - _dot(dx, dx) - sig2
     step = _model_step(tau, f, dx, src.u, c)[1]
     return np.where((step > 0.0) & (step < np.inf), step, np.nan)
 
@@ -412,14 +436,16 @@ def _first_iterates(prev: DelayRoots, events, t) -> np.ndarray:
 def _plan_roots(histories, plan: _RootPlan, events, now=None, prev=None) -> DelayRoots:
     """The plan's roots for observer events (one per observer slot) as
     one batch; now, the states of all histories at the observation time,
-    is gathered by the solver when not given. With prev, the roots of the
-    same plan on nearby observer events, the batch starts from the first
-    iterates _first_iterates makes from them (solve_delays' seed); without,
-    cold."""
-    events, src = events.take(plan.slot, axis=0), plan.src
-    if now is not None:
+    is gathered when not given. With prev, the roots of the same plan on
+    nearby observer events, the batch starts from the first iterates
+    _first_iterates makes from them (_solve's seed); without, cold."""
+    hs, src = tuple(histories), plan.src
+    events = events.take(plan.slot, axis=0)
+    if now is None:
+        now = gather(hs, src, events[:, 0] / hs[0].c)
+    else:
         now = WorldlineSample(now.t[src], now.s[src], now.r.take(src, axis=0), None, None)
-    return solve_delays(histories, src, events, plan.sigma, obs=plan.obs, now=now, seed=prev)
+    return _solve(hs, src, events, plan.sigma, plan.obs, now, prev, plan.sig2)
 
 
 def _per_slot(plan: _RootPlan, terms, n: int) -> np.ndarray:
@@ -436,7 +462,7 @@ def _per_slot(plan: _RootPlan, terms, n: int) -> np.ndarray:
 def _add_potentials(A, plan: _RootPlan, roots: DelayRoots):
     """A (one row per observer slot) plus the sum of the plan's weighted
     potential terms."""
-    return A + _per_slot(plan, lower(line_potentials(roots, plan.q * plan.w)), len(A))
+    return A + _per_slot(plan, lower(line_potentials(roots, plan.qw)), len(A))
 
 
 def max_delay(histories, t0: float) -> float:

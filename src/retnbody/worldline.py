@@ -16,7 +16,9 @@ histories into a new one, which is how dynamics.seed builds a system.
 A set of histories read or written together lives in one store and
 names each history once: every read and write finds its store and
 slots through one membership check (_store_of), which raises ValueError
-before anything is read or written otherwise.
+before anything is read or written otherwise; a set that is the whole
+store in slot order (a system's histories) gets the store's own
+read-only slot array, made with the store.
 Nodes enter as checked block writes: extend(table) takes (m, 14)
 rows in CSV_HEADER order (the layout export_csv writes) for one
 history, commit(histories, rows) one row per history, and append is a
@@ -292,6 +294,10 @@ class HistoryBank:
         caps = np.asarray(caps, dtype=np.intp)
         self.c = float(c)
         self._n = np.zeros(len(caps), dtype=np.intp)
+        # the slots of the whole store in order, as _store_of returns them
+        self._order = list(range(len(caps)))
+        self._all_slots = np.arange(len(caps))
+        self._all_slots.flags.writeable = False
         # the (t, s) of each slot's latest node, NaN while it is empty
         self._last = np.full((len(caps), 2), np.nan)
         self._latest = self._last[:, 0]  # a view: the latest node times
@@ -423,6 +429,8 @@ def _store_of(hs):
     twice (see _check_set); histories in one store share its light speed."""
     bank = hs[0]._bank
     slots = [h._slot for h in hs if h._bank is bank]
+    if len(slots) == len(hs) and slots == bank._order:
+        return bank, bank._all_slots  # the whole store, each slot once
     if len(set(slots)) < len(hs):
         _check_set(hs)
         raise ValueError("histories read or written together must share one store")
@@ -614,7 +622,8 @@ def _check_rows(hs, tails, tab, ct, labelled: bool) -> None:
     # first node, which no row needs to advance past
     prev = np.concatenate((tails, tab[:-1, :2])) if one else tails
     behind = tab[:, :2] <= prev
-    norm_err = np.abs(u[:, 0] * u[:, 0] - np.add.reduce(u[:, 1:] ** 2, axis=1) - 1.0)
+    uu = u * u  # the squares u_mu^2, each as u[:, mu] ** 2 rounds it
+    norm_err = np.abs(uu[:, 0] - np.add.reduce(uu[:, 1:], axis=1) - 1.0)
     fail = _first_failure(tab, (
         (behind[:, 0], lambda i: NonMonotonicTime(
             f"append at t={t[i].item()!r} does not advance past {prev[i, 0].item()!r}")),
@@ -632,11 +641,13 @@ def _check_rows(hs, tails, tab, ct, labelled: bool) -> None:
         raise exc
     soft = np.array([h.constraint_tol for h in hs])
     a_max = np.maximum.reduce(np.abs(a), axis=1)
-    ua = np.abs(u[:, 0] * a[:, 0] - np.add.reduce(u[:, 1:] * a[:, 1:], axis=1))
+    ua = u * a
+    ua = np.abs(ua[:, 0] - np.add.reduce(ua[:, 1:], axis=1))
     hits = (norm_err > soft, ua > soft * (1.0 + a_max),
             # a != 0 at the very first node marks a C^1-only prehistory junction
             np.isnan(prev[:, 0]) & (a_max > 1e-12))
-    if not any(np.count_nonzero(hit) for hit in hits):
+    if not (np.count_nonzero(hits[0]) or np.count_nonzero(hits[1])
+            or np.count_nonzero(hits[2])):
         return
     hits = np.array(hits)
     for h, hit in [(hs[0], hits)] if one else zip(hs, hits.T[:, :, None]):
@@ -689,11 +700,12 @@ def _read(histories, src, ts, kept=None):
     and raising as it raises."""
     if kept is not None:
         t0, p, t1, q, _ = kept
-        fresh = ~((t0 < ts) & (ts < t1))
-        n = np.count_nonzero(fresh)
-        if not n:
+        inside = (t0 < ts) & (ts < t1)
+        n = np.count_nonzero(inside)
+        if n == len(ts):
             return _evaluate(ts, t0, p, t1, q, histories[0].c, keep=True)
-        if n < len(ts):
+        if n:
+            fresh = ~inside
             bank, slots = _store_of(histories)
             slot, at = slots[src[fresh]], ts[fresh]
             bank._present(slot, at)

@@ -608,8 +608,8 @@ def test_equal_radius_pair_solves_one_root_per_pair(monkeypatch):
         roots.append(len(np.reshape(events, (-1, 4))))
         return real_solve(histories, src, events, *args, **kwargs)
 
-    real_solve = ret.solve_delays
-    monkeypatch.setattr(ret, "solve_delays", solve)
+    real_solve = ret._solve
+    monkeypatch.setattr(ret, "_solve", solve)
     got = effective_potentials(hs, ext, range(2), events)
     # one batch: each self root and one root per ordered pair
     assert roots == [4]
@@ -718,8 +718,8 @@ def test_instant_form_solves_one_root_batch_per_evaluation(monkeypatch):
         batches.append(len(np.reshape(events, (-1, 4))))
         return real_solve(histories, src, events, *args, **kwargs)
 
-    real_solve = ret.solve_delays
-    monkeypatch.setattr(ret, "solve_delays", solve)
+    real_solve = ret._solve
+    monkeypatch.setattr(ret, "_solve", solve)
     rep = instant_form_constrained(xp, ctx)
     dr, dP = instant_form_increments(xp, ctx, 1e-3)
     # 2 observer events, 3 roots each (self and the two cones of the pair)

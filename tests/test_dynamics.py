@@ -200,7 +200,8 @@ def lorentz_only(monkeypatch):
         n = len(histories)
         q, m0 = np.array([(h.spec.q, h.spec.m0) for h in histories]).T
         f = (q / histories[0].c)[:, None] * (external.faraday(now.r) @ now.u[:, :, None])[:, :, 0]
-        return f, (SimpleNamespace(own=np.zeros((n, n), dtype=np.intp), obs_q=q, obs_m0=m0),
+        return f, (SimpleNamespace(own=np.zeros((n, n), dtype=np.intp), obs_q=q, obs_m0=m0,
+                                   q_c=(q / histories[0].c)[:, None], m0_col=m0[:, None]),
                    SimpleNamespace(t_ret=np.zeros(1)))
 
     monkeypatch.setattr(dyn, "total_faraday", lorentz)
@@ -320,7 +321,7 @@ def test_m_hat_is_each_index_pairs_own_sum_bit_for_bit(monkeypatch):
     A = rng.normal(size=(n, 4))
     monkeypatch.setattr(dyn, "_add_potentials", lambda *args: A)
     rec = DIAGNOSE(st, now, fl.total_faraday(st.histories, now, st.external)[1], 0.0,
-                   np.zeros(n))
+                   np.zeros(n), st.external.potential(now.r))
     q, m0 = np.array([(s.q, s.m0) for s in specs]).T
     P = m0[:, None] * lower(now.u) + q[:, None] * A
     r_low = lower(now.r)
@@ -338,6 +339,21 @@ def test_a_user_field_tensor_is_checked_in_every_step(tensor, message):
               external=ext)
     with pytest.raises(ValueError, match=message):
         step(st)
+
+
+@pytest.mark.parametrize("potential, message", [
+    ([np.nan, 0.0, 0.0, 0.0], "four-potential components must be finite"),
+    ([0.0, 0.0, 0.0],
+     r"expected a four-potential of 4 components at each event, got shape \(3,\)")])
+def test_a_user_potential_is_checked_in_every_step(potential, message):
+    # a user potential enters only the step record (h_eff, p_hat); it is
+    # checked, naming the fault, before the step commits its nodes
+    ext = ExternalFieldModel.analytic(lambda r: np.zeros((4, 4)), lambda r: potential)
+    st = seed([dyn.PULSE], [[0, 0, 0]], [[0, 0, 0]], dt=dyn.PULSE_DT, external=ext)
+    nodes = len(st.histories[0])
+    with pytest.raises(ValueError, match=message):
+        step(st)
+    assert (st.t_now, len(st.histories[0]), len(st.diagnostics)) == (0.0, nodes, 0)
 
 
 def test_run_ends_exactly_on_t_end():
@@ -775,20 +791,21 @@ T_A = [0, 10, 11, 12, 13]
 
 
 def count_batches(monkeypatch):
-    """Record every solve_delays batch as (histories, src, obs, sigma,
-    last, seed, roots), last holding each history's latest node at call
-    time as one row (t, a0, a1, a2, a3), seed the first iterates it was
-    handed (None for a cold batch) and roots the batch solved, and the
-    number of batches solved inside each _diagnose call."""
+    """Record every batch of the one solver (retardation._solve) as
+    (histories, src, obs, sigma, last, seed, roots), last holding each
+    history's latest node at call time as one row (t, a0, a1, a2, a3),
+    seed the first iterates it was handed (None for a cold batch) and
+    roots the batch solved, and the number of batches solved inside each
+    _diagnose call."""
     batches, diagnose = [], []
 
-    def solve(histories, src, events, sigma, obs=-1, **kwargs):
+    def solve(histories, src, events, sigma, obs, now, seed, sig2):
         m = len(np.reshape(events, (-1, 4)))
         last = np.array([h.table[-1, T_A] for h in histories])
-        roots = real_solve(histories, src, events, sigma, obs, **kwargs)
+        roots = real_solve(histories, src, events, sigma, obs, now, seed, sig2)
         batches.append((tuple(histories), *(np.broadcast_to(x, m).tolist()
                                             for x in (src, obs, sigma)), last,
-                        kwargs.get("seed"), roots))
+                        seed, roots))
         return roots
 
     def counted_diagnose(*args):
@@ -797,8 +814,8 @@ def count_batches(monkeypatch):
         diagnose.append(len(batches) - before)
         return out
 
-    real_solve, real_diagnose = ret.solve_delays, dyn._diagnose
-    monkeypatch.setattr(ret, "solve_delays", solve)
+    real_solve, real_diagnose = ret._solve, dyn._diagnose
+    monkeypatch.setattr(ret, "_solve", solve)
     monkeypatch.setattr(dyn, "_diagnose", counted_diagnose)
     return batches, diagnose
 
@@ -838,7 +855,7 @@ def fresh_record(st):
               for j, hj in enumerate(hs) if j != i] for i, h in enumerate(hs)]
     assert np.array_equal(ret._add_potentials(st.external.potential(now.r), plan, roots), A)
     assert np.array_equal(roots.t_ret[plan.own], tau)
-    return DIAGNOSE(st, now, batch, 0.0, np.zeros(n))
+    return DIAGNOSE(st, now, batch, 0.0, np.zeros(n), st.external.potential(now.r))
 
 
 RECORDED = ("t", "constraint_err", "h_eff", "p_hat", "m_hat", "self_delays", "pair_delays",
@@ -850,7 +867,7 @@ def assert_served_by_the_step_end_batch(st):
     the step-end batch cached in st.last_eval."""
     (t, _), (now, _, _, batch) = st.last_eval
     got = st.diagnostics.records[-1]
-    want = DIAGNOSE(st, now, batch, 0.0, got.local_error)
+    want = DIAGNOSE(st, now, batch, 0.0, got.local_error, st.external.potential(now.r))
     assert t == st.t_now
     for name in RECORDED:
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -1107,8 +1124,8 @@ def test_a_query_inside_the_step_leads_to_a_fresh_step_end_batch(monkeypatch):
     st = static_pair()
     at_t1 = []
 
-    def solve(histories, src, events, sigma, obs=-1, now=None, seed=None):
-        roots = real(histories, src, events, sigma, obs, now, seed)
+    def solve(histories, src, events, sigma, obs, now, seed, sig2):
+        roots = real(histories, src, events, sigma, obs, now, seed, sig2)
         # the batches at the step's end: stage 4's, the final stage's,
         # then the step-end batch
         if np.all(np.reshape(events, (-1, 4))[:, 0] > t + 0.75 * st.dt):
@@ -1117,8 +1134,8 @@ def test_a_query_inside_the_step_leads_to_a_fresh_step_end_batch(monkeypatch):
                 wl.gather(histories, 0, [t + 0.5 * st.dt])
         return roots
 
-    real = ret.solve_delays
-    monkeypatch.setattr(ret, "solve_delays", solve)
+    real = ret._solve
+    monkeypatch.setattr(ret, "_solve", solve)
     for _ in range(3):
         t = st.t_now
         at_t1.clear()
@@ -1170,8 +1187,8 @@ def test_every_warm_root_meets_its_tolerance_under_a_fresh_gather(monkeypatch, m
     stages = record_staged(monkeypatch)
     worst = []
 
-    def solve(histories, src, events, sigma, obs=-1, now=None, seed=None):
-        roots = real(histories, src, events, sigma, obs, now, seed)
+    def solve(histories, src, events, sigma, obs, now, seed, sig2):
+        roots = real(histories, src, events, sigma, obs, now, seed, sig2)
         if seed is not None:
             c = histories[0].c
             ev = wl.gather(histories, roots.src, now.t - roots.t_ret)
@@ -1182,8 +1199,8 @@ def test_every_warm_root_meets_its_tolerance_under_a_fresh_gather(monkeypatch, m
             worst.append(np.max(np.abs(f) / ret.root_tolerance(ret._dot(d, d), roots.sigma)))
         return roots
 
-    real = ret.solve_delays
-    monkeypatch.setattr(ret, "solve_delays", solve)
+    real = ret._solve
+    monkeypatch.setattr(ret, "_solve", solve)
     for _ in range(20):
         step(st)
     # every evaluation but the first starts warm: stages 2 to 4, the
@@ -1221,7 +1238,7 @@ def test_warm_and_cold_batches_agree(monkeypatch, mode):
     for _ in range(21):
         step(warm)
     monkeypatch.setattr(ret, "_first_iterates",
-                        lambda prev, events, t: np.full(len(events), np.nan))
+                        lambda prev, events, t, sig2: np.full(len(events), np.nan))
     for _ in range(21):
         step(cold)
     assert_runs_agree(warm, cold)
@@ -1376,7 +1393,10 @@ def python_calls(fn) -> int:
 
 # the Python-level calls one warm step of the exact curved pair makes; a
 # change that adds calls to a step's fixed-cost paths raises it on purpose
-STEP_CALLS = 252
+STEP_CALLS = 198
+# and one warm step of the pulse demo's particle, one charge under a
+# user-analytic field, whose callbacks count too
+PULSE_STEP_CALLS = 221
 
 
 def test_a_warm_step_keeps_its_call_budget():
@@ -1384,3 +1404,13 @@ def test_a_warm_step_keeps_its_call_budget():
     st = curved_pair()
     step(st)  # the first step starts cold
     assert python_calls(lambda: step(st)) <= STEP_CALLS
+
+
+def test_a_warm_pulse_step_keeps_its_call_budget():
+    # the steps that set certify's median: the pulse mid-kick, each warm
+    # batch converging on its first read or after one Newton step
+    st = seed([dyn.PULSE], [[0, 0, 0]], [[0, 0, 0]], dt=dyn.PULSE_DT,
+              external=dyn._pulse_field(0.3, 1.0))
+    for _ in range(60):
+        step(st)
+    assert python_calls(lambda: step(st)) <= PULSE_STEP_CALLS

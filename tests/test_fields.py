@@ -588,6 +588,20 @@ class TestExternalFieldModel:
             assert np.allclose(block, [ext.potential(r) for r in rs],
                                rtol=1e-15, atol=0.0)
 
+    @pytest.mark.parametrize("bad, message", [
+        (lambda r: [0.0, np.inf, 0.0, 0.0] if r[0] > 0.5 else np.zeros(4),
+         "four-potential components must be finite"),
+        (lambda r: np.zeros(3), r"got shape \(3,\)"),
+        (lambda r: np.zeros((4, 1)), r"got shape \(4, 1\)"),
+        (lambda r: 0.0, r"got shape \(\)")])
+    def test_a_user_potential_must_be_a_finite_four_vector(self, bad, message):
+        # one check over the block: a single event and a block raise alike
+        ext = fl.ExternalFieldModel.analytic(lambda r: np.zeros((4, 4)), bad)
+        rs = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        for r in (rs, rs[-1]):
+            with pytest.raises(ValueError, match=message):
+                ext.potential(r)
+
     def test_faraday_u_is_each_rows_tensor_times_its_velocity(self):
         # every variant, none included, rounds each row like F(r) @ u
         rng = np.random.default_rng(3)

@@ -521,23 +521,31 @@ def test_the_oracle_refuses_an_external_field_it_cannot_differentiate(oracle_tra
 def test_action_oracle_reports_the_standalone_extremality(monkeypatch, tmp_path):
     cfg = replace(load_config(os.path.join(CONFIG_DIR, "action_oracle.yaml")),
                   output_dir=str(tmp_path))
-    passes = []
-    node_gradient = harness.node_gradient
+    passes, freezes = [], []
+    node_gradient, freeze_sources = harness.node_gradient, harness._freeze_sources
 
     def counted(*args, **kwargs):
         passes.append(args[1])
         return node_gradient(*args, **kwargs)
 
+    def counted_freeze(*args, **kwargs):
+        freezes.append(args[2])
+        return freeze_sources(*args, **kwargs)
+
     monkeypatch.setattr(harness, "node_gradient", counted)
+    monkeypatch.setattr(harness, "_freeze_sources", counted_freeze)
     out = cmd_action_oracle(cfg, CONFIG_DIR)
-    # per particle: the oracle's pass, then extremality_ratio's
-    # on-trajectory pass and its perturbed one
-    assert sorted(passes) == [0, 0, 0, 1, 1, 1]
+    # per particle: the oracle's pass, which is also extremality_ratio's
+    # on-trajectory gradient, then extremality_ratio's perturbed one; the
+    # sources are frozen once
+    assert sorted(passes) == [0, 0, 1, 1]
+    assert len(freezes) == 1
     hists, (t_lo, t_hi) = out["state"].histories, out["window"]
     alone = extremality_ratio(hists, cfg.oracle, t_lo, t_hi,
                               rng=np.random.default_rng(cfg.seed))
     assert alone == out["extremality"]
-    assert len(passes) == 10
+    # standing alone it makes both passes per particle and freezes its own sources
+    assert len(passes) == 8 and len(freezes) == 2
 
 
 def test_action_oracle_makes_one_force_batch_per_node_time(monkeypatch, tmp_path, total_force):

@@ -22,6 +22,23 @@ def uniform_history(x3, v3, sigma=1.0, q=1.0, t0=-40.0, t1=2.0, n=24, c=1.0):
                                np.asarray(v3, dtype=float), t0, t1, n, c=c)
 
 
+def solve_seeded(histories, src, events, sigma, obs=-1, now=None, seed=None):
+    """solve_delays from the first iterates seed (one per root or one for
+    all, NaN for a root's static guess; None, cold): its arguments,
+    normalized as it normalizes them, handed to the one solver
+    (retardation._solve) with the seed."""
+    hs = tuple(histories)
+    events = np.asarray(events, dtype=np.float64).reshape(-1, 4)
+    m = len(events)
+    src, obs = ret._per_root(src, m), ret._per_root(obs, m)
+    sigma = ret._per_root(sigma, m, np.float64)
+    if now is None:
+        now = ret.gather(hs, src, events[:, 0] / hs[0].c)
+    if seed is not None:
+        seed = ret._per_root(seed, m, np.float64)
+    return ret._solve(hs, src, events, sigma, obs, now, seed, sigma * sigma)
+
+
 def stub_gather(histories, src, ts):
     """Stand-in for retardation.gather over stub sources that only answer
     state_at_time: their states, asked one time at a time, stacked as one
@@ -306,7 +323,7 @@ class TestPairDelay:
                                           a=np.zeros(4))
 
         stub_sources(monkeypatch)
-        root = ret.solve_delays((Misreporting(),), 0, np.zeros(4), 0.5, seed=seed).root(0)
+        root = solve_seeded((Misreporting(),), 0, np.zeros(4), 0.5, seed=seed).root(0)
         assert root.t_ret == pytest.approx(np.sqrt(4.25), abs=1e-11)
 
 
@@ -391,7 +408,7 @@ def test_dual_seed_uniqueness(beta, sigma):
     now = wl.gather((h,), 0, [0.0])
 
     def self_root(seed):
-        return ret.solve_delays((h,), 0, now.r, sigma, obs=0, now=now, seed=seed).t_ret[0]
+        return solve_seeded((h,), 0, now.r, sigma, obs=0, now=now, seed=seed).t_ret[0]
 
     static_est = self_root(None)
     from_zero = self_root(0.0)
@@ -430,12 +447,12 @@ def test_first_iterates_fall_back_to_the_static_guess_row_by_row(monkeypatch):
     events, t = now_b.r[plan.slot], now_b.t[plan.src]
     cold = ret._plan_roots(hs, plan, now_b.r, now_b)
     # each row starts off the same row of prev, 0.01 earlier
-    assert np.all(np.abs(ret._first_iterates(prev, events, t) - cold.t_ret) < 1e-4)
+    assert np.all(np.abs(ret._first_iterates(prev, events, t, plan.sig2) - cold.t_ret) < 1e-4)
     # a batch handed prev as its seed makes those first iterates itself
     warm = ret._plan_roots(hs, plan, now_b.r, now_b, prev)
-    seeded = ret.solve_delays(hs, plan.src, events, plan.sigma, obs=plan.obs,
-                              now=ret.gather(hs, plan.src, t),
-                              seed=ret._first_iterates(prev, events, t))
+    seeded = solve_seeded(hs, plan.src, events, plan.sigma, obs=plan.obs,
+                          now=ret.gather(hs, plan.src, t),
+                          seed=ret._first_iterates(prev, events, t, plan.sig2))
     assert warm.t_ret.tobytes() == seeded.t_ret.tobytes()
 
     # a model step that is negative, NaN or infinite falls back
@@ -447,7 +464,7 @@ def test_first_iterates_fall_back_to_the_static_guess_row_by_row(monkeypatch):
     real_model = ret._model_step
     with monkeypatch.context() as m:
         m.setattr(ret, "_model_step", model_step)
-        seeds = ret._first_iterates(prev, events, t)
+        seeds = ret._first_iterates(prev, events, t, plan.sig2)
     assert np.isnan(seeds).tolist() == [True] * 3 + [False] * (len(seeds) - 3)
 
     # each NaN row starts from the static guess, every other from its seed,
@@ -460,8 +477,8 @@ def test_first_iterates_fall_back_to_the_static_guess_row_by_row(monkeypatch):
 
     real_read = ret._read
     monkeypatch.setattr(ret, "_read", read)
-    roots = ret.solve_delays(hs, plan.src, events, plan.sigma, obs=plan.obs,
-                             now=ret.gather(hs, plan.src, t), seed=seeds)
+    roots = solve_seeded(hs, plan.src, events, plan.sigma, obs=plan.obs,
+                         now=ret.gather(hs, plan.src, t), seed=seeds)
     d = events[:, 1:] - now_b.r[plan.src, 1:]
     static = np.sqrt(ret._dot(d, d) + plan.sigma * plan.sigma) / hs[0].c
     assert np.array_equal(first[0], t - np.where(np.isnan(seeds), static, seeds))
@@ -534,7 +551,9 @@ def test_root_plan_caches_its_per_system_constants(specs, observers, mode):
     # in asymptotic mode a lone charge's self cone carries no kernel weight
     assert any(k != 0.0 for k in plan.k) == (
         mode is SelfForceMode.EXACT or mode is SelfForceMode.ASYMPTOTIC and len(specs) > 1)
-    for name, x in zip(plan._fields, plan):
+    # the arguments it was made for, and every other field an array
+    assert plan.key == (specs, observers, mode, 1.0) and plan._fields[-1] == "key"
+    for name, x in zip(plan._fields[:-1], plan[:-1]):
         assert isinstance(x, np.ndarray) and not x.flags.writeable, name
     # _per_slot adds each slot's terms to zero in root order, one row (and
     # for (M, 4, 4) terms one entry) at a time

@@ -20,6 +20,7 @@ from retnbody.fields import SelfForceMode
 from retnbody.minkowski import dots, lower
 from retnbody.worldline import (
     QueryBeyondPresent, _combine, _hermite_dd, _store_of, _weights, _DU, _U)
+from test_retardation import solve_seeded
 
 # -- the reference: u'' as every self root read it before segments were kept --------
 # verbatim copies of worldline.u_dotdot and worldline._segment_udotdot, each
@@ -332,7 +333,7 @@ def test_a_newton_iterate_inside_the_segment_makes_no_lookup(monkeypatch):
     seed = exact.t_ret * (1.0 + 1e-4)
     fresh = _solve_fresh(monkeypatch, (h,), 0, now.r, 0.7, obs=0, now=now, seed=seed)
     counts = count_lookups(monkeypatch)
-    roots = ret.solve_delays((h,), 0, now.r, 0.7, obs=0, now=now, seed=seed)
+    roots = solve_seeded((h,), 0, now.r, 0.7, obs=0, now=now, seed=seed)
     assert counts["read"] >= 2 and counts["index"] == 1
     assert_same_roots(roots, fresh)
 
@@ -341,11 +342,11 @@ def test_a_newton_iterate_inside_the_segment_makes_no_lookup(monkeypatch):
 
 
 def _solve_fresh(monkeypatch, *args, **kwargs):
-    """solve_delays with every iterate looked up, as before segments were kept."""
+    """solve_seeded with every iterate looked up, as before segments were kept."""
     real = ret._read
     with monkeypatch.context() as m:
         m.setattr(ret, "_read", lambda histories, src, ts, kept=None: real(histories, src, ts))
-        return ret.solve_delays(*args, **kwargs)
+        return solve_seeded(*args, **kwargs)
 
 
 def assert_same_roots(a, b):
@@ -369,7 +370,7 @@ def test_kept_segments_give_the_roots_of_fresh_lookups(monkeypatch, offset):
     rng = np.random.default_rng(round(abs(1e3 * offset)))
     seed = cold.t_ret * (1.0 + offset * rng.uniform(0.5, 1.5, len(cold.t_ret)))
     args = (hs, plan.src, events, plan.sigma)
-    kept = ret.solve_delays(*args, obs=plan.obs, now=here, seed=seed)
+    kept = solve_seeded(*args, obs=plan.obs, now=here, seed=seed)
     assert_same_roots(kept, _solve_fresh(monkeypatch, *args, obs=plan.obs, now=here, seed=seed))
 
 
@@ -426,7 +427,7 @@ def test_a_first_gather_on_the_latest_node_keeps_no_segment(monkeypatch, case):
             except QueryBeyondPresent as exc:
                 return exc
 
-    got = run(ret.solve_delays)
+    got = run(solve_seeded)
     want = run(lambda *a, **k: _solve_fresh(monkeypatch, *a, **k))
     if case == "open_stage":
         assert_same_roots(got, want)
